@@ -22,7 +22,10 @@ def main() -> int:
     parser.add_argument("--separation", default="mincut", choices=["mincut", "exhaustive"])
     args = parser.parse_args()
 
-    out = args.output or tempfile.mktemp(suffix=".jsonl", prefix="rrst-suite-")
+    out = args.output
+    if out is None:
+        with tempfile.NamedTemporaryFile(suffix=".jsonl", prefix="rrst-suite-", delete=False) as fh:
+            out = fh.name
     code = cli.main([
         "compare", "--suite", "builtin-small",
         "--mode", args.mode, "--separation", args.separation,

@@ -29,6 +29,7 @@ from .errors import (
     GroundTooLarge,
     InputError,
     InternalError,
+    IterationLimit,
     ParseError,
     RRSTError,
     TooManyTrees,
@@ -350,9 +351,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TooManyTrees, GroundTooLarge) as exc:
-        # enumeration guards trip on inputs too large for the oracle route
-        print(f"error: {exc}", file=sys.stderr)
+    except (TooManyTrees, GroundTooLarge, IterationLimit) as exc:
+        # the oracle's enumeration guards and the solver's pivot and round
+        # bounds trip on inputs too large for their route
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,15 @@
 """Exception hierarchy.
 
-Three broad classes matter to callers and to the CLI exit-code mapping:
+The classes that matter to callers and to the CLI exit-code mapping:
 
 * InputError        - bad user input (parse or validation); CLI exit 2.
-* VerificationError - a certificate failed to check; CLI exit 3.
+* TooManyTrees, GroundTooLarge, IterationLimit
+                    - the input is too large for the oracle's enumeration or
+                      for the solver's pivot and cut-round bounds; CLI exit 2.
 * InternalError     - an invariant the algorithms guarantee was breached,
                       which always signals an implementation bug; CLI exit 4.
+
+Failed verifications are returned as messages, not raised; the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ class MalformedProgram(InputError):
     """A linear program references undeclared variables or is otherwise ill-formed."""
 
 
-class CutNotViolated(RRSTError):
-    """Defensive check: a constraint handed to the cutting loop as a cut is
-    already satisfied by the point it was separated from."""
-
-
 class InfeasibleModel(RRSTError):
     """The relaxation has no feasible point."""
 
@@ -64,8 +63,9 @@ class InternalError(RRSTError):
     """An algorithm invariant was breached; indicates a bug, never bad input."""
 
 
-class IterationLimit(InternalError):
-    """Defensive bound on loop iterations; must not trigger on valid inputs."""
+class IterationLimit(RRSTError):
+    """Defensive bound on simplex pivots or cutting-plane rounds: the
+    instance is too large to solve within it."""
 
 
 class NoIntegralCoordinate(InternalError):

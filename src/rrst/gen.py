@@ -107,21 +107,8 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
 
 
 def _connected(n: int, pairs) -> bool:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
+    graph = MultiGraph(range(n), dict(enumerate(pairs)))
+    return len(graph.spanning_forest(graph.edges)) == n - 1
 
 
 def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:

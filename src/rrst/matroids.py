@@ -5,9 +5,10 @@ new matroid of the same family, so rank queries and polytope separation can
 stay specialized.  A generic oracle-backed adapter exists for tests that
 want to cross-check the closed forms against first principles.
 
-Rank is always computed by greedy augmentation against the independence
-oracle, which is exact for any matroid.  Contraction follows the minor
-rules: ground shrinks by the contracted element; if {e} was dependent the
+Rank and minimum-weight bases come from one greedy scan, which is exact
+for any matroid: against the independence oracle in general, and as a
+Kruskal scan of the multigraph for graphic matroids.  Contraction follows
+the minor rules: ground shrinks by the contracted element; if {e} was dependent the
 independent sets are simply carried over.  For graphic matroids an edge
 parallel to a contracted edge becomes a loop and stays in the ground set
 as a rank-zero element.
@@ -37,9 +38,8 @@ class Matroid:
 
     family = "abstract"
 
-    def __init__(self, ground, minor_stack=()):
+    def __init__(self, ground):
         self.ground = frozenset(ground)
-        self.minor_stack = tuple(minor_stack)
 
     def is_independent(self, subset) -> bool:
         raise NotImplementedError
@@ -49,18 +49,26 @@ class Matroid:
         if bad:
             raise ElementNotInGround(f"elements {sorted(bad)} not in ground set")
 
+    def max_independent(self, order) -> list[int]:
+        """Greedy scan: the elements of order, in that order, that stay
+        independent of those kept before them."""
+        picked: set[int] = set()
+        kept = []
+        for e in order:
+            picked.add(e)
+            if self.is_independent(picked):
+                kept.append(e)
+            else:
+                picked.discard(e)
+        return kept
+
     def rank(self, subset=None) -> int:
-        """Size of a maximum independent subset, by greedy augmentation."""
+        """Size of a maximum independent subset, by the greedy scan."""
         if subset is None:
             subset = self.ground
         else:
             self._check_elements(subset)
-        picked: set[int] = set()
-        for e in sorted(subset):
-            picked.add(e)
-            if not self.is_independent(picked):
-                picked.discard(e)
-        return len(picked)
+        return len(self.max_independent(sorted(subset)))
 
     def full_rank(self) -> int:
         return self.rank(self.ground)
@@ -78,51 +86,37 @@ class GraphicMatroid(Matroid):
 
     family = "graphic"
 
-    def __init__(self, graph: MultiGraph, loops=frozenset(), minor_stack=()):
+    def __init__(self, graph: MultiGraph, loops=frozenset()):
         self.graph = graph
         self.loops = frozenset(loops)
-        super().__init__(set(graph.edges) | self.loops, minor_stack)
+        super().__init__(set(graph.edges) | self.loops)
 
     def is_independent(self, subset) -> bool:
         self._check_elements(subset)
         if any(e in self.loops for e in subset):
             return False
-        # union-find acyclicity check
-        parent: dict[int, int] = {}
+        return len(self.graph.spanning_forest(subset)) == len(subset)
 
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        for e in subset:
-            u, v = self.graph.endpoints(e)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[max(ru, rv)] = min(ru, rv)
-        return True
+    def max_independent(self, order) -> list[int]:
+        return self.graph.spanning_forest([e for e in order if e not in self.loops])
 
     def delete(self, e: int) -> "GraphicMatroid":
         self._check_elements({e})
-        stack = self.minor_stack + (("deleted", e),)
         if e in self.loops:
-            return GraphicMatroid(self.graph, self.loops - {e}, stack)
-        return GraphicMatroid(self.graph.delete_edge(e), self.loops, stack)
+            return GraphicMatroid(self.graph, self.loops - {e})
+        return GraphicMatroid(self.graph.delete_edge(e), self.loops)
 
     def contract(self, e: int) -> "GraphicMatroid":
         self._check_elements({e})
-        stack = self.minor_stack + (("contracted", e),)
         if e in self.loops:
             # dependent singleton: independence is unchanged, e just leaves
-            return GraphicMatroid(self.graph, self.loops - {e}, stack)
+            return GraphicMatroid(self.graph, self.loops - {e})
         u, v = self.graph.endpoints(e)
         new_loops = set(self.loops)
         for fid, (a, b) in self.graph.edges.items():
             if fid != e and {a, b} == {u, v}:
                 new_loops.add(fid)
-        return GraphicMatroid(self.graph.contract_edge(e), frozenset(new_loops), stack)
+        return GraphicMatroid(self.graph.contract_edge(e), frozenset(new_loops))
 
 
 class UniformMatroid(Matroid):
@@ -130,11 +124,11 @@ class UniformMatroid(Matroid):
 
     family = "uniform"
 
-    def __init__(self, ground, r: int, minor_stack=()):
+    def __init__(self, ground, r: int):
         if r < 0:
             raise ValidationError(f"uniform rank {r} is negative")
         self.r = r
-        super().__init__(ground, minor_stack)
+        super().__init__(ground)
 
     def is_independent(self, subset) -> bool:
         self._check_elements(subset)
@@ -142,12 +136,12 @@ class UniformMatroid(Matroid):
 
     def delete(self, e: int) -> "UniformMatroid":
         self._check_elements({e})
-        return UniformMatroid(self.ground - {e}, self.r, self.minor_stack + (("deleted", e),))
+        return UniformMatroid(self.ground - {e}, self.r)
 
     def contract(self, e: int) -> "UniformMatroid":
         self._check_elements({e})
         new_r = self.r - 1 if self.r >= 1 else 0
-        return UniformMatroid(self.ground - {e}, new_r, self.minor_stack + (("contracted", e),))
+        return UniformMatroid(self.ground - {e}, new_r)
 
 
 class PartitionMatroid(Matroid):
@@ -155,7 +149,7 @@ class PartitionMatroid(Matroid):
 
     family = "partition"
 
-    def __init__(self, parts, minor_stack=()):
+    def __init__(self, parts):
         # parts: sequence of (elements, cap); blocks must be disjoint
         norm = []
         seen: set[int] = set()
@@ -168,7 +162,7 @@ class PartitionMatroid(Matroid):
             seen |= elements
             norm.append((elements, cap))
         self.parts = tuple(norm)
-        super().__init__(seen, minor_stack)
+        super().__init__(seen)
 
     def is_independent(self, subset) -> bool:
         self._check_elements(subset)
@@ -178,7 +172,7 @@ class PartitionMatroid(Matroid):
     def delete(self, e: int) -> "PartitionMatroid":
         self._check_elements({e})
         parts = [(elements - {e}, cap) for elements, cap in self.parts]
-        return PartitionMatroid(parts, self.minor_stack + (("deleted", e),))
+        return PartitionMatroid(parts)
 
     def contract(self, e: int) -> "PartitionMatroid":
         self._check_elements({e})
@@ -189,7 +183,7 @@ class PartitionMatroid(Matroid):
                 parts.append((elements - {e}, cap - 1 if cap >= 1 else 0))
             else:
                 parts.append((elements, cap))
-        return PartitionMatroid(parts, self.minor_stack + (("contracted", e),))
+        return PartitionMatroid(parts)
 
 
 class GenericOracleMatroid(Matroid):
@@ -198,9 +192,9 @@ class GenericOracleMatroid(Matroid):
 
     family = "oracle"
 
-    def __init__(self, ground, oracle, minor_stack=()):
+    def __init__(self, ground, oracle):
         self._oracle = oracle
-        super().__init__(ground, minor_stack)
+        super().__init__(ground)
 
     def is_independent(self, subset) -> bool:
         self._check_elements(subset)
@@ -208,10 +202,7 @@ class GenericOracleMatroid(Matroid):
 
     def delete(self, e: int) -> "GenericOracleMatroid":
         self._check_elements({e})
-        inner = self._oracle
-        return GenericOracleMatroid(
-            self.ground - {e}, inner, self.minor_stack + (("deleted", e),)
-        )
+        return GenericOracleMatroid(self.ground - {e}, self._oracle)
 
     def contract(self, e: int) -> "GenericOracleMatroid":
         self._check_elements({e})
@@ -220,9 +211,7 @@ class GenericOracleMatroid(Matroid):
             oracle = lambda subset, _e=e, _f=inner: _f(subset | {_e})
         else:
             oracle = inner
-        return GenericOracleMatroid(
-            self.ground - {e}, oracle, self.minor_stack + (("contracted", e),)
-        )
+        return GenericOracleMatroid(self.ground - {e}, oracle)
 
 
 def greedy_min_basis(matroid: Matroid, weights, required_size=None) -> list[int]:
@@ -231,15 +220,7 @@ def greedy_min_basis(matroid: Matroid, weights, required_size=None) -> list[int]
     required_size lets callers demand a specific basis size; NoBasis is
     raised when the matroid cannot reach it.
     """
-    order = sorted(matroid.ground, key=lambda e: (weights[e], e))
-    picked: set[int] = set()
-    result = []
-    for e in order:
-        picked.add(e)
-        if matroid.is_independent(picked):
-            result.append(e)
-        else:
-            picked.discard(e)
+    result = matroid.max_independent(sorted(matroid.ground, key=lambda e: (weights[e], e)))
     if required_size is None:
         required_size = matroid.full_rank()
     if len(result) != required_size:

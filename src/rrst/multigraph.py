@@ -57,19 +57,7 @@ class MultiGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        adj = self.adjacency()
-        start = min(self.nodes)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == len(self.nodes)
+        return len(self.components()) <= 1
 
     def contract_edge(self, eid: int) -> "MultiGraph":
         """Merge the endpoints of eid; drop eid and any edge that becomes a loop.
@@ -123,9 +111,30 @@ class MultiGraph:
             comps.append(frozenset(comp))
         return comps
 
-    def spanning_forest_size(self) -> int:
-        """Edge count of any maximal forest: node_count - number of components."""
-        return self.node_count - len(self.components())
+    def spanning_forest(self, edge_order) -> list[int]:
+        """Kruskal scan: the edges of edge_order, in that order, that join two
+        components of the forest kept so far; stops at node_count - 1 edges."""
+        need = self.node_count - 1
+        forest: list[int] = []
+        if need <= 0:
+            return forest
+        parent: dict[int, int] = {}
+
+        def find(v):
+            while parent.get(v, v) != v:
+                parent[v] = parent.get(parent[v], parent[v])
+                v = parent[v]
+            return v
+
+        for eid in edge_order:
+            u, v = self.endpoints(eid)
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                forest.append(eid)
+                if len(forest) == need:
+                    break
+        return forest
 
     def __repr__(self) -> str:
         return f"MultiGraph(nodes={sorted(self.nodes)}, edges={self.edges})"

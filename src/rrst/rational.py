@@ -1,11 +1,12 @@
 """Exact rational arithmetic backend.
 
 Every cost, LP coefficient and solution value in this package is an exact
-rational.  gmpy2.mpq is used when available (roughly an order of magnitude
-faster than fractions.Fraction in the simplex inner loop); otherwise the
-stdlib Fraction serves as a drop-in.  Both expose .numerator/.denominator,
-keep values reduced to lowest terms with a positive denominator, and hash
-and compare interchangeably.
+rational.  The stdlib fractions.Fraction is the backend the test suite and
+the benchmark baseline run on.  gmpy2.mpq replaces it when gmpy2 is
+importable (roughly an order of magnitude faster in the simplex inner
+loop); that branch is not exercised by the tests.  Both expose
+.numerator/.denominator, keep values reduced to lowest terms with a
+positive denominator, and hash and compare interchangeably.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
-
-    Rat = type(_mpq(0))
-
-    def rat(a, b=1):
-        return _mpq(a, b)
-
-except ImportError:  # pragma: no cover
+except ImportError:
     Rat = Fraction
 
     def rat(a, b=1):
         return Fraction(a, b)
+
+else:  # pragma: no cover
+    Rat = type(_mpq(0))
+
+    def rat(a, b=1):
+        return _mpq(a, b)
 
 
 ZERO = rat(0)

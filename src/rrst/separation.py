@@ -36,7 +36,7 @@ from math import lcm
 
 from .errors import GroundTooLarge, ValidationError
 from .multigraph import MultiGraph
-from .rational import ONE, ZERO, Rat, rat
+from .rational import ZERO, Rat, rat
 
 EXHAUSTIVE_NODE_LIMIT = 20
 
@@ -59,69 +59,6 @@ class ViolatedCut:
         return -self.slack
 
 
-# --- exact max flow ---------------------------------------------------
-
-
-class _Arc:
-    __slots__ = ("to", "cap", "rev")
-
-    def __init__(self, to, cap):
-        self.to = to
-        self.cap = cap
-        self.rev = None
-
-
-def max_flow(arcs, source, sink):
-    """Edmonds-Karp with exact rational capacities.
-
-    Returns (flow value, source side of a minimum cut).  The source side is
-    the set of nodes reachable in the final residual network, i.e. the
-    inclusion-minimal min cut.
-    """
-    adj: dict = {source: [], sink: []}
-    for u, v, cap in arcs:
-        fwd = _Arc(v, cap)
-        bwd = _Arc(u, ZERO)
-        fwd.rev = bwd
-        bwd.rev = fwd
-        adj.setdefault(u, []).append(fwd)
-        adj.setdefault(v, []).append(bwd)
-    value = ZERO
-    while True:
-        prev = {source: None}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            if x == sink:
-                break
-            for arc in adj[x]:
-                if arc.cap > 0 and arc.to not in prev:
-                    prev[arc.to] = arc
-                    queue.append(arc.to)
-        if sink not in prev:
-            break
-        path = []
-        x = sink
-        while x != source:
-            arc = prev[x]
-            path.append(arc)
-            x = arc.rev.to
-        aug = min(arc.cap for arc in path)
-        for arc in path:
-            arc.cap -= aug
-            arc.rev.cap += aug
-        value += aug
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for arc in adj[x]:
-            if arc.cap > 0 and arc.to not in reach:
-                reach.add(arc.to)
-                queue.append(arc.to)
-    return value, frozenset(reach)
-
-
 # --- forest separation ------------------------------------------------
 
 
@@ -132,33 +69,6 @@ def _check_point(point, graph):
     for eid in graph.edges:
         if point[eid] < 0:
             raise ValidationError(f"point[{eid}]={point[eid]} is negative")
-
-
-def _induced_components(graph: MultiGraph, nodes):
-    """Connected components of the subgraph induced by `nodes`."""
-    nodes = set(nodes)
-    adj = {v: [] for v in nodes}
-    for u, v in graph.edges.values():
-        if u in nodes and v in nodes:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen: set = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    queue.append(y)
-        comps.append(comp)
-    return comps
 
 
 def _forest_cut_for(point, graph, nodes) -> ViolatedCut | None:
@@ -175,22 +85,6 @@ def _forest_cut_for(point, graph, nodes) -> ViolatedCut | None:
     if slack >= 0:
         return None
     return ViolatedCut(tuple(edges), rhs, slack, tuple(sorted(nodes)))
-
-
-def _mincut_network(point, graph, forced_in, forced_out, inf):
-    arcs = []
-    for eid in sorted(graph.edges):
-        u, v = graph.edges[eid]
-        if point[eid] > 0:
-            arcs.append((("s",), ("e", eid), point[eid]))
-            arcs.append((("e", eid), ("v", u), inf))
-            arcs.append((("e", eid), ("v", v), inf))
-    for node in sorted(graph.nodes):
-        if node == forced_in:
-            continue  # capacity 0: free to take into the cut side
-        cap = inf if node == forced_out else ONE
-        arcs.append((("v", node), ("t",), cap))
-    return arcs
 
 
 def _num_den(v) -> tuple[int, int]:
@@ -309,8 +203,9 @@ def _sweep_min_cut(graph, caps, total, unit, forced_in, forced_out):
 
 
 def _candidates_from_vertices(point, graph, nodes) -> list[ViolatedCut]:
+    induced = MultiGraph(nodes, {eid: graph.edges[eid] for eid in graph.edges_within(nodes)})
     found = []
-    for comp in _induced_components(graph, nodes):
+    for comp in induced.components():
         cut = _forest_cut_for(point, graph, comp)
         if cut is not None:
             found.append(cut)

@@ -34,9 +34,6 @@ class GraphSide:
     def element_ids(self) -> list[int]:
         return self.graph.edge_ids()
 
-    def has_elements(self) -> bool:
-        return self.graph.edge_count > 0
-
     def is_active(self) -> bool:
         return self.graph.node_count >= 2
 
@@ -70,26 +67,11 @@ class GraphSide:
     def complete_min(self, weights: dict[int, Rat]) -> list[int]:
         """Cheapest completion to a full selection (Kruskal, ids break ties)."""
         need = self.target_size()
-        if need == 0:
-            return []
-        parent = {v: v for v in self.graph.nodes}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        chosen = []
-        for eid in sorted(self.graph.edge_ids(), key=lambda e: (weights[e], e)):
-            u, v = self.graph.endpoints(eid)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append(eid)
-                if len(chosen) == need:
-                    return chosen
-        raise NoBasis(f"graph is not connected; only {len(chosen)} of {need} edges found")
+        order = sorted(self.graph.edge_ids(), key=lambda e: (weights[e], e))
+        chosen = self.graph.spanning_forest(order)
+        if len(chosen) < need:
+            raise NoBasis(f"graph is not connected; only {len(chosen)} of {need} edges found")
+        return chosen
 
 
 class MatroidSide:
@@ -103,9 +85,6 @@ class MatroidSide:
     @property
     def element_ids(self) -> list[int]:
         return sorted(self.matroid.ground)
-
-    def has_elements(self) -> bool:
-        return len(self.matroid.ground) > 0
 
     def is_active(self) -> bool:
         return len(self.matroid.ground) > 0

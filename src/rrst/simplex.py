@@ -14,16 +14,13 @@ Two entry points:
                                     cutting planes can be added and
                                     reoptimized with the dual simplex
                                     instead of solving from scratch.
-
-add_constraint_and_resolve() is the conservative public path: it checks
-the cut is actually violated, appends it, and re-solves cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CutNotViolated, IterationLimit, MalformedProgram
+from .errors import InternalError, IterationLimit, MalformedProgram
 from .rational import ONE, ZERO, Rat, rat
 
 LE = "<="
@@ -40,7 +37,7 @@ class Constraint:
 
 
 class LinearProgram:
-    """Minimization program over declared variables.
+    """Minimization program over declared nonnegative variables.
 
     Variables are identified by arbitrary hashable ids; declaration order
     fixes the column order the pivot rule sees, so it is part of the
@@ -49,20 +46,20 @@ class LinearProgram:
 
     def __init__(self):
         self.variables: list = []
-        self.nonneg: dict = {}
+        self.declared: set = set()
         self.objective: dict = {}
         self.constraints: list[Constraint] = []
 
-    def add_variable(self, var, nonneg: bool = True):
-        if var in self.nonneg:
+    def add_variable(self, var):
+        if var in self.declared:
             raise MalformedProgram(f"variable {var!r} declared twice")
         self.variables.append(var)
-        self.nonneg[var] = nonneg
+        self.declared.add(var)
         return var
 
     def set_objective(self, coeffs):
         for var in coeffs:
-            if var not in self.nonneg:
+            if var not in self.declared:
                 raise MalformedProgram(f"objective references undeclared variable {var!r}")
         self.objective = dict(coeffs)
 
@@ -70,14 +67,14 @@ class LinearProgram:
         if rel not in (LE, EQ):
             raise MalformedProgram(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
         for var in coeffs:
-            if var not in self.nonneg:
+            if var not in self.declared:
                 raise MalformedProgram(f"constraint references undeclared variable {var!r}")
         self.constraints.append(Constraint(dict(coeffs), rel, rat(rhs)))
 
     def copy(self) -> "LinearProgram":
         lp = LinearProgram()
         lp.variables = list(self.variables)
-        lp.nonneg = dict(self.nonneg)
+        lp.declared = set(self.declared)
         lp.objective = dict(self.objective)
         lp.constraints = list(self.constraints)
         return lp
@@ -111,25 +108,12 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def evaluate(coeffs, values) -> Rat:
-    total = ZERO
-    for var, coef in coeffs.items():
-        total += coef * values[var]
-    return total
-
-
-def constraint_satisfied(con: Constraint, values) -> bool:
-    lhs = evaluate(con.coeffs, values)
-    return lhs == con.rhs if con.rel == EQ else lhs <= con.rhs
-
-
 class SimplexSession:
     """Tableau that stays warm across cutting-plane rounds.
 
-    Column layout: structural columns (one per nonnegative variable, two
-    for a free variable split into positive and negative parts), then one
-    slack column per inequality row in order of addition.  Artificial
-    columns used by phase 1 are appended last and physically removed once
+    Column layout: structural columns (one per variable, in declaration
+    order), then one slack column per inequality row in order of addition.
+    Artificial columns used by phase 1 are appended last and removed once
     feasibility is established, so column indices of real variables never
     move and Bland's lowest-index rule keeps meaning the same thing for
     the session's whole life.
@@ -145,30 +129,15 @@ class SimplexSession:
     # --- construction -------------------------------------------------
 
     def _build_columns(self, lp):
-        self.col_ids: list = []  # per-column identifier
-        self.col_sign: list = []  # +1 or -1 (free-variable minus columns)
-        self.var_cols: dict = {}  # var -> list[(col, sign)]
-        for var in lp.variables:
-            if lp.nonneg[var]:
-                self.var_cols[var] = [(len(self.col_ids), 1)]
-                self.col_ids.append(var)
-                self.col_sign.append(1)
-            else:
-                self.var_cols[var] = [(len(self.col_ids), 1), (len(self.col_ids) + 1, -1)]
-                self.col_ids.append(("+", var))
-                self.col_sign.append(1)
-                self.col_ids.append(("-", var))
-                self.col_sign.append(-1)
-        self.n_structural = len(self.col_ids)
+        self.col_ids: list = list(lp.variables)  # per-column identifier
+        self.var_col: dict = {var: col for col, var in enumerate(self.col_ids)}
 
     def _structural_row(self, coeffs):
         row = [ZERO] * len(self.col_ids)
         for var, coef in coeffs.items():
-            if var not in self.var_cols:
+            if var not in self.var_col:
                 raise MalformedProgram(f"constraint references undeclared variable {var!r}")
-            coef = rat(coef)
-            for col, sign in self.var_cols[var]:
-                row[col] = coef if sign > 0 else -coef
+            row[self.var_col[var]] = rat(coef)
         return row
 
     def _build_rows(self, lp):
@@ -178,7 +147,6 @@ class SimplexSession:
             if con.rel == LE:
                 self.slack_of_constraint[ci] = len(self.col_ids)
                 self.col_ids.append(("slack", ci))
-                self.col_sign.append(1)
         width = len(self.col_ids)
 
         self.rows: list[list] = []  # each row: coefficients, rhs in the last slot
@@ -210,7 +178,6 @@ class SimplexSession:
             else:
                 art = len(self.col_ids)
                 self.col_ids.append(("artificial", i))
-                self.col_sign.append(1)
                 self.artificial_cols.append(art)
                 self.basis[i] = art
         if self.artificial_cols:
@@ -247,7 +214,7 @@ class SimplexSession:
         self.basis[r] = c
         self._pivots += 1
         if self._pivots > _PIVOT_LIMIT:
-            raise IterationLimit("pivot limit exceeded")
+            raise IterationLimit(f"simplex pivots exceeded {_PIVOT_LIMIT}")
 
     def _primal_loop(self, cost, extra_cost_rows, banned):
         """Bland's rule: lowest eligible column with negative reduced cost
@@ -290,9 +257,7 @@ class SimplexSession:
         # phase-2 cost row is carried through phase 1 so it stays canonical
         obj = [ZERO] * self.ncols
         for var, coef in lp.objective.items():
-            coef = rat(coef)
-            for col, sign in self.var_cols[var]:
-                obj[col] = coef if sign > 0 else -coef
+            obj[self.var_col[var]] = rat(coef)
         self.cost = self._canonical_cost_row(obj)
 
         banned = set(self.artificial_cols)
@@ -303,7 +268,7 @@ class SimplexSession:
             p1_row = self._canonical_cost_row(p1)
             status = self._primal_loop(p1_row, [self.cost], banned)
             if status != OPTIMAL:
-                raise IterationLimit("phase 1 cannot be unbounded")  # pragma: no cover
+                raise InternalError("phase 1 cannot be unbounded")  # pragma: no cover
             if -p1_row[-1] != 0:
                 self.status = INFEASIBLE
                 return
@@ -336,7 +301,6 @@ class SimplexSession:
             del row[first_art:-1]
         del self.cost[first_art:-1]
         del self.col_ids[first_art:]
-        del self.col_sign[first_art:]
         self.artificial_cols = []
         self.ncols = len(self.col_ids)
 
@@ -371,7 +335,6 @@ class SimplexSession:
 
             slack_col = self.ncols
             self.col_ids.append(("slack", ci))
-            self.col_sign.append(1)
             self.slack_of_constraint[ci] = slack_col
             self.ncols += 1
             for row in self.rows:
@@ -423,13 +386,7 @@ class SimplexSession:
         col_value = {}
         for i, b in enumerate(self.basis):
             col_value[b] = self.rows[i][-1]
-        values = {}
-        for var in self.lp.variables:
-            total = ZERO
-            for col, sign in self.var_cols[var]:
-                v = col_value.get(col, ZERO)
-                total = total + v if sign > 0 else total - v
-            values[var] = total
+        values = {var: col_value.get(col, ZERO) for var, col in self.var_col.items()}
         objective = ZERO
         for var, coef in self.lp.objective.items():
             objective += rat(coef) * values[var]
@@ -440,19 +397,6 @@ class SimplexSession:
 def solve(lp: LinearProgram) -> SolveResult:
     """Cold deterministic solve; the input program is not mutated."""
     return SimplexSession(lp.copy()).result()
-
-
-def add_constraint_and_resolve(lp: LinearProgram, prior: VertexSolution, cut: Constraint):
-    """Append a cut that the prior vertex violates, then re-solve cold.
-
-    Cold solving makes the result trivially identical to solving the full
-    program from scratch under the fixed pivot rule.
-    """
-    if constraint_satisfied(cut, prior.values):
-        raise CutNotViolated(f"prior solution already satisfies {cut}")
-    new_lp = lp.copy()
-    new_lp.add_constraint(cut.coeffs, cut.rel, cut.rhs)
-    return new_lp, solve(new_lp)
 
 
 def _fmt_var(var) -> str:
@@ -478,5 +422,5 @@ def dump_lp(lp: LinearProgram) -> str:
     for i, con in enumerate(lp.constraints):
         lines.append(f"r{i}: {_fmt_terms(con.coeffs, lp.variables)} {con.rel} {con.rhs}")
     for var in lp.variables:
-        lines.append(f"{_fmt_var(var)} {'>= 0' if lp.nonneg[var] else 'free'}")
+        lines.append(f"{_fmt_var(var)} >= 0")
     return "\n".join(lines) + "\n"

@@ -292,23 +292,7 @@ def _parse_selection(doc: dict, key: str, valid_ids) -> set:
 
 
 def _is_spanning_tree(graph, edges: set) -> bool:
-    if len(edges) != graph.node_count - 1:
-        return False
-    parent = {v: v for v in graph.nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        u, v = graph.endpoints(e)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return len(edges) == graph.node_count - 1 == len(graph.spanning_forest(edges))
 
 
 def _check_common(doc, X, Y, Z, costs, overlap_required: int) -> list[str]:

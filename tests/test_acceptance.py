@@ -11,11 +11,13 @@ The shared corpus (built once per session) covers:
 
 Every solve runs fully instrumented so the criteria can audit iteration
 bookkeeping, rounding integrality, LP bound tightness, and determinism
-without re-solving.
+without re-solving.  The solution documents of all these solves are also
+held to a golden digest, so a refactor that changes any output byte fails.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -53,6 +55,11 @@ STRICT = SolveConfig(mode="strict")
 
 ITERATION_BOUND_FACTOR = 4
 
+# sha256 over the serialized solution of every corpus solve, in corpus
+# order: tree runs, matroid runs, then each graphic case by the tree route
+# and by the matroid route
+GOLDEN_DIGEST = "23136477beb2dcbab1cf336311e3be53d210120557877513f0a44800dedfed33"
+
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -65,6 +72,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 class Run:
     name: str
     units: int  # node count for trees, ground size for matroids
+    text: str  # serialized solution, "" when the solve stalled
     total: object
     lp_bound: object
     iterations: int
@@ -77,9 +85,20 @@ class Run:
 
 
 @dataclass
+class GraphicRun:
+    name: str
+    instance: object
+    minstance: object
+    tree_sol: object
+    basis_sol: object
+    oracle_total: object
+
+
+@dataclass
 class Corpus:
     tree_runs: list[Run] = field(default_factory=list)
     matroid_runs: list[Run] = field(default_factory=list)
+    graphic_runs: list[GraphicRun] = field(default_factory=list)
     tree_seconds: float = 0.0
     matroid_seconds: float = 0.0
 
@@ -121,13 +140,12 @@ def _run_case(name, units, instance, solver, reference) -> Run:
     sol, inv, rnd, stalled = _audit(solver, instance, instance.overlap_requirement)
     ref = reference(instance, prune=True)
     strict_sol = solver(instance, STRICT)
-    stable = (
-        serialize_solution(sol) == serialize_solution(solver(instance, BATCH))
-        if sol is not None else False
-    )
+    text = "" if sol is None else serialize_solution(sol)
+    stable = sol is not None and text == serialize_solution(solver(instance, BATCH))
     return Run(
         name=name,
         units=units,
+        text=text,
         total=None if sol is None else sol.total,
         lp_bound=None if sol is None else sol.lp_bound,
         iterations=0 if sol is None else sol.iterations,
@@ -202,6 +220,12 @@ def corpus() -> Corpus:
     for name, units, mi in _matroid_cases():
         c.matroid_runs.append(_run_case(name, units, mi, solve_rrmb, brute_force_rrmb))
     c.matroid_seconds = time.perf_counter() - t0
+
+    for name, inst, mi in _graphic_matroid_cases():
+        c.graphic_runs.append(GraphicRun(
+            name, inst, mi, solve_rrst(inst, BATCH), solve_rrmb(mi, BATCH),
+            brute_force_rrmb(mi, prune=True).total,
+        ))
     return c
 
 
@@ -219,18 +243,15 @@ def test_criterion_1_tree_solver_matches_oracle(corpus):
 def test_criterion_2_matroid_solver_matches_oracle(corpus):
     bad = [r.name for r in corpus.matroid_runs if r.total != r.oracle_total]
     graphic_bad = []
-    for name, inst, mi in _graphic_matroid_cases():
-        tree_sol = solve_rrst(inst, BATCH)
-        basis_sol = solve_rrmb(mi, BATCH)
-        ref = brute_force_rrmb(mi, prune=True)
+    for g in corpus.graphic_runs:
         # the two routes may pick different optima among ties; the value and
         # the validity of both certificates are what must coincide
         if not (
-            tree_sol.total == basis_sol.total == ref.total
-            and verify_tree_solution(inst, solution_to_dict(tree_sol)) == []
-            and verify_basis_solution(mi, solution_to_dict(basis_sol)) == []
+            g.tree_sol.total == g.basis_sol.total == g.oracle_total
+            and verify_tree_solution(g.instance, solution_to_dict(g.tree_sol)) == []
+            and verify_basis_solution(g.minstance, solution_to_dict(g.basis_sol)) == []
         ):
-            graphic_bad.append(name)
+            graphic_bad.append(g.name)
     ok = not bad and not graphic_bad and corpus.matroid_seconds < 300
     _verdict(
         2, ok,
@@ -361,3 +382,13 @@ def test_criterion_9_determinism_and_mode_equivalence(corpus):
         + (f"; unstable {unstable[:3]}" if unstable else "")
         + (f"; mode mismatches {mode_diff[:3]}" if mode_diff else ""),
     )
+
+
+def test_solution_documents_match_golden_digest(corpus):
+    digest = hashlib.sha256()
+    for r in corpus.all_runs:
+        digest.update(r.text.encode())
+    for g in corpus.graphic_runs:
+        digest.update(serialize_solution(g.tree_sol).encode())
+        digest.update(serialize_solution(g.basis_sol).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -129,6 +129,12 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
     assert run(["solve", "--input", str(inst_file)]) == 4
 
 
+def test_pivot_limit_exits_2(inst_file, monkeypatch, capsys):
+    monkeypatch.setattr("rrst.simplex._PIVOT_LIMIT", 0)
+    assert run(["solve", "--input", str(inst_file)]) == 2
+    assert "input too large" in capsys.readouterr().err
+
+
 def test_invalid_log_level_exits_2(inst_file, monkeypatch):
     monkeypatch.setenv("RRST_LOG", "chatty")
     assert run(["gen", "--nodes", "3", "--k", "0", "--seed", "1"]) == 2

@@ -113,15 +113,27 @@ def test_graphic_contraction_creates_loops():
 
 
 def test_generic_oracle_matches_graphic():
+    # the graphic rank and minimum basis are Kruskal scans; the oracle
+    # adapter reaches them by the generic greedy over independence calls
     m = k4_matroid()
     o = GenericOracleMatroid(m.ground, m.is_independent)
-    for s in subsets(m.ground, 4):
-        assert o.is_independent(s) == m.is_independent(s)
-    # and after a shared minor sequence
-    mm, oo = m.contract(0).delete(3), o.contract(0).delete(3)
-    assert mm.ground == oo.ground
-    for s in subsets(mm.ground):
-        assert oo.is_independent(s) == mm.is_independent(s)
+    minors = [
+        (m, o),
+        (m.contract(0).delete(3), o.contract(0).delete(3)),
+        # edge 3 is parallel to edge 1 once 0 is contracted: a loop after 1
+        (m.contract(0).contract(1), o.contract(0).contract(1)),
+    ]
+    assert minors[2][0].loops == {3}
+    for mm, oo in minors:
+        assert mm.ground == oo.ground
+        for s in subsets(mm.ground):
+            assert oo.is_independent(s) == mm.is_independent(s)
+            assert oo.rank(s) == mm.rank(s)
+        ground = sorted(mm.ground)
+        for weights in ({e: rat(1) for e in ground},
+                        {e: rat(-e) for e in ground},
+                        {e: rat(e % 3) for e in ground}):
+            assert greedy_min_basis(oo, weights) == greedy_min_basis(mm, weights)
 
 
 def test_element_outside_ground_rejected():

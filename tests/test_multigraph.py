@@ -19,6 +19,8 @@ def test_basic_accessors():
     assert g.edge_count == 6
     assert g.edge_ids() == [0, 1, 2, 3, 4, 5]
     assert g.endpoints(3) == (1, 2)
+    # Kruskal scan: 3 closes the triangle 1-2-3, and the scan stops at n - 1
+    assert g.spanning_forest([5, 4, 3, 2, 1, 0]) == [5, 4, 2]
     with pytest.raises(UnknownEdge):
         g.endpoints(99)
 
@@ -43,7 +45,7 @@ def test_connectivity_and_components():
     g = MultiGraph(range(4), {0: (0, 1), 1: (2, 3)})
     assert not g.is_connected()
     assert g.components() == [frozenset({0, 1}), frozenset({2, 3})]
-    assert g.spanning_forest_size() == 2
+    assert g.spanning_forest(g.edge_ids()) == [0, 1]
     assert MultiGraph([], {}).is_connected()
 
 

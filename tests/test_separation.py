@@ -14,7 +14,6 @@ from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.rational import ONE, ZERO, rat
 from rrst.separation import (
-    max_flow,
     separate_forest,
     separate_forest_candidates,
     separate_forest_exhaustive,
@@ -25,21 +24,6 @@ from rrst.separation import (
 
 def graph_of(n, pairs):
     return MultiGraph(range(n), dict(enumerate(pairs)))
-
-
-def test_max_flow_known_network():
-    arcs = [("s", "a", rat(3)), ("s", "b", rat(2)), ("a", "t", rat(2)),
-            ("b", "t", rat(3)), ("a", "b", rat(1))]
-    value, source_side = max_flow(arcs, "s", "t")
-    assert value == rat(5)
-    assert source_side == frozenset({"s"})
-
-
-def test_max_flow_fractional_capacities():
-    arcs = [("s", "a", rat(1, 3)), ("a", "t", rat(1, 2))]
-    value, side = max_flow(arcs, "s", "t")
-    assert value == rat(1, 3)
-    assert side == frozenset({"s"})
 
 
 def test_forest_violation_found_on_heavy_triangle():
