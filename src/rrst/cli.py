@@ -8,8 +8,9 @@ Subcommands:
 * ``compare`` - run solver and exhaustive oracle over a suite, report agreement;
 * ``oracle``  - solve an instance by exhaustive enumeration only.
 
-Exit codes: 0 success, 2 bad input, 3 verification failure or solver/oracle
-disagreement, 4 breached internal invariant (always a bug, never bad input).
+Exit codes: 0 success, 2 bad input or input too large, 3 verification
+failure or solver/oracle disagreement, 4 breached internal invariant (always
+a bug, never bad input).
 
 The ``RRST_LOG`` environment variable (error|info|debug, default error)
 controls diagnostic logging on stderr.
@@ -235,6 +236,10 @@ def _run_report(name: str, inst: Instance, config: SolveConfig, with_oracle: boo
     t0 = time.perf_counter()
     try:
         sol = solve_rrst(inst, config)
+    except IterationLimit as exc:
+        # a pivot or round bound: reported as `rrst solve` reports it
+        report["error"] = f"input too large: {exc}"
+        return report
     except RRSTError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return report
@@ -260,6 +265,7 @@ def cmd_compare(args) -> int:
     log.info("comparing %d instances", len(instances))
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     disagreements = 0
+    too_large = 0
     internal = 0
     try:
         for name, inst in instances:
@@ -268,9 +274,15 @@ def cmd_compare(args) -> int:
                 disagreements += 1
                 log.error("disagreement on %s: solver=%s oracle=%s",
                           name, report["total"], report["oracle_total"])
-            if report["error"] is not None and not report["error"].startswith("oracle skipped"):
+            error = report["error"]
+            if error is None or error.startswith("oracle skipped"):
+                pass
+            elif error.startswith("input too large"):
+                too_large += 1
+                log.error("%s on %s", error, name)
+            else:
                 internal += 1
-                log.error("solver failure on %s: %s", name, report["error"])
+                log.error("solver failure on %s: %s", name, error)
             out.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     finally:
         if out is not sys.stdout:
@@ -279,6 +291,8 @@ def cmd_compare(args) -> int:
         return EXIT_INTERNAL
     if disagreements:
         return EXIT_VERIFY
+    if too_large:
+        return EXIT_INPUT
     return EXIT_OK
 
 

@@ -1,31 +1,21 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every cost, LP coefficient and solution value in this package is an exact
-rational.  The stdlib fractions.Fraction is the backend the test suite and
-the benchmark baseline run on.  gmpy2.mpq replaces it when gmpy2 is
-importable (roughly an order of magnitude faster in the simplex inner
-loop); that branch is not exercised by the tests.  Both expose
-.numerator/.denominator, keep values reduced to lowest terms with a
-positive denominator, and hash and compare interchangeably.
+rational, a ``fractions.Fraction``: reduced to lowest terms with a positive
+denominator.  ``Rat`` names the type and ``rat`` builds one.  The simplex
+tableau is the exception: it holds integers over one common denominator
+(see simplex.py) and hands back Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:
-    Rat = Fraction
+Rat = Fraction
 
-    def rat(a, b=1):
-        return Fraction(a, b)
 
-else:  # pragma: no cover
-    Rat = type(_mpq(0))
-
-    def rat(a, b=1):
-        return _mpq(a, b)
+def rat(a, b=1):
+    return Fraction(a, b)
 
 
 ZERO = rat(0)
@@ -57,8 +47,8 @@ def parse_exact(value):
             f = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ExactnessError(f"cannot parse {value!r} as an exact rational") from exc
-        return rat(f.numerator, f.denominator)
-    if isinstance(value, (Rat, Fraction)):
+        return f
+    if isinstance(value, Fraction):
         return rat(value.numerator, value.denominator)
     raise ExactnessError(f"cannot parse {type(value).__name__} as an exact rational")
 

@@ -135,6 +135,16 @@ def test_pivot_limit_exits_2(inst_file, monkeypatch, capsys):
     assert "input too large" in capsys.readouterr().err
 
 
+def test_compare_pivot_limit_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr("rrst.simplex._PIVOT_LIMIT", 0)
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--seeds", "1..1", "--nodes", "4", "--no-oracle",
+                "--output", str(out)]) == 2
+    [report] = [json.loads(l) for l in out.read_text().splitlines()]
+    assert report["error"].startswith("input too large: simplex pivots exceeded")
+    assert report["total"] is None
+
+
 def test_invalid_log_level_exits_2(inst_file, monkeypatch):
     monkeypatch.setenv("RRST_LOG", "chatty")
     assert run(["gen", "--nodes", "3", "--k", "0", "--seed", "1"]) == 2

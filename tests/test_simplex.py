@@ -2,13 +2,17 @@
 
 The hypothesis tests check the solver against a definition-level oracle:
 enumerate every basic point (all ways to make n constraints tight), keep
-the feasible ones, and take the best objective.
+the feasible ones, and take the best objective.  Another checks the integer
+tableau itself against B^-1 [A | b] recomputed in Fraction, and its pivots
+against a plain rational tableau that follows the same rules.
 """
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrst.errors import MalformedProgram
@@ -173,18 +177,20 @@ def _solve_square(rows, rhs):
 
 
 def brute_force_lp_min(nvars, objective, rows):
-    """Minimum objective over all vertices of {Ax <= b, x >= 0}."""
-    cons = [([rat(c) for c in coeffs], rat(rhs)) for coeffs, rhs in rows]
+    """Minimum objective over all vertices of {a x (<= or ==) b, x >= 0},
+    or None if no vertex is feasible."""
+    cons = [([rat(c) for c in coeffs], rel, rat(rhs)) for coeffs, rel, rhs in rows]
     for i in range(nvars):
         unit = [ZERO] * nvars
         unit[i] = -ONE
-        cons.append((unit, ZERO))  # -x_i <= 0
+        cons.append((unit, LE, ZERO))  # -x_i <= 0
     best = None
     for subset in itertools.combinations(range(len(cons)), nvars):
-        sol = _solve_square([cons[i][0] for i in subset], [cons[i][1] for i in subset])
+        sol = _solve_square([cons[i][0] for i in subset], [cons[i][2] for i in subset])
         if sol is None:
             continue
-        if any(sum(c * v for c, v in zip(coeffs, sol)) > rhs for coeffs, rhs in cons):
+        lhs = [sum(c * v for c, v in zip(coeffs, sol)) for coeffs, _, _ in cons]
+        if any(v > rhs if rel == LE else v != rhs for v, (_, rel, rhs) in zip(lhs, cons)):
             continue
         val = sum(rat(c) * v for c, v in zip(objective, sol))
         if best is None or val < best:
@@ -200,23 +206,288 @@ def bounded_lp(draw):
     rows = []
     for _ in range(nrows):
         coeffs = [draw(st.integers(0, 4)) for _ in range(nvars)]
-        rows.append((coeffs, draw(st.integers(0, 9))))
+        rows.append((coeffs, LE, draw(st.integers(0, 9))))
     for i in range(nvars):  # box keeps it bounded, origin keeps it feasible
         unit = [0] * nvars
         unit[i] = 1
-        rows.append((unit, 3))
+        rows.append((unit, LE, 3))
     return nvars, obj, rows
 
 
-@given(bounded_lp())
-@settings(max_examples=120, deadline=None)
+def _fractions(lo, hi):
+    return st.fractions(lo, hi, max_denominator=6)
+
+
+@st.composite
+def rational_lp(draw):
+    """Boxed programs with rational data, == rows and negative rhs; they
+    may be infeasible."""
+    nvars = draw(st.integers(2, 3))
+    obj = [draw(_fractions(-5, 5)) for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
+        rows.append((coeffs, draw(st.sampled_from([LE, EQ])), draw(_fractions(-4, 9))))
+    for i in range(nvars):
+        unit = [0] * nvars
+        unit[i] = 1
+        rows.append((unit, LE, draw(_fractions(1, 4))))
+    return nvars, obj, rows
+
+
+@given(st.one_of(bounded_lp(), rational_lp()))
+@settings(max_examples=250, deadline=None)
 def test_simplex_matches_vertex_enumeration(problem):
     nvars, obj, rows = problem
-    lp, _ = lp_from(nvars, obj, [(c, LE, r) for c, r in rows])
+    lp, _ = lp_from(nvars, obj, rows)
     res = solve(lp)
-    assert res.is_optimal
     expected = brute_force_lp_min(nvars, obj, rows)
+    if expected is None:
+        assert res.status == "infeasible"
+        return
+    assert res.is_optimal
     assert res.solution.objective_value == expected
     for con in lp.constraints:
         assert constraint_satisfied(con, res.solution.values)
     assert all(v >= 0 for v in res.solution.values.values())
+
+
+# --- the integer tableau ------------------------------------------------
+
+
+def _rank(matrix):
+    a = [list(r) for r in matrix]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def assert_tableau_invariant(session):
+    """Each basic column is den times a unit vector, and rows / den is
+    B^-1 [A | b] for the scaled program: B (rows / den) = [A | b] with B the
+    basic columns of A, of full column rank.  A is rebuilt here in Fraction
+    from the program: each row times the LCM of its denominators, its slack
+    (columns after the variables, in constraint order) with coefficient 1.
+    The cost row is checked the same way against the scaled objective."""
+    lp, den, rows, basis = session.lp, session.den, session.rows, session.basis
+    assert isinstance(den, int) and den > 0
+    assert all(type(v) is int for row in rows + [session.cost] for v in row)
+    for i, b in enumerate(basis):
+        assert [row[b] for row in rows] == [den if k == i else 0 for k in range(len(rows))]
+        assert session.cost[b] == 0
+
+    col = {var: j for j, var in enumerate(lp.variables)}
+    width = len(lp.variables) + sum(con.rel == LE for con in lp.constraints)
+    assert session.ncols == width
+    a_b = []
+    slack = len(lp.variables)
+    for con in lp.constraints:
+        scale = lcm(con.rhs.denominator, *(Fraction(v).denominator for v in con.coeffs.values()))
+        row = [Fraction(0)] * width + [con.rhs * scale]
+        for var, coef in con.coeffs.items():
+            row[col[var]] = Fraction(coef) * scale
+        if con.rel == LE:
+            row[slack] = Fraction(1)
+            slack += 1
+        a_b.append(row)
+    tableau = [[Fraction(v, den) for v in row] for row in rows]
+    for r in a_b:
+        assert [sum(r[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)] == r
+    assert _rank([[r[b] for b in basis] for r in a_b]) == len(basis)
+
+    obj_scale = lcm(*(Fraction(v).denominator for v in lp.objective.values()))
+    c = [Fraction(0)] * (width + 1)
+    for var, coef in lp.objective.items():
+        c[col[var]] = Fraction(coef) * obj_scale
+    reduced = [c[j] - sum(c[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)]
+    assert [Fraction(v, den) for v in session.cost] == reduced
+
+
+@st.composite
+def feasible_lp_with_cuts(draw):
+    """A rational boxed program with == rows and negative rhs that a drawn
+    point x0 satisfies, plus batches of rational cuts."""
+    nvars = draw(st.integers(2, 4))
+    x0 = [draw(_fractions(0, 3)) for _ in range(nvars)]
+    obj = [draw(_fractions(-5, 5)) for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
+        lhs = sum(c * x for c, x in zip(coeffs, x0))
+        if draw(st.booleans()):
+            rows.append((coeffs, EQ, lhs))
+        else:
+            rows.append((coeffs, LE, lhs + draw(_fractions(0, 3))))
+    for i in range(nvars):
+        unit = [0] * nvars
+        unit[i] = 1
+        rows.append((unit, LE, 3))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        batch = []
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = [draw(_fractions(-2, 3)) for _ in range(nvars)]
+            batch.append((coeffs, sum(c * x for c, x in zip(coeffs, x0)) - draw(_fractions(-1, 2))))
+        batches.append(batch)
+    return nvars, obj, rows, batches
+
+
+class RationalTableau:
+    """The pivot rules of rrst.simplex on a plain Fraction tableau with no
+    scaling: the reference the integer tableau must follow pivot for pivot."""
+
+    def __init__(self, lp):
+        self.lp = lp
+        nvars = len(lp.variables)
+        col = {var: j for j, var in enumerate(lp.variables)}
+        les = [ci for ci, con in enumerate(lp.constraints) if con.rel == LE]
+        slack = {ci: nvars + k for k, ci in enumerate(les)}
+        self.ncols = nvars + len(les)
+        self.col = col
+        self.rows, self.basis, needs = [], [], []
+        for ci, con in enumerate(lp.constraints):
+            row = [Fraction(0)] * self.ncols + [Fraction(con.rhs)]
+            for var, coef in con.coeffs.items():
+                row[col[var]] = Fraction(coef)
+            s = slack.get(ci)
+            if s is not None:
+                row[s] = Fraction(1)
+            if row[-1] < 0:
+                row, s = [-v for v in row], None
+            if s is None:
+                needs.append(len(self.rows))
+            self.rows.append(row)
+            self.basis.append(s)
+        first_art = self.ncols
+        for k, i in enumerate(needs):
+            for row in self.rows:
+                row.insert(-1, Fraction(1) if row is self.rows[i] else Fraction(0))
+            self.basis[i] = first_art + k
+        self.ncols += len(needs)
+        self.pivots = 0
+        obj = [Fraction(0)] * (self.ncols + 1)
+        for var, coef in lp.objective.items():
+            obj[col[var]] = Fraction(coef)
+        self.cost = self._canonical(obj)
+        arts = set(range(first_art, self.ncols))
+        if arts:
+            p1 = self._canonical([Fraction(j in arts) for j in range(self.ncols)] + [Fraction(0)])
+            self._primal(p1, [self.cost], arts)
+            if p1[-1] != 0:
+                self.status = "infeasible"
+                return
+            for i in range(len(self.rows) - 1, -1, -1):
+                if self.basis[i] in arts:
+                    enter = next((j for j in range(first_art) if self.rows[i][j]), None)
+                    if enter is None:
+                        del self.rows[i], self.basis[i]
+                    else:
+                        self._pivot(i, enter, [self.cost])
+            for row in self.rows + [self.cost]:
+                del row[first_art:-1]
+            self.ncols = first_art
+        self.status = self._primal(self.cost, [], set())
+
+    def _canonical(self, row):
+        for i, b in enumerate(self.basis):
+            f = row[b]
+            if f:
+                row = [a - f * v for a, v in zip(row, self.rows[i])]
+        return row
+
+    def _pivot(self, r, c, cost_rows):
+        piv = self.rows[r][c]
+        self.rows[r] = [v / piv for v in self.rows[r]]
+        for other in [row for k, row in enumerate(self.rows) if k != r] + cost_rows:
+            f = other[c]
+            other[:] = [a - f * b for a, b in zip(other, self.rows[r])]
+        self.basis[r] = c
+        self.pivots += 1
+
+    def _primal(self, cost, extra, banned):
+        while True:
+            enter = next((j for j in range(self.ncols) if j not in banned and cost[j] < 0), None)
+            if enter is None:
+                return "optimal"
+            cands = [(row[-1] / row[enter], self.basis[i], i) for i, row in enumerate(self.rows) if row[enter] > 0]
+            if not cands:
+                return "unbounded"
+            self._pivot(min(cands)[2], enter, [cost] + extra)
+
+    def add_cuts(self, cuts):
+        for coeffs, rhs in cuts:
+            self.lp.add_constraint(coeffs, LE, rhs)
+            row = [Fraction(0)] * self.ncols + [Fraction(rhs)]
+            for var, coef in coeffs.items():
+                row[self.col[var]] = Fraction(coef)
+            row = self._canonical(row)
+            for other in self.rows + [self.cost]:
+                other.insert(-1, Fraction(0))
+            row.insert(-1, Fraction(1))
+            self.rows.append(row)
+            self.basis.append(self.ncols)
+            self.ncols += 1
+        while True:
+            neg = [(self.basis[i], i) for i, row in enumerate(self.rows) if row[-1] < 0]
+            if not neg:
+                self.status = "optimal"
+                return
+            leave = min(neg)[1]
+            row = self.rows[leave]
+            cands = [(self.cost[j] / -row[j], j) for j in range(self.ncols) if row[j] < 0]
+            if not cands:
+                self.status = "infeasible"
+                return
+            self._pivot(leave, min(cands)[1], [self.cost])
+
+    def state(self):
+        if self.status != "optimal":
+            return self.status, self.pivots, sorted(self.basis), None
+        values = {var: Fraction(0) for var in self.lp.variables}
+        names = {j: var for var, j in self.col.items()}
+        for i, b in enumerate(self.basis):
+            if b in names:
+                values[names[b]] = self.rows[i][-1]
+        return self.status, self.pivots, sorted(self.basis), values
+
+
+def _session_state(session):
+    values = session.result().solution.values if session.status == "optimal" else None
+    return session.status, session._pivots, sorted(session.basis), values
+
+
+@given(feasible_lp_with_cuts())
+# two == rows of row scales 1 and 2: with their artificials weighed 2 and 1
+# x0 enters in phase 1; with equal weights it does not
+@example((3, [0, 0, 0],
+          [([1, 0, 0], EQ, 0), ([1, 0, 0], LE, 0), ([Fraction(-1, 2), 0, 0], EQ, 0),
+           ([1, 0, 0], LE, 3), ([0, 1, 0], LE, 3), ([0, 0, 1], LE, 3)],
+          [[([0, 0, 0], 0)]]))
+@settings(max_examples=120, deadline=None)
+def test_integer_tableau_matches_rational_tableau(problem):
+    """After the cold solve and after every batch of cuts, the integer
+    tableau is B^-1 [A | b] over den, and it took the same pivots to the
+    same basis and vertex as the rational reference."""
+    nvars, obj, rows, batches = problem
+    lp, xs = lp_from(nvars, obj, rows)
+    session = SimplexSession(lp.copy())
+    reference = RationalTableau(lp.copy())
+    assert session.status == "optimal"
+    assert_tableau_invariant(session)
+    assert _session_state(session) == reference.state()
+    for batch in batches:
+        cuts = [({xs[i]: c for i, c in enumerate(coeffs) if c}, rhs) for coeffs, rhs in batch]
+        session.add_cuts(cuts)
+        reference.add_cuts(cuts)
+        assert_tableau_invariant(session)
+        assert _session_state(session) == reference.state()
+        if session.status != "optimal":
+            break
