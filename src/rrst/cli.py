@@ -83,7 +83,6 @@ def _config_from_args(args) -> SolveConfig:
         return SolveConfig(
             mode=args.mode,
             separation=args.separation,
-            cuts_per_round=args.cuts,
             lp_dump_dir=getattr(args, "lp_dump_dir", None),
         )
     except ValueError as exc:
@@ -299,7 +298,6 @@ def cmd_compare(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="batch", help="batch (default) or strict fixing")
     p.add_argument("--separation", default="mincut", help="mincut (default) or exhaustive")
-    p.add_argument("--cuts", default="one", help="cuts per round: one (default) or all")
 
 
 def _parser() -> argparse.ArgumentParser:

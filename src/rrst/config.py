@@ -1,4 +1,9 @@
-"""Solver configuration knobs, shared by the library API and the CLI."""
+"""Solver configuration, shared by the library API and the CLI.
+
+`mode` and `separation` pick between the default route and a slower
+reference route that the tests cross-check it against; `lp_dump_dir`
+writes each solved relaxation as text.
+"""
 
 from __future__ import annotations
 
@@ -13,21 +18,11 @@ class SolveConfig:
     # "mincut" separates subtours by exact max-flow sweeps; "exhaustive"
     # enumerates subsets (small instances only)
     separation: str = "mincut"
-    # "one" adds the most violated cut per side per round; "all" adds every
-    # candidate the min-cut sweep produced
-    cuts_per_round: str = "one"
     # write each fully-cut LP in plain text to this directory
     lp_dump_dir: str | None = None
-    # complete both trees greedily once no overlap bookkeeping remains;
-    # turning this off continues via LP rounds instead (used for cross-checks)
-    greedy_completion: bool = True
-    # defensive bound on cutting-plane rounds per LP solve
-    round_limit: int = 10000
 
     def __post_init__(self):
         if self.mode not in ("batch", "strict"):
             raise ValueError(f"mode must be batch or strict, got {self.mode!r}")
         if self.separation not in ("mincut", "exhaustive"):
             raise ValueError(f"separation must be mincut or exhaustive, got {self.separation!r}")
-        if self.cuts_per_round not in ("one", "all"):
-            raise ValueError(f"cuts_per_round must be one or all, got {self.cuts_per_round!r}")

@@ -7,10 +7,10 @@ each stage, tie every z below its x and its y, and make the z total meet the
 remaining quota; the exponential families (forest or rank inequalities) are
 added lazily by `cutting_plane_solve` until the optimum satisfies them all.
 
-When one stage has finished shrinking, the surviving stage is built alone
-and the overlap quota becomes a single aggregated lower bound on its
-variables; the z values are then reconstructed greedily afterwards, which
-reproduces exactly the vertex the two-stage model would have produced.
+A stage that has finished shrinking contributes no variables and no rows:
+its z links are left out, which is the same model with that stage decided.
+The solver completes a state with no overlap quota greedily, so a
+relaxation is only built while at least one unit of overlap is owed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .simplex import (
     dump_lp,
 )
 
+# defensive bound on cutting-plane rounds per LP solve
+_ROUND_LIMIT = 10000
+
 
 @dataclass
 class RelaxationModel:
@@ -41,15 +44,10 @@ class RelaxationModel:
     y_vars: dict[int, tuple]
     ez: tuple[int, ...]
     quota: int  # required z total still outstanding
-    x_side: object | None
+    x_side: object | None  # None once that stage is complete
     y_side: object | None
-    # None = both stages, "x"/"y" = that stage only, "merged" = one block
-    # standing for x, z and y at once
+    # None = the x/z/y model, "merged" = one block standing for x, z and y
     reduced: str | None
-
-
-def _neg(coeffs: dict) -> dict:
-    return {v: -c for v, c in coeffs.items()}
 
 
 def build_relaxation(x_side, y_side, ez, quota: int, costs) -> RelaxationModel:
@@ -57,39 +55,34 @@ def build_relaxation(x_side, y_side, ez, quota: int, costs) -> RelaxationModel:
 
     `x_side` / `y_side` are selection sides (None or inactive when that
     stage is complete); `ez` the overlap-eligible ids; `quota` the overlap
-    still required; `costs` maps id -> CostTriple.
+    still required, at least 1; `costs` maps id -> CostTriple.
     """
     x_active = x_side is not None and x_side.is_active()
     y_active = y_side is not None and y_side.is_active()
     if not x_active and not y_active:
         raise InternalError("relaxation requested but both stages are complete")
     ez = tuple(sorted(ez))
-    if quota < 0:
-        raise InternalError(f"negative overlap quota {quota}")
-    if quota > 0 and not ez:
+    if quota < 1:
+        raise InternalError(f"relaxation requested with overlap quota {quota}")
+    if not ez:
         raise InfeasibleModel("overlap quota outstanding but no shared elements remain")
 
-    if x_active and y_active:
-        x_ids = x_side.element_ids
-        y_ids = y_side.element_ids
-        if (
-            quota > 0
-            and quota == x_side.target_size() == y_side.target_size()
-            and set(ez) == set(x_ids) == set(y_ids)
-            and x_side.same_structure(y_side)
-        ):
-            # the cardinality rows and the overlap links force the three
-            # blocks equal pointwise, so one merged block suffices
-            return _build_merged(x_side, y_side, ez, quota, costs)
-        return _build_full(x_side, y_side, ez, quota, costs)
-    if y_active:
-        return _build_one_stage(y_side, ez, quota, costs, stage="y")
-    return _build_one_stage(x_side, ez, quota, costs, stage="x")
+    if (
+        x_active
+        and y_active
+        and quota == x_side.target_size() == y_side.target_size()
+        and set(ez) == set(x_side.element_ids) == set(y_side.element_ids)
+        and x_side.same_structure(y_side)
+    ):
+        # the cardinality rows and the overlap links force the three
+        # blocks equal pointwise, so one merged block suffices
+        return _build_merged(x_side, y_side, ez, quota, costs)
+    return _build_full(x_side if x_active else None, y_side if y_active else None, ez, quota, costs)
 
 
 def _build_full(x_side, y_side, ez, quota, costs) -> RelaxationModel:
-    x_ids = x_side.element_ids
-    y_ids = y_side.element_ids
+    x_ids = x_side.element_ids if x_side is not None else []
+    y_ids = y_side.element_ids if y_side is not None else []
     x_set, y_set = set(x_ids), set(y_ids)
     for e in ez:
         if e not in x_set and e not in y_set:
@@ -111,16 +104,17 @@ def _build_full(x_side, y_side, ez, quota, costs) -> RelaxationModel:
         objective[y_vars[e]] = costs[e].second
     lp.set_objective(objective)
 
-    lp.add_constraint({x_vars[e]: ONE for e in x_ids}, EQ, rat(x_side.target_size()))
+    if x_side is not None:
+        lp.add_constraint({x_vars[e]: ONE for e in x_ids}, EQ, rat(x_side.target_size()))
     for e in ez:
         if e in x_set:
             lp.add_constraint({z_vars[e]: ONE, x_vars[e]: -ONE}, LE, ZERO)
-    if ez:
-        lp.add_constraint({z_vars[e]: ONE for e in ez}, EQ, rat(quota))
+    lp.add_constraint({z_vars[e]: ONE for e in ez}, EQ, rat(quota))
     for e in ez:
         if e in y_set:
             lp.add_constraint({z_vars[e]: ONE, y_vars[e]: -ONE}, LE, ZERO)
-    lp.add_constraint({y_vars[e]: ONE for e in y_ids}, EQ, rat(y_side.target_size()))
+    if y_side is not None:
+        lp.add_constraint({y_vars[e]: ONE for e in y_ids}, EQ, rat(y_side.target_size()))
 
     return RelaxationModel(lp, x_vars, z_vars, y_vars, ez, quota, x_side, y_side, None)
 
@@ -142,56 +136,6 @@ def _build_merged(x_side, y_side, ez, quota, costs) -> RelaxationModel:
     return RelaxationModel(lp, wvars, wvars, wvars, ez, quota, x_side, y_side, "merged")
 
 
-def _build_one_stage(side, ez, quota, costs, stage: str) -> RelaxationModel:
-    ids = side.element_ids
-    id_set = set(ids)
-    for e in ez:
-        if e not in id_set:
-            raise InternalError(f"overlap-eligible element {e} missing from surviving stage")
-
-    lp = LinearProgram()
-    svars = {e: (stage, e) for e in ids}
-    for e in ids:
-        lp.add_variable(svars[e])
-    if stage == "y":
-        lp.set_objective({svars[e]: costs[e].second for e in ids})
-    else:
-        lp.set_objective({svars[e]: costs[e].C for e in ids})
-
-    lp.add_constraint({svars[e]: ONE for e in ids}, EQ, rat(side.target_size()))
-    if quota > 0:
-        # sum over ez of the stage variable >= quota, as a <= row
-        lp.add_constraint(_neg({svars[e]: ONE for e in ez}), LE, rat(-quota))
-
-    x_vars = svars if stage == "x" else {}
-    y_vars = svars if stage == "y" else {}
-    x_side = side if stage == "x" else None
-    y_side = side if stage == "y" else None
-    # z values are reconstructed after solving; reserve their value keys
-    z_vars = {e: ("z", e) for e in ez}
-    return RelaxationModel(lp, x_vars, z_vars, y_vars, ez, quota, x_side, y_side, stage)
-
-
-def _reconstruct_z(model: RelaxationModel, values: dict) -> dict:
-    """Greedy overlap values for a one-stage model, lowest ids first.
-
-    The stage variables over `ez` sum to at least the quota, so walking ids
-    in increasing order and taking min(stage value, what is still owed)
-    always lands exactly on the quota.
-    """
-    svars = model.y_vars if model.reduced == "y" else model.x_vars
-    remaining = rat(model.quota)
-    zvals = {}
-    for e in model.ez:
-        v = values[svars[e]]
-        take = v if v <= remaining else remaining
-        zvals[model.z_vars[e]] = take
-        remaining -= take
-    if remaining != 0:
-        raise InternalError("overlap reconstruction fell short of the quota")
-    return zvals
-
-
 @dataclass
 class CutPlaneResult:
     solution: VertexSolution
@@ -204,9 +148,7 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig, dump_tag: s
 
     Each round separates the current vertex on both stages; violated rows
     are appended to the warm tableau and repaired with the dual simplex.
-    Returns once no violated row exists.  The resulting vertex always
-    carries values for the model's z variables (reconstructed when the
-    model is one-staged).
+    Returns once no violated row exists.
     """
     session = SimplexSession(model.lp)
     rounds = 0
@@ -231,32 +173,26 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig, dump_tag: s
             and model.x_side.same_structure(model.y_side)
         )
         if point_x is not None:
-            for cut in model.x_side.separate(point_x, config.separation, config.cuts_per_round):
+            for cut in model.x_side.separate(point_x, config.separation):
                 pending.append(({model.x_vars[e]: ONE for e in cut.elements}, cut.rhs))
                 if mirrored:
                     # identical structure and point: the same row is violated
                     # on the other stage, no need to sweep it again
                     pending.append(({model.y_vars[e]: ONE for e in cut.elements}, cut.rhs))
         if point_y is not None and not mirrored:
-            for cut in model.y_side.separate(point_y, config.separation, config.cuts_per_round):
+            for cut in model.y_side.separate(point_y, config.separation):
                 pending.append(({model.y_vars[e]: ONE for e in cut.elements}, cut.rhs))
         if not pending:
             break
         rounds += 1
-        if rounds > config.round_limit:
-            raise IterationLimit(f"cutting-plane rounds exceeded {config.round_limit}")
+        if rounds > _ROUND_LIMIT:
+            raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
         for coeffs, rhs in pending:
             lhs = sum((solution.values[v] for v in coeffs), ZERO)
             if lhs <= rhs:
                 raise InternalError("separation produced a row the vertex already satisfies")
         session.add_cuts(pending)
         cuts_added += len(pending)
-
-    if model.reduced in ("x", "y") and model.ez:
-        zvals = _reconstruct_z(model, solution.values)
-        merged = dict(solution.values)
-        merged.update(zvals)
-        solution = VertexSolution(merged, solution.basis, solution.objective_value)
 
     if config.lp_dump_dir is not None:
         os.makedirs(config.lp_dump_dir, exist_ok=True)

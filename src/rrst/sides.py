@@ -41,14 +41,11 @@ class GraphSide:
         """Number of elements a completed selection must still add."""
         return self.graph.node_count - 1
 
-    def separate(self, point: dict[int, Rat], separation: str, cuts_per_round: str) -> list[ViolatedCut]:
+    def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
         if separation == "exhaustive":
             cut = separate_forest_exhaustive(point, self.graph)
             return [cut] if cut is not None else []
-        if cuts_per_round == "all":
-            return separate_forest_candidates(point, self.graph)
-        candidates = separate_forest_candidates(point, self.graph, stop_early=True)
-        return candidates[:1]
+        return separate_forest_candidates(point, self.graph, stop_early=True)[:1]
 
     def same_structure(self, other) -> bool:
         """True when both sides select over the identical structure."""
@@ -92,7 +89,7 @@ class MatroidSide:
     def target_size(self) -> int:
         return self.matroid.full_rank()
 
-    def separate(self, point: dict[int, Rat], separation: str, cuts_per_round: str) -> list[ViolatedCut]:
+    def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
         if separation == "exhaustive":
             cut = separate_rank_exhaustive(point, self.matroid)
         else:

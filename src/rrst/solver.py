@@ -161,11 +161,10 @@ def _solve_core(x_side, y_side, costs, overlap_required: int, config: SolveConfi
     cuts = 0
 
     while state.x_side.is_active() or state.y_side.is_active():
-        if state.quota == 0 and state.ez:
-            # the budget row pins every overlap variable to zero, so
-            # eligibility is vacuous; drop it without solving
+        if state.quota == 0:
+            # no overlap is owed, so the stages decouple: complete each one
+            # greedily (every stage polytope is integral)
             state.ez = set()
-        if config.greedy_completion and state.quota == 0 and not state.ez:
             w_first = {e: costs[e].C for e in state.x_side.element_ids}
             state.X.update(state.x_side.complete_min(w_first))
             w_second = {e: costs[e].second for e in state.y_side.element_ids}

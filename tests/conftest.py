@@ -1,4 +1,4 @@
-"""Shared helpers for building small instances in tests."""
+"""Shared fixtures and helpers for building small instances in tests."""
 
 from __future__ import annotations
 
@@ -15,10 +15,25 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from rrst import simplex
 from rrst.instance import CostTriple, Instance
 from rrst.matroids import MatroidInstance, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.rational import rat
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _pivot_limit():
+    """Cap the pivots of each simplex session far below the library's bound.
+
+    The largest session in the suite takes a few hundred pivots, so a
+    simplex that cycles fails with IterationLimit instead of hanging.
+    Session scope puts the cap in place before module-scoped fixtures,
+    such as the acceptance corpus, solve anything.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_PIVOT_LIMIT", 10_000)
+        yield
 
 
 def make_instance(n, pairs, triples, k) -> Instance:

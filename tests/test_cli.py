@@ -67,7 +67,7 @@ def test_solve_is_byte_deterministic(tmp_path, inst_file):
 def test_solve_strict_and_exhaustive_flags(tmp_path, inst_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["solve", "--input", str(inst_file), "--mode", "strict",
-                "--separation", "exhaustive", "--cuts", "all", "--output", str(a)]) == 0
+                "--separation", "exhaustive", "--output", str(a)]) == 0
     assert run(["solve", "--input", str(inst_file), "--output", str(b)]) == 0
     assert json.loads(a.read_text())["total"] == json.loads(b.read_text())["total"]
 

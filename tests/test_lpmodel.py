@@ -6,6 +6,7 @@ from rrst.config import SolveConfig
 from rrst.errors import InfeasibleModel, InternalError, IterationLimit
 from rrst.gen import generate_instance
 from rrst.instance import CostTriple
+from rrst import lpmodel
 from rrst.lpmodel import build_relaxation, cutting_plane_solve
 from rrst.multigraph import MultiGraph
 from rrst.rational import ONE, ZERO, rat
@@ -60,35 +61,23 @@ def test_full_model_when_structures_differ():
     assert model.reduced is None
 
 
-def test_one_stage_model_with_aggregated_overlap_row():
+def test_model_with_one_stage_complete():
     path = MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})
     x = GraphSide(path).fix(0).fix(1)  # fully contracted: inactive
     assert not x.is_active()
     y = GraphSide(path)
     costs = {e: CostTriple(ONE, rat(e + 1), ZERO) for e in range(2)}
     model = build_relaxation(x, y, ez=(0, 1), quota=1, costs=costs)
-    assert model.reduced == "y"
-    assert set(model.y_vars.values()) == {("y", 0), ("y", 1)}
-    assert model.x_vars == {}
-    # cardinality row plus the aggregated overlap row
-    assert len(model.lp.constraints) == 2
-    agg = model.lp.constraints[1]
-    assert agg.rel == "<=" and agg.rhs == rat(-1)
-    assert set(agg.coeffs.values()) == {-ONE}
-
-
-def test_one_stage_z_reconstruction():
-    path = MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})
-    x = GraphSide(path).fix(0).fix(1)
-    y = GraphSide(path)
-    costs = {e: CostTriple(ONE, rat(e + 1), ZERO) for e in range(2)}
-    model = build_relaxation(x, y, ez=(0, 1), quota=1, costs=costs)
-    result = cutting_plane_solve(model, SolveConfig())
-    values = result.solution.values
-    # both y variables are forced to 1; greedy takes z_0 first
+    assert model.reduced is None
+    assert model.x_side is None and model.x_vars == {}
+    assert model.lp.variables == [("z", 0), ("z", 1), ("y", 0), ("y", 1)]
+    # rows: z-budget, 2 y-links, y-cardinality; no row mentions an x
+    assert len(model.lp.constraints) == 4
+    assert all(v[0] != "x" for row in model.lp.constraints for v in row.coeffs)
+    values = cutting_plane_solve(model, SolveConfig()).solution.values
     assert values[("y", 0)] == ONE and values[("y", 1)] == ONE
-    assert values[("z", 0)] == ONE
-    assert values[("z", 1)] == ZERO
+    assert values[("z", 0)] + values[("z", 1)] == rat(1)
+    assert all(values[("z", e)] <= values[("y", e)] for e in range(2))
 
 
 def test_infeasible_when_quota_has_no_carriers():
@@ -101,6 +90,9 @@ def test_internal_errors_on_broken_state():
     x, y = k3_sides()
     with pytest.raises(InternalError):
         build_relaxation(x, y, ez=(), quota=-1, costs=UNIT)
+    with pytest.raises(InternalError):
+        # no overlap owed: the solver completes such a state greedily
+        build_relaxation(x, y, ez=(0, 1, 2), quota=0, costs=UNIT)
     done = GraphSide(MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})).fix(0).fix(1)
     with pytest.raises(InternalError):
         build_relaxation(done, done, ez=(), quota=0, costs=UNIT)
@@ -139,11 +131,12 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
         assert values[model.z_vars[e]] <= values[model.y_vars[e]]
 
 
-def test_round_limit_guard():
+def test_round_limit_guard(monkeypatch):
     inst = generate_instance(5, 0.5, 1, 10, 1)
     model = _initial_model(inst)
+    monkeypatch.setattr(lpmodel, "_ROUND_LIMIT", 0)
     with pytest.raises(IterationLimit):
-        cutting_plane_solve(model, SolveConfig(round_limit=0))
+        cutting_plane_solve(model, SolveConfig())
 
 
 def test_exhaustive_separation_agrees_with_mincut():
@@ -151,14 +144,6 @@ def test_exhaustive_separation_agrees_with_mincut():
     r1 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="mincut"))
     r2 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="exhaustive"))
     assert r1.solution.objective_value == r2.solution.objective_value
-
-
-def test_cuts_per_round_all_agrees():
-    inst = generate_instance(6, 0.5, 2, 8, 5)
-    r1 = cutting_plane_solve(_initial_model(inst), SolveConfig(cuts_per_round="one"))
-    r2 = cutting_plane_solve(_initial_model(inst), SolveConfig(cuts_per_round="all"))
-    assert r1.solution.objective_value == r2.solution.objective_value
-    assert r2.rounds <= r1.rounds or r2.cuts_added >= r1.cuts_added
 
 
 def test_lp_dump_written(tmp_path):

@@ -127,15 +127,6 @@ def test_modes_and_separations_agree_with_oracle(mode, separation):
         assert verify_tree_solution(inst, solution_to_dict(sol)) == []
 
 
-def test_greedy_completion_off_matches():
-    cfg_on = SolveConfig()
-    cfg_off = SolveConfig(greedy_completion=False)
-    for seed in range(6):
-        inst = generate_instance(5, 0.5, seed % 5, 8, seed + 50)
-        a, b = solve_rrst(inst, cfg_on), solve_rrst(inst, cfg_off)
-        assert a.total == b.total, f"seed {seed}"
-
-
 def test_iteration_observer_sees_consistent_bookkeeping():
     inst = generate_instance(6, 0.5, 2, 9, 31)
     infos = []
