@@ -207,6 +207,8 @@ def _compare_instances(args) -> list[tuple[str, Instance]]:
     if args.seeds is not None:
         if args.nodes is None:
             raise ValidationError("--seeds needs --nodes")
+        if args.nodes < 1:
+            raise ValidationError(f"--nodes must be >= 1, got {args.nodes}")
         out = []
         for seed in _parse_seed_range(args.seeds):
             # sweep the recovery budget across seeds unless pinned by --k

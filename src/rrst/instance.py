@@ -92,6 +92,12 @@ def _int_field(obj, key, where):
     return v
 
 
+def _object(obj, where) -> dict:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object")
+    return obj
+
+
 def instance_from_dict(doc) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -104,8 +110,7 @@ def instance_from_dict(doc) -> Instance:
     costs = {}
     for i, e in enumerate(raw_edges):
         where = f"edges[{i}]"
-        if not isinstance(e, dict):
-            raise ParseError(f"{where}: must be an object")
+        e = _object(e, where)
         eid = _int_field(e, "id", where)
         u = _int_field(e, "u", where)
         v = _int_field(e, "v", where)

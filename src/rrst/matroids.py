@@ -1,9 +1,11 @@
 """Matroids over integer-labelled ground sets: graphic, uniform, partition.
 
 Each family is a closed representation: deletion and contraction return a
-new matroid of the same family, so rank queries and polytope separation can
-stay specialized.  A generic oracle-backed adapter exists for tests that
-want to cross-check the closed forms against first principles.
+new matroid of the same family, so rank queries can stay specialized.  A
+generic oracle-backed adapter exists for tests that want to cross-check the
+closed forms against first principles.  The solver runs a graphic matroid
+on its multigraph's spanning forests (`sides.GraphSide`), so the graphic
+minors below serve the matroid API and the brute-force oracle.
 
 Rank and minimum-weight bases come from one greedy scan, which is exact
 for any matroid: against the independence oracle in general, and as a
@@ -27,7 +29,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .instance import CostTriple, _cost_field, _int_field, _reject_float
+from .instance import CostTriple, _cost_field, _int_field, _object, _reject_float
 from .multigraph import MultiGraph
 
 ENUMERATION_GROUND_LIMIT = 20
@@ -265,6 +267,10 @@ class MatroidInstance:
         return self.matroid.full_rank() - self.k
 
 
+def _is_id_list(raw) -> bool:
+    return isinstance(raw, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
+
+
 def matroid_from_dict(doc) -> Matroid:
     family = doc.get("family")
     if family == "graphic":
@@ -275,6 +281,7 @@ def matroid_from_dict(doc) -> Matroid:
         edges = {}
         for i, e in enumerate(raw):
             where = f"edges[{i}]"
+            e = _object(e, where)
             eid = _int_field(e, "id", where)
             u = _int_field(e, "u", where)
             v = _int_field(e, "v", where)
@@ -286,7 +293,7 @@ def matroid_from_dict(doc) -> Matroid:
         return GraphicMatroid(MultiGraph(range(n), edges))
     if family == "uniform":
         raw = doc.get("elements")
-        if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+        if not _is_id_list(raw):
             raise ParseError("uniform matroid: 'elements' must be a list of integers")
         if len(set(raw)) != len(raw):
             raise ParseError("uniform matroid: duplicate elements")
@@ -301,8 +308,8 @@ def matroid_from_dict(doc) -> Matroid:
         parts = []
         for i, p in enumerate(raw):
             where = f"parts[{i}]"
-            elems = p.get("elements")
-            if not isinstance(elems, list) or not all(isinstance(x, int) for x in elems):
+            elems = _object(p, where).get("elements")
+            if not _is_id_list(elems):
                 raise ParseError(f"{where}: 'elements' must be a list of integers")
             cap = _int_field(p, "cap", where)
             if cap < 0:
@@ -326,6 +333,7 @@ def matroid_instance_from_dict(doc) -> MatroidInstance:
     costs = {}
     for i, entry in enumerate(raw):
         where = f"costs[{i}]"
+        entry = _object(entry, where)
         eid = _int_field(entry, "id", where)
         if eid in costs:
             raise ParseError(f"{where}: duplicate cost id {eid}")

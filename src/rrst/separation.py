@@ -15,16 +15,18 @@ each component checked exactly, which sharpens certificates to connected
 sets and filters out the full vertex set (the full set corresponds to the
 cardinality equality, which is not part of the lazy family).  Whenever any
 violated set exists, at least one extracted component is violated, so the
-verdict always matches exhaustive enumeration; the returned cut is the
-best extracted candidate, which for points respecting the unit bounds is
-in practice the sharpest connected one.  On points that satisfy
-x(E) = n - 1 the full set can never show up; for arbitrary points a second
-forced-out sweep keeps the verdict aligned with exhaustive enumeration.
+verdict always matches exhaustive enumeration.  The returned cut is the
+most violated candidate of the first sweep that yields one.  On points
+with x(E) <= n - 1, which includes every point of a spanning-forest
+relaxation, the full set can never show up; for arbitrary points a second
+round of sweeps with one vertex forced out keeps the verdict aligned with
+exhaustive enumeration.
 
 Matroid side: rank constraints x(U) <= rank(U) over proper subsets.
-Uniform and partition matroids reduce to sorted prefix scans; graphic
-matroids delegate to the forest machinery; the exhaustive scan covers
-everything else (and doubles as the independent verification route).
+Uniform and partition matroids reduce to sorted prefix scans; the
+exhaustive scan covers everything else (and doubles as the independent
+verification route).  The solver hands graphic matroids to the forest side
+instead, so they take the min-cut route above.
 """
 
 from __future__ import annotations
@@ -212,64 +214,46 @@ def _candidates_from_vertices(point, graph, nodes) -> list[ViolatedCut]:
     return found
 
 
-def separate_forest_candidates(point, graph: MultiGraph, stop_early: bool = False) -> list[ViolatedCut]:
-    """Candidate cuts from the min-cut sweep, deduplicated, best first.
+def _cut_key(cut: ViolatedCut):
+    return cut.slack, cut.node_set
 
-    With stop_early the sweep returns as soon as one forced vertex yields
-    candidates; the verdict (empty vs nonempty) is unaffected because a
-    violated set exists iff some forced vertex flags one.  Vertices touching
-    no positive edge are skipped: any violated set keeps a positive inner
-    edge whose endpoints already serve as forced vertices.
+
+def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
+    """Most violated connected subtour set of the first min-cut sweep that
+    finds one, or None.
+
+    Complete as a verdict: returns a cut iff some subtour constraint is
+    violated, because a violated set exists iff some forced vertex flags
+    one.  Vertices touching no positive edge are skipped: any violated set
+    keeps a positive inner edge whose endpoints already serve as forced
+    vertices.
     """
     _check_point(point, graph)
-    n = graph.node_count
-    if n < 3:
-        return []
+    if graph.node_count < 3:
+        return None
     caps, total, unit = _scaled_caps(point, graph)
-    if total == 0:
-        return []
-    support = set()
-    for eid in caps:
-        u, v = graph.endpoints(eid)
-        support.add(u)
-        support.add(v)
-    by_nodes: dict = {}
-    unresolved = []
-    for r in sorted(support):
+    support = sorted({v for eid in caps for v in graph.endpoints(eid)})
+    flagged = []
+    for r in support:
         value, side = _sweep_min_cut(graph, caps, total, unit, r, None)
         if value >= total:
             continue
         cuts = _candidates_from_vertices(point, graph, side)
-        for cut in cuts:
-            by_nodes.setdefault(cut.node_set, cut)
-        if not cuts:
-            unresolved.append(r)
-        elif stop_early:
-            break
+        if cuts:
+            return min(cuts, key=_cut_key)
+        flagged.append(r)
     # a flow flagged violation but extraction yielded no proper set: the
     # cut side was the full vertex set, which only happens off the
     # x(E) = n-1 hyperplane; sweep again with one vertex forced out
-    if not by_nodes:
-        for r in unresolved:
-            for q in sorted(graph.nodes):
-                if q == r:
-                    continue
-                value, side = _sweep_min_cut(graph, caps, total, unit, r, q)
-                if value >= total:
-                    continue
-                for cut in _candidates_from_vertices(point, graph, side):
-                    by_nodes.setdefault(cut.node_set, cut)
-    return sorted(by_nodes.values(), key=lambda c: (c.slack, c.node_set))
-
-
-def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
-    """Best violated connected subtour set found by min-cut sweeps, or None.
-
-    Complete as a verdict: returns a cut iff some subtour constraint is
-    violated.
-    """
-    cands = separate_forest_candidates(point, graph)
-    return cands[0] if cands else None
+    for r in flagged:
+        for q in sorted(graph.nodes - {r}):
+            value, side = _sweep_min_cut(graph, caps, total, unit, r, q)
+            if value >= total:
+                continue
+            cuts = _candidates_from_vertices(point, graph, side)
+            if cuts:
+                return min(cuts, key=_cut_key)
+    return None
 
 
 def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
@@ -283,7 +267,7 @@ def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
     for size in range(2, n):
         for combo in itertools.combinations(nodes, size):
             cut = _forest_cut_for(point, graph, combo)
-            if cut is not None and (best is None or (cut.slack, cut.node_set) < (best.slack, best.node_set)):
+            if cut is not None and (best is None or _cut_key(cut) < _cut_key(best)):
                 best = cut
     return best
 
@@ -315,9 +299,8 @@ def _uniform_scan(point, elements, cap, allow_full):
 def separate_rank(point, matroid) -> ViolatedCut | None:
     """Family-specialized violated rank constraint over proper subsets.
 
-    Uniform and partition scans return the most violated constraint;
-    the graphic route returns a violated one whenever any exists (for
-    points on the rank budget x(ground) = rank(ground)).
+    Uniform and partition scans return the most violated constraint; any
+    other family takes the exhaustive scan.
     """
     family = matroid.family
     if family == "uniform":
@@ -330,8 +313,6 @@ def separate_rank(point, matroid) -> ViolatedCut | None:
         return _prefix_cut(order, prefix, j, lambda jj: min(jj, matroid.r))
     if family == "partition":
         return _separate_partition(point, matroid)
-    if family == "graphic":
-        return _separate_graphic(point, matroid)
     return separate_rank_exhaustive(point, matroid)
 
 
@@ -373,40 +354,6 @@ def _separate_partition(point, matroid) -> ViolatedCut | None:
         elements.extend(order[:size])
         rhs += min(size, cap)
     return ViolatedCut(tuple(sorted(elements)), rhs, -total_viol, None)
-
-
-def _separate_graphic(point, matroid) -> ViolatedCut | None:
-    """Loops with positive value, proper vertex subsets via the forest
-    sweep, and whole graph components whose edge set is still a proper
-    subset of the ground set.  Together these cover every violated proper
-    subset whenever x(ground) <= rank(ground); beyond that hyperplane the
-    eager cardinality row of the relaxation is violated anyway."""
-    candidates = []
-    for e in sorted(matroid.loops):
-        if point[e] > 0:
-            candidates.append(ViolatedCut((e,), ZERO, -point[e], None))
-    graph = matroid.graph
-    graph_point = {e: point[e] for e in graph.edges}
-    forest = separate_forest(graph_point, graph)
-    if forest is not None:
-        candidates.append(
-            ViolatedCut(forest.elements, forest.rhs, forest.slack, forest.node_set)
-        )
-    for comp in graph.components():
-        if len(comp) < 2:
-            continue
-        edges = graph.edges_within(comp)
-        if len(edges) >= len(matroid.ground):
-            continue  # not a proper subset of the ground set
-        weight = ZERO
-        for eid in edges:
-            weight += graph_point[eid]
-        rhs = rat(len(comp) - 1)
-        if weight > rhs:
-            candidates.append(ViolatedCut(tuple(edges), rhs, rhs - weight, tuple(sorted(comp))))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda c: (c.slack, c.elements))
 
 
 def separate_rank_exhaustive(point, matroid) -> ViolatedCut | None:

@@ -2,20 +2,24 @@
 
 The solver treats the first-stage and second-stage selection problems
 symmetrically: each side owns a shrinking structure (a multigraph whose
-selections are spanning trees, or a matroid whose selections are bases),
+selections are spanning forests, or a matroid whose selections are bases),
 answers separation queries against fractional points, and shrinks by either
 discarding an element or committing to one.
+
+Spanning forests are the bases of the graphic matroid, so the graph side
+serves both spanning trees and graphic matroids; a spanning forest of a
+connected graph is a spanning tree.  Contraction drops the edges it turns
+into loops, which no basis can hold.
 """
 
 from __future__ import annotations
 
-from .errors import NoBasis
 from .matroids import Matroid, greedy_min_basis
 from .multigraph import MultiGraph
 from .rational import Rat
 from .separation import (
     ViolatedCut,
-    separate_forest_candidates,
+    separate_forest,
     separate_forest_exhaustive,
     separate_rank,
     separate_rank_exhaustive,
@@ -23,7 +27,7 @@ from .separation import (
 
 
 class GraphSide:
-    """Selection structure whose feasible sets are spanning trees."""
+    """Selection structure whose feasible sets are spanning forests."""
 
     __slots__ = ("graph",)
 
@@ -35,17 +39,16 @@ class GraphSide:
         return self.graph.edge_ids()
 
     def is_active(self) -> bool:
-        return self.graph.node_count >= 2
+        return self.graph.edge_count > 0
 
     def target_size(self) -> int:
         """Number of elements a completed selection must still add."""
-        return self.graph.node_count - 1
+        return len(self.graph.spanning_forest(self.graph.edges))
 
     def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
-        if separation == "exhaustive":
-            cut = separate_forest_exhaustive(point, self.graph)
-            return [cut] if cut is not None else []
-        return separate_forest_candidates(point, self.graph, stop_early=True)[:1]
+        finder = separate_forest_exhaustive if separation == "exhaustive" else separate_forest
+        cut = finder(point, self.graph)
+        return [cut] if cut is not None else []
 
     def same_structure(self, other) -> bool:
         """True when both sides select over the identical structure."""
@@ -63,12 +66,7 @@ class GraphSide:
 
     def complete_min(self, weights: dict[int, Rat]) -> list[int]:
         """Cheapest completion to a full selection (Kruskal, ids break ties)."""
-        need = self.target_size()
-        order = sorted(self.graph.edge_ids(), key=lambda e: (weights[e], e))
-        chosen = self.graph.spanning_forest(order)
-        if len(chosen) < need:
-            raise NoBasis(f"graph is not connected; only {len(chosen)} of {need} edges found")
-        return chosen
+        return self.graph.spanning_forest(sorted(self.graph.edges, key=lambda e: (weights[e], e)))
 
 
 class MatroidSide:
@@ -90,10 +88,8 @@ class MatroidSide:
         return self.matroid.full_rank()
 
     def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
-        if separation == "exhaustive":
-            cut = separate_rank_exhaustive(point, self.matroid)
-        else:
-            cut = separate_rank(point, self.matroid)
+        finder = separate_rank_exhaustive if separation == "exhaustive" else separate_rank
+        cut = finder(point, self.matroid)
         return [cut] if cut is not None else []
 
     def same_structure(self, other) -> bool:

@@ -28,7 +28,7 @@ from .config import SolveConfig
 from .errors import InternalError, NoIntegralCoordinate, ValidationError
 from .instance import Instance
 from .lpmodel import RelaxationModel, build_relaxation, cutting_plane_solve
-from .matroids import MatroidInstance
+from .matroids import GraphicMatroid, MatroidInstance
 from .rational import ONE, ZERO, Rat, parse_exact, rat_str
 from .sides import GraphSide, MatroidSide
 
@@ -255,21 +255,20 @@ def _fixed_cost(state: _State, costs) -> Rat:
 
 def solve_rrst(instance: Instance, config: SolveConfig | None = None, on_iteration=None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
-    config = config or SolveConfig()
-    if instance.n == 1:
-        return Solution((), (), (), ZERO, ZERO, ZERO, ZERO, 0)
-    return _solve_core(GraphSide(instance.graph), GraphSide(instance.graph), instance.costs,
-                       instance.overlap_requirement, config, on_iteration)
+    side = GraphSide(instance.graph)
+    return _solve_core(side, side, instance.costs, instance.overlap_requirement,
+                       config or SolveConfig(), on_iteration)
 
 
 def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None, on_iteration=None) -> Solution:
-    """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough."""
-    config = config or SolveConfig()
+    """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
+
+    A graphic matroid is solved on its spanning forests, by the tree route.
+    """
     matroid = minstance.matroid
-    if matroid.full_rank() == 0:
-        return Solution((), (), (), ZERO, ZERO, ZERO, ZERO, 0)
-    return _solve_core(MatroidSide(matroid), MatroidSide(matroid), minstance.costs,
-                       minstance.overlap_requirement, config, on_iteration)
+    side = GraphSide(matroid.graph) if isinstance(matroid, GraphicMatroid) else MatroidSide(matroid)
+    return _solve_core(side, side, minstance.costs, minstance.overlap_requirement,
+                       config or SolveConfig(), on_iteration)
 
 
 # --- solution verification -------------------------------------------------

@@ -105,6 +105,22 @@ def test_malformed_instance_exits_2(tmp_path):
     assert run(["solve", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "partition", "parts": [1], "k": 0, "costs": []},
+    {"family": "graphic", "nodes": 2, "edges": [[0, 1]], "k": 0, "costs": []},
+    {"family": "uniform", "elements": [0], "rank": 1, "k": 0, "costs": [5]},
+    {"family": "uniform", "elements": [True, 2], "rank": 1, "k": 0,
+     "costs": [{"id": 1, "C": 1, "c": 1, "d": 1}, {"id": 2, "C": 1, "c": 1, "d": 1}]},
+    {"family": "partition", "parts": [{"elements": [True, 2], "cap": 1}], "k": 0,
+     "costs": [{"id": 1, "C": 1, "c": 1, "d": 1}, {"id": 2, "C": 1, "c": 1, "d": 1}]},
+])
+def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["solve", "--input", str(bad), "--matroid"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     sol = tmp_path / "sol.json"
     run(["solve", "--input", str(inst_file), "--output", str(sol)])
@@ -207,6 +223,7 @@ def test_compare_no_oracle(tmp_path):
 def test_compare_requires_a_source():
     assert run(["compare"]) == 2
     assert run(["compare", "--seeds", "1..2"]) == 2  # missing --nodes
+    assert run(["compare", "--seeds", "1..2", "--nodes", "0"]) == 2
     assert run(["compare", "--seeds", "oops", "--nodes", "4"]) == 2
 
 

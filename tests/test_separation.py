@@ -10,12 +10,11 @@ import random
 import pytest
 
 from rrst.errors import ValidationError
-from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
+from rrst.matroids import PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.rational import ONE, ZERO, rat
 from rrst.separation import (
     separate_forest,
-    separate_forest_candidates,
     separate_forest_exhaustive,
     separate_rank,
     separate_rank_exhaustive,
@@ -88,24 +87,6 @@ def test_forest_verdict_matches_exhaustive_fuzz():
             _check_certificate(slow, point, g)
 
 
-def test_forest_candidates_all_valid_and_stop_early_subset():
-    rng = random.Random(77)
-    for _ in range(100):
-        g = _random_connected_graph(rng, 5)
-        point = {e: rng.choice(VALUES) for e in g.edges}
-        full = separate_forest_candidates(point, g)
-        early = separate_forest_candidates(point, g, stop_early=True)
-        for cut in full:
-            _check_certificate(cut, point, g)
-        assert (len(early) > 0) == (len(full) > 0)
-        full_sets = {c.node_set for c in full}
-        assert all(c.node_set in full_sets for c in early)
-        # candidates are sorted most-violated first and deduplicated
-        slacks = [c.slack for c in full]
-        assert slacks == sorted(slacks)
-        assert len(full_sets) == len(full)
-
-
 # --- matroid rank routes -----------------------------------------------
 
 
@@ -173,16 +154,6 @@ def test_partition_rank_fuzz():
         return PartitionMatroid(parts)
 
     _rank_fuzz(make, scale_to_rank=False, trials=150, seed=12)
-
-
-def test_graphic_rank_fuzz_on_budget():
-    # the graphic route promises a verdict only for points on the rank budget
-    rng = random.Random(13)
-
-    def make(r):
-        return GraphicMatroid(_random_connected_graph(r, r.randint(3, 5)))
-
-    _rank_fuzz(lambda r=rng: make(r), scale_to_rank=True, trials=150, seed=13)
 
 
 def test_uniform_exact_max_of_violation_fuzz():

@@ -1,6 +1,7 @@
 """End-to-end solver: known optima, invariants, mode equivalences, verify."""
 
 import json
+import random
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_matroid_rank_zero():
 
 
 def test_graphic_matroid_equals_tree_solver():
-    # the routes may break ties differently, but the optimum value is one
+    # both routes solve on the same spanning forests: same document
     for seed in range(8):
         inst = generate_instance(5, 0.6, seed % 5, 9, seed + 100)
         mi = MatroidInstance(
@@ -110,9 +111,40 @@ def test_graphic_matroid_equals_tree_solver():
         )
         tree_sol = solve_rrst(inst)
         basis_sol = solve_rrmb(mi)
-        assert tree_sol.total == basis_sol.total, f"seed {seed}"
+        assert serialize_solution(tree_sol) == serialize_solution(basis_sol), f"seed {seed}"
         assert verify_basis_solution(mi, solution_to_dict(basis_sol)) == []
         assert verify_tree_solution(inst, solution_to_dict(tree_sol)) == []
+
+
+def _random_graphic_matroid(rng):
+    """Multigraph on 2-6 nodes, edges drawn with repetition (parallel edges,
+    often disconnected), half the time contracted once (parallels become loops)."""
+    n = rng.randint(2, 6)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {eid: rng.choice(pairs) for eid in range(rng.randint(1, 9))}
+    matroid = GraphicMatroid(MultiGraph(range(n), edges))
+    if rng.random() < 0.5:
+        matroid = matroid.contract(rng.choice(sorted(edges)))
+    return matroid
+
+
+@pytest.mark.parametrize("mode", ["batch", "strict"])
+def test_graphic_matroid_forests_match_oracle(mode):
+    rng = random.Random(5150)
+    seen = {"disconnected": 0, "parallel": 0, "loops": 0}
+    for trial in range(80):
+        matroid = _random_graphic_matroid(rng)
+        graph = matroid.graph
+        seen["disconnected"] += not graph.is_connected()
+        seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
+        seen["loops"] += bool(matroid.loops)
+        costs = {e: CostTriple(rat(rng.randint(0, 9)), rat(rng.randint(0, 9)), rat(rng.randint(0, 9)))
+                 for e in sorted(matroid.ground)}
+        mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()))
+        sol = solve_rrmb(mi, SolveConfig(mode=mode))
+        assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
+        assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("mode", ["batch", "strict"])
