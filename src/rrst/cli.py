@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .gen import builtin_small_suite, generate_instance
-from .instance import Instance, load_instance, serialize_instance
+from .instance import Instance, load_instance, read_json, serialize_instance
 from .matroids import MatroidInstance, load_matroid_instance
 from .oracle import BruteResult, brute_force_rrmb, brute_force_rrst
 from .rational import rat_str
@@ -127,10 +127,9 @@ def cmd_gen(args) -> int:
 
 def _load_solution_doc(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in solution document: {exc}") from exc
+        doc = read_json(path)
+    except ParseError as exc:
+        raise ParseError(f"solution document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
     return doc

@@ -8,7 +8,8 @@ An instance document is JSON:
 
 Nodes are labelled 0..nodes-1.  Costs may be integers or strings; strings
 accept decimal ("2.5") and fraction ("5/2") forms and are parsed exactly.
-JSON floats are rejected outright so no binary rounding ever sneaks in.
+JSON floats and the NaN/Infinity constants are rejected outright so no
+binary rounding ever sneaks in.
 """
 
 from __future__ import annotations
@@ -129,21 +130,44 @@ def instance_from_dict(doc) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+    return instance_from_dict(read_json(path))
 
 
-def loads_instance(text: str) -> Instance:
+def loads_instance(text) -> Instance:
+    return instance_from_dict(parse_json(text))
+
+
+def read_json(path):
+    """The JSON document in the file at path; see parse_json."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read())
+
+
+def parse_json(data):
+    """Parse one input document (str, or bytes holding UTF-8 text).
+
+    Every input document goes through here.  Float literals and the
+    NaN/Infinity constants are rejected, so no value is ever rounded, and
+    every malformed input, from invalid UTF-8 to nesting too deep for the
+    parser, is raised as ParseError.
+    """
     try:
-        # parse_float trap: any float literal in the document breaks exactness
-        doc = json.loads(text, parse_float=_reject_float)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_constant)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _reject_float(tok):
     raise ParseError(f"float literal {tok} rejected; quote it as a string for exact parsing")
+
+
+def _reject_constant(tok):
+    raise ParseError(f"JSON constant {tok} rejected; every value must be a finite exact number")
 
 
 def instance_to_dict(inst: Instance) -> dict:

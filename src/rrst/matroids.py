@@ -19,7 +19,6 @@ as a rank-zero element.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .instance import CostTriple, _cost_field, _int_field, _object, _reject_float
+from .instance import CostTriple, _cost_field, _int_field, _object, parse_json, read_json
 from .multigraph import MultiGraph
 
 ENUMERATION_GROUND_LIMIT = 20
@@ -346,13 +345,8 @@ def matroid_instance_from_dict(doc) -> MatroidInstance:
 
 
 def load_matroid_instance(path) -> MatroidInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_matroid_instance(fh.read())
+    return matroid_instance_from_dict(read_json(path))
 
 
-def loads_matroid_instance(text: str) -> MatroidInstance:
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return matroid_instance_from_dict(doc)
+def loads_matroid_instance(text) -> MatroidInstance:
+    return matroid_instance_from_dict(parse_json(text))

@@ -114,21 +114,26 @@ class MultiGraph:
     def spanning_forest(self, edge_order) -> list[int]:
         """Kruskal scan: the edges of edge_order, in that order, that join two
         components of the forest kept so far; stops at node_count - 1 edges."""
+        return self._merge(edge_order, {})
+
+    def contraction_classes(self, edge_ids) -> dict[int, int]:
+        """node -> number of its class once edge_ids are contracted; classes
+        are numbered 0, 1, ... in the order of their smallest node."""
+        parent: dict[int, int] = {}
+        self._merge(edge_ids, parent)
+        number: dict[int, int] = {}
+        return {v: number.setdefault(_find(parent, v), len(number)) for v in sorted(self.nodes)}
+
+    def _merge(self, edge_order, parent) -> list[int]:
+        """The union-find behind both scans above: merge the classes held in
+        parent along edge_order; return the edges that joined two classes."""
         need = self.node_count - 1
         forest: list[int] = []
         if need <= 0:
             return forest
-        parent: dict[int, int] = {}
-
-        def find(v):
-            while parent.get(v, v) != v:
-                parent[v] = parent.get(parent[v], parent[v])
-                v = parent[v]
-            return v
-
         for eid in edge_order:
             u, v = self.endpoints(eid)
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 forest.append(eid)
@@ -138,3 +143,11 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(nodes={sorted(self.nodes)}, edges={self.edges})"
+
+
+def _find(parent: dict[int, int], v: int) -> int:
+    """Class root of v, halving the path on the way."""
+    while parent.get(v, v) != v:
+        parent[v] = parent.get(parent[v], parent[v])
+        v = parent[v]
+    return v

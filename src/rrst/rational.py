@@ -9,6 +9,7 @@ tableau is the exception: it holds integers over one common denominator
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rat = Fraction
@@ -39,6 +40,8 @@ def parse_exact(value):
     if isinstance(value, int):
         return rat(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ExactnessError(f"non-finite float {value!r} rejected; values must be finite")
         raise ExactnessError(
             f"binary float {value!r} rejected; write it as a string, e.g. \"{value}\""
         )

@@ -2,24 +2,30 @@
 
 Forest side: given a fractional point on the edges of a multigraph, find a
 node set U (2 <= |U| < n) whose induced edges carry more weight than
-|U| - 1, i.e. a violated subtree-packing constraint.  The search runs one
-exact max-flow per forced vertex on the network
+|U| - 1, i.e. a violated subtree-packing constraint.  Points on or below
+the x(E) = n - 1 hyperplane, which includes every point of a
+spanning-forest relaxation, are first shrunk (Padberg & Rinaldi 1990): one
+union-find pass contracts the edges with x_e = 1 into super-nodes and the
+edges with x_e = 0 are dropped.  A violated set that holds one end of a
+1-edge stays at least as violated when it takes the other end, and on
+x(E) <= n - 1 the grown set is never all of V, so nothing is lost.  A
+super-node that is violated on its own is returned at once; otherwise the
+search runs one exact max-flow per forced super-node on the network
 
-    source -> edge-node         capacity x_e
-    edge-node -> each endpoint  capacity infinity
-    vertex -> sink              capacity 1   (0 for the forced vertex)
+    source -> pair-node         capacity x of the cross edges of the pair
+    pair-node -> both ends      capacity infinity
+    super-node -> sink          capacity 1   (0 for the forced super-node)
 
-A violated set containing the forced vertex exists iff the min cut is
-below x(E).  The extracted cut side is split into connected components and
-each component checked exactly, which sharpens certificates to connected
-sets and filters out the full vertex set (the full set corresponds to the
-cardinality equality, which is not part of the lazy family).  Whenever any
-violated set exists, at least one extracted component is violated, so the
-verdict always matches exhaustive enumeration.  The returned cut is the
-most violated candidate of the first sweep that yields one.  On points
-with x(E) <= n - 1, which includes every point of a spanning-forest
-relaxation, the full set can never show up; for arbitrary points a second
-round of sweeps with one vertex forced out keeps the verdict aligned with
+built once per call over integer ids.  A violated set containing the
+forced super-node exists iff the min cut is below the cross weight.  The
+extracted cut side is split into connected parts, mapped back to original
+nodes and each part checked exactly, which sharpens certificates to
+connected sets and filters out the full vertex set (the full set
+corresponds to the cardinality equality, which is not part of the lazy
+family).  Whenever any violated set exists, at least one extracted part is
+violated, so the verdict always matches exhaustive enumeration.  Points
+above the hyperplane are not contracted, and there a second round of
+sweeps with one vertex forced out keeps the verdict aligned with
 exhaustive enumeration.
 
 Matroid side: rank constraints x(U) <= rank(U) over proper subsets.
@@ -69,7 +75,7 @@ def _check_point(point, graph):
     if missing:
         raise ValidationError(f"point missing edges {sorted(missing)}")
     for eid in graph.edges:
-        if point[eid] < 0:
+        if point[eid].numerator < 0:
             raise ValidationError(f"point[{eid}]={point[eid]} is negative")
 
 
@@ -89,70 +95,70 @@ def _forest_cut_for(point, graph, nodes) -> ViolatedCut | None:
     return ViolatedCut(tuple(edges), rhs, slack, tuple(sorted(nodes)))
 
 
-def _num_den(v) -> tuple[int, int]:
-    return int(v.numerator), int(v.denominator)
-
-
-def _scaled_caps(point, graph) -> tuple[dict, int, int]:
-    """Clear point denominators: integer capacities, their sum, the scale."""
-    unit = 1
-    for eid in graph.edges:
+def _scaled_caps(point, graph) -> tuple[dict[int, int], int]:
+    """Clear point denominators: integer capacities of the positive edges,
+    in ascending id order, and the scale `unit` that stands for 1."""
+    positive = []
+    for eid in sorted(graph.edges):
         v = point[eid]
-        if v > 0:
-            unit = lcm(unit, _num_den(v)[1])
-    caps = {}
-    total = 0
-    for eid in graph.edges:
-        v = point[eid]
-        if v > 0:
-            num, den = _num_den(v)
-            c = num * (unit // den)
-            caps[eid] = c
-            total += c
-    return caps, total, unit
+        if v.numerator > 0:
+            positive.append((eid, v.numerator, v.denominator))
+    unit = lcm(*(den for _, _, den in positive))
+    return {eid: num * (unit // den) for eid, num, den in positive}, unit
 
 
-def _sweep_min_cut(graph, caps, total, unit, forced_in, forced_out):
-    """One integer max-flow (Dinic); returns (value, source-side vertices).
+@dataclass(frozen=True)
+class _FlowNetwork:
+    """Integer min-cut network over super-nodes 0..count-1, built once per
+    separation call.  Node ids: 0 source, 1 sink, 2 + i super-node i, then
+    one node per cross pair.  Arcs sit in pairs (forward, reverse), so arc
+    i ^ 1 is the reverse of arc i; sink_arc[i] is super-node i's arc to the
+    sink."""
 
-    Network: source -> edge-node (cap), edge-node -> endpoints (inf),
-    vertex -> sink (unit; omitted for forced_in, inf for forced_out).
-    """
-    index = {("s",): 0, ("t",): 1}
+    count: int
+    head: list[list[int]]
+    to: list[int]
+    cap: list[int]
+    sink_arc: list[int]
+    inf: int
 
-    def nid(label):
-        i = index.get(label)
-        if i is None:
-            i = len(index)
-            index[label] = i
-        return i
 
-    inf = total + graph.node_count * unit + 1
-    head: list[list[int]] = [[], []]
+def _flow_network(count, pairs, unit, total) -> _FlowNetwork:
+    """The network of the module docstring, with unit standing for 1."""
+    inf = total + count * unit + 1
+    arcs = []
+    for j, ((a, b), c) in enumerate(pairs):
+        node = 2 + count + j
+        arcs += ((0, node, c), (node, 2 + a, inf), (node, 2 + b, inf))
+    sink_arc = []
+    for i in range(count):
+        sink_arc.append(2 * len(arcs))
+        arcs.append((2 + i, 1, unit))
+    head: list[list[int]] = [[] for _ in range(2 + count + len(pairs))]
     to: list[int] = []
     cap: list[int] = []
-
-    def arc(a, b, c):
-        ia, ib = nid(a), nid(b)
-        while len(head) < len(index):
-            head.append([])
-        head[ia].append(len(to))
-        to.append(ib)
+    for a, b, c in arcs:
+        head[a].append(len(to))
+        to.append(b)
         cap.append(c)
-        head[ib].append(len(to))
-        to.append(ia)
+        head[b].append(len(to))
+        to.append(a)
         cap.append(0)
+    return _FlowNetwork(count, head, to, cap, sink_arc, inf)
 
-    for eid in sorted(caps):
-        u, v = graph.endpoints(eid)
-        arc(("s",), ("e", eid), caps[eid])
-        arc(("e", eid), ("v", u), inf)
-        arc(("e", eid), ("v", v), inf)
-    for node in sorted(graph.nodes):
-        if node == forced_in:
-            continue
-        arc(("v", node), ("t",), inf if node == forced_out else unit)
 
+def _sweep_min_cut(net: _FlowNetwork, forced_in, forced_out):
+    """One integer max-flow (Dinic); returns (value, source-side super-nodes).
+
+    forced_in loses its sink arc; forced_out, when given, gets an infinite
+    one.  Only the capacity list is copied, so the network serves every
+    sweep of a call.
+    """
+    head, to = net.head, net.to
+    cap = net.cap.copy()
+    cap[net.sink_arc[forced_in]] = 0
+    if forced_out is not None:
+        cap[net.sink_arc[forced_out]] = net.inf
     n = len(head)
     flow = 0
     while True:
@@ -186,29 +192,33 @@ def _sweep_min_cut(graph, caps, total, unit, forced_in, forced_out):
             return 0
 
         while True:
-            pushed = push(0, inf)
+            pushed = push(0, net.inf)
             if not pushed:
                 break
             flow += pushed
 
-    reach = {0}
+    reach = [False] * n
+    reach[0] = True
     queue = deque([0])
     while queue:
         x = queue.popleft()
         for i in head[x]:
             y = to[i]
-            if cap[i] > 0 and y not in reach:
-                reach.add(y)
+            if cap[i] > 0 and not reach[y]:
+                reach[y] = True
                 queue.append(y)
-    vertices = frozenset(label[1] for label, i in index.items() if i in reach and label[0] == "v")
-    return flow, vertices
+    return flow, [i for i in range(net.count) if reach[2 + i]]
 
 
-def _candidates_from_vertices(point, graph, nodes) -> list[ViolatedCut]:
-    induced = MultiGraph(nodes, {eid: graph.edges[eid] for eid in graph.edges_within(nodes)})
+def _candidates(point, graph, groups, pairs, side) -> list[ViolatedCut]:
+    """Split a cut side into its connected parts over the cross pairs, map
+    each part back to original nodes and check it exactly."""
+    inside = set(side)
+    induced = MultiGraph(side, {j: pair for j, (pair, _) in enumerate(pairs)
+                                if pair[0] in inside and pair[1] in inside})
     found = []
-    for comp in induced.components():
-        cut = _forest_cut_for(point, graph, comp)
+    for part in induced.components():
+        cut = _forest_cut_for(point, graph, [v for i in part for v in groups[i]])
         if cut is not None:
             found.append(cut)
     return found
@@ -219,38 +229,74 @@ def _cut_key(cut: ViolatedCut):
 
 
 def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
-    """Most violated connected subtour set of the first min-cut sweep that
-    finds one, or None.
+    """A violated connected subtour set, or None; complete as a verdict.
 
-    Complete as a verdict: returns a cut iff some subtour constraint is
-    violated, because a violated set exists iff some forced vertex flags
-    one.  Vertices touching no positive edge are skipped: any violated set
-    keeps a positive inner edge whose endpoints already serve as forced
-    vertices.
+    On x(E) <= n - 1 the edges with x_e = 1 are contracted by one
+    union-find pass in ascending id order and the edges with x_e = 0
+    dropped.  Exact: growing a violated set across a 1-edge never reduces
+    its violation, and the grown set cannot be V since x(E) <= n - 1, so a
+    violated set exists iff one that is a union of super-nodes does.  A
+    super-node is connected by 1-edges, so its inner weight is at least
+    |S| - 1.  Where it is more (a cycle of 1-edges, or a positive edge
+    inside), the super-node is violated on its own, and the smallest such
+    cut by (slack, node_set) is returned.  Otherwise each union of
+    super-nodes is exactly as violated as on the contracted multigraph,
+    and the sweeps run there; every set they return is closed under
+    1-edges.
+
+    Off the hyperplane (x(E) > n - 1) nothing is contracted.  There a sweep
+    can flag a violation whose cut side is all of V; each such forced
+    vertex is swept again with every other vertex forced out in turn.
+    Super-nodes that touch no positive cross edge are never forced in: a
+    violated union of two or more super-nodes holds a positive cross edge.
     """
     _check_point(point, graph)
-    if graph.node_count < 3:
+    n = graph.node_count
+    if n < 3:
         return None
-    caps, total, unit = _scaled_caps(point, graph)
-    support = sorted({v for eid in caps for v in graph.endpoints(eid)})
+    caps, unit = _scaled_caps(point, graph)
+    if sum(caps.values()) <= (n - 1) * unit:
+        label = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
+    else:
+        label = graph.contraction_classes([])
+    count = max(label.values()) + 1
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v, i in label.items():
+        groups[i].append(v)
+    inner = [0] * count
+    cross: dict[tuple[int, int], int] = {}
+    for eid, c in caps.items():
+        u, v = graph.edges[eid]
+        a, b = label[u], label[v]
+        if a == b:
+            inner[a] += c
+        else:
+            pair = (a, b) if a < b else (b, a)
+            cross[pair] = cross.get(pair, 0) + c
+    heavy = [_forest_cut_for(point, graph, groups[i])
+             for i in range(count) if inner[i] > (len(groups[i]) - 1) * unit]
+    if heavy:
+        return min(heavy, key=_cut_key)
+    pairs = sorted(cross.items())
+    total = sum(cross.values())
+    net = _flow_network(count, pairs, unit, total)
     flagged = []
-    for r in support:
-        value, side = _sweep_min_cut(graph, caps, total, unit, r, None)
+    for r in sorted({i for pair in cross for i in pair}):
+        value, side = _sweep_min_cut(net, r, None)
         if value >= total:
             continue
-        cuts = _candidates_from_vertices(point, graph, side)
+        cuts = _candidates(point, graph, groups, pairs, side)
         if cuts:
             return min(cuts, key=_cut_key)
         flagged.append(r)
-    # a flow flagged violation but extraction yielded no proper set: the
-    # cut side was the full vertex set, which only happens off the
-    # x(E) = n-1 hyperplane; sweep again with one vertex forced out
     for r in flagged:
-        for q in sorted(graph.nodes - {r}):
-            value, side = _sweep_min_cut(graph, caps, total, unit, r, q)
+        for q in range(count):
+            if q == r:
+                continue
+            value, side = _sweep_min_cut(net, r, q)
             if value >= total:
                 continue
-            cuts = _candidates_from_vertices(point, graph, side)
+            cuts = _candidates(point, graph, groups, pairs, side)
             if cuts:
                 return min(cuts, key=_cut_key)
     return None

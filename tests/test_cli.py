@@ -121,6 +121,25 @@ def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+MALFORMED_JSON = {
+    "deeply nested": ("[" * 100_000 + "]" * 100_000).encode(),
+    "not UTF-8": '{"nodes": 2, "k": 0, "edges": [], "note": "caf\u00e9"}'.encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+@pytest.mark.parametrize("command", ["solve", "solve --matroid", "verify --solution", "oracle"])
+def test_malformed_json_exits_2(tmp_path, inst_file, command, content, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "verify --solution":
+        argv = ["verify", "--instance", str(inst_file), "--solution", str(bad)]
+    else:
+        argv = command.split() + ["--input", str(bad)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     sol = tmp_path / "sol.json"
     run(["solve", "--input", str(inst_file), "--output", str(sol)])

@@ -52,6 +52,14 @@ def test_float_literals_rejected():
         loads_instance(bad)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_rejected(constant):
+    bad = json.dumps(DOC).replace('"2.5"', constant)
+    with pytest.raises(ParseError, match=f"constant {constant} rejected") as info:
+        loads_instance(bad)
+    assert "string" not in str(info.value)
+
+
 @pytest.mark.parametrize(
     "mutate,err",
     [

@@ -38,6 +38,13 @@ def test_parse_exact_rejects(bad):
         parse_exact(bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_parse_exact_does_not_suggest_quoting_non_finite_floats(bad):
+    with pytest.raises(ExactnessError, match="non-finite") as info:
+        parse_exact(bad)
+    assert "string" not in str(info.value)
+
+
 def test_parse_exact_passes_rationals_through():
     assert parse_exact(rat(5, 2)) == rat(5, 2)
 

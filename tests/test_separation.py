@@ -165,3 +165,76 @@ def test_uniform_exact_max_of_violation_fuzz():
         slow = separate_rank_exhaustive(point, m)
         if slow is not None:
             assert fast.violation == slow.violation
+
+
+FRACTIONS = [rat(1, 4), rat(1, 3), rat(1, 2), rat(2, 3), rat(3, 4)]
+
+
+def _near_integral_case(rng):
+    """A multigraph on 3-7 nodes, often disconnected, with parallel edges,
+    and a point that is 0 or 1 on all but a few edges.
+
+    Half the points are a 1-valued spanning forest with a few fractions of
+    forest edges moved onto other edges, so x(E) = n - c exactly; the rest
+    draw each edge from {0, 1} with an occasional fraction."""
+    n = rng.randint(3, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2))] if pairs else []
+    g = graph_of(n, pairs)
+    if rng.random() < 0.5:
+        forest = g.spanning_forest(rng.sample(sorted(g.edges), g.edge_count))
+        point = {e: ONE if e in forest else ZERO for e in g.edges}
+        others = [e for e in g.edges if e not in forest]
+        for _ in range(rng.randint(0, 2)):
+            if forest and others:
+                give, take = rng.choice(forest), rng.choice(others)
+                share = min(point[give], rng.choice(FRACTIONS))
+                point[give] -= share
+                point[take] += share
+    else:
+        point = {e: rng.choice(FRACTIONS) if rng.random() < 0.15 else rng.choice([ZERO, ONE])
+                 for e in g.edges}
+    return g, point
+
+
+def _case_kinds(g, point):
+    total = sum(point.values(), ZERO)
+    ones = [e for e in sorted(g.edges) if point[e] == 1]
+    label = g.contraction_classes(ones)
+    kinds = set()
+    if len(g.spanning_forest(ones)) < len(ones):
+        kinds.add("cycle of 1-edges")
+    if any(0 < point[e] < 1 and label[g.edges[e][0]] == label[g.edges[e][1]] for e in g.edges):
+        kinds.add("fractional edge inside a super-node")
+    components = len(g.components())
+    if components > 1 and total == g.node_count - components:
+        kinds.add("disconnected, x(E) = n - c")
+    if total > g.node_count - 1:
+        kinds.add("x(E) > n - 1")
+    return kinds
+
+
+def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
+    rng = random.Random(20261018)
+    seen = {}
+    for trial in range(600):
+        g, point = _near_integral_case(rng)
+        kinds = _case_kinds(g, point)
+        fast = separate_forest(point, g)
+        slow = separate_forest_exhaustive(point, g)
+        assert (fast is None) == (slow is None), f"trial {trial}: verdicts differ"
+        for kind in kinds | {"violated" if fast else "not violated"}:
+            seen[kind] = seen.get(kind, 0) + 1
+        if fast is None:
+            continue
+        _check_certificate(fast, point, g)
+        _check_certificate(slow, point, g)
+        if "x(E) > n - 1" not in kinds:
+            inside = set(fast.node_set)
+            for e, (u, v) in g.edges.items():
+                if point[e] == 1:
+                    assert (u in inside) == (v in inside), f"trial {trial}: 1-edge {e} leaves the set"
+    assert set(seen) == {
+        "cycle of 1-edges", "fractional edge inside a super-node", "disconnected, x(E) = n - c",
+        "x(E) > n - 1", "violated", "not violated",
+    }, seen

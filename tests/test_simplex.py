@@ -15,9 +15,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrst import simplex
 from rrst.errors import MalformedProgram
 from rrst.rational import ONE, ZERO, parse_exact, rat
 from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp, solve
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _low_pivot_limit():
+    """Cap each session at 300 pivots in this module.
+
+    Its programs have at most 4 variables and a handful of rows, and the
+    largest session takes under 20 pivots.  A cycling simplex then fails
+    each example fast, which keeps hypothesis's shrinking of a failure
+    short.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_PIVOT_LIMIT", 300)
+        yield
 
 
 def constraint_satisfied(con, values) -> bool:
