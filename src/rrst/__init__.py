@@ -5,11 +5,12 @@ first-stage cost C and a second-stage cost interval [c, c+d], find a pair
 of spanning trees (bases) X and Y sharing enough elements — at least
 (size − k) for a recovery budget k — minimizing C(X) + (c+d)(Y).
 
-The solver runs an iterative relaxation: solve an exact-rational LP over
-both stage polytopes coupled by an overlap budget, then round off the
-guaranteed integral coordinate, shrinking the instance until both trees
-are complete.  Every arithmetic step is exact, and the optimum always
-equals the LP bound of the first relaxation.
+The solver optimizes one exact-rational LP over both stage polytopes
+coupled by an overlap budget and reads both trees off its optimal vertex,
+which is 0/1 because the relaxation is a face of a matroid intersection
+polytope.  With no overlap owed, each tree is completed greedily instead.
+Every arithmetic step is exact, and the optimum always equals the LP
+bound.
 """
 
 from .config import SolveConfig
@@ -17,7 +18,6 @@ from .errors import (
     InfeasibleModel,
     InputError,
     InternalError,
-    NoIntegralCoordinate,
     ParseError,
     RRSTError,
     ValidationError,
@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .rational import Rat, parse_exact, rat, rat_str
 from .solver import (
-    IterationInfo,
     Solution,
     serialize_solution,
     solution_to_dict,
@@ -70,7 +69,6 @@ __all__ = [
     "ValidationError",
     "InfeasibleModel",
     "InternalError",
-    "NoIntegralCoordinate",
     "CostTriple",
     "Instance",
     "instance_from_dict",
@@ -97,7 +95,6 @@ __all__ = [
     "rat_str",
     "parse_exact",
     "Solution",
-    "IterationInfo",
     "solve_rrst",
     "solve_rrmb",
     "solution_to_dict",

@@ -81,7 +81,6 @@ def _write_text(path: str | None, text: str) -> None:
 def _config_from_args(args) -> SolveConfig:
     try:
         return SolveConfig(
-            mode=args.mode,
             separation=args.separation,
             lp_dump_dir=getattr(args, "lp_dump_dir", None),
         )
@@ -89,30 +88,17 @@ def _config_from_args(args) -> SolveConfig:
         raise ValidationError(str(exc)) from exc
 
 
-def _iteration_logger(info) -> None:
-    log.debug(
-        "iteration %d: objective=%s quota=%d dropped=%d fixed=%d banked=%d",
-        info.index,
-        rat_str(info.objective),
-        info.quota,
-        len(info.dropped_overlap) + len(info.dropped_x) + len(info.dropped_y),
-        len(info.fixed_x) + len(info.fixed_y),
-        len(info.banked),
-    )
-
-
 def cmd_solve(args) -> int:
     config = _config_from_args(args)
-    observer = _iteration_logger if log.isEnabledFor(logging.DEBUG) else None
     if args.matroid:
         minst = load_matroid_instance(args.input)
         log.info("matroid instance: |ground|=%d rank=%d k=%d",
                  len(minst.matroid.ground), minst.matroid.full_rank(), minst.k)
-        sol = solve_rrmb(minst, config, on_iteration=observer)
+        sol = solve_rrmb(minst, config)
     else:
         inst = load_instance(args.input)
         log.info("tree instance: n=%d m=%d k=%d", inst.n, inst.m, inst.k)
-        sol = solve_rrst(inst, config, on_iteration=observer)
+        sol = solve_rrst(inst, config)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
              rat_str(sol.total), sol.iterations, sol.rounds, sol.cuts)
     _write_text(args.output, serialize_solution(sol))
@@ -297,7 +283,6 @@ def cmd_compare(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="batch", help="batch (default) or strict fixing")
     p.add_argument("--separation", default="mincut", help="mincut (default) or exhaustive")
 
 
@@ -312,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance document (JSON)")
     p.add_argument("--output", default=None, help="solution path (default stdout)")
     p.add_argument("--matroid", action="store_true", help="input is a matroid instance")
-    p.add_argument("--lp-dump-dir", default=None, help="write cut LPs as text here")
+    p.add_argument("--lp-dump-dir", default=None, help="write the cut LP as text here")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 

@@ -66,9 +66,3 @@ class InternalError(RRSTError):
 class IterationLimit(RRSTError):
     """Defensive bound on simplex pivots or cutting-plane rounds: the
     instance is too large to solve within it."""
-
-
-class NoIntegralCoordinate(InternalError):
-    """After zero-removal, a vertex carried no coordinate equal to one even
-    though both sides were still active; the relaxation guarantees this
-    cannot happen, so seeing it means the implementation is wrong."""

@@ -22,6 +22,12 @@ def rat(a, b=1):
 ZERO = rat(0)
 ONE = rat(1)
 
+# the most decimal digits a parsed numerator or denominator may have: far
+# past any cost a user means, well inside Python's 4300-digit limit on
+# printing an int, and small enough that 10**exponent is cheap to build
+MAX_DIGITS = 1000
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
 
 class ExactnessError(ValueError):
     """A value cannot be represented exactly (e.g. a binary float)."""
@@ -34,11 +40,15 @@ def parse_exact(value):
     are read as exact decimals.  Binary floats are rejected: 2.5 written as
     a JSON number has already been rounded to machine precision once, and
     exactness guarantees downstream depend on never letting that happen.
+    A numerator or denominator of more than MAX_DIGITS digits is rejected;
+    a decimal exponent is checked before it is expanded.
     """
     if isinstance(value, bool):
         raise ExactnessError(f"boolean is not a valid numeric value: {value!r}")
     if isinstance(value, int):
-        return rat(value)
+        if -_DIGIT_LIMIT < value < _DIGIT_LIMIT:
+            return rat(value)
+        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ExactnessError(f"non-finite float {value!r} rejected; values must be finite")
@@ -46,14 +56,39 @@ def parse_exact(value):
             f"binary float {value!r} rejected; write it as a string, e.g. \"{value}\""
         )
     if isinstance(value, str):
+        text = value.strip()
+        if abs(_exponent(text)) > MAX_DIGITS:
+            raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
         try:
-            f = Fraction(value.strip())
+            f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ExactnessError(f"cannot parse {value!r} as an exact rational") from exc
-        return f
+            raise ExactnessError(f"cannot parse {_shown(value)} as an exact rational") from exc
+        return _bounded(f, value)
     if isinstance(value, Fraction):
-        return rat(value.numerator, value.denominator)
+        return _bounded(rat(value.numerator, value.denominator), value)
     raise ExactnessError(f"cannot parse {type(value).__name__} as an exact rational")
+
+
+def _exponent(text: str) -> int:
+    """The decimal exponent written in `text`; 0 if it has none it can read."""
+    _, mark, digits = text.lower().partition("e")
+    try:
+        return int(digits) if mark else 0
+    except ValueError:
+        return 0  # then Fraction rejects the text too
+
+
+def _bounded(f: Fraction, value) -> Fraction:
+    if abs(f.numerator) >= _DIGIT_LIMIT or f.denominator >= _DIGIT_LIMIT:
+        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
+    return f
+
+
+def _shown(value) -> str:
+    if not isinstance(value, str):
+        return f"{type(value).__name__} value"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def rat_str(value) -> str:

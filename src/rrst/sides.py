@@ -1,10 +1,11 @@
-"""Uniform interface over the two structures a recovery stage can range over.
+"""Uniform interface over the two structures a selection can range over.
 
-The solver treats the first-stage and second-stage selection problems
-symmetrically: each side owns a shrinking structure (a multigraph whose
-selections are spanning forests, or a matroid whose selections are bases),
-answers separation queries against fractional points, and shrinks by either
-discarding an element or committing to one.
+Both stages select over the same structure, one side object: a multigraph
+whose selections are spanning forests, or a matroid whose selections are
+bases.  A side answers separation queries against fractional points and
+completes a selection greedily.  `fix` and `remove` give the minor that
+commits or discards one element; the solver reads its answer off a single
+LP vertex and shrinks no side.
 
 Spanning forests are the bases of the graphic matroid, so the graph side
 serves both spanning trees and graphic matroids; a spanning forest of a
@@ -42,21 +43,13 @@ class GraphSide:
         return self.graph.edge_count > 0
 
     def target_size(self) -> int:
-        """Number of elements a completed selection must still add."""
+        """Number of elements a selection holds."""
         return len(self.graph.spanning_forest(self.graph.edges))
 
     def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
         finder = separate_forest_exhaustive if separation == "exhaustive" else separate_forest
         cut = finder(point, self.graph)
         return [cut] if cut is not None else []
-
-    def same_structure(self, other) -> bool:
-        """True when both sides select over the identical structure."""
-        return (
-            isinstance(other, GraphSide)
-            and self.graph.nodes == other.graph.nodes
-            and self.graph.edges == other.graph.edges
-        )
 
     def fix(self, element: int) -> "GraphSide":
         return GraphSide(self.graph.contract_edge(element))
@@ -91,10 +84,6 @@ class MatroidSide:
         finder = separate_rank_exhaustive if separation == "exhaustive" else separate_rank
         cut = finder(point, self.matroid)
         return [cut] if cut is not None else []
-
-    def same_structure(self, other) -> bool:
-        # conservative: never merge matroid-side separation sweeps
-        return False
 
     def fix(self, element: int) -> "MatroidSide":
         return MatroidSide(self.matroid.contract(element))

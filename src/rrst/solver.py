@@ -5,31 +5,46 @@ to pick a first selection X and second selection Y — spanning trees of one
 graph, or bases of one matroid — sharing at least a required number of
 elements, minimizing C(X) + (c+d)(Y).
 
-The solver repeatedly optimizes the linear relaxation of the current
-shrinking state and reads the optimal vertex:
+With no overlap owed the two stages decouple, and each is completed
+greedily.  Otherwise the solver optimizes one linear relaxation in x
+(first stage), y (second stage) and z <= min(x, y) (overlap) by cutting
+planes, and reads X, Y and Z off its optimal vertex as the coordinates at 1.
+That vertex is 0/1, because the relaxation is a face of a matroid
+intersection polytope:
 
-* a zero overlap variable ends that element's overlap eligibility,
-* a zero stage variable discards the element from that stage,
-* a one stage variable commits the element (contracting it away),
-* an element committed in both stages is banked toward the overlap quota.
+1. Substitute a = x - z, b = z, c = y - z.  The model becomes a, b, c >= 0
+   with a + b in the base polytope of the first stage's matroid M_x,
+   b + c in that of the second stage's M_y (here both are the one side's
+   matroid), and 1ᵀb = q.
+2. Double each element of M_x with a parallel copy, N1 = M_x^(a∥b) ⊕
+   free(c), and likewise N2 = free(a) ⊕ M_y^(b∥c).
+3. The model is P(N1) ∩ P(N2) on the faces w(a ∪ b) = r_x and
+   w(b ∪ c) = r_y.  On those faces 1ᵀb = q says 1ᵀw = r_x + r_y − q.
+4. The common independent sets of one fixed size form an integral
+   polytope: truncating both matroids to that size makes it their common
+   base polytope (Edmonds 1970; Schrijver, Combinatorial Optimization,
+   ch. 41).  A face of an integral polytope is integral.
+5. A vertex of the cut loop's LP that violates no cut is a vertex of the
+   full polytope, so the vertex the solver reads is 0/1.
 
-Every optimal vertex of the relaxation admits at least one such move, each
-move provably preserves the relaxation's optimal value, and the state only
-shrinks — so the loop terminates with integral selections whose cost equals
-the first relaxation bound, i.e. a certified optimum.
+This is the reduction of Lendl, Peis and Timmermans (Matroid bases with
+cardinality constraints on the intersection, Math. Program. 2022).  The
+source paper proves only that some coordinate of each vertex is 0 or 1,
+which its iterative relaxation needs.  A coordinate strictly between 0
+and 1 would breach the argument, and raises InternalError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import SolveConfig
-from .errors import InternalError, NoIntegralCoordinate, ValidationError
+from .errors import InternalError, ValidationError
 from .instance import Instance
-from .lpmodel import RelaxationModel, build_relaxation, cutting_plane_solve
+from .lpmodel import build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, MatroidInstance
-from .rational import ONE, ZERO, Rat, parse_exact, rat_str
+from .rational import ONE, ZERO, ExactnessError, Rat, parse_exact, rat_str
 from .sides import GraphSide, MatroidSide
 
 
@@ -65,175 +80,48 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass
-class IterationInfo:
-    """Snapshot handed to the observer after each relaxation round."""
+def _solve_core(side, costs, overlap_required: int, config: SolveConfig) -> Solution:
+    if overlap_required == 0:
+        # no overlap is owed (always so when there is nothing to select),
+        # so the stages decouple: complete each one greedily (every stage
+        # polytope is integral)
+        X = side.complete_min({e: costs[e].C for e in side.element_ids})
+        Y = side.complete_min({e: costs[e].second for e in side.element_ids})
+        Z = []
+        lp_bound = None
+        iterations = rounds = cuts = 0
+    else:
+        model = build_relaxation(side, overlap_required, costs)
+        result = cutting_plane_solve(model, config)
+        values = result.solution.values
+        fractional = [v for v, value in values.items() if value != ZERO and value != ONE]
+        if fractional:
+            raise InternalError(f"optimal vertex is fractional at {fractional[0]}")
+        X, Z, Y = ([e for e, v in block.items() if values[v] == ONE]
+                   for block in (model.x_vars, model.z_vars, model.y_vars))
+        lp_bound = result.solution.objective_value
+        iterations = 1
+        rounds = result.rounds
+        cuts = result.cuts_added
 
-    index: int
-    objective: Rat
-    values: dict
-    model: RelaxationModel
-    quota: int
-    eligible: tuple[int, ...]  # overlap-eligible ids after the moves
-    X: frozenset
-    Y: frozenset
-    Z: frozenset
-    dropped_overlap: tuple[int, ...]
-    dropped_x: tuple[int, ...]
-    dropped_y: tuple[int, ...]
-    fixed_x: tuple[int, ...]
-    fixed_y: tuple[int, ...]
-    banked: tuple[int, ...]
-    # Every 1-valued stage coordinate at the vertex, before any strict-mode
-    # truncation of the committed subset — lets observers audit integrality.
-    ones_x: tuple[int, ...] = ()
-    ones_y: tuple[int, ...] = ()
-
-
-@dataclass
-class _State:
-    x_side: object
-    y_side: object
-    ez: set
-    quota: int
-    X: set = field(default_factory=set)
-    Y: set = field(default_factory=set)
-    Z: set = field(default_factory=set)
-
-
-def _iterate_once(state: _State, model: RelaxationModel, values: dict, config: SolveConfig):
-    """Apply one round of discard/commit/bank moves read off the vertex."""
-    dropped_overlap = []
-    for e in sorted(state.ez):
-        if values[model.z_vars[e]] == ZERO:
-            state.ez.remove(e)
-            dropped_overlap.append(e)
-
-    dropped_x = []
-    for e in sorted(model.x_vars):
-        if values[model.x_vars[e]] == ZERO:
-            state.x_side = state.x_side.remove(e)
-            dropped_x.append(e)
-
-    dropped_y = []
-    for e in sorted(model.y_vars):
-        if values[model.y_vars[e]] == ZERO:
-            state.y_side = state.y_side.remove(e)
-            dropped_y.append(e)
-
-    all_ones_x = [e for e in sorted(model.x_vars) if values[model.x_vars[e]] == ONE]
-    ones_x = all_ones_x[:1] if config.mode == "strict" else all_ones_x
-    for e in ones_x:
-        state.X.add(e)
-        state.x_side = state.x_side.fix(e)
-
-    all_ones_y = [e for e in sorted(model.y_vars) if values[model.y_vars[e]] == ONE]
-    ones_y = all_ones_y[:1] if config.mode == "strict" else all_ones_y
-    for e in ones_y:
-        state.Y.add(e)
-        state.y_side = state.y_side.fix(e)
-
-    banked = []
-    for e in sorted(state.ez):
-        if e in state.X and e in state.Y:
-            state.ez.remove(e)
-            state.Z.add(e)
-            state.quota -= 1
-            banked.append(e)
-
-    if not (dropped_overlap or dropped_x or dropped_y or ones_x or ones_y):
-        raise NoIntegralCoordinate(
-            "optimal vertex has no zero to discard and no one to commit"
-        )
-    return dropped_overlap, dropped_x, dropped_y, ones_x, ones_y, banked, all_ones_x, all_ones_y
-
-
-def _solve_core(x_side, y_side, costs, overlap_required: int, config: SolveConfig, on_iteration=None) -> Solution:
-    state = _State(
-        x_side=x_side,
-        y_side=y_side,
-        ez=set(x_side.element_ids) & set(y_side.element_ids),
-        quota=overlap_required,
-    )
-    lp_bound = None
-    iterations = 0
-    rounds = 0
-    cuts = 0
-
-    while state.x_side.is_active() or state.y_side.is_active():
-        if state.quota == 0:
-            # no overlap is owed, so the stages decouple: complete each one
-            # greedily (every stage polytope is integral)
-            state.ez = set()
-            w_first = {e: costs[e].C for e in state.x_side.element_ids}
-            state.X.update(state.x_side.complete_min(w_first))
-            w_second = {e: costs[e].second for e in state.y_side.element_ids}
-            state.Y.update(state.y_side.complete_min(w_second))
-            break
-
-        model = build_relaxation(state.x_side, state.y_side, state.ez, state.quota, costs)
-        result = cutting_plane_solve(model, config, dump_tag=f"it{iterations:04d}")
-        rounds += result.rounds
-        cuts += result.cuts_added
-        if lp_bound is None:
-            fixed_so_far = _fixed_cost(state, costs)
-            lp_bound = fixed_so_far + result.solution.objective_value
-
-        moves = _iterate_once(state, model, result.solution.values, config)
-        iterations += 1
-
-        if state.quota < 0:
-            raise InternalError("overlap quota went negative")
-        if state.quota + len(state.Z) != overlap_required:
-            raise InternalError("overlap bookkeeping out of balance")
-
-        if on_iteration is not None:
-            d_ov, d_x, d_y, f_x, f_y, banked, all_x, all_y = moves
-            on_iteration(IterationInfo(
-                index=iterations - 1,
-                objective=result.solution.objective_value,
-                values=result.solution.values,
-                model=model,
-                quota=state.quota,
-                eligible=tuple(sorted(state.ez)),
-                X=frozenset(state.X),
-                Y=frozenset(state.Y),
-                Z=frozenset(state.Z),
-                dropped_overlap=tuple(d_ov),
-                dropped_x=tuple(d_x),
-                dropped_y=tuple(d_y),
-                fixed_x=tuple(f_x),
-                fixed_y=tuple(f_y),
-                banked=tuple(banked),
-                ones_x=tuple(all_x),
-                ones_y=tuple(all_y),
-            ))
-
-    if state.ez:
-        raise InternalError("overlap-eligible elements survived past both stages")
-    if state.quota != 0:
-        raise InternalError(f"overlap quota {state.quota} left unmet")
-    if not state.Z <= (state.X & state.Y):
-        raise InternalError("banked overlap elements missing from a selection")
-
-    first = sum((costs[e].C for e in state.X), ZERO)
-    second = sum((costs[e].second for e in state.Y), ZERO)
+    if len(Z) != overlap_required or not set(Z) <= set(X) & set(Y):
+        raise InternalError("overlap set does not meet the requirement inside both selections")
+    first = sum((costs[e].C for e in X), ZERO)
+    second = sum((costs[e].second for e in Y), ZERO)
     total = first + second
     if lp_bound is None:
-        # no relaxation was ever solved: either nothing was selectable, or
-        # the overlap requirement was void from the start and the two
-        # stages were completed greedily — in both cases the relaxation
-        # optimum coincides with the integral total (each stage polytope
-        # is integral and no coupling row is active)
+        # no relaxation was solved: the stages were completed greedily,
+        # and with each stage polytope integral and no coupling row active
+        # the relaxation optimum is the integral total
         lp_bound = total
-    if total != lp_bound:
+    elif total != lp_bound:
         raise InternalError(
             f"integral cost {rat_str(total)} differs from relaxation bound {rat_str(lp_bound)}"
         )
     return Solution(
-        X=tuple(sorted(state.X)),
-        Y=tuple(sorted(state.Y)),
-        Z=tuple(sorted(state.Z)),
+        X=tuple(sorted(X)),
+        Y=tuple(sorted(Y)),
+        Z=tuple(sorted(Z)),
         first_stage=first,
         second_stage=second,
         total=total,
@@ -244,31 +132,20 @@ def _solve_core(x_side, y_side, costs, overlap_required: int, config: SolveConfi
     )
 
 
-def _fixed_cost(state: _State, costs) -> Rat:
-    total = ZERO
-    for e in state.X:
-        total += costs[e].C
-    for e in state.Y:
-        total += costs[e].second
-    return total
-
-
-def solve_rrst(instance: Instance, config: SolveConfig | None = None, on_iteration=None) -> Solution:
+def solve_rrst(instance: Instance, config: SolveConfig | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
-    side = GraphSide(instance.graph)
-    return _solve_core(side, side, instance.costs, instance.overlap_requirement,
-                       config or SolveConfig(), on_iteration)
+    return _solve_core(GraphSide(instance.graph), instance.costs, instance.overlap_requirement,
+                       config or SolveConfig())
 
 
-def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None, on_iteration=None) -> Solution:
+def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
 
     A graphic matroid is solved on its spanning forests, by the tree route.
     """
     matroid = minstance.matroid
     side = GraphSide(matroid.graph) if isinstance(matroid, GraphicMatroid) else MatroidSide(matroid)
-    return _solve_core(side, side, minstance.costs, minstance.overlap_requirement,
-                       config or SolveConfig(), on_iteration)
+    return _solve_core(side, minstance.costs, minstance.overlap_requirement, config or SolveConfig())
 
 
 # --- solution verification -------------------------------------------------
@@ -309,7 +186,11 @@ def _check_common(doc, X, Y, Z, costs, overlap_required: int) -> list[str]:
         if key not in doc:
             failures.append(f"missing field {key}")
             continue
-        claimed = parse_exact(doc[key])
+        try:
+            claimed = parse_exact(doc[key])
+        except ExactnessError as exc:
+            failures.append(f"unreadable {key}: {exc}")
+            continue
         if claimed != expected:
             failures.append(
                 f"cost mismatch: {key} claims {rat_str(claimed)}, selections cost {rat_str(expected)}"

@@ -14,6 +14,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def exit_code(argv):
+    """Exit status of the CLI, also when argparse rejects the arguments."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def inst_file(tmp_path):
     path = tmp_path / "inst.json"
@@ -66,10 +74,12 @@ def test_solve_is_byte_deterministic(tmp_path, inst_file):
 
 def test_solve_strict_and_exhaustive_flags(tmp_path, inst_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["solve", "--input", str(inst_file), "--mode", "strict",
+    assert run(["solve", "--input", str(inst_file),
                 "--separation", "exhaustive", "--output", str(a)]) == 0
     assert run(["solve", "--input", str(inst_file), "--output", str(b)]) == 0
     assert json.loads(a.read_text())["total"] == json.loads(b.read_text())["total"]
+    # the one-LP solve has no strict rounding mode
+    assert exit_code(["solve", "--input", str(inst_file), "--mode", "strict"]) == 2
 
 
 def test_matroid_round_trip(tmp_path, matroid_file, capsys):
@@ -88,7 +98,8 @@ def test_missing_input_exits_2(tmp_path):
 
 
 def test_bad_mode_exits_2(inst_file):
-    assert run(["solve", "--input", str(inst_file), "--mode", "bogus"]) == 2
+    assert run(["solve", "--input", str(inst_file), "--separation", "bogus"]) == 2
+    assert exit_code(["solve", "--input", str(inst_file), "--mode", "bogus"]) == 2
 
 
 def test_bad_gen_parameters_exit_2(tmp_path):
@@ -154,6 +165,36 @@ def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     sol.write_text(json.dumps(doc))
     assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 3
     assert "X not spanning" in capsys.readouterr().err.splitlines()[0]
+
+
+@pytest.fixture
+def solved_k2(tmp_path):
+    """A 5-node, k=2 instance and its solution document."""
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run(["gen", "--nodes", "5", "--k", "2", "--seed", "3", "--output", str(inst)]) == 0
+    assert run(["solve", "--input", str(inst), "--output", str(sol)]) == 0
+    return inst, sol
+
+
+@pytest.mark.parametrize("claim", ["abc", None, [1], "1e1000000000"])
+def test_unreadable_claimed_cost_exits_3(solved_k2, claim, capsys):
+    inst, sol = solved_k2
+    doc = json.loads(sol.read_text())
+    doc["total"] = claim
+    sol.write_text(json.dumps(doc))
+    assert run(["verify", "--instance", str(inst), "--solution", str(sol)]) == 3
+    assert "unreadable total" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cost", ["1e5000", "1e1000000000"])
+def test_oversized_decimal_cost_exits_2(solved_k2, cost, capsys):
+    inst, _ = solved_k2
+    doc = json.loads(inst.read_text())
+    for edge in doc["edges"]:
+        edge["C"] = cost
+    inst.write_text(json.dumps(doc))
+    assert run(["solve", "--input", str(inst)]) == 2
+    assert "more than 1000 digits" in capsys.readouterr().err
 
 
 def test_internal_failure_exits_4(inst_file, monkeypatch):

@@ -18,13 +18,8 @@ K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
 UNIT = {e: CostTriple(ONE, ONE, ZERO) for e in range(3)}
 
 
-def k3_sides():
-    return GraphSide(K3), GraphSide(K3)
-
-
 def test_full_model_shape():
-    x, y = k3_sides()
-    model = build_relaxation(x, y, ez=(0, 1, 2), quota=1, costs=UNIT)
+    model = build_relaxation(GraphSide(K3), quota=1, costs=UNIT)
     assert model.reduced is None
     # variable blocks in declaration order: x, z, y
     assert model.lp.variables[:3] == [("x", 0), ("x", 1), ("x", 2)]
@@ -42,8 +37,7 @@ def test_full_model_shape():
 
 
 def test_merged_model_when_everything_is_shared():
-    x, y = k3_sides()
-    model = build_relaxation(x, y, ez=(0, 1, 2), quota=2, costs=UNIT)
+    model = build_relaxation(GraphSide(K3), quota=2, costs=UNIT)
     assert model.reduced == "merged"
     assert model.x_vars is model.z_vars is model.y_vars
     assert len(model.lp.variables) == 3
@@ -51,56 +45,37 @@ def test_merged_model_when_everything_is_shared():
     assert model.lp.objective[("w", 0)] == rat(2)  # C + (c+d)
 
 
-def test_full_model_when_structures_differ():
-    # same ids but different graphs: one side lost an edge's parallel twin
-    g2 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (0, 2)})
-    model = build_relaxation(
-        GraphSide(K3), GraphSide(g2), ez=(0, 1, 2), quota=2,
-        costs=UNIT,
-    )
-    assert model.reduced is None
-
-
-def test_model_with_one_stage_complete():
-    path = MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})
-    x = GraphSide(path).fix(0).fix(1)  # fully contracted: inactive
-    assert not x.is_active()
-    y = GraphSide(path)
-    costs = {e: CostTriple(ONE, rat(e + 1), ZERO) for e in range(2)}
-    model = build_relaxation(x, y, ez=(0, 1), quota=1, costs=costs)
-    assert model.reduced is None
-    assert model.x_side is None and model.x_vars == {}
-    assert model.lp.variables == [("z", 0), ("z", 1), ("y", 0), ("y", 1)]
-    # rows: z-budget, 2 y-links, y-cardinality; no row mentions an x
-    assert len(model.lp.constraints) == 4
-    assert all(v[0] != "x" for row in model.lp.constraints for v in row.coeffs)
-    values = cutting_plane_solve(model, SolveConfig()).solution.values
-    assert values[("y", 0)] == ONE and values[("y", 1)] == ONE
-    assert values[("z", 0)] + values[("z", 1)] == rat(1)
-    assert all(values[("z", e)] <= values[("y", e)] for e in range(2))
+def test_merged_model_for_uniform_matroid_at_k0():
+    m = UniformMatroid(frozenset(range(5)), 3)
+    costs = {e: CostTriple(rat(e), rat(4 - e), ZERO) for e in range(5)}
+    model = build_relaxation(MatroidSide(m), quota=3, costs=costs)
+    assert model.reduced == "merged"
+    result = cutting_plane_solve(model, SolveConfig())
+    assert result.solution.objective_value == rat(12)
+    assert sorted(result.solution.values.values()) == [ZERO, ZERO, ONE, ONE, ONE]
 
 
 def test_infeasible_when_quota_has_no_carriers():
-    x, y = k3_sides()
+    # an overlap beyond the selection size cannot be carried
+    model = build_relaxation(GraphSide(K3), quota=3, costs=UNIT)
     with pytest.raises(InfeasibleModel):
-        build_relaxation(x, y, ez=(), quota=1, costs=UNIT)
+        cutting_plane_solve(model, SolveConfig())
 
 
 def test_internal_errors_on_broken_state():
-    x, y = k3_sides()
     with pytest.raises(InternalError):
-        build_relaxation(x, y, ez=(), quota=-1, costs=UNIT)
+        build_relaxation(GraphSide(K3), quota=-1, costs=UNIT)
     with pytest.raises(InternalError):
         # no overlap owed: the solver completes such a state greedily
-        build_relaxation(x, y, ez=(0, 1, 2), quota=0, costs=UNIT)
+        build_relaxation(GraphSide(K3), quota=0, costs=UNIT)
     done = GraphSide(MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})).fix(0).fix(1)
     with pytest.raises(InternalError):
-        build_relaxation(done, done, ez=(), quota=0, costs=UNIT)
+        # nothing left to select
+        build_relaxation(done, quota=1, costs=UNIT)
 
 
 def test_cutting_plane_merged_k3():
-    x, y = k3_sides()
-    model = build_relaxation(x, y, ez=(0, 1, 2), quota=2, costs=UNIT)
+    model = build_relaxation(GraphSide(K3), quota=2, costs=UNIT)
     result = cutting_plane_solve(model, SolveConfig())
     # optimum picks two cheapest edges; C + c + d = 2 each
     assert result.solution.objective_value == rat(4)
@@ -109,10 +84,7 @@ def test_cutting_plane_merged_k3():
 
 
 def _initial_model(inst):
-    x = GraphSide(inst.graph)
-    y = GraphSide(inst.graph)
-    ez = tuple(sorted(inst.graph.edges))
-    return build_relaxation(x, y, ez, inst.overlap_requirement, inst.costs)
+    return build_relaxation(GraphSide(inst.graph), inst.overlap_requirement, inst.costs)
 
 
 def test_cutting_plane_adds_cuts_and_final_point_is_clean():
@@ -122,11 +94,11 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     assert result.rounds >= 1 and result.cuts_added >= 1
     values = result.solution.values
     # the final x and y restrictions admit no violated forest constraint
-    for vars_, side in ((model.x_vars, model.x_side), (model.y_vars, model.y_side)):
+    for vars_ in (model.x_vars, model.y_vars):
         point = {e: values[vars_[e]] for e in vars_}
-        assert separate_forest_exhaustive(point, side.graph) is None
+        assert separate_forest_exhaustive(point, model.side.graph) is None
     # every z respects both link rows
-    for e in model.ez:
+    for e in model.z_vars:
         assert values[model.z_vars[e]] <= values[model.x_vars[e]]
         assert values[model.z_vars[e]] <= values[model.y_vars[e]]
 
@@ -147,20 +119,18 @@ def test_exhaustive_separation_agrees_with_mincut():
 
 
 def test_lp_dump_written(tmp_path):
-    x, y = k3_sides()
-    model = build_relaxation(x, y, (0, 1, 2), 2, UNIT)
+    model = build_relaxation(GraphSide(K3), 2, UNIT)
     cfg = SolveConfig(lp_dump_dir=str(tmp_path))
-    cutting_plane_solve(model, cfg, dump_tag="probe")
-    text = (tmp_path / "probe.lp.txt").read_text()
+    cutting_plane_solve(model, cfg)
+    text = (tmp_path / "relaxation.lp.txt").read_text()
     assert "w0" in text
 
 
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
     costs = {e: CostTriple(rat(e), rat(3 - e), ZERO) for e in range(4)}
-    x, y = MatroidSide(m), MatroidSide(m)
-    model = build_relaxation(x, y, ez=tuple(range(4)), quota=1, costs=costs)
-    assert model.reduced is None  # matroid sides never merge
+    model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
+    assert model.reduced is None  # quota below the rank: the x/z/y model
     result = cutting_plane_solve(model, SolveConfig())
     assert result.solution.objective_value is not None
     total = sum(result.solution.values[model.x_vars[e]] for e in range(4))

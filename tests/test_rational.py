@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rrst.rational import ExactnessError, ONE, ZERO, parse_exact, rat, rat_str
+from rrst.rational import MAX_DIGITS, ExactnessError, ONE, ZERO, parse_exact, rat, rat_str
 
 
 def test_basic_arithmetic_is_exact():
@@ -43,6 +43,23 @@ def test_parse_exact_does_not_suggest_quoting_non_finite_floats(bad):
     with pytest.raises(ExactnessError, match="non-finite") as info:
         parse_exact(bad)
     assert "string" not in str(info.value)
+
+
+@pytest.mark.parametrize("value", [
+    "9" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS, f"1e{MAX_DIGITS - 1}", 10 ** MAX_DIGITS - 1,
+])
+def test_parse_exact_accepts_values_up_to_the_digit_bound(value):
+    parse_exact(value)
+
+
+@pytest.mark.parametrize("value", [
+    "1" + "0" * MAX_DIGITS, "1/1" + "0" * MAX_DIGITS, "1e5000", "1e-5000", "1e1000000000",
+    10 ** MAX_DIGITS, rat(1, 10 ** MAX_DIGITS),
+])
+def test_parse_exact_rejects_values_past_the_digit_bound(value):
+    # the exponent is checked before Fraction would expand 10**exponent
+    with pytest.raises(ExactnessError, match=f"more than {MAX_DIGITS} digits"):
+        parse_exact(value)
 
 
 def test_parse_exact_passes_rationals_through():

@@ -1,12 +1,14 @@
-"""End-to-end solver: known optima, invariants, mode equivalences, verify."""
+"""End-to-end solver: known optima, invariants, separation routes, verify."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from rrst import solver
 from rrst.config import SolveConfig
-from rrst.errors import ValidationError
+from rrst.errors import InternalError, ValidationError
 from rrst.gen import generate_instance
 from rrst.instance import CostTriple, Instance, loads_instance
 from rrst.matroids import GraphicMatroid, MatroidInstance
@@ -128,8 +130,7 @@ def _random_graphic_matroid(rng):
     return matroid
 
 
-@pytest.mark.parametrize("mode", ["batch", "strict"])
-def test_graphic_matroid_forests_match_oracle(mode):
+def test_graphic_matroid_forests_match_oracle():
     rng = random.Random(5150)
     seen = {"disconnected": 0, "parallel": 0, "loops": 0}
     for trial in range(80):
@@ -141,16 +142,15 @@ def test_graphic_matroid_forests_match_oracle(mode):
         costs = {e: CostTriple(rat(rng.randint(0, 9)), rat(rng.randint(0, 9)), rat(rng.randint(0, 9)))
                  for e in sorted(matroid.ground)}
         mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()))
-        sol = solve_rrmb(mi, SolveConfig(mode=mode))
+        sol = solve_rrmb(mi)
         assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
         assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("mode", ["batch", "strict"])
 @pytest.mark.parametrize("separation", ["mincut", "exhaustive"])
-def test_modes_and_separations_agree_with_oracle(mode, separation):
-    cfg = SolveConfig(mode=mode, separation=separation)
+def test_separations_agree_with_oracle(separation):
+    cfg = SolveConfig(separation=separation)
     for seed in range(6):
         inst = generate_instance(5, 0.5, seed % 5, 8, seed)
         sol = solve_rrst(inst, cfg)
@@ -159,32 +159,18 @@ def test_modes_and_separations_agree_with_oracle(mode, separation):
         assert verify_tree_solution(inst, solution_to_dict(sol)) == []
 
 
-def test_iteration_observer_sees_consistent_bookkeeping():
-    inst = generate_instance(6, 0.5, 2, 9, 31)
-    infos = []
-    sol = solve_rrst(inst, SolveConfig(), on_iteration=infos.append)
-    assert len(infos) == sol.iterations >= 1
-    need = inst.overlap_requirement
-    for info in infos:
-        assert info.quota >= 0
-        assert info.quota + len(info.Z) == need
-        assert info.Z <= (info.X & info.Y)
-        assert set(info.banked) <= info.Z
-        # moves recorded actually happened: committed ids appear in X/Y
-        assert set(info.fixed_x) <= info.X and set(info.fixed_y) <= info.Y
-        # strict-mode truncation cannot apply in batch mode
-        assert info.fixed_x == info.ones_x and info.fixed_y == info.ones_y
-    assert len(sol.Z) == need
+def test_fractional_vertex_raises_internal_error(monkeypatch):
+    real = solver.cutting_plane_solve
 
+    def half_vertex(model, config):
+        result = real(model, config)
+        values = dict(result.solution.values)
+        values[model.x_vars[min(model.x_vars)]] = rat(1, 2)
+        return dataclasses.replace(result, solution=dataclasses.replace(result.solution, values=values))
 
-def test_strict_mode_truncates_but_ones_are_recorded():
-    inst = generate_instance(5, 0.4, 1, 7, 9)
-    infos = []
-    solve_rrst(inst, SolveConfig(mode="strict"), on_iteration=infos.append)
-    for info in infos:
-        assert len(info.fixed_x) <= 1 and len(info.fixed_y) <= 1
-        assert set(info.fixed_x) <= set(info.ones_x)
-        assert set(info.fixed_y) <= set(info.ones_y)
+    monkeypatch.setattr(solver, "cutting_plane_solve", half_vertex)
+    with pytest.raises(InternalError, match="fractional"):
+        solve_rrst(generate_instance(5, 0.5, 1, 9, 3))
 
 
 def test_lp_bound_equals_total_across_seeds():
