@@ -26,7 +26,6 @@ import random
 from .errors import ValidationError
 from .instance import CostTriple, Instance
 from .multigraph import MultiGraph
-from .rational import rat
 
 __all__ = [
     "generate_instance",
@@ -96,14 +95,10 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
 
     edges = {i: uv for i, uv in enumerate(sorted(pairs))}
     costs = {
-        i: CostTriple(
-            rat(rng.randint(0, cost_max)),
-            rat(rng.randint(0, cost_max)),
-            rat(rng.randint(0, cost_max)),
-        )
+        i: CostTriple(rng.randint(0, cost_max), rng.randint(0, cost_max), rng.randint(0, cost_max))
         for i in sorted(edges)
     }
-    return Instance(graph=MultiGraph(range(nodes), edges), costs=costs, k=k)
+    return Instance(graph=MultiGraph(range(nodes), edges), costs=costs, k=k, scale=1)
 
 
 def _connected(n: int, pairs) -> bool:
@@ -134,20 +129,17 @@ def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 def _pattern_costs(pattern: str, m: int, seed_key: str) -> dict[int, CostTriple]:
     if pattern == "unit":
-        one = rat(1)
-        return {i: CostTriple(one, one, one) for i in range(m)}
+        return {i: CostTriple(1, 1, 1) for i in range(m)}
     if pattern == "anti":
         # cheap first stage pairs with expensive second stage and vice versa
         return {
-            i: CostTriple(rat(i + 1), rat(m - i), rat(i % 2))
+            i: CostTriple(i + 1, m - i, i % 2)
             for i in range(m)
         }
     if pattern == "random":
         rng = random.Random(seed_key)
         return {
-            i: CostTriple(
-                rat(rng.randint(0, 20)), rat(rng.randint(0, 20)), rat(rng.randint(0, 20))
-            )
+            i: CostTriple(rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
             for i in range(m)
         }
     raise ValidationError(f"unknown cost pattern {pattern!r}")
@@ -168,7 +160,7 @@ def builtin_small_suite(max_nodes: int = 5) -> list[tuple[str, Instance]]:
                 for k in range(n):
                     name = f"n{n}-g{gi:02d}-k{k}-{pattern}"
                     inst = Instance(
-                        graph=MultiGraph(range(n), dict(edges)), costs=dict(costs), k=k
+                        graph=MultiGraph(range(n), dict(edges)), costs=dict(costs), k=k, scale=1
                     )
                     suite.append((name, inst))
     return suite

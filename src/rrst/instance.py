@@ -10,6 +10,11 @@ Nodes are labelled 0..nodes-1.  Costs may be integers or strings; strings
 accept decimal ("2.5") and fraction ("5/2") forms and are parsed exactly.
 JSON floats and the NaN/Infinity constants are rejected outright so no
 binary rounding ever sneaks in.
+
+A parsed instance holds every cost as a Python int over one per-instance
+`scale`, the LCM of the denominators of all its costs: the document above
+has scale 2 and stores C, c, d of edge 0 as 6, 5, 1.  Printing divides by
+the scale again, so a document reads back as it was written.
 """
 
 from __future__ import annotations
@@ -19,29 +24,36 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .multigraph import MultiGraph
-from .rational import ExactnessError, Rat, parse_exact, rat_str
+from .rational import ExactnessError, parse_exact, rat, rat_str, widen_scale
 
 
 @dataclass(frozen=True)
 class CostTriple:
     """Per-edge costs: C first stage; [c, c+d] the second-stage interval.
 
-    Under min-max recovery only the upper endpoint matters, so c and d only
-    ever appear as the sum c+d.
+    Each is a non-negative int in units of 1/scale of its instance.  Under
+    min-max recovery only the upper endpoint matters, so c and d only ever
+    appear as the sum c+d.
     """
 
-    C: Rat
-    c: Rat
-    d: Rat
+    C: int
+    c: int
+    d: int
 
     def __post_init__(self):
-        for name in ("C", "c", "d"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"cost {name}={getattr(self, name)} is negative")
+        C, c, d = self.C, self.c, self.d
+        if not (type(C) is type(c) is type(d) is int and C >= 0 and c >= 0 and d >= 0):
+            raise ValidationError(f"costs {C!r}, {c!r}, {d!r} are not all non-negative ints "
+                                  "in units of 1/scale of their instance")
 
     @property
-    def second(self) -> Rat:
+    def second(self) -> int:
         return self.c + self.d
+
+
+def _check_scale(scale) -> None:
+    if type(scale) is not int or scale < 1:
+        raise ValidationError(f"cost scale {scale!r} is not a positive int")
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,11 @@ class Instance:
     graph: MultiGraph
     costs: dict[int, CostTriple]
     k: int
+    # every cost is an int in units of 1/scale
+    scale: int
 
     def __post_init__(self):
+        _check_scale(self.scale)
         n = self.graph.node_count
         if n < 1:
             raise ValidationError("instance needs at least one node")
@@ -77,13 +92,45 @@ class Instance:
         return self.n - 1 - self.k
 
 
-def _cost_field(obj, key, where):
-    if key not in obj:
-        raise ParseError(f"{where}: missing cost field {key!r}")
-    try:
-        return parse_exact(obj[key])
-    except ExactnessError as exc:
-        raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
+class CostTable:
+    """Cost triples read in document order, scaled to ints over one scale.
+
+    The scale grows as fractional costs arrive; ParseError names the cost
+    field that takes it past MAX_DIGITS digits, or an id read twice.
+    """
+
+    def __init__(self):
+        self._raw: dict[int, list] = {}
+        self.scale = 1
+
+    def add(self, eid: int, obj: dict, where: str) -> None:
+        if eid in self._raw:
+            raise ParseError(f"{where}: duplicate cost id {eid}")
+        triple = []
+        for key in ("C", "c", "d"):
+            try:
+                v = parse_exact(obj[key])
+                if type(v) is not int:
+                    self.scale = widen_scale(self.scale, v)
+            except KeyError:
+                raise ParseError(f"{where}: missing cost field {key!r}") from None
+            except ExactnessError as exc:
+                raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
+            if v < 0:
+                raise ValidationError(f"{where}: cost {key}={rat_str(v)} is negative")
+            triple.append(v)
+        self._raw[eid] = triple
+
+    def costs(self) -> dict[int, CostTriple]:
+        scale = self.scale
+        # every cost is already an int at scale 1; skipping the rescale
+        # there saves about a tenth of the parse of a large document
+        if scale == 1:
+            return {eid: CostTriple(*t) for eid, t in self._raw.items()}
+        return {
+            eid: CostTriple(*(v.numerator * (scale // v.denominator) for v in t))
+            for eid, t in self._raw.items()
+        }
 
 
 def _int_field(obj, key, where):
@@ -108,7 +155,7 @@ def instance_from_dict(doc) -> Instance:
     if not isinstance(raw_edges, list):
         raise ParseError("instance: 'edges' must be a list")
     edges = {}
-    costs = {}
+    costs = CostTable()
     for i, e in enumerate(raw_edges):
         where = f"edges[{i}]"
         e = _object(e, where)
@@ -122,11 +169,9 @@ def instance_from_dict(doc) -> Instance:
         if u == v:
             raise ParseError(f"{where}: self-loop on node {u}")
         edges[eid] = (u, v)
-        costs[eid] = CostTriple(
-            _cost_field(e, "C", where), _cost_field(e, "c", where), _cost_field(e, "d", where)
-        )
+        costs.add(eid, e, where)
     graph = MultiGraph(range(n), edges)
-    return Instance(graph=graph, costs=costs, k=k)
+    return Instance(graph=graph, costs=costs.costs(), k=k, scale=costs.scale)
 
 
 def load_instance(path) -> Instance:
@@ -172,18 +217,21 @@ def _reject_constant(tok):
 
 def instance_to_dict(inst: Instance) -> dict:
     edges = []
+    scale = inst.scale
     for eid in inst.graph.edge_ids():
         u, v = inst.graph.endpoints(eid)
         t = inst.costs[eid]
-        edges.append(
-            {"id": eid, "u": u, "v": v, "C": _cost_out(t.C), "c": _cost_out(t.c), "d": _cost_out(t.d)}
-        )
+        edges.append({"id": eid, "u": u, "v": v, "C": _cost_out(t.C, scale),
+                      "c": _cost_out(t.c, scale), "d": _cost_out(t.d, scale)})
     return {"nodes": inst.graph.node_count, "k": inst.k, "edges": edges}
 
 
-def _cost_out(r):
-    # ints stay ints for readability; anything else becomes an exact string
-    return int(r) if r.denominator == 1 else rat_str(r)
+def _cost_out(v: int, scale: int):
+    # the cost v/scale: whole costs stay ints for readability; anything
+    # else becomes an exact string
+    if v % scale == 0:
+        return v // scale
+    return rat_str(rat(v, scale))
 
 
 def serialize_instance(inst: Instance) -> str:

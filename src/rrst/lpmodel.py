@@ -48,7 +48,9 @@ class RelaxationModel:
 def build_relaxation(side, quota: int, costs) -> RelaxationModel:
     """Build the LP over `side` with overlap `quota`, at least 1.
 
-    Every element is overlap-eligible; `costs` maps id -> CostTriple.
+    Every element is overlap-eligible; `costs` maps id -> CostTriple, whose
+    ints are in units of 1/scale of the instance, so the objective and its
+    optimum (and the program `lp_dump_dir` writes) are in those units too.
     """
     if not side.is_active():
         raise InternalError("relaxation requested but there is nothing to select")

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .instance import CostTriple, _cost_field, _int_field, _object, parse_json, read_json
+from .instance import CostTable, CostTriple, _check_scale, _int_field, _object, parse_json, read_json
 from .multigraph import MultiGraph
 
 ENUMERATION_GROUND_LIMIT = 20
@@ -249,8 +249,11 @@ class MatroidInstance:
     matroid: Matroid
     costs: dict[int, CostTriple]
     k: int
+    # every cost is an int in units of 1/scale
+    scale: int
 
     def __post_init__(self):
+        _check_scale(self.scale)
         r = self.matroid.full_rank()
         if not 0 <= self.k <= r:
             raise ValidationError(f"k={self.k} outside 0..{r}")
@@ -329,19 +332,12 @@ def matroid_instance_from_dict(doc) -> MatroidInstance:
     raw = doc.get("costs")
     if not isinstance(raw, list):
         raise ParseError("matroid instance: 'costs' must be a list")
-    costs = {}
+    costs = CostTable()
     for i, entry in enumerate(raw):
         where = f"costs[{i}]"
         entry = _object(entry, where)
-        eid = _int_field(entry, "id", where)
-        if eid in costs:
-            raise ParseError(f"{where}: duplicate cost id {eid}")
-        costs[eid] = CostTriple(
-            _cost_field(entry, "C", where),
-            _cost_field(entry, "c", where),
-            _cost_field(entry, "d", where),
-        )
-    return MatroidInstance(matroid=matroid, costs=costs, k=k)
+        costs.add(_int_field(entry, "id", where), entry, where)
+    return MatroidInstance(matroid=matroid, costs=costs.costs(), k=k, scale=costs.scale)
 
 
 def load_matroid_instance(path) -> MatroidInstance:

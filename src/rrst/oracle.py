@@ -13,7 +13,7 @@ from .errors import NoBasis, TooManyTrees
 from .instance import Instance
 from .matroids import MatroidInstance, enumerate_bases
 from .multigraph import MultiGraph
-from .rational import Rat, ZERO
+from .rational import Rat, rat
 
 ENUMERATION_TREE_LIMIT = 1_000_000
 PAIR_SCAN_LIMIT = 5_000_000
@@ -101,15 +101,15 @@ class BruteResult:
     pairs_scanned: int
 
 
-def _pair_scan(selections, costs, overlap_required: int, prune: bool) -> BruteResult:
+def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool) -> BruteResult:
     if len(selections) ** 2 > PAIR_SCAN_LIMIT:
         raise TooManyTrees(
             f"{len(selections)}^2 selection pairs exceed {PAIR_SCAN_LIMIT}"
         )
     rated = []
     for sel in selections:
-        first = sum((costs[e].C for e in sel), ZERO)
-        second = sum((costs[e].second for e in sel), ZERO)
+        first = sum(costs[e].C for e in sel)
+        second = sum(costs[e].second for e in sel)
         rated.append((sel, frozenset(sel), first, second))
     if not rated:
         raise NoBasis("no feasible selections exist")
@@ -137,19 +137,19 @@ def _pair_scan(selections, costs, overlap_required: int, prune: bool) -> BruteRe
         raise NoBasis("no selection pair meets the overlap requirement")
     total, x_sel, y_sel = best
     z = tuple(sorted(set(x_sel) & set(y_sel))[:overlap_required])
-    first = sum((costs[e].C for e in x_sel), ZERO)
-    second = sum((costs[e].second for e in y_sel), ZERO)
-    return BruteResult(x_sel, y_sel, z, first, second, total, scanned)
+    first = sum(costs[e].C for e in x_sel)
+    second = sum(costs[e].second for e in y_sel)
+    return BruteResult(x_sel, y_sel, z, rat(first, scale), rat(second, scale), rat(total, scale), scanned)
 
 
 def brute_force_rrst(instance: Instance, prune: bool = False) -> BruteResult:
     """Optimal tree pair by explicit enumeration (reference route)."""
     trees = enumerate_spanning_trees(instance.graph)
     trees.sort()
-    return _pair_scan(trees, instance.costs, instance.overlap_requirement, prune)
+    return _pair_scan(trees, instance.costs, instance.scale, instance.overlap_requirement, prune)
 
 
 def brute_force_rrmb(minstance: MatroidInstance, prune: bool = False) -> BruteResult:
     """Optimal basis pair by explicit enumeration (reference route)."""
     bases = enumerate_bases(minstance.matroid)
-    return _pair_scan(bases, minstance.costs, minstance.overlap_requirement, prune)
+    return _pair_scan(bases, minstance.costs, minstance.scale, minstance.overlap_requirement, prune)

@@ -1,10 +1,14 @@
 """Exact rational arithmetic.
 
-Every cost, LP coefficient and solution value in this package is an exact
-rational, a ``fractions.Fraction``: reduced to lowest terms with a positive
-denominator.  ``Rat`` names the type and ``rat`` builds one.  The simplex
-tableau is the exception: it holds integers over one common denominator
-(see simplex.py) and hands back Fractions.
+Every value in this package is exact.  Costs are Python ints over one
+positive denominator per instance, its ``scale``: the LCM of the
+denominators of all its costs, 1 whenever every cost is a whole number.
+Sorting, summing and comparing costs thus never builds a Fraction.  LP
+points and the values printed in documents are ``fractions.Fraction``,
+reduced to lowest terms with a positive denominator; a total is printed
+as ``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat``
+builds one.  The simplex tableau holds integers over one common
+denominator too (see simplex.py) and hands back Fractions.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ class ExactnessError(ValueError):
 
 
 def parse_exact(value):
-    """Parse a cost or coefficient into an exact rational.
+    """Parse a cost or coefficient into an exact rational: an int when the
+    value is whole, a Fraction otherwise.
 
     Accepts ints and strings such as "7", "2.5" or "5/2".  Decimal strings
     are read as exact decimals.  Binary floats are rejected: 2.5 written as
@@ -43,12 +48,12 @@ def parse_exact(value):
     A numerator or denominator of more than MAX_DIGITS digits is rejected;
     a decimal exponent is checked before it is expanded.
     """
+    if type(value) is int:  # a bool is not, and falls through
+        if -_DIGIT_LIMIT < value < _DIGIT_LIMIT:
+            return value
+        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     if isinstance(value, bool):
         raise ExactnessError(f"boolean is not a valid numeric value: {value!r}")
-    if isinstance(value, int):
-        if -_DIGIT_LIMIT < value < _DIGIT_LIMIT:
-            return rat(value)
-        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ExactnessError(f"non-finite float {value!r} rejected; values must be finite")
@@ -78,10 +83,23 @@ def _exponent(text: str) -> int:
         return 0  # then Fraction rejects the text too
 
 
-def _bounded(f: Fraction, value) -> Fraction:
+def _bounded(f: Fraction, value):
     if abs(f.numerator) >= _DIGIT_LIMIT or f.denominator >= _DIGIT_LIMIT:
         raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
-    return f
+    return f.numerator if f.denominator == 1 else f
+
+
+def widen_scale(scale: int, value) -> int:
+    """The LCM of `scale` and the denominator of `value`.
+
+    Raises ExactnessError once it has more than MAX_DIGITS digits, which
+    bounds every total printed over that scale well inside Python's
+    4300-digit limit on printing an int.
+    """
+    scale = math.lcm(scale, value.denominator)
+    if scale >= _DIGIT_LIMIT:
+        raise ExactnessError(f"the common denominator of the costs would have more than {MAX_DIGITS} digits")
+    return scale
 
 
 def _shown(value) -> str:

@@ -57,7 +57,7 @@ class GraphSide:
     def remove(self, element: int) -> "GraphSide":
         return GraphSide(self.graph.delete_edge(element))
 
-    def complete_min(self, weights: dict[int, Rat]) -> list[int]:
+    def complete_min(self, weights: dict[int, int]) -> list[int]:
         """Cheapest completion to a full selection (Kruskal, ids break ties)."""
         return self.graph.spanning_forest(sorted(self.graph.edges, key=lambda e: (weights[e], e)))
 
@@ -91,5 +91,5 @@ class MatroidSide:
     def remove(self, element: int) -> "MatroidSide":
         return MatroidSide(self.matroid.delete(element))
 
-    def complete_min(self, weights: dict[int, Rat]) -> list[int]:
+    def complete_min(self, weights: dict[int, int]) -> list[int]:
         return greedy_min_basis(self.matroid, weights, required_size=self.target_size())

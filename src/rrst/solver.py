@@ -32,6 +32,12 @@ cardinality constraints on the intersection, Math. Program. 2022).  The
 source paper proves only that some coordinate of each vertex is 0 or 1,
 which its iterative relaxation needs.  A coordinate strictly between 0
 and 1 would breach the argument, and raises InternalError.
+
+Costs arrive as ints over the instance's scale (see instance.py), so the
+greedy sorts, the LP objective, the stage sums and the check of the total
+against the LP bound all run on ints, in scaled units.  A positive scale
+changes no comparison, tie-break or pivot.  Only the Solution divides by
+the scale, once, into Fractions.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .errors import InternalError, ValidationError
 from .instance import Instance
 from .lpmodel import build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, MatroidInstance
-from .rational import ONE, ZERO, ExactnessError, Rat, parse_exact, rat_str
+from .rational import ONE, ZERO, ExactnessError, Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
 
@@ -80,7 +86,7 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_core(side, costs, overlap_required: int, config: SolveConfig) -> Solution:
+def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveConfig) -> Solution:
     if overlap_required == 0:
         # no overlap is owed (always so when there is nothing to select),
         # so the stages decouple: complete each one greedily (every stage
@@ -106,26 +112,24 @@ def _solve_core(side, costs, overlap_required: int, config: SolveConfig) -> Solu
 
     if len(Z) != overlap_required or not set(Z) <= set(X) & set(Y):
         raise InternalError("overlap set does not meet the requirement inside both selections")
-    first = sum((costs[e].C for e in X), ZERO)
-    second = sum((costs[e].second for e in Y), ZERO)
-    total = first + second
-    if lp_bound is None:
-        # no relaxation was solved: the stages were completed greedily,
-        # and with each stage polytope integral and no coupling row active
-        # the relaxation optimum is the integral total
-        lp_bound = total
-    elif total != lp_bound:
+    first = sum(costs[e].C for e in X)
+    second = sum(costs[e].second for e in Y)
+    total = rat(first + second, scale)
+    # with no relaxation solved, the stages were completed greedily, and
+    # with each stage polytope integral and no coupling row active the
+    # relaxation optimum is the integral total; otherwise the two must agree
+    if lp_bound is not None and first + second != lp_bound:
         raise InternalError(
-            f"integral cost {rat_str(total)} differs from relaxation bound {rat_str(lp_bound)}"
+            f"integral cost {rat_str(total)} differs from relaxation bound {rat_str(lp_bound / scale)}"
         )
     return Solution(
         X=tuple(sorted(X)),
         Y=tuple(sorted(Y)),
         Z=tuple(sorted(Z)),
-        first_stage=first,
-        second_stage=second,
+        first_stage=rat(first, scale),
+        second_stage=rat(second, scale),
         total=total,
-        lp_bound=lp_bound,
+        lp_bound=total,
         iterations=iterations,
         rounds=rounds,
         cuts=cuts,
@@ -134,8 +138,8 @@ def _solve_core(side, costs, overlap_required: int, config: SolveConfig) -> Solu
 
 def solve_rrst(instance: Instance, config: SolveConfig | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
-    return _solve_core(GraphSide(instance.graph), instance.costs, instance.overlap_requirement,
-                       config or SolveConfig())
+    return _solve_core(GraphSide(instance.graph), instance.costs, instance.scale,
+                       instance.overlap_requirement, config or SolveConfig())
 
 
 def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) -> Solution:
@@ -145,7 +149,8 @@ def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) ->
     """
     matroid = minstance.matroid
     side = GraphSide(matroid.graph) if isinstance(matroid, GraphicMatroid) else MatroidSide(matroid)
-    return _solve_core(side, minstance.costs, minstance.overlap_requirement, config or SolveConfig())
+    return _solve_core(side, minstance.costs, minstance.scale, minstance.overlap_requirement,
+                       config or SolveConfig())
 
 
 # --- solution verification -------------------------------------------------
@@ -170,7 +175,7 @@ def _is_spanning_tree(graph, edges: set) -> bool:
     return len(edges) == graph.node_count - 1 == len(graph.spanning_forest(edges))
 
 
-def _check_common(doc, X, Y, Z, costs, overlap_required: int) -> list[str]:
+def _check_common(doc, X, Y, Z, costs, scale: int, overlap_required: int) -> list[str]:
     failures = []
     if len(X & Y) < overlap_required:
         failures.append(
@@ -180,8 +185,9 @@ def _check_common(doc, X, Y, Z, costs, overlap_required: int) -> list[str]:
         failures.append("Z not contained in X and Y")
     if len(Z) != overlap_required:
         failures.append(f"Z size mismatch: {len(Z)} != {overlap_required}")
-    first = sum((costs[e].C for e in X), ZERO)
-    second = sum((costs[e].second for e in Y), ZERO)
+    # expected sums stay in scaled units; a claim is scaled up to meet them
+    first = sum(costs[e].C for e in X)
+    second = sum(costs[e].second for e in Y)
     for key, expected in (("first_stage", first), ("second_stage", second), ("total", first + second)):
         if key not in doc:
             failures.append(f"missing field {key}")
@@ -191,10 +197,9 @@ def _check_common(doc, X, Y, Z, costs, overlap_required: int) -> list[str]:
         except ExactnessError as exc:
             failures.append(f"unreadable {key}: {exc}")
             continue
-        if claimed != expected:
-            failures.append(
-                f"cost mismatch: {key} claims {rat_str(claimed)}, selections cost {rat_str(expected)}"
-            )
+        if claimed * scale != expected:
+            failures.append(f"cost mismatch: {key} claims {rat_str(claimed)}, "
+                            f"selections cost {rat_str(rat(expected, scale))}")
     return failures
 
 
@@ -209,7 +214,7 @@ def verify_tree_solution(instance: Instance, doc: dict) -> list[str]:
         failures.append("X not spanning")
     if not _is_spanning_tree(instance.graph, Y):
         failures.append("Y not spanning")
-    failures += _check_common(doc, X, Y, Z, instance.costs, instance.overlap_requirement)
+    failures += _check_common(doc, X, Y, Z, instance.costs, instance.scale, instance.overlap_requirement)
     return failures
 
 
@@ -226,5 +231,6 @@ def verify_basis_solution(minstance: MatroidInstance, doc: dict) -> list[str]:
         failures.append("X not a basis")
     if len(Y) != rank or matroid.rank(Y) != rank:
         failures.append("Y not a basis")
-    failures += _check_common(doc, X, Y, Z, minstance.costs, minstance.overlap_requirement)
+    failures += _check_common(doc, X, Y, Z, minstance.costs, minstance.scale,
+                              minstance.overlap_requirement)
     return failures

@@ -19,7 +19,6 @@ from rrst import simplex
 from rrst.instance import CostTriple, Instance
 from rrst.matroids import MatroidInstance, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
-from rrst.rational import rat
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -40,23 +39,23 @@ def make_instance(n, pairs, triples, k) -> Instance:
     """Instance from endpoint pairs and (C, c, d) triples, ids 0..m-1."""
     edges = {i: tuple(p) for i, p in enumerate(pairs)}
     costs = {
-        i: CostTriple(rat(C), rat(c), rat(d)) for i, (C, c, d) in enumerate(triples)
+        i: CostTriple(C, c, d) for i, (C, c, d) in enumerate(triples)
     }
-    return Instance(graph=MultiGraph(range(n), edges), costs=costs, k=k)
+    return Instance(graph=MultiGraph(range(n), edges), costs=costs, k=k, scale=1)
 
 
 def make_uniform_instance(m, r, triples, k) -> MatroidInstance:
     costs = {
-        i: CostTriple(rat(C), rat(c), rat(d)) for i, (C, c, d) in enumerate(triples)
+        i: CostTriple(C, c, d) for i, (C, c, d) in enumerate(triples)
     }
-    return MatroidInstance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k)
+    return MatroidInstance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k, scale=1)
 
 
 def make_partition_instance(parts, triples, k) -> MatroidInstance:
     """parts: list of (elements, cap); triples keyed by element id."""
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
-    costs = {e: CostTriple(rat(C), rat(c), rat(d)) for e, (C, c, d) in triples.items()}
-    return MatroidInstance(matroid=matroid, costs=costs, k=k)
+    costs = {e: CostTriple(C, c, d) for e, (C, c, d) in triples.items()}
+    return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
 
 
 TRIANGLE_PAIRS = [(0, 1), (0, 2), (1, 2)]

@@ -152,18 +152,18 @@ def _matroid_cases():
         matroid = mats[i % len(mats)]
         rng = random.Random(9000 + i)
         costs = {
-            e: CostTriple(rat(rng.randint(0, 12)), rat(rng.randint(0, 12)), rat(rng.randint(0, 12)))
+            e: CostTriple(rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12))
             for e in sorted(matroid.ground)
         }
         rank = matroid.full_rank()
         for k in range(rank + 1):
-            yield f"draw{i}-{matroid.family}-k{k}", MatroidInstance(matroid=matroid, costs=dict(costs), k=k)
+            yield f"draw{i}-{matroid.family}-k{k}", MatroidInstance(matroid=matroid, costs=dict(costs), k=k, scale=1)
 
 
 def _graphic_matroid_cases():
     for i in range(30):
         inst = generate_instance(5, 0.6, i % 5, 10, 7000 + i)
-        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k)
+        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
         yield f"graphic{7000 + i}", inst, mi
 
 

@@ -12,7 +12,6 @@ from rrst.instance import (
     loads_instance,
     serialize_instance,
 )
-from rrst.rational import rat
 
 DOC = {
     "nodes": 3,
@@ -28,9 +27,11 @@ DOC = {
 def test_parse_round_trip():
     inst = loads_instance(json.dumps(DOC))
     assert inst.n == 3 and inst.m == 3 and inst.k == 1
-    assert inst.costs[0].c == rat(5, 2)
-    assert inst.costs[0].d == rat(1, 2)
-    assert inst.costs[0].second == rat(3)
+    # costs are ints over the LCM of their denominators: 3, 5/2, 1/2 over 2
+    assert inst.scale == 2
+    assert inst.costs[0] == CostTriple(6, 5, 1)
+    assert inst.costs[1] == CostTriple(2, 2, 0)
+    assert inst.costs[0].second == 6
     assert inst.overlap_requirement == 1
     again = loads_instance(serialize_instance(inst))
     assert serialize_instance(again) == serialize_instance(inst)
@@ -93,7 +94,7 @@ def test_single_node_instance_valid():
 
 def test_negative_costs_rejected_at_construction():
     with pytest.raises(ValidationError):
-        CostTriple(rat(-1), rat(0), rat(0))
+        CostTriple(-1, 0, 0)
 
 
 def test_invalid_json_is_parse_error():

@@ -15,7 +15,7 @@ from rrst.sides import GraphSide, MatroidSide
 from rrst.matroids import UniformMatroid
 
 K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
-UNIT = {e: CostTriple(ONE, ONE, ZERO) for e in range(3)}
+UNIT = {e: CostTriple(1, 1, 0) for e in range(3)}
 
 
 def test_full_model_shape():
@@ -47,7 +47,7 @@ def test_merged_model_when_everything_is_shared():
 
 def test_merged_model_for_uniform_matroid_at_k0():
     m = UniformMatroid(frozenset(range(5)), 3)
-    costs = {e: CostTriple(rat(e), rat(4 - e), ZERO) for e in range(5)}
+    costs = {e: CostTriple(e, 4 - e, 0) for e in range(5)}
     model = build_relaxation(MatroidSide(m), quota=3, costs=costs)
     assert model.reduced == "merged"
     result = cutting_plane_solve(model, SolveConfig())
@@ -128,7 +128,7 @@ def test_lp_dump_written(tmp_path):
 
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
-    costs = {e: CostTriple(rat(e), rat(3 - e), ZERO) for e in range(4)}
+    costs = {e: CostTriple(e, 3 - e, 0) for e in range(4)}
     model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
     assert model.reduced is None  # quota below the rank: the x/z/y model
     result = cutting_plane_solve(model, SolveConfig())

@@ -109,7 +109,7 @@ def test_brute_force_overlap_requirement_enforced():
 def test_brute_force_matroid_matches_graphic_tree_route():
     for seed in range(6):
         inst = generate_instance(4, 0.7, seed % 4, 8, seed + 77)
-        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k)
+        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
         a = brute_force_rrst(inst)
         b = brute_force_rrmb(mi)
         assert (a.X, a.Y, a.Z, a.total) == (b.X, b.Y, b.Z, b.total)

@@ -109,7 +109,7 @@ def test_graphic_matroid_equals_tree_solver():
     for seed in range(8):
         inst = generate_instance(5, 0.6, seed % 5, 9, seed + 100)
         mi = MatroidInstance(
-            matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k
+            matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale
         )
         tree_sol = solve_rrst(inst)
         basis_sol = solve_rrmb(mi)
@@ -139,9 +139,9 @@ def test_graphic_matroid_forests_match_oracle():
         seen["disconnected"] += not graph.is_connected()
         seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
         seen["loops"] += bool(matroid.loops)
-        costs = {e: CostTriple(rat(rng.randint(0, 9)), rat(rng.randint(0, 9)), rat(rng.randint(0, 9)))
+        costs = {e: CostTriple(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                  for e in sorted(matroid.ground)}
-        mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()))
+        mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
         sol = solve_rrmb(mi)
         assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
         assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
