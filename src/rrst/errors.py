@@ -6,8 +6,10 @@ The classes that matter to callers and to the CLI exit-code mapping:
 * TooManyTrees, GroundTooLarge, IterationLimit
                     - the input is too large for the oracle's enumeration or
                       for the solver's pivot and cut-round bounds; CLI exit 2.
-* InternalError     - an invariant the algorithms guarantee was breached,
-                      which always signals an implementation bug; CLI exit 4.
+* InternalError, MalformedProgram
+                    - an invariant the algorithms guarantee was breached,
+                      or the solver built a linear program it cannot take;
+                      either signals an implementation bug; CLI exit 4.
 
 Failed verifications are returned as messages, not raised; the CLI exits 3.
 """
@@ -51,8 +53,10 @@ class TooManyTrees(RRSTError):
     """Enumeration guard: the graph has more spanning trees than the scan bound."""
 
 
-class MalformedProgram(InputError):
-    """A linear program references undeclared variables or is otherwise ill-formed."""
+class MalformedProgram(RRSTError):
+    """A linear program references undeclared variables, has a coefficient
+    that is not an int, or is otherwise ill-formed.  Programs are built
+    only by the solver, never read from a user, so this signals a bug."""
 
 
 class InfeasibleModel(RRSTError):

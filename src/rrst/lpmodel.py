@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .config import SolveConfig
 from .errors import InfeasibleModel, InternalError, IterationLimit
-from .rational import ONE, ZERO, rat
 from .simplex import (
     EQ,
     INFEASIBLE,
@@ -79,13 +78,13 @@ def _build_full(side, size: int, quota, costs) -> RelaxationModel:
         objective[y_vars[e]] = costs[e].second
     lp.set_objective(objective)
 
-    lp.add_constraint({x_vars[e]: ONE for e in ids}, EQ, rat(size))
+    lp.add_constraint({x_vars[e]: 1 for e in ids}, EQ, size)
     for e in ids:
-        lp.add_constraint({z_vars[e]: ONE, x_vars[e]: -ONE}, LE, ZERO)
-    lp.add_constraint({z_vars[e]: ONE for e in ids}, EQ, rat(quota))
+        lp.add_constraint({z_vars[e]: 1, x_vars[e]: -1}, LE, 0)
+    lp.add_constraint({z_vars[e]: 1 for e in ids}, EQ, quota)
     for e in ids:
-        lp.add_constraint({z_vars[e]: ONE, y_vars[e]: -ONE}, LE, ZERO)
-    lp.add_constraint({y_vars[e]: ONE for e in ids}, EQ, rat(size))
+        lp.add_constraint({z_vars[e]: 1, y_vars[e]: -1}, LE, 0)
+    lp.add_constraint({y_vars[e]: 1 for e in ids}, EQ, size)
 
     return RelaxationModel(lp, x_vars, z_vars, y_vars, side, None)
 
@@ -104,7 +103,7 @@ def _build_merged(side, quota, costs) -> RelaxationModel:
     for var in wvars.values():
         lp.add_variable(var)
     lp.set_objective({wvars[e]: costs[e].C + costs[e].second for e in ids})
-    lp.add_constraint({wvars[e]: ONE for e in ids}, EQ, rat(quota))
+    lp.add_constraint({wvars[e]: 1 for e in ids}, EQ, quota)
     return RelaxationModel(lp, wvars, wvars, wvars, side, "merged")
 
 
@@ -132,27 +131,29 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
             raise InfeasibleModel("relaxation is infeasible")
         if session.status == UNBOUNDED:
             raise InternalError("relaxation unbounded despite nonnegative costs")
-        solution = session.result().solution
+        solution = session.result()
         pending = []
         point_x = {e: solution.values[v] for e, v in model.x_vars.items()}
         point_y = None if merged else {e: solution.values[v] for e, v in model.y_vars.items()}
         # both stages select over one side: at equal points the same row
         # is violated on the other stage, no need to sweep it again
         mirrored = point_x == point_y
-        for cut in side.separate(point_x, config.separation):
-            pending.append(({model.x_vars[e]: ONE for e in cut.elements}, cut.rhs))
+        cut = side.separate(point_x, config.separation)
+        if cut is not None:
+            pending.append(({model.x_vars[e]: 1 for e in cut.elements}, cut.rhs))
             if mirrored:
-                pending.append(({model.y_vars[e]: ONE for e in cut.elements}, cut.rhs))
+                pending.append(({model.y_vars[e]: 1 for e in cut.elements}, cut.rhs))
         if point_y is not None and not mirrored:
-            for cut in side.separate(point_y, config.separation):
-                pending.append(({model.y_vars[e]: ONE for e in cut.elements}, cut.rhs))
+            cut = side.separate(point_y, config.separation)
+            if cut is not None:
+                pending.append(({model.y_vars[e]: 1 for e in cut.elements}, cut.rhs))
         if not pending:
             break
         rounds += 1
         if rounds > _ROUND_LIMIT:
             raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
         for coeffs, rhs in pending:
-            lhs = sum((solution.values[v] for v in coeffs), ZERO)
+            lhs = sum(solution.values[v] for v in coeffs)
             if lhs <= rhs:
                 raise InternalError("separation produced a row the vertex already satisfies")
         session.add_cuts(pending)

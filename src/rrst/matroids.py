@@ -277,6 +277,8 @@ def matroid_from_dict(doc) -> Matroid:
     family = doc.get("family")
     if family == "graphic":
         n = _int_field(doc, "nodes", "matroid")
+        if n < 0:
+            raise ParseError(f"graphic matroid: nodes {n} is negative")
         raw = doc.get("edges")
         if not isinstance(raw, list):
             raise ParseError("graphic matroid: 'edges' must be a list")
@@ -313,6 +315,8 @@ def matroid_from_dict(doc) -> Matroid:
             elems = _object(p, where).get("elements")
             if not _is_id_list(elems):
                 raise ParseError(f"{where}: 'elements' must be a list of integers")
+            if len(set(elems)) != len(elems):
+                raise ParseError(f"{where}: duplicate elements")
             cap = _int_field(p, "cap", where)
             if cap < 0:
                 raise ParseError(f"{where}: cap {cap} is negative")

@@ -7,8 +7,9 @@ Sorting, summing and comparing costs thus never builds a Fraction.  LP
 points and the values printed in documents are ``fractions.Fraction``,
 reduced to lowest terms with a positive denominator; a total is printed
 as ``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat``
-builds one.  The simplex tableau holds integers over one common
-denominator too (see simplex.py) and hands back Fractions.
+builds one.  Linear programs are integer, and the simplex tableau holds
+integers over one common denominator (see simplex.py); only the vertices
+it hands back are Fractions.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from math import lcm
 
 from .errors import GroundTooLarge, ValidationError
 from .multigraph import MultiGraph
-from .rational import ZERO, Rat, rat
+from .rational import ZERO, Rat
 
 EXHAUSTIVE_NODE_LIMIT = 20
 
@@ -58,7 +58,7 @@ class ViolatedCut:
     """
 
     elements: tuple[int, ...]
-    rhs: Rat
+    rhs: int
     slack: Rat
     node_set: tuple[int, ...] | None = None
 
@@ -88,7 +88,7 @@ def _forest_cut_for(point, graph, nodes) -> ViolatedCut | None:
     weight = ZERO
     for eid in edges:
         weight += point[eid]
-    rhs = rat(len(nodes) - 1)
+    rhs = len(nodes) - 1
     slack = rhs - weight
     if slack >= 0:
         return None
@@ -323,7 +323,7 @@ def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
 
 def _prefix_cut(order, prefix, j, rank_fn) -> ViolatedCut:
     elements = tuple(sorted(order[:j]))
-    rhs = rat(rank_fn(j))
+    rhs = rank_fn(j)
     return ViolatedCut(elements, rhs, rhs - prefix[j], None)
 
 
@@ -395,7 +395,7 @@ def _separate_partition(point, matroid) -> ViolatedCut | None:
         sizes[idx] = alt_j
         total_viol = total
     elements = []
-    rhs = ZERO
+    rhs = 0
     for (j, viol, order, prefix, cap), size in zip(chosen, sizes):
         elements.extend(order[:size])
         rhs += min(size, cap)
@@ -413,7 +413,7 @@ def separate_rank_exhaustive(point, matroid) -> ViolatedCut | None:
             weight = ZERO
             for e in combo:
                 weight += point[e]
-            rhs = rat(matroid.rank(frozenset(combo)))
+            rhs = matroid.rank(frozenset(combo))
             slack = rhs - weight
             if slack < 0 and (best is None or (slack, combo) < (best.slack, best.elements)):
                 best = ViolatedCut(tuple(combo), rhs, slack, None)

@@ -46,10 +46,9 @@ class GraphSide:
         """Number of elements a selection holds."""
         return len(self.graph.spanning_forest(self.graph.edges))
 
-    def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
+    def separate(self, point: dict[int, Rat], separation: str) -> ViolatedCut | None:
         finder = separate_forest_exhaustive if separation == "exhaustive" else separate_forest
-        cut = finder(point, self.graph)
-        return [cut] if cut is not None else []
+        return finder(point, self.graph)
 
     def fix(self, element: int) -> "GraphSide":
         return GraphSide(self.graph.contract_edge(element))
@@ -80,10 +79,9 @@ class MatroidSide:
     def target_size(self) -> int:
         return self.matroid.full_rank()
 
-    def separate(self, point: dict[int, Rat], separation: str) -> list[ViolatedCut]:
+    def separate(self, point: dict[int, Rat], separation: str) -> ViolatedCut | None:
         finder = separate_rank_exhaustive if separation == "exhaustive" else separate_rank
-        cut = finder(point, self.matroid)
-        return [cut] if cut is not None else []
+        return finder(point, self.matroid)
 
     def fix(self, element: int) -> "MatroidSide":
         return MatroidSide(self.matroid.contract(element))

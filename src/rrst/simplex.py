@@ -1,27 +1,25 @@
-"""Exact rational simplex on a fraction-free integer tableau.
+"""Exact simplex on a fraction-free integer tableau.
 
-Minimizes a linear objective over {x : Ax <= / == b, bounds} with every
-coefficient, pivot and solution value exact, so "optimal" means optimal,
-not optimal-up-to-epsilon.  Programs and solutions are rationals (``Rat``);
-the tableau in between holds Python ints over one common denominator and
-pivots by exact integer division, with no gcd (see SimplexSession).  The
+Minimizes an integer objective over {x >= 0 : Ax <= / == b} with integer A
+and b, with every pivot and solution value exact, so "optimal" means
+optimal, not optimal-up-to-epsilon.  Every row of the relaxations this
+package builds is a 0/+-1 combination with an integer right-hand side and
+every cost is an int, so programs are integer by construction and
+LinearProgram rejects anything else.  The tableau holds Python ints over
+one common denominator and pivots by exact integer division, with no gcd
+(see SimplexSession); vertices come back as rationals (``Rat``).  The
 pivot rule is Bland's (lowest index enters; ratio ties leave by lowest
 basic index), which cannot cycle and makes every run deterministic:
 identical programs yield byte-identical solutions.
 
-Two entry points:
-
-* solve(lp)                       - cold two-phase solve.
-* SimplexSession                  - keeps the optimal tableau alive so
-                                    cutting planes can be added and
-                                    reoptimized with the dual simplex
-                                    instead of solving from scratch.
+SimplexSession solves cold with two phases and keeps the optimal tableau
+alive, so cutting planes can be added and reoptimized with the dual
+simplex instead of solving from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import InternalError, IterationLimit, MalformedProgram
 from .rational import ZERO, Rat, rat
@@ -36,7 +34,7 @@ _PIVOT_LIMIT = 2_000_000
 class Constraint:
     coeffs: dict
     rel: str
-    rhs: Rat
+    rhs: int
 
 
 class LinearProgram:
@@ -44,7 +42,8 @@ class LinearProgram:
 
     Variables are identified by arbitrary hashable ids; declaration order
     fixes the column order the pivot rule sees, so it is part of the
-    program's identity.
+    program's identity.  Coefficients, right-hand sides and objective
+    entries are ints; a bool or a Fraction raises MalformedProgram.
     """
 
     def __init__(self):
@@ -60,27 +59,23 @@ class LinearProgram:
         self.declared.add(var)
         return var
 
-    def set_objective(self, coeffs):
-        for var in coeffs:
+    def _checked(self, coeffs, where):
+        for var, v in coeffs.items():
             if var not in self.declared:
-                raise MalformedProgram(f"objective references undeclared variable {var!r}")
-        self.objective = dict(coeffs)
+                raise MalformedProgram(f"{where} references undeclared variable {var!r}")
+            if type(v) is not int:
+                raise MalformedProgram(f"{where} coefficient of {var!r} must be an int, got {v!r}")
+        return dict(coeffs)
 
-    def add_constraint(self, coeffs, rel: str, rhs):
+    def set_objective(self, coeffs):
+        self.objective = self._checked(coeffs, "objective")
+
+    def add_constraint(self, coeffs, rel: str, rhs: int):
         if rel not in (LE, EQ):
             raise MalformedProgram(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
-        for var in coeffs:
-            if var not in self.declared:
-                raise MalformedProgram(f"constraint references undeclared variable {var!r}")
-        self.constraints.append(Constraint(dict(coeffs), rel, rat(rhs)))
-
-    def copy(self) -> "LinearProgram":
-        lp = LinearProgram()
-        lp.variables = list(self.variables)
-        lp.declared = set(self.declared)
-        lp.objective = dict(self.objective)
-        lp.constraints = list(self.constraints)
-        return lp
+        if type(rhs) is not int:
+            raise MalformedProgram(f"constraint rhs must be an int, got {rhs!r}")
+        self.constraints.append(Constraint(self._checked(coeffs, "constraint"), rel, rhs))
 
 
 @dataclass(frozen=True)
@@ -92,31 +87,10 @@ class VertexSolution:
     basis: tuple
     objective_value: Rat
 
-    def value(self, var):
-        return self.values[var]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    solution: VertexSolution | None = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-def _scaled_to_ints(values):
-    """The LCM of the denominators of `values`, and `values` times it."""
-    # rat() of an int or a Rat would only copy it, at the cost of a Fraction
-    values = [v if type(v) is int or type(v) is Rat else rat(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 class SimplexSession:
@@ -136,20 +110,17 @@ class SimplexSession:
     column is ``den`` times a unit vector.  A pivot divides exactly
     (Edmonds 1967, Bareiss 1968), sign tests read the ints directly and
     ratio tests cross-multiply, so the pivots are those of the rational
-    tableau.  To start from ints, each constraint is multiplied by the LCM
-    of its denominators while its slack or artificial keeps coefficient 1
-    (it stands for a scaled variable whose value is never reported), each
-    artificial weighs s1 / L_i in phase 1 for row scale L_i and s1 the LCM
-    of those scales, and the objective is multiplied by the LCM of its
-    denominators.  None of these positive scales changes a pivot choice.
+    tableau.  The program is integer, so each constraint enters as it is
+    with its slack or artificial at coefficient 1, and every artificial
+    weighs 1 in phase 1.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.status = None
         self._build_columns(lp)
-        weights = self._build_rows(lp)
-        self._solve_two_phase(weights)
+        self._build_rows(lp)
+        self._solve_two_phase()
 
     # --- construction -------------------------------------------------
 
@@ -158,20 +129,14 @@ class SimplexSession:
         self.var_col: dict = {var: col for col, var in enumerate(self.col_ids)}
 
     def _integer_row(self, coeffs, rhs, width):
-        """The constraint times the LCM of its denominators, as ints over
-        `width` columns plus the rhs; returns (that LCM, the row)."""
-        for var in coeffs:
-            if var not in self.var_col:
-                raise MalformedProgram(f"constraint references undeclared variable {var!r}")
-        scale, ints = _scaled_to_ints([*coeffs.values(), rhs])
-        row = [0] * width + [ints.pop()]
-        for var, v in zip(coeffs, ints):
+        """The constraint as ints over `width` columns plus the rhs."""
+        row = [0] * width + [rhs]
+        for var, v in coeffs.items():
             row[self.var_col[var]] = v
-        return scale, row
+        return row
 
     def _build_rows(self, lp):
-        """Build the integer rows and the starting basis; return the
-        phase-1 weight of each artificial column."""
+        """Build the integer rows and the starting basis."""
         # slack columns are assigned up front so rows are built at full width
         self.slack_of_constraint: dict[int, int] = {}
         for ci, con in enumerate(lp.constraints):
@@ -183,9 +148,9 @@ class SimplexSession:
         self.den = 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        needs_artificial = []  # (row index, row scale)
+        needs_artificial = []  # row indices
         for ci, con in enumerate(lp.constraints):
-            scale, row = self._integer_row(con.coeffs, con.rhs, width)
+            row = self._integer_row(con.coeffs, con.rhs, width)
             slack = self.slack_of_constraint.get(ci)
             if slack is not None:
                 row[slack] = 1
@@ -195,27 +160,23 @@ class SimplexSession:
                 row = [-v for v in row]
                 slack = None
             if slack is None:
-                needs_artificial.append((len(self.rows), scale))
+                needs_artificial.append(len(self.rows))
             self.rows.append(row)
             self.basis.append(slack)
 
         # initial basis: slack where possible, artificial otherwise
         self.artificial_cols: list[int] = []
-        weights = {}
         if needs_artificial:
             zeros = [0] * len(needs_artificial)
             for row in self.rows:
                 row[-1:-1] = zeros
-            s1 = lcm(*(scale for _, scale in needs_artificial))
-            for i, scale in needs_artificial:
+            for i in needs_artificial:
                 art = len(self.col_ids)
                 self.col_ids.append(("artificial", i))
                 self.artificial_cols.append(art)
                 self.rows[i][art] = 1
                 self.basis[i] = art
-                weights[art] = s1 // scale
         self.ncols = len(self.col_ids)
-        return weights
 
     # --- core pivoting ------------------------------------------------
 
@@ -294,22 +255,20 @@ class SimplexSession:
                 out[:] = [a - f * v for a, v in zip(out, self.rows[i])]
         return out
 
-    def _solve_two_phase(self, weights):
+    def _solve_two_phase(self):
         self._pivots = 0
-        lp = self.lp
 
         # phase-2 cost row is carried through phase 1 so it stays canonical
         obj = [0] * (self.ncols + 1)
-        self._objective_scale, ints = _scaled_to_ints(lp.objective.values())
-        for var, v in zip(lp.objective, ints):
+        for var, v in self.lp.objective.items():
             obj[self.var_col[var]] = v
         self.cost = self._canonical(obj)
 
         banned = set(self.artificial_cols)
         if self.artificial_cols:
             p1 = [0] * (self.ncols + 1)
-            for col, w in weights.items():
-                p1[col] = w
+            for col in self.artificial_cols:
+                p1[col] = 1
             p1_row = self._canonical(p1)
             status = self._primal_loop(p1_row, [self.cost], banned)
             if status != OPTIMAL:
@@ -350,10 +309,6 @@ class SimplexSession:
 
     # --- warm cut addition ---------------------------------------------
 
-    def add_cut(self, coeffs, rhs):
-        """Append one <= constraint and reoptimize with the dual simplex."""
-        return self.add_cuts([(coeffs, rhs)])
-
     def add_cuts(self, cuts):
         """Append <= constraints, then reoptimize once with the dual simplex.
 
@@ -371,7 +326,7 @@ class SimplexSession:
             # den * a - sum a[b_i] * rows[i]; a cut has no entry in the
             # slack column of an earlier cut of the batch, so the rows
             # before the batch are all it is canonicalized against
-            _, row = self._integer_row(coeffs, rhs, width)
+            row = self._integer_row(coeffs, rhs, width)
             new_rows.append(self._canonical(row))
             self.slack_of_constraint[ci] = len(self.col_ids)
             self.col_ids.append(("slack", ci))
@@ -421,9 +376,10 @@ class SimplexSession:
 
     # --- extraction -----------------------------------------------------
 
-    def result(self) -> SolveResult:
+    def result(self) -> VertexSolution:
+        """The optimal vertex; the tableau must be optimal."""
         if self.status != OPTIMAL:
-            return SolveResult(self.status)
+            raise MalformedProgram(f"no optimal vertex to read: the program is {self.status}")
         den = self.den
         n_structural = len(self.var_col)
         values = dict.fromkeys(self.var_col, ZERO)
@@ -431,15 +387,10 @@ class SimplexSession:
             value = self.rows[i][-1]
             if b < n_structural and value:
                 values[self.col_ids[b]] = rat(value, den)
-        # the cost row's rhs is -den * objective scale * objective value
-        objective = rat(-self.cost[-1], den * self._objective_scale)
+        # the cost row's rhs is -den times the objective value
+        objective = rat(-self.cost[-1], den)
         basis = tuple(self.col_ids[b] for b in sorted(self.basis))
-        return SolveResult(OPTIMAL, VertexSolution(values, basis, objective))
-
-
-def solve(lp: LinearProgram) -> SolveResult:
-    """Cold deterministic solve; the input program is not mutated."""
-    return SimplexSession(lp.copy()).result()
+        return VertexSolution(values, basis, objective)
 
 
 def _fmt_var(var) -> str:
@@ -452,7 +403,7 @@ def _fmt_terms(coeffs, order):
     parts = []
     for var in order:
         if var in coeffs:
-            coef = rat(coeffs[var])
+            coef = coeffs[var]
             if coef == 0:
                 continue
             parts.append(f"{coef} {_fmt_var(var)}")
@@ -460,7 +411,7 @@ def _fmt_terms(coeffs, order):
 
 
 def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering: one constraint per line, rationals as p/q."""
+    """Plain-text rendering: one constraint per line."""
     lines = [f"min {_fmt_terms(lp.objective, lp.variables)}", "s.t."]
     for i, con in enumerate(lp.constraints):
         lines.append(f"r{i}: {_fmt_terms(con.coeffs, lp.variables)} {con.rel} {con.rhs}")

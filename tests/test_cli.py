@@ -1,13 +1,15 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from rrst import cli
+from rrst import cli, sides
 from rrst.errors import InternalError
 from rrst.oracle import BruteResult
 from rrst.rational import rat
+from rrst.separation import ViolatedCut
 
 
 def run(argv):
@@ -124,6 +126,9 @@ def test_malformed_instance_exits_2(tmp_path):
      "costs": [{"id": 1, "C": 1, "c": 1, "d": 1}, {"id": 2, "C": 1, "c": 1, "d": 1}]},
     {"family": "partition", "parts": [{"elements": [True, 2], "cap": 1}], "k": 0,
      "costs": [{"id": 1, "C": 1, "c": 1, "d": 1}, {"id": 2, "C": 1, "c": 1, "d": 1}]},
+    {"family": "partition", "parts": [{"elements": [0, 0, 1], "cap": 1}], "k": 0,
+     "costs": [{"id": 0, "C": 1, "c": 1, "d": 1}, {"id": 1, "C": 1, "c": 1, "d": 1}]},
+    {"family": "graphic", "nodes": -3, "edges": [], "k": 0, "costs": []},
 ])
 def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
     bad = tmp_path / "bad.json"
@@ -203,6 +208,16 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 
     monkeypatch.setattr(cli, "solve_rrst", boom)
     assert run(["solve", "--input", str(inst_file)]) == 4
+
+
+def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
+    """A row the solver cannot take is a bug in the solver, not bad input."""
+    def fractional_cut(self, point, separation):
+        return ViolatedCut(tuple(self.element_ids), Fraction(-1, 2), Fraction(-1), None)
+
+    monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
+    assert run(["solve", "--input", str(inst_file)]) == 4
+    assert "MalformedProgram" in capsys.readouterr().err
 
 
 def test_pivot_limit_exits_2(inst_file, monkeypatch, capsys):

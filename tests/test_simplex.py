@@ -1,10 +1,13 @@
 """Exact two-phase simplex: known optima, statuses, determinism, warm cuts.
 
-The hypothesis tests check the solver against a definition-level oracle:
-enumerate every basic point (all ways to make n constraints tight), keep
-the feasible ones, and take the best objective.  Another checks the integer
-tableau itself against B^-1 [A | b] recomputed in Fraction, and its pivots
-against a plain rational tableau that follows the same rules.
+Programs are integer.  The hypothesis tests draw rows with rational data,
+negative right-hand sides and == relations, and multiply each row, and the
+objective, by the LCM of its denominators; their vertices stay fractional.
+They check the solver against a definition-level oracle: enumerate every
+basic point (all ways to make n constraints tight), keep the feasible
+ones, and take the best objective.  Another checks the integer tableau
+itself against B^-1 [A | b] recomputed in Fraction, and its pivots against
+a plain rational tableau that follows the same rules.
 """
 
 import itertools
@@ -12,13 +15,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst import simplex
 from rrst.errors import MalformedProgram
-from rrst.rational import ONE, ZERO, parse_exact, rat
-from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp, solve
+from rrst.rational import ONE, ZERO, rat
+from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -40,76 +43,83 @@ def constraint_satisfied(con, values) -> bool:
     return lhs == con.rhs if con.rel == EQ else lhs <= con.rhs
 
 
-def _r(v):
-    return parse_exact(v) if isinstance(v, str) else rat(v)
+def integral(values):
+    """`values` times the LCM of their denominators, as ints."""
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
 
 
 def lp_from(nvars, objective, rows):
     lp = LinearProgram()
     xs = [lp.add_variable(f"x{i}") for i in range(nvars)]
-    lp.set_objective({xs[i]: _r(c) for i, c in enumerate(objective) if c})
+    lp.set_objective({xs[i]: c for i, c in enumerate(objective) if c})
     for coeffs, rel, rhs in rows:
-        lp.add_constraint({xs[i]: _r(c) for i, c in enumerate(coeffs) if c}, rel, _r(rhs))
+        lp.add_constraint({xs[i]: c for i, c in enumerate(coeffs) if c}, rel, rhs)
     return lp, xs
 
 
 def test_simple_box_optimum():
     lp, xs = lp_from(2, [-1, -1], [([1, 0], LE, 1), ([0, 2], LE, 1)])
-    res = solve(lp)
-    assert res.is_optimal
-    assert res.solution.objective_value == rat(-3, 2)
-    assert res.solution.value(xs[0]) == ONE
-    assert res.solution.value(xs[1]) == rat(1, 2)
+    session = SimplexSession(lp)
+    assert session.status == "optimal"
+    sol = session.result()
+    assert sol.objective_value == rat(-3, 2)
+    assert sol.values[xs[0]] == ONE
+    assert sol.values[xs[1]] == rat(1, 2)
 
 
 def test_equality_row():
     lp, _ = lp_from(2, [1, 1], [([1, 1], EQ, 2), ([1, -1], LE, 0)])
-    res = solve(lp)
-    assert res.is_optimal and res.solution.objective_value == rat(2)
+    session = SimplexSession(lp)
+    assert session.status == "optimal" and session.result().objective_value == rat(2)
 
 
 def test_infeasible_detected():
     lp, _ = lp_from(1, [1], [([1], LE, -1)])
-    assert solve(lp).status == "infeasible"
+    assert SimplexSession(lp).status == "infeasible"
     lp2, _ = lp_from(2, [1, 1], [([1, 1], EQ, 4), ([1, 0], LE, 1), ([0, 1], LE, 1)])
-    assert solve(lp2).status == "infeasible"
+    session = SimplexSession(lp2)
+    assert session.status == "infeasible"
+    with pytest.raises(MalformedProgram):
+        session.result()
 
 
 def test_unbounded_detected():
     lp, _ = lp_from(2, [-1, 0], [([0, 1], LE, 1)])
-    assert solve(lp).status == "unbounded"
+    assert SimplexSession(lp).status == "unbounded"
 
 
 def test_beale_cycling_example_terminates():
-    # the classic degenerate program that cycles under naive pivoting
+    # the classic degenerate program that cycles under naive pivoting,
+    # objective and rows times 100: its optimum -1/20 becomes -5
     lp, _ = lp_from(
         4,
-        ["-3/4", 150, "-1/50", 6],
+        [-75, 15000, -2, 600],
         [
-            (["1/4", -60, "-1/25", 9], LE, 0),
-            (["1/2", -90, "-1/50", 3], LE, 0),
+            ([25, -6000, -4, 900], LE, 0),
+            ([50, -9000, -2, 300], LE, 0),
             ([0, 0, 1, 0], LE, 1),
         ],
     )
-    res = solve(lp)
-    assert res.is_optimal
-    assert res.solution.objective_value == rat(-1, 20)
+    session = SimplexSession(lp)
+    assert session.status == "optimal"
+    assert session.result().objective_value == rat(-5)
 
 
 def test_solution_satisfies_all_constraints_exactly():
     lp, _ = lp_from(3, [-2, -3, -1], [([1, 1, 1], LE, 5), ([2, 1, 0], LE, 6), ([0, 1, 3], LE, 7)])
-    res = solve(lp)
+    sol = SimplexSession(lp).result()
     for con in lp.constraints:
-        assert constraint_satisfied(con, res.solution.values)
+        assert constraint_satisfied(con, sol.values)
 
 
 def test_determinism_byte_for_byte():
     rows = [([3, 1, 2], LE, 10), ([1, 4, 0], LE, 8), ([1, 1, 1], EQ, 4)]
-    a = solve(lp_from(3, [-5, -4, -3], rows)[0])
-    b = solve(lp_from(3, [-5, -4, -3], rows)[0])
-    assert a.solution.values == b.solution.values
-    assert a.solution.basis == b.solution.basis
-    assert a.solution.objective_value == b.solution.objective_value
+    a = SimplexSession(lp_from(3, [-5, -4, -3], rows)[0]).result()
+    b = SimplexSession(lp_from(3, [-5, -4, -3], rows)[0]).result()
+    assert a.values == b.values
+    assert a.basis == b.basis
+    assert a.objective_value == b.objective_value
 
 
 def test_malformed_programs_rejected():
@@ -118,23 +128,39 @@ def test_malformed_programs_rejected():
     with pytest.raises(MalformedProgram):
         lp.add_variable("x")
     with pytest.raises(MalformedProgram):
-        lp.set_objective({"y": ONE})
+        lp.set_objective({"y": 1})
     with pytest.raises(MalformedProgram):
-        lp.add_constraint({"y": ONE}, LE, 1)
+        lp.add_constraint({"y": 1}, LE, 1)
     with pytest.raises(MalformedProgram):
-        lp.add_constraint({"x": ONE}, ">=", 1)
+        lp.add_constraint({"x": 1}, ">=", 1)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(1), True, False, 1.0], ids=repr)
+@pytest.mark.parametrize("where", ["coefficient", "rhs", "objective"])
+def test_non_int_entries_rejected(where, value):
+    """A program holds ints only: a Fraction (even a whole one), a bool or
+    a float raises MalformedProgram and leaves the program as it was."""
+    lp = LinearProgram()
+    lp.add_variable("x")
+    with pytest.raises(MalformedProgram):
+        if where == "coefficient":
+            lp.add_constraint({"x": value}, LE, 1)
+        elif where == "rhs":
+            lp.add_constraint({"x": 1}, LE, value)
+        else:
+            lp.set_objective({"x": value})
+    assert lp.constraints == [] and lp.objective == {}
 
 
 def test_session_cut_matches_cold_resolve():
-    lp, xs = lp_from(2, [-1, -1], [([1, 0], LE, 2), ([0, 1], LE, 2)])
-    session = SimplexSession(lp.copy())
-    assert session.result().solution.objective_value == rat(-4)
-    session.add_cut({f"x{i}": ONE for i in range(2)}, rat(3))
-    warm = session.result().solution
+    rows = [([1, 0], LE, 2), ([0, 1], LE, 2)]
+    session = SimplexSession(lp_from(2, [-1, -1], rows)[0])
+    assert session.result().objective_value == rat(-4)
+    session.add_cuts([({"x0": 1, "x1": 1}, 3)])
+    warm = session.result()
 
-    cold_lp = lp.copy()
-    cold_lp.add_constraint({"x0": ONE, "x1": ONE}, LE, rat(3))
-    cold = solve(cold_lp).solution
+    cold_lp, _ = lp_from(2, [-1, -1], rows + [([1, 1], LE, 3)])
+    cold = SimplexSession(cold_lp).result()
     assert warm.objective_value == cold.objective_value == rat(-3)
     for con in cold_lp.constraints:
         assert constraint_satisfied(con, warm.values)
@@ -144,11 +170,11 @@ def test_session_add_cuts_batch():
     lp, _ = lp_from(3, [-1, -1, -1], [([1, 0, 0], LE, 2), ([0, 1, 0], LE, 2), ([0, 0, 1], LE, 2)])
     session = SimplexSession(lp)
     session.add_cuts([
-        ({"x0": ONE, "x1": ONE}, rat(3)),
-        ({"x1": ONE, "x2": ONE}, rat(3)),
-        ({"x0": ONE, "x1": ONE, "x2": ONE}, rat(4)),
+        ({"x0": 1, "x1": 1}, 3),
+        ({"x1": 1, "x2": 1}, 3),
+        ({"x0": 1, "x1": 1, "x2": 1}, 4),
     ])
-    sol = session.result().solution
+    sol = session.result()
     assert sol.objective_value == rat(-4)
     for con in session.lp.constraints:
         assert constraint_satisfied(con, sol.values)
@@ -233,38 +259,44 @@ def _fractions(lo, hi):
     return st.fractions(lo, hi, max_denominator=6)
 
 
+def _scaled_row(coeffs, rel, rhs):
+    *coeffs, rhs = integral([*coeffs, rhs])
+    return coeffs, rel, rhs
+
+
 @st.composite
-def rational_lp(draw):
-    """Boxed programs with rational data, == rows and negative rhs; they
-    may be infeasible."""
+def scaled_lp(draw):
+    """Boxed programs drawn with rational data, == rows and negative rhs,
+    each row and the objective scaled to ints; they may be infeasible."""
     nvars = draw(st.integers(2, 3))
-    obj = [draw(_fractions(-5, 5)) for _ in range(nvars)]
+    obj = integral([draw(_fractions(-5, 5)) for _ in range(nvars)])
     rows = []
     for _ in range(draw(st.integers(1, 3))):
         coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
-        rows.append((coeffs, draw(st.sampled_from([LE, EQ])), draw(_fractions(-4, 9))))
+        rows.append(_scaled_row(coeffs, draw(st.sampled_from([LE, EQ])), draw(_fractions(-4, 9))))
     for i in range(nvars):
         unit = [0] * nvars
         unit[i] = 1
-        rows.append((unit, LE, draw(_fractions(1, 4))))
+        rows.append(_scaled_row(unit, LE, draw(_fractions(1, 4))))
     return nvars, obj, rows
 
 
-@given(st.one_of(bounded_lp(), rational_lp()))
+@given(st.one_of(bounded_lp(), scaled_lp()))
 @settings(max_examples=250, deadline=None)
 def test_simplex_matches_vertex_enumeration(problem):
     nvars, obj, rows = problem
     lp, _ = lp_from(nvars, obj, rows)
-    res = solve(lp)
+    session = SimplexSession(lp)
     expected = brute_force_lp_min(nvars, obj, rows)
     if expected is None:
-        assert res.status == "infeasible"
+        assert session.status == "infeasible"
         return
-    assert res.is_optimal
-    assert res.solution.objective_value == expected
+    assert session.status == "optimal"
+    sol = session.result()
+    assert sol.objective_value == expected
     for con in lp.constraints:
-        assert constraint_satisfied(con, res.solution.values)
-    assert all(v >= 0 for v in res.solution.values.values())
+        assert constraint_satisfied(con, sol.values)
+    assert all(v >= 0 for v in sol.values.values())
 
 
 # --- the integer tableau ------------------------------------------------
@@ -287,11 +319,11 @@ def _rank(matrix):
 
 def assert_tableau_invariant(session):
     """Each basic column is den times a unit vector, and rows / den is
-    B^-1 [A | b] for the scaled program: B (rows / den) = [A | b] with B the
-    basic columns of A, of full column rank.  A is rebuilt here in Fraction
-    from the program: each row times the LCM of its denominators, its slack
-    (columns after the variables, in constraint order) with coefficient 1.
-    The cost row is checked the same way against the scaled objective."""
+    B^-1 [A | b]: B (rows / den) = [A | b] with B the basic columns of A, of
+    full column rank.  A is rebuilt here in Fraction from the program, each
+    slack (columns after the variables, in constraint order) with
+    coefficient 1.  The cost row is checked the same way against the
+    objective."""
     lp, den, rows, basis = session.lp, session.den, session.rows, session.basis
     assert isinstance(den, int) and den > 0
     assert all(type(v) is int for row in rows + [session.cost] for v in row)
@@ -305,10 +337,9 @@ def assert_tableau_invariant(session):
     a_b = []
     slack = len(lp.variables)
     for con in lp.constraints:
-        scale = lcm(con.rhs.denominator, *(Fraction(v).denominator for v in con.coeffs.values()))
-        row = [Fraction(0)] * width + [con.rhs * scale]
+        row = [Fraction(0)] * width + [Fraction(con.rhs)]
         for var, coef in con.coeffs.items():
-            row[col[var]] = Fraction(coef) * scale
+            row[col[var]] = Fraction(coef)
         if con.rel == LE:
             row[slack] = Fraction(1)
             slack += 1
@@ -318,29 +349,29 @@ def assert_tableau_invariant(session):
         assert [sum(r[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)] == r
     assert _rank([[r[b] for b in basis] for r in a_b]) == len(basis)
 
-    obj_scale = lcm(*(Fraction(v).denominator for v in lp.objective.values()))
     c = [Fraction(0)] * (width + 1)
     for var, coef in lp.objective.items():
-        c[col[var]] = Fraction(coef) * obj_scale
+        c[col[var]] = Fraction(coef)
     reduced = [c[j] - sum(c[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)]
     assert [Fraction(v, den) for v in session.cost] == reduced
 
 
 @st.composite
 def feasible_lp_with_cuts(draw):
-    """A rational boxed program with == rows and negative rhs that a drawn
-    point x0 satisfies, plus batches of rational cuts."""
+    """A boxed program with == rows and negative rhs that a drawn rational
+    point x0 satisfies, plus batches of cuts; every row and cut is drawn
+    rational and scaled to ints."""
     nvars = draw(st.integers(2, 4))
     x0 = [draw(_fractions(0, 3)) for _ in range(nvars)]
-    obj = [draw(_fractions(-5, 5)) for _ in range(nvars)]
+    obj = integral([draw(_fractions(-5, 5)) for _ in range(nvars)])
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
         lhs = sum(c * x for c, x in zip(coeffs, x0))
         if draw(st.booleans()):
-            rows.append((coeffs, EQ, lhs))
+            rows.append(_scaled_row(coeffs, EQ, lhs))
         else:
-            rows.append((coeffs, LE, lhs + draw(_fractions(0, 3))))
+            rows.append(_scaled_row(coeffs, LE, lhs + draw(_fractions(0, 3))))
     for i in range(nvars):
         unit = [0] * nvars
         unit[i] = 1
@@ -350,7 +381,9 @@ def feasible_lp_with_cuts(draw):
         batch = []
         for _ in range(draw(st.integers(1, 3))):
             coeffs = [draw(_fractions(-2, 3)) for _ in range(nvars)]
-            batch.append((coeffs, sum(c * x for c, x in zip(coeffs, x0)) - draw(_fractions(-1, 2))))
+            rhs = sum(c * x for c, x in zip(coeffs, x0)) - draw(_fractions(-1, 2))
+            coeffs, _, rhs = _scaled_row(coeffs, LE, rhs)
+            batch.append((coeffs, rhs))
         batches.append(batch)
     return nvars, obj, rows, batches
 
@@ -475,34 +508,35 @@ class RationalTableau:
 
 
 def _session_state(session):
-    values = session.result().solution.values if session.status == "optimal" else None
+    values = session.result().values if session.status == "optimal" else None
     return session.status, session._pivots, sorted(session.basis), values
 
 
 @given(feasible_lp_with_cuts())
-# two == rows of row scales 1 and 2: with their artificials weighed 2 and 1
-# x0 enters in phase 1; with equal weights it does not
-@example((3, [0, 0, 0],
-          [([1, 0, 0], EQ, 0), ([1, 0, 0], LE, 0), ([Fraction(-1, 2), 0, 0], EQ, 0),
-           ([1, 0, 0], LE, 3), ([0, 1, 0], LE, 3), ([0, 0, 1], LE, 3)],
-          [[([0, 0, 0], 0)]]))
 @settings(max_examples=120, deadline=None)
 def test_integer_tableau_matches_rational_tableau(problem):
     """After the cold solve and after every batch of cuts, the integer
     tableau is B^-1 [A | b] over den, and it took the same pivots to the
-    same basis and vertex as the rational reference."""
+    same basis and vertex as the rational reference.  A cold solve of the
+    grown program reaches the same status and optimum."""
     nvars, obj, rows, batches = problem
     lp, xs = lp_from(nvars, obj, rows)
-    session = SimplexSession(lp.copy())
-    reference = RationalTableau(lp.copy())
+    session = SimplexSession(lp)
+    reference = RationalTableau(lp_from(nvars, obj, rows)[0])
     assert session.status == "optimal"
     assert_tableau_invariant(session)
     assert _session_state(session) == reference.state()
+    added = []
     for batch in batches:
         cuts = [({xs[i]: c for i, c in enumerate(coeffs) if c}, rhs) for coeffs, rhs in batch]
         session.add_cuts(cuts)
         reference.add_cuts(cuts)
         assert_tableau_invariant(session)
         assert _session_state(session) == reference.state()
+        added += [(coeffs, LE, rhs) for coeffs, rhs in batch]
         if session.status != "optimal":
             break
+    cold = SimplexSession(lp_from(nvars, obj, rows + added)[0])
+    assert cold.status == session.status
+    if cold.status == "optimal":
+        assert cold.result().objective_value == session.result().objective_value
