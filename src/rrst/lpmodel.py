@@ -1,11 +1,17 @@
 """Linear relaxation of the two-stage selection problem.
 
-The model has one variable per element for each stage ("x" for the first,
-"y" for the second) and one per element for the overlap ("z").  Both
-stages select over the same side.  Eager rows fix the cardinality of each
-stage, tie every z below its x and its y, and make the z total meet the
-overlap quota; the exponential families (forest or rank inequalities) are
-added lazily by `cutting_plane_solve` until the optimum satisfies them all.
+Both stages select over the same side, and the model is built in three
+blocks of one variable per element: a (first stage only), b (overlap) and
+c (second stage only), so the stage points are x = a + b and y = b + c.
+With selection size r and overlap quota q, one equality row per block
+fixes 1ᵀa = r - q, 1ᵀb = q and 1ᵀc = r - q.  a >= 0 and c >= 0 keep the
+overlap inside both stages, so no linking row is built.  The objective is
+C·a + (C + c+d)·b + (c+d)·c = C·x + (c+d)·y.  The exponential families
+(forest or rank inequalities on x and on y) are added lazily by
+`cutting_plane_solve` until the optimum satisfies them all.
+
+When q = r the a and c rows force both blocks to zero, so they are not
+built: what is left is b alone with 1ᵀb = q, the "merged" program.
 
 The solver completes a selection with no overlap owed greedily, so a
 relaxation is only built while at least one unit of overlap is owed.
@@ -21,7 +27,6 @@ from .errors import InfeasibleModel, InternalError, IterationLimit
 from .simplex import (
     EQ,
     INFEASIBLE,
-    LE,
     UNBOUNDED,
     LinearProgram,
     SimplexSession,
@@ -36,12 +41,34 @@ _ROUND_LIMIT = 10000
 @dataclass
 class RelaxationModel:
     lp: LinearProgram
-    x_vars: dict[int, tuple]  # element id -> LP variable id
-    z_vars: dict[int, tuple]
-    y_vars: dict[int, tuple]
     side: object
-    # None = the x/z/y model, "merged" = one block standing for x, z and y
-    reduced: str | None
+    # element id -> LP variable id, per block; a and c are empty when merged
+    a_vars: dict[int, tuple]
+    b_vars: dict[int, tuple]
+    c_vars: dict[int, tuple]
+
+    @property
+    def reduced(self) -> str | None:
+        """'merged' when only the b block was built, else None."""
+        return None if self.a_vars else "merged"
+
+    def stage_point(self, values, stage: str) -> dict:
+        """The point of stage "x" (a + b) or "y" (b + c) at LP `values`."""
+        point = {e: values[v] for e, v in self.b_vars.items()}
+        # a vertex is mostly zeros: add only the nonzero own coordinates
+        for e, v in (self.a_vars if stage == "x" else self.c_vars).items():
+            value = values[v]
+            if value:
+                point[e] = point[e] + value if point[e] else value
+        return point
+
+    def stage_row(self, elements, stage: str) -> dict:
+        """The coefficients of x(S) or y(S) over the LP variables."""
+        row = {self.b_vars[e]: 1 for e in elements}
+        own = self.a_vars if stage == "x" else self.c_vars
+        if own:
+            row.update((own[e], 1) for e in elements)
+        return row
 
 
 def build_relaxation(side, quota: int, costs) -> RelaxationModel:
@@ -50,61 +77,28 @@ def build_relaxation(side, quota: int, costs) -> RelaxationModel:
     Every element is overlap-eligible; `costs` maps id -> CostTriple, whose
     ints are in units of 1/scale of the instance, so the objective and its
     optimum (and the program `lp_dump_dir` writes) are in those units too.
+    A quota above the selection size leaves the program infeasible.
     """
     if not side.is_active():
         raise InternalError("relaxation requested but there is nothing to select")
     if quota < 1:
         raise InternalError(f"relaxation requested with overlap quota {quota}")
-    size = side.target_size()
-    if quota == size:
-        # the cardinality rows and the overlap links force the three
-        # blocks equal pointwise, so one merged block suffices
-        return _build_merged(side, quota, costs)
-    return _build_full(side, size, quota, costs)
-
-
-def _build_full(side, size: int, quota, costs) -> RelaxationModel:
+    spare = side.target_size() - quota
     ids = side.element_ids
     lp = LinearProgram()
-    x_vars = {e: ("x", e) for e in ids}
-    z_vars = {e: ("z", e) for e in ids}
-    y_vars = {e: ("y", e) for e in ids}
-    for block in (x_vars, z_vars, y_vars):
-        for var in block.values():
-            lp.add_variable(var)
-
-    objective = {x_vars[e]: costs[e].C for e in ids}
-    for e in ids:
-        objective[y_vars[e]] = costs[e].second
+    # at q = r the a and c rows would force both blocks to zero
+    own = spare != 0
+    a_vars = {e: lp.add_variable(("a", e)) for e in ids} if own else {}
+    b_vars = {e: lp.add_variable(("b", e)) for e in ids}
+    c_vars = {e: lp.add_variable(("c", e)) for e in ids} if own else {}
+    objective = {v: costs[e].C for e, v in a_vars.items()}
+    objective.update((v, costs[e].C + costs[e].second) for e, v in b_vars.items())
+    objective.update((v, costs[e].second) for e, v in c_vars.items())
     lp.set_objective(objective)
-
-    lp.add_constraint({x_vars[e]: 1 for e in ids}, EQ, size)
-    for e in ids:
-        lp.add_constraint({z_vars[e]: 1, x_vars[e]: -1}, LE, 0)
-    lp.add_constraint({z_vars[e]: 1 for e in ids}, EQ, quota)
-    for e in ids:
-        lp.add_constraint({z_vars[e]: 1, y_vars[e]: -1}, LE, 0)
-    lp.add_constraint({y_vars[e]: 1 for e in ids}, EQ, size)
-
-    return RelaxationModel(lp, x_vars, z_vars, y_vars, side, None)
-
-
-def _build_merged(side, quota, costs) -> RelaxationModel:
-    """One variable per element standing for x, z and y at once.
-
-    Valid exactly when the overlap quota equals the stage target: summing
-    z <= x over every element against equal totals forces z = x (and
-    likewise z = y), so a vertex of this program is a vertex of the full
-    program and vice versa.
-    """
-    ids = side.element_ids
-    lp = LinearProgram()
-    wvars = {e: ("w", e) for e in ids}
-    for var in wvars.values():
-        lp.add_variable(var)
-    lp.set_objective({wvars[e]: costs[e].C + costs[e].second for e in ids})
-    lp.add_constraint({wvars[e]: 1 for e in ids}, EQ, quota)
-    return RelaxationModel(lp, wvars, wvars, wvars, side, "merged")
+    for block, rhs in ((a_vars, spare), (b_vars, quota), (c_vars, spare)):
+        if block:
+            lp.add_constraint(dict.fromkeys(block.values(), 1), EQ, rhs)
+    return RelaxationModel(lp, side, a_vars, b_vars, c_vars)
 
 
 @dataclass
@@ -123,7 +117,6 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
     """
     session = SimplexSession(model.lp)
     side = model.side
-    merged = model.x_vars is model.y_vars
     rounds = 0
     cuts_added = 0
     while True:
@@ -132,31 +125,31 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         if session.status == UNBOUNDED:
             raise InternalError("relaxation unbounded despite nonnegative costs")
         solution = session.result()
-        pending = []
-        point_x = {e: solution.values[v] for e, v in model.x_vars.items()}
-        point_y = None if merged else {e: solution.values[v] for e, v in model.y_vars.items()}
+        points = {"x": model.stage_point(solution.values, "x")}
+        if not model.reduced:
+            points["y"] = model.stage_point(solution.values, "y")
         # both stages select over one side: at equal points the same row
         # is violated on the other stage, no need to sweep it again
-        mirrored = point_x == point_y
-        cut = side.separate(point_x, config.separation)
+        mirrored = points["x"] == points.get("y")
+        pending = []  # (stage, cut)
+        cut = side.separate(points["x"], config.separation)
         if cut is not None:
-            pending.append(({model.x_vars[e]: 1 for e in cut.elements}, cut.rhs))
+            pending.append(("x", cut))
             if mirrored:
-                pending.append(({model.y_vars[e]: 1 for e in cut.elements}, cut.rhs))
-        if point_y is not None and not mirrored:
-            cut = side.separate(point_y, config.separation)
+                pending.append(("y", cut))
+        if "y" in points and not mirrored:
+            cut = side.separate(points["y"], config.separation)
             if cut is not None:
-                pending.append(({model.y_vars[e]: 1 for e in cut.elements}, cut.rhs))
+                pending.append(("y", cut))
         if not pending:
             break
         rounds += 1
         if rounds > _ROUND_LIMIT:
             raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
-        for coeffs, rhs in pending:
-            lhs = sum(solution.values[v] for v in coeffs)
-            if lhs <= rhs:
+        for stage, cut in pending:
+            if sum(points[stage][e] for e in cut.elements) <= cut.rhs:
                 raise InternalError("separation produced a row the vertex already satisfies")
-        session.add_cuts(pending)
+        session.add_cuts([(model.stage_row(cut.elements, stage), cut.rhs) for stage, cut in pending])
         cuts_added += len(pending)
 
     if config.lp_dump_dir is not None:

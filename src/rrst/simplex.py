@@ -70,12 +70,16 @@ class LinearProgram:
     def set_objective(self, coeffs):
         self.objective = self._checked(coeffs, "objective")
 
-    def add_constraint(self, coeffs, rel: str, rhs: int):
+    def checked_constraint(self, coeffs, rel: str, rhs: int) -> Constraint:
+        """The constraint, validated against this program but not added."""
         if rel not in (LE, EQ):
             raise MalformedProgram(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
         if type(rhs) is not int:
             raise MalformedProgram(f"constraint rhs must be an int, got {rhs!r}")
-        self.constraints.append(Constraint(self._checked(coeffs, "constraint"), rel, rhs))
+        return Constraint(self._checked(coeffs, "constraint"), rel, rhs)
+
+    def add_constraint(self, coeffs, rel: str, rhs: int):
+        self.constraints.append(self.checked_constraint(coeffs, rel, rhs))
 
 
 @dataclass(frozen=True)
@@ -318,15 +322,17 @@ class SimplexSession:
         """
         if self.status != OPTIMAL:
             raise MalformedProgram("cuts can only be added to an optimal tableau")
+        # the whole batch is checked before the session changes at all
+        batch = [self.lp.checked_constraint(coeffs, LE, rhs) for coeffs, rhs in cuts]
         width = self.ncols
         new_rows = []
-        for coeffs, rhs in cuts:
+        for con in batch:
             ci = len(self.lp.constraints)
-            self.lp.add_constraint(coeffs, LE, rhs)
+            self.lp.constraints.append(con)
             # den * a - sum a[b_i] * rows[i]; a cut has no entry in the
             # slack column of an earlier cut of the batch, so the rows
             # before the batch are all it is canonicalized against
-            row = self._integer_row(coeffs, rhs, width)
+            row = self._integer_row(con.coeffs, con.rhs, width)
             new_rows.append(self._canonical(row))
             self.slack_of_constraint[ci] = len(self.col_ids)
             self.col_ids.append(("slack", ci))

@@ -6,16 +6,15 @@ graph, or bases of one matroid — sharing at least a required number of
 elements, minimizing C(X) + (c+d)(Y).
 
 With no overlap owed the two stages decouple, and each is completed
-greedily.  Otherwise the solver optimizes one linear relaxation in x
-(first stage), y (second stage) and z <= min(x, y) (overlap) by cutting
-planes, and reads X, Y and Z off its optimal vertex as the coordinates at 1.
-That vertex is 0/1, because the relaxation is a face of a matroid
-intersection polytope:
+greedily.  Otherwise the solver optimizes one linear relaxation by
+cutting planes, in blocks a (first stage only), b (overlap) and c (second
+stage only), and reads X where a + b = 1, Z where b = 1 and Y where
+b + c = 1 off its optimal vertex.  That vertex is 0/1, because the
+relaxation is a face of a matroid intersection polytope:
 
-1. Substitute a = x - z, b = z, c = y - z.  The model becomes a, b, c >= 0
-   with a + b in the base polytope of the first stage's matroid M_x,
-   b + c in that of the second stage's M_y (here both are the one side's
-   matroid), and 1ᵀb = q.
+1. The model (see lpmodel.py) is a, b, c >= 0 with a + b in the base
+   polytope of the first stage's matroid M_x, b + c in that of the second
+   stage's M_y (here both are the one side's matroid), and 1ᵀb = q.
 2. Double each element of M_x with a parallel copy, N1 = M_x^(a∥b) ⊕
    free(c), and likewise N2 = free(a) ⊕ M_y^(b∥c).
 3. The model is P(N1) ∩ P(N2) on the faces w(a ∪ b) = r_x and
@@ -103,8 +102,9 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
         fractional = [v for v, value in values.items() if value != ZERO and value != ONE]
         if fractional:
             raise InternalError(f"optimal vertex is fractional at {fractional[0]}")
-        X, Z, Y = ([e for e, v in block.items() if values[v] == ONE]
-                   for block in (model.x_vars, model.z_vars, model.y_vars))
+        X = [e for e, v in model.stage_point(values, "x").items() if v == ONE]
+        Z = [e for e, v in model.b_vars.items() if values[v] == ONE]
+        Y = [e for e, v in model.stage_point(values, "y").items() if v == ONE]
         lp_bound = result.solution.objective_value
         iterations = 1
         rounds = result.rounds

@@ -54,7 +54,7 @@ from conftest import ACCEPTANCE_LINES
 # sha256 over the serialized solution of every corpus solve, in corpus
 # order: tree runs, matroid runs, then each graphic case by the tree route
 # and by the matroid route
-GOLDEN_DIGEST = "bb1c9fad5b1b963cac01b22a2606de87c61693079bce54ad03121c974d67224f"
+GOLDEN_DIGEST = "0417dd60442bc70f9f84fda4e4b7f3ca1bc7bc8c03f9a8d4b7051b6a103994b2"
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -19,30 +19,29 @@ UNIT = {e: CostTriple(1, 1, 0) for e in range(3)}
 
 
 def test_full_model_shape():
-    model = build_relaxation(GraphSide(K3), quota=1, costs=UNIT)
+    costs = {e: CostTriple(1, 2, 1) for e in range(3)}
+    model = build_relaxation(GraphSide(K3), quota=1, costs=costs)
     assert model.reduced is None
-    # variable blocks in declaration order: x, z, y
-    assert model.lp.variables[:3] == [("x", 0), ("x", 1), ("x", 2)]
-    assert model.lp.variables[3:6] == [("z", 0), ("z", 1), ("z", 2)]
-    assert model.lp.variables[6:] == [("y", 0), ("y", 1), ("y", 2)]
-    # rows: x-cardinality, 3 x-links, z-budget, 3 y-links, y-cardinality
-    assert len(model.lp.constraints) == 9
-    assert model.lp.constraints[0].rel == "==" and model.lp.constraints[0].rhs == rat(2)
-    assert model.lp.constraints[4].rel == "==" and model.lp.constraints[4].rhs == rat(1)
-    assert model.lp.constraints[8].rhs == rat(2)
-    # objective: first-stage costs on x, second-stage on y, nothing on z
-    assert model.lp.objective[("x", 0)] == ONE
-    assert model.lp.objective[("y", 0)] == ONE
-    assert ("z", 0) not in model.lp.objective
+    # 3m columns in declaration order: a (first stage only), b (overlap),
+    # c (second stage only)
+    assert model.lp.variables == [(block, e) for block in "abc" for e in range(3)]
+    # exactly one equality row per block and no linking rows:
+    # 1ᵀa = r - q, 1ᵀb = q, 1ᵀc = r - q with r = 2, q = 1
+    assert [(con.rel, con.rhs) for con in model.lp.constraints] == [("==", 1)] * 3
+    for con, block in zip(model.lp.constraints, "abc"):
+        assert con.coeffs == {(block, e): 1 for e in range(3)}
+    # objective: C on a, C + (c+d) on b, c+d on c
+    assert [model.lp.objective[(block, 0)] for block in "abc"] == [1, 4, 3]
 
 
 def test_merged_model_when_everything_is_shared():
-    model = build_relaxation(GraphSide(K3), quota=2, costs=UNIT)
+    costs = {e: CostTriple(e, 2, 1) for e in range(3)}
+    model = build_relaxation(GraphSide(K3), quota=2, costs=costs)
     assert model.reduced == "merged"
-    assert model.x_vars is model.z_vars is model.y_vars
-    assert len(model.lp.variables) == 3
-    assert len(model.lp.constraints) == 1
-    assert model.lp.objective[("w", 0)] == rat(2)  # C + (c+d)
+    # m columns in id order, the b block alone, under one row 1ᵀb = q
+    assert model.lp.variables == [("b", 0), ("b", 1), ("b", 2)]
+    assert [(con.rel, con.rhs) for con in model.lp.constraints] == [("==", 2)]
+    assert model.lp.objective == {("b", e): e + 3 for e in range(3)}  # C + c + d
 
 
 def test_merged_model_for_uniform_matroid_at_k0():
@@ -93,14 +92,11 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     result = cutting_plane_solve(model, SolveConfig())
     assert result.rounds >= 1 and result.cuts_added >= 1
     values = result.solution.values
-    # the final x and y restrictions admit no violated forest constraint
-    for vars_ in (model.x_vars, model.y_vars):
-        point = {e: values[vars_[e]] for e in vars_}
+    # the final x and y stage points admit no violated forest constraint
+    for stage in ("x", "y"):
+        point = model.stage_point(values, stage)
+        assert sum(point.values()) == model.side.target_size()
         assert separate_forest_exhaustive(point, model.side.graph) is None
-    # every z respects both link rows
-    for e in model.z_vars:
-        assert values[model.z_vars[e]] <= values[model.x_vars[e]]
-        assert values[model.z_vars[e]] <= values[model.y_vars[e]]
 
 
 def test_round_limit_guard(monkeypatch):
@@ -123,15 +119,17 @@ def test_lp_dump_written(tmp_path):
     cfg = SolveConfig(lp_dump_dir=str(tmp_path))
     cutting_plane_solve(model, cfg)
     text = (tmp_path / "relaxation.lp.txt").read_text()
-    assert "w0" in text
+    assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in text
 
 
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
     costs = {e: CostTriple(e, 3 - e, 0) for e in range(4)}
     model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
-    assert model.reduced is None  # quota below the rank: the x/z/y model
+    assert model.reduced is None  # quota below the rank: the a/b/c model
     result = cutting_plane_solve(model, SolveConfig())
     assert result.solution.objective_value is not None
-    total = sum(result.solution.values[model.x_vars[e]] for e in range(4))
-    assert total == rat(2)
+    for stage in ("x", "y"):
+        point = model.stage_point(result.solution.values, stage)
+        assert sum(point.values()) == rat(2)
+        assert max(point.values()) <= ONE

@@ -180,6 +180,19 @@ def test_session_add_cuts_batch():
         assert constraint_satisfied(con, sol.values)
 
 
+def test_add_cuts_rejects_a_batch_whole():
+    """A malformed cut anywhere in a batch leaves the session as it was,
+    and a valid batch afterwards still reaches the optimum."""
+    session = SimplexSession(lp_from(2, [-1, -1], [([1, 0], LE, 2), ([0, 1], LE, 2)])[0])
+    with pytest.raises(MalformedProgram):
+        session.add_cuts([({"x0": 1, "x1": 1}, 3), ({"x0": 1}, Fraction(1, 2))])
+    assert len(session.lp.constraints) == 2
+    assert len(session.col_ids) == 4 and session.ncols == 4
+    assert len(session.rows) == 2
+    session.add_cuts([({"x0": 1, "x1": 1}, 3)])
+    assert session.result().objective_value == rat(-3)
+
+
 def test_dump_lp_mentions_structure():
     lp, _ = lp_from(2, [1, 2], [([1, 1], LE, 3)])
     text = dump_lp(lp)

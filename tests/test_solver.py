@@ -165,7 +165,7 @@ def test_fractional_vertex_raises_internal_error(monkeypatch):
     def half_vertex(model, config):
         result = real(model, config)
         values = dict(result.solution.values)
-        values[model.x_vars[min(model.x_vars)]] = rat(1, 2)
+        values[model.lp.variables[0]] = rat(1, 2)
         return dataclasses.replace(result, solution=dataclasses.replace(result.solution, values=values))
 
     monkeypatch.setattr(solver, "cutting_plane_solve", half_vertex)
