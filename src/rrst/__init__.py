@@ -5,12 +5,12 @@ first-stage cost C and a second-stage cost interval [c, c+d], find a pair
 of spanning trees (bases) X and Y sharing enough elements — at least
 (size − k) for a recovery budget k — minimizing C(X) + (c+d)(Y).
 
-The solver optimizes one exact-rational LP over both stage polytopes
-coupled by an overlap budget and reads both trees off its optimal vertex,
-which is 0/1 because the relaxation is a face of a matroid intersection
-polytope.  With no overlap owed, each tree is completed greedily instead.
-Every arithmetic step is exact, and the optimum always equals the LP
-bound.
+The solver optimizes one exact LP with integer data over both stage
+polytopes coupled by an overlap budget and reads both trees off its
+optimal vertex, which is 0/1 because the relaxation is a face of a
+matroid intersection polytope.  With no overlap owed, each tree is
+completed greedily instead.  Every arithmetic step is exact, and the
+optimum always equals the LP bound.
 """
 
 from .config import SolveConfig

@@ -123,13 +123,11 @@ def _load_solution_doc(path: str) -> dict:
 
 def cmd_verify(args) -> int:
     doc = _load_solution_doc(args.solution)
+    # an invalid instance is a usage error, raised before any check runs
+    inst = load_matroid_instance(args.instance) if args.matroid else load_instance(args.instance)
+    verify = verify_basis_solution if args.matroid else verify_tree_solution
     try:
-        if args.matroid:
-            minst = load_matroid_instance(args.instance)
-            failures = verify_basis_solution(minst, doc)
-        else:
-            inst = load_instance(args.instance)
-            failures = verify_tree_solution(inst, doc)
+        failures = verify(inst, doc)
     except ValidationError as exc:
         # a malformed selection is itself a failed check against the instance
         failures = [str(exc)]

@@ -27,7 +27,6 @@ from .errors import InfeasibleModel, InternalError, IterationLimit
 from .simplex import (
     EQ,
     INFEASIBLE,
-    UNBOUNDED,
     LinearProgram,
     SimplexSession,
     VertexSolution,
@@ -122,8 +121,6 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
     while True:
         if session.status == INFEASIBLE:
             raise InfeasibleModel("relaxation is infeasible")
-        if session.status == UNBOUNDED:
-            raise InternalError("relaxation unbounded despite nonnegative costs")
         solution = session.result()
         points = {"x": model.stage_point(solution.values, "x")}
         if not model.reduced:

@@ -7,21 +7,22 @@ package builds is a 0/+-1 combination with an integer right-hand side and
 every cost is an int, so programs are integer by construction and
 LinearProgram rejects anything else.  The tableau holds Python ints over
 one common denominator and pivots by exact integer division, with no gcd
-(see SimplexSession); vertices come back as rationals (``Rat``).  The
-pivot rule is Bland's (lowest index enters; ratio ties leave by lowest
-basic index), which cannot cycle and makes every run deterministic:
-identical programs yield byte-identical solutions.
+(see SimplexSession); vertices come back as rationals (``Rat``).
 
-SimplexSession solves cold with two phases and keeps the optimal tableau
+SimplexSession starts at the closed-form optimum of a block program (one
+cardinality row per block of columns) and keeps the optimal tableau
 alive, so cutting planes can be added and reoptimized with the dual
-simplex instead of solving from scratch.
+simplex instead of solving from scratch.  Its pivot rule breaks every tie
+by lowest index (leaving row by basic column, entering column by index),
+which makes every run deterministic: identical programs yield
+byte-identical solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError, IterationLimit, MalformedProgram
+from .errors import IterationLimit, MalformedProgram
 from .rational import ZERO, Rat, rat
 
 LE = "<="
@@ -94,18 +95,24 @@ class VertexSolution:
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 class SimplexSession:
     """Tableau that stays warm across cutting-plane rounds.
 
+    The session takes a block program: every row given at build time is
+    an == row with all coefficients 1 over its own block of columns, and
+    the blocks cover every column.  Such a program's optimum is known in
+    closed form (Dantzig & Van Slyke 1967): each row puts its rhs on the
+    cheapest column of its block, the lowest index winning a tie, which is
+    where a two-phase solve under Bland's rule ends too.  The session starts
+    there, with no pivot; afterwards only <= cuts arrive, and the dual
+    simplex repairs them.  A negative block rhs leaves it infeasible.
+
     Column layout: structural columns (one per variable, in declaration
-    order), then one slack column per inequality row in order of addition.
-    Artificial columns used by phase 1 are appended last and removed once
-    feasibility is established, so column indices of real variables never
-    move and Bland's lowest-index rule keeps meaning the same thing for
-    the session's whole life.
+    order), then one slack column per cut in order of addition, so column
+    indices never move and the lowest-index tie-breaks keep meaning the
+    same thing for the session's whole life.
 
     The tableau is fraction-free.  ``rows`` (one per basic variable, rhs in
     the last slot) and the reduced-cost row ``cost`` hold Python ints, and
@@ -114,23 +121,19 @@ class SimplexSession:
     column is ``den`` times a unit vector.  A pivot divides exactly
     (Edmonds 1967, Bareiss 1968), sign tests read the ints directly and
     ratio tests cross-multiply, so the pivots are those of the rational
-    tableau.  The program is integer, so each constraint enters as it is
-    with its slack or artificial at coefficient 1, and every artificial
-    weighs 1 in phase 1.
+    tableau.  The starting basis is a unit matrix, so ``den`` starts at 1
+    and each row is its constraint.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.status = None
-        self._build_columns(lp)
-        self._build_rows(lp)
-        self._solve_two_phase()
-
-    # --- construction -------------------------------------------------
-
-    def _build_columns(self, lp):
+        self._pivots = 0
         self.col_ids: list = list(lp.variables)  # per-column identifier
         self.var_col: dict = {var: col for col, var in enumerate(self.col_ids)}
+        self.ncols = len(self.col_ids)
+        self._start_at_block_optimum(lp)
+
+    # --- construction -------------------------------------------------
 
     def _integer_row(self, coeffs, rhs, width):
         """The constraint as ints over `width` columns plus the rhs."""
@@ -139,52 +142,36 @@ class SimplexSession:
             row[self.var_col[var]] = v
         return row
 
-    def _build_rows(self, lp):
-        """Build the integer rows and the starting basis."""
-        # slack columns are assigned up front so rows are built at full width
-        self.slack_of_constraint: dict[int, int] = {}
-        for ci, con in enumerate(lp.constraints):
-            if con.rel == LE:
-                self.slack_of_constraint[ci] = len(self.col_ids)
-                self.col_ids.append(("slack", ci))
-        width = len(self.col_ids)
+    def _start_at_block_optimum(self, lp):
+        """The optimal tableau of the block program, with no pivot."""
+        row_of = [None] * self.ncols  # the row whose block holds each column
+        for i, con in enumerate(lp.constraints):
+            if con.rel != EQ or not con.coeffs or any(v != 1 for v in con.coeffs.values()):
+                raise MalformedProgram(f"row {i} is not a block row: it must be == with all coefficients 1")
+            for var in con.coeffs:
+                col = self.var_col[var]
+                if row_of[col] is not None:
+                    raise MalformedProgram(f"variable {var!r} lies in rows {row_of[col]} and {i}")
+                row_of[col] = i
+        if None in row_of:
+            var = self.col_ids[row_of.index(None)]
+            raise MalformedProgram(f"variable {var!r} lies in no row")
 
+        c = [0] * self.ncols
+        for var, v in lp.objective.items():
+            c[self.var_col[var]] = v
         self.den = 1
-        self.rows: list[list[int]] = []
-        self.basis: list[int] = []
-        needs_artificial = []  # row indices
-        for ci, con in enumerate(lp.constraints):
-            row = self._integer_row(con.coeffs, con.rhs, width)
-            slack = self.slack_of_constraint.get(ci)
-            if slack is not None:
-                row[slack] = 1
-            if row[-1] < 0:
-                # flip so phase 1 starts from b >= 0; a flipped slack
-                # carries coefficient -1 and cannot start in the basis
-                row = [-v for v in row]
-                slack = None
-            if slack is None:
-                needs_artificial.append(len(self.rows))
-            self.rows.append(row)
-            self.basis.append(slack)
-
-        # initial basis: slack where possible, artificial otherwise
-        self.artificial_cols: list[int] = []
-        if needs_artificial:
-            zeros = [0] * len(needs_artificial)
-            for row in self.rows:
-                row[-1:-1] = zeros
-            for i in needs_artificial:
-                art = len(self.col_ids)
-                self.col_ids.append(("artificial", i))
-                self.artificial_cols.append(art)
-                self.rows[i][art] = 1
-                self.basis[i] = art
-        self.ncols = len(self.col_ids)
+        self.rows = [self._integer_row(con.coeffs, con.rhs, self.ncols) for con in lp.constraints]
+        # the cheapest column of each block, the lowest index winning a tie
+        self.basis = [min((self.var_col[var] for var in con.coeffs), key=lambda j: (c[j], j))
+                      for con in lp.constraints]
+        self.cost = [c[j] - c[self.basis[i]] for j, i in enumerate(row_of)]
+        self.cost.append(-sum(con.rhs * c[b] for con, b in zip(lp.constraints, self.basis)))
+        self.status = INFEASIBLE if any(con.rhs < 0 for con in lp.constraints) else OPTIMAL
 
     # --- core pivoting ------------------------------------------------
 
-    def _pivot(self, r, c, cost_rows):
+    def _pivot(self, r, c):
         rows = self.rows
         row = rows[r]
         p = row[c]
@@ -193,7 +180,7 @@ class SimplexSession:
             rows[r] = row = [-v for v in row]
         d = self.den
         others = [other for other in rows if other is not row]
-        others += cost_rows
+        others.append(self.cost)
         if p == d:
             # (p*a - f*b) / d = a - f*b/d: rows with f == 0 do not move, and
             # the others change only at the pivot row's nonzeros.  Between
@@ -219,35 +206,6 @@ class SimplexSession:
         if self._pivots > _PIVOT_LIMIT:
             raise IterationLimit(f"simplex pivots exceeded {_PIVOT_LIMIT}")
 
-    def _primal_loop(self, cost, extra_cost_rows, banned):
-        """Bland's rule: lowest eligible column with negative reduced cost
-        enters; ratio ties resolved by lowest basic column index."""
-        rows = self.rows
-        basis = self.basis
-        while True:
-            enter = -1
-            for j in range(self.ncols):
-                if cost[j] < 0 and j not in banned:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            # minimum rhs / a over a > 0, compared as rhs * best_a < best_rhs * a
-            leave = -1
-            for i, row in enumerate(rows):
-                a = row[enter]
-                if a > 0:
-                    if leave < 0:
-                        leave, best_rhs, best_a = i, row[-1], a
-                        continue
-                    lhs = row[-1] * best_a
-                    rhs = best_rhs * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, best_rhs, best_a = i, row[-1], a
-            if leave < 0:
-                return UNBOUNDED
-            self._pivot(leave, enter, [cost] + extra_cost_rows)
-
     def _canonical(self, row):
         """``den * row`` with every basic column eliminated, for a row over
         the current columns written with denominator 1."""
@@ -258,58 +216,6 @@ class SimplexSession:
             if f:
                 out[:] = [a - f * v for a, v in zip(out, self.rows[i])]
         return out
-
-    def _solve_two_phase(self):
-        self._pivots = 0
-
-        # phase-2 cost row is carried through phase 1 so it stays canonical
-        obj = [0] * (self.ncols + 1)
-        for var, v in self.lp.objective.items():
-            obj[self.var_col[var]] = v
-        self.cost = self._canonical(obj)
-
-        banned = set(self.artificial_cols)
-        if self.artificial_cols:
-            p1 = [0] * (self.ncols + 1)
-            for col in self.artificial_cols:
-                p1[col] = 1
-            p1_row = self._canonical(p1)
-            status = self._primal_loop(p1_row, [self.cost], banned)
-            if status != OPTIMAL:
-                raise InternalError("phase 1 cannot be unbounded")  # pragma: no cover
-            if p1_row[-1] != 0:
-                self.status = INFEASIBLE
-                return
-            self._evict_artificials()
-
-        self.status = self._primal_loop(self.cost, [], set(self.artificial_cols))
-
-    def _evict_artificials(self):
-        """Pivot basic artificials out (their value is zero) or drop the row
-        as redundant; then physically remove the artificial columns, which
-        sit at the tail of the column list."""
-        art = set(self.artificial_cols)
-        for i in range(len(self.rows) - 1, -1, -1):
-            if self.basis[i] not in art:
-                continue
-            row = self.rows[i]
-            enter = -1
-            for j in range(self.ncols):
-                if j not in art and row[j]:
-                    enter = j
-                    break
-            if enter >= 0:
-                self._pivot(i, enter, [self.cost])
-            else:
-                del self.rows[i]
-                del self.basis[i]
-        first_art = min(art)
-        for row in self.rows:
-            del row[first_art:-1]
-        del self.cost[first_art:-1]
-        del self.col_ids[first_art:]
-        self.artificial_cols = []
-        self.ncols = len(self.col_ids)
 
     # --- warm cut addition ---------------------------------------------
 
@@ -334,7 +240,6 @@ class SimplexSession:
             # before the batch are all it is canonicalized against
             row = self._integer_row(con.coeffs, con.rhs, width)
             new_rows.append(self._canonical(row))
-            self.slack_of_constraint[ci] = len(self.col_ids)
             self.col_ids.append(("slack", ci))
 
         zeros = [0] * len(new_rows)
@@ -378,7 +283,7 @@ class SimplexSession:
             if enter < 0:
                 self.status = INFEASIBLE
                 return
-            self._pivot(leave, enter, [cost])
+            self._pivot(leave, enter)
 
     # --- extraction -----------------------------------------------------
 

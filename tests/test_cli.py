@@ -172,6 +172,30 @@ def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     assert "X not spanning" in capsys.readouterr().err.splitlines()[0]
 
 
+INVALID_INSTANCES = {
+    "disconnected tree": ([], {"nodes": 3, "k": 0, "edges": [
+        {"id": 0, "u": 0, "v": 1, "C": 1, "c": 1, "d": 1}]}),
+    "negative cost": ([], {"nodes": 2, "k": 0, "edges": [
+        {"id": 0, "u": 0, "v": 1, "C": -1, "c": 1, "d": 1}]}),
+    "k above rank": (["--matroid"], {
+        "family": "uniform", "elements": [0, 1], "rank": 1, "k": 2,
+        "costs": [{"id": i, "C": 1, "c": 1, "d": 1} for i in range(2)]}),
+}
+
+
+@pytest.mark.parametrize("flags, doc", INVALID_INSTANCES.values(), ids=INVALID_INSTANCES.keys())
+def test_verify_invalid_instance_exits_2(tmp_path, flags, doc, capsys):
+    """An instance that `solve` rejects is an input error for `verify`
+    too, not a failed check of the solution."""
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(doc))
+    sol.write_text(json.dumps({"X": [0], "Y": [0], "Z": [0], "total": "3"}))
+    assert run(["solve", "--input", str(inst)] + flags) == 2
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(inst), "--solution", str(sol)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.fixture
 def solved_k2(tmp_path):
     """A 5-node, k=2 instance and its solution document."""

@@ -1,4 +1,4 @@
-"""Relaxation models: shape, presolve reductions, cutting-plane solving."""
+"""Relaxation models: shape, the merged b-only program, cutting-plane solving."""
 
 import pytest
 

@@ -1,18 +1,22 @@
-"""Exact two-phase simplex: known optima, statuses, determinism, warm cuts.
+"""Exact simplex on block programs: the closed-form start, statuses,
+determinism, warm cuts.
 
-Programs are integer.  The hypothesis tests draw rows with rational data,
-negative right-hand sides and == relations, and multiply each row, and the
-objective, by the LCM of its denominators; their vertices stay fractional.
-They check the solver against a definition-level oracle: enumerate every
-basic point (all ways to make n constraints tight), keep the feasible
-ones, and take the best objective.  Another checks the integer tableau
-itself against B^-1 [A | b] recomputed in Fraction, and its pivots against
-a plain rational tableau that follows the same rules.
+A session takes a block program: one == row with all coefficients 1 per
+block of columns, the blocks disjoint and covering every column.  It
+starts at that program's closed-form optimum and then takes integer <=
+cuts through add_cuts, which the dual simplex repairs.  The hypothesis
+tests draw block programs, costs with ties and negatives, and batches of
+random integer cuts.  They check the solver against a definition-level
+oracle: enumerate every basic point (all ways to make n constraints
+tight), keep the feasible ones, and take the best objective.  They also
+check the integer tableau against B^-1 [A | b] recomputed in Fraction,
+and check it against a plain rational tableau that solves cold with two
+Bland phases and then follows the same dual rules: the two must start at
+the same tableau and take the same pivots after it.
 """
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +32,9 @@ from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp
 def _low_pivot_limit():
     """Cap each session at 300 pivots in this module.
 
-    Its programs have at most 4 variables and a handful of rows, and the
-    largest session takes under 20 pivots.  A cycling simplex then fails
-    each example fast, which keeps hypothesis's shrinking of a failure
-    short.
+    Its programs have at most 12 variables and 9 cuts, and the largest
+    session takes under 30 pivots.  A cycling simplex then fails each
+    example fast, which keeps hypothesis's shrinking of a failure short.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_PIVOT_LIMIT", 300)
@@ -43,12 +46,6 @@ def constraint_satisfied(con, values) -> bool:
     return lhs == con.rhs if con.rel == EQ else lhs <= con.rhs
 
 
-def integral(values):
-    """`values` times the LCM of their denominators, as ints."""
-    scale = lcm(*(Fraction(v).denominator for v in values))
-    return [int(v * scale) for v in values]
-
-
 def lp_from(nvars, objective, rows):
     lp = LinearProgram()
     xs = [lp.add_variable(f"x{i}") for i in range(nvars)]
@@ -58,65 +55,110 @@ def lp_from(nvars, objective, rows):
     return lp, xs
 
 
-def test_simple_box_optimum():
-    lp, xs = lp_from(2, [-1, -1], [([1, 0], LE, 1), ([0, 2], LE, 1)])
-    session = SimplexSession(lp)
-    assert session.status == "optimal"
-    sol = session.result()
-    assert sol.objective_value == rat(-3, 2)
-    assert sol.values[xs[0]] == ONE
-    assert sol.values[xs[1]] == rat(1, 2)
+def block_rows(nvars, blocks, rhs):
+    """One == row of ones per block (a list of column indices)."""
+    return [([int(i in block) for i in range(nvars)], EQ, b) for block, b in zip(blocks, rhs)]
+
+
+def block_lp(costs, blocks, rhs):
+    return lp_from(len(costs), costs, block_rows(len(costs), blocks, rhs))
+
+
+def cut(xs, coeffs):
+    return {xs[i]: c for i, c in enumerate(coeffs) if c}
+
+
+# --- the closed-form start ----------------------------------------------
 
 
 def test_equality_row():
-    lp, _ = lp_from(2, [1, 1], [([1, 1], EQ, 2), ([1, -1], LE, 0)])
+    """Each block row puts its rhs on its cheapest column, with no pivot."""
+    lp, xs = block_lp([4, 2, 7, 1, 3], [[0, 1, 2], [3, 4]], [2, 1])
     session = SimplexSession(lp)
-    assert session.status == "optimal" and session.result().objective_value == rat(2)
+    assert session.status == "optimal"
+    assert session._pivots == 0 and session.den == 1
+    sol = session.result()
+    assert sol.objective_value == rat(5)
+    assert sol.values == {x: rat(v) for x, v in zip(xs, [0, 2, 0, 1, 0])}
+    assert sol.basis == ("x1", "x3")
 
 
-def test_infeasible_detected():
-    lp, _ = lp_from(1, [1], [([1], LE, -1)])
-    assert SimplexSession(lp).status == "infeasible"
-    lp2, _ = lp_from(2, [1, 1], [([1, 1], EQ, 4), ([1, 0], LE, 1), ([0, 1], LE, 1)])
-    session = SimplexSession(lp2)
+def test_start_is_the_lowest_index_cheapest_column():
+    lp, xs = block_lp([5, 3, 3, 1, 1], [[0, 1, 2, 3, 4]], [2])
+    session = SimplexSession(lp)
+    assert session.basis == [3]
+    assert session.rows == [[1, 1, 1, 1, 1, 2]]
+    assert session.cost == [4, 2, 2, 0, 0, -2]
+    assert session.result().values[xs[3]] == rat(2)
+
+
+def test_negative_block_rhs_is_infeasible():
+    lp, _ = block_lp([1, 2, 3], [[0], [1, 2]], [1, -1])
+    session = SimplexSession(lp)
     assert session.status == "infeasible"
     with pytest.raises(MalformedProgram):
         session.result()
 
 
-def test_unbounded_detected():
-    lp, _ = lp_from(2, [-1, 0], [([0, 1], LE, 1)])
-    assert SimplexSession(lp).status == "unbounded"
+NON_BLOCK_PROGRAMS = {
+    "<= row": (2, [([1, 1], LE, 2)]),
+    "coefficient 2": (2, [([1, 2], EQ, 2)]),
+    "two rows share a column": (2, [([1, 1], EQ, 1), ([0, 1], EQ, 1)]),
+    "column in no row": (2, [([1, 0], EQ, 1)]),
+    "empty row": (1, [([1], EQ, 1), ([0], EQ, 0)]),
+}
 
 
-def test_beale_cycling_example_terminates():
-    # the classic degenerate program that cycles under naive pivoting,
-    # objective and rows times 100: its optimum -1/20 becomes -5
-    lp, _ = lp_from(
-        4,
-        [-75, 15000, -2, 600],
-        [
-            ([25, -6000, -4, 900], LE, 0),
-            ([50, -9000, -2, 300], LE, 0),
-            ([0, 0, 1, 0], LE, 1),
-        ],
-    )
+@pytest.mark.parametrize("nvars, rows", NON_BLOCK_PROGRAMS.values(), ids=NON_BLOCK_PROGRAMS.keys())
+def test_non_block_program_rejected(nvars, rows):
+    lp, _ = lp_from(nvars, [1] * nvars, rows)
+    with pytest.raises(MalformedProgram):
+        SimplexSession(lp)
+
+
+# --- known optima after cuts --------------------------------------------
+
+
+def test_simple_box_optimum():
+    lp, xs = block_lp([-1, 0, 2], [[0, 1, 2]], [3])
     session = SimplexSession(lp)
-    assert session.status == "optimal"
-    assert session.result().objective_value == rat(-5)
+    assert session.result().objective_value == rat(-3)
+    session.add_cuts([(cut(xs, [2, 0, 0]), 1), (cut(xs, [0, 2, 0]), 3)])
+    sol = session.result()
+    assert sol.objective_value == rat(3, 2)
+    assert [sol.values[x] for x in xs] == [rat(1, 2), rat(3, 2), ONE]
+
+
+def test_infeasible_detected():
+    """Cuts that no point of the block row satisfies leave the session
+    infeasible; it then gives no vertex and takes no more cuts."""
+    lp, xs = block_lp([1, 1], [[0, 1]], [4])
+    session = SimplexSession(lp)
+    assert session.add_cuts([(cut(xs, [1, 0]), 1), (cut(xs, [0, 1]), 1)]) == "infeasible"
+    with pytest.raises(MalformedProgram):
+        session.result()
+    with pytest.raises(MalformedProgram):
+        session.add_cuts([(cut(xs, [1, 1]), 9)])
 
 
 def test_solution_satisfies_all_constraints_exactly():
-    lp, _ = lp_from(3, [-2, -3, -1], [([1, 1, 1], LE, 5), ([2, 1, 0], LE, 6), ([0, 1, 3], LE, 7)])
-    sol = SimplexSession(lp).result()
+    lp, xs = block_lp([-2, -3, -1, 0], [[0, 1, 2, 3]], [5])
+    session = SimplexSession(lp)
+    session.add_cuts([(cut(xs, [2, 1, 0, 0]), 6), (cut(xs, [0, 1, 3, 0]), 7)])
+    sol = session.result()
+    assert len(lp.constraints) == 3
     for con in lp.constraints:
         assert constraint_satisfied(con, sol.values)
 
 
 def test_determinism_byte_for_byte():
-    rows = [([3, 1, 2], LE, 10), ([1, 4, 0], LE, 8), ([1, 1, 1], EQ, 4)]
-    a = SimplexSession(lp_from(3, [-5, -4, -3], rows)[0]).result()
-    b = SimplexSession(lp_from(3, [-5, -4, -3], rows)[0]).result()
+    def solve():
+        lp, xs = block_lp([-5, -4, -3, 1], [[0, 2], [1, 3]], [3, 2])
+        session = SimplexSession(lp)
+        session.add_cuts([(cut(xs, [3, 1, 2, 0]), 10), (cut(xs, [1, 4, 0, -1]), 8)])
+        return session.result()
+
+    a, b = solve(), solve()
     assert a.values == b.values
     assert a.basis == b.basis
     assert a.objective_value == b.objective_value
@@ -153,29 +195,33 @@ def test_non_int_entries_rejected(where, value):
 
 
 def test_session_cut_matches_cold_resolve():
-    rows = [([1, 0], LE, 2), ([0, 1], LE, 2)]
-    session = SimplexSession(lp_from(2, [-1, -1], rows)[0])
+    """A cut repaired warm reaches the optimum a cold two-phase solve of
+    the grown program finds."""
+    rows = block_rows(3, [[0, 1, 2]], [4])
+    session = SimplexSession(lp_from(3, [-1, -1, 0], rows)[0])
     assert session.result().objective_value == rat(-4)
     session.add_cuts([({"x0": 1, "x1": 1}, 3)])
     warm = session.result()
 
-    cold_lp, _ = lp_from(2, [-1, -1], rows + [([1, 1], LE, 3)])
-    cold = SimplexSession(cold_lp).result()
-    assert warm.objective_value == cold.objective_value == rat(-3)
+    cold_lp, _ = lp_from(3, [-1, -1, 0], rows + [([1, 1, 0], LE, 3)])
+    cold = RationalTableau(cold_lp)
+    assert cold.status == "optimal"
+    assert warm.objective_value == cold.objective_value() == rat(-3)
     for con in cold_lp.constraints:
         assert constraint_satisfied(con, warm.values)
 
 
 def test_session_add_cuts_batch():
-    lp, _ = lp_from(3, [-1, -1, -1], [([1, 0, 0], LE, 2), ([0, 1, 0], LE, 2), ([0, 0, 1], LE, 2)])
+    lp, xs = block_lp([1, 2, 3], [[0, 1, 2]], [6])
     session = SimplexSession(lp)
     session.add_cuts([
-        ({"x0": 1, "x1": 1}, 3),
-        ({"x1": 1, "x2": 1}, 3),
-        ({"x0": 1, "x1": 1, "x2": 1}, 4),
+        (cut(xs, [1, 0, 0]), 2),
+        (cut(xs, [1, 1, 0]), 4),
+        (cut(xs, [0, 1, -1]), -1),
     ])
     sol = session.result()
-    assert sol.objective_value == rat(-4)
+    assert sol.objective_value == rat(25, 2)
+    assert [sol.values[x] for x in xs] == [rat(2), rat(3, 2), rat(5, 2)]
     for con in session.lp.constraints:
         assert constraint_satisfied(con, sol.values)
 
@@ -183,14 +229,15 @@ def test_session_add_cuts_batch():
 def test_add_cuts_rejects_a_batch_whole():
     """A malformed cut anywhere in a batch leaves the session as it was,
     and a valid batch afterwards still reaches the optimum."""
-    session = SimplexSession(lp_from(2, [-1, -1], [([1, 0], LE, 2), ([0, 1], LE, 2)])[0])
+    lp, xs = block_lp([1, 2], [[0, 1]], [3])
+    session = SimplexSession(lp)
     with pytest.raises(MalformedProgram):
-        session.add_cuts([({"x0": 1, "x1": 1}, 3), ({"x0": 1}, Fraction(1, 2))])
-    assert len(session.lp.constraints) == 2
-    assert len(session.col_ids) == 4 and session.ncols == 4
-    assert len(session.rows) == 2
-    session.add_cuts([({"x0": 1, "x1": 1}, 3)])
-    assert session.result().objective_value == rat(-3)
+        session.add_cuts([(cut(xs, [1, 0]), 2), (cut(xs, [1, 0]), Fraction(1, 2))])
+    assert len(session.lp.constraints) == 1
+    assert len(session.col_ids) == 2 and session.ncols == 2
+    assert len(session.rows) == 1
+    session.add_cuts([(cut(xs, [1, 0]), 2)])
+    assert session.result().objective_value == rat(4)
 
 
 def test_dump_lp_mentions_structure():
@@ -203,104 +250,114 @@ def test_dump_lp_mentions_structure():
 
 
 def _solve_square(rows, rhs):
-    """Unique solution of a square rational system, or None."""
+    """Unique solution of a square integer system, as Fractions, or None.
+
+    Fraction-free Gauss-Jordan elimination: each step divides by the
+    previous pivot, exactly, and the last pivot is the common
+    denominator."""
     n = len(rhs)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    col = 0
-    for r in range(n):
-        piv = next((i for i in range(r, n) if a[i][col] != 0), None)
-        while piv is None:
-            col += 1
-            if col >= n:
-                return None
-            piv = next((i for i in range(r, n) if a[i][col] != 0), None)
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [v / a[r][col] for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        col += 1
-        if col > n:
-            break
-    # back-substitution only valid if we used exactly n pivot columns
-    for i in range(n):
-        if all(a[i][j] == 0 for j in range(n)):
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    den = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
             return None
-    return [a[i][n] for i in range(n)]
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * v - f * w) // den for v, w in zip(a[i], a[k])]
+        den = p
+    return [Fraction(a[i][n], den) for i in range(n)]
 
 
 def brute_force_lp_min(nvars, objective, rows):
     """Minimum objective over all vertices of {a x (<= or ==) b, x >= 0},
-    or None if no vertex is feasible."""
-    cons = [([rat(c) for c in coeffs], rel, rat(rhs)) for coeffs, rel, rhs in rows]
-    for i in range(nvars):
-        unit = [ZERO] * nvars
-        unit[i] = -ONE
-        cons.append((unit, LE, ZERO))  # -x_i <= 0
+    or None if no vertex is feasible.
+
+    Every == row is tight at every feasible point, and the == rows of a
+    block program are independent, so each vertex has a basis of n tight
+    rows that holds all of them: only the rest are enumerated.  A tight
+    x_i >= 0 fixes x_i = 0, so the system is solved in the other
+    variables."""
+    eqs = [(coeffs, rhs) for coeffs, rel, rhs in rows if rel == EQ]
+    les = [(coeffs, rhs) for coeffs, rel, rhs in rows if rel == LE]
+    ineqs = [("zero", i) for i in range(nvars)] + [("row", con) for con in les]
     best = None
-    for subset in itertools.combinations(range(len(cons)), nvars):
-        sol = _solve_square([cons[i][0] for i in subset], [cons[i][2] for i in subset])
-        if sol is None:
+    for chosen in itertools.combinations(ineqs, nvars - len(eqs)):
+        zero = {i for kind, i in chosen if kind == "zero"}
+        free = [i for i in range(nvars) if i not in zero]
+        tight = eqs + [con for kind, con in chosen if kind == "row"]
+        sub = _solve_square([[coeffs[i] for i in free] for coeffs, _ in tight], [rhs for _, rhs in tight])
+        if sub is None or any(v < 0 for v in sub):
             continue
-        lhs = [sum(c * v for c, v in zip(coeffs, sol)) for coeffs, _, _ in cons]
-        if any(v > rhs if rel == LE else v != rhs for v, (_, rel, rhs) in zip(lhs, cons)):
+        point = [ZERO] * nvars
+        for i, v in zip(free, sub):
+            point[i] = v
+        if any(sum(c * v for c, v in zip(coeffs, point)) > rhs for coeffs, rhs in les):
             continue
-        val = sum(rat(c) * v for c, v in zip(objective, sol))
-        if best is None or val < best:
-            best = val
+        value = sum(c * v for c, v in zip(objective, point))
+        if best is None or value < best:
+            best = value
     return best
 
 
 @st.composite
-def bounded_lp(draw):
-    nvars = draw(st.integers(2, 3))
-    nrows = draw(st.integers(1, 3))
-    obj = [draw(st.integers(-5, 5)) for _ in range(nvars)]
-    rows = []
-    for _ in range(nrows):
-        coeffs = [draw(st.integers(0, 4)) for _ in range(nvars)]
-        rows.append((coeffs, LE, draw(st.integers(0, 9))))
-    for i in range(nvars):  # box keeps it bounded, origin keeps it feasible
-        unit = [0] * nvars
-        unit[i] = 1
-        rows.append((unit, LE, 3))
-    return nvars, obj, rows
+def block_program_with_cuts(draw, max_batches, max_cuts):
+    """1-3 blocks of 1-4 columns, interleaved in declaration order, small
+    int costs (ties and negatives), rhs >= 0; then batches of random
+    integer <= cuts.  Each cut passes near an integer point x0 of the
+    block rows, at most 1 past it, so most batches bite and some leave
+    the program infeasible."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    nvars = sum(sizes)
+    order = draw(st.permutations(range(nvars)))
+    blocks = []
+    for size in sizes:
+        blocks.append(sorted(order[:size]))
+        order = order[size:]
+    costs = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+    rhs = draw(st.lists(st.integers(0, 3), min_size=len(blocks), max_size=len(blocks)))
+    x0 = [0] * nvars
+    for block, b in zip(blocks, rhs):
+        for _ in range(b):
+            x0[draw(st.sampled_from(block))] += 1
+    batches = []
+    for _ in range(draw(st.integers(1, max_batches))):
+        batch = []
+        for _ in range(draw(st.integers(1, max_cuts))):
+            coeffs = draw(st.lists(st.integers(-2, 3), min_size=nvars, max_size=nvars))
+            lhs = sum(c * x for c, x in zip(coeffs, x0))
+            batch.append((coeffs, lhs + draw(st.integers(-1, 1))))
+        batches.append(batch)
+    return costs, blocks, rhs, batches
 
 
-def _fractions(lo, hi):
-    return st.fractions(lo, hi, max_denominator=6)
+def _apply_batches(session, xs, batches):
+    """Add the batches to the session until one leaves it infeasible;
+    the rows it took, as lp_from rows."""
+    added = []
+    for batch in batches:
+        session.add_cuts([(cut(xs, coeffs), rhs) for coeffs, rhs in batch])
+        added += [(coeffs, LE, rhs) for coeffs, rhs in batch]
+        if session.status != "optimal":
+            break
+    return added
 
 
-def _scaled_row(coeffs, rel, rhs):
-    *coeffs, rhs = integral([*coeffs, rhs])
-    return coeffs, rel, rhs
-
-
-@st.composite
-def scaled_lp(draw):
-    """Boxed programs drawn with rational data, == rows and negative rhs,
-    each row and the objective scaled to ints; they may be infeasible."""
-    nvars = draw(st.integers(2, 3))
-    obj = integral([draw(_fractions(-5, 5)) for _ in range(nvars)])
-    rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
-        rows.append(_scaled_row(coeffs, draw(st.sampled_from([LE, EQ])), draw(_fractions(-4, 9))))
-    for i in range(nvars):
-        unit = [0] * nvars
-        unit[i] = 1
-        rows.append(_scaled_row(unit, LE, draw(_fractions(1, 4))))
-    return nvars, obj, rows
-
-
-@given(st.one_of(bounded_lp(), scaled_lp()))
+@given(block_program_with_cuts(max_batches=2, max_cuts=2))
 @settings(max_examples=250, deadline=None)
 def test_simplex_matches_vertex_enumeration(problem):
-    nvars, obj, rows = problem
-    lp, _ = lp_from(nvars, obj, rows)
+    costs, blocks, rhs, batches = problem
+    nvars = len(costs)
+    lp, xs = block_lp(costs, blocks, rhs)
     session = SimplexSession(lp)
-    expected = brute_force_lp_min(nvars, obj, rows)
+    rows = block_rows(nvars, blocks, rhs)
+    assert session.status == "optimal"
+    assert session.result().objective_value == brute_force_lp_min(nvars, costs, rows)
+    rows += _apply_batches(session, xs, batches)
+    expected = brute_force_lp_min(nvars, costs, rows)
     if expected is None:
         assert session.status == "infeasible"
         return
@@ -369,41 +426,11 @@ def assert_tableau_invariant(session):
     assert [Fraction(v, den) for v in session.cost] == reduced
 
 
-@st.composite
-def feasible_lp_with_cuts(draw):
-    """A boxed program with == rows and negative rhs that a drawn rational
-    point x0 satisfies, plus batches of cuts; every row and cut is drawn
-    rational and scaled to ints."""
-    nvars = draw(st.integers(2, 4))
-    x0 = [draw(_fractions(0, 3)) for _ in range(nvars)]
-    obj = integral([draw(_fractions(-5, 5)) for _ in range(nvars)])
-    rows = []
-    for _ in range(draw(st.integers(1, 4))):
-        coeffs = [draw(_fractions(-3, 4)) for _ in range(nvars)]
-        lhs = sum(c * x for c, x in zip(coeffs, x0))
-        if draw(st.booleans()):
-            rows.append(_scaled_row(coeffs, EQ, lhs))
-        else:
-            rows.append(_scaled_row(coeffs, LE, lhs + draw(_fractions(0, 3))))
-    for i in range(nvars):
-        unit = [0] * nvars
-        unit[i] = 1
-        rows.append((unit, LE, 3))
-    batches = []
-    for _ in range(draw(st.integers(1, 3))):
-        batch = []
-        for _ in range(draw(st.integers(1, 3))):
-            coeffs = [draw(_fractions(-2, 3)) for _ in range(nvars)]
-            rhs = sum(c * x for c, x in zip(coeffs, x0)) - draw(_fractions(-1, 2))
-            coeffs, _, rhs = _scaled_row(coeffs, LE, rhs)
-            batch.append((coeffs, rhs))
-        batches.append(batch)
-    return nvars, obj, rows, batches
-
-
 class RationalTableau:
-    """The pivot rules of rrst.simplex on a plain Fraction tableau with no
-    scaling: the reference the integer tableau must follow pivot for pivot."""
+    """A plain Fraction tableau with no scaling: a cold two-phase solve
+    under Bland's rule of any program, then the dual rules of rrst.simplex
+    for cuts.  The reference the integer tableau must start at and then
+    follow pivot for pivot."""
 
     def __init__(self, lp):
         self.lp = lp
@@ -456,6 +483,7 @@ class RationalTableau:
                 del row[first_art:-1]
             self.ncols = first_art
         self.status = self._primal(self.cost, [], set())
+        self.cold_pivots = self.pivots
 
     def _canonical(self, row):
         for i, b in enumerate(self.basis):
@@ -509,15 +537,20 @@ class RationalTableau:
                 return
             self._pivot(leave, min(cands)[1], [self.cost])
 
+    def objective_value(self):
+        return -self.cost[-1]
+
     def state(self):
+        """Status, pivots after the cold solve, basis and vertex."""
+        pivots = self.pivots - self.cold_pivots
         if self.status != "optimal":
-            return self.status, self.pivots, sorted(self.basis), None
+            return self.status, pivots, sorted(self.basis), None
         values = {var: Fraction(0) for var in self.lp.variables}
         names = {j: var for var, j in self.col.items()}
         for i, b in enumerate(self.basis):
             if b in names:
                 values[names[b]] = self.rows[i][-1]
-        return self.status, self.pivots, sorted(self.basis), values
+        return self.status, pivots, sorted(self.basis), values
 
 
 def _session_state(session):
@@ -525,23 +558,27 @@ def _session_state(session):
     return session.status, session._pivots, sorted(session.basis), values
 
 
-@given(feasible_lp_with_cuts())
-@settings(max_examples=120, deadline=None)
+@given(block_program_with_cuts(max_batches=3, max_cuts=3))
+@settings(max_examples=150, deadline=None)
 def test_integer_tableau_matches_rational_tableau(problem):
-    """After the cold solve and after every batch of cuts, the integer
-    tableau is B^-1 [A | b] over den, and it took the same pivots to the
-    same basis and vertex as the rational reference.  A cold solve of the
-    grown program reaches the same status and optimum."""
-    nvars, obj, rows, batches = problem
-    lp, xs = lp_from(nvars, obj, rows)
+    """The session starts at the tableau where the reference's cold
+    two-phase solve ends, with no pivot.  After every batch of cuts the
+    integer tableau is B^-1 [A | b] over den, and it took the same pivots
+    to the same basis and vertex as the reference.  A cold two-phase
+    solve of the grown program reaches the same status and optimum."""
+    costs, blocks, rhs, batches = problem
+    nvars = len(costs)
+    lp, xs = block_lp(costs, blocks, rhs)
     session = SimplexSession(lp)
-    reference = RationalTableau(lp_from(nvars, obj, rows)[0])
-    assert session.status == "optimal"
+    reference = RationalTableau(block_lp(costs, blocks, rhs)[0])
+    assert session.status == reference.status == "optimal"
+    assert session.den == 1 and session._pivots == 0
+    assert (session.rows, session.cost, session.basis) == (reference.rows, reference.cost, reference.basis)
     assert_tableau_invariant(session)
     assert _session_state(session) == reference.state()
     added = []
     for batch in batches:
-        cuts = [({xs[i]: c for i, c in enumerate(coeffs) if c}, rhs) for coeffs, rhs in batch]
+        cuts = [(cut(xs, coeffs), rhs) for coeffs, rhs in batch]
         session.add_cuts(cuts)
         reference.add_cuts(cuts)
         assert_tableau_invariant(session)
@@ -549,7 +586,7 @@ def test_integer_tableau_matches_rational_tableau(problem):
         added += [(coeffs, LE, rhs) for coeffs, rhs in batch]
         if session.status != "optimal":
             break
-    cold = SimplexSession(lp_from(nvars, obj, rows + added)[0])
+    cold = RationalTableau(lp_from(nvars, costs, block_rows(nvars, blocks, rhs) + added)[0])
     assert cold.status == session.status
     if cold.status == "optimal":
-        assert cold.result().objective_value == session.result().objective_value
+        assert cold.objective_value() == session.result().objective_value
