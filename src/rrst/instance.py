@@ -170,6 +170,9 @@ def instance_from_dict(doc) -> Instance:
             raise ParseError(f"{where}: self-loop on node {u}")
         edges[eid] = (u, v)
         costs.add(eid, e, where)
+    # checked before the graph is built, whose size grows with n
+    if len(edges) < n - 1:
+        raise ValidationError(f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes")
     graph = MultiGraph(range(n), edges)
     return Instance(graph=graph, costs=costs.costs(), k=k, scale=costs.scale)
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .errors import (
     ElementNotInGround,
     GroundTooLarge,
-    NoBasis,
     ParseError,
     ValidationError,
 )
@@ -215,18 +214,13 @@ class GenericOracleMatroid(Matroid):
         return GenericOracleMatroid(self.ground - {e}, oracle)
 
 
-def greedy_min_basis(matroid: Matroid, weights, required_size=None) -> list[int]:
+def greedy_min_basis(matroid: Matroid, weights) -> list[int]:
     """Minimum-weight basis via matroid greedy; ties broken by smaller id.
 
-    required_size lets callers demand a specific basis size; NoBasis is
-    raised when the matroid cannot reach it.
+    The greedy scan over the whole ground set keeps a maximal independent
+    set, which is a basis.
     """
-    result = matroid.max_independent(sorted(matroid.ground, key=lambda e: (weights[e], e)))
-    if required_size is None:
-        required_size = matroid.full_rank()
-    if len(result) != required_size:
-        raise NoBasis(f"maximum independent set has {len(result)} elements, need {required_size}")
-    return sorted(result)
+    return sorted(matroid.max_independent(sorted(matroid.ground, key=lambda e: (weights[e], e))))
 
 
 def enumerate_bases(matroid: Matroid) -> list[tuple[int, ...]]:

@@ -2,13 +2,12 @@
 
 Forest side: given a fractional point on the edges of a multigraph, find a
 node set U (2 <= |U| < n) whose induced edges carry more weight than
-|U| - 1, i.e. a violated subtree-packing constraint.  Points on or below
-the x(E) = n - 1 hyperplane, which includes every point of a
-spanning-forest relaxation, are first shrunk (Padberg & Rinaldi 1990): one
-union-find pass contracts the edges with x_e = 1 into super-nodes and the
-edges with x_e = 0 are dropped.  A violated set that holds one end of a
-1-edge stays at least as violated when it takes the other end, and on
-x(E) <= n - 1 the grown set is never all of V, so nothing is lost.  A
+|U| - 1, i.e. a violated subtree-packing constraint.  The point is first
+shrunk (Padberg & Rinaldi 1990): one union-find pass contracts the edges
+with x_e = 1 into super-nodes and the edges with x_e = 0 are dropped.  A
+violated set that holds one end of a 1-edge stays at least as violated
+when it takes the other end, and on x(E) <= n - 1 the grown set is never
+all of V, so nothing is lost.  A
 super-node that is violated on its own is returned at once; otherwise the
 search runs one exact max-flow per forced super-node on the network
 
@@ -20,17 +19,12 @@ built once per call over integer ids.  A violated set containing the
 forced super-node exists iff the min cut is below the cross weight.  The
 extracted cut side is split into connected parts, mapped back to original
 nodes and each part checked exactly, which sharpens certificates to
-connected sets and filters out the full vertex set (the full set
-corresponds to the cardinality equality, which is not part of the lazy
-family).  Whenever any violated set exists, at least one extracted part is
-violated, so the verdict always matches exhaustive enumeration.  Points
-above the hyperplane are not contracted, and there a second round of
-sweeps with one vertex forced out keeps the verdict aligned with
-exhaustive enumeration.
+connected sets.  Whenever any violated set exists, at least one extracted
+part is violated, so the verdict always matches exhaustive enumeration.
 
 Matroid side: rank constraints x(U) <= rank(U) over proper subsets.
-Uniform and partition matroids reduce to sorted prefix scans; the
-exhaustive scan covers everything else (and doubles as the independent
+Uniform and partition matroids reduce to one sorted prefix scan per part;
+the exhaustive scan covers everything else (and doubles as the independent
 verification route).  The solver hands graphic matroids to the forest side
 instead, so they take the min-cut route above.
 """
@@ -42,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import GroundTooLarge, ValidationError
+from .errors import GroundTooLarge, InternalError, ValidationError
 from .multigraph import MultiGraph
 from .rational import ZERO, Rat
 
@@ -147,18 +141,15 @@ def _flow_network(count, pairs, unit, total) -> _FlowNetwork:
     return _FlowNetwork(count, head, to, cap, sink_arc, inf)
 
 
-def _sweep_min_cut(net: _FlowNetwork, forced_in, forced_out):
+def _sweep_min_cut(net: _FlowNetwork, forced_in):
     """One integer max-flow (Dinic); returns (value, source-side super-nodes).
 
-    forced_in loses its sink arc; forced_out, when given, gets an infinite
-    one.  Only the capacity list is copied, so the network serves every
-    sweep of a call.
+    forced_in loses its sink arc.  Only the capacity list is copied, so the
+    network serves every sweep of a call.
     """
     head, to = net.head, net.to
     cap = net.cap.copy()
     cap[net.sink_arc[forced_in]] = 0
-    if forced_out is not None:
-        cap[net.sink_arc[forced_out]] = net.inf
     n = len(head)
     flow = 0
     while True:
@@ -231,34 +222,30 @@ def _cut_key(cut: ViolatedCut):
 def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
     """A violated connected subtour set, or None; complete as a verdict.
 
-    On x(E) <= n - 1 the edges with x_e = 1 are contracted by one
-    union-find pass in ascending id order and the edges with x_e = 0
-    dropped.  Exact: growing a violated set across a 1-edge never reduces
-    its violation, and the grown set cannot be V since x(E) <= n - 1, so a
-    violated set exists iff one that is a union of super-nodes does.  A
-    super-node is connected by 1-edges, so its inner weight is at least
-    |S| - 1.  Where it is more (a cycle of 1-edges, or a positive edge
-    inside), the super-node is violated on its own, and the smallest such
-    cut by (slack, node_set) is returned.  Otherwise each union of
-    super-nodes is exactly as violated as on the contracted multigraph,
-    and the sweeps run there; every set they return is closed under
-    1-edges.
-
-    Off the hyperplane (x(E) > n - 1) nothing is contracted.  There a sweep
-    can flag a violation whose cut side is all of V; each such forced
-    vertex is swept again with every other vertex forced out in turn.
-    Super-nodes that touch no positive cross edge are never forced in: a
-    violated union of two or more super-nodes holds a positive cross edge.
+    Takes only points with x(E) <= n - 1, as every point of the relaxation
+    is; ValidationError otherwise.  The edges with x_e = 1 are contracted
+    by one union-find pass in ascending id order and the edges with
+    x_e = 0 dropped.  Exact: growing a violated set across a 1-edge never
+    reduces its violation, and the grown set cannot be V since
+    x(E) <= n - 1, so a violated set exists iff one that is a union of
+    super-nodes does.  A super-node is connected by 1-edges, so its inner
+    weight is at least |S| - 1.  Where it is more (a cycle of 1-edges, or
+    a positive edge inside), the super-node is violated on its own, and the
+    smallest such cut by (slack, node_set) is returned.  Otherwise each
+    union of super-nodes is exactly as violated as on the contracted
+    multigraph, and the sweeps run there; every set they return is closed
+    under 1-edges.  Super-nodes that touch no positive cross edge are never
+    forced in: a violated union of two or more super-nodes holds a
+    positive cross edge.
     """
     _check_point(point, graph)
     n = graph.node_count
+    caps, unit = _scaled_caps(point, graph)
+    if sum(caps.values()) > (n - 1) * unit:
+        raise ValidationError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
         return None
-    caps, unit = _scaled_caps(point, graph)
-    if sum(caps.values()) <= (n - 1) * unit:
-        label = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
-    else:
-        label = graph.contraction_classes([])
+    label = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
     count = max(label.values()) + 1
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, i in label.items():
@@ -280,25 +267,16 @@ def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
     pairs = sorted(cross.items())
     total = sum(cross.values())
     net = _flow_network(count, pairs, unit, total)
-    flagged = []
     for r in sorted({i for pair in cross for i in pair}):
-        value, side = _sweep_min_cut(net, r, None)
+        value, side = _sweep_min_cut(net, r)
         if value >= total:
             continue
+        # the cut side is violated and, as x(E) <= n - 1, not all of V, so
+        # one of its connected parts is violated
         cuts = _candidates(point, graph, groups, pairs, side)
-        if cuts:
-            return min(cuts, key=_cut_key)
-        flagged.append(r)
-    for r in flagged:
-        for q in range(count):
-            if q == r:
-                continue
-            value, side = _sweep_min_cut(net, r, q)
-            if value >= total:
-                continue
-            cuts = _candidates(point, graph, groups, pairs, side)
-            if cuts:
-                return min(cuts, key=_cut_key)
+        if not cuts:
+            raise InternalError(f"sweep from super-node {r} found no violated part")
+        return min(cuts, key=_cut_key)
     return None
 
 
@@ -321,85 +299,51 @@ def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
 # --- matroid rank separation -------------------------------------------
 
 
-def _prefix_cut(order, prefix, j, rank_fn) -> ViolatedCut:
-    elements = tuple(sorted(order[:j]))
-    rhs = rank_fn(j)
-    return ViolatedCut(elements, rhs, rhs - prefix[j], None)
-
-
-def _uniform_scan(point, elements, cap, allow_full):
-    """Best prefix violation for a uniform-style budget: x(top j) <= min(j, cap)."""
+def _best_prefix(point, elements, cap):
+    """One scan of a part under the budget x(top j) <= min(j, cap): its most
+    violated prefix (empty when none is violated), that prefix's rhs, its
+    violation and the weight of the whole part."""
     order = sorted(elements, key=lambda e: (-point[e], e))
-    prefix = [ZERO]
-    for e in order:
-        prefix.append(prefix[-1] + point[e])
-    limit = len(order) if allow_full else len(order) - 1
+    weight = ZERO
     best_j, best_viol = 0, ZERO
-    for j in range(1, limit + 1):
-        viol = prefix[j] - min(j, cap)
+    for j, e in enumerate(order, 1):
+        weight += point[e]
+        viol = weight - min(j, cap)
         if viol > best_viol:
             best_viol, best_j = viol, j
-    return best_j, best_viol, order, prefix
+    return order[:best_j], min(best_j, cap), best_viol, weight
 
 
 def separate_rank(point, matroid) -> ViolatedCut | None:
     """Family-specialized violated rank constraint over proper subsets.
 
-    Uniform and partition scans return the most violated constraint; any
-    other family takes the exhaustive scan.
+    Takes only points with x(ground) <= rank, as every point of the
+    relaxation is; ValidationError otherwise.  A uniform matroid is the one
+    part (ground, r) and a partition matroid keeps its parts.  The most
+    violated constraint is the union of each part's best prefix; it is
+    never the whole ground set, which no such point violates.  Any other
+    family takes the exhaustive scan.
     """
-    family = matroid.family
-    if family == "uniform":
-        m = len(matroid.ground)
-        if m <= 1:
-            return None
-        j, viol, order, prefix = _uniform_scan(point, matroid.ground, matroid.r, allow_full=False)
-        if viol <= 0:
-            return None
-        return _prefix_cut(order, prefix, j, lambda jj: min(jj, matroid.r))
-    if family == "partition":
-        return _separate_partition(point, matroid)
-    return separate_rank_exhaustive(point, matroid)
-
-
-def _separate_partition(point, matroid) -> ViolatedCut | None:
-    per_part = []
-    for elements, cap in matroid.parts:
-        if not elements:
-            continue
-        j, viol, order, prefix = _uniform_scan(point, elements, cap, allow_full=True)
-        per_part.append((j, viol, order, prefix, cap))
-    chosen = [(j if viol > 0 else 0, viol if viol > 0 else ZERO, order, prefix, cap)
-              for j, viol, order, prefix, cap in per_part]
-    total_viol = sum((viol for _, viol, *_ in chosen), ZERO)
-    if total_viol <= 0:
-        return None
-    sizes = [j for j, *_ in chosen]
-    if sum(sizes) == len(matroid.ground):
-        # the union is the whole ground set; the best proper set re-picks
-        # one part at its best strictly-smaller prefix
-        best = None
-        for idx, (j, viol, order, prefix, cap) in enumerate(chosen):
-            alt_j, alt_viol = 0, ZERO
-            for jj in range(1, len(order)):
-                v = prefix[jj] - min(jj, cap)
-                if v > alt_viol:
-                    alt_viol, alt_j = v, jj
-            candidate_total = total_viol - viol + alt_viol
-            if best is None or candidate_total > best[0]:
-                best = (candidate_total, idx, alt_j)
-        total, idx, alt_j = best
-        if total <= 0:
-            return None
-        sizes = list(sizes)
-        sizes[idx] = alt_j
-        total_viol = total
+    if matroid.family == "uniform":
+        parts = [(matroid.ground, matroid.r)]
+    elif matroid.family == "partition":
+        parts = matroid.parts
+    else:
+        return separate_rank_exhaustive(point, matroid)
     elements = []
-    rhs = 0
-    for (j, viol, order, prefix, cap), size in zip(chosen, sizes):
-        elements.extend(order[:size])
-        rhs += min(size, cap)
-    return ViolatedCut(tuple(sorted(elements)), rhs, -total_viol, None)
+    rhs, violation, weight, rank = 0, ZERO, ZERO, 0
+    for part, cap in parts:
+        prefix, part_rhs, part_viol, part_weight = _best_prefix(point, part, cap)
+        elements += prefix
+        rhs += part_rhs
+        violation += part_viol
+        weight += part_weight
+        rank += min(len(part), cap)
+    if weight > rank:
+        raise ValidationError(f"point sums past the rank {rank}")
+    if violation == 0:
+        return None
+    return ViolatedCut(tuple(sorted(elements)), rhs, -violation, None)
 
 
 def separate_rank_exhaustive(point, matroid) -> ViolatedCut | None:

@@ -90,4 +90,4 @@ class MatroidSide:
         return MatroidSide(self.matroid.delete(element))
 
     def complete_min(self, weights: dict[int, int]) -> list[int]:
-        return greedy_min_basis(self.matroid, weights, required_size=self.target_size())
+        return greedy_min_basis(self.matroid, weights)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from rrst.errors import RRSTError
+from rrst.errors import RRSTError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostTriple
 from rrst.matroids import (
@@ -277,6 +277,17 @@ def test_criterion_7_separation_routes_agree():
         if not g.is_connected():
             continue
         point = {e: rng.choice(values) for e in g.edges}
+        total = sum(point.values(), ZERO)
+        if total > n - 1:
+            # the min-cut route takes only points with x(E) <= n - 1, as
+            # the relaxation's are; check it refuses this one, then scale
+            # the point down onto n - 1
+            try:
+                separate_forest(point, g)
+                mismatches.append(trial)
+            except ValidationError:
+                pass
+            point = {e: v * (n - 1) / total for e, v in point.items()}
         fast = separate_forest(point, g)
         slow = separate_forest_exhaustive(point, g)
         pairs_checked += 1

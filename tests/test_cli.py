@@ -196,6 +196,15 @@ def test_verify_invalid_instance_exits_2(tmp_path, flags, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_huge_node_count_without_edges_exits_2(tmp_path, capsys):
+    """A few bytes naming 10**9 nodes and no edges are refused before any
+    per-node structure is allocated."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"nodes": 10**9, "k": 0, "edges": []}))
+    assert run(["solve", "--input", str(inst)]) == 2
+    assert "cannot connect" in capsys.readouterr().err
+
+
 @pytest.fixture
 def solved_k2(tmp_path):
     """A 5-node, k=2 instance and its solution document."""

@@ -87,6 +87,12 @@ def test_disconnected_graph_rejected():
         loads_instance(json.dumps(doc))
 
 
+def test_too_few_edges_rejected_before_the_graph_is_built():
+    doc = {"nodes": 5, "k": 0, "edges": []}
+    with pytest.raises(ValidationError, match="0 edges cannot connect 5 nodes"):
+        loads_instance(json.dumps(doc))
+
+
 def test_single_node_instance_valid():
     inst = loads_instance(json.dumps({"nodes": 1, "k": 0, "edges": []}))
     assert inst.n == 1 and inst.m == 0 and inst.overlap_requirement == 0

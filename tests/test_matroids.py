@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrst.errors import ElementNotInGround, GroundTooLarge, NoBasis, ValidationError
+from rrst.errors import ElementNotInGround, GroundTooLarge, ValidationError
 from rrst.matroids import (
     GenericOracleMatroid,
     GraphicMatroid,
@@ -170,13 +170,6 @@ def test_greedy_matches_enumeration_min_k4(ws):
     greedy = greedy_min_basis(m, weights)
     best_cost = min(sum(weights[e] for e in b) for b in enumerate_bases(m))
     assert sum(weights[e] for e in greedy) == best_cost
-
-
-def test_greedy_required_size():
-    m = UniformMatroid(frozenset(range(4)), 2)
-    w = {e: rat(1) for e in range(4)}
-    with pytest.raises(NoBasis):
-        greedy_min_basis(m, w, required_size=3)
 
 
 def test_partition_overlapping_parts_rejected():

@@ -2,7 +2,11 @@
 
 The min-cut route promises a *verdict-complete* answer: it returns some
 violated, arithmetically correct constraint exactly when one exists.  The
-exhaustive route is the definition-level reference.
+exhaustive route is the definition-level reference.  The fast routes take
+only points that sum to at most n - 1 (forest) or the rank (matroid), as
+every point of the relaxation does; the fuzz tests check that they refuse a
+drawn point above that bound, then compare the routes on the point scaled
+down onto it.
 """
 
 import random
@@ -50,6 +54,19 @@ def test_forest_point_validation():
         separate_forest({0: ONE, 1: ONE}, g)  # missing edge
     with pytest.raises(ValidationError):
         separate_forest({0: ONE, 1: ONE, 2: rat(-1)}, g)
+    with pytest.raises(ValidationError, match="n - 1"):
+        separate_forest({0: ONE, 1: ONE, 2: rat(1, 4)}, g)  # sums past n - 1
+
+
+def within(point, bound, fast, structure):
+    """point itself when it sums to at most bound.  Otherwise, after checking
+    that the fast route refuses it, point scaled down to sum to bound."""
+    total = sum(point.values(), ZERO)
+    if total <= bound:
+        return point
+    with pytest.raises(ValidationError):
+        fast(point, structure)
+    return {e: v * bound / total for e, v in point.items()}
 
 
 def _random_connected_graph(rng, n):
@@ -79,6 +96,7 @@ def test_forest_verdict_matches_exhaustive_fuzz():
         n = rng.randint(3, 6)
         g = _random_connected_graph(rng, n)
         point = {e: rng.choice(VALUES) for e in g.edges}
+        point = within(point, n - 1, separate_forest, g)
         fast = separate_forest(point, g)
         slow = separate_forest_exhaustive(point, g)
         assert (fast is None) == (slow is None), f"trial {trial}: verdicts differ"
@@ -91,13 +109,13 @@ def test_forest_verdict_matches_exhaustive_fuzz():
 
 
 def test_uniform_rank_cut_is_max_violation():
-    m = UniformMatroid(frozenset(range(4)), 2)
-    point = {0: ONE, 1: ONE, 2: rat(3, 4), 3: ZERO}
+    m = UniformMatroid(frozenset(range(5)), 3)
+    point = {0: rat(3, 2), 1: rat(5, 4), 2: rat(1, 4), 3: ZERO, 4: ZERO}
     cut = separate_rank(point, m)
     ref = separate_rank_exhaustive(point, m)
     assert cut is not None and ref is not None
     assert cut.violation == ref.violation == rat(3, 4)
-    assert cut.elements == (0, 1, 2)
+    assert cut.elements == (0, 1)
 
 
 def test_uniform_no_violation():
@@ -116,18 +134,20 @@ def test_partition_rank_cut():
     assert set(cut.elements) <= {0, 1, 2}
 
 
-def _rank_fuzz(make_matroid, scale_to_rank, trials, seed):
+def test_rank_point_above_the_rank_rejected():
+    m = PartitionMatroid([(frozenset({0, 1}), 1), (frozenset({2}), 1)])
+    with pytest.raises(ValidationError, match="rank 2"):
+        separate_rank({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}, m)
+    with pytest.raises(ValidationError, match="rank 2"):
+        separate_rank({e: rat(3, 4) for e in range(3)}, UniformMatroid(frozenset(range(3)), 2))
+
+
+def _rank_fuzz(make_matroid, trials, seed):
     rng = random.Random(seed)
     for trial in range(trials):
         m = make_matroid(rng)
-        ground = sorted(m.ground)
-        point = {e: rng.choice(VALUES) for e in ground}
-        if scale_to_rank:
-            total = sum((point[e] for e in ground), ZERO)
-            r = m.full_rank()
-            if total == 0 or r == 0:
-                continue
-            point = {e: point[e] * r / total for e in ground}
+        point = {e: rng.choice(VALUES) for e in sorted(m.ground)}
+        point = within(point, m.full_rank(), separate_rank, m)
         fast = separate_rank(point, m)
         slow = separate_rank_exhaustive(point, m)
         assert (fast is None) == (slow is None), f"trial {trial}"
@@ -140,7 +160,7 @@ def _rank_fuzz(make_matroid, scale_to_rank, trials, seed):
 def test_uniform_rank_fuzz():
     _rank_fuzz(
         lambda rng: UniformMatroid(frozenset(range(rng.randint(2, 6))), rng.randint(1, 4)),
-        scale_to_rank=False, trials=150, seed=11,
+        trials=150, seed=11,
     )
 
 
@@ -153,7 +173,7 @@ def test_partition_rank_fuzz():
             nxt += size
         return PartitionMatroid(parts)
 
-    _rank_fuzz(make, scale_to_rank=False, trials=150, seed=12)
+    _rank_fuzz(make, trials=150, seed=12)
 
 
 def test_uniform_exact_max_of_violation_fuzz():
@@ -161,6 +181,7 @@ def test_uniform_exact_max_of_violation_fuzz():
     for _ in range(100):
         m = UniformMatroid(frozenset(range(rng.randint(2, 6))), rng.randint(1, 4))
         point = {e: rng.choice(VALUES) for e in sorted(m.ground)}
+        point = within(point, m.full_rank(), separate_rank, m)
         fast = separate_rank(point, m)
         slow = separate_rank_exhaustive(point, m)
         if slow is not None:
@@ -209,8 +230,6 @@ def _case_kinds(g, point):
     components = len(g.components())
     if components > 1 and total == g.node_count - components:
         kinds.add("disconnected, x(E) = n - c")
-    if total > g.node_count - 1:
-        kinds.add("x(E) > n - 1")
     return kinds
 
 
@@ -219,7 +238,9 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
     seen = {}
     for trial in range(600):
         g, point = _near_integral_case(rng)
-        kinds = _case_kinds(g, point)
+        kinds = {"raises"} if sum(point.values(), ZERO) > g.node_count - 1 else set()
+        point = within(point, g.node_count - 1, separate_forest, g)
+        kinds |= _case_kinds(g, point)
         fast = separate_forest(point, g)
         slow = separate_forest_exhaustive(point, g)
         assert (fast is None) == (slow is None), f"trial {trial}: verdicts differ"
@@ -229,12 +250,11 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
             continue
         _check_certificate(fast, point, g)
         _check_certificate(slow, point, g)
-        if "x(E) > n - 1" not in kinds:
-            inside = set(fast.node_set)
-            for e, (u, v) in g.edges.items():
-                if point[e] == 1:
-                    assert (u in inside) == (v in inside), f"trial {trial}: 1-edge {e} leaves the set"
+        inside = set(fast.node_set)
+        for e, (u, v) in g.edges.items():
+            if point[e] == 1:
+                assert (u in inside) == (v in inside), f"trial {trial}: 1-edge {e} leaves the set"
     assert set(seen) == {
         "cycle of 1-edges", "fractional edge inside a super-node", "disconnected, x(E) = n - c",
-        "x(E) > n - 1", "violated", "not violated",
+        "raises", "violated", "not violated",
     }, seen

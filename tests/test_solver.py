@@ -9,12 +9,13 @@ import pytest
 from rrst import solver
 from rrst.config import SolveConfig
 from rrst.errors import InternalError, ValidationError
-from rrst.gen import generate_instance
+from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostTriple, Instance, loads_instance
-from rrst.matroids import GraphicMatroid, MatroidInstance
+from rrst.matroids import GraphicMatroid, MatroidInstance, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force_rrmb, brute_force_rrst
 from rrst.rational import ONE, ZERO, rat
+from rrst.sides import GraphSide, MatroidSide
 from rrst.solver import (
     serialize_solution,
     solution_to_dict,
@@ -157,6 +158,40 @@ def test_separations_agree_with_oracle(separation):
         ref = brute_force_rrst(inst)
         assert sol.total == ref.total, f"seed {seed}"
         assert verify_tree_solution(inst, solution_to_dict(sol)) == []
+
+
+def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
+    """Every point the cut loop separates sums to exactly the selection
+    size, the rank of the side; the fast separation routes rely on it."""
+    off = []
+    calls = {GraphSide: 0, MatroidSide: 0}
+
+    def checked(separate):
+        def wrapper(side, point, separation):
+            calls[type(side)] += 1
+            total = sum(point.values(), ZERO)
+            if total != side.target_size():
+                off.append((side, total))
+            return separate(side, point, separation)
+        return wrapper
+
+    for cls in (GraphSide, MatroidSide):
+        monkeypatch.setattr(cls, "separate", checked(cls.separate))
+    for _, inst in builtin_small_suite():
+        solve_rrst(inst)
+    matroids = [UniformMatroid(frozenset(range(m)), r) for m, r in [(4, 2), (6, 3), (7, 5)]]
+    matroids += [PartitionMatroid([(frozenset(e), c) for e, c in parts]) for parts in [
+        [((0, 1, 2), 1), ((3, 4, 5), 2), ((6, 7), 0)],
+        [((0, 1), 1), ((2, 3), 1), ((4, 5, 6), 3)],
+    ]]
+    rng = random.Random(31)
+    for matroid in matroids:
+        for k in range(matroid.full_rank() + 1):
+            for _ in range(3):
+                costs = {e: CostTriple(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+                         for e in sorted(matroid.ground)}
+                solve_rrmb(MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1))
+    assert min(calls.values()) > 100 and not off, (calls, off[:3])
 
 
 def test_fractional_vertex_raises_internal_error(monkeypatch):
