@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gen import builtin_small_suite, connected_graphs_up_to_iso, generate_instance
 from .instance import (
-    CostTriple,
+    CostColumns,
     Instance,
     instance_from_dict,
     instance_to_dict,
@@ -69,7 +69,7 @@ __all__ = [
     "ValidationError",
     "InfeasibleModel",
     "InternalError",
-    "CostTriple",
+    "CostColumns",
     "Instance",
     "instance_from_dict",
     "instance_to_dict",

@@ -24,7 +24,7 @@ import itertools
 import random
 
 from .errors import ValidationError
-from .instance import CostTriple, Instance
+from .instance import CostColumns, Instance
 from .multigraph import MultiGraph
 
 __all__ = [
@@ -94,10 +94,10 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
                 pairs.add((u, v))
 
     edges = {i: uv for i, uv in enumerate(sorted(pairs))}
-    costs = {
-        i: CostTriple(rng.randint(0, cost_max), rng.randint(0, cost_max), rng.randint(0, cost_max))
+    costs = CostColumns.from_rows({
+        i: (rng.randint(0, cost_max), rng.randint(0, cost_max), rng.randint(0, cost_max))
         for i in sorted(edges)
-    }
+    })
     return Instance(graph=MultiGraph(range(nodes), edges), costs=costs, k=k, scale=1)
 
 
@@ -127,21 +127,18 @@ def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
     return sorted(out, key=lambda es: (len(es), es))
 
 
-def _pattern_costs(pattern: str, m: int, seed_key: str) -> dict[int, CostTriple]:
+def _pattern_costs(pattern: str, m: int, seed_key: str) -> CostColumns:
     if pattern == "unit":
-        return {i: CostTriple(1, 1, 1) for i in range(m)}
+        return CostColumns.from_rows({i: (1, 1, 1) for i in range(m)})
     if pattern == "anti":
         # cheap first stage pairs with expensive second stage and vice versa
-        return {
-            i: CostTriple(i + 1, m - i, i % 2)
-            for i in range(m)
-        }
+        return CostColumns.from_rows({i: (i + 1, m - i, i % 2) for i in range(m)})
     if pattern == "random":
         rng = random.Random(seed_key)
-        return {
-            i: CostTriple(rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
+        return CostColumns.from_rows({
+            i: (rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
             for i in range(m)
-        }
+        })
     raise ValidationError(f"unknown cost pattern {pattern!r}")
 
 
@@ -160,7 +157,7 @@ def builtin_small_suite(max_nodes: int = 5) -> list[tuple[str, Instance]]:
                 for k in range(n):
                     name = f"n{n}-g{gi:02d}-k{k}-{pattern}"
                     inst = Instance(
-                        graph=MultiGraph(range(n), dict(edges)), costs=dict(costs), k=k, scale=1
+                        graph=MultiGraph(range(n), dict(edges)), costs=costs, k=k, scale=1
                     )
                     suite.append((name, inst))
     return suite

@@ -73,8 +73,8 @@ class RelaxationModel:
 def build_relaxation(side, quota: int, costs) -> RelaxationModel:
     """Build the LP over `side` with overlap `quota`, at least 1.
 
-    Every element is overlap-eligible; `costs` maps id -> CostTriple, whose
-    ints are in units of 1/scale of the instance, so the objective and its
+    Every element is overlap-eligible; `costs` is the instance's
+    CostColumns, whose ints are in units of 1/scale of the instance, so the objective and its
     optimum (and the program `lp_dump_dir` writes) are in those units too.
     A quota above the selection size leaves the program infeasible.
     """
@@ -90,9 +90,10 @@ def build_relaxation(side, quota: int, costs) -> RelaxationModel:
     a_vars = {e: lp.add_variable(("a", e)) for e in ids} if own else {}
     b_vars = {e: lp.add_variable(("b", e)) for e in ids}
     c_vars = {e: lp.add_variable(("c", e)) for e in ids} if own else {}
-    objective = {v: costs[e].C for e, v in a_vars.items()}
-    objective.update((v, costs[e].C + costs[e].second) for e, v in b_vars.items())
-    objective.update((v, costs[e].second) for e, v in c_vars.items())
+    C, second = costs.C, costs.second
+    objective = {v: C[e] for e, v in a_vars.items()}
+    objective.update((v, C[e] + second[e]) for e, v in b_vars.items())
+    objective.update((v, second[e]) for e, v in c_vars.items())
     lp.set_objective(objective)
     for block, rhs in ((a_vars, spare), (b_vars, quota), (c_vars, spare)):
         if block:

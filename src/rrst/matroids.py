@@ -27,7 +27,21 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .instance import CostTable, CostTriple, _check_scale, _int_field, _object, parse_json, read_json
+from .instance import (
+    CostColumns,
+    CostTable,
+    _check_cost_ids,
+    _check_scale,
+    _cost_columns,
+    _distinct_ids,
+    _edge_columns,
+    _int_field,
+    _missed_fault,
+    _object,
+    _objects,
+    parse_json,
+    read_json,
+)
 from .multigraph import MultiGraph
 
 ENUMERATION_GROUND_LIMIT = 20
@@ -220,7 +234,8 @@ def greedy_min_basis(matroid: Matroid, weights) -> list[int]:
     The greedy scan over the whole ground set keeps a maximal independent
     set, which is a basis.
     """
-    return sorted(matroid.max_independent(sorted(matroid.ground, key=lambda e: (weights[e], e))))
+    # the sort is stable, so ids break ties among equal weights
+    return sorted(matroid.max_independent(sorted(sorted(matroid.ground), key=weights.__getitem__)))
 
 
 def enumerate_bases(matroid: Matroid) -> list[tuple[int, ...]]:
@@ -241,7 +256,7 @@ def enumerate_bases(matroid: Matroid) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class MatroidInstance:
     matroid: Matroid
-    costs: dict[int, CostTriple]
+    costs: CostColumns
     k: int
     # every cost is an int in units of 1/scale
     scale: int
@@ -251,12 +266,7 @@ class MatroidInstance:
         r = self.matroid.full_rank()
         if not 0 <= self.k <= r:
             raise ValidationError(f"k={self.k} outside 0..{r}")
-        missing = self.matroid.ground - set(self.costs)
-        extra = set(self.costs) - self.matroid.ground
-        if missing or extra:
-            raise ValidationError(
-                f"cost table mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
+        _check_cost_ids(self.costs, self.matroid.ground)
 
     @property
     def overlap_requirement(self) -> int:
@@ -276,19 +286,13 @@ def matroid_from_dict(doc) -> Matroid:
         raw = doc.get("edges")
         if not isinstance(raw, list):
             raise ParseError("graphic matroid: 'edges' must be a list")
-        edges = {}
-        for i, e in enumerate(raw):
-            where = f"edges[{i}]"
-            e = _object(e, where)
-            eid = _int_field(e, "id", where)
-            u = _int_field(e, "u", where)
-            v = _int_field(e, "v", where)
-            if eid in edges:
-                raise ParseError(f"{where}: duplicate edge id {eid}")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ParseError(f"{where}: bad endpoints ({u},{v})")
-            edges[eid] = (u, v)
-        return GraphicMatroid(MultiGraph(range(n), edges))
+        edges = _edge_columns(raw, n)
+        if edges is None:
+            _raise_graphic_edge_fault(raw, n)
+        # an isolated node adds one to both the node count and the number
+        # of components, so no rank changes when the graph holds only the
+        # nodes its edges touch, however large `nodes` is
+        return GraphicMatroid(MultiGraph(itertools.chain.from_iterable(edges.values()), edges))
     if family == "uniform":
         raw = doc.get("elements")
         if not _is_id_list(raw):
@@ -322,6 +326,33 @@ def matroid_from_dict(doc) -> Matroid:
     raise ParseError(f"unknown matroid family {family!r}")
 
 
+def _raise_graphic_edge_fault(raw, n: int):
+    """The per-edge walk: raise the first fault of a graphic edge list."""
+    seen = set()
+    for i, e in enumerate(raw):
+        where = f"edges[{i}]"
+        e = _object(e, where)
+        eid = _int_field(e, "id", where)
+        u = _int_field(e, "u", where)
+        v = _int_field(e, "v", where)
+        if eid in seen:
+            raise ParseError(f"{where}: duplicate edge id {eid}")
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ParseError(f"{where}: bad endpoints ({u},{v})")
+        seen.add(eid)
+    raise _missed_fault("graphic edges")
+
+
+def _raise_cost_fault(raw):
+    """The per-entry walk: raise the first fault of a cost list, by index."""
+    costs = CostTable()
+    for i, entry in enumerate(raw):
+        where = f"costs[{i}]"
+        entry = _object(entry, where)
+        costs.add(_int_field(entry, "id", where), entry, where)
+    raise _missed_fault("costs")
+
+
 def matroid_instance_from_dict(doc) -> MatroidInstance:
     if not isinstance(doc, dict):
         raise ParseError("matroid instance document must be a JSON object")
@@ -330,12 +361,12 @@ def matroid_instance_from_dict(doc) -> MatroidInstance:
     raw = doc.get("costs")
     if not isinstance(raw, list):
         raise ParseError("matroid instance: 'costs' must be a list")
-    costs = CostTable()
-    for i, entry in enumerate(raw):
-        where = f"costs[{i}]"
-        entry = _object(entry, where)
-        costs.add(_int_field(entry, "id", where), entry, where)
-    return MatroidInstance(matroid=matroid, costs=costs.costs(), k=k, scale=costs.scale)
+    ids = _distinct_ids(raw) if _objects(raw) else None
+    read = None if ids is None else _cost_columns(raw, ids)
+    if read is None:
+        _raise_cost_fault(raw)
+    costs, scale = read
+    return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=scale)
 
 
 def load_matroid_instance(path) -> MatroidInstance:

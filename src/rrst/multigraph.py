@@ -12,6 +12,8 @@ min-label roots.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, starmap
+from operator import eq
 
 from .errors import UnknownEdge, ValidationError
 
@@ -25,11 +27,14 @@ class MultiGraph:
         # edges: mapping id -> (u, v); parallel edges fine, self-loops not
         self.nodes = frozenset(nodes)
         self.edges = dict(edges)
-        for eid, (u, v) in self.edges.items():
-            if u == v:
-                raise ValidationError(f"edge {eid} is a self-loop on node {u}")
-            if u not in self.nodes or v not in self.nodes:
-                raise ValidationError(f"edge {eid}=({u},{v}) has an endpoint outside the node set")
+        ends = self.edges.values()
+        # checked over all edges at once; the walk only names the first fault
+        if any(starmap(eq, ends)) or not self.nodes.issuperset(chain.from_iterable(ends)):
+            for eid, (u, v) in self.edges.items():
+                if u == v:
+                    raise ValidationError(f"edge {eid} is a self-loop on node {u}")
+                if u not in self.nodes or v not in self.nodes:
+                    raise ValidationError(f"edge {eid}=({u},{v}) has an endpoint outside the node set")
 
     @property
     def node_count(self) -> int:
@@ -58,7 +63,8 @@ class MultiGraph:
         return adj
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        n = self.node_count
+        return n <= 1 or len(self.spanning_forest(self.edges)) == n - 1
 
     def contract_edge(self, eid: int) -> "MultiGraph":
         """Merge the endpoints of eid; drop eid and any edge that becomes a loop.
@@ -132,8 +138,12 @@ class MultiGraph:
         forest: list[int] = []
         if need <= 0:
             return forest
+        edges = self.edges
         for eid in edge_order:
-            u, v = self.endpoints(eid)
+            try:
+                u, v = edges[eid]
+            except KeyError:
+                raise UnknownEdge(f"no edge with id {eid}") from None
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv

@@ -106,11 +106,9 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
         raise TooManyTrees(
             f"{len(selections)}^2 selection pairs exceed {PAIR_SCAN_LIMIT}"
         )
-    rated = []
-    for sel in selections:
-        first = sum(costs[e].C for e in sel)
-        second = sum(costs[e].second for e in sel)
-        rated.append((sel, frozenset(sel), first, second))
+    first_cost, second_cost = costs.C.__getitem__, costs.second.__getitem__
+    rated = [(sel, frozenset(sel), sum(map(first_cost, sel)), sum(map(second_cost, sel)))
+             for sel in selections]
     if not rated:
         raise NoBasis("no feasible selections exist")
     min_second = min(r[3] for r in rated)
@@ -137,8 +135,8 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
         raise NoBasis("no selection pair meets the overlap requirement")
     total, x_sel, y_sel = best
     z = tuple(sorted(set(x_sel) & set(y_sel))[:overlap_required])
-    first = sum(costs[e].C for e in x_sel)
-    second = sum(costs[e].second for e in y_sel)
+    first = sum(map(first_cost, x_sel))
+    second = sum(map(second_cost, y_sel))
     return BruteResult(x_sel, y_sel, z, rat(first, scale), rat(second, scale), rat(total, scale), scanned)
 
 

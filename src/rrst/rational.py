@@ -31,7 +31,7 @@ ONE = rat(1)
 # past any cost a user means, well inside Python's 4300-digit limit on
 # printing an int, and small enough that 10**exponent is cheap to build
 MAX_DIGITS = 1000
-_DIGIT_LIMIT = 10 ** MAX_DIGITS
+DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
 class ExactnessError(ValueError):
@@ -50,7 +50,7 @@ def parse_exact(value):
     a decimal exponent is checked before it is expanded.
     """
     if type(value) is int:  # a bool is not, and falls through
-        if -_DIGIT_LIMIT < value < _DIGIT_LIMIT:
+        if -DIGIT_LIMIT < value < DIGIT_LIMIT:
             return value
         raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     if isinstance(value, bool):
@@ -85,7 +85,7 @@ def _exponent(text: str) -> int:
 
 
 def _bounded(f: Fraction, value):
-    if abs(f.numerator) >= _DIGIT_LIMIT or f.denominator >= _DIGIT_LIMIT:
+    if abs(f.numerator) >= DIGIT_LIMIT or f.denominator >= DIGIT_LIMIT:
         raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     return f.numerator if f.denominator == 1 else f
 
@@ -98,7 +98,7 @@ def widen_scale(scale: int, value) -> int:
     4300-digit limit on printing an int.
     """
     scale = math.lcm(scale, value.denominator)
-    if scale >= _DIGIT_LIMIT:
+    if scale >= DIGIT_LIMIT:
         raise ExactnessError(f"the common denominator of the costs would have more than {MAX_DIGITS} digits")
     return scale
 

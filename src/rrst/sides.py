@@ -57,8 +57,9 @@ class GraphSide:
         return GraphSide(self.graph.delete_edge(element))
 
     def complete_min(self, weights: dict[int, int]) -> list[int]:
-        """Cheapest completion to a full selection (Kruskal, ids break ties)."""
-        return self.graph.spanning_forest(sorted(self.graph.edges, key=lambda e: (weights[e], e)))
+        """Cheapest completion to a full selection (Kruskal, ids break ties:
+        the sort is stable)."""
+        return self.graph.spanning_forest(sorted(sorted(self.graph.edges), key=weights.__getitem__))
 
 
 class MatroidSide:

@@ -300,7 +300,11 @@ class SimplexSession:
                 values[self.col_ids[b]] = rat(value, den)
         # the cost row's rhs is -den times the objective value
         objective = rat(-self.cost[-1], den)
-        basis = tuple(self.col_ids[b] for b in sorted(self.basis))
+        # built from a list, so the tuple is allocated at its final size:
+        # one built from a generator is resized, and freed into the free
+        # list of its new size, which one call per cut round fills to its
+        # cap until the next full garbage collection
+        basis = tuple([self.col_ids[b] for b in sorted(self.basis)])
         return VertexSolution(values, basis, objective)
 
 

@@ -90,8 +90,8 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
         # no overlap is owed (always so when there is nothing to select),
         # so the stages decouple: complete each one greedily (every stage
         # polytope is integral)
-        X = side.complete_min({e: costs[e].C for e in side.element_ids})
-        Y = side.complete_min({e: costs[e].second for e in side.element_ids})
+        X = side.complete_min(costs.C)
+        Y = side.complete_min(costs.second)
         Z = []
         lp_bound = None
         iterations = rounds = cuts = 0
@@ -112,8 +112,8 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
 
     if len(Z) != overlap_required or not set(Z) <= set(X) & set(Y):
         raise InternalError("overlap set does not meet the requirement inside both selections")
-    first = sum(costs[e].C for e in X)
-    second = sum(costs[e].second for e in Y)
+    first = sum(map(costs.C.__getitem__, X))
+    second = sum(map(costs.second.__getitem__, Y))
     total = rat(first + second, scale)
     # with no relaxation solved, the stages were completed greedily, and
     # with each stage polytope integral and no coupling row active the
@@ -186,8 +186,8 @@ def _check_common(doc, X, Y, Z, costs, scale: int, overlap_required: int) -> lis
     if len(Z) != overlap_required:
         failures.append(f"Z size mismatch: {len(Z)} != {overlap_required}")
     # expected sums stay in scaled units; a claim is scaled up to meet them
-    first = sum(costs[e].C for e in X)
-    second = sum(costs[e].second for e in Y)
+    first = sum(map(costs.C.__getitem__, X))
+    second = sum(map(costs.second.__getitem__, Y))
     for key, expected in (("first_stage", first), ("second_stage", second), ("total", first + second)):
         if key not in doc:
             failures.append(f"missing field {key}")

@@ -16,7 +16,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from rrst import simplex
-from rrst.instance import CostTriple, Instance
+from rrst.instance import CostColumns, Instance
 from rrst.matroids import MatroidInstance, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 
@@ -38,23 +38,19 @@ def _pivot_limit():
 def make_instance(n, pairs, triples, k) -> Instance:
     """Instance from endpoint pairs and (C, c, d) triples, ids 0..m-1."""
     edges = {i: tuple(p) for i, p in enumerate(pairs)}
-    costs = {
-        i: CostTriple(C, c, d) for i, (C, c, d) in enumerate(triples)
-    }
+    costs = CostColumns.from_rows(dict(enumerate(triples)))
     return Instance(graph=MultiGraph(range(n), edges), costs=costs, k=k, scale=1)
 
 
 def make_uniform_instance(m, r, triples, k) -> MatroidInstance:
-    costs = {
-        i: CostTriple(C, c, d) for i, (C, c, d) in enumerate(triples)
-    }
+    costs = CostColumns.from_rows(dict(enumerate(triples)))
     return MatroidInstance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k, scale=1)
 
 
 def make_partition_instance(parts, triples, k) -> MatroidInstance:
     """parts: list of (elements, cap); triples keyed by element id."""
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
-    costs = {e: CostTriple(C, c, d) for e, (C, c, d) in triples.items()}
+    costs = CostColumns.from_rows(triples)
     return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
 
 

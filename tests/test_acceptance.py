@@ -28,7 +28,7 @@ import pytest
 
 from rrst.errors import RRSTError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
-from rrst.instance import CostTriple
+from rrst.instance import CostColumns
 from rrst.matroids import (
     GraphicMatroid,
     MatroidInstance,
@@ -151,13 +151,13 @@ def _matroid_cases():
     for i in range(100):
         matroid = mats[i % len(mats)]
         rng = random.Random(9000 + i)
-        costs = {
-            e: CostTriple(rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12))
+        costs = CostColumns.from_rows({
+            e: (rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12))
             for e in sorted(matroid.ground)
-        }
+        })
         rank = matroid.full_rank()
         for k in range(rank + 1):
-            yield f"draw{i}-{matroid.family}-k{k}", MatroidInstance(matroid=matroid, costs=dict(costs), k=k, scale=1)
+            yield f"draw{i}-{matroid.family}-k{k}", MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
 
 
 def _graphic_matroid_cases():
@@ -321,17 +321,18 @@ def test_criterion_8_analytic_extremes():
         inst0 = generate_instance(n, 0.3, 0, 30, 5000 + i)
         sol0 = solve_rrst(inst0)
         side = GraphSide(inst0.graph)
-        mst_both = side.complete_min({e: t.C + t.second for e, t in inst0.costs.items()})
-        weight_both = sum((inst0.costs[e].C + inst0.costs[e].second for e in mst_both), ZERO)
+        both = {e: C + inst0.costs.second[e] for e, C in inst0.costs.C.items()}
+        mst_both = side.complete_min(both)
+        weight_both = sum((both[e] for e in mst_both), ZERO)
         if not (sol0.total == weight_both and sol0.X == sol0.Y and sol0.Z == sol0.X):
             failures.append(f"k=0 seed {5000 + i}")
 
         instf = generate_instance(n, 0.3, n - 1, 30, 5000 + i)
         solf = solve_rrst(instf)
-        mst_first = side.complete_min({e: t.C for e, t in instf.costs.items()})
-        mst_second = side.complete_min({e: t.second for e, t in instf.costs.items()})
-        w1 = sum((instf.costs[e].C for e in mst_first), ZERO)
-        w2 = sum((instf.costs[e].second for e in mst_second), ZERO)
+        mst_first = side.complete_min(instf.costs.C)
+        mst_second = side.complete_min(instf.costs.second)
+        w1 = sum((instf.costs.C[e] for e in mst_first), ZERO)
+        w2 = sum((instf.costs.second[e] for e in mst_second), ZERO)
         if not (solf.first_stage == w1 and solf.second_stage == w2 and solf.Z == ()):
             failures.append(f"k=n-1 seed {5000 + i}")
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ import pytest
 from rrst import cli, lpmodel, solver
 from rrst.errors import ParseError, ValidationError
 from rrst.gen import generate_instance
-from rrst.instance import CostTriple, Instance, instance_to_dict, loads_instance
+from rrst.instance import CostColumns, Instance, instance_to_dict, loads_instance
 from rrst.matroids import GraphicMatroid, MatroidInstance, loads_matroid_instance
 from rrst.oracle import brute_force_rrmb, brute_force_rrst
 from rrst.rational import MAX_DIGITS, parse_exact, rat
@@ -165,7 +165,8 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
     minst = loads_matroid_instance(json.dumps(INT_MATROID_DOC))
     generated = generate_instance(6, 0.5, 5, 9, 1)
     for costs in (tree.costs, minst.costs, generated.costs):
-        assert all(type(v) is int for t in costs.values() for v in (t.C, t.c, t.d))
+        assert all(type(v) is int for column in (costs.C, costs.c, costs.d, costs.second)
+                   for v in column.values())
     assert tree.scale == minst.scale == generated.scale == 1
 
     solve_rrst(tree)
@@ -202,7 +203,7 @@ def test_a_cost_id_given_twice_is_a_parse_error():
 
 def test_fraction_costs_are_rejected_at_construction():
     with pytest.raises(ValidationError, match="ints"):
-        CostTriple(rat(1), 0, 0)
+        CostColumns.from_rows({0: (rat(1), 0, 0)})
 
 
 def test_an_instance_scale_past_the_digit_bound_exits_2(tmp_path, capsys):

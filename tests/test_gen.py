@@ -35,15 +35,15 @@ def test_instances_are_valid_and_costs_bounded():
         inst = generate_instance(6, 0.5, seed % 6, 9, seed)
         assert inst.graph.is_connected()
         assert inst.n == 6
-        for t in inst.costs.values():
-            for v in (t.C, t.c, t.d):
+        for column in (inst.costs.C, inst.costs.c, inst.costs.d):
+            for v in column.values():
                 assert rat(0) <= v <= rat(9)
                 assert v.denominator == 1
 
 
 def test_zero_cost_max():
     inst = generate_instance(4, 0.5, 0, 0, 1)
-    assert all(t.C == 0 and t.c == 0 and t.d == 0 for t in inst.costs.values())
+    assert all(v == 0 for column in (inst.costs.C, inst.costs.c, inst.costs.d) for v in column.values())
 
 
 def test_single_node():
@@ -94,10 +94,10 @@ def test_builtin_suite_shape():
 def test_builtin_suite_patterns():
     suite = dict(builtin_small_suite())
     unit = suite["n4-g00-k0-unit"]
-    assert all(t.C == 1 and t.c == 1 and t.d == 1 for t in unit.costs.values())
+    assert all(v == 1 for column in (unit.costs.C, unit.costs.c, unit.costs.d) for v in column.values())
     anti = suite["n4-g00-k0-anti"]
-    cs = [anti.costs[e].C for e in sorted(anti.costs)]
-    seconds = [anti.costs[e].second for e in sorted(anti.costs)]
+    cs = [anti.costs.C[e] for e in sorted(anti.costs.C)]
+    seconds = [anti.costs.second[e] for e in sorted(anti.costs.second)]
     assert cs == sorted(cs)  # first stage rises while second stage falls
     assert all(a >= b for a, b in zip(seconds, seconds[1:]))
 

@@ -6,7 +6,7 @@ import pytest
 
 from rrst.errors import ParseError, ValidationError
 from rrst.instance import (
-    CostTriple,
+    CostColumns,
     Instance,
     instance_to_dict,
     loads_instance,
@@ -29,9 +29,9 @@ def test_parse_round_trip():
     assert inst.n == 3 and inst.m == 3 and inst.k == 1
     # costs are ints over the LCM of their denominators: 3, 5/2, 1/2 over 2
     assert inst.scale == 2
-    assert inst.costs[0] == CostTriple(6, 5, 1)
-    assert inst.costs[1] == CostTriple(2, 2, 0)
-    assert inst.costs[0].second == 6
+    assert (inst.costs.C[0], inst.costs.c[0], inst.costs.d[0]) == (6, 5, 1)
+    assert (inst.costs.C[1], inst.costs.c[1], inst.costs.d[1]) == (2, 2, 0)
+    assert inst.costs.second[0] == 6
     assert inst.overlap_requirement == 1
     again = loads_instance(serialize_instance(inst))
     assert serialize_instance(again) == serialize_instance(inst)
@@ -99,8 +99,20 @@ def test_single_node_instance_valid():
 
 
 def test_negative_costs_rejected_at_construction():
-    with pytest.raises(ValidationError):
-        CostTriple(-1, 0, 0)
+    with pytest.raises(ValidationError, match=r"costs must be non-negative ints .*: C\[0\] is -1"):
+        CostColumns.from_rows({0: (-1, 0, 0)})
+
+
+@pytest.mark.parametrize("rows,shown", [({0: (1, 1, 1), 1: (0, True, 0)}, r"c\[1\] is True"),
+                                        ({0: (1, 1, 1), 1: (0, 0, "2")}, r"d\[1\] is '2'")])
+def test_non_int_costs_rejected_at_construction(rows, shown):
+    with pytest.raises(ValidationError, match=r"costs must be non-negative ints .*: " + shown):
+        CostColumns.from_rows(rows)
+
+
+def test_cost_columns_must_name_the_same_elements():
+    with pytest.raises(ValidationError, match="different elements"):
+        CostColumns({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1})
 
 
 def test_invalid_json_is_parse_error():

@@ -5,7 +5,7 @@ import pytest
 from rrst.config import SolveConfig
 from rrst.errors import InfeasibleModel, InternalError, IterationLimit
 from rrst.gen import generate_instance
-from rrst.instance import CostTriple
+from rrst.instance import CostColumns
 from rrst import lpmodel
 from rrst.lpmodel import build_relaxation, cutting_plane_solve
 from rrst.multigraph import MultiGraph
@@ -15,11 +15,11 @@ from rrst.sides import GraphSide, MatroidSide
 from rrst.matroids import UniformMatroid
 
 K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
-UNIT = {e: CostTriple(1, 1, 0) for e in range(3)}
+UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})
 
 
 def test_full_model_shape():
-    costs = {e: CostTriple(1, 2, 1) for e in range(3)}
+    costs = CostColumns.from_rows({e: (1, 2, 1) for e in range(3)})
     model = build_relaxation(GraphSide(K3), quota=1, costs=costs)
     assert model.reduced is None
     # 3m columns in declaration order: a (first stage only), b (overlap),
@@ -35,7 +35,7 @@ def test_full_model_shape():
 
 
 def test_merged_model_when_everything_is_shared():
-    costs = {e: CostTriple(e, 2, 1) for e in range(3)}
+    costs = CostColumns.from_rows({e: (e, 2, 1) for e in range(3)})
     model = build_relaxation(GraphSide(K3), quota=2, costs=costs)
     assert model.reduced == "merged"
     # m columns in id order, the b block alone, under one row 1ᵀb = q
@@ -46,7 +46,7 @@ def test_merged_model_when_everything_is_shared():
 
 def test_merged_model_for_uniform_matroid_at_k0():
     m = UniformMatroid(frozenset(range(5)), 3)
-    costs = {e: CostTriple(e, 4 - e, 0) for e in range(5)}
+    costs = CostColumns.from_rows({e: (e, 4 - e, 0) for e in range(5)})
     model = build_relaxation(MatroidSide(m), quota=3, costs=costs)
     assert model.reduced == "merged"
     result = cutting_plane_solve(model, SolveConfig())
@@ -124,7 +124,7 @@ def test_lp_dump_written(tmp_path):
 
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
-    costs = {e: CostTriple(e, 3 - e, 0) for e in range(4)}
+    costs = CostColumns.from_rows({e: (e, 3 - e, 0) for e in range(4)})
     model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
     assert model.reduced is None  # quota below the rank: the a/b/c model
     result = cutting_plane_solve(model, SolveConfig())

@@ -123,7 +123,7 @@ def test_brute_force_uniform_matches_direct_scan():
         for Y in itertools.combinations(range(5), 2):
             if len(set(X) & set(Y)) < 1:
                 continue
-            tot = sum(mi.costs[e].C for e in X) + sum(mi.costs[e].second for e in Y)
+            tot = sum(mi.costs.C[e] for e in X) + sum(mi.costs.second[e] for e in Y)
             key = (tot, X, Y)
             if best is None or key < best:
                 best = key

@@ -10,8 +10,14 @@ from rrst import solver
 from rrst.config import SolveConfig
 from rrst.errors import InternalError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
-from rrst.instance import CostTriple, Instance, loads_instance
-from rrst.matroids import GraphicMatroid, MatroidInstance, PartitionMatroid, UniformMatroid
+from rrst.instance import CostColumns, Instance, loads_instance
+from rrst.matroids import (
+    GraphicMatroid,
+    MatroidInstance,
+    PartitionMatroid,
+    UniformMatroid,
+    loads_matroid_instance,
+)
 from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force_rrmb, brute_force_rrst
 from rrst.rational import ONE, ZERO, rat
@@ -140,13 +146,50 @@ def test_graphic_matroid_forests_match_oracle():
         seen["disconnected"] += not graph.is_connected()
         seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
         seen["loops"] += bool(matroid.loops)
-        costs = {e: CostTriple(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
-                 for e in sorted(matroid.ground)}
+        costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+                                       for e in sorted(matroid.ground)})
         mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
         sol = solve_rrmb(mi)
         assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
         assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
     assert all(seen.values()), seen
+
+
+def test_graphic_document_naming_a_huge_node_count_solves_on_its_edges():
+    """A graphic matroid is built on the nodes its edges touch: an isolated
+    node adds one to both the node count and the number of components, so
+    10**9 nodes with 3 edges solve at once, as with 4 nodes."""
+    def doc(nodes):
+        return json.dumps({"family": "graphic", "nodes": nodes, "k": 1,
+                           "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 1, "v": 2},
+                                     {"id": 2, "u": 0, "v": 2}],
+                           "costs": [{"id": 0, "C": 1, "c": 4, "d": 0}, {"id": 1, "C": 5, "c": 0, "d": 1},
+                                     {"id": 2, "C": 3, "c": 2, "d": 2}]})
+
+    huge, small = loads_matroid_instance(doc(10**9)), loads_matroid_instance(doc(4))
+    assert huge.matroid.graph.node_count == small.matroid.graph.node_count == 3
+    assert huge.matroid.full_rank() == small.matroid.full_rank() == 2
+    sol = solve_rrmb(huge)
+    assert serialize_solution(sol) == serialize_solution(solve_rrmb(small))
+    assert sol.X != sol.Y and sol.total == brute_force_rrmb(huge).total
+    assert verify_basis_solution(huge, solution_to_dict(sol)) == []
+
+
+def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
+    """Greedy completion breaks weight ties by id, even when the document
+    lists the edges in descending id order: the sort by weight is stable
+    over the sorted ids."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = [{"id": e, "u": u, "v": v, "C": 2, "c": 1, "d": 1} for e, (u, v) in enumerate(pairs)]
+    inst = loads_instance(json.dumps({"nodes": 4, "k": 3, "edges": edges[::-1]}))
+    assert list(inst.graph.edges) == list(inst.costs.C) == [5, 4, 3, 2, 1, 0]
+    assert GraphSide(inst.graph).complete_min(inst.costs.C) == [0, 1, 2]
+    sol = solve_rrst(inst)
+    assert sol.X == sol.Y == (0, 1, 2)
+    ground = frozenset(range(32, -1, -4))
+    assert list(ground) != sorted(ground)
+    weights = dict.fromkeys(sorted(ground, reverse=True), 7)
+    assert MatroidSide(UniformMatroid(ground, 3)).complete_min(weights) == [0, 4, 8]
 
 
 @pytest.mark.parametrize("separation", ["mincut", "exhaustive"])
@@ -188,8 +231,8 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
     for matroid in matroids:
         for k in range(matroid.full_rank() + 1):
             for _ in range(3):
-                costs = {e: CostTriple(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
-                         for e in sorted(matroid.ground)}
+                costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+                                               for e in sorted(matroid.ground)})
                 solve_rrmb(MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1))
     assert min(calls.values()) > 100 and not off, (calls, off[:3])
 
