@@ -52,13 +52,14 @@ class RelaxationModel:
         return None if self.a_vars else "merged"
 
     def stage_point(self, values, stage: str) -> dict:
-        """The point of stage "x" (a + b) or "y" (b + c) at LP `values`."""
+        """The point of stage "x" (a + b) or "y" (b + c) at LP `values`,
+        over the same denominator as `values`."""
         point = {e: values[v] for e, v in self.b_vars.items()}
         # a vertex is mostly zeros: add only the nonzero own coordinates
         for e, v in (self.a_vars if stage == "x" else self.c_vars).items():
             value = values[v]
             if value:
-                point[e] = point[e] + value if point[e] else value
+                point[e] += value
         return point
 
     def stage_row(self, elements, stage: str) -> dict:
@@ -113,7 +114,9 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
 
     Each round separates the current vertex on both stages; violated rows
     are appended to the warm tableau and repaired with the dual simplex.
-    Returns once no violated row exists.
+    Returns once no violated row exists.  The stage points stay int
+    numerators over the tableau's denominator, which separation takes as
+    its unit.
     """
     session = SimplexSession(model.lp)
     side = model.side
@@ -123,6 +126,7 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         if session.status == INFEASIBLE:
             raise InfeasibleModel("relaxation is infeasible")
         solution = session.result()
+        den = solution.den
         points = {"x": model.stage_point(solution.values, "x")}
         if not model.reduced:
             points["y"] = model.stage_point(solution.values, "y")
@@ -130,13 +134,13 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         # is violated on the other stage, no need to sweep it again
         mirrored = points["x"] == points.get("y")
         pending = []  # (stage, cut)
-        cut = side.separate(points["x"], config.separation)
+        cut = side.separate(points["x"], den, config.separation)
         if cut is not None:
             pending.append(("x", cut))
             if mirrored:
                 pending.append(("y", cut))
         if "y" in points and not mirrored:
-            cut = side.separate(points["y"], config.separation)
+            cut = side.separate(points["y"], den, config.separation)
             if cut is not None:
                 pending.append(("y", cut))
         if not pending:
@@ -145,7 +149,7 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         if rounds > _ROUND_LIMIT:
             raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
         for stage, cut in pending:
-            if sum(points[stage][e] for e in cut.elements) <= cut.rhs:
+            if sum(map(points[stage].__getitem__, cut.elements)) <= cut.rhs * den:
                 raise InternalError("separation produced a row the vertex already satisfies")
         session.add_cuts([(model.stage_row(cut.elements, stage), cut.rhs) for stage, cut in pending])
         cuts_added += len(pending)

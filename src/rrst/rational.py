@@ -3,13 +3,15 @@
 Every value in this package is exact.  Costs are Python ints over one
 positive denominator per instance, its ``scale``: the LCM of the
 denominators of all its costs, 1 whenever every cost is a whole number.
-Sorting, summing and comparing costs thus never builds a Fraction.  LP
-points and the values printed in documents are ``fractions.Fraction``,
-reduced to lowest terms with a positive denominator; a total is printed
-as ``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat``
-builds one.  Linear programs are integer, and the simplex tableau holds
-integers over one common denominator (see simplex.py); only the vertices
-it hands back are Fractions.
+Sorting, summing and comparing costs thus never builds a Fraction.  The
+values printed in documents are ``fractions.Fraction``, reduced to lowest
+terms with a positive denominator; a total is printed as
+``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat`` builds
+one.  Linear programs are integer, and the simplex tableau holds integers
+over one common denominator (see simplex.py).  LP points stay in that form,
+int numerators over the tableau's denominator, through separation and the
+solver's reading of the vertex; a cut's slack is the one Fraction built on
+the way.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Separation oracles for the lazily-generated constraint families.
 
+Every route takes a point as int numerators over one positive `unit`: the
+cut loop passes the LP vertex as the tableau holds it, over its
+denominator, so no Fraction is built until the returned cut's slack.
+
 Forest side: given a fractional point on the edges of a multigraph, find a
 node set U (2 <= |U| < n) whose induced edges carry more weight than
 |U| - 1, i.e. a violated subtree-packing constraint.  The point is first
@@ -15,7 +19,10 @@ search runs one exact max-flow per forced super-node on the network
     pair-node -> both ends      capacity infinity
     super-node -> sink          capacity 1   (0 for the forced super-node)
 
-built once per call over integer ids.  A violated set containing the
+built once per call, with the point's numerators as capacities and `unit`
+standing for 1.  Scaling every capacity by one positive factor leaves the
+minimal source side of every min cut unchanged, so the cut does not
+depend on the unit the point comes in.  A violated set containing the
 forced super-node exists iff the min cut is below the cross weight.  The
 extracted cut side is split into connected parts, mapped back to original
 nodes and each part checked exactly, which sharpens certificates to
@@ -34,11 +41,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import GroundTooLarge, InternalError, ValidationError
 from .multigraph import MultiGraph
-from .rational import ZERO, Rat
+from .rational import Rat, rat
 
 EXHAUSTIVE_NODE_LIMIT = 20
 
@@ -47,8 +53,9 @@ EXHAUSTIVE_NODE_LIMIT = 20
 class ViolatedCut:
     """One violated constraint: sum of point over `elements` exceeds rhs.
 
-    slack = rhs - point(elements) is strictly negative.  For forest cuts
-    node_set records the witnessing vertex set.
+    slack = rhs - point(elements) is strictly negative and exact, in the
+    point's true values (numerators over unit).  For forest cuts node_set
+    records the witnessing vertex set.
     """
 
     elements: tuple[int, ...]
@@ -65,40 +72,34 @@ class ViolatedCut:
 
 
 def _check_point(point, graph):
-    missing = set(graph.edges) - set(point)
-    if missing:
-        raise ValidationError(f"point missing edges {sorted(missing)}")
-    for eid in graph.edges:
-        if point[eid].numerator < 0:
-            raise ValidationError(f"point[{eid}]={point[eid]} is negative")
+    if point.keys() != graph.edges.keys():
+        missing = graph.edges.keys() - point.keys()
+        if missing:
+            raise ValidationError(f"point missing edges {sorted(missing)}")
+        extra = point.keys() - graph.edges.keys()
+        raise ValidationError(f"point names edges outside the graph {sorted(extra)}")
+    if min(point.values(), default=0) < 0:
+        eid = next(e for e in graph.edges if point[e] < 0)
+        raise ValidationError(f"point[{eid}]={point[eid]} is negative")
 
 
-def _forest_cut_for(point, graph, nodes) -> ViolatedCut | None:
-    """Exact check of one candidate node set; None unless it is violated."""
+def _forest_candidate(point, unit, graph, nodes):
+    """Exact check of one candidate node set: (slack * unit, sorted nodes,
+    induced edges) when it is violated, else None.  Candidates rank by
+    their first two entries, as their cuts do by (slack, node_set)."""
     n = graph.node_count
     if not 2 <= len(nodes) < n:
         return None
     edges = graph.edges_within(nodes)
-    weight = ZERO
-    for eid in edges:
-        weight += point[eid]
-    rhs = len(nodes) - 1
-    slack = rhs - weight
+    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, edges))
     if slack >= 0:
         return None
-    return ViolatedCut(tuple(edges), rhs, slack, tuple(sorted(nodes)))
+    return slack, tuple(sorted(nodes)), edges
 
 
-def _scaled_caps(point, graph) -> tuple[dict[int, int], int]:
-    """Clear point denominators: integer capacities of the positive edges,
-    in ascending id order, and the scale `unit` that stands for 1."""
-    positive = []
-    for eid in sorted(graph.edges):
-        v = point[eid]
-        if v.numerator > 0:
-            positive.append((eid, v.numerator, v.denominator))
-    unit = lcm(*(den for _, _, den in positive))
-    return {eid: num * (unit // den) for eid, num, den in positive}, unit
+def _forest_cut(candidate, unit) -> ViolatedCut:
+    slack, node_set, edges = candidate
+    return ViolatedCut(tuple(edges), len(node_set) - 1, rat(slack, unit), node_set)
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def _sweep_min_cut(net: _FlowNetwork, forced_in):
     return flow, [i for i in range(net.count) if reach[2 + i]]
 
 
-def _candidates(point, graph, groups, pairs, side) -> list[ViolatedCut]:
+def _candidates(point, unit, graph, groups, pairs, side) -> list[tuple]:
     """Split a cut side into its connected parts over the cross pairs, map
     each part back to original nodes and check it exactly."""
     inside = set(side)
@@ -209,38 +210,33 @@ def _candidates(point, graph, groups, pairs, side) -> list[ViolatedCut]:
                                 if pair[0] in inside and pair[1] in inside})
     found = []
     for part in induced.components():
-        cut = _forest_cut_for(point, graph, [v for i in part for v in groups[i]])
-        if cut is not None:
-            found.append(cut)
+        candidate = _forest_candidate(point, unit, graph, [v for i in part for v in groups[i]])
+        if candidate is not None:
+            found.append(candidate)
     return found
 
 
-def _cut_key(cut: ViolatedCut):
-    return cut.slack, cut.node_set
-
-
-def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
+def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     """A violated connected subtour set, or None; complete as a verdict.
 
     Takes only points with x(E) <= n - 1, as every point of the relaxation
     is; ValidationError otherwise.  The edges with x_e = 1 are contracted
-    by one union-find pass in ascending id order and the edges with
-    x_e = 0 dropped.  Exact: growing a violated set across a 1-edge never
-    reduces its violation, and the grown set cannot be V since
-    x(E) <= n - 1, so a violated set exists iff one that is a union of
-    super-nodes does.  A super-node is connected by 1-edges, so its inner
-    weight is at least |S| - 1.  Where it is more (a cycle of 1-edges, or
-    a positive edge inside), the super-node is violated on its own, and the
-    smallest such cut by (slack, node_set) is returned.  Otherwise each
-    union of super-nodes is exactly as violated as on the contracted
-    multigraph, and the sweeps run there; every set they return is closed
-    under 1-edges.  Super-nodes that touch no positive cross edge are never
-    forced in: a violated union of two or more super-nodes holds a
-    positive cross edge.
+    by one union-find pass and the edges with x_e = 0 dropped.  Exact:
+    growing a violated set across a 1-edge never reduces its violation,
+    and the grown set cannot be V since x(E) <= n - 1, so a violated set
+    exists iff one that is a union of super-nodes does.  A super-node is
+    connected by 1-edges, so its inner weight is at least |S| - 1.  Where
+    it is more (a cycle of 1-edges, or a positive edge inside), the
+    super-node is violated on its own, and the smallest such cut by
+    (slack, node_set) is returned.  Otherwise each union of super-nodes is
+    exactly as violated as on the contracted multigraph, and the sweeps run
+    there; every set they return is closed under 1-edges.  Super-nodes
+    that touch no positive cross edge are never forced in: a violated
+    union of two or more super-nodes holds a positive cross edge.
     """
     _check_point(point, graph)
     n = graph.node_count
-    caps, unit = _scaled_caps(point, graph)
+    caps = {eid: v for eid, v in point.items() if v > 0}
     if sum(caps.values()) > (n - 1) * unit:
         raise ValidationError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
@@ -260,10 +256,10 @@ def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
         else:
             pair = (a, b) if a < b else (b, a)
             cross[pair] = cross.get(pair, 0) + c
-    heavy = [_forest_cut_for(point, graph, groups[i])
+    heavy = [_forest_candidate(point, unit, graph, groups[i])
              for i in range(count) if inner[i] > (len(groups[i]) - 1) * unit]
     if heavy:
-        return min(heavy, key=_cut_key)
+        return _forest_cut(min(heavy), unit)
     pairs = sorted(cross.items())
     total = sum(cross.values())
     net = _flow_network(count, pairs, unit, total)
@@ -273,14 +269,14 @@ def separate_forest(point, graph: MultiGraph) -> ViolatedCut | None:
             continue
         # the cut side is violated and, as x(E) <= n - 1, not all of V, so
         # one of its connected parts is violated
-        cuts = _candidates(point, graph, groups, pairs, side)
-        if not cuts:
+        found = _candidates(point, unit, graph, groups, pairs, side)
+        if not found:
             raise InternalError(f"sweep from super-node {r} found no violated part")
-        return min(cuts, key=_cut_key)
+        return _forest_cut(min(found), unit)
     return None
 
 
-def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
+def separate_forest_exhaustive(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     """Reference route: check every node subset with 2 <= |U| < n."""
     _check_point(point, graph)
     n = graph.node_count
@@ -290,31 +286,32 @@ def separate_forest_exhaustive(point, graph: MultiGraph) -> ViolatedCut | None:
     nodes = sorted(graph.nodes)
     for size in range(2, n):
         for combo in itertools.combinations(nodes, size):
-            cut = _forest_cut_for(point, graph, combo)
-            if cut is not None and (best is None or _cut_key(cut) < _cut_key(best)):
-                best = cut
-    return best
+            candidate = _forest_candidate(point, unit, graph, combo)
+            if candidate is not None and (best is None or candidate < best):
+                best = candidate
+    return None if best is None else _forest_cut(best, unit)
 
 
 # --- matroid rank separation -------------------------------------------
 
 
-def _best_prefix(point, elements, cap):
+def _best_prefix(point, unit, elements, cap):
     """One scan of a part under the budget x(top j) <= min(j, cap): its most
     violated prefix (empty when none is violated), that prefix's rhs, its
-    violation and the weight of the whole part."""
-    order = sorted(elements, key=lambda e: (-point[e], e))
-    weight = ZERO
-    best_j, best_viol = 0, ZERO
+    violation and the weight of the whole part, both times unit."""
+    # stable: descending value, ascending id among equal values
+    order = sorted(sorted(elements), key=point.__getitem__, reverse=True)
+    weight = 0
+    best_j, best_viol = 0, 0
     for j, e in enumerate(order, 1):
         weight += point[e]
-        viol = weight - min(j, cap)
+        viol = weight - min(j, cap) * unit
         if viol > best_viol:
             best_viol, best_j = viol, j
     return order[:best_j], min(best_j, cap), best_viol, weight
 
 
-def separate_rank(point, matroid) -> ViolatedCut | None:
+def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
     """Family-specialized violated rank constraint over proper subsets.
 
     Takes only points with x(ground) <= rank, as every point of the
@@ -329,36 +326,36 @@ def separate_rank(point, matroid) -> ViolatedCut | None:
     elif matroid.family == "partition":
         parts = matroid.parts
     else:
-        return separate_rank_exhaustive(point, matroid)
+        return separate_rank_exhaustive(point, unit, matroid)
     elements = []
-    rhs, violation, weight, rank = 0, ZERO, ZERO, 0
+    rhs, violation, weight, rank = 0, 0, 0, 0
     for part, cap in parts:
-        prefix, part_rhs, part_viol, part_weight = _best_prefix(point, part, cap)
+        prefix, part_rhs, part_viol, part_weight = _best_prefix(point, unit, part, cap)
         elements += prefix
         rhs += part_rhs
         violation += part_viol
         weight += part_weight
         rank += min(len(part), cap)
-    if weight > rank:
+    if weight > rank * unit:
         raise ValidationError(f"point sums past the rank {rank}")
     if violation == 0:
         return None
-    return ViolatedCut(tuple(sorted(elements)), rhs, -violation, None)
+    return ViolatedCut(tuple(sorted(elements)), rhs, rat(-violation, unit), None)
 
 
-def separate_rank_exhaustive(point, matroid) -> ViolatedCut | None:
+def separate_rank_exhaustive(point, unit: int, matroid) -> ViolatedCut | None:
     """Reference route: every proper nonempty subset against greedy rank."""
     ground = sorted(matroid.ground)
     if len(ground) > EXHAUSTIVE_NODE_LIMIT:
         raise GroundTooLarge(f"{len(ground)} elements exceeds the exhaustive scan limit")
-    best = None
+    best = None  # (slack * unit, elements, rhs)
     for size in range(1, len(ground)):
         for combo in itertools.combinations(ground, size):
-            weight = ZERO
-            for e in combo:
-                weight += point[e]
             rhs = matroid.rank(frozenset(combo))
-            slack = rhs - weight
-            if slack < 0 and (best is None or (slack, combo) < (best.slack, best.elements)):
-                best = ViolatedCut(tuple(combo), rhs, slack, None)
-    return best
+            slack = rhs * unit - sum(map(point.__getitem__, combo))
+            if slack < 0 and (best is None or (slack, combo) < best[:2]):
+                best = slack, combo, rhs
+    if best is None:
+        return None
+    slack, combo, rhs = best
+    return ViolatedCut(combo, rhs, rat(slack, unit), None)

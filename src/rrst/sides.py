@@ -3,9 +3,10 @@
 Both stages select over the same structure, one side object: a multigraph
 whose selections are spanning forests, or a matroid whose selections are
 bases.  A side answers separation queries against fractional points and
-completes a selection greedily.  `fix` and `remove` give the minor that
-commits or discards one element; the solver reads its answer off a single
-LP vertex and shrinks no side.
+completes a selection greedily.  A point is a dict of int numerators over
+one positive `unit`, the LP tableau's denominator.  `fix` and `remove`
+give the minor that commits or discards one element; the solver reads its
+answer off a single LP vertex and shrinks no side.
 
 Spanning forests are the bases of the graphic matroid, so the graph side
 serves both spanning trees and graphic matroids; a spanning forest of a
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from .matroids import Matroid, greedy_min_basis
 from .multigraph import MultiGraph
-from .rational import Rat
 from .separation import (
     ViolatedCut,
     separate_forest,
@@ -46,9 +46,9 @@ class GraphSide:
         """Number of elements a selection holds."""
         return len(self.graph.spanning_forest(self.graph.edges))
 
-    def separate(self, point: dict[int, Rat], separation: str) -> ViolatedCut | None:
+    def separate(self, point: dict[int, int], unit: int, separation: str) -> ViolatedCut | None:
         finder = separate_forest_exhaustive if separation == "exhaustive" else separate_forest
-        return finder(point, self.graph)
+        return finder(point, unit, self.graph)
 
     def fix(self, element: int) -> "GraphSide":
         return GraphSide(self.graph.contract_edge(element))
@@ -80,9 +80,9 @@ class MatroidSide:
     def target_size(self) -> int:
         return self.matroid.full_rank()
 
-    def separate(self, point: dict[int, Rat], separation: str) -> ViolatedCut | None:
+    def separate(self, point: dict[int, int], unit: int, separation: str) -> ViolatedCut | None:
         finder = separate_rank_exhaustive if separation == "exhaustive" else separate_rank
-        return finder(point, self.matroid)
+        return finder(point, unit, self.matroid)
 
     def fix(self, element: int) -> "MatroidSide":
         return MatroidSide(self.matroid.contract(element))

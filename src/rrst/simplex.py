@@ -7,7 +7,8 @@ package builds is a 0/+-1 combination with an integer right-hand side and
 every cost is an int, so programs are integer by construction and
 LinearProgram rejects anything else.  The tableau holds Python ints over
 one common denominator and pivots by exact integer division, with no gcd
-(see SimplexSession); vertices come back as rationals (``Rat``).
+(see SimplexSession), and a vertex comes back the same way: int
+numerators over that denominator, with no Fraction built.
 
 SimplexSession starts at the closed-form optimum of a block program (one
 cardinality row per block of columns) and keeps the optimal tableau
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IterationLimit, MalformedProgram
-from .rational import ZERO, Rat, rat
 
 LE = "<="
 EQ = "=="
@@ -85,12 +85,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class VertexSolution:
-    """A basic optimal solution: values, the basis that certifies it is a
-    vertex, and the exact objective value."""
+    """A basic optimal solution over one positive denominator: each
+    variable's value is ``values[var] / den`` and the objective value is
+    ``objective / den``, all ints."""
 
     values: dict
-    basis: tuple
-    objective_value: Rat
+    den: int
+    objective: int
 
 
 OPTIMAL = "optimal"
@@ -291,21 +292,14 @@ class SimplexSession:
         """The optimal vertex; the tableau must be optimal."""
         if self.status != OPTIMAL:
             raise MalformedProgram(f"no optimal vertex to read: the program is {self.status}")
-        den = self.den
         n_structural = len(self.var_col)
-        values = dict.fromkeys(self.var_col, ZERO)
-        for i, b in enumerate(self.basis):
-            value = self.rows[i][-1]
-            if b < n_structural and value:
-                values[self.col_ids[b]] = rat(value, den)
+        col_ids = self.col_ids
+        values = dict.fromkeys(self.var_col, 0)
+        for row, b in zip(self.rows, self.basis):
+            if b < n_structural:
+                values[col_ids[b]] = row[-1]
         # the cost row's rhs is -den times the objective value
-        objective = rat(-self.cost[-1], den)
-        # built from a list, so the tuple is allocated at its final size:
-        # one built from a generator is resized, and freed into the free
-        # list of its new size, which one call per cut round fills to its
-        # cap until the next full garbage collection
-        basis = tuple([self.col_ids[b] for b in sorted(self.basis)])
-        return VertexSolution(values, basis, objective)
+        return VertexSolution(values, self.den, -self.cost[-1])
 
 
 def _fmt_var(var) -> str:

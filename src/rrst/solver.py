@@ -35,8 +35,10 @@ and 1 would breach the argument, and raises InternalError.
 Costs arrive as ints over the instance's scale (see instance.py), so the
 greedy sorts, the LP objective, the stage sums and the check of the total
 against the LP bound all run on ints, in scaled units.  A positive scale
-changes no comparison, tie-break or pivot.  Only the Solution divides by
-the scale, once, into Fractions.
+changes no comparison, tie-break or pivot.  The LP vertex comes back as
+int numerators over the tableau's denominator, so reading X, Y and Z off
+it compares ints too.  Only the Solution divides by the scale, once, into
+Fractions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import InternalError, ValidationError
 from .instance import Instance
 from .lpmodel import build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, MatroidInstance
-from .rational import ONE, ZERO, ExactnessError, Rat, parse_exact, rat, rat_str
+from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
 
@@ -93,19 +95,20 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
         X = side.complete_min(costs.C)
         Y = side.complete_min(costs.second)
         Z = []
-        lp_bound = None
+        vertex = None
         iterations = rounds = cuts = 0
     else:
         model = build_relaxation(side, overlap_required, costs)
         result = cutting_plane_solve(model, config)
-        values = result.solution.values
-        fractional = [v for v, value in values.items() if value != ZERO and value != ONE]
+        vertex = result.solution
+        # int numerators over den: a 0/1 vertex holds only 0 and den
+        values, den = vertex.values, vertex.den
+        fractional = [v for v, value in values.items() if value not in (0, den)]
         if fractional:
             raise InternalError(f"optimal vertex is fractional at {fractional[0]}")
-        X = [e for e, v in model.stage_point(values, "x").items() if v == ONE]
-        Z = [e for e, v in model.b_vars.items() if values[v] == ONE]
-        Y = [e for e, v in model.stage_point(values, "y").items() if v == ONE]
-        lp_bound = result.solution.objective_value
+        X = [e for e, v in model.stage_point(values, "x").items() if v == den]
+        Z = [e for e, v in model.b_vars.items() if values[v] == den]
+        Y = [e for e, v in model.stage_point(values, "y").items() if v == den]
         iterations = 1
         rounds = result.rounds
         cuts = result.cuts_added
@@ -118,10 +121,9 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
     # with no relaxation solved, the stages were completed greedily, and
     # with each stage polytope integral and no coupling row active the
     # relaxation optimum is the integral total; otherwise the two must agree
-    if lp_bound is not None and first + second != lp_bound:
-        raise InternalError(
-            f"integral cost {rat_str(total)} differs from relaxation bound {rat_str(lp_bound / scale)}"
-        )
+    if vertex is not None and (first + second) * vertex.den != vertex.objective:
+        bound = rat(vertex.objective, vertex.den * scale)
+        raise InternalError(f"integral cost {rat_str(total)} differs from relaxation bound {rat_str(bound)}")
     return Solution(
         X=tuple(sorted(X)),
         Y=tuple(sorted(Y)),
@@ -157,6 +159,7 @@ def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) ->
 
 
 def _parse_selection(doc: dict, key: str, valid_ids) -> set:
+    """The selection `key` of `doc` as a set; `valid_ids` is set-like."""
     if key not in doc:
         raise ValidationError(f"solution is missing {key!r}")
     items = doc[key]
@@ -165,7 +168,7 @@ def _parse_selection(doc: dict, key: str, valid_ids) -> set:
     out = set(items)
     if len(out) != len(items):
         raise ValidationError(f"{key!r} contains duplicates")
-    unknown = out - set(valid_ids)
+    unknown = [e for e in out if e not in valid_ids]
     if unknown:
         raise ValidationError(f"{key!r} references unknown elements {sorted(unknown)}")
     return out
@@ -205,7 +208,7 @@ def _check_common(doc, X, Y, Z, costs, scale: int, overlap_required: int) -> lis
 
 def verify_tree_solution(instance: Instance, doc: dict) -> list[str]:
     """Check a solution document against a tree instance; [] means valid."""
-    ids = instance.graph.edge_ids()
+    ids = instance.graph.edges.keys()
     X = _parse_selection(doc, "X", ids)
     Y = _parse_selection(doc, "Y", ids)
     Z = _parse_selection(doc, "Z", ids)
@@ -221,7 +224,7 @@ def verify_tree_solution(instance: Instance, doc: dict) -> list[str]:
 def verify_basis_solution(minstance: MatroidInstance, doc: dict) -> list[str]:
     """Check a solution document against a matroid instance; [] means valid."""
     matroid = minstance.matroid
-    ids = sorted(matroid.ground)
+    ids = matroid.ground
     X = _parse_selection(doc, "X", ids)
     Y = _parse_selection(doc, "Y", ids)
     Z = _parse_selection(doc, "Z", ids)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 # One line per acceptance criterion, printed by pytest_terminal_summary so
@@ -52,6 +55,23 @@ def make_partition_instance(parts, triples, k) -> MatroidInstance:
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
     costs = CostColumns.from_rows(triples)
     return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+
+
+def cleared(point):
+    """A point of exact rationals as (int numerators, unit), the form the
+    separation routes take: unit is the LCM of the point's denominators."""
+    unit = math.lcm(*(Fraction(v).denominator for v in point.values()))
+    return {e: int(v * unit) for e, v in point.items()}, unit
+
+
+def vertex_values(solution):
+    """A VertexSolution's values as exact rationals."""
+    return {var: Fraction(v, solution.den) for var, v in solution.values.items()}
+
+
+def vertex_objective(solution):
+    """A VertexSolution's objective value as an exact rational."""
+    return Fraction(solution.objective, solution.den)
 
 
 TRIANGLE_PAIRS = [(0, 1), (0, 2), (1, 2)]

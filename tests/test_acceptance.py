@@ -49,7 +49,7 @@ from rrst.solver import (
     verify_tree_solution,
 )
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, cleared
 
 # sha256 over the serialized solution of every corpus solve, in corpus
 # order: tree runs, matroid runs, then each graphic case by the tree route
@@ -283,13 +283,13 @@ def test_criterion_7_separation_routes_agree():
             # the relaxation's are; check it refuses this one, then scale
             # the point down onto n - 1
             try:
-                separate_forest(point, g)
+                separate_forest(*cleared(point), g)
                 mismatches.append(trial)
             except ValidationError:
                 pass
             point = {e: v * (n - 1) / total for e, v in point.items()}
-        fast = separate_forest(point, g)
-        slow = separate_forest_exhaustive(point, g)
+        fast = separate_forest(*cleared(point), g)
+        slow = separate_forest_exhaustive(*cleared(point), g)
         pairs_checked += 1
         if (fast is None) != (slow is None):
             mismatches.append(trial)

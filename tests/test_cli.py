@@ -245,7 +245,7 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 
 def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
     """A row the solver cannot take is a bug in the solver, not bad input."""
-    def fractional_cut(self, point, separation):
+    def fractional_cut(self, point, unit, separation):
         return ViolatedCut(tuple(self.element_ids), Fraction(-1, 2), Fraction(-1), None)
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)

@@ -14,6 +14,8 @@ from rrst.separation import separate_forest_exhaustive
 from rrst.sides import GraphSide, MatroidSide
 from rrst.matroids import UniformMatroid
 
+from conftest import vertex_objective, vertex_values
+
 K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
 UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})
 
@@ -50,8 +52,8 @@ def test_merged_model_for_uniform_matroid_at_k0():
     model = build_relaxation(MatroidSide(m), quota=3, costs=costs)
     assert model.reduced == "merged"
     result = cutting_plane_solve(model, SolveConfig())
-    assert result.solution.objective_value == rat(12)
-    assert sorted(result.solution.values.values()) == [ZERO, ZERO, ONE, ONE, ONE]
+    assert vertex_objective(result.solution) == rat(12)
+    assert sorted(vertex_values(result.solution).values()) == [ZERO, ZERO, ONE, ONE, ONE]
 
 
 def test_infeasible_when_quota_has_no_carriers():
@@ -77,8 +79,8 @@ def test_cutting_plane_merged_k3():
     model = build_relaxation(GraphSide(K3), quota=2, costs=UNIT)
     result = cutting_plane_solve(model, SolveConfig())
     # optimum picks two cheapest edges; C + c + d = 2 each
-    assert result.solution.objective_value == rat(4)
-    vals = sorted(result.solution.values.values())
+    assert vertex_objective(result.solution) == rat(4)
+    vals = sorted(vertex_values(result.solution).values())
     assert vals == [ZERO, ONE, ONE]
 
 
@@ -91,12 +93,13 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     model = _initial_model(inst)
     result = cutting_plane_solve(model, SolveConfig())
     assert result.rounds >= 1 and result.cuts_added >= 1
-    values = result.solution.values
-    # the final x and y stage points admit no violated forest constraint
+    values, den = result.solution.values, result.solution.den
+    # the final x and y stage points, int numerators over den, admit no
+    # violated forest constraint
     for stage in ("x", "y"):
         point = model.stage_point(values, stage)
-        assert sum(point.values()) == model.side.target_size()
-        assert separate_forest_exhaustive(point, model.side.graph) is None
+        assert sum(point.values()) == model.side.target_size() * den
+        assert separate_forest_exhaustive(point, den, model.side.graph) is None
 
 
 def test_round_limit_guard(monkeypatch):
@@ -111,7 +114,7 @@ def test_exhaustive_separation_agrees_with_mincut():
     inst = generate_instance(5, 0.6, 2, 8, 3)
     r1 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="mincut"))
     r2 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="exhaustive"))
-    assert r1.solution.objective_value == r2.solution.objective_value
+    assert vertex_objective(r1.solution) == vertex_objective(r2.solution)
 
 
 def test_lp_dump_written(tmp_path):
@@ -128,8 +131,8 @@ def test_matroid_side_model():
     model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
     assert model.reduced is None  # quota below the rank: the a/b/c model
     result = cutting_plane_solve(model, SolveConfig())
-    assert result.solution.objective_value is not None
+    assert type(result.solution.objective) is int
     for stage in ("x", "y"):
-        point = model.stage_point(result.solution.values, stage)
+        point = model.stage_point(vertex_values(result.solution), stage)
         assert sum(point.values()) == rat(2)
         assert max(point.values()) <= ONE

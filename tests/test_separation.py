@@ -6,7 +6,9 @@ exhaustive route is the definition-level reference.  The fast routes take
 only points that sum to at most n - 1 (forest) or the rank (matroid), as
 every point of the relaxation does; the fuzz tests check that they refuse a
 drawn point above that bound, then compare the routes on the point scaled
-down onto it.
+down onto it.  The routes take a point as int numerators over one unit;
+`cleared` turns each exact test point into that form, and certificates are
+checked against the exact point.
 """
 
 import random
@@ -24,6 +26,8 @@ from rrst.separation import (
     separate_rank_exhaustive,
 )
 
+from conftest import cleared
+
 
 def graph_of(n, pairs):
     return MultiGraph(range(n), dict(enumerate(pairs)))
@@ -33,7 +37,7 @@ def test_forest_violation_found_on_heavy_triangle():
     g = graph_of(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     point = {0: ONE, 1: ONE, 2: ONE, 3: ZERO}
     for finder in (separate_forest, separate_forest_exhaustive):
-        cut = finder(point, g)
+        cut = finder(*cleared(point), g)
         assert cut is not None
         assert cut.node_set == (0, 1, 2)
         assert cut.elements == (0, 1, 2)
@@ -44,18 +48,20 @@ def test_forest_violation_found_on_heavy_triangle():
 def test_forest_no_violation_on_fractional_spread():
     g = graph_of(3, [(0, 1), (0, 2), (1, 2)])
     point = {e: rat(2, 3) for e in range(3)}
-    assert separate_forest(point, g) is None
-    assert separate_forest_exhaustive(point, g) is None
+    assert separate_forest(*cleared(point), g) is None
+    assert separate_forest_exhaustive(*cleared(point), g) is None
 
 
 def test_forest_point_validation():
     g = graph_of(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(ValidationError):
-        separate_forest({0: ONE, 1: ONE}, g)  # missing edge
+        separate_forest(*cleared({0: ONE, 1: ONE}), g)  # missing edge
     with pytest.raises(ValidationError):
-        separate_forest({0: ONE, 1: ONE, 2: rat(-1)}, g)
+        separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(-1)}), g)
     with pytest.raises(ValidationError, match="n - 1"):
-        separate_forest({0: ONE, 1: ONE, 2: rat(1, 4)}, g)  # sums past n - 1
+        separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(1, 4)}), g)  # sums past n - 1
+    with pytest.raises(ValidationError, match="outside the graph"):
+        separate_forest({0: 1, 1: 1, 2: 0, 7: 0}, 1, g)
 
 
 def within(point, bound, fast, structure):
@@ -65,7 +71,7 @@ def within(point, bound, fast, structure):
     if total <= bound:
         return point
     with pytest.raises(ValidationError):
-        fast(point, structure)
+        fast(*cleared(point), structure)
     return {e: v * bound / total for e, v in point.items()}
 
 
@@ -90,15 +96,20 @@ def _check_certificate(cut, point, graph):
 VALUES = [ZERO, rat(1, 4), rat(1, 2), rat(3, 4), ONE, rat(5, 4), rat(3, 2)]
 
 
-def test_forest_verdict_matches_exhaustive_fuzz():
+def _forest_fuzz_points():
+    """300 connected graphs on 3-6 nodes, each with a point within n - 1."""
     rng = random.Random(20240817)
-    for trial in range(300):
+    for _ in range(300):
         n = rng.randint(3, 6)
         g = _random_connected_graph(rng, n)
         point = {e: rng.choice(VALUES) for e in g.edges}
-        point = within(point, n - 1, separate_forest, g)
-        fast = separate_forest(point, g)
-        slow = separate_forest_exhaustive(point, g)
+        yield g, within(point, n - 1, separate_forest, g)
+
+
+def test_forest_verdict_matches_exhaustive_fuzz():
+    for trial, (g, point) in enumerate(_forest_fuzz_points()):
+        fast = separate_forest(*cleared(point), g)
+        slow = separate_forest_exhaustive(*cleared(point), g)
         assert (fast is None) == (slow is None), f"trial {trial}: verdicts differ"
         if fast is not None:
             _check_certificate(fast, point, g)
@@ -111,8 +122,8 @@ def test_forest_verdict_matches_exhaustive_fuzz():
 def test_uniform_rank_cut_is_max_violation():
     m = UniformMatroid(frozenset(range(5)), 3)
     point = {0: rat(3, 2), 1: rat(5, 4), 2: rat(1, 4), 3: ZERO, 4: ZERO}
-    cut = separate_rank(point, m)
-    ref = separate_rank_exhaustive(point, m)
+    cut = separate_rank(*cleared(point), m)
+    ref = separate_rank_exhaustive(*cleared(point), m)
     assert cut is not None and ref is not None
     assert cut.violation == ref.violation == rat(3, 4)
     assert cut.elements == (0, 1)
@@ -121,14 +132,14 @@ def test_uniform_rank_cut_is_max_violation():
 def test_uniform_no_violation():
     m = UniformMatroid(frozenset(range(4)), 2)
     point = {e: rat(1, 2) for e in range(4)}
-    assert separate_rank(point, m) is None
+    assert separate_rank(*cleared(point), m) is None
 
 
 def test_partition_rank_cut():
     m = PartitionMatroid([(frozenset({0, 1, 2}), 1), (frozenset({3, 4}), 2)])
     point = {0: rat(3, 4), 1: rat(3, 4), 2: ZERO, 3: rat(1, 2), 4: rat(1, 2)}
-    cut = separate_rank(point, m)
-    ref = separate_rank_exhaustive(point, m)
+    cut = separate_rank(*cleared(point), m)
+    ref = separate_rank_exhaustive(*cleared(point), m)
     assert cut is not None
     assert cut.violation == ref.violation == rat(1, 2)
     assert set(cut.elements) <= {0, 1, 2}
@@ -137,19 +148,38 @@ def test_partition_rank_cut():
 def test_rank_point_above_the_rank_rejected():
     m = PartitionMatroid([(frozenset({0, 1}), 1), (frozenset({2}), 1)])
     with pytest.raises(ValidationError, match="rank 2"):
-        separate_rank({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}, m)
+        separate_rank(*cleared({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}), m)
     with pytest.raises(ValidationError, match="rank 2"):
-        separate_rank({e: rat(3, 4) for e in range(3)}, UniformMatroid(frozenset(range(3)), 2))
+        separate_rank(*cleared({e: rat(3, 4) for e in range(3)}), UniformMatroid(frozenset(range(3)), 2))
+
+
+def _uniform(rng):
+    return UniformMatroid(frozenset(range(rng.randint(2, 6))), rng.randint(1, 4))
+
+
+def _partition(rng):
+    parts, nxt = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 3)
+        parts.append((frozenset(range(nxt, nxt + size)), rng.randint(0, size)))
+        nxt += size
+    return PartitionMatroid(parts)
+
+
+def _rank_fuzz_points(make_matroid, trials, seed):
+    """`trials` matroids drawn by make_matroid, each with a point within its
+    rank."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        m = make_matroid(rng)
+        point = {e: rng.choice(VALUES) for e in sorted(m.ground)}
+        yield m, within(point, m.full_rank(), separate_rank, m)
 
 
 def _rank_fuzz(make_matroid, trials, seed):
-    rng = random.Random(seed)
-    for trial in range(trials):
-        m = make_matroid(rng)
-        point = {e: rng.choice(VALUES) for e in sorted(m.ground)}
-        point = within(point, m.full_rank(), separate_rank, m)
-        fast = separate_rank(point, m)
-        slow = separate_rank_exhaustive(point, m)
+    for trial, (m, point) in enumerate(_rank_fuzz_points(make_matroid, trials, seed)):
+        fast = separate_rank(*cleared(point), m)
+        slow = separate_rank_exhaustive(*cleared(point), m)
         assert (fast is None) == (slow is None), f"trial {trial}"
         if fast is not None:
             assert fast.slack < 0
@@ -158,22 +188,11 @@ def _rank_fuzz(make_matroid, trials, seed):
 
 
 def test_uniform_rank_fuzz():
-    _rank_fuzz(
-        lambda rng: UniformMatroid(frozenset(range(rng.randint(2, 6))), rng.randint(1, 4)),
-        trials=150, seed=11,
-    )
+    _rank_fuzz(_uniform, trials=150, seed=11)
 
 
 def test_partition_rank_fuzz():
-    def make(rng):
-        parts, nxt = [], 0
-        for _ in range(rng.randint(1, 3)):
-            size = rng.randint(1, 3)
-            parts.append((frozenset(range(nxt, nxt + size)), rng.randint(0, size)))
-            nxt += size
-        return PartitionMatroid(parts)
-
-    _rank_fuzz(make, trials=150, seed=12)
+    _rank_fuzz(_partition, trials=150, seed=12)
 
 
 def test_uniform_exact_max_of_violation_fuzz():
@@ -182,8 +201,8 @@ def test_uniform_exact_max_of_violation_fuzz():
         m = UniformMatroid(frozenset(range(rng.randint(2, 6))), rng.randint(1, 4))
         point = {e: rng.choice(VALUES) for e in sorted(m.ground)}
         point = within(point, m.full_rank(), separate_rank, m)
-        fast = separate_rank(point, m)
-        slow = separate_rank_exhaustive(point, m)
+        fast = separate_rank(*cleared(point), m)
+        slow = separate_rank_exhaustive(*cleared(point), m)
         if slow is not None:
             assert fast.violation == slow.violation
 
@@ -241,8 +260,8 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
         kinds = {"raises"} if sum(point.values(), ZERO) > g.node_count - 1 else set()
         point = within(point, g.node_count - 1, separate_forest, g)
         kinds |= _case_kinds(g, point)
-        fast = separate_forest(point, g)
-        slow = separate_forest_exhaustive(point, g)
+        fast = separate_forest(*cleared(point), g)
+        slow = separate_forest_exhaustive(*cleared(point), g)
         assert (fast is None) == (slow is None), f"trial {trial}: verdicts differ"
         for kind in kinds | {"violated" if fast else "not violated"}:
             seen[kind] = seen.get(kind, 0) + 1
@@ -258,3 +277,30 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
         "cycle of 1-edges", "fractional edge inside a super-node", "disconnected, x(E) = n - c",
         "raises", "violated", "not violated",
     }, seen
+
+
+# --- the unit ---------------------------------------------------------
+
+
+def test_fast_routes_are_scale_invariant_on_fuzz_points():
+    """Separating (k·point, k·unit) returns the cut that (point, unit)
+    does, with the same elements, rhs, node_set and exact slack.  The cut
+    loop passes its points over the tableau's denominator, not over the
+    LCM of their denominators, and this is what makes that change no cut."""
+    rng = random.Random(20261018)
+    near_integral = []
+    for _ in range(600):
+        g, point = _near_integral_case(rng)
+        near_integral.append((g, within(point, g.node_count - 1, separate_forest, g)))
+    cases = [(separate_forest, g, point) for g, point in list(_forest_fuzz_points()) + near_integral]
+    cases += [(separate_rank, m, point) for make, seed in ((_uniform, 11), (_partition, 12))
+              for m, point in _rank_fuzz_points(make, 150, seed)]
+    violated = {separate_forest: 0, separate_rank: 0}
+    for fast, structure, point in cases:
+        ints, unit = cleared(point)
+        cut = fast(ints, unit, structure)
+        violated[fast] += cut is not None
+        for k in (1, 2, 7, 12):
+            scaled = fast({e: k * v for e, v in ints.items()}, k * unit, structure)
+            assert scaled == cut, (k, point)
+    assert min(violated.values()) > 50, violated

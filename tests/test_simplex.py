@@ -27,6 +27,8 @@ from rrst.errors import MalformedProgram
 from rrst.rational import ONE, ZERO, rat
 from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp
 
+from conftest import vertex_objective, vertex_values
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _low_pivot_limit():
@@ -78,9 +80,9 @@ def test_equality_row():
     assert session.status == "optimal"
     assert session._pivots == 0 and session.den == 1
     sol = session.result()
-    assert sol.objective_value == rat(5)
-    assert sol.values == {x: rat(v) for x, v in zip(xs, [0, 2, 0, 1, 0])}
-    assert sol.basis == ("x1", "x3")
+    assert vertex_objective(sol) == rat(5)
+    assert vertex_values(sol) == {x: rat(v) for x, v in zip(xs, [0, 2, 0, 1, 0])}
+    assert session.basis == [1, 3]  # x1 and x3
 
 
 def test_start_is_the_lowest_index_cheapest_column():
@@ -89,7 +91,7 @@ def test_start_is_the_lowest_index_cheapest_column():
     assert session.basis == [3]
     assert session.rows == [[1, 1, 1, 1, 1, 2]]
     assert session.cost == [4, 2, 2, 0, 0, -2]
-    assert session.result().values[xs[3]] == rat(2)
+    assert vertex_values(session.result())[xs[3]] == rat(2)
 
 
 def test_negative_block_rhs_is_infeasible():
@@ -122,11 +124,11 @@ def test_non_block_program_rejected(nvars, rows):
 def test_simple_box_optimum():
     lp, xs = block_lp([-1, 0, 2], [[0, 1, 2]], [3])
     session = SimplexSession(lp)
-    assert session.result().objective_value == rat(-3)
+    assert vertex_objective(session.result()) == rat(-3)
     session.add_cuts([(cut(xs, [2, 0, 0]), 1), (cut(xs, [0, 2, 0]), 3)])
     sol = session.result()
-    assert sol.objective_value == rat(3, 2)
-    assert [sol.values[x] for x in xs] == [rat(1, 2), rat(3, 2), ONE]
+    assert vertex_objective(sol) == rat(3, 2)
+    assert [vertex_values(sol)[x] for x in xs] == [rat(1, 2), rat(3, 2), ONE]
 
 
 def test_infeasible_detected():
@@ -148,7 +150,7 @@ def test_solution_satisfies_all_constraints_exactly():
     sol = session.result()
     assert len(lp.constraints) == 3
     for con in lp.constraints:
-        assert constraint_satisfied(con, sol.values)
+        assert constraint_satisfied(con, vertex_values(sol))
 
 
 def test_determinism_byte_for_byte():
@@ -159,9 +161,8 @@ def test_determinism_byte_for_byte():
         return session.result()
 
     a, b = solve(), solve()
-    assert a.values == b.values
-    assert a.basis == b.basis
-    assert a.objective_value == b.objective_value
+    # the same numerators over the same denominator
+    assert a == b
 
 
 def test_malformed_programs_rejected():
@@ -199,16 +200,16 @@ def test_session_cut_matches_cold_resolve():
     the grown program finds."""
     rows = block_rows(3, [[0, 1, 2]], [4])
     session = SimplexSession(lp_from(3, [-1, -1, 0], rows)[0])
-    assert session.result().objective_value == rat(-4)
+    assert vertex_objective(session.result()) == rat(-4)
     session.add_cuts([({"x0": 1, "x1": 1}, 3)])
     warm = session.result()
 
     cold_lp, _ = lp_from(3, [-1, -1, 0], rows + [([1, 1, 0], LE, 3)])
     cold = RationalTableau(cold_lp)
     assert cold.status == "optimal"
-    assert warm.objective_value == cold.objective_value() == rat(-3)
+    assert vertex_objective(warm) == cold.objective_value() == rat(-3)
     for con in cold_lp.constraints:
-        assert constraint_satisfied(con, warm.values)
+        assert constraint_satisfied(con, vertex_values(warm))
 
 
 def test_session_add_cuts_batch():
@@ -220,10 +221,10 @@ def test_session_add_cuts_batch():
         (cut(xs, [0, 1, -1]), -1),
     ])
     sol = session.result()
-    assert sol.objective_value == rat(25, 2)
-    assert [sol.values[x] for x in xs] == [rat(2), rat(3, 2), rat(5, 2)]
+    assert vertex_objective(sol) == rat(25, 2)
+    assert [vertex_values(sol)[x] for x in xs] == [rat(2), rat(3, 2), rat(5, 2)]
     for con in session.lp.constraints:
-        assert constraint_satisfied(con, sol.values)
+        assert constraint_satisfied(con, vertex_values(sol))
 
 
 def test_add_cuts_rejects_a_batch_whole():
@@ -237,7 +238,7 @@ def test_add_cuts_rejects_a_batch_whole():
     assert len(session.col_ids) == 2 and session.ncols == 2
     assert len(session.rows) == 1
     session.add_cuts([(cut(xs, [1, 0]), 2)])
-    assert session.result().objective_value == rat(4)
+    assert vertex_objective(session.result()) == rat(4)
 
 
 def test_dump_lp_mentions_structure():
@@ -355,7 +356,7 @@ def test_simplex_matches_vertex_enumeration(problem):
     session = SimplexSession(lp)
     rows = block_rows(nvars, blocks, rhs)
     assert session.status == "optimal"
-    assert session.result().objective_value == brute_force_lp_min(nvars, costs, rows)
+    assert vertex_objective(session.result()) == brute_force_lp_min(nvars, costs, rows)
     rows += _apply_batches(session, xs, batches)
     expected = brute_force_lp_min(nvars, costs, rows)
     if expected is None:
@@ -363,9 +364,9 @@ def test_simplex_matches_vertex_enumeration(problem):
         return
     assert session.status == "optimal"
     sol = session.result()
-    assert sol.objective_value == expected
+    assert vertex_objective(sol) == expected
     for con in lp.constraints:
-        assert constraint_satisfied(con, sol.values)
+        assert constraint_satisfied(con, vertex_values(sol))
     assert all(v >= 0 for v in sol.values.values())
 
 
@@ -554,7 +555,7 @@ class RationalTableau:
 
 
 def _session_state(session):
-    values = session.result().values if session.status == "optimal" else None
+    values = vertex_values(session.result()) if session.status == "optimal" else None
     return session.status, session._pivots, sorted(session.basis), values
 
 
@@ -589,4 +590,4 @@ def test_integer_tableau_matches_rational_tableau(problem):
     cold = RationalTableau(lp_from(nvars, costs, block_rows(nvars, blocks, rhs) + added)[0])
     assert cold.status == session.status
     if cold.status == "optimal":
-        assert cold.objective_value() == session.result().objective_value
+        assert cold.objective_value() == vertex_objective(session.result())

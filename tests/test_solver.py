@@ -204,18 +204,22 @@ def test_separations_agree_with_oracle(separation):
 
 
 def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
-    """Every point the cut loop separates sums to exactly the selection
-    size, the rank of the side; the fast separation routes rely on it."""
+    """Every point the cut loop separates is int numerators over a positive
+    int unit, with no Fraction in it, and sums to exactly the selection
+    size, the rank of the side, times the unit; the fast separation routes
+    rely on it."""
     off = []
     calls = {GraphSide: 0, MatroidSide: 0}
 
     def checked(separate):
-        def wrapper(side, point, separation):
+        def wrapper(side, point, unit, separation):
             calls[type(side)] += 1
-            total = sum(point.values(), ZERO)
-            if total != side.target_size():
-                off.append((side, total))
-            return separate(side, point, separation)
+            assert all(type(v) is int for v in point.values()), point
+            assert type(unit) is int and unit > 0, unit
+            total = sum(point.values())
+            if total != side.target_size() * unit:
+                off.append((side, total, unit))
+            return separate(side, point, unit, separation)
         return wrapper
 
     for cls in (GraphSide, MatroidSide):
@@ -242,9 +246,14 @@ def test_fractional_vertex_raises_internal_error(monkeypatch):
 
     def half_vertex(model, config):
         result = real(model, config)
-        values = dict(result.solution.values)
-        values[model.lp.variables[0]] = rat(1, 2)
-        return dataclasses.replace(result, solution=dataclasses.replace(result.solution, values=values))
+        vertex = result.solution
+        # the same vertex over twice its denominator, with one numerator
+        # set strictly between 0 and den: a value of 1/2
+        den = 2 * vertex.den
+        values = {var: 2 * v for var, v in vertex.values.items()}
+        values[model.lp.variables[0]] = vertex.den
+        vertex = dataclasses.replace(vertex, values=values, den=den, objective=2 * vertex.objective)
+        return dataclasses.replace(result, solution=vertex)
 
     monkeypatch.setattr(solver, "cutting_plane_solve", half_vertex)
     with pytest.raises(InternalError, match="fractional"):
@@ -312,6 +321,16 @@ def test_verify_rejects_malformed_selections(triangle_unit):
         verify_tree_solution(triangle_unit, _tamper(doc, X=[99, 1]))
     with pytest.raises(ValidationError):
         verify_tree_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"})
+
+
+def test_verify_names_unknown_elements_in_order(triangle_unit):
+    doc = solution_to_dict(solve_rrst(triangle_unit))
+    with pytest.raises(ValidationError, match=r"^'Y' references unknown elements \[7, 9\]$"):
+        verify_tree_solution(triangle_unit, _tamper(doc, Y=[9, 0, 7]))
+    mi = make_uniform_instance(4, 2, [(1, 1, 0)] * 4, k=0)
+    doc = solution_to_dict(solve_rrmb(mi))
+    with pytest.raises(ValidationError, match=r"^'Z' references unknown elements \[-1, 4\]$"):
+        verify_basis_solution(mi, _tamper(doc, Z=[4, -1]))
 
 
 def test_verify_basis_catches_non_basis():
