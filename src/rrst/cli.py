@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
     if args.matroid:
         minst = load_matroid_instance(args.input)
         log.info("matroid instance: |ground|=%d rank=%d k=%d",
-                 len(minst.matroid.ground), minst.matroid.full_rank(), minst.k)
+                 len(minst.matroid.ground), minst.rank, minst.k)
         sol = solve_rrmb(minst, config)
     else:
         inst = load_instance(args.input)
@@ -220,8 +220,9 @@ def _run_report(name: str, inst: Instance, config: SolveConfig, with_oracle: boo
     t0 = time.perf_counter()
     try:
         sol = solve_rrst(inst, config)
-    except IterationLimit as exc:
-        # a pivot or round bound: reported as `rrst solve` reports it
+    except (TooManyTrees, GroundTooLarge, IterationLimit) as exc:
+        # an enumeration guard, or a pivot or round bound: reported as
+        # `rrst solve` reports it
         report["error"] = f"input too large: {exc}"
         return report
     except RRSTError as exc:

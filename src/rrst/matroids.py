@@ -19,7 +19,7 @@ as a rank-zero element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ElementNotInGround,
@@ -260,6 +260,8 @@ class MatroidInstance:
     k: int
     # every cost is an int in units of 1/scale
     scale: int
+    # the matroid's full rank, by one greedy scan at construction
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_scale(self.scale)
@@ -267,10 +269,11 @@ class MatroidInstance:
         if not 0 <= self.k <= r:
             raise ValidationError(f"k={self.k} outside 0..{r}")
         _check_cost_ids(self.costs, self.matroid.ground)
+        object.__setattr__(self, "rank", r)
 
     @property
     def overlap_requirement(self) -> int:
-        return self.matroid.full_rank() - self.k
+        return self.rank - self.k
 
 
 def _is_id_list(raw) -> bool:

@@ -11,7 +11,6 @@ min-label roots.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, starmap
 from operator import eq
 
@@ -53,15 +52,6 @@ class MultiGraph:
         except KeyError:
             raise UnknownEdge(f"no edge with id {eid}") from None
 
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """node -> list of (neighbor, edge id), in sorted edge-id order."""
-        adj = {v: [] for v in self.nodes}
-        for eid in sorted(self.edges):
-            u, v = self.edges[eid]
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return adj
-
     def is_connected(self) -> bool:
         n = self.node_count
         return n <= 1 or len(self.spanning_forest(self.edges)) == n - 1
@@ -99,46 +89,17 @@ class MultiGraph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components as node sets, ordered by smallest member."""
-        adj = self.adjacency()
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                x = queue.popleft()
-                for y, _ in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        queue.append(y)
-            comps.append(frozenset(comp))
-        return comps
+        return [frozenset(group) for group in classes(sorted(self.nodes), self.edges.values())[1]]
 
     def spanning_forest(self, edge_order) -> list[int]:
         """Kruskal scan: the edges of edge_order, in that order, that join two
         components of the forest kept so far; stops at node_count - 1 edges."""
-        return self._merge(edge_order, {})
-
-    def contraction_classes(self, edge_ids) -> dict[int, int]:
-        """node -> number of its class once edge_ids are contracted; classes
-        are numbered 0, 1, ... in the order of their smallest node."""
-        parent: dict[int, int] = {}
-        self._merge(edge_ids, parent)
-        number: dict[int, int] = {}
-        return {v: number.setdefault(_find(parent, v), len(number)) for v in sorted(self.nodes)}
-
-    def _merge(self, edge_order, parent) -> list[int]:
-        """The union-find behind both scans above: merge the classes held in
-        parent along edge_order; return the edges that joined two classes."""
         need = self.node_count - 1
         forest: list[int] = []
         if need <= 0:
             return forest
         edges = self.edges
+        parent: dict[int, int] = {}
         for eid in edge_order:
             try:
                 u, v = edges[eid]
@@ -152,11 +113,40 @@ class MultiGraph:
                     break
         return forest
 
+    def contraction_classes(self, edge_ids) -> tuple[dict[int, int], list[list[int]]]:
+        """The node classes once edge_ids are contracted: node -> class
+        number, and the classes, numbered by smallest node, each ascending."""
+        return classes(sorted(self.nodes), map(self.endpoints, edge_ids))
+
     def __repr__(self) -> str:
         return f"MultiGraph(nodes={sorted(self.nodes)}, edges={self.edges})"
 
 
-def _find(parent: dict[int, int], v: int) -> int:
+def classes(items, links) -> tuple[dict, list[list]]:
+    """Union-find classes of items, where each link (a, b) joins the classes
+    of a and b.  Returns item -> class number and the classes as lists, both
+    numbered by first appearance in items and each in the order of items."""
+    parent: dict = {}
+    for a, b in links:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+    label: dict = {}
+    groups: list[list] = []
+    number: dict = {}
+    for v in items:
+        root = _find(parent, v) if v in parent else v
+        i = number.get(root)
+        if i is None:
+            i = number[root] = len(groups)
+            groups.append([v])
+        else:
+            groups[i].append(v)
+        label[v] = i
+    return label, groups
+
+
+def _find(parent: dict, v):
     """Class root of v, halving the path on the way."""
     while parent.get(v, v) != v:
         parent[v] = parent.get(parent[v], parent[v])

@@ -11,23 +11,29 @@ shrunk (Padberg & Rinaldi 1990): one union-find pass contracts the edges
 with x_e = 1 into super-nodes and the edges with x_e = 0 are dropped.  A
 violated set that holds one end of a 1-edge stays at least as violated
 when it takes the other end, and on x(E) <= n - 1 the grown set is never
-all of V, so nothing is lost.  A
-super-node that is violated on its own is returned at once; otherwise the
-search runs one exact max-flow per forced super-node on the network
+all of V, so nothing is lost.  A super-node that is violated on its own
+is returned at once, and a point with no positive edge between
+super-nodes has no violated set.  Otherwise the search runs one exact
+max-flow per super-node r that touches a cross edge, on the Padberg &
+Wolsey (1983) network over the super-nodes alone, with capacities doubled
+to stay integral:
 
-    source -> pair-node         capacity x of the cross edges of the pair
-    pair-node -> both ends      capacity infinity
-    super-node -> sink          capacity 1   (0 for the forced super-node)
+    source -> i        capacity the cross weight at i
+    i -> sink          capacity 2   (0 for r)
+    i <-> j            capacity the cross weight of the pair, both ways
 
-built once per call, with the point's numerators as capacities and `unit`
-standing for 1.  Scaling every capacity by one positive factor leaves the
-minimal source side of every min cut unchanged, so the cut does not
-depend on the unit the point comes in.  A violated set containing the
-forced super-node exists iff the min cut is below the cross weight.  The
-extracted cut side is split into connected parts, mapped back to original
-nodes and each part checked exactly, which sharpens certificates to
-connected sets.  Whenever any violated set exists, at least one extracted
-part is violated, so the verdict always matches exhaustive enumeration.
+built once per call that sweeps, with the point's numerators as capacities
+and `unit` standing for 1.  A cut whose source side holds the super-node
+set S costs 2 * (T - x(E(S)) + |S| - [r in S]), T the total cross weight,
+so a violated set holding r exists iff the flow is below 2T.  Scaling
+every capacity by one positive factor leaves the minimal source side of
+every min cut unchanged, so the cut depends neither on the unit the point
+comes in nor on the doubling.  The minimal cut side is split into
+connected parts by one union-find pass over the cross pairs inside it,
+each part's slack is read off the contracted sums, and the most violated
+part is mapped back to original nodes, which sharpens certificates to
+connected sets.  Whenever any violated set exists, at least one part is
+violated, so the verdict always matches exhaustive enumeration.
 
 Matroid side: rank constraints x(U) <= rank(U) over proper subsets.
 Uniform and partition matroids reduce to one sorted prefix scan per part;
@@ -39,11 +45,10 @@ instead, so they take the min-cut route above.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GroundTooLarge, InternalError, ValidationError
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, classes
 from .rational import Rat, rat
 
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -84,136 +89,127 @@ def _check_point(point, graph):
 
 
 def _forest_candidate(point, unit, graph, nodes):
-    """Exact check of one candidate node set: (slack * unit, sorted nodes,
-    induced edges) when it is violated, else None.  Candidates rank by
-    their first two entries, as their cuts do by (slack, node_set)."""
+    """Exact check of one candidate node set: (slack * unit, sorted nodes)
+    when it is violated, else None.  Candidates rank as their cuts do."""
     n = graph.node_count
     if not 2 <= len(nodes) < n:
         return None
-    edges = graph.edges_within(nodes)
-    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, edges))
+    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, graph.edges_within(nodes)))
     if slack >= 0:
         return None
-    return slack, tuple(sorted(nodes)), edges
+    return slack, tuple(sorted(nodes))
 
 
-def _forest_cut(candidate, unit) -> ViolatedCut:
-    slack, node_set, edges = candidate
-    return ViolatedCut(tuple(edges), len(node_set) - 1, rat(slack, unit), node_set)
+def _forest_cut(graph, unit, slack, nodes) -> ViolatedCut:
+    """The cut of a violated node set, given in ascending order."""
+    return ViolatedCut(tuple(graph.edges_within(nodes)), len(nodes) - 1, rat(slack, unit), tuple(nodes))
 
 
 @dataclass(frozen=True)
 class _FlowNetwork:
-    """Integer min-cut network over super-nodes 0..count-1, built once per
-    separation call.  Node ids: 0 source, 1 sink, 2 + i super-node i, then
-    one node per cross pair.  Arcs sit in pairs (forward, reverse), so arc
-    i ^ 1 is the reverse of arc i; sink_arc[i] is super-node i's arc to the
-    sink."""
+    """The min-cut network of the module docstring over super-nodes
+    0..count-1, built once per separation call that sweeps.  The source and
+    the sink stay implicit: super-node i has a source arc of capacity
+    weight[i] and a sink arc of capacity `sink`.  The arcs between
+    super-nodes sit in pairs, one pair per cross pair, so arc a ^ 1 is the
+    reverse of arc a; adj[i] lists (neighbour, arc) for the arcs out of i."""
 
-    count: int
-    head: list[list[int]]
+    adj: list[list[tuple[int, int]]]
     to: list[int]
     cap: list[int]
-    sink_arc: list[int]
-    inf: int
+    weight: list[int]
+    sink: int
 
 
-def _flow_network(count, pairs, unit, total) -> _FlowNetwork:
-    """The network of the module docstring, with unit standing for 1."""
-    inf = total + count * unit + 1
-    arcs = []
-    for j, ((a, b), c) in enumerate(pairs):
-        node = 2 + count + j
-        arcs += ((0, node, c), (node, 2 + a, inf), (node, 2 + b, inf))
-    sink_arc = []
-    for i in range(count):
-        sink_arc.append(2 * len(arcs))
-        arcs.append((2 + i, 1, unit))
-    head: list[list[int]] = [[] for _ in range(2 + count + len(pairs))]
+def _flow_network(count, cross, unit) -> _FlowNetwork:
+    """The doubled network on cross, pair -> its cross weight, with unit
+    standing for 1."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     to: list[int] = []
     cap: list[int] = []
-    for a, b, c in arcs:
-        head[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        head[b].append(len(to))
-        to.append(a)
-        cap.append(0)
-    return _FlowNetwork(count, head, to, cap, sink_arc, inf)
+    weight = [0] * count
+    for (a, b), c in cross.items():
+        adj[a].append((b, len(to)))
+        adj[b].append((a, len(to) + 1))
+        to += (b, a)
+        cap += (c, c)
+        weight[a] += c
+        weight[b] += c
+    return _FlowNetwork(adj, to, cap, weight, 2 * unit)
 
 
 def _sweep_min_cut(net: _FlowNetwork, forced_in):
-    """One integer max-flow (Dinic); returns (value, source-side super-nodes).
+    """One integer max-flow; returns (value, source-side super-nodes).
 
-    forced_in loses its sink arc.  Only the capacity list is copied, so the
-    network serves every sweep of a call.
+    forced_in loses its sink arc.  Each super-node first sends what it can
+    straight from the source to the sink.  The rest of the flow goes along
+    shortest augmenting paths over the pair arcs, from super-nodes with
+    source capacity left to super-nodes with sink capacity left.  Only the
+    capacities are copied, so the network serves every sweep of a call.
     """
-    head, to = net.head, net.to
+    adj, to = net.adj, net.to
     cap = net.cap.copy()
-    cap[net.sink_arc[forced_in]] = 0
-    n = len(head)
-    flow = 0
+    # source capacity left where positive, sink capacity left where negative
+    excess = [w - net.sink for w in net.weight]
+    excess[forced_in] = net.weight[forced_in]
+    count = len(adj)
     while True:
-        level = [-1] * n
-        level[0] = 0
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for i in head[x]:
-                y = to[i]
-                if cap[i] > 0 and level[y] < 0:
-                    level[y] = level[x] + 1
+        # breadth-first from every super-node with source capacity left;
+        # prev holds the arc that reached each super-node, -2 at the starts
+        prev = [-1] * count
+        queue = [i for i in range(count) if excess[i] > 0]
+        for i in queue:
+            prev[i] = -2
+        end = -1
+        for x in queue:  # the loop walks what it appends
+            for y, a in adj[x]:
+                if prev[y] == -1 and cap[a]:
+                    prev[y] = a
+                    if excess[y] < 0:
+                        end = y
+                        break
                     queue.append(y)
-        if level[1] < 0:
-            break
-        it = [0] * n
-
-        def push(x, limit):
-            if x == 1:
-                return limit
-            while it[x] < len(head[x]):
-                i = head[x][it[x]]
-                y = to[i]
-                if cap[i] > 0 and level[y] == level[x] + 1:
-                    got = push(y, min(limit, cap[i]))
-                    if got:
-                        cap[i] -= got
-                        cap[i ^ 1] += got
-                        return got
-                it[x] += 1
-            return 0
-
-        while True:
-            pushed = push(0, net.inf)
-            if not pushed:
+            if end >= 0:
                 break
-            flow += pushed
+        if end < 0:
+            break
+        push, y = -excess[end], end
+        while prev[y] >= 0:
+            push = min(push, cap[prev[y]])
+            y = to[prev[y] ^ 1]
+        push = min(push, excess[y])
+        excess[y] -= push
+        excess[end] += push
+        y = end
+        while prev[y] >= 0:
+            a = prev[y]
+            cap[a] -= push
+            cap[a ^ 1] += push
+            y = to[a ^ 1]
+    # every unit of source capacity not left over went to the sink
+    value = sum(net.weight) - sum(e for e in excess if e > 0)
+    return value, [i for i in range(count) if prev[i] != -1]
 
-    reach = [False] * n
-    reach[0] = True
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for i in head[x]:
-            y = to[i]
-            if cap[i] > 0 and not reach[y]:
-                reach[y] = True
-                queue.append(y)
-    return flow, [i for i in range(net.count) if reach[2 + i]]
 
-
-def _candidates(point, unit, graph, groups, pairs, side) -> list[tuple]:
-    """Split a cut side into its connected parts over the cross pairs, map
-    each part back to original nodes and check it exactly."""
+def _violated_part(unit, groups, inner, cross, side):
+    """The most violated connected part of a cut side over the cross pairs,
+    as (slack * unit, sorted nodes), or None; slacks from the contracted
+    sums."""
     inside = set(side)
-    induced = MultiGraph(side, {j: pair for j, (pair, _) in enumerate(pairs)
-                                if pair[0] in inside and pair[1] in inside})
-    found = []
-    for part in induced.components():
-        candidate = _forest_candidate(point, unit, graph, [v for i in part for v in groups[i]])
-        if candidate is not None:
-            found.append(candidate)
-    return found
+    within = [(pair, c) for pair, c in cross.items() if pair[0] in inside and pair[1] in inside]
+    label, parts = classes(side, (pair for pair, _ in within))
+    weight = [0] * len(parts)
+    for (a, _), c in within:
+        weight[label[a]] += c
+    best = None
+    for part, w in zip(parts, weight):
+        w += sum(inner[i] for i in part)
+        slack = (sum(len(groups[i]) for i in part) - 1) * unit - w
+        if slack < 0:
+            candidate = slack, sorted(v for i in part for v in groups[i])
+            if best is None or candidate < best:
+                best = candidate
+    return best
 
 
 def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
@@ -232,7 +228,8 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     exactly as violated as on the contracted multigraph, and the sweeps run
     there; every set they return is closed under 1-edges.  Super-nodes
     that touch no positive cross edge are never forced in: a violated
-    union of two or more super-nodes holds a positive cross edge.
+    union of two or more super-nodes holds a positive cross edge, and with
+    none there is no sweep and no network.
     """
     _check_point(point, graph)
     n = graph.node_count
@@ -241,12 +238,8 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
         raise ValidationError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
         return None
-    label = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
-    count = max(label.values()) + 1
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for v, i in label.items():
-        groups[i].append(v)
-    inner = [0] * count
+    label, groups = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
+    inner = [0] * len(groups)
     cross: dict[tuple[int, int], int] = {}
     for eid, c in caps.items():
         u, v = graph.edges[eid]
@@ -256,23 +249,26 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
         else:
             pair = (a, b) if a < b else (b, a)
             cross[pair] = cross.get(pair, 0) + c
-    heavy = [_forest_candidate(point, unit, graph, groups[i])
-             for i in range(count) if inner[i] > (len(groups[i]) - 1) * unit]
+    heavy = [((len(nodes) - 1) * unit - w, nodes) for nodes, w in zip(groups, inner)
+             if w > (len(nodes) - 1) * unit]
     if heavy:
-        return _forest_cut(min(heavy), unit)
-    pairs = sorted(cross.items())
+        return _forest_cut(graph, unit, *min(heavy))
+    if not cross:
+        return None
     total = sum(cross.values())
-    net = _flow_network(count, pairs, unit, total)
-    for r in sorted({i for pair in cross for i in pair}):
+    net = _flow_network(len(groups), cross, unit)
+    for r, w in enumerate(net.weight):
+        if not w:
+            continue
         value, side = _sweep_min_cut(net, r)
-        if value >= total:
+        if value >= 2 * total:
             continue
         # the cut side is violated and, as x(E) <= n - 1, not all of V, so
         # one of its connected parts is violated
-        found = _candidates(point, unit, graph, groups, pairs, side)
-        if not found:
+        best = _violated_part(unit, groups, inner, cross, side)
+        if best is None:
             raise InternalError(f"sweep from super-node {r} found no violated part")
-        return _forest_cut(min(found), unit)
+        return _forest_cut(graph, unit, *best)
     return None
 
 
@@ -289,7 +285,7 @@ def separate_forest_exhaustive(point, unit: int, graph: MultiGraph) -> ViolatedC
             candidate = _forest_candidate(point, unit, graph, combo)
             if candidate is not None and (best is None or candidate < best):
                 best = candidate
-    return None if best is None else _forest_cut(best, unit)
+    return None if best is None else _forest_cut(graph, unit, *best)
 
 
 # --- matroid rank separation -------------------------------------------

@@ -229,7 +229,7 @@ def verify_basis_solution(minstance: MatroidInstance, doc: dict) -> list[str]:
     Y = _parse_selection(doc, "Y", ids)
     Z = _parse_selection(doc, "Z", ids)
     failures = []
-    rank = matroid.full_rank()
+    rank = minstance.rank
     if len(X) != rank or matroid.rank(X) != rank:
         failures.append("X not a basis")
     if len(Y) != rank or matroid.rank(Y) != rank:

@@ -269,6 +269,16 @@ def test_compare_pivot_limit_exits_2(tmp_path, monkeypatch):
     assert report["total"] is None
 
 
+def test_compare_exhaustive_past_its_limit_exits_2(tmp_path):
+    # `rrst solve --separation exhaustive` exits 2 on the same instance
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--separation", "exhaustive", "--seeds", "1..1", "--nodes", "22",
+                "--k", "10", "--no-oracle", "--output", str(out)]) == 2
+    [report] = [json.loads(l) for l in out.read_text().splitlines()]
+    assert report["error"].startswith("input too large: 22 nodes exceeds the exhaustive scan limit")
+    assert report["total"] is None
+
+
 def test_invalid_log_level_exits_2(inst_file, monkeypatch):
     monkeypatch.setenv("RRST_LOG", "chatty")
     assert run(["gen", "--nodes", "3", "--k", "0", "--seed", "1"]) == 2

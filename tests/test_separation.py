@@ -11,6 +11,7 @@ down onto it.  The routes take a point as int numerators over one unit;
 checked against the exact point.
 """
 
+import gc
 import random
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from rrst.errors import ValidationError
 from rrst.matroids import PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
+from rrst import separation
 from rrst.rational import ONE, ZERO, rat
 from rrst.separation import (
     separate_forest,
@@ -114,6 +116,80 @@ def test_forest_verdict_matches_exhaustive_fuzz():
         if fast is not None:
             _check_certificate(fast, point, g)
             _check_certificate(slow, point, g)
+
+
+def _same_cut(point, graph):
+    """Separate point on both forest routes; assert they return the same
+    cut, field by field, and return it with the sides of the sweeps run."""
+    sides = []
+    sweep = separation._sweep_min_cut
+
+    def recorded(net, forced_in):
+        value, side = sweep(net, forced_in)
+        sides.append(side)
+        return value, side
+
+    separation._sweep_min_cut = recorded
+    try:
+        fast = separate_forest(*cleared(point), graph)
+    finally:
+        separation._sweep_min_cut = sweep
+    slow = separate_forest_exhaustive(*cleared(point), graph)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        for name in ("elements", "rhs", "node_set", "slack"):
+            assert getattr(fast, name) == getattr(slow, name), name
+        _check_certificate(fast, point, graph)
+    return fast, sides
+
+
+def _two_part_case():
+    """A triangle at 4/5 and a K4 at 9/10 with no edge between them, on 9
+    nodes, every edge its own super-node.  The sweep from node 0 finds the
+    union of both as its minimal cut side: 2.4 + 5.4 exceeds 6, while the
+    triangle alone gains 0.4 and the K4 alone 1.4 over their rhs."""
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    k4 = [(u, v) for u in range(3, 7) for v in range(u + 1, 7)]
+    g = graph_of(9, triangle + k4 + [(2, 3), (6, 7), (7, 8)])
+    point = {e: rat(4, 5) if e < 3 else rat(9, 10) if e < 9 else ZERO for e in g.edges}
+    return g, point
+
+
+def test_forest_cut_side_in_two_parts_gives_the_more_violated_part():
+    g, point = _two_part_case()
+    cut, sides = _same_cut(point, g)
+    assert sides == [[0, 1, 2, 3, 4, 5, 6]]
+    assert cut.node_set == (3, 4, 5, 6)
+    assert cut.slack == rat(-12, 5)
+
+
+def test_forest_no_positive_cross_edge_runs_no_sweep():
+    # a 1-valued spanning forest: every positive edge is inside a super-node
+    g = graph_of(5, [(0, 1), (1, 2), (0, 2), (3, 4), (2, 3)])
+    point = {0: ONE, 1: ONE, 2: ZERO, 3: ONE, 4: ZERO}
+    assert _same_cut(point, g) == (None, [])
+
+
+def test_forest_heavy_super_node_runs_no_sweep():
+    # the path 0-1-2 of 1-edges closes over the half edge 0-2; the half
+    # edges 2-3 and 3-4 cross between super-nodes
+    g = graph_of(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    point = {0: ONE, 1: ONE, 2: rat(1, 2), 3: rat(1, 2), 4: rat(1, 2)}
+    cut, sides = _same_cut(point, g)
+    assert sides == []
+    assert cut.node_set == (0, 1, 2) and cut.slack == rat(-1, 2)
+
+
+def test_forest_separation_leaves_no_cyclic_garbage():
+    g, point = _two_part_case()
+    ints, unit = cleared(point)
+    gc.collect()
+    gc.disable()
+    try:
+        assert separate_forest(ints, unit, g) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- matroid rank routes -----------------------------------------------
@@ -240,7 +316,7 @@ def _near_integral_case(rng):
 def _case_kinds(g, point):
     total = sum(point.values(), ZERO)
     ones = [e for e in sorted(g.edges) if point[e] == 1]
-    label = g.contraction_classes(ones)
+    label, _ = g.contraction_classes(ones)
     kinds = set()
     if len(g.spanning_forest(ones)) < len(ones):
         kinds.add("cycle of 1-edges")

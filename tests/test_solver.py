@@ -125,6 +125,19 @@ def test_graphic_matroid_equals_tree_solver():
         assert verify_tree_solution(inst, solution_to_dict(tree_sol)) == []
 
 
+def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
+    inst = generate_instance(6, 0.6, 2, 9, 7)
+    mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
+    assert mi.rank == 5 and mi.overlap_requirement == 3
+
+    def full_rank():
+        raise AssertionError("full rank computed again")
+
+    monkeypatch.setattr(mi.matroid, "full_rank", full_rank)
+    sol = solve_rrmb(mi)
+    assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+
+
 def _random_graphic_matroid(rng):
     """Multigraph on 2-6 nodes, edges drawn with repetition (parallel edges,
     often disconnected), half the time contracted once (parallels become loops)."""
