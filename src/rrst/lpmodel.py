@@ -71,19 +71,22 @@ class RelaxationModel:
         return row
 
 
-def build_relaxation(side, quota: int, costs) -> RelaxationModel:
-    """Build the LP over `side` with overlap `quota`, at least 1.
+def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
+    """Build the LP over `side`, whose selections hold `size` elements, with
+    overlap `quota`, at least 1.
 
-    Every element is overlap-eligible; `costs` is the instance's
-    CostColumns, whose ints are in units of 1/scale of the instance, so the objective and its
-    optimum (and the program `lp_dump_dir` writes) are in those units too.
-    A quota above the selection size leaves the program infeasible.
+    `size` is what the instance already knows (n - 1 for a tree, the rank
+    for a matroid), so no build scans the side for it.  Every element is
+    overlap-eligible; `costs` is the instance's CostColumns, whose ints are
+    in units of 1/scale of the instance, so the objective and its optimum
+    (and the program `lp_dump_dir` writes) are in those units too.  A quota
+    above the selection size leaves the program infeasible.
     """
     if not side.is_active():
         raise InternalError("relaxation requested but there is nothing to select")
     if quota < 1:
         raise InternalError(f"relaxation requested with overlap quota {quota}")
-    spare = side.target_size() - quota
+    spare = size - quota
     ids = side.element_ids
     lp = LinearProgram()
     # at q = r the a and c rows would force both blocks to zero

@@ -7,6 +7,12 @@ Self-loops are dropped eagerly whenever a contraction creates them.  Node
 labels after contraction are canonical representatives: a merge keeps the
 smaller label, so repeated contractions behave like union-find with
 min-label roots.
+
+Connectivity is one union-find idiom, in `spanning_forest` (Kruskal) and
+`classes` (contraction classes, split into connected parts): a dict maps
+each non-root to its parent, a node absent from it is a root, and each
+root is found by an inline walk that halves the path, pointing every node
+it steps from at its grandparent.
 """
 
 from __future__ import annotations
@@ -99,15 +105,24 @@ class MultiGraph:
         if need <= 0:
             return forest
         edges = self.edges
-        parent: dict[int, int] = {}
+        parent: dict[int, int] = {}  # non-roots only, as in classes
         for eid in edge_order:
             try:
                 u, v = edges[eid]
             except KeyError:
                 raise UnknownEdge(f"no edge with id {eid}") from None
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
+            while u in parent:
+                p = parent[u]
+                if p in parent:
+                    parent[u] = p = parent[p]
+                u = p
+            while v in parent:
+                p = parent[v]
+                if p in parent:
+                    parent[v] = p = parent[p]
+                v = p
+            if u != v:
+                parent[u] = v
                 forest.append(eid)
                 if len(forest) == need:
                     break
@@ -126,16 +141,31 @@ def classes(items, links) -> tuple[dict, list[list]]:
     """Union-find classes of items, where each link (a, b) joins the classes
     of a and b.  Returns item -> class number and the classes as lists, both
     numbered by first appearance in items and each in the order of items."""
+    # parent holds the non-roots only; each root walk halves its path
     parent: dict = {}
     for a, b in links:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
+        while a in parent:
+            p = parent[a]
+            if p in parent:
+                parent[a] = p = parent[p]
+            a = p
+        while b in parent:
+            p = parent[b]
+            if p in parent:
+                parent[b] = p = parent[p]
+            b = p
+        if a != b:
+            parent[a] = b
     label: dict = {}
     groups: list[list] = []
     number: dict = {}
     for v in items:
-        root = _find(parent, v) if v in parent else v
+        root = v
+        while root in parent:
+            p = parent[root]
+            if p in parent:
+                parent[root] = p = parent[p]
+            root = p
         i = number.get(root)
         if i is None:
             i = number[root] = len(groups)
@@ -144,11 +174,3 @@ def classes(items, links) -> tuple[dict, list[list]]:
             groups[i].append(v)
         label[v] = i
     return label, groups
-
-
-def _find(parent: dict, v):
-    """Class root of v, halving the path on the way."""
-    while parent.get(v, v) != v:
-        parent[v] = parent.get(parent[v], parent[v])
-        v = parent[v]
-    return v

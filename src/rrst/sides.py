@@ -43,7 +43,9 @@ class GraphSide:
         return self.graph.edge_count > 0
 
     def target_size(self) -> int:
-        """Number of elements a selection holds."""
+        """Number of elements a selection holds, by a Kruskal scan.  The
+        solver takes the size from the instance; this count, found
+        without it, is what the cut loop's points are checked against."""
         return len(self.graph.spanning_forest(self.graph.edges))
 
     def separate(self, point: dict[int, int], unit: int, separation: str) -> ViolatedCut | None:

@@ -22,6 +22,7 @@ byte-identical solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import IterationLimit, MalformedProgram
 
@@ -124,6 +125,12 @@ class SimplexSession:
     ratio tests cross-multiply, so the pivots are those of the rational
     tableau.  The starting basis is a unit matrix, so ``den`` starts at 1
     and each row is its constraint.
+
+    A cut joins in canonical form: ``den`` times its row, minus each basic
+    row times the cut's coefficient on that row's basic column, with its
+    own slack basic at ``den``.  The cuts of this package have
+    coefficients 0 and 1, so the basic rows a cut touches are summed in
+    one pass over the columns and the sum is subtracted once.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -209,14 +216,20 @@ class SimplexSession:
 
     def _canonical(self, row):
         """``den * row`` with every basic column eliminated, for a row over
-        the current columns written with denominator 1."""
+        the current columns written with denominator 1: ``den * row`` minus
+        the column sums of ``row[b_i] * rows[i]``.  A row with coefficient
+        1 joins the sum as it is; any other is scaled by a pass of its own."""
+        terms = []
+        for f, other in zip(map(row.__getitem__, self.basis), self.rows):
+            if f == 1:
+                terms.append(other)
+            elif f:
+                terms.append(list(map(f.__mul__, other)))
         den = self.den
-        out = [den * v for v in row] if den != 1 else list(row)
-        for i, b in enumerate(self.basis):
-            f = row[b]
-            if f:
-                out[:] = [a - f * v for a, v in zip(out, self.rows[i])]
-        return out
+        out = map(den.__mul__, row) if den != 1 else row
+        if not terms:
+            return list(out)
+        return list(map(sub, out, map(sum, zip(*terms))))
 
     # --- warm cut addition ---------------------------------------------
 

@@ -87,7 +87,8 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveConfig) -> Solution:
+def _solve_core(side, size: int, costs, scale: int, overlap_required: int, config: SolveConfig) -> Solution:
+    """Solve over `side`, whose selections hold `size` elements."""
     if overlap_required == 0:
         # no overlap is owed (always so when there is nothing to select),
         # so the stages decouple: complete each one greedily (every stage
@@ -98,7 +99,7 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
         vertex = None
         iterations = rounds = cuts = 0
     else:
-        model = build_relaxation(side, overlap_required, costs)
+        model = build_relaxation(side, size, overlap_required, costs)
         result = cutting_plane_solve(model, config)
         vertex = result.solution
         # int numerators over den: a 0/1 vertex holds only 0 and den
@@ -140,7 +141,7 @@ def _solve_core(side, costs, scale: int, overlap_required: int, config: SolveCon
 
 def solve_rrst(instance: Instance, config: SolveConfig | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
-    return _solve_core(GraphSide(instance.graph), instance.costs, instance.scale,
+    return _solve_core(GraphSide(instance.graph), instance.n - 1, instance.costs, instance.scale,
                        instance.overlap_requirement, config or SolveConfig())
 
 
@@ -151,8 +152,8 @@ def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) ->
     """
     matroid = minstance.matroid
     side = GraphSide(matroid.graph) if isinstance(matroid, GraphicMatroid) else MatroidSide(matroid)
-    return _solve_core(side, minstance.costs, minstance.scale, minstance.overlap_requirement,
-                       config or SolveConfig())
+    return _solve_core(side, minstance.rank, minstance.costs, minstance.scale,
+                       minstance.overlap_requirement, config or SolveConfig())
 
 
 # --- solution verification -------------------------------------------------

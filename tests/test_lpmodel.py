@@ -22,7 +22,7 @@ UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})
 
 def test_full_model_shape():
     costs = CostColumns.from_rows({e: (1, 2, 1) for e in range(3)})
-    model = build_relaxation(GraphSide(K3), quota=1, costs=costs)
+    model = build_relaxation(GraphSide(K3), size=2, quota=1, costs=costs)
     assert model.reduced is None
     # 3m columns in declaration order: a (first stage only), b (overlap),
     # c (second stage only)
@@ -38,7 +38,7 @@ def test_full_model_shape():
 
 def test_merged_model_when_everything_is_shared():
     costs = CostColumns.from_rows({e: (e, 2, 1) for e in range(3)})
-    model = build_relaxation(GraphSide(K3), quota=2, costs=costs)
+    model = build_relaxation(GraphSide(K3), size=2, quota=2, costs=costs)
     assert model.reduced == "merged"
     # m columns in id order, the b block alone, under one row 1ᵀb = q
     assert model.lp.variables == [("b", 0), ("b", 1), ("b", 2)]
@@ -49,7 +49,7 @@ def test_merged_model_when_everything_is_shared():
 def test_merged_model_for_uniform_matroid_at_k0():
     m = UniformMatroid(frozenset(range(5)), 3)
     costs = CostColumns.from_rows({e: (e, 4 - e, 0) for e in range(5)})
-    model = build_relaxation(MatroidSide(m), quota=3, costs=costs)
+    model = build_relaxation(MatroidSide(m), size=3, quota=3, costs=costs)
     assert model.reduced == "merged"
     result = cutting_plane_solve(model, SolveConfig())
     assert vertex_objective(result.solution) == rat(12)
@@ -58,25 +58,25 @@ def test_merged_model_for_uniform_matroid_at_k0():
 
 def test_infeasible_when_quota_has_no_carriers():
     # an overlap beyond the selection size cannot be carried
-    model = build_relaxation(GraphSide(K3), quota=3, costs=UNIT)
+    model = build_relaxation(GraphSide(K3), size=2, quota=3, costs=UNIT)
     with pytest.raises(InfeasibleModel):
         cutting_plane_solve(model, SolveConfig())
 
 
 def test_internal_errors_on_broken_state():
     with pytest.raises(InternalError):
-        build_relaxation(GraphSide(K3), quota=-1, costs=UNIT)
+        build_relaxation(GraphSide(K3), size=2, quota=-1, costs=UNIT)
     with pytest.raises(InternalError):
         # no overlap owed: the solver completes such a state greedily
-        build_relaxation(GraphSide(K3), quota=0, costs=UNIT)
+        build_relaxation(GraphSide(K3), size=2, quota=0, costs=UNIT)
     done = GraphSide(MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})).fix(0).fix(1)
     with pytest.raises(InternalError):
         # nothing left to select
-        build_relaxation(done, quota=1, costs=UNIT)
+        build_relaxation(done, size=0, quota=1, costs=UNIT)
 
 
 def test_cutting_plane_merged_k3():
-    model = build_relaxation(GraphSide(K3), quota=2, costs=UNIT)
+    model = build_relaxation(GraphSide(K3), size=2, quota=2, costs=UNIT)
     result = cutting_plane_solve(model, SolveConfig())
     # optimum picks two cheapest edges; C + c + d = 2 each
     assert vertex_objective(result.solution) == rat(4)
@@ -85,7 +85,7 @@ def test_cutting_plane_merged_k3():
 
 
 def _initial_model(inst):
-    return build_relaxation(GraphSide(inst.graph), inst.overlap_requirement, inst.costs)
+    return build_relaxation(GraphSide(inst.graph), inst.n - 1, inst.overlap_requirement, inst.costs)
 
 
 def test_cutting_plane_adds_cuts_and_final_point_is_clean():
@@ -118,7 +118,7 @@ def test_exhaustive_separation_agrees_with_mincut():
 
 
 def test_lp_dump_written(tmp_path):
-    model = build_relaxation(GraphSide(K3), 2, UNIT)
+    model = build_relaxation(GraphSide(K3), 2, 2, UNIT)
     cfg = SolveConfig(lp_dump_dir=str(tmp_path))
     cutting_plane_solve(model, cfg)
     text = (tmp_path / "relaxation.lp.txt").read_text()
@@ -128,7 +128,7 @@ def test_lp_dump_written(tmp_path):
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
     costs = CostColumns.from_rows({e: (e, 3 - e, 0) for e in range(4)})
-    model = build_relaxation(MatroidSide(m), quota=1, costs=costs)
+    model = build_relaxation(MatroidSide(m), size=2, quota=1, costs=costs)
     assert model.reduced is None  # quota below the rank: the a/b/c model
     result = cutting_plane_solve(model, SolveConfig())
     assert type(result.solution.objective) is int

@@ -1,11 +1,13 @@
 """Multigraph behaviour: contraction, deletion, connectivity."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst.errors import UnknownEdge, ValidationError
-from rrst.multigraph import MultiGraph
+from rrst.multigraph import MultiGraph, classes
 
 
 def k4():
@@ -113,3 +115,91 @@ def test_components_partition_nodes(g):
         union |= comp
     assert union == set(g.nodes)
     assert g.is_connected() == (len(comps) == 1)
+
+
+def bfs_classes(items, links):
+    """Reference for classes: one breadth-first search per new class."""
+    adjacent = {v: [] for v in items}
+    for a, b in links:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    label, groups = {}, []
+    for v in items:
+        if v in label:
+            continue
+        seen, queue = {v}, deque([v])
+        while queue:
+            for w in adjacent[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        for u in seen:
+            label[u] = len(groups)
+        groups.append([u for u in items if u in seen])
+    return label, groups
+
+
+@st.composite
+def items_and_links(draw):
+    """Distinct items in no particular order, and links among them with
+    repeats and self-links; items no link touches are common."""
+    items = draw(st.lists(st.integers(-20, 20), max_size=12, unique=True))
+    if not items:
+        return items, []
+    pair = st.tuples(st.sampled_from(items), st.sampled_from(items))
+    return items, draw(st.lists(pair, max_size=2 * len(items)))
+
+
+@given(items_and_links())
+@settings(max_examples=300, deadline=None)
+def test_classes_match_breadth_first_search(problem):
+    items, links = problem
+    links = links + links[: len(links) // 2]  # every other link repeated
+    assert classes(items, links) == bfs_classes(items, links)
+
+
+def kruskal(graph, edge_order):
+    """Reference for spanning_forest: components kept as node -> label
+    maps, relabelled in full at each merge."""
+    need = graph.node_count - 1
+    component = {v: v for v in graph.nodes}
+    forest = []
+    for eid in edge_order:
+        if len(forest) >= need:
+            break
+        if eid not in graph.edges:
+            raise UnknownEdge(f"no edge with id {eid}")
+        u, v = graph.edges[eid]
+        if component[u] != component[v]:
+            old = component[u]
+            component = {w: component[v] if c == old else c for w, c in component.items()}
+            forest.append(eid)
+    return forest
+
+
+@st.composite
+def graph_and_order(draw):
+    """A multigraph on 1-7 nodes with spread-out labels and parallel edges,
+    often disconnected or edgeless, and an edge order: every id once, then
+    repeats, with an id outside the graph somewhere in half the orders."""
+    nodes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=7, unique=True))
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    graph = MultiGraph(nodes, {3 * i + 1: uv for i, uv in enumerate(ends)})
+    ids = sorted(graph.edges) + [0] * draw(st.integers(0, 1))  # 0 is no edge's id
+    if not ids:
+        return graph, []
+    return graph, draw(st.permutations(ids)) + draw(st.lists(st.sampled_from(ids), max_size=6))
+
+
+@given(graph_and_order())
+@settings(max_examples=300, deadline=None)
+def test_spanning_forest_matches_reference_kruskal(problem):
+    graph, order = problem
+    try:
+        expected = kruskal(graph, order)
+    except UnknownEdge:
+        with pytest.raises(UnknownEdge):
+            graph.spanning_forest(order)
+    else:
+        assert graph.spanning_forest(order) == expected

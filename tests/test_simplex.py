@@ -591,3 +591,41 @@ def test_integer_tableau_matches_rational_tableau(problem):
     assert cold.status == session.status
     if cold.status == "optimal":
         assert cold.objective_value() == vertex_objective(session.result())
+
+
+@st.composite
+def tableau_and_row(draw):
+    """A random integer tableau (basic columns den times unit vectors,
+    every other entry free) and a row over its columns with coefficients
+    in -3..3, so the basic rows it touches take coefficients other than 1."""
+    width = draw(st.integers(1, 9))
+    basis = draw(st.lists(st.integers(0, width - 1), max_size=width, unique=True))
+    den = draw(st.integers(1, 40))
+    rows = []
+    for i, b in enumerate(basis):
+        row = draw(st.lists(st.integers(-60, 60), min_size=width + 1, max_size=width + 1))
+        for j, other in enumerate(basis):
+            row[other] = den if j == i else 0
+        rows.append(row)
+    row = draw(st.lists(st.integers(-3, 3), min_size=width + 1, max_size=width + 1))
+    return den, basis, rows, row
+
+
+@given(tableau_and_row())
+@settings(max_examples=300, deadline=None)
+def test_canonical_equals_per_row_elimination(problem):
+    """_canonical sums the rows with coefficient 1 in one column pass; it
+    must equal den * row minus each touched basic row times its
+    coefficient, eliminated one row at a time, and leave the row as given."""
+    den, basis, rows, row = problem
+    session = SimplexSession.__new__(SimplexSession)
+    session.den, session.basis, session.rows = den, basis, rows
+    given_row = list(row)
+    expected = [den * v for v in row]
+    for i, b in enumerate(basis):
+        if row[b]:
+            expected = [a - row[b] * v for a, v in zip(expected, rows[i])]
+    out = session._canonical(row)
+    assert out == expected
+    assert all(out[b] == 0 for b in basis)
+    assert row == given_row and out is not row

@@ -13,6 +13,7 @@ from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns, Instance, loads_instance
 from rrst.matroids import (
     GraphicMatroid,
+    Matroid,
     MatroidInstance,
     PartitionMatroid,
     UniformMatroid,
@@ -22,6 +23,7 @@ from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force_rrmb, brute_force_rrst
 from rrst.rational import ONE, ZERO, rat
 from rrst.sides import GraphSide, MatroidSide
+from rrst.simplex import SimplexSession
 from rrst.solver import (
     serialize_solution,
     solution_to_dict,
@@ -126,16 +128,30 @@ def test_graphic_matroid_equals_tree_solver():
 
 
 def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
+    """An LP solve takes its selection size from the instance (the rank, or
+    n - 1 for a tree) and scans no matroid or graph for it again."""
     inst = generate_instance(6, 0.6, 2, 9, 7)
-    mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
-    assert mi.rank == 5 and mi.overlap_requirement == 3
+    costs = CostColumns.from_rows({e: (e % 3, 5 - e % 4, e % 2) for e in range(7)})
+    instances = [
+        MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale),
+        MatroidInstance(matroid=UniformMatroid(frozenset(range(7)), 4), costs=costs, k=1, scale=1),
+        MatroidInstance(matroid=PartitionMatroid([(frozenset({0, 1, 2}), 2), (frozenset({3, 4, 5, 6}), 2)]),
+                        costs=costs, k=1, scale=1),
+    ]
+    assert [(mi.rank, mi.overlap_requirement) for mi in instances] == [(5, 3), (4, 3), (4, 3)]
 
-    def full_rank():
-        raise AssertionError("full rank computed again")
+    def again(*args):
+        raise AssertionError("selection size computed again")
 
-    monkeypatch.setattr(mi.matroid, "full_rank", full_rank)
-    sol = solve_rrmb(mi)
-    assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+    for cls, name in ((Matroid, "full_rank"), (GraphSide, "target_size"), (MatroidSide, "target_size")):
+        monkeypatch.setattr(cls, name, again)
+    for mi in instances:
+        sol = solve_rrmb(mi)
+        assert sol.iterations == 1
+        assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+    sol = solve_rrst(inst)
+    assert sol.iterations == 1
+    assert verify_tree_solution(inst, solution_to_dict(sol)) == []
 
 
 def _random_graphic_matroid(rng):
@@ -361,3 +377,33 @@ def test_missing_cost_field_reported(triangle_unit):
     del doc["total"]
     msgs = verify_tree_solution(triangle_unit, doc)
     assert any("missing field total" in m for m in msgs)
+
+
+# (rounds, cuts, dual pivots) of seeds 1-6 of generate_instance(n, 0.3, k, 50, seed)
+PINNED_CUT_PATHS = {
+    (9, 4): [(9, 15, 24), (8, 14, 20), (11, 18, 40), (9, 16, 36), (7, 14, 26), (9, 15, 45)],
+    (12, 6): [(17, 34, 91), (13, 25, 75), (15, 29, 68), (19, 29, 65), (11, 21, 43), (16, 27, 85)],
+    (16, 0): [(14, 14, 14)] * 6,
+}
+
+
+def test_cut_path_is_pinned(monkeypatch):
+    """The cut loop's path on fixed mid-k and k=0 trees: a change to the
+    simplex or separation kernels that alters a pivot, a cut or a round
+    fails here even where no tie changes a document."""
+    pivots = 0
+    real = SimplexSession._pivot
+
+    def counted(self, r, c):
+        nonlocal pivots
+        pivots += 1
+        return real(self, r, c)
+
+    monkeypatch.setattr(SimplexSession, "_pivot", counted)
+    for (n, k), recorded in PINNED_CUT_PATHS.items():
+        path = []
+        for seed in range(1, 7):
+            pivots = 0
+            sol = solve_rrst(generate_instance(n, 0.3, k, 50, seed))
+            path.append((sol.rounds, sol.cuts, pivots))
+        assert path == recorded, (n, k)
