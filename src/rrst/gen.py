@@ -4,6 +4,16 @@ Random instances are built from a uniform random spanning tree (Prüfer
 decoding) plus Bernoulli extra edges, with integer costs drawn uniformly
 from [0, cost_max].  Everything is driven by a single ``random.Random(seed)``
 stream, so a given seed always yields the byte-identical instance document.
+The draw order is the documents' contract:
+
+1. the Prüfer sequence, nodes - 2 labels below ``nodes``;
+2. one ``random()`` per node pair u < v that is not a tree edge, in (u, v)
+   order; the pair becomes an edge when the draw is below ``density``;
+3. C, c, d of each edge, in edge-id order, each below ``cost_max + 1``.
+
+A draw below a bound b (steps 1 and 3) is ``getrandbits(b.bit_length())``,
+drawn again while it is b or more: the draw ``randrange(b)`` makes on
+CPython 3.10-3.13, taken a batch at a time by `_below`.
 
 The built-in suite enumerates every connected graph on at most five nodes
 up to isomorphism and equips each with three cost patterns:
@@ -58,6 +68,25 @@ def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _below(rng: random.Random, bound: int, count: int) -> list[int]:
+    """count draws from rng, each uniform in [0, bound) for bound >= 1, drawn
+    as ``rng.randrange(bound)`` draws them: ``getrandbits`` of bound's bit
+    length, rejected at bound or above.  Each batch draws only the number
+    still owed, so the stream ends where count such calls would leave it."""
+    width = bound.bit_length()
+    drawn: list[int] = []
+    while len(drawn) < count:
+        drawn += [r for r in map(rng.getrandbits, itertools.repeat(width, count - len(drawn))) if r < bound]
+    return drawn
+
+
+def _drawn_costs(rng: random.Random, cost_max: int, ids) -> CostColumns:
+    """Costs of ids, a sized iterable of ascending ids, uniform in
+    [0, cost_max], drawn C, c, d per id in id order."""
+    drawn = _below(rng, cost_max + 1, 3 * len(ids))
+    return CostColumns(*(dict(zip(ids, drawn[i::3])) for i in range(3)))
+
+
 def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: int) -> Instance:
     """Seeded random connected instance.
 
@@ -65,7 +94,10 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     pair independently with probability ``density``; density 0 yields exactly
     a tree and density 1 the complete graph.  Edge ids are assigned in sorted
     endpoint order, and each edge draws integer costs C, c, d uniformly from
-    [0, cost_max] in id order.
+    [0, cost_max].  The stream of ``random.Random(seed)`` is read in the
+    module docstring's order: the Prüfer sequence, then one ``random()`` per
+    non-tree pair in (u, v) order, then C, c, d per edge in id order, each
+    by ``getrandbits`` with rejection at ``cost_max + 1``.
     """
     if nodes < 1:
         raise ValidationError(f"nodes must be >= 1, got {nodes}")
@@ -78,26 +110,29 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     rng = random.Random(seed)
 
     if nodes == 1:
-        tree_pairs: set[tuple[int, int]] = set()
+        tree: list[tuple[int, int]] = []
     elif nodes == 2:
-        tree_pairs = {(0, 1)}
+        tree = [(0, 1)]
     else:
-        seq = [rng.randrange(nodes) for _ in range(nodes - 2)]
-        tree_pairs = set(_tree_from_pruefer(seq, nodes))
+        tree = _tree_from_pruefer(_below(rng, nodes, nodes - 2), nodes)
 
-    pairs = set(tree_pairs)
-    for u in range(nodes):
-        for v in range(u + 1, nodes):
-            if (u, v) in tree_pairs:
-                continue
-            if rng.random() < density:
-                pairs.add((u, v))
+    # each row u: its tree neighbours above u, and between them the free
+    # pairs, one Bernoulli draw each
+    above: list[list[int]] = [[] for _ in range(nodes)]
+    for u, v in tree:
+        above[u].append(v)
+    draw = rng.random
+    pairs: list[tuple[int, int]] = []
+    for u, row in enumerate(above):
+        row.sort()
+        free = [v for a, b in itertools.pairwise([u, *row, nodes]) for v in range(a + 1, b)]
+        row += [v for v in free if draw() < density]
+        row.sort()
+        pairs += zip(itertools.repeat(u), row)
 
-    edges = {i: uv for i, uv in enumerate(sorted(pairs))}
-    costs = CostColumns.from_rows({
-        i: (rng.randint(0, cost_max), rng.randint(0, cost_max), rng.randint(0, cost_max))
-        for i in sorted(edges)
-    })
+    edges = dict(enumerate(pairs))
+    # keyed by the edge dict's own ids, so the columns share its int objects
+    costs = _drawn_costs(rng, cost_max, edges)
     return Instance(graph=MultiGraph(range(nodes), edges), costs=costs, k=k, scale=1)
 
 
@@ -134,11 +169,7 @@ def _pattern_costs(pattern: str, m: int, seed_key: str) -> CostColumns:
         # cheap first stage pairs with expensive second stage and vice versa
         return CostColumns.from_rows({i: (i + 1, m - i, i % 2) for i in range(m)})
     if pattern == "random":
-        rng = random.Random(seed_key)
-        return CostColumns.from_rows({
-            i: (rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
-            for i in range(m)
-        })
+        return _drawn_costs(random.Random(seed_key), 20, range(m))
     raise ValidationError(f"unknown cost pattern {pattern!r}")
 
 

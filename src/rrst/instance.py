@@ -324,14 +324,18 @@ def _reject_constant(tok):
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    edges = []
+    """The instance as a document: edges in id order, each object's keys in
+    the sorted order `serialize_instance` writes them in.  At scale 1 the
+    cost columns are emitted as they are, since every cost is whole."""
     scale = inst.scale
-    C, c, d = inst.costs.C, inst.costs.c, inst.costs.d
-    for eid in inst.graph.edge_ids():
-        u, v = inst.graph.endpoints(eid)
-        edges.append({"id": eid, "u": u, "v": v, "C": _cost_out(C[eid], scale),
-                      "c": _cost_out(c[eid], scale), "d": _cost_out(d[eid], scale)})
-    return {"nodes": inst.graph.node_count, "k": inst.k, "edges": edges}
+    C, c, d = columns = (inst.costs.C, inst.costs.c, inst.costs.d)
+    if scale != 1:
+        C, c, d = ({e: _cost_out(v, scale) for e, v in column.items()} for column in columns)
+    ends = inst.graph.edges
+    ids = sorted(ends)
+    edges = [{"C": C[e], "c": c[e], "d": d[e], "id": e, "u": u, "v": v}
+             for e, (u, v) in zip(ids, map(ends.__getitem__, ids))]
+    return {"edges": edges, "k": inst.k, "nodes": inst.graph.node_count}
 
 
 def _cost_out(v: int, scale: int):

@@ -35,6 +35,7 @@ from .instance import (
     _cost_columns,
     _distinct_ids,
     _edge_columns,
+    _int_column,
     _int_field,
     _missed_fault,
     _object,
@@ -277,7 +278,7 @@ class MatroidInstance:
 
 
 def _is_id_list(raw) -> bool:
-    return isinstance(raw, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
+    return isinstance(raw, list) and _int_column(raw)
 
 
 def matroid_from_dict(doc) -> Matroid:

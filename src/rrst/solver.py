@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from .config import SolveConfig
 from .errors import InternalError, ValidationError
-from .instance import Instance
+from .instance import Instance, _int_column
 from .lpmodel import build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, MatroidInstance
 from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
@@ -164,7 +164,7 @@ def _parse_selection(doc: dict, key: str, valid_ids) -> set:
     if key not in doc:
         raise ValidationError(f"solution is missing {key!r}")
     items = doc[key]
-    if not isinstance(items, list) or not all(isinstance(e, int) and not isinstance(e, bool) for e in items):
+    if not isinstance(items, list) or not _int_column(items):
         raise ValidationError(f"{key!r} must be a list of element ids")
     out = set(items)
     if len(out) != len(items):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,60 @@ def _pivot_limit():
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_PIVOT_LIMIT", 10_000)
+        yield
+
+
+# Wall-clock seconds each phase of a test (setup, call, teardown) may take.
+# The whole suite runs in well under a minute, so only a phase that hangs,
+# such as a union-find root walk caught in a cycle, comes near this.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test phase that ran past TEST_TIME_LIMIT_S.  Not an
+    Exception, so neither hypothesis, which would replay and shrink the
+    example that raised it, nor an `except Exception` in the code under
+    test swallows it."""
+
+
+def _time_limit_reached(signum, frame):
+    raise TimeLimitExceeded(f"test phase ran past its {TEST_TIME_LIMIT_S} s time limit")
+
+
+@contextlib.contextmanager
+def _time_limit():
+    """Raise TimeLimitExceeded, with a traceback at the line the test was
+    stuck on, once TEST_TIME_LIMIT_S pass.  Needs SIGALRM and an interval
+    timer, so it is armed only on POSIX and on the main thread."""
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _time_limit_reached)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# One limit per phase, so a hang in a module fixture such as the acceptance
+# corpus fails too.  These hooks run only for the tests under this directory.
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    with _time_limit():
         yield
 
 

@@ -1,5 +1,7 @@
 """Instance generation: determinism, density extremes, the built-in suite."""
 
+import hashlib
+
 import pytest
 
 from rrst.errors import ValidationError
@@ -20,6 +22,31 @@ def test_same_seed_same_bytes():
     assert a == b
     c = serialize_instance(generate_instance(7, 0.4, 2, 15, 124))
     assert a != c
+
+
+# sha256 over the serialized documents of one node count, for every
+# density, cost_max and seed of the grid below, in that nesting order; k is
+# nodes // 2.  The digests pin the draw order the module docstring states,
+# so a change that shifts any draw fails here.  The cost bounds straddle
+# 64, where a rejected draw is likeliest.
+STREAM_DIGESTS = {
+    1: "acb6cc2ad277452f7ba6f3deaeb7d69858c1a1e6711f337c2ce669fd5f822142",
+    2: "79ef99ff7a9ef24e2982b7b6c65cab1eae20d7ebbf3aac6734531f81a71fab40",
+    3: "aafcd7d102926bc15f0433dc09ec5e83a88f25728cca7d697dc380d8151a74af",
+    9: "52ed955b2f507f14ee7fc367deed508a58e131fde51c25678956d88edefbde75",
+    40: "5225ebdda7e66b0184bfe17fc33bf91304ac14e7a13ec7785c14fc5cfd1fd763",
+}
+
+
+@pytest.mark.parametrize("nodes", sorted(STREAM_DIGESTS))
+def test_generated_documents_are_pinned(nodes):
+    digest = hashlib.sha256()
+    for density in (0.0, 0.3, 1.0):
+        for cost_max in (0, 1, 20, 63, 64, 1000):
+            for seed in (0, 1):
+                inst = generate_instance(nodes, density, nodes // 2, cost_max, seed)
+                digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[nodes]
 
 
 def test_density_extremes():
@@ -100,6 +127,19 @@ def test_builtin_suite_patterns():
     seconds = [anti.costs.second[e] for e in sorted(anti.costs.second)]
     assert cs == sorted(cs)  # first stage rises while second stage falls
     assert all(a >= b for a, b in zip(seconds, seconds[1:]))
+
+
+# sha256 over each name and serialized document of the built-in suite, in
+# suite order; the "random" pattern draws its costs as generate_instance does
+BUILTIN_SUITE_DIGEST = "ad4d013b8b205299d42c3f7d413fd030146aa8f3dfc6d04ab720efff2f33cb52"
+
+
+def test_builtin_suite_documents_are_pinned():
+    digest = hashlib.sha256()
+    for name, inst in builtin_small_suite():
+        digest.update(name.encode())
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == BUILTIN_SUITE_DIGEST
 
 
 def test_builtin_suite_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrst.errors import ElementNotInGround, GroundTooLarge, ValidationError
+from rrst.errors import ElementNotInGround, GroundTooLarge, ParseError, ValidationError
 from rrst.matroids import (
     GenericOracleMatroid,
     GraphicMatroid,
@@ -177,6 +177,10 @@ def test_partition_overlapping_parts_rejected():
         PartitionMatroid([(frozenset({0, 1}), 1), (frozenset({1, 2}), 1)])
 
 
+class _Id(int):
+    """An int subclass, as an id read by a JSON decoder's parse_int may be."""
+
+
 def test_matroid_from_dict_families():
     u = matroid_from_dict({"family": "uniform", "elements": [3, 1, 2], "rank": 2})
     assert isinstance(u, UniformMatroid) and u.full_rank() == 2
@@ -189,3 +193,10 @@ def test_matroid_from_dict_families():
          "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 1, "v": 2}]}
     )
     assert isinstance(g, GraphicMatroid) and g.full_rank() == 2
+    # a bool is not an element id, though it is an int; any other int subclass is
+    assert matroid_from_dict({"family": "uniform", "elements": [_Id(3), _Id(1)], "rank": 1}).ground == {1, 3}
+    assert matroid_from_dict({"family": "partition", "parts": [{"elements": [_Id(2)], "cap": 1}]}).ground == {2}
+    for doc in ({"family": "uniform", "elements": [True, 2], "rank": 1},
+                {"family": "partition", "parts": [{"elements": [True, 2], "cap": 1}]}):
+        with pytest.raises(ParseError, match="must be a list of integers"):
+            matroid_from_dict(doc)

@@ -342,6 +342,10 @@ def test_verify_catches_bad_witness(triangle_unit):
             assert msgs2
 
 
+class _Id(int):
+    """An int subclass, as an id read by a JSON decoder's parse_int may be."""
+
+
 def test_verify_rejects_malformed_selections(triangle_unit):
     doc = solution_to_dict(solve_rrst(triangle_unit))
     with pytest.raises(ValidationError):
@@ -350,6 +354,10 @@ def test_verify_rejects_malformed_selections(triangle_unit):
         verify_tree_solution(triangle_unit, _tamper(doc, X=[99, 1]))
     with pytest.raises(ValidationError):
         verify_tree_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"})
+    # a bool is not an id, though it is an int; any other int subclass is
+    with pytest.raises(ValidationError, match=r"^'X' must be a list of element ids$"):
+        verify_tree_solution(triangle_unit, _tamper(doc, X=[True, *doc["X"][1:]]))
+    assert verify_tree_solution(triangle_unit, dict(doc, X=[_Id(e) for e in doc["X"]])) == []
 
 
 def test_verify_names_unknown_elements_in_order(triangle_unit):
