@@ -8,6 +8,10 @@ Subcommands:
 * ``compare`` - run solver and exhaustive oracle over a suite, report agreement;
 * ``oracle``  - solve an instance by exhaustive enumeration only.
 
+``solve`` and ``compare`` separate by the one route each side has; no flag
+picks another.  The exhaustive separation scans are the tests' reference
+(``tests/reference_separation.py``).
+
 Exit codes: 0 success, 2 bad input or input too large, 3 verification
 failure or solver/oracle disagreement, 4 breached internal invariant (always
 a bug, never bad input).
@@ -78,18 +82,8 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _config_from_args(args) -> SolveConfig:
-    try:
-        return SolveConfig(
-            separation=args.separation,
-            lp_dump_dir=getattr(args, "lp_dump_dir", None),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def cmd_solve(args) -> int:
-    config = _config_from_args(args)
+    config = SolveConfig(lp_dump_dir=args.lp_dump_dir)
     if args.matroid:
         minst = load_matroid_instance(args.input)
         log.info("matroid instance: |ground|=%d rank=%d k=%d",
@@ -202,7 +196,7 @@ def _compare_instances(args) -> list[tuple[str, Instance]]:
     raise ValidationError("compare needs --suite or --seeds")
 
 
-def _run_report(name: str, inst: Instance, config: SolveConfig, with_oracle: bool) -> dict:
+def _run_report(name: str, inst: Instance, with_oracle: bool) -> dict:
     report: dict = {
         "name": name,
         "n": inst.n,
@@ -219,10 +213,9 @@ def _run_report(name: str, inst: Instance, config: SolveConfig, with_oracle: boo
     }
     t0 = time.perf_counter()
     try:
-        sol = solve_rrst(inst, config)
-    except (TooManyTrees, GroundTooLarge, IterationLimit) as exc:
-        # an enumeration guard, or a pivot or round bound: reported as
-        # `rrst solve` reports it
+        sol = solve_rrst(inst)
+    except IterationLimit as exc:
+        # a pivot or round bound: reported as `rrst solve` reports it
         report["error"] = f"input too large: {exc}"
         return report
     except RRSTError as exc:
@@ -245,7 +238,6 @@ def _run_report(name: str, inst: Instance, config: SolveConfig, with_oracle: boo
 
 
 def cmd_compare(args) -> int:
-    config = _config_from_args(args)
     instances = _compare_instances(args)
     log.info("comparing %d instances", len(instances))
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
@@ -254,7 +246,7 @@ def cmd_compare(args) -> int:
     internal = 0
     try:
         for name, inst in instances:
-            report = _run_report(name, inst, config, with_oracle=not args.no_oracle)
+            report = _run_report(name, inst, with_oracle=not args.no_oracle)
             if report["agree"] is False:
                 disagreements += 1
                 log.error("disagreement on %s: solver=%s oracle=%s",
@@ -281,10 +273,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--separation", default="mincut", help="mincut (default) or exhaustive")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrst",
@@ -297,7 +285,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="solution path (default stdout)")
     p.add_argument("--matroid", action="store_true", help="input is a matroid instance")
     p.add_argument("--lp-dump-dir", default=None, help="write the cut LP as text here")
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
@@ -327,7 +314,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="pin the recovery budget (default: sweep by seed)")
     p.add_argument("--no-oracle", action="store_true", help="skip the exhaustive reference")
     p.add_argument("--output", default=None, help="report path (default stdout)")
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle", help="solve by exhaustive enumeration")

@@ -1,8 +1,8 @@
 """Solver configuration, shared by the library API and the CLI.
 
-`separation` picks between the default min-cut route and a slower
-exhaustive reference route that the tests cross-check it against;
-`lp_dump_dir` writes the solved relaxation as text.
+`lp_dump_dir` writes the solved relaxation as text.  Separation has one
+route per side (see separation.py); the tests keep the exhaustive
+reference scans in `tests/reference_separation.py`.
 """
 
 from __future__ import annotations
@@ -12,12 +12,5 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SolveConfig:
-    # "mincut" separates subtours by exact max-flow sweeps; "exhaustive"
-    # enumerates subsets (small instances only)
-    separation: str = "mincut"
     # write the fully-cut LP in plain text to this directory
     lp_dump_dir: str | None = None
-
-    def __post_init__(self):
-        if self.separation not in ("mincut", "exhaustive"):
-            raise ValueError(f"separation must be mincut or exhaustive, got {self.separation!r}")

@@ -137,13 +137,13 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         # is violated on the other stage, no need to sweep it again
         mirrored = points["x"] == points.get("y")
         pending = []  # (stage, cut)
-        cut = side.separate(points["x"], den, config.separation)
+        cut = side.separate(points["x"], den)
         if cut is not None:
             pending.append(("x", cut))
             if mirrored:
                 pending.append(("y", cut))
         if "y" in points and not mirrored:
-            cut = side.separate(points["y"], den, config.separation)
+            cut = side.separate(points["y"], den)
             if cut is not None:
                 pending.append(("y", cut))
         if not pending:

@@ -36,22 +36,22 @@ connected sets.  Whenever any violated set exists, at least one part is
 violated, so the verdict always matches exhaustive enumeration.
 
 Matroid side: rank constraints x(U) <= rank(U) over proper subsets.
-Uniform and partition matroids reduce to one sorted prefix scan per part;
-the exhaustive scan covers everything else (and doubles as the independent
-verification route).  The solver hands graphic matroids to the forest side
-instead, so they take the min-cut route above.
+Uniform and partition matroids reduce to one sorted prefix scan per part.
+The solver hands graphic matroids to the forest side instead, so they take
+the min-cut route above.
+
+Each side has this one route.  The exhaustive scans over every subset,
+which define what both routes must find, are the tests' reference
+(`tests/reference_separation.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import GroundTooLarge, InternalError, ValidationError
+from .errors import InternalError, ValidationError
 from .multigraph import MultiGraph, classes
 from .rational import Rat, rat
-
-EXHAUSTIVE_NODE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,6 @@ def _check_point(point, graph):
     if min(point.values(), default=0) < 0:
         eid = next(e for e in graph.edges if point[e] < 0)
         raise ValidationError(f"point[{eid}]={point[eid]} is negative")
-
-
-def _forest_candidate(point, unit, graph, nodes):
-    """Exact check of one candidate node set: (slack * unit, sorted nodes)
-    when it is violated, else None.  Candidates rank as their cuts do."""
-    n = graph.node_count
-    if not 2 <= len(nodes) < n:
-        return None
-    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, graph.edges_within(nodes)))
-    if slack >= 0:
-        return None
-    return slack, tuple(sorted(nodes))
 
 
 def _forest_cut(graph, unit, slack, nodes) -> ViolatedCut:
@@ -272,22 +260,6 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     return None
 
 
-def separate_forest_exhaustive(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
-    """Reference route: check every node subset with 2 <= |U| < n."""
-    _check_point(point, graph)
-    n = graph.node_count
-    if n > EXHAUSTIVE_NODE_LIMIT:
-        raise GroundTooLarge(f"{n} nodes exceeds the exhaustive scan limit")
-    best = None
-    nodes = sorted(graph.nodes)
-    for size in range(2, n):
-        for combo in itertools.combinations(nodes, size):
-            candidate = _forest_candidate(point, unit, graph, combo)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
-    return None if best is None else _forest_cut(graph, unit, *best)
-
-
 # --- matroid rank separation -------------------------------------------
 
 
@@ -314,15 +286,16 @@ def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
     relaxation is; ValidationError otherwise.  A uniform matroid is the one
     part (ground, r) and a partition matroid keeps its parts.  The most
     violated constraint is the union of each part's best prefix; it is
-    never the whole ground set, which no such point violates.  Any other
-    family takes the exhaustive scan.
+    never the whole ground set, which no such point violates.  The solver
+    hands graphic matroids to the forest side, and the parser knows no
+    other family, so any other family is a bug: InternalError.
     """
     if matroid.family == "uniform":
         parts = [(matroid.ground, matroid.r)]
     elif matroid.family == "partition":
         parts = matroid.parts
     else:
-        return separate_rank_exhaustive(point, unit, matroid)
+        raise InternalError(f"no rank separation for the {matroid.family} family")
     elements = []
     rhs, violation, weight, rank = 0, 0, 0, 0
     for part, cap in parts:
@@ -337,21 +310,3 @@ def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
     if violation == 0:
         return None
     return ViolatedCut(tuple(sorted(elements)), rhs, rat(-violation, unit), None)
-
-
-def separate_rank_exhaustive(point, unit: int, matroid) -> ViolatedCut | None:
-    """Reference route: every proper nonempty subset against greedy rank."""
-    ground = sorted(matroid.ground)
-    if len(ground) > EXHAUSTIVE_NODE_LIMIT:
-        raise GroundTooLarge(f"{len(ground)} elements exceeds the exhaustive scan limit")
-    best = None  # (slack * unit, elements, rhs)
-    for size in range(1, len(ground)):
-        for combo in itertools.combinations(ground, size):
-            rhs = matroid.rank(frozenset(combo))
-            slack = rhs * unit - sum(map(point.__getitem__, combo))
-            if slack < 0 and (best is None or (slack, combo) < best[:2]):
-                best = slack, combo, rhs
-    if best is None:
-        return None
-    slack, combo, rhs = best
-    return ViolatedCut(combo, rhs, rat(slack, unit), None)

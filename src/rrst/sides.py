@@ -2,11 +2,13 @@
 
 Both stages select over the same structure, one side object: a multigraph
 whose selections are spanning forests, or a matroid whose selections are
-bases.  A side answers separation queries against fractional points and
-completes a selection greedily.  A point is a dict of int numerators over
-one positive `unit`, the LP tableau's denominator.  `fix` and `remove`
-give the minor that commits or discards one element; the solver reads its
-answer off a single LP vertex and shrinks no side.
+bases.  A side answers separation queries against fractional points, by
+its one route (`separate_forest` or `separate_rank`; the tests check both
+against `tests/reference_separation.py`), and completes a selection
+greedily.  A point is a dict of int numerators over one positive `unit`,
+the LP tableau's denominator.  `fix` and `remove` give the minor that
+commits or discards one element; the solver reads its answer off a single
+LP vertex and shrinks no side.
 
 Spanning forests are the bases of the graphic matroid, so the graph side
 serves both spanning trees and graphic matroids; a spanning forest of a
@@ -18,13 +20,7 @@ from __future__ import annotations
 
 from .matroids import Matroid, greedy_min_basis
 from .multigraph import MultiGraph
-from .separation import (
-    ViolatedCut,
-    separate_forest,
-    separate_forest_exhaustive,
-    separate_rank,
-    separate_rank_exhaustive,
-)
+from .separation import ViolatedCut, separate_forest, separate_rank
 
 
 class GraphSide:
@@ -42,15 +38,8 @@ class GraphSide:
     def is_active(self) -> bool:
         return self.graph.edge_count > 0
 
-    def target_size(self) -> int:
-        """Number of elements a selection holds, by a Kruskal scan.  The
-        solver takes the size from the instance; this count, found
-        without it, is what the cut loop's points are checked against."""
-        return len(self.graph.spanning_forest(self.graph.edges))
-
-    def separate(self, point: dict[int, int], unit: int, separation: str) -> ViolatedCut | None:
-        finder = separate_forest_exhaustive if separation == "exhaustive" else separate_forest
-        return finder(point, unit, self.graph)
+    def separate(self, point: dict[int, int], unit: int) -> ViolatedCut | None:
+        return separate_forest(point, unit, self.graph)
 
     def fix(self, element: int) -> "GraphSide":
         return GraphSide(self.graph.contract_edge(element))
@@ -79,12 +68,8 @@ class MatroidSide:
     def is_active(self) -> bool:
         return len(self.matroid.ground) > 0
 
-    def target_size(self) -> int:
-        return self.matroid.full_rank()
-
-    def separate(self, point: dict[int, int], unit: int, separation: str) -> ViolatedCut | None:
-        finder = separate_rank_exhaustive if separation == "exhaustive" else separate_rank
-        return finder(point, unit, self.matroid)
+    def separate(self, point: dict[int, int], unit: int) -> ViolatedCut | None:
+        return separate_rank(point, unit, self.matroid)
 
     def fix(self, element: int) -> "MatroidSide":
         return MatroidSide(self.matroid.contract(element))

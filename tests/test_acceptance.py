@@ -38,7 +38,7 @@ from rrst.matroids import (
 from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force_rrmb, brute_force_rrst
 from rrst.rational import ZERO, rat
-from rrst.separation import separate_forest, separate_forest_exhaustive
+from rrst.separation import separate_forest
 from rrst.sides import GraphSide
 from rrst.solver import (
     serialize_solution,
@@ -50,6 +50,7 @@ from rrst.solver import (
 )
 
 from conftest import ACCEPTANCE_LINES, cleared
+from reference_separation import separate_forest_exhaustive
 
 # sha256 over the serialized solution of every corpus solve, in corpus
 # order: tree runs, matroid runs, then each graphic case by the tree route

@@ -74,12 +74,14 @@ def test_solve_is_byte_deterministic(tmp_path, inst_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_solve_strict_and_exhaustive_flags(tmp_path, inst_file):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["solve", "--input", str(inst_file),
-                "--separation", "exhaustive", "--output", str(a)]) == 0
-    assert run(["solve", "--input", str(inst_file), "--output", str(b)]) == 0
-    assert json.loads(a.read_text())["total"] == json.loads(b.read_text())["total"]
+def test_solve_strict_and_exhaustive_flags(inst_file, capsys):
+    # each side separates by its one route: no flag picks the exhaustive
+    # reference, and neither subcommand lists one
+    assert exit_code(["solve", "--input", str(inst_file), "--separation", "exhaustive"]) == 2
+    assert exit_code(["compare", "--seeds", "1..1", "--nodes", "4", "--separation", "exhaustive"]) == 2
+    for command in ("solve", "compare"):
+        assert exit_code([command, "--help"]) == 0
+        assert "--separation" not in capsys.readouterr().out
     # the one-LP solve has no strict rounding mode
     assert exit_code(["solve", "--input", str(inst_file), "--mode", "strict"]) == 2
 
@@ -100,7 +102,8 @@ def test_missing_input_exits_2(tmp_path):
 
 
 def test_bad_mode_exits_2(inst_file):
-    assert run(["solve", "--input", str(inst_file), "--separation", "bogus"]) == 2
+    assert exit_code(["solve", "--input", str(inst_file), "--separation", "bogus"]) == 2
+    assert exit_code(["compare", "--suite", "builtin-small", "--separation", "bogus"]) == 2
     assert exit_code(["solve", "--input", str(inst_file), "--mode", "bogus"]) == 2
 
 
@@ -245,7 +248,7 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 
 def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
     """A row the solver cannot take is a bug in the solver, not bad input."""
-    def fractional_cut(self, point, unit, separation):
+    def fractional_cut(self, point, unit):
         return ViolatedCut(tuple(self.element_ids), Fraction(-1, 2), Fraction(-1), None)
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
@@ -266,16 +269,6 @@ def test_compare_pivot_limit_exits_2(tmp_path, monkeypatch):
                 "--output", str(out)]) == 2
     [report] = [json.loads(l) for l in out.read_text().splitlines()]
     assert report["error"].startswith("input too large: simplex pivots exceeded")
-    assert report["total"] is None
-
-
-def test_compare_exhaustive_past_its_limit_exits_2(tmp_path):
-    # `rrst solve --separation exhaustive` exits 2 on the same instance
-    out = tmp_path / "r.jsonl"
-    assert run(["compare", "--separation", "exhaustive", "--seeds", "1..1", "--nodes", "22",
-                "--k", "10", "--no-oracle", "--output", str(out)]) == 2
-    [report] = [json.loads(l) for l in out.read_text().splitlines()]
-    assert report["error"].startswith("input too large: 22 nodes exceeds the exhaustive scan limit")
     assert report["total"] is None
 
 

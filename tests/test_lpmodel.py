@@ -10,11 +10,11 @@ from rrst import lpmodel
 from rrst.lpmodel import build_relaxation, cutting_plane_solve
 from rrst.multigraph import MultiGraph
 from rrst.rational import ONE, ZERO, rat
-from rrst.separation import separate_forest_exhaustive
 from rrst.sides import GraphSide, MatroidSide
 from rrst.matroids import UniformMatroid
 
 from conftest import vertex_objective, vertex_values
+from reference_separation import exhaustive_separate, selection_size, separate_forest_exhaustive
 
 K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
 UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})
@@ -98,7 +98,7 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     # violated forest constraint
     for stage in ("x", "y"):
         point = model.stage_point(values, stage)
-        assert sum(point.values()) == model.side.target_size() * den
+        assert sum(point.values()) == selection_size(model.side) * den
         assert separate_forest_exhaustive(point, den, model.side.graph) is None
 
 
@@ -110,10 +110,11 @@ def test_round_limit_guard(monkeypatch):
         cutting_plane_solve(model, SolveConfig())
 
 
-def test_exhaustive_separation_agrees_with_mincut():
+def test_exhaustive_separation_agrees_with_mincut(monkeypatch):
     inst = generate_instance(5, 0.6, 2, 8, 3)
-    r1 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="mincut"))
-    r2 = cutting_plane_solve(_initial_model(inst), SolveConfig(separation="exhaustive"))
+    r1 = cutting_plane_solve(_initial_model(inst), SolveConfig())
+    monkeypatch.setattr(GraphSide, "separate", exhaustive_separate)
+    r2 = cutting_plane_solve(_initial_model(inst), SolveConfig())
     assert vertex_objective(r1.solution) == vertex_objective(r2.solution)
 
 

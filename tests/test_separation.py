@@ -2,11 +2,11 @@
 
 The min-cut route promises a *verdict-complete* answer: it returns some
 violated, arithmetically correct constraint exactly when one exists.  The
-exhaustive route is the definition-level reference.  The fast routes take
-only points that sum to at most n - 1 (forest) or the rank (matroid), as
-every point of the relaxation does; the fuzz tests check that they refuse a
-drawn point above that bound, then compare the routes on the point scaled
-down onto it.  The routes take a point as int numerators over one unit;
+exhaustive route (`reference_separation.py`) is the definition-level
+reference.  The fast routes take only points that sum to at most n - 1
+(forest) or the rank (matroid), as every point of the relaxation does; the
+fuzz tests check that they refuse a drawn point above that bound, then
+compare the routes on the point scaled down onto it.  The routes take a point as int numerators over one unit;
 `cleared` turns each exact test point into that form, and certificates are
 checked against the exact point.
 """
@@ -16,19 +16,15 @@ import random
 
 import pytest
 
-from rrst.errors import ValidationError
-from rrst.matroids import PartitionMatroid, UniformMatroid
+from rrst.errors import InternalError, ValidationError
+from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst import separation
 from rrst.rational import ONE, ZERO, rat
-from rrst.separation import (
-    separate_forest,
-    separate_forest_exhaustive,
-    separate_rank,
-    separate_rank_exhaustive,
-)
+from rrst.separation import separate_forest, separate_rank
 
 from conftest import cleared
+from reference_separation import separate_forest_exhaustive, separate_rank_exhaustive
 
 
 def graph_of(n, pairs):
@@ -227,6 +223,15 @@ def test_rank_point_above_the_rank_rejected():
         separate_rank(*cleared({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}), m)
     with pytest.raises(ValidationError, match="rank 2"):
         separate_rank(*cleared({e: rat(3, 4) for e in range(3)}), UniformMatroid(frozenset(range(3)), 2))
+
+
+def test_rank_route_refuses_other_families():
+    """Only uniform and partition matroids take the prefix scan; the solver
+    hands graphic matroids to the forest side, so one reaching the rank
+    route is a bug, not a case for a slower scan."""
+    m = GraphicMatroid(graph_of(3, [(0, 1), (0, 2), (1, 2)]))
+    with pytest.raises(InternalError, match="graphic"):
+        separate_rank(*cleared({e: rat(1, 2) for e in range(3)}), m)
 
 
 def _uniform(rng):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from rrst import solver
-from rrst.config import SolveConfig
 from rrst.errors import InternalError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns, Instance, loads_instance
@@ -34,6 +33,7 @@ from rrst.solver import (
 )
 
 from conftest import make_instance, make_uniform_instance, TRIANGLE_PAIRS
+from reference_separation import exhaustive_separate, selection_size
 
 
 def test_triangle_unit_k0(triangle_unit):
@@ -143,8 +143,7 @@ def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
     def again(*args):
         raise AssertionError("selection size computed again")
 
-    for cls, name in ((Matroid, "full_rank"), (GraphSide, "target_size"), (MatroidSide, "target_size")):
-        monkeypatch.setattr(cls, name, again)
+    monkeypatch.setattr(Matroid, "full_rank", again)
     for mi in instances:
         sol = solve_rrmb(mi)
         assert sol.iterations == 1
@@ -222,14 +221,42 @@ def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
 
 
 @pytest.mark.parametrize("separation", ["mincut", "exhaustive"])
-def test_separations_agree_with_oracle(separation):
-    cfg = SolveConfig(separation=separation)
+def test_separations_agree_with_oracle(separation, monkeypatch):
+    """Whole solves reach the oracle's totals on trees, uniform and
+    partition matroids, by each side's own route or with the exhaustive
+    reference patched in for it."""
+    cuts = {GraphSide: 0, MatroidSide: 0}
+
+    def counted(route):
+        def wrapper(side, point, unit):
+            cut = route(side, point, unit)
+            cuts[type(side)] += cut is not None
+            return cut
+        return wrapper
+
+    for cls in (GraphSide, MatroidSide):
+        route = exhaustive_separate if separation == "exhaustive" else cls.separate
+        monkeypatch.setattr(cls, "separate", counted(route))
     for seed in range(6):
         inst = generate_instance(5, 0.5, seed % 5, 8, seed)
-        sol = solve_rrst(inst, cfg)
+        sol = solve_rrst(inst)
         ref = brute_force_rrst(inst)
         assert sol.total == ref.total, f"seed {seed}"
         assert verify_tree_solution(inst, solution_to_dict(sol)) == []
+    rng = random.Random(17)
+    matroids = [UniformMatroid(frozenset(range(7)), 3),
+                PartitionMatroid([(frozenset({0, 1, 2}), 1), (frozenset({3, 4, 5, 6}), 2)])]
+    for matroid in matroids:
+        for k in range(matroid.full_rank()):
+            for _ in range(2):
+                costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+                                               for e in sorted(matroid.ground)})
+                mi = MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+                sol = solve_rrmb(mi)
+                assert sol.total == brute_force_rrmb(mi).total, (matroid.family, k)
+                assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+    # both routes found cuts, so each drove the solves it was patched into
+    assert min(cuts.values()) > 0, cuts
 
 
 def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
@@ -241,14 +268,14 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
     calls = {GraphSide: 0, MatroidSide: 0}
 
     def checked(separate):
-        def wrapper(side, point, unit, separation):
+        def wrapper(side, point, unit):
             calls[type(side)] += 1
             assert all(type(v) is int for v in point.values()), point
             assert type(unit) is int and unit > 0, unit
             total = sum(point.values())
-            if total != side.target_size() * unit:
+            if total != selection_size(side) * unit:
                 off.append((side, total, unit))
-            return separate(side, point, unit, separation)
+            return separate(side, point, unit)
         return wrapper
 
     for cls in (GraphSide, MatroidSide):
