@@ -54,9 +54,11 @@ class TooManyTrees(RRSTError):
 
 
 class MalformedProgram(RRSTError):
-    """A linear program references undeclared variables, has a coefficient
-    that is not an int, or is otherwise ill-formed.  Programs are built
-    only by the solver, never read from a user, so this signals a bug."""
+    """A linear program the simplex cannot take: a cost, rhs or cut
+    coefficient that is not an int, a cut column outside the structural
+    columns, an empty block, or a cut on a tableau that is not optimal.
+    Programs are built only by the solver, never read from a user, so
+    this signals a bug."""
 
 
 class InfeasibleModel(RRSTError):

@@ -1,8 +1,9 @@
 """Linear relaxation of the two-stage selection problem.
 
 Both stages select over the same side, and the model is built in three
-blocks of one variable per element: a (first stage only), b (overlap) and
-c (second stage only), so the stage points are x = a + b and y = b + c.
+blocks of one column per element, in ascending id order: a (first stage
+only), b (overlap) and c (second stage only), so the stage points are
+x = a + b and y = b + c.
 With selection size r and overlap quota q, one equality row per block
 fixes 1ᵀa = r - q, 1ᵀb = q and 1ᵀc = r - q.  a >= 0 and c >= 0 keep the
 overlap inside both stages, so no linking row is built.  The objective is
@@ -13,6 +14,10 @@ C·a + (C + c+d)·b + (c+d)·c = C·x + (c+d)·y.  The exponential families
 When q = r the a and c rows force both blocks to zero, so they are not
 built: what is left is b alone with 1ᵀb = q, the "merged" program.
 
+The model hands the simplex its columns, each block's costs and rhs,
+and each cut as coefficients by column index; it names the columns
+(a3, b0, ...) only to write the program as text for `lp_dump_dir`.
+
 The solver completes a selection with no overlap owed greedily, so a
 relaxation is only built while at least one unit of overlap is owed.
 """
@@ -20,18 +25,11 @@ relaxation is only built while at least one unit of overlap is owed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import SolveConfig
 from .errors import InfeasibleModel, InternalError, IterationLimit
-from .simplex import (
-    EQ,
-    INFEASIBLE,
-    LinearProgram,
-    SimplexSession,
-    VertexSolution,
-    dump_lp,
-)
+from .simplex import INFEASIBLE, SimplexSession, VertexSolution
 
 # defensive bound on cutting-plane rounds per LP solve
 _ROUND_LIMIT = 10000
@@ -39,36 +37,72 @@ _ROUND_LIMIT = 10000
 
 @dataclass
 class RelaxationModel:
-    lp: LinearProgram
+    """The program as columns: block ``name`` holds one column per element
+    of ``ids`` (ascending), with ``costs`` in that order, under the row
+    1ᵀ(block) == ``rhs``; the blocks are a, b, c in that order, or b alone
+    when merged, and each one's columns follow the previous block's."""
+
     side: object
-    # element id -> LP variable id, per block; a and c are empty when merged
-    a_vars: dict[int, tuple]
-    b_vars: dict[int, tuple]
-    c_vars: dict[int, tuple]
+    ids: list[int]
+    blocks: list[tuple[str, list[int], int]]
+    # element id -> its position in `ids`, and so in every block
+    position: dict[int, int] = field(init=False)
+
+    def __post_init__(self):
+        self.position = {e: i for i, e in enumerate(self.ids)}
 
     @property
     def reduced(self) -> str | None:
         """'merged' when only the b block was built, else None."""
-        return None if self.a_vars else "merged"
+        return None if len(self.blocks) > 1 else "merged"
+
+    def _start(self, name: str) -> int:
+        """The first column of block `name`."""
+        return len(self.ids) * [block[0] for block in self.blocks].index(name)
+
+    def block_values(self, values, name: str):
+        """(element, value) pairs of block `name` at LP `values`."""
+        start = self._start(name)
+        return zip(self.ids, values[start:start + len(self.ids)])
 
     def stage_point(self, values, stage: str) -> dict:
         """The point of stage "x" (a + b) or "y" (b + c) at LP `values`,
         over the same denominator as `values`."""
-        point = {e: values[v] for e, v in self.b_vars.items()}
-        # a vertex is mostly zeros: add only the nonzero own coordinates
-        for e, v in (self.a_vars if stage == "x" else self.c_vars).items():
-            value = values[v]
-            if value:
-                point[e] += value
+        point = dict(self.block_values(values, "b"))
+        if not self.reduced:
+            # a vertex is mostly zeros: add only the nonzero own coordinates
+            for e, value in self.block_values(values, "a" if stage == "x" else "c"):
+                if value:
+                    point[e] += value
         return point
 
     def stage_row(self, elements, stage: str) -> dict:
-        """The coefficients of x(S) or y(S) over the LP variables."""
-        row = {self.b_vars[e]: 1 for e in elements}
-        own = self.a_vars if stage == "x" else self.c_vars
-        if own:
-            row.update((own[e], 1) for e in elements)
+        """The coefficients of x(S) or y(S) over the LP columns."""
+        position = self.position
+        b = self._start("b")
+        row = {b + position[e]: 1 for e in elements}
+        if not self.reduced:
+            own = self._start("a" if stage == "x" else "c")
+            row.update((own + position[e], 1) for e in elements)
         return row
+
+    def render(self, cuts) -> str:
+        """The program with the <= rows `cuts` as plain text, one row per
+        line, every sum over the columns in order and without zero terms."""
+        names = [f"{name}{e}" for name, _, _ in self.blocks for e in self.ids]
+
+        def terms(coeffs):
+            return " + ".join(f"{coeffs[j]} {names[j]}" for j in sorted(coeffs) if coeffs[j]) or "0"
+
+        m = len(self.ids)
+        rows = [(dict.fromkeys(range(k * m, (k + 1) * m), 1), "==", rhs)
+                for k, (_, _, rhs) in enumerate(self.blocks)]
+        rows += [(coeffs, "<=", rhs) for coeffs, rhs in cuts]
+        objective = dict(enumerate(c for _, costs, _ in self.blocks for c in costs))
+        lines = [f"min {terms(objective)}", "s.t."]
+        lines += [f"r{i}: {terms(coeffs)} {rel} {rhs}" for i, (coeffs, rel, rhs) in enumerate(rows)]
+        lines += [f"{name} >= 0" for name in names]
+        return "\n".join(lines) + "\n"
 
 
 def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
@@ -88,21 +122,12 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
         raise InternalError(f"relaxation requested with overlap quota {quota}")
     spare = size - quota
     ids = side.element_ids
-    lp = LinearProgram()
-    # at q = r the a and c rows would force both blocks to zero
-    own = spare != 0
-    a_vars = {e: lp.add_variable(("a", e)) for e in ids} if own else {}
-    b_vars = {e: lp.add_variable(("b", e)) for e in ids}
-    c_vars = {e: lp.add_variable(("c", e)) for e in ids} if own else {}
     C, second = costs.C, costs.second
-    objective = {v: C[e] for e, v in a_vars.items()}
-    objective.update((v, C[e] + second[e]) for e, v in b_vars.items())
-    objective.update((v, second[e]) for e, v in c_vars.items())
-    lp.set_objective(objective)
-    for block, rhs in ((a_vars, spare), (b_vars, quota), (c_vars, spare)):
-        if block:
-            lp.add_constraint(dict.fromkeys(block.values(), 1), EQ, rhs)
-    return RelaxationModel(lp, side, a_vars, b_vars, c_vars)
+    blocks = [("b", [C[e] + second[e] for e in ids], quota)]
+    # at q = r the a and c rows would force both blocks to zero
+    if spare:
+        blocks = [("a", [C[e] for e in ids], spare), *blocks, ("c", [second[e] for e in ids], spare)]
+    return RelaxationModel(side, ids, blocks)
 
 
 @dataclass
@@ -121,10 +146,10 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
     numerators over the tableau's denominator, which separation takes as
     its unit.
     """
-    session = SimplexSession(model.lp)
+    session = SimplexSession([(costs, rhs) for _, costs, rhs in model.blocks])
     side = model.side
     rounds = 0
-    cuts_added = 0
+    added = []  # the cut rows, in order of addition
     while True:
         if session.status == INFEASIBLE:
             raise InfeasibleModel("relaxation is infeasible")
@@ -154,12 +179,13 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         for stage, cut in pending:
             if sum(map(points[stage].__getitem__, cut.elements)) <= cut.rhs * den:
                 raise InternalError("separation produced a row the vertex already satisfies")
-        session.add_cuts([(model.stage_row(cut.elements, stage), cut.rhs) for stage, cut in pending])
-        cuts_added += len(pending)
+        batch = [(model.stage_row(cut.elements, stage), cut.rhs) for stage, cut in pending]
+        session.add_cuts(batch)
+        added += batch
 
     if config.lp_dump_dir is not None:
         os.makedirs(config.lp_dump_dir, exist_ok=True)
         with open(os.path.join(config.lp_dump_dir, "relaxation.lp.txt"), "w", encoding="utf-8") as fh:
-            fh.write(dump_lp(model.lp))
+            fh.write(model.render(added))
 
-    return CutPlaneResult(solution, rounds, cuts_added)
+    return CutPlaneResult(solution, rounds, len(added))

@@ -7,8 +7,9 @@ Sorting, summing and comparing costs thus never builds a Fraction.  The
 values printed in documents are ``fractions.Fraction``, reduced to lowest
 terms with a positive denominator; a total is printed as
 ``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat`` builds
-one.  Linear programs are integer, and the simplex tableau holds integers
-over one common denominator (see simplex.py).  LP points stay in that form,
+one.  Linear programs are integer columns (each block's int costs and
+rhs, each cut's int coefficients by column), and the simplex tableau
+holds integers over one common denominator (see simplex.py).  LP points stay in that form,
 int numerators over the tableau's denominator, through separation and the
 solver's reading of the vertex; a cut's slack is the one Fraction built on
 the way.

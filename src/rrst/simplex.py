@@ -1,22 +1,21 @@
 """Exact simplex on a fraction-free integer tableau.
 
-Minimizes an integer objective over {x >= 0 : Ax <= / == b} with integer A
-and b, with every pivot and solution value exact, so "optimal" means
-optimal, not optimal-up-to-epsilon.  Every row of the relaxations this
-package builds is a 0/+-1 combination with an integer right-hand side and
-every cost is an int, so programs are integer by construction and
-LinearProgram rejects anything else.  The tableau holds Python ints over
+Minimizes an integer objective over the columns x >= 0 of a block program
+(one == row of ones per block of columns) and the <= cuts added to it,
+with every pivot and solution value exact, so "optimal" means optimal,
+not optimal-up-to-epsilon.  The program arrives as columns: each block's
+int costs and rhs, then each cut's int coefficients by column index; a
+value that is not an int is rejected.  The tableau holds Python ints over
 one common denominator and pivots by exact integer division, with no gcd
 (see SimplexSession), and a vertex comes back the same way: int
 numerators over that denominator, with no Fraction built.
 
-SimplexSession starts at the closed-form optimum of a block program (one
-cardinality row per block of columns) and keeps the optimal tableau
-alive, so cutting planes can be added and reoptimized with the dual
-simplex instead of solving from scratch.  Its pivot rule breaks every tie
-by lowest index (leaving row by basic column, entering column by index),
-which makes every run deterministic: identical programs yield
-byte-identical solutions.
+SimplexSession starts at the closed-form optimum of the block program
+and keeps the optimal tableau alive, so cutting planes can be added and
+reoptimized with the dual simplex instead of solving from scratch.  Its
+pivot rule breaks every tie by lowest index (leaving row by basic
+column, entering column by index), which makes every run deterministic:
+identical programs yield byte-identical solutions.
 """
 
 from __future__ import annotations
@@ -26,71 +25,22 @@ from operator import sub
 
 from .errors import IterationLimit, MalformedProgram
 
-LE = "<="
-EQ = "=="
-
 _PIVOT_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict
-    rel: str
-    rhs: int
-
-
-class LinearProgram:
-    """Minimization program over declared nonnegative variables.
-
-    Variables are identified by arbitrary hashable ids; declaration order
-    fixes the column order the pivot rule sees, so it is part of the
-    program's identity.  Coefficients, right-hand sides and objective
-    entries are ints; a bool or a Fraction raises MalformedProgram.
-    """
-
-    def __init__(self):
-        self.variables: list = []
-        self.declared: set = set()
-        self.objective: dict = {}
-        self.constraints: list[Constraint] = []
-
-    def add_variable(self, var):
-        if var in self.declared:
-            raise MalformedProgram(f"variable {var!r} declared twice")
-        self.variables.append(var)
-        self.declared.add(var)
-        return var
-
-    def _checked(self, coeffs, where):
-        for var, v in coeffs.items():
-            if var not in self.declared:
-                raise MalformedProgram(f"{where} references undeclared variable {var!r}")
-            if type(v) is not int:
-                raise MalformedProgram(f"{where} coefficient of {var!r} must be an int, got {v!r}")
-        return dict(coeffs)
-
-    def set_objective(self, coeffs):
-        self.objective = self._checked(coeffs, "objective")
-
-    def checked_constraint(self, coeffs, rel: str, rhs: int) -> Constraint:
-        """The constraint, validated against this program but not added."""
-        if rel not in (LE, EQ):
-            raise MalformedProgram(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
-        if type(rhs) is not int:
-            raise MalformedProgram(f"constraint rhs must be an int, got {rhs!r}")
-        return Constraint(self._checked(coeffs, "constraint"), rel, rhs)
-
-    def add_constraint(self, coeffs, rel: str, rhs: int):
-        self.constraints.append(self.checked_constraint(coeffs, rel, rhs))
+def _check_ints(values, what):
+    for v in values:
+        if type(v) is not int:
+            raise MalformedProgram(f"{what} must be an int, got {v!r}")
 
 
 @dataclass(frozen=True)
 class VertexSolution:
-    """A basic optimal solution over one positive denominator: each
-    variable's value is ``values[var] / den`` and the objective value is
+    """A basic optimal solution over one positive denominator: column j's
+    value is ``values[j] / den`` and the objective value is
     ``objective / den``, all ints."""
 
-    values: dict
+    values: list
     den: int
     objective: int
 
@@ -102,19 +52,20 @@ INFEASIBLE = "infeasible"
 class SimplexSession:
     """Tableau that stays warm across cutting-plane rounds.
 
-    The session takes a block program: every row given at build time is
-    an == row with all coefficients 1 over its own block of columns, and
-    the blocks cover every column.  Such a program's optimum is known in
-    closed form (Dantzig & Van Slyke 1967): each row puts its rhs on the
-    cheapest column of its block, the lowest index winning a tie, which is
-    where a two-phase solve under Bland's rule ends too.  The session starts
-    there, with no pivot; afterwards only <= cuts arrive, and the dual
-    simplex repairs them.  A negative block rhs leaves it infeasible.
+    The session takes a block program as a list of ``(costs, rhs)``, one
+    per block: the block's columns follow the previous block's, one per
+    cost, under the row 1ᵀx_block == rhs.  Such a program's optimum is
+    known in closed form (Dantzig & Van Slyke 1967): each row puts its rhs
+    on the cheapest column of its block, the lowest index winning a tie,
+    which is where a two-phase solve under Bland's rule ends too.  The
+    session starts there, with no pivot; afterwards only <= cuts arrive,
+    and the dual simplex repairs them.  A negative block rhs leaves it
+    infeasible.
 
-    Column layout: structural columns (one per variable, in declaration
-    order), then one slack column per cut in order of addition, so column
-    indices never move and the lowest-index tie-breaks keep meaning the
-    same thing for the session's whole life.
+    Column layout: the structural columns of the blocks, then one slack
+    column per cut in order of addition, so column indices never move and
+    the lowest-index tie-breaks keep meaning the same thing for the
+    session's whole life.
 
     The tableau is fraction-free.  ``rows`` (one per basic variable, rhs in
     the last slot) and the reduced-cost row ``cost`` hold Python ints, and
@@ -133,49 +84,31 @@ class SimplexSession:
     one pass over the columns and the sum is subtracted once.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
+    def __init__(self, blocks):
         self._pivots = 0
-        self.col_ids: list = list(lp.variables)  # per-column identifier
-        self.var_col: dict = {var: col for col, var in enumerate(self.col_ids)}
-        self.ncols = len(self.col_ids)
-        self._start_at_block_optimum(lp)
-
-    # --- construction -------------------------------------------------
-
-    def _integer_row(self, coeffs, rhs, width):
-        """The constraint as ints over `width` columns plus the rhs."""
-        row = [0] * width + [rhs]
-        for var, v in coeffs.items():
-            row[self.var_col[var]] = v
-        return row
-
-    def _start_at_block_optimum(self, lp):
-        """The optimal tableau of the block program, with no pivot."""
-        row_of = [None] * self.ncols  # the row whose block holds each column
-        for i, con in enumerate(lp.constraints):
-            if con.rel != EQ or not con.coeffs or any(v != 1 for v in con.coeffs.values()):
-                raise MalformedProgram(f"row {i} is not a block row: it must be == with all coefficients 1")
-            for var in con.coeffs:
-                col = self.var_col[var]
-                if row_of[col] is not None:
-                    raise MalformedProgram(f"variable {var!r} lies in rows {row_of[col]} and {i}")
-                row_of[col] = i
-        if None in row_of:
-            var = self.col_ids[row_of.index(None)]
-            raise MalformedProgram(f"variable {var!r} lies in no row")
-
-        c = [0] * self.ncols
-        for var, v in lp.objective.items():
-            c[self.var_col[var]] = v
+        self.nvars = self.ncols = width = sum(len(costs) for costs, _ in blocks)
         self.den = 1
-        self.rows = [self._integer_row(con.coeffs, con.rhs, self.ncols) for con in lp.constraints]
-        # the cheapest column of each block, the lowest index winning a tie
-        self.basis = [min((self.var_col[var] for var in con.coeffs), key=lambda j: (c[j], j))
-                      for con in lp.constraints]
-        self.cost = [c[j] - c[self.basis[i]] for j, i in enumerate(row_of)]
-        self.cost.append(-sum(con.rhs * c[b] for con, b in zip(lp.constraints, self.basis)))
-        self.status = INFEASIBLE if any(con.rhs < 0 for con in lp.constraints) else OPTIMAL
+        self.rows = []
+        self.basis = []
+        self.cost = []
+        objective = 0
+        for i, (costs, rhs) in enumerate(blocks):
+            if not costs:
+                raise MalformedProgram(f"block {i} has no column")
+            _check_ints(costs, f"a cost of block {i}")
+            _check_ints((rhs,), f"the rhs of block {i}")
+            start = len(self.cost)
+            row = [0] * (width + 1)
+            row[start:start + len(costs)] = [1] * len(costs)
+            row[-1] = rhs
+            self.rows.append(row)
+            # the cheapest column of the block, the lowest index winning a tie
+            cheapest = min(costs)
+            self.basis.append(start + costs.index(cheapest))
+            self.cost.extend(c - cheapest for c in costs)
+            objective += rhs * cheapest
+        self.cost.append(-objective)
+        self.status = INFEASIBLE if any(rhs < 0 for _, rhs in blocks) else OPTIMAL
 
     # --- core pivoting ------------------------------------------------
 
@@ -234,7 +167,8 @@ class SimplexSession:
     # --- warm cut addition ---------------------------------------------
 
     def add_cuts(self, cuts):
-        """Append <= constraints, then reoptimize once with the dual simplex.
+        """Append the <= cuts ``(coeffs, rhs)``, each ``coeffs`` an int per
+        structural column, then reoptimize once with the dual simplex.
 
         The tableau stays primally optimal (reduced costs nonnegative), so
         only feasibility needs repair; Bland-style tie-breaking keeps the
@@ -243,18 +177,22 @@ class SimplexSession:
         if self.status != OPTIMAL:
             raise MalformedProgram("cuts can only be added to an optimal tableau")
         # the whole batch is checked before the session changes at all
-        batch = [self.lp.checked_constraint(coeffs, LE, rhs) for coeffs, rhs in cuts]
+        structural = range(self.nvars)
         width = self.ncols
         new_rows = []
-        for con in batch:
-            ci = len(self.lp.constraints)
-            self.lp.constraints.append(con)
+        for coeffs, rhs in cuts:
+            _check_ints(coeffs.values(), "a cut coefficient")
+            _check_ints((rhs,), "a cut rhs")
+            row = [0] * width + [rhs]
+            for col, v in coeffs.items():
+                # a column past the structural ones would land in a slack
+                if col not in structural:
+                    raise MalformedProgram(f"cut column {col!r} is not one of the {self.nvars} structural columns")
+                row[col] = v
             # den * a - sum a[b_i] * rows[i]; a cut has no entry in the
             # slack column of an earlier cut of the batch, so the rows
             # before the batch are all it is canonicalized against
-            row = self._integer_row(con.coeffs, con.rhs, width)
             new_rows.append(self._canonical(row))
-            self.col_ids.append(("slack", ci))
 
         zeros = [0] * len(new_rows)
         for row in self.rows:
@@ -265,7 +203,7 @@ class SimplexSession:
             row[width + k] = self.den
             self.rows.append(row)
             self.basis.append(width + k)
-        self.ncols = len(self.col_ids)
+        self.ncols = width + len(new_rows)
 
         self._dual_loop()
         return self.status
@@ -305,38 +243,10 @@ class SimplexSession:
         """The optimal vertex; the tableau must be optimal."""
         if self.status != OPTIMAL:
             raise MalformedProgram(f"no optimal vertex to read: the program is {self.status}")
-        n_structural = len(self.var_col)
-        col_ids = self.col_ids
-        values = dict.fromkeys(self.var_col, 0)
+        n = self.nvars
+        values = [0] * n
         for row, b in zip(self.rows, self.basis):
-            if b < n_structural:
-                values[col_ids[b]] = row[-1]
+            if b < n:
+                values[b] = row[-1]
         # the cost row's rhs is -den times the objective value
         return VertexSolution(values, self.den, -self.cost[-1])
-
-
-def _fmt_var(var) -> str:
-    if isinstance(var, tuple):
-        return "".join(str(p) for p in var)
-    return str(var)
-
-
-def _fmt_terms(coeffs, order):
-    parts = []
-    for var in order:
-        if var in coeffs:
-            coef = coeffs[var]
-            if coef == 0:
-                continue
-            parts.append(f"{coef} {_fmt_var(var)}")
-    return " + ".join(parts) if parts else "0"
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering: one constraint per line."""
-    lines = [f"min {_fmt_terms(lp.objective, lp.variables)}", "s.t."]
-    for i, con in enumerate(lp.constraints):
-        lines.append(f"r{i}: {_fmt_terms(con.coeffs, lp.variables)} {con.rel} {con.rhs}")
-    for var in lp.variables:
-        lines.append(f"{_fmt_var(var)} >= 0")
-    return "\n".join(lines) + "\n"

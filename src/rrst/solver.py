@@ -104,11 +104,11 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, confi
         vertex = result.solution
         # int numerators over den: a 0/1 vertex holds only 0 and den
         values, den = vertex.values, vertex.den
-        fractional = [v for v, value in values.items() if value not in (0, den)]
+        fractional = [j for j, value in enumerate(values) if value not in (0, den)]
         if fractional:
-            raise InternalError(f"optimal vertex is fractional at {fractional[0]}")
+            raise InternalError(f"optimal vertex is fractional at column {fractional[0]}")
         X = [e for e, v in model.stage_point(values, "x").items() if v == den]
-        Z = [e for e, v in model.b_vars.items() if values[v] == den]
+        Z = [e for e, v in model.block_values(values, "b") if v == den]
         Y = [e for e, v in model.stage_point(values, "y").items() if v == den]
         iterations = 1
         rounds = result.rounds

@@ -122,8 +122,8 @@ def cleared(point):
 
 
 def vertex_values(solution):
-    """A VertexSolution's values as exact rationals."""
-    return {var: Fraction(v, solution.den) for var, v in solution.values.items()}
+    """A VertexSolution's values as exact rationals, one per column."""
+    return [Fraction(v, solution.den) for v in solution.values]
 
 
 def vertex_objective(solution):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rrst import cli, sides
+from rrst import cli, oracle, sides
 from rrst.errors import InternalError
 from rrst.oracle import BruteResult
 from rrst.rational import rat
@@ -321,6 +321,20 @@ def test_compare_disagreement_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "brute_force_rrst", wrong_oracle)
     assert run(["compare", "--seeds", "1..2", "--nodes", "4",
                 "--output", str(tmp_path / "r.jsonl")]) == 3
+
+
+def test_compare_oracle_skipped_past_its_limit(tmp_path, monkeypatch):
+    """An instance past the oracle's enumeration bound is solved and
+    reported with the oracle skipped; the run still exits 0."""
+    monkeypatch.setattr(oracle, "ENUMERATION_TREE_LIMIT", 1)
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--seeds", "1..2", "--nodes", "5", "--output", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(reports) == 2
+    for r in reports:
+        assert r["error"].startswith("oracle skipped: TooManyTrees: ")
+        assert r["total"] is not None
+        assert r["oracle_total"] is None and r["agree"] is None
 
 
 def test_compare_no_oracle(tmp_path):

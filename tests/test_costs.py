@@ -157,7 +157,7 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
 
     def recording_build(*args, _real=lpmodel.build_relaxation):
         model = _real(*args)
-        objectives_seen.extend(model.lp.objective.values())
+        objectives_seen.extend(c for _, costs, _ in model.blocks for c in costs)
         return model
     monkeypatch.setattr(solver, "build_relaxation", recording_build)
 

@@ -24,26 +24,23 @@ def test_full_model_shape():
     costs = CostColumns.from_rows({e: (1, 2, 1) for e in range(3)})
     model = build_relaxation(GraphSide(K3), size=2, quota=1, costs=costs)
     assert model.reduced is None
-    # 3m columns in declaration order: a (first stage only), b (overlap),
-    # c (second stage only)
-    assert model.lp.variables == [(block, e) for block in "abc" for e in range(3)]
+    # 3m columns, one block of m after another: a (first stage only),
+    # b (overlap), c (second stage only), each over the ids in order
+    assert model.ids == [0, 1, 2]
     # exactly one equality row per block and no linking rows:
-    # 1ᵀa = r - q, 1ᵀb = q, 1ᵀc = r - q with r = 2, q = 1
-    assert [(con.rel, con.rhs) for con in model.lp.constraints] == [("==", 1)] * 3
-    for con, block in zip(model.lp.constraints, "abc"):
-        assert con.coeffs == {(block, e): 1 for e in range(3)}
+    # 1ᵀa = r - q, 1ᵀb = q, 1ᵀc = r - q with r = 2, q = 1;
     # objective: C on a, C + (c+d) on b, c+d on c
-    assert [model.lp.objective[(block, 0)] for block in "abc"] == [1, 4, 3]
+    assert model.blocks == [("a", [1, 1, 1], 1), ("b", [4, 4, 4], 1), ("c", [3, 3, 3], 1)]
 
 
 def test_merged_model_when_everything_is_shared():
     costs = CostColumns.from_rows({e: (e, 2, 1) for e in range(3)})
     model = build_relaxation(GraphSide(K3), size=2, quota=2, costs=costs)
     assert model.reduced == "merged"
-    # m columns in id order, the b block alone, under one row 1ᵀb = q
-    assert model.lp.variables == [("b", 0), ("b", 1), ("b", 2)]
-    assert [(con.rel, con.rhs) for con in model.lp.constraints] == [("==", 2)]
-    assert model.lp.objective == {("b", e): e + 3 for e in range(3)}  # C + c + d
+    # m columns in id order, the b block alone, under one row 1ᵀb = q,
+    # with objective C + c + d
+    assert model.ids == [0, 1, 2]
+    assert model.blocks == [("b", [3, 4, 5], 2)]
 
 
 def test_merged_model_for_uniform_matroid_at_k0():
@@ -53,7 +50,7 @@ def test_merged_model_for_uniform_matroid_at_k0():
     assert model.reduced == "merged"
     result = cutting_plane_solve(model, SolveConfig())
     assert vertex_objective(result.solution) == rat(12)
-    assert sorted(vertex_values(result.solution).values()) == [ZERO, ZERO, ONE, ONE, ONE]
+    assert sorted(vertex_values(result.solution)) == [ZERO, ZERO, ONE, ONE, ONE]
 
 
 def test_infeasible_when_quota_has_no_carriers():
@@ -80,7 +77,7 @@ def test_cutting_plane_merged_k3():
     result = cutting_plane_solve(model, SolveConfig())
     # optimum picks two cheapest edges; C + c + d = 2 each
     assert vertex_objective(result.solution) == rat(4)
-    vals = sorted(vertex_values(result.solution).values())
+    vals = sorted(vertex_values(result.solution))
     assert vals == [ZERO, ONE, ONE]
 
 
@@ -124,6 +121,46 @@ def test_lp_dump_written(tmp_path):
     cutting_plane_solve(model, cfg)
     text = (tmp_path / "relaxation.lp.txt").read_text()
     assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in text
+
+
+K4 = MultiGraph(range(4), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)})
+K4_COSTS = CostColumns.from_rows({0: (1, 4, 0), 1: (2, 0, 3), 2: (3, 3, 3), 3: (1, 0, 3), 4: (0, 3, 3), 5: (4, 0, 3)})
+
+_ABC_NONNEGATIVE = "".join(f"{block}{e} >= 0\n" for block in "abc" for e in range(6))
+_B_NONNEGATIVE = "".join(f"b{e} >= 0\n" for e in range(6))
+
+# the relaxation as `--lp-dump-dir` writes it, after the cut loop: the
+# objective without its zero terms (a4 costs 0), the block rows, then the
+# cut rows in order of addition, each over the columns in block order
+LP_DUMPS = {
+    "abc-with-cuts": (1, (
+        "min 1 a0 + 2 a1 + 3 a2 + 1 a3 + 4 a5 + 5 b0 + 5 b1 + 9 b2 + 4 b3 + 6 b4 + 7 b5"
+        " + 4 c0 + 3 c1 + 6 c2 + 3 c3 + 6 c4 + 3 c5\n"
+        "s.t.\n"
+        "r0: 1 a0 + 1 a1 + 1 a2 + 1 a3 + 1 a4 + 1 a5 == 2\n"
+        "r1: 1 b0 + 1 b1 + 1 b2 + 1 b3 + 1 b4 + 1 b5 == 1\n"
+        "r2: 1 c0 + 1 c1 + 1 c2 + 1 c3 + 1 c4 + 1 c5 == 2\n"
+        "r3: 1 a3 + 1 a4 + 1 a5 + 1 b3 + 1 b4 + 1 b5 <= 2\n"
+        "r4: 1 b0 + 1 b1 + 1 b3 + 1 c0 + 1 c1 + 1 c3 <= 2\n"
+    ) + _ABC_NONNEGATIVE),
+    "merged-with-cuts": (3, (
+        "min 5 b0 + 5 b1 + 9 b2 + 4 b3 + 6 b4 + 7 b5\n"
+        "s.t.\n"
+        "r0: 1 b0 + 1 b1 + 1 b2 + 1 b3 + 1 b4 + 1 b5 == 3\n"
+        "r1: 1 b3 <= 1\n"
+        "r2: 1 b0 + 1 b1 + 1 b3 <= 2\n"
+    ) + _B_NONNEGATIVE),
+}
+
+
+@pytest.mark.parametrize("quota, text", LP_DUMPS.values(), ids=LP_DUMPS.keys())
+def test_lp_dump_text_is_pinned(tmp_path, quota, text):
+    """The dumped relaxation, byte for byte, for an a/b/c program and a
+    merged (k=0) one, each of which takes cuts."""
+    model = build_relaxation(GraphSide(K4), 3, quota, K4_COSTS)
+    result = cutting_plane_solve(model, SolveConfig(lp_dump_dir=str(tmp_path)))
+    assert result.cuts_added == 2
+    assert (tmp_path / "relaxation.lp.txt").read_bytes() == text.encode()
 
 
 def test_matroid_side_model():

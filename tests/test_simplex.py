@@ -1,18 +1,20 @@
 """Exact simplex on block programs: the closed-form start, statuses,
 determinism, warm cuts.
 
-A session takes a block program: one == row with all coefficients 1 per
-block of columns, the blocks disjoint and covering every column.  It
+A session takes a block program as columns: a list of (costs, rhs), one
+== row with all coefficients 1 per block of consecutive columns.  It
 starts at that program's closed-form optimum and then takes integer <=
-cuts through add_cuts, which the dual simplex repairs.  The hypothesis
-tests draw block programs, costs with ties and negatives, and batches of
-random integer cuts.  They check the solver against a definition-level
-oracle: enumerate every basic point (all ways to make n constraints
-tight), keep the feasible ones, and take the best objective.  They also
-check the integer tableau against B^-1 [A | b] recomputed in Fraction,
-and check it against a plain rational tableau that solves cold with two
-Bland phases and then follows the same dual rules: the two must start at
-the same tableau and take the same pivots after it.
+cuts over the structural columns through add_cuts, which the dual
+simplex repairs.  The hypothesis tests draw block programs, costs with
+ties and negatives, and batches of random integer cuts.  They check the
+solver against a definition-level oracle: enumerate every basic point
+(all ways to make n constraints tight), keep the feasible ones, and take
+the best objective.  They also check the integer tableau against
+B^-1 [A | b] recomputed in Fraction, and check it against a plain
+rational tableau that solves cold with two Bland phases and then follows
+the same dual rules: the two must start at the same tableau and take the
+same pivots after it.  The oracles read a program as dense rows
+(coefficients, relation, rhs).
 """
 
 import itertools
@@ -25,9 +27,11 @@ from hypothesis import strategies as st
 from rrst import simplex
 from rrst.errors import MalformedProgram
 from rrst.rational import ONE, ZERO, rat
-from rrst.simplex import EQ, LE, LinearProgram, SimplexSession, dump_lp
+from rrst.simplex import SimplexSession
 
 from conftest import vertex_objective, vertex_values
+
+EQ, LE = "==", "<="
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -43,31 +47,39 @@ def _low_pivot_limit():
         yield
 
 
-def constraint_satisfied(con, values) -> bool:
-    lhs = sum((coef * values[var] for var, coef in con.coeffs.items()), ZERO)
-    return lhs == con.rhs if con.rel == EQ else lhs <= con.rhs
+def satisfied(row, values) -> bool:
+    coeffs, rel, rhs = row
+    lhs = sum((c * v for c, v in zip(coeffs, values)), ZERO)
+    return lhs == rhs if rel == EQ else lhs <= rhs
 
 
-def lp_from(nvars, objective, rows):
-    lp = LinearProgram()
-    xs = [lp.add_variable(f"x{i}") for i in range(nvars)]
-    lp.set_objective({xs[i]: c for i, c in enumerate(objective) if c})
-    for coeffs, rel, rhs in rows:
-        lp.add_constraint({xs[i]: c for i, c in enumerate(coeffs) if c}, rel, rhs)
-    return lp, xs
+def blocks_of(costs, sizes, rhs):
+    """The session's input: blocks of `sizes` consecutive columns."""
+    blocks, start = [], 0
+    for size, b in zip(sizes, rhs):
+        blocks.append((costs[start:start + size], b))
+        start += size
+    return blocks
 
 
-def block_rows(nvars, blocks, rhs):
-    """One == row of ones per block (a list of column indices)."""
-    return [([int(i in block) for i in range(nvars)], EQ, b) for block, b in zip(blocks, rhs)]
+def block_rows(sizes, rhs):
+    """The blocks' == rows of ones, dense over all columns."""
+    nvars = sum(sizes)
+    rows, start = [], 0
+    for size, b in zip(sizes, rhs):
+        rows.append(([int(start <= j < start + size) for j in range(nvars)], EQ, b))
+        start += size
+    return rows
 
 
-def block_lp(costs, blocks, rhs):
-    return lp_from(len(costs), costs, block_rows(len(costs), blocks, rhs))
+def cut(coeffs):
+    """Dense coefficients as the {column: coefficient} of a cut."""
+    return {j: c for j, c in enumerate(coeffs) if c}
 
 
-def cut(xs, coeffs):
-    return {xs[i]: c for i, c in enumerate(coeffs) if c}
+def cut_rows(batch):
+    """A batch of dense (coefficients, rhs) cuts as dense <= rows."""
+    return [(coeffs, LE, rhs) for coeffs, rhs in batch]
 
 
 # --- the closed-form start ----------------------------------------------
@@ -75,89 +87,78 @@ def cut(xs, coeffs):
 
 def test_equality_row():
     """Each block row puts its rhs on its cheapest column, with no pivot."""
-    lp, xs = block_lp([4, 2, 7, 1, 3], [[0, 1, 2], [3, 4]], [2, 1])
-    session = SimplexSession(lp)
+    session = SimplexSession(blocks_of([4, 2, 7, 1, 3], [3, 2], [2, 1]))
     assert session.status == "optimal"
     assert session._pivots == 0 and session.den == 1
     sol = session.result()
     assert vertex_objective(sol) == rat(5)
-    assert vertex_values(sol) == {x: rat(v) for x, v in zip(xs, [0, 2, 0, 1, 0])}
+    assert vertex_values(sol) == [rat(v) for v in [0, 2, 0, 1, 0]]
     assert session.basis == [1, 3]  # x1 and x3
 
 
 def test_start_is_the_lowest_index_cheapest_column():
-    lp, xs = block_lp([5, 3, 3, 1, 1], [[0, 1, 2, 3, 4]], [2])
-    session = SimplexSession(lp)
+    session = SimplexSession([([5, 3, 3, 1, 1], 2)])
     assert session.basis == [3]
     assert session.rows == [[1, 1, 1, 1, 1, 2]]
     assert session.cost == [4, 2, 2, 0, 0, -2]
-    assert vertex_values(session.result())[xs[3]] == rat(2)
+    assert vertex_values(session.result())[3] == rat(2)
 
 
 def test_negative_block_rhs_is_infeasible():
-    lp, _ = block_lp([1, 2, 3], [[0], [1, 2]], [1, -1])
-    session = SimplexSession(lp)
+    session = SimplexSession([([1], 1), ([2, 3], -1)])
     assert session.status == "infeasible"
     with pytest.raises(MalformedProgram):
         session.result()
 
 
 NON_BLOCK_PROGRAMS = {
-    "<= row": (2, [([1, 1], LE, 2)]),
-    "coefficient 2": (2, [([1, 2], EQ, 2)]),
-    "two rows share a column": (2, [([1, 1], EQ, 1), ([0, 1], EQ, 1)]),
-    "column in no row": (2, [([1, 0], EQ, 1)]),
-    "empty row": (1, [([1], EQ, 1), ([0], EQ, 0)]),
+    "empty row": [([1], 1), ([], 0)],
+    "empty first row": [([], 0), ([1], 1)],
 }
 
 
-@pytest.mark.parametrize("nvars, rows", NON_BLOCK_PROGRAMS.values(), ids=NON_BLOCK_PROGRAMS.keys())
-def test_non_block_program_rejected(nvars, rows):
-    lp, _ = lp_from(nvars, [1] * nvars, rows)
+@pytest.mark.parametrize("blocks", NON_BLOCK_PROGRAMS.values(), ids=NON_BLOCK_PROGRAMS.keys())
+def test_non_block_program_rejected(blocks):
     with pytest.raises(MalformedProgram):
-        SimplexSession(lp)
+        SimplexSession(blocks)
 
 
 # --- known optima after cuts --------------------------------------------
 
 
 def test_simple_box_optimum():
-    lp, xs = block_lp([-1, 0, 2], [[0, 1, 2]], [3])
-    session = SimplexSession(lp)
+    session = SimplexSession([([-1, 0, 2], 3)])
     assert vertex_objective(session.result()) == rat(-3)
-    session.add_cuts([(cut(xs, [2, 0, 0]), 1), (cut(xs, [0, 2, 0]), 3)])
+    session.add_cuts([(cut([2, 0, 0]), 1), (cut([0, 2, 0]), 3)])
     sol = session.result()
     assert vertex_objective(sol) == rat(3, 2)
-    assert [vertex_values(sol)[x] for x in xs] == [rat(1, 2), rat(3, 2), ONE]
+    assert vertex_values(sol) == [rat(1, 2), rat(3, 2), ONE]
 
 
 def test_infeasible_detected():
     """Cuts that no point of the block row satisfies leave the session
     infeasible; it then gives no vertex and takes no more cuts."""
-    lp, xs = block_lp([1, 1], [[0, 1]], [4])
-    session = SimplexSession(lp)
-    assert session.add_cuts([(cut(xs, [1, 0]), 1), (cut(xs, [0, 1]), 1)]) == "infeasible"
+    session = SimplexSession([([1, 1], 4)])
+    assert session.add_cuts([(cut([1, 0]), 1), (cut([0, 1]), 1)]) == "infeasible"
     with pytest.raises(MalformedProgram):
         session.result()
     with pytest.raises(MalformedProgram):
-        session.add_cuts([(cut(xs, [1, 1]), 9)])
+        session.add_cuts([(cut([1, 1]), 9)])
 
 
 def test_solution_satisfies_all_constraints_exactly():
-    lp, xs = block_lp([-2, -3, -1, 0], [[0, 1, 2, 3]], [5])
-    session = SimplexSession(lp)
-    session.add_cuts([(cut(xs, [2, 1, 0, 0]), 6), (cut(xs, [0, 1, 3, 0]), 7)])
-    sol = session.result()
-    assert len(lp.constraints) == 3
-    for con in lp.constraints:
-        assert constraint_satisfied(con, vertex_values(sol))
+    session = SimplexSession([([-2, -3, -1, 0], 5)])
+    batch = [([2, 1, 0, 0], 6), ([0, 1, 3, 0], 7)]
+    session.add_cuts([(cut(coeffs), rhs) for coeffs, rhs in batch])
+    values = vertex_values(session.result())
+    for row in block_rows([4], [5]) + cut_rows(batch):
+        assert satisfied(row, values)
 
 
 def test_determinism_byte_for_byte():
     def solve():
-        lp, xs = block_lp([-5, -4, -3, 1], [[0, 2], [1, 3]], [3, 2])
-        session = SimplexSession(lp)
-        session.add_cuts([(cut(xs, [3, 1, 2, 0]), 10), (cut(xs, [1, 4, 0, -1]), 8)])
+        session = SimplexSession(blocks_of([-5, -3, -4, 1], [2, 2], [3, 2]))
+        session.add_cuts([(cut([3, 2, 1, 0]), 10), (cut([1, 0, 4, -1]), 8)])
         return session.result()
 
     a, b = solve(), solve()
@@ -166,85 +167,76 @@ def test_determinism_byte_for_byte():
 
 
 def test_malformed_programs_rejected():
-    lp = LinearProgram()
-    lp.add_variable("x")
-    with pytest.raises(MalformedProgram):
-        lp.add_variable("x")
-    with pytest.raises(MalformedProgram):
-        lp.set_objective({"y": 1})
-    with pytest.raises(MalformedProgram):
-        lp.add_constraint({"y": 1}, LE, 1)
-    with pytest.raises(MalformedProgram):
-        lp.add_constraint({"x": 1}, ">=", 1)
+    """A cut names structural columns only: one past them (where a slack
+    column lies once a cut is in), a negative one or a column that is not
+    an index raises MalformedProgram and leaves the session as it was."""
+    session = SimplexSession([([1, 2], 3)])
+    session.add_cuts([(cut([1, 0]), 2)])
+    assert session.ncols == 3
+    for col in (2, 3, -1, "x0"):
+        with pytest.raises(MalformedProgram):
+            session.add_cuts([({col: 1}, 1)])
+        assert session.ncols == 3 and len(session.rows) == 2
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(1), True, False, 1.0], ids=repr)
-@pytest.mark.parametrize("where", ["coefficient", "rhs", "objective"])
+@pytest.mark.parametrize("where", ["coefficient", "rhs", "objective", "block-rhs"])
 def test_non_int_entries_rejected(where, value):
     """A program holds ints only: a Fraction (even a whole one), a bool or
-    a float raises MalformedProgram and leaves the program as it was."""
-    lp = LinearProgram()
-    lp.add_variable("x")
+    a float as a block cost, a block rhs, a cut coefficient or a cut rhs
+    raises MalformedProgram and leaves the session as it was."""
+    if where == "objective":
+        with pytest.raises(MalformedProgram):
+            SimplexSession([([1, value], 1)])
+        return
+    if where == "block-rhs":
+        with pytest.raises(MalformedProgram):
+            SimplexSession([([1, 1], value)])
+        return
+    session = SimplexSession([([1, 1], 1)])
+    bad = ({0: value}, 1) if where == "coefficient" else ({0: 1}, value)
     with pytest.raises(MalformedProgram):
-        if where == "coefficient":
-            lp.add_constraint({"x": value}, LE, 1)
-        elif where == "rhs":
-            lp.add_constraint({"x": 1}, LE, value)
-        else:
-            lp.set_objective({"x": value})
-    assert lp.constraints == [] and lp.objective == {}
+        session.add_cuts([({0: 1}, 1), bad])
+    assert session.ncols == 2 and len(session.rows) == 1
 
 
 def test_session_cut_matches_cold_resolve():
     """A cut repaired warm reaches the optimum a cold two-phase solve of
     the grown program finds."""
-    rows = block_rows(3, [[0, 1, 2]], [4])
-    session = SimplexSession(lp_from(3, [-1, -1, 0], rows)[0])
+    session = SimplexSession([([-1, -1, 0], 4)])
     assert vertex_objective(session.result()) == rat(-4)
-    session.add_cuts([({"x0": 1, "x1": 1}, 3)])
+    session.add_cuts([({0: 1, 1: 1}, 3)])
     warm = session.result()
 
-    cold_lp, _ = lp_from(3, [-1, -1, 0], rows + [([1, 1, 0], LE, 3)])
-    cold = RationalTableau(cold_lp)
+    grown = block_rows([3], [4]) + [([1, 1, 0], LE, 3)]
+    cold = RationalTableau([-1, -1, 0], grown)
     assert cold.status == "optimal"
     assert vertex_objective(warm) == cold.objective_value() == rat(-3)
-    for con in cold_lp.constraints:
-        assert constraint_satisfied(con, vertex_values(warm))
+    for row in grown:
+        assert satisfied(row, vertex_values(warm))
 
 
 def test_session_add_cuts_batch():
-    lp, xs = block_lp([1, 2, 3], [[0, 1, 2]], [6])
-    session = SimplexSession(lp)
-    session.add_cuts([
-        (cut(xs, [1, 0, 0]), 2),
-        (cut(xs, [1, 1, 0]), 4),
-        (cut(xs, [0, 1, -1]), -1),
-    ])
+    session = SimplexSession([([1, 2, 3], 6)])
+    batch = [([1, 0, 0], 2), ([1, 1, 0], 4), ([0, 1, -1], -1)]
+    session.add_cuts([(cut(coeffs), rhs) for coeffs, rhs in batch])
     sol = session.result()
     assert vertex_objective(sol) == rat(25, 2)
-    assert [vertex_values(sol)[x] for x in xs] == [rat(2), rat(3, 2), rat(5, 2)]
-    for con in session.lp.constraints:
-        assert constraint_satisfied(con, vertex_values(sol))
+    assert vertex_values(sol) == [rat(2), rat(3, 2), rat(5, 2)]
+    for row in block_rows([3], [6]) + cut_rows(batch):
+        assert satisfied(row, vertex_values(sol))
 
 
 def test_add_cuts_rejects_a_batch_whole():
     """A malformed cut anywhere in a batch leaves the session as it was,
     and a valid batch afterwards still reaches the optimum."""
-    lp, xs = block_lp([1, 2], [[0, 1]], [3])
-    session = SimplexSession(lp)
-    with pytest.raises(MalformedProgram):
-        session.add_cuts([(cut(xs, [1, 0]), 2), (cut(xs, [1, 0]), Fraction(1, 2))])
-    assert len(session.lp.constraints) == 1
-    assert len(session.col_ids) == 2 and session.ncols == 2
-    assert len(session.rows) == 1
-    session.add_cuts([(cut(xs, [1, 0]), 2)])
+    session = SimplexSession([([1, 2], 3)])
+    for bad in ((cut([1, 0]), Fraction(1, 2)), ({2: 1}, 1)):
+        with pytest.raises(MalformedProgram):
+            session.add_cuts([(cut([1, 0]), 2), bad])
+        assert session.ncols == 2 and len(session.rows) == 1 and len(session.cost) == 3
+    session.add_cuts([(cut([1, 0]), 2)])
     assert vertex_objective(session.result()) == rat(4)
-
-
-def test_dump_lp_mentions_structure():
-    lp, _ = lp_from(2, [1, 2], [([1, 1], LE, 3)])
-    text = dump_lp(lp)
-    assert "x0" in text and "x1" in text and "3" in text
 
 
 # --- definition-level oracle ------------------------------------------
@@ -306,24 +298,21 @@ def brute_force_lp_min(nvars, objective, rows):
 
 @st.composite
 def block_program_with_cuts(draw, max_batches, max_cuts):
-    """1-3 blocks of 1-4 columns, interleaved in declaration order, small
-    int costs (ties and negatives), rhs >= 0; then batches of random
-    integer <= cuts.  Each cut passes near an integer point x0 of the
-    block rows, at most 1 past it, so most batches bite and some leave
-    the program infeasible."""
+    """1-3 blocks of 1-4 consecutive columns, small int costs (ties and
+    negatives), rhs >= 0; then batches of random integer <= cuts with
+    coefficients in -2..3.  Each cut passes near an integer point x0 of
+    the block rows, at most 1 past it, so most batches bite and some
+    leave the program infeasible."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     nvars = sum(sizes)
-    order = draw(st.permutations(range(nvars)))
-    blocks = []
-    for size in sizes:
-        blocks.append(sorted(order[:size]))
-        order = order[size:]
     costs = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
-    rhs = draw(st.lists(st.integers(0, 3), min_size=len(blocks), max_size=len(blocks)))
+    rhs = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
     x0 = [0] * nvars
-    for block, b in zip(blocks, rhs):
+    start = 0
+    for size, b in zip(sizes, rhs):
         for _ in range(b):
-            x0[draw(st.sampled_from(block))] += 1
+            x0[start + draw(st.integers(0, size - 1))] += 1
+        start += size
     batches = []
     for _ in range(draw(st.integers(1, max_batches))):
         batch = []
@@ -332,16 +321,16 @@ def block_program_with_cuts(draw, max_batches, max_cuts):
             lhs = sum(c * x for c, x in zip(coeffs, x0))
             batch.append((coeffs, lhs + draw(st.integers(-1, 1))))
         batches.append(batch)
-    return costs, blocks, rhs, batches
+    return costs, sizes, rhs, batches
 
 
-def _apply_batches(session, xs, batches):
+def _apply_batches(session, batches):
     """Add the batches to the session until one leaves it infeasible;
-    the rows it took, as lp_from rows."""
+    the rows it took, as dense rows."""
     added = []
     for batch in batches:
-        session.add_cuts([(cut(xs, coeffs), rhs) for coeffs, rhs in batch])
-        added += [(coeffs, LE, rhs) for coeffs, rhs in batch]
+        session.add_cuts([(cut(coeffs), rhs) for coeffs, rhs in batch])
+        added += cut_rows(batch)
         if session.status != "optimal":
             break
     return added
@@ -350,14 +339,13 @@ def _apply_batches(session, xs, batches):
 @given(block_program_with_cuts(max_batches=2, max_cuts=2))
 @settings(max_examples=250, deadline=None)
 def test_simplex_matches_vertex_enumeration(problem):
-    costs, blocks, rhs, batches = problem
+    costs, sizes, rhs, batches = problem
     nvars = len(costs)
-    lp, xs = block_lp(costs, blocks, rhs)
-    session = SimplexSession(lp)
-    rows = block_rows(nvars, blocks, rhs)
+    session = SimplexSession(blocks_of(costs, sizes, rhs))
+    rows = block_rows(sizes, rhs)
     assert session.status == "optimal"
     assert vertex_objective(session.result()) == brute_force_lp_min(nvars, costs, rows)
-    rows += _apply_batches(session, xs, batches)
+    rows += _apply_batches(session, batches)
     expected = brute_force_lp_min(nvars, costs, rows)
     if expected is None:
         assert session.status == "infeasible"
@@ -365,9 +353,9 @@ def test_simplex_matches_vertex_enumeration(problem):
     assert session.status == "optimal"
     sol = session.result()
     assert vertex_objective(sol) == expected
-    for con in lp.constraints:
-        assert constraint_satisfied(con, vertex_values(sol))
-    assert all(v >= 0 for v in sol.values.values())
+    for row in rows:
+        assert satisfied(row, vertex_values(sol))
+    assert all(v >= 0 for v in sol.values)
 
 
 # --- the integer tableau ------------------------------------------------
@@ -388,30 +376,29 @@ def _rank(matrix):
     return rank
 
 
-def assert_tableau_invariant(session):
+def assert_tableau_invariant(session, objective, program):
     """Each basic column is den times a unit vector, and rows / den is
     B^-1 [A | b]: B (rows / den) = [A | b] with B the basic columns of A, of
-    full column rank.  A is rebuilt here in Fraction from the program, each
-    slack (columns after the variables, in constraint order) with
-    coefficient 1.  The cost row is checked the same way against the
-    objective."""
-    lp, den, rows, basis = session.lp, session.den, session.rows, session.basis
+    full column rank.  A is rebuilt here in Fraction from the dense rows
+    of `program`, the block rows and then the cuts in order of addition,
+    each slack (columns after the variables, in row order) with
+    coefficient 1.  The cost row is checked the same way against
+    `objective`."""
+    den, rows, basis = session.den, session.rows, session.basis
     assert isinstance(den, int) and den > 0
     assert all(type(v) is int for row in rows + [session.cost] for v in row)
     for i, b in enumerate(basis):
         assert [row[b] for row in rows] == [den if k == i else 0 for k in range(len(rows))]
         assert session.cost[b] == 0
 
-    col = {var: j for j, var in enumerate(lp.variables)}
-    width = len(lp.variables) + sum(con.rel == LE for con in lp.constraints)
+    nvars = len(objective)
+    width = nvars + sum(rel == LE for _, rel, _ in program)
     assert session.ncols == width
     a_b = []
-    slack = len(lp.variables)
-    for con in lp.constraints:
-        row = [Fraction(0)] * width + [Fraction(con.rhs)]
-        for var, coef in con.coeffs.items():
-            row[col[var]] = Fraction(coef)
-        if con.rel == LE:
+    slack = nvars
+    for coeffs, rel, rhs in program:
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * (width - nvars) + [Fraction(rhs)]
+        if rel == LE:
             row[slack] = Fraction(1)
             slack += 1
         a_b.append(row)
@@ -420,9 +407,7 @@ def assert_tableau_invariant(session):
         assert [sum(r[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)] == r
     assert _rank([[r[b] for b in basis] for r in a_b]) == len(basis)
 
-    c = [Fraction(0)] * (width + 1)
-    for var, coef in lp.objective.items():
-        c[col[var]] = Fraction(coef)
+    c = [Fraction(v) for v in objective] + [Fraction(0)] * (width + 1 - nvars)
     reduced = [c[j] - sum(c[b] * tableau[i][j] for i, b in enumerate(basis)) for j in range(width + 1)]
     assert [Fraction(v, den) for v in session.cost] == reduced
 
@@ -433,20 +418,15 @@ class RationalTableau:
     for cuts.  The reference the integer tableau must start at and then
     follow pivot for pivot."""
 
-    def __init__(self, lp):
-        self.lp = lp
-        nvars = len(lp.variables)
-        col = {var: j for j, var in enumerate(lp.variables)}
-        les = [ci for ci, con in enumerate(lp.constraints) if con.rel == LE]
-        slack = {ci: nvars + k for k, ci in enumerate(les)}
+    def __init__(self, objective, program):
+        self.nvars = nvars = len(objective)
+        les = [i for i, (_, rel, _) in enumerate(program) if rel == LE]
+        slack = {i: nvars + k for k, i in enumerate(les)}
         self.ncols = nvars + len(les)
-        self.col = col
         self.rows, self.basis, needs = [], [], []
-        for ci, con in enumerate(lp.constraints):
-            row = [Fraction(0)] * self.ncols + [Fraction(con.rhs)]
-            for var, coef in con.coeffs.items():
-                row[col[var]] = Fraction(coef)
-            s = slack.get(ci)
+        for i, (coeffs, _, rhs) in enumerate(program):
+            row = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.ncols - nvars) + [Fraction(rhs)]
+            s = slack.get(i)
             if s is not None:
                 row[s] = Fraction(1)
             if row[-1] < 0:
@@ -462,9 +442,7 @@ class RationalTableau:
             self.basis[i] = first_art + k
         self.ncols += len(needs)
         self.pivots = 0
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for var, coef in lp.objective.items():
-            obj[col[var]] = Fraction(coef)
+        obj = [Fraction(c) for c in objective] + [Fraction(0)] * (self.ncols + 1 - nvars)
         self.cost = self._canonical(obj)
         arts = set(range(first_art, self.ncols))
         if arts:
@@ -514,10 +492,9 @@ class RationalTableau:
 
     def add_cuts(self, cuts):
         for coeffs, rhs in cuts:
-            self.lp.add_constraint(coeffs, LE, rhs)
             row = [Fraction(0)] * self.ncols + [Fraction(rhs)]
-            for var, coef in coeffs.items():
-                row[self.col[var]] = Fraction(coef)
+            for j, coef in coeffs.items():
+                row[j] = Fraction(coef)
             row = self._canonical(row)
             for other in self.rows + [self.cost]:
                 other.insert(-1, Fraction(0))
@@ -546,11 +523,10 @@ class RationalTableau:
         pivots = self.pivots - self.cold_pivots
         if self.status != "optimal":
             return self.status, pivots, sorted(self.basis), None
-        values = {var: Fraction(0) for var in self.lp.variables}
-        names = {j: var for var, j in self.col.items()}
+        values = [ZERO] * self.nvars
         for i, b in enumerate(self.basis):
-            if b in names:
-                values[names[b]] = self.rows[i][-1]
+            if b < self.nvars:
+                values[b] = self.rows[i][-1]
         return self.status, pivots, sorted(self.basis), values
 
 
@@ -567,27 +543,25 @@ def test_integer_tableau_matches_rational_tableau(problem):
     integer tableau is B^-1 [A | b] over den, and it took the same pivots
     to the same basis and vertex as the reference.  A cold two-phase
     solve of the grown program reaches the same status and optimum."""
-    costs, blocks, rhs, batches = problem
-    nvars = len(costs)
-    lp, xs = block_lp(costs, blocks, rhs)
-    session = SimplexSession(lp)
-    reference = RationalTableau(block_lp(costs, blocks, rhs)[0])
+    costs, sizes, rhs, batches = problem
+    session = SimplexSession(blocks_of(costs, sizes, rhs))
+    program = block_rows(sizes, rhs)
+    reference = RationalTableau(costs, program)
     assert session.status == reference.status == "optimal"
     assert session.den == 1 and session._pivots == 0
     assert (session.rows, session.cost, session.basis) == (reference.rows, reference.cost, reference.basis)
-    assert_tableau_invariant(session)
+    assert_tableau_invariant(session, costs, program)
     assert _session_state(session) == reference.state()
-    added = []
     for batch in batches:
-        cuts = [(cut(xs, coeffs), rhs) for coeffs, rhs in batch]
+        cuts = [(cut(coeffs), b) for coeffs, b in batch]
         session.add_cuts(cuts)
         reference.add_cuts(cuts)
-        assert_tableau_invariant(session)
+        program += cut_rows(batch)
+        assert_tableau_invariant(session, costs, program)
         assert _session_state(session) == reference.state()
-        added += [(coeffs, LE, rhs) for coeffs, rhs in batch]
         if session.status != "optimal":
             break
-    cold = RationalTableau(lp_from(nvars, costs, block_rows(nvars, blocks, rhs) + added)[0])
+    cold = RationalTableau(costs, program)
     assert cold.status == session.status
     if cold.status == "optimal":
         assert cold.objective_value() == vertex_objective(session.result())

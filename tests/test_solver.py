@@ -306,8 +306,8 @@ def test_fractional_vertex_raises_internal_error(monkeypatch):
         # the same vertex over twice its denominator, with one numerator
         # set strictly between 0 and den: a value of 1/2
         den = 2 * vertex.den
-        values = {var: 2 * v for var, v in vertex.values.items()}
-        values[model.lp.variables[0]] = vertex.den
+        values = [2 * v for v in vertex.values]
+        values[0] = vertex.den
         vertex = dataclasses.replace(vertex, values=values, den=den, objective=2 * vertex.objective)
         return dataclasses.replace(result, solution=vertex)
 
