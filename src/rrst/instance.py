@@ -241,9 +241,9 @@ def _object(obj, where) -> dict:
     return obj
 
 
-def _raise_edge_fault(raw_edges, n: int):
-    """The per-edge walk: raise the first fault of raw_edges, by index."""
-    costs = CostTable()
+def _edge_entries(raw_edges, n: int):
+    """The per-edge walk: yield (where, entry, id) for each edge of
+    raw_edges in turn, raising the first fault of its id and endpoints."""
     seen = set()
     for i, e in enumerate(raw_edges):
         where = f"edges[{i}]"
@@ -258,6 +258,14 @@ def _raise_edge_fault(raw_edges, n: int):
         if u == v:
             raise ParseError(f"{where}: self-loop on node {u}")
         seen.add(eid)
+        yield where, e, eid
+
+
+def _raise_edge_fault(raw_edges, n: int):
+    """The per-edge walk with each edge's costs: raise the first fault of
+    raw_edges, by index."""
+    costs = CostTable()
+    for where, e, eid in _edge_entries(raw_edges, n):
         costs.add(eid, e, where)
     raise _missed_fault("edges")
 

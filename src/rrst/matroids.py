@@ -1,19 +1,17 @@
 """Matroids over integer-labelled ground sets: graphic, uniform, partition.
 
-Each family is a closed representation: deletion and contraction return a
-new matroid of the same family, so rank queries can stay specialized.  A
-generic oracle-backed adapter exists for tests that want to cross-check the
-closed forms against first principles.  The solver runs a graphic matroid
-on its multigraph's spanning forests (`sides.GraphSide`), so the graphic
-minors below serve the matroid API and the brute-force oracle.
+These are the families the solver, `verify` and the brute-force oracle
+run.  A graphic matroid is the forests of a multigraph, which the solver
+selects over as spanning forests (`sides.GraphSide`); a uniform matroid is
+the partition matroid of one part.
 
 Rank and minimum-weight bases come from one greedy scan, which is exact
-for any matroid: against the independence oracle in general, and as a
-Kruskal scan of the multigraph for graphic matroids.  Contraction follows
-the minor rules: ground shrinks by the contracted element; if {e} was dependent the
-independent sets are simply carried over.  For graphic matroids an edge
-parallel to a contracted edge becomes a loop and stays in the ground set
-as a rank-zero element.
+for any matroid: against the independence test in general, and as a
+Kruskal scan of the multigraph for graphic matroids.  The solver's
+integrality argument uses each stage's base polytope, that is its rank
+inequalities and the greedy algorithm, and never a minor; a partition
+matroid's deletion and contraction serve only `sides.MatroidSide`'s
+`fix` and `remove`.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .instance import (
     _cost_columns,
     _distinct_ids,
     _edge_columns,
+    _edge_entries,
     _int_column,
     _int_field,
     _missed_fault,
@@ -49,7 +48,7 @@ ENUMERATION_GROUND_LIMIT = 20
 
 
 class Matroid:
-    """Base class; subclasses implement is_independent and the minor ops."""
+    """Base class; subclasses implement is_independent."""
 
     family = "abstract"
 
@@ -88,75 +87,22 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground)
 
-    def delete(self, e: int) -> "Matroid":
-        raise NotImplementedError
-
-    def contract(self, e: int) -> "Matroid":
-        raise NotImplementedError
-
 
 class GraphicMatroid(Matroid):
-    """Forests of a multigraph; loops created by contraction are retained
-    as explicit rank-zero elements."""
+    """Forests of a multigraph."""
 
     family = "graphic"
 
-    def __init__(self, graph: MultiGraph, loops=frozenset()):
+    def __init__(self, graph: MultiGraph):
         self.graph = graph
-        self.loops = frozenset(loops)
-        super().__init__(set(graph.edges) | self.loops)
+        super().__init__(graph.edges)
 
     def is_independent(self, subset) -> bool:
         self._check_elements(subset)
-        if any(e in self.loops for e in subset):
-            return False
         return len(self.graph.spanning_forest(subset)) == len(subset)
 
     def max_independent(self, order) -> list[int]:
-        return self.graph.spanning_forest([e for e in order if e not in self.loops])
-
-    def delete(self, e: int) -> "GraphicMatroid":
-        self._check_elements({e})
-        if e in self.loops:
-            return GraphicMatroid(self.graph, self.loops - {e})
-        return GraphicMatroid(self.graph.delete_edge(e), self.loops)
-
-    def contract(self, e: int) -> "GraphicMatroid":
-        self._check_elements({e})
-        if e in self.loops:
-            # dependent singleton: independence is unchanged, e just leaves
-            return GraphicMatroid(self.graph, self.loops - {e})
-        u, v = self.graph.endpoints(e)
-        new_loops = set(self.loops)
-        for fid, (a, b) in self.graph.edges.items():
-            if fid != e and {a, b} == {u, v}:
-                new_loops.add(fid)
-        return GraphicMatroid(self.graph.contract_edge(e), frozenset(new_loops))
-
-
-class UniformMatroid(Matroid):
-    """Independent iff the subset has at most r elements."""
-
-    family = "uniform"
-
-    def __init__(self, ground, r: int):
-        if r < 0:
-            raise ValidationError(f"uniform rank {r} is negative")
-        self.r = r
-        super().__init__(ground)
-
-    def is_independent(self, subset) -> bool:
-        self._check_elements(subset)
-        return len(set(subset)) <= self.r
-
-    def delete(self, e: int) -> "UniformMatroid":
-        self._check_elements({e})
-        return UniformMatroid(self.ground - {e}, self.r)
-
-    def contract(self, e: int) -> "UniformMatroid":
-        self._check_elements({e})
-        new_r = self.r - 1 if self.r >= 1 else 0
-        return UniformMatroid(self.ground - {e}, new_r)
+        return self.graph.spanning_forest(order)
 
 
 class PartitionMatroid(Matroid):
@@ -201,32 +147,16 @@ class PartitionMatroid(Matroid):
         return PartitionMatroid(parts)
 
 
-class GenericOracleMatroid(Matroid):
-    """Adapter around a raw independence oracle; used in tests to validate
-    the closed family representations against definition-level semantics."""
+class UniformMatroid(PartitionMatroid):
+    """Independent iff the subset has at most r elements: the partition
+    matroid of the one part (ground, r)."""
 
-    family = "oracle"
+    family = "uniform"
 
-    def __init__(self, ground, oracle):
-        self._oracle = oracle
-        super().__init__(ground)
-
-    def is_independent(self, subset) -> bool:
-        self._check_elements(subset)
-        return self._oracle(frozenset(subset))
-
-    def delete(self, e: int) -> "GenericOracleMatroid":
-        self._check_elements({e})
-        return GenericOracleMatroid(self.ground - {e}, self._oracle)
-
-    def contract(self, e: int) -> "GenericOracleMatroid":
-        self._check_elements({e})
-        inner = self._oracle
-        if self._oracle(frozenset({e})):
-            oracle = lambda subset, _e=e, _f=inner: _f(subset | {_e})
-        else:
-            oracle = inner
-        return GenericOracleMatroid(self.ground - {e}, oracle)
+    def __init__(self, ground, r: int):
+        if r < 0:
+            raise ValidationError(f"uniform rank {r} is negative")
+        super().__init__([(ground, r)])
 
 
 def greedy_min_basis(matroid: Matroid, weights) -> list[int]:
@@ -331,19 +261,10 @@ def matroid_from_dict(doc) -> Matroid:
 
 
 def _raise_graphic_edge_fault(raw, n: int):
-    """The per-edge walk: raise the first fault of a graphic edge list."""
-    seen = set()
-    for i, e in enumerate(raw):
-        where = f"edges[{i}]"
-        e = _object(e, where)
-        eid = _int_field(e, "id", where)
-        u = _int_field(e, "u", where)
-        v = _int_field(e, "v", where)
-        if eid in seen:
-            raise ParseError(f"{where}: duplicate edge id {eid}")
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ParseError(f"{where}: bad endpoints ({u},{v})")
-        seen.add(eid)
+    """The per-edge walk of a tree document, without its costs: raise the
+    first fault of a graphic edge list."""
+    for _ in _edge_entries(raw, n):
+        pass
     raise _missed_fault("graphic edges")
 
 

@@ -1,8 +1,8 @@
 """Labelled multigraphs with edge contraction and deletion.
 
 Edges carry stable integer ids that survive contraction, which is what the
-oracle's enumeration and the graphic minors rely on: the graph shrinks, the
-ids it reports do not.
+oracle's enumeration relies on: the graph shrinks, the ids it reports do
+not.
 Self-loops are dropped eagerly whenever a contraction creates them.  Node
 labels after contraction are canonical representatives: a merge keeps the
 smaller label, so repeated contractions behave like union-find with

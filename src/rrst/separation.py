@@ -280,22 +280,21 @@ def _best_prefix(point, unit, elements, cap):
 
 
 def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
-    """Family-specialized violated rank constraint over proper subsets.
+    """The most violated rank constraint of a partition matroid over proper
+    subsets.
 
     Takes only points with x(ground) <= rank, as every point of the
-    relaxation is; ValidationError otherwise.  A uniform matroid is the one
-    part (ground, r) and a partition matroid keeps its parts.  The most
-    violated constraint is the union of each part's best prefix; it is
-    never the whole ground set, which no such point violates.  The solver
-    hands graphic matroids to the forest side, and the parser knows no
-    other family, so any other family is a bug: InternalError.
+    relaxation is; ValidationError otherwise.  The matroid is a partition
+    matroid (a uniform matroid is one part).  The most violated constraint
+    is the union of each part's best prefix; it is never the whole ground
+    set, which no such point violates.  The solver hands graphic matroids
+    to the forest side and refuses any other family, so a matroid with no
+    parts is a bug: InternalError.
     """
-    if matroid.family == "uniform":
-        parts = [(matroid.ground, matroid.r)]
-    elif matroid.family == "partition":
+    try:
         parts = matroid.parts
-    else:
-        raise InternalError(f"no rank separation for the {matroid.family} family")
+    except AttributeError:
+        raise InternalError(f"no rank separation for the {matroid.family} family") from None
     elements = []
     rhs, violation, weight, rank = 0, 0, 0, 0
     for part, cap in parts:

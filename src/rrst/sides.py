@@ -6,14 +6,14 @@ bases.  A side answers separation queries against fractional points, by
 its one route (`separate_forest` or `separate_rank`; the tests check both
 against `tests/reference_separation.py`), and completes a selection
 greedily.  A point is a dict of int numerators over one positive `unit`,
-the LP tableau's denominator.  `fix` and `remove` give the minor that
-commits or discards one element; the solver reads its answer off a single
-LP vertex and shrinks no side.
+the LP tableau's denominator.  `fix` and `remove` give the side with one
+element committed or discarded; the solver reads its answer off a single
+LP vertex and shrinks no side, and only the benchmark's tracer
+(`perfbench/tracer.py`) still names them.
 
 Spanning forests are the bases of the graphic matroid, so the graph side
 serves both spanning trees and graphic matroids; a spanning forest of a
-connected graph is a spanning tree.  Contraction drops the edges it turns
-into loops, which no basis can hold.
+connected graph is a spanning tree.
 """
 
 from __future__ import annotations

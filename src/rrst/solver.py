@@ -50,7 +50,7 @@ from .config import SolveConfig
 from .errors import InternalError, ValidationError
 from .instance import Instance, _int_column
 from .lpmodel import build_relaxation, cutting_plane_solve
-from .matroids import GraphicMatroid, MatroidInstance
+from .matroids import GraphicMatroid, MatroidInstance, PartitionMatroid
 from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
@@ -148,10 +148,18 @@ def solve_rrst(instance: Instance, config: SolveConfig | None = None) -> Solutio
 def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
 
-    A graphic matroid is solved on its spanning forests, by the tree route.
+    A graphic matroid is solved on its spanning forests, by the tree route,
+    and a uniform or partition matroid by prefix scans per part.  No other
+    family has a route: ValidationError, whatever k.
     """
     matroid = minstance.matroid
-    side = GraphSide(matroid.graph) if isinstance(matroid, GraphicMatroid) else MatroidSide(matroid)
+    if isinstance(matroid, GraphicMatroid):
+        side = GraphSide(matroid.graph)
+    elif isinstance(matroid, PartitionMatroid):
+        side = MatroidSide(matroid)
+    else:
+        raise ValidationError(f"no solve route for the {matroid.family} matroid family: "
+                              "the solver runs graphic, uniform and partition matroids")
     return _solve_core(side, minstance.rank, minstance.costs, minstance.scale,
                        minstance.overlap_requirement, config or SolveConfig())
 

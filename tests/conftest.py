@@ -23,7 +23,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from rrst import simplex
 from rrst.instance import CostColumns, Instance
-from rrst.matroids import MatroidInstance, PartitionMatroid, UniformMatroid
+from rrst.matroids import Matroid, MatroidInstance, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 
 
@@ -112,6 +112,22 @@ def make_partition_instance(parts, triples, k) -> MatroidInstance:
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
     costs = CostColumns.from_rows(triples)
     return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+
+
+class GenericOracleMatroid(Matroid):
+    """A matroid given only by an independence oracle: the reference the
+    closed families are checked against by the generic greedy, and a
+    family the solver has no route for."""
+
+    family = "oracle"
+
+    def __init__(self, ground, oracle):
+        self._oracle = oracle
+        super().__init__(ground)
+
+    def is_independent(self, subset) -> bool:
+        self._check_elements(subset)
+        return self._oracle(frozenset(subset))
 
 
 def cleared(point):

@@ -60,14 +60,9 @@ EDGE_FAULTS = {
     "scale past MAX_DIGITS": (_scale_past_digits, ParseError, SCALE_MESSAGE),
 }
 
-GRAPHIC_FAULTS = {
-    "bool id": EDGE_FAULTS["bool id"],
-    "string u": EDGE_FAULTS["string u"],
-    "duplicate id": EDGE_FAULTS["duplicate id"],
-    "endpoint out of range": (_update(v=10), ParseError, "bad endpoints (5,10)"),
-    "self-loop": (_self_loop, ParseError, "bad endpoints (5,5)"),
-    "not an object": EDGE_FAULTS["not an object"],
-}
+# a graphic edge list is walked as a tree's is, without the cost fields
+GRAPHIC_FAULTS = {kind: EDGE_FAULTS[kind] for kind in
+                  ("bool id", "string u", "duplicate id", "endpoint out of range", "self-loop", "not an object")}
 
 COST_FAULTS = {
     "bool id": EDGE_FAULTS["bool id"],
@@ -98,7 +93,8 @@ def _uniform_doc():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the runs of each per-entry walk."""
+    """Count the runs of each per-entry walk, and of the per-edge walk that
+    tree and graphic documents share."""
     counts = {}
 
     def counted(module, name):
@@ -111,6 +107,8 @@ def walks(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(instance, "_raise_edge_fault")
+    counted(instance, "_edge_entries")
+    counted(matroids, "_edge_entries")
     counted(matroids, "_raise_graphic_edge_fault")
     counted(matroids, "_raise_cost_fault")
     return counts
@@ -123,12 +121,12 @@ def test_valid_documents_never_run_the_walk(walks):
     assert walks == {}
 
 
-def _assert_fault(load, doc, err, message, walks, walk):
+def _assert_fault(load, doc, err, message, walks, *walk_names):
     with pytest.raises(err) as info:
         load(json.dumps(doc))
     assert type(info.value) is err
     assert str(info.value) == message
-    assert walks == {walk: 1}
+    assert walks == dict.fromkeys(walk_names, 1)
 
 
 @pytest.mark.parametrize("kind", EDGE_FAULTS)
@@ -136,7 +134,8 @@ def test_tree_edge_fault_is_named_at_its_index(kind, walks):
     mutate, err, message = EDGE_FAULTS[kind]
     doc = _tree_doc()
     mutate(doc["edges"], AT)
-    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks, "_raise_edge_fault")
+    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
+                  "_raise_edge_fault", "_edge_entries")
 
 
 @pytest.mark.parametrize("kind", GRAPHIC_FAULTS)
@@ -145,7 +144,7 @@ def test_graphic_edge_fault_is_named_at_its_index(kind, walks):
     doc = _graphic_doc()
     mutate(doc["edges"], AT)
     _assert_fault(loads_matroid_instance, doc, err, f"edges[{AT}]: {message}", walks,
-                  "_raise_graphic_edge_fault")
+                  "_raise_graphic_edge_fault", "_edge_entries")
 
 
 @pytest.mark.parametrize("family", ["graphic", "uniform"])
@@ -165,7 +164,8 @@ def test_the_first_fault_in_document_order_wins(first, later, walks):
     EDGE_FAULTS[later][0](doc["edges"], AT + 3)
     EDGE_FAULTS[first][0](doc["edges"], AT)
     _, err, message = EDGE_FAULTS[first]
-    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks, "_raise_edge_fault")
+    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
+                  "_raise_edge_fault", "_edge_entries")
 
 
 # --- the column checks accept exactly what the walk accepts -------------

@@ -32,7 +32,7 @@ from rrst.solver import (
     verify_tree_solution,
 )
 
-from conftest import make_instance, make_uniform_instance, TRIANGLE_PAIRS
+from conftest import GenericOracleMatroid, make_instance, make_uniform_instance, TRIANGLE_PAIRS
 from reference_separation import exhaustive_separate, selection_size
 
 
@@ -155,25 +155,21 @@ def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
 
 def _random_graphic_matroid(rng):
     """Multigraph on 2-6 nodes, edges drawn with repetition (parallel edges,
-    often disconnected), half the time contracted once (parallels become loops)."""
+    often disconnected)."""
     n = rng.randint(2, 6)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = {eid: rng.choice(pairs) for eid in range(rng.randint(1, 9))}
-    matroid = GraphicMatroid(MultiGraph(range(n), edges))
-    if rng.random() < 0.5:
-        matroid = matroid.contract(rng.choice(sorted(edges)))
-    return matroid
+    return GraphicMatroid(MultiGraph(range(n), edges))
 
 
 def test_graphic_matroid_forests_match_oracle():
     rng = random.Random(5150)
-    seen = {"disconnected": 0, "parallel": 0, "loops": 0}
+    seen = {"disconnected": 0, "parallel": 0}
     for trial in range(80):
         matroid = _random_graphic_matroid(rng)
         graph = matroid.graph
         seen["disconnected"] += not graph.is_connected()
         seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
-        seen["loops"] += bool(matroid.loops)
         costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                        for e in sorted(matroid.ground)})
         mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
@@ -181,6 +177,19 @@ def test_graphic_matroid_forests_match_oracle():
         assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
         assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
     assert all(seen.values()), seen
+
+
+def test_a_family_with_no_solve_route_is_refused_at_every_k():
+    """Only graphic, uniform and partition matroids have a solve route; a
+    matroid given by its independence test alone is refused as input at
+    every k, the greedy k = rank included, and never reaches separation."""
+    k4 = GraphicMatroid(MultiGraph(range(4), dict(enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))))
+    matroid = GenericOracleMatroid(k4.ground, k4.is_independent)
+    costs = CostColumns.from_rows({e: (e, 5 - e, e % 2) for e in range(6)})
+    for k in range(matroid.full_rank() + 1):
+        mi = MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+        with pytest.raises(ValidationError, match="no solve route for the oracle matroid family"):
+            solve_rrmb(mi)
 
 
 def test_graphic_document_naming_a_huge_node_count_solves_on_its_edges():
