@@ -13,7 +13,6 @@ completed greedily instead.  Every arithmetic step is exact, and the
 optimum always equals the LP bound.
 """
 
-from .config import SolveConfig
 from .errors import (
     InfeasibleModel,
     InputError,
@@ -62,7 +61,6 @@ from .solver import (
 )
 
 __all__ = [
-    "SolveConfig",
     "RRSTError",
     "InputError",
     "ParseError",

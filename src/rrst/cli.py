@@ -10,7 +10,8 @@ Subcommands:
 
 ``solve`` and ``compare`` separate by the one route each side has; no flag
 picks another.  The exhaustive separation scans are the tests' reference
-(``tests/reference_separation.py``).
+(``tests/reference_separation.py``).  ``solve`` passes its one option,
+``--lp-dump-dir``, straight to ``solve_rrst`` or ``solve_rrmb``.
 
 Exit codes: 0 success, 2 bad input or input too large, 3 verification
 failure or solver/oracle disagreement, 4 breached internal invariant (always
@@ -29,7 +30,6 @@ import os
 import sys
 import time
 
-from .config import SolveConfig
 from .errors import (
     GroundTooLarge,
     InputError,
@@ -83,16 +83,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    config = SolveConfig(lp_dump_dir=args.lp_dump_dir)
     if args.matroid:
         minst = load_matroid_instance(args.input)
         log.info("matroid instance: |ground|=%d rank=%d k=%d",
                  len(minst.matroid.ground), minst.rank, minst.k)
-        sol = solve_rrmb(minst, config)
+        sol = solve_rrmb(minst, args.lp_dump_dir)
     else:
         inst = load_instance(args.input)
         log.info("tree instance: n=%d m=%d k=%d", inst.n, inst.m, inst.k)
-        sol = solve_rrst(inst, config)
+        sol = solve_rrst(inst, args.lp_dump_dir)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
              rat_str(sol.total), sol.iterations, sol.rounds, sol.cuts)
     _write_text(args.output, serialize_solution(sol))

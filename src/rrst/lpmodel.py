@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .config import SolveConfig
 from .errors import InfeasibleModel, InternalError, IterationLimit
 from .simplex import INFEASIBLE, SimplexSession, VertexSolution
 
@@ -137,14 +136,15 @@ class CutPlaneResult:
     cuts_added: int
 
 
-def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlaneResult:
+def cutting_plane_solve(model: RelaxationModel, lp_dump_dir: str | None = None) -> CutPlaneResult:
     """Optimize the model, lazily adding violated forest/rank rows.
 
     Each round separates the current vertex on both stages; violated rows
     are appended to the warm tableau and repaired with the dual simplex.
     Returns once no violated row exists.  The stage points stay int
     numerators over the tableau's denominator, which separation takes as
-    its unit.
+    its unit, and each row comes back as (elements, int rhs).  With
+    `lp_dump_dir` set, the fully-cut program is written there as text.
     """
     session = SimplexSession([(costs, rhs) for _, costs, rhs in model.blocks])
     side = model.side
@@ -176,16 +176,16 @@ def cutting_plane_solve(model: RelaxationModel, config: SolveConfig) -> CutPlane
         rounds += 1
         if rounds > _ROUND_LIMIT:
             raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
-        for stage, cut in pending:
-            if sum(map(points[stage].__getitem__, cut.elements)) <= cut.rhs * den:
+        for stage, (elements, rhs) in pending:
+            if sum(map(points[stage].__getitem__, elements)) <= rhs * den:
                 raise InternalError("separation produced a row the vertex already satisfies")
-        batch = [(model.stage_row(cut.elements, stage), cut.rhs) for stage, cut in pending]
+        batch = [(model.stage_row(elements, stage), rhs) for stage, (elements, rhs) in pending]
         session.add_cuts(batch)
         added += batch
 
-    if config.lp_dump_dir is not None:
-        os.makedirs(config.lp_dump_dir, exist_ok=True)
-        with open(os.path.join(config.lp_dump_dir, "relaxation.lp.txt"), "w", encoding="utf-8") as fh:
+    if lp_dump_dir is not None:
+        os.makedirs(lp_dump_dir, exist_ok=True)
+        with open(os.path.join(lp_dump_dir, "relaxation.lp.txt"), "w", encoding="utf-8") as fh:
             fh.write(model.render(added))
 
     return CutPlaneResult(solution, rounds, len(added))

@@ -93,10 +93,6 @@ class MultiGraph:
         s = set(node_subset)
         return sorted(eid for eid, (u, v) in self.edges.items() if u in s and v in s)
 
-    def components(self) -> list[frozenset[int]]:
-        """Connected components as node sets, ordered by smallest member."""
-        return [frozenset(group) for group in classes(sorted(self.nodes), self.edges.values())[1]]
-
     def spanning_forest(self, edge_order) -> list[int]:
         """Kruskal scan: the edges of edge_order, in that order, that join two
         components of the forest kept so far; stops at node_count - 1 edges."""

@@ -9,10 +9,10 @@ terms with a positive denominator; a total is printed as
 ``Fraction(int_total, scale)``.  ``Rat`` names the type and ``rat`` builds
 one.  Linear programs are integer columns (each block's int costs and
 rhs, each cut's int coefficients by column), and the simplex tableau
-holds integers over one common denominator (see simplex.py).  LP points stay in that form,
-int numerators over the tableau's denominator, through separation and the
-solver's reading of the vertex; a cut's slack is the one Fraction built on
-the way.
+holds integers over one common denominator (see simplex.py).  LP points
+stay in that form, int numerators over the tableau's denominator, through
+separation and the solver's reading of the vertex, and separation returns
+each cut as its ids and an int rhs, so the LP layers build no Fraction.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Every route takes a point as int numerators over one positive `unit`: the
 cut loop passes the LP vertex as the tableau holds it, over its
-denominator, so no Fraction is built until the returned cut's slack.
+denominator.  Every route returns a violated row x(S) <= r(S) as the pair
+(S as an ascending id tuple, the int r(S)), or None, so no Fraction is
+built anywhere in the cut loop.
 
 Forest side: given a fractional point on the edges of a multigraph, find a
 node set U (2 <= |U| < n) whose induced edges carry more weight than
@@ -51,26 +53,8 @@ from dataclasses import dataclass
 
 from .errors import InternalError, ValidationError
 from .multigraph import MultiGraph, classes
-from .rational import Rat, rat
 
-
-@dataclass(frozen=True)
-class ViolatedCut:
-    """One violated constraint: sum of point over `elements` exceeds rhs.
-
-    slack = rhs - point(elements) is strictly negative and exact, in the
-    point's true values (numerators over unit).  For forest cuts node_set
-    records the witnessing vertex set.
-    """
-
-    elements: tuple[int, ...]
-    rhs: int
-    slack: Rat
-    node_set: tuple[int, ...] | None = None
-
-    @property
-    def violation(self) -> Rat:
-        return -self.slack
+Cut = tuple[tuple[int, ...], int]  # the row x(S) <= r(S): (S ascending, r(S))
 
 
 # --- forest separation ------------------------------------------------
@@ -88,9 +72,9 @@ def _check_point(point, graph):
         raise ValidationError(f"point[{eid}]={point[eid]} is negative")
 
 
-def _forest_cut(graph, unit, slack, nodes) -> ViolatedCut:
-    """The cut of a violated node set, given in ascending order."""
-    return ViolatedCut(tuple(graph.edges_within(nodes)), len(nodes) - 1, rat(slack, unit), tuple(nodes))
+def _forest_cut(graph, nodes) -> Cut:
+    """The row x(E(U)) <= |U| - 1 of the node set U `nodes`."""
+    return tuple(graph.edges_within(nodes)), len(nodes) - 1
 
 
 @dataclass(frozen=True)
@@ -180,9 +164,9 @@ def _sweep_min_cut(net: _FlowNetwork, forced_in):
 
 
 def _violated_part(unit, groups, inner, cross, side):
-    """The most violated connected part of a cut side over the cross pairs,
-    as (slack * unit, sorted nodes), or None; slacks from the contracted
-    sums."""
+    """The sorted nodes of the most violated connected part of a cut side
+    over the cross pairs, ties to the smaller node list, or None; slacks
+    from the contracted sums."""
     inside = set(side)
     within = [(pair, c) for pair, c in cross.items() if pair[0] in inside and pair[1] in inside]
     label, parts = classes(side, (pair for pair, _ in within))
@@ -197,11 +181,11 @@ def _violated_part(unit, groups, inner, cross, side):
             candidate = slack, sorted(v for i in part for v in groups[i])
             if best is None or candidate < best:
                 best = candidate
-    return best
+    return None if best is None else best[1]
 
 
-def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
-    """A violated connected subtour set, or None; complete as a verdict.
+def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
+    """A violated connected subtour set's row, or None; complete as a verdict.
 
     Takes only points with x(E) <= n - 1, as every point of the relaxation
     is; ValidationError otherwise.  The edges with x_e = 1 are contracted
@@ -212,7 +196,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     connected by 1-edges, so its inner weight is at least |S| - 1.  Where
     it is more (a cycle of 1-edges, or a positive edge inside), the
     super-node is violated on its own, and the smallest such cut by
-    (slack, node_set) is returned.  Otherwise each union of super-nodes is
+    (slack, nodes) is returned.  Otherwise each union of super-nodes is
     exactly as violated as on the contracted multigraph, and the sweeps run
     there; every set they return is closed under 1-edges.  Super-nodes
     that touch no positive cross edge are never forced in: a violated
@@ -240,7 +224,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
     heavy = [((len(nodes) - 1) * unit - w, nodes) for nodes, w in zip(groups, inner)
              if w > (len(nodes) - 1) * unit]
     if heavy:
-        return _forest_cut(graph, unit, *min(heavy))
+        return _forest_cut(graph, min(heavy)[1])
     if not cross:
         return None
     total = sum(cross.values())
@@ -253,10 +237,10 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
             continue
         # the cut side is violated and, as x(E) <= n - 1, not all of V, so
         # one of its connected parts is violated
-        best = _violated_part(unit, groups, inner, cross, side)
-        if best is None:
+        nodes = _violated_part(unit, groups, inner, cross, side)
+        if nodes is None:
             raise InternalError(f"sweep from super-node {r} found no violated part")
-        return _forest_cut(graph, unit, *best)
+        return _forest_cut(graph, nodes)
     return None
 
 
@@ -265,8 +249,8 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> ViolatedCut | None:
 
 def _best_prefix(point, unit, elements, cap):
     """One scan of a part under the budget x(top j) <= min(j, cap): its most
-    violated prefix (empty when none is violated), that prefix's rhs, its
-    violation and the weight of the whole part, both times unit."""
+    violated prefix (empty when none is violated), that prefix's rhs and
+    the weight of the whole part, times unit."""
     # stable: descending value, ascending id among equal values
     order = sorted(sorted(elements), key=point.__getitem__, reverse=True)
     weight = 0
@@ -276,10 +260,10 @@ def _best_prefix(point, unit, elements, cap):
         viol = weight - min(j, cap) * unit
         if viol > best_viol:
             best_viol, best_j = viol, j
-    return order[:best_j], min(best_j, cap), best_viol, weight
+    return order[:best_j], min(best_j, cap), weight
 
 
-def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
+def separate_rank(point, unit: int, matroid) -> Cut | None:
     """The most violated rank constraint of a partition matroid over proper
     subsets.
 
@@ -296,16 +280,15 @@ def separate_rank(point, unit: int, matroid) -> ViolatedCut | None:
     except AttributeError:
         raise InternalError(f"no rank separation for the {matroid.family} family") from None
     elements = []
-    rhs, violation, weight, rank = 0, 0, 0, 0
+    rhs, weight, rank = 0, 0, 0
     for part, cap in parts:
-        prefix, part_rhs, part_viol, part_weight = _best_prefix(point, unit, part, cap)
+        prefix, part_rhs, part_weight = _best_prefix(point, unit, part, cap)
         elements += prefix
         rhs += part_rhs
-        violation += part_viol
         weight += part_weight
         rank += min(len(part), cap)
     if weight > rank * unit:
         raise ValidationError(f"point sums past the rank {rank}")
-    if violation == 0:
+    if not elements:
         return None
-    return ViolatedCut(tuple(sorted(elements)), rhs, rat(-violation, unit), None)
+    return tuple(sorted(elements)), rhs

@@ -6,10 +6,10 @@ bases.  A side answers separation queries against fractional points, by
 its one route (`separate_forest` or `separate_rank`; the tests check both
 against `tests/reference_separation.py`), and completes a selection
 greedily.  A point is a dict of int numerators over one positive `unit`,
-the LP tableau's denominator.  `fix` and `remove` give the side with one
-element committed or discarded; the solver reads its answer off a single
-LP vertex and shrinks no side, and only the benchmark's tracer
-(`perfbench/tracer.py`) still names them.
+the LP tableau's denominator, and a cut is a `Cut` row (ids, int rhs).
+`fix` and `remove` give the side with one element committed or discarded;
+the solver reads its answer off a single LP vertex and shrinks no side,
+and only the benchmark's tracer (`perfbench/tracer.py`) still names them.
 
 Spanning forests are the bases of the graphic matroid, so the graph side
 serves both spanning trees and graphic matroids; a spanning forest of a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .matroids import Matroid, greedy_min_basis
 from .multigraph import MultiGraph
-from .separation import ViolatedCut, separate_forest, separate_rank
+from .separation import Cut, separate_forest, separate_rank
 
 
 class GraphSide:
@@ -38,7 +38,7 @@ class GraphSide:
     def is_active(self) -> bool:
         return self.graph.edge_count > 0
 
-    def separate(self, point: dict[int, int], unit: int) -> ViolatedCut | None:
+    def separate(self, point: dict[int, int], unit: int) -> Cut | None:
         return separate_forest(point, unit, self.graph)
 
     def fix(self, element: int) -> "GraphSide":
@@ -68,7 +68,7 @@ class MatroidSide:
     def is_active(self) -> bool:
         return len(self.matroid.ground) > 0
 
-    def separate(self, point: dict[int, int], unit: int) -> ViolatedCut | None:
+    def separate(self, point: dict[int, int], unit: int) -> Cut | None:
         return separate_rank(point, unit, self.matroid)
 
     def fix(self, element: int) -> "MatroidSide":

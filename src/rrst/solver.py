@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import SolveConfig
 from .errors import InternalError, ValidationError
 from .instance import Instance, _int_column
 from .lpmodel import build_relaxation, cutting_plane_solve
@@ -87,7 +86,7 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_core(side, size: int, costs, scale: int, overlap_required: int, config: SolveConfig) -> Solution:
+def _solve_core(side, size: int, costs, scale: int, overlap_required: int, lp_dump_dir: str | None) -> Solution:
     """Solve over `side`, whose selections hold `size` elements."""
     if overlap_required == 0:
         # no overlap is owed (always so when there is nothing to select),
@@ -100,7 +99,7 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, confi
         iterations = rounds = cuts = 0
     else:
         model = build_relaxation(side, size, overlap_required, costs)
-        result = cutting_plane_solve(model, config)
+        result = cutting_plane_solve(model, lp_dump_dir)
         vertex = result.solution
         # int numerators over den: a 0/1 vertex holds only 0 and den
         values, den = vertex.values, vertex.den
@@ -139,13 +138,13 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, confi
     )
 
 
-def solve_rrst(instance: Instance, config: SolveConfig | None = None) -> Solution:
+def solve_rrst(instance: Instance, lp_dump_dir: str | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
     return _solve_core(GraphSide(instance.graph), instance.n - 1, instance.costs, instance.scale,
-                       instance.overlap_requirement, config or SolveConfig())
+                       instance.overlap_requirement, lp_dump_dir)
 
 
-def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) -> Solution:
+def solve_rrmb(minstance: MatroidInstance, lp_dump_dir: str | None = None) -> Solution:
     """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
 
     A graphic matroid is solved on its spanning forests, by the tree route,
@@ -161,7 +160,7 @@ def solve_rrmb(minstance: MatroidInstance, config: SolveConfig | None = None) ->
         raise ValidationError(f"no solve route for the {matroid.family} matroid family: "
                               "the solver runs graphic, uniform and partition matroids")
     return _solve_core(side, minstance.rank, minstance.costs, minstance.scale,
-                       minstance.overlap_requirement, config or SolveConfig())
+                       minstance.overlap_requirement, lp_dump_dir)
 
 
 # --- solution verification -------------------------------------------------

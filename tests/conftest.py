@@ -137,6 +137,18 @@ def cleared(point):
     return {e: int(v * unit) for e, v in point.items()}, unit
 
 
+def violation(cut, point):
+    """How far the exact `point` exceeds the row (elements, rhs) that a
+    separation route returns: positive exactly when the row is violated."""
+    elements, rhs = cut
+    return sum((Fraction(point[e]) for e in elements), Fraction(0)) - rhs
+
+
+def cut_nodes(cut, graph):
+    """The node set of a forest row: the endpoints of its edges, sorted."""
+    return tuple(sorted({v for e in cut[0] for v in graph.edges[e]}))
+
+
 def vertex_values(solution):
     """A VertexSolution's values as exact rationals, one per column."""
     return [Fraction(v, solution.den) for v in solution.values]

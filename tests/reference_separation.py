@@ -6,7 +6,7 @@ check every subset against its constraint instead, so they define what
 those routes must find; they take any point, but only small inputs.  Like
 the fast routes, they take a point as int numerators over one positive
 `unit` and return the most violated constraint, ties broken by the
-sorted node or element tuple.
+sorted node or element tuple, as the row (ascending ids, int rhs).
 
 `selection_size(side)` counts the elements a selection over a side holds
 without the instance: a Kruskal scan on a graph, the full rank of a
@@ -16,8 +16,7 @@ matroid.
 import itertools
 
 from rrst.errors import GroundTooLarge
-from rrst.rational import rat
-from rrst.separation import ViolatedCut, _check_point, _forest_cut
+from rrst.separation import _check_point, _forest_cut
 from rrst.sides import GraphSide
 
 EXHAUSTIVE_NODE_LIMIT = 20
@@ -48,7 +47,7 @@ def separate_forest_exhaustive(point, unit, graph):
             candidate = _forest_candidate(point, unit, graph, combo)
             if candidate is not None and (best is None or candidate < best):
                 best = candidate
-    return None if best is None else _forest_cut(graph, unit, *best)
+    return None if best is None else _forest_cut(graph, best[1])
 
 
 def separate_rank_exhaustive(point, unit, matroid):
@@ -63,10 +62,7 @@ def separate_rank_exhaustive(point, unit, matroid):
             slack = rhs * unit - sum(map(point.__getitem__, combo))
             if slack < 0 and (best is None or (slack, combo) < best[:2]):
                 best = slack, combo, rhs
-    if best is None:
-        return None
-    slack, combo, rhs = best
-    return ViolatedCut(combo, rhs, rat(slack, unit), None)
+    return None if best is None else best[1:]
 
 
 def exhaustive_separate(side, point, unit):

@@ -49,7 +49,7 @@ from rrst.solver import (
     verify_tree_solution,
 )
 
-from conftest import ACCEPTANCE_LINES, cleared
+from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, violation
 from reference_separation import separate_forest_exhaustive
 
 # sha256 over the serialized solution of every corpus solve, in corpus
@@ -298,12 +298,11 @@ def test_criterion_7_separation_routes_agree():
         for cut in (fast, slow):
             if cut is None:
                 continue
-            lhs = sum((point[e] for e in cut.elements), ZERO)
+            nodes = cut_nodes(cut, g)
             if not (
-                cut.slack < 0
-                and lhs == cut.rhs - cut.slack
-                and cut.elements == tuple(g.edges_within(cut.node_set))
-                and cut.rhs == rat(len(cut.node_set) - 1)
+                violation(cut, point) > 0
+                and cut[0] == tuple(g.edges_within(nodes))
+                and cut[1] == len(nodes) - 1
             ):
                 mismatches.append(trial)
                 break

@@ -9,7 +9,6 @@ from rrst import cli, oracle, sides
 from rrst.errors import InternalError
 from rrst.oracle import BruteResult
 from rrst.rational import rat
-from rrst.separation import ViolatedCut
 
 
 def run(argv):
@@ -249,7 +248,7 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
     """A row the solver cannot take is a bug in the solver, not bad input."""
     def fractional_cut(self, point, unit):
-        return ViolatedCut(tuple(self.element_ids), Fraction(-1, 2), Fraction(-1), None)
+        return tuple(self.element_ids), Fraction(-1, 2)
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
     assert run(["solve", "--input", str(inst_file)]) == 4
@@ -359,6 +358,11 @@ def test_compare_empty_directory_exits_2(tmp_path):
 
 
 def test_lp_dump_dir(tmp_path, inst_file):
-    dump = tmp_path / "lps"
-    assert run(["solve", "--input", str(inst_file), "--lp-dump-dir", str(dump)]) == 0
+    """The one solve option writes the program and leaves the solution
+    document as it is, byte for byte."""
+    dump, plain, dumped = tmp_path / "lps", tmp_path / "sol.json", tmp_path / "sol-lp.json"
+    assert run(["solve", "--input", str(inst_file), "--output", str(plain)]) == 0
+    assert run(["solve", "--input", str(inst_file), "--output", str(dumped),
+                "--lp-dump-dir", str(dump)]) == 0
     assert list(dump.glob("*.lp.txt"))
+    assert dumped.read_bytes() == plain.read_bytes()

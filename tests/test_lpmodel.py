@@ -2,7 +2,6 @@
 
 import pytest
 
-from rrst.config import SolveConfig
 from rrst.errors import InfeasibleModel, InternalError, IterationLimit
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns
@@ -48,7 +47,7 @@ def test_merged_model_for_uniform_matroid_at_k0():
     costs = CostColumns.from_rows({e: (e, 4 - e, 0) for e in range(5)})
     model = build_relaxation(MatroidSide(m), size=3, quota=3, costs=costs)
     assert model.reduced == "merged"
-    result = cutting_plane_solve(model, SolveConfig())
+    result = cutting_plane_solve(model)
     assert vertex_objective(result.solution) == rat(12)
     assert sorted(vertex_values(result.solution)) == [ZERO, ZERO, ONE, ONE, ONE]
 
@@ -57,7 +56,7 @@ def test_infeasible_when_quota_has_no_carriers():
     # an overlap beyond the selection size cannot be carried
     model = build_relaxation(GraphSide(K3), size=2, quota=3, costs=UNIT)
     with pytest.raises(InfeasibleModel):
-        cutting_plane_solve(model, SolveConfig())
+        cutting_plane_solve(model)
 
 
 def test_internal_errors_on_broken_state():
@@ -74,7 +73,7 @@ def test_internal_errors_on_broken_state():
 
 def test_cutting_plane_merged_k3():
     model = build_relaxation(GraphSide(K3), size=2, quota=2, costs=UNIT)
-    result = cutting_plane_solve(model, SolveConfig())
+    result = cutting_plane_solve(model)
     # optimum picks two cheapest edges; C + c + d = 2 each
     assert vertex_objective(result.solution) == rat(4)
     vals = sorted(vertex_values(result.solution))
@@ -88,7 +87,7 @@ def _initial_model(inst):
 def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     inst = generate_instance(5, 0.5, 1, 10, 1)
     model = _initial_model(inst)
-    result = cutting_plane_solve(model, SolveConfig())
+    result = cutting_plane_solve(model)
     assert result.rounds >= 1 and result.cuts_added >= 1
     values, den = result.solution.values, result.solution.den
     # the final x and y stage points, int numerators over den, admit no
@@ -104,21 +103,20 @@ def test_round_limit_guard(monkeypatch):
     model = _initial_model(inst)
     monkeypatch.setattr(lpmodel, "_ROUND_LIMIT", 0)
     with pytest.raises(IterationLimit):
-        cutting_plane_solve(model, SolveConfig())
+        cutting_plane_solve(model)
 
 
 def test_exhaustive_separation_agrees_with_mincut(monkeypatch):
     inst = generate_instance(5, 0.6, 2, 8, 3)
-    r1 = cutting_plane_solve(_initial_model(inst), SolveConfig())
+    r1 = cutting_plane_solve(_initial_model(inst))
     monkeypatch.setattr(GraphSide, "separate", exhaustive_separate)
-    r2 = cutting_plane_solve(_initial_model(inst), SolveConfig())
+    r2 = cutting_plane_solve(_initial_model(inst))
     assert vertex_objective(r1.solution) == vertex_objective(r2.solution)
 
 
 def test_lp_dump_written(tmp_path):
     model = build_relaxation(GraphSide(K3), 2, 2, UNIT)
-    cfg = SolveConfig(lp_dump_dir=str(tmp_path))
-    cutting_plane_solve(model, cfg)
+    cutting_plane_solve(model, str(tmp_path))
     text = (tmp_path / "relaxation.lp.txt").read_text()
     assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in text
 
@@ -158,7 +156,7 @@ def test_lp_dump_text_is_pinned(tmp_path, quota, text):
     """The dumped relaxation, byte for byte, for an a/b/c program and a
     merged (k=0) one, each of which takes cuts."""
     model = build_relaxation(GraphSide(K4), 3, quota, K4_COSTS)
-    result = cutting_plane_solve(model, SolveConfig(lp_dump_dir=str(tmp_path)))
+    result = cutting_plane_solve(model, lp_dump_dir=str(tmp_path))
     assert result.cuts_added == 2
     assert (tmp_path / "relaxation.lp.txt").read_bytes() == text.encode()
 
@@ -168,7 +166,7 @@ def test_matroid_side_model():
     costs = CostColumns.from_rows({e: (e, 3 - e, 0) for e in range(4)})
     model = build_relaxation(MatroidSide(m), size=2, quota=1, costs=costs)
     assert model.reduced is None  # quota below the rank: the a/b/c model
-    result = cutting_plane_solve(model, SolveConfig())
+    result = cutting_plane_solve(model)
     assert type(result.solution.objective) is int
     for stage in ("x", "y"):
         point = model.stage_point(vertex_values(result.solution), stage)

@@ -46,7 +46,8 @@ def test_parallel_edges_allowed():
 def test_connectivity_and_components():
     g = MultiGraph(range(4), {0: (0, 1), 1: (2, 3)})
     assert not g.is_connected()
-    assert g.components() == [frozenset({0, 1}), frozenset({2, 3})]
+    # contracting every edge leaves one class per connected component
+    assert g.contraction_classes(g.edges) == ({0: 0, 1: 0, 2: 1, 3: 1}, [[0, 1], [2, 3]])
     assert g.spanning_forest(g.edge_ids()) == [0, 1]
     assert MultiGraph([], {}).is_connected()
 
@@ -108,9 +109,9 @@ def test_contract_shrinks_one_node(g):
 
 @given(random_graph())
 def test_components_partition_nodes(g):
-    comps = g.components()
+    comps = g.contraction_classes(g.edges)[1]
     union = set()
-    for comp in comps:
+    for comp in map(set, comps):
         assert not (union & comp)
         union |= comp
     assert union == set(g.nodes)

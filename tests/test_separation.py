@@ -6,9 +6,10 @@ exhaustive route (`reference_separation.py`) is the definition-level
 reference.  The fast routes take only points that sum to at most n - 1
 (forest) or the rank (matroid), as every point of the relaxation does; the
 fuzz tests check that they refuse a drawn point above that bound, then
-compare the routes on the point scaled down onto it.  The routes take a point as int numerators over one unit;
-`cleared` turns each exact test point into that form, and certificates are
-checked against the exact point.
+compare the routes on the point scaled down onto it.  The routes take a
+point as int numerators over one unit and return a row (elements, int
+rhs); `cleared` turns each exact test point into that form, and each row
+is checked against the exact point by `violation`.
 """
 
 import gc
@@ -23,7 +24,7 @@ from rrst import separation
 from rrst.rational import ONE, ZERO, rat
 from rrst.separation import separate_forest, separate_rank
 
-from conftest import cleared
+from conftest import cleared, cut_nodes, violation
 from reference_separation import separate_forest_exhaustive, separate_rank_exhaustive
 
 
@@ -36,11 +37,9 @@ def test_forest_violation_found_on_heavy_triangle():
     point = {0: ONE, 1: ONE, 2: ONE, 3: ZERO}
     for finder in (separate_forest, separate_forest_exhaustive):
         cut = finder(*cleared(point), g)
-        assert cut is not None
-        assert cut.node_set == (0, 1, 2)
-        assert cut.elements == (0, 1, 2)
-        assert cut.rhs == rat(2)
-        assert cut.violation == ONE
+        assert cut == ((0, 1, 2), 2)
+        assert cut_nodes(cut, g) == (0, 1, 2)
+        assert violation(cut, point) == ONE
 
 
 def test_forest_no_violation_on_fractional_spread():
@@ -83,12 +82,15 @@ def _random_connected_graph(rng, n):
 
 
 def _check_certificate(cut, point, graph):
-    """The cut must be arithmetically violated and internally consistent."""
-    assert cut.slack < 0
-    assert sum((point[e] for e in cut.elements), ZERO) == cut.rhs - cut.slack
-    if cut.node_set is not None:
-        assert cut.elements == tuple(graph.edges_within(cut.node_set))
-        assert cut.rhs == rat(len(cut.node_set) - 1)
+    """The row must be violated at the exact point and be the forest row of
+    the node set its edges span: every edge inside those nodes, int rhs
+    one less than their count."""
+    elements, rhs = cut
+    assert type(rhs) is int
+    assert violation(cut, point) > 0
+    nodes = cut_nodes(cut, graph)
+    assert elements == tuple(graph.edges_within(nodes))
+    assert rhs == len(nodes) - 1
 
 
 VALUES = [ZERO, rat(1, 4), rat(1, 2), rat(3, 4), ONE, rat(5, 4), rat(3, 2)]
@@ -116,7 +118,7 @@ def test_forest_verdict_matches_exhaustive_fuzz():
 
 def _same_cut(point, graph):
     """Separate point on both forest routes; assert they return the same
-    cut, field by field, and return it with the sides of the sweeps run."""
+    row, and return it with the sides of the sweeps run."""
     sides = []
     sweep = separation._sweep_min_cut
 
@@ -133,8 +135,8 @@ def _same_cut(point, graph):
     slow = separate_forest_exhaustive(*cleared(point), graph)
     assert (fast is None) == (slow is None)
     if fast is not None:
-        for name in ("elements", "rhs", "node_set", "slack"):
-            assert getattr(fast, name) == getattr(slow, name), name
+        assert fast == slow
+        assert violation(fast, point) == violation(slow, point)
         _check_certificate(fast, point, graph)
     return fast, sides
 
@@ -155,8 +157,8 @@ def test_forest_cut_side_in_two_parts_gives_the_more_violated_part():
     g, point = _two_part_case()
     cut, sides = _same_cut(point, g)
     assert sides == [[0, 1, 2, 3, 4, 5, 6]]
-    assert cut.node_set == (3, 4, 5, 6)
-    assert cut.slack == rat(-12, 5)
+    assert cut_nodes(cut, g) == (3, 4, 5, 6)
+    assert violation(cut, point) == rat(12, 5)
 
 
 def test_forest_no_positive_cross_edge_runs_no_sweep():
@@ -173,7 +175,7 @@ def test_forest_heavy_super_node_runs_no_sweep():
     point = {0: ONE, 1: ONE, 2: rat(1, 2), 3: rat(1, 2), 4: rat(1, 2)}
     cut, sides = _same_cut(point, g)
     assert sides == []
-    assert cut.node_set == (0, 1, 2) and cut.slack == rat(-1, 2)
+    assert cut_nodes(cut, g) == (0, 1, 2) and violation(cut, point) == rat(1, 2)
 
 
 def test_forest_separation_leaves_no_cyclic_garbage():
@@ -197,8 +199,8 @@ def test_uniform_rank_cut_is_max_violation():
     cut = separate_rank(*cleared(point), m)
     ref = separate_rank_exhaustive(*cleared(point), m)
     assert cut is not None and ref is not None
-    assert cut.violation == ref.violation == rat(3, 4)
-    assert cut.elements == (0, 1)
+    assert violation(cut, point) == violation(ref, point) == rat(3, 4)
+    assert cut == ((0, 1), 2)
 
 
 def test_uniform_no_violation():
@@ -213,8 +215,8 @@ def test_partition_rank_cut():
     cut = separate_rank(*cleared(point), m)
     ref = separate_rank_exhaustive(*cleared(point), m)
     assert cut is not None
-    assert cut.violation == ref.violation == rat(1, 2)
-    assert set(cut.elements) <= {0, 1, 2}
+    assert violation(cut, point) == violation(ref, point) == rat(1, 2)
+    assert set(cut[0]) <= {0, 1, 2}
 
 
 def test_rank_point_above_the_rank_rejected():
@@ -263,9 +265,9 @@ def _rank_fuzz(make_matroid, trials, seed):
         slow = separate_rank_exhaustive(*cleared(point), m)
         assert (fast is None) == (slow is None), f"trial {trial}"
         if fast is not None:
-            assert fast.slack < 0
-            assert sum((point[e] for e in fast.elements), ZERO) == fast.rhs - fast.slack
-            assert fast.rhs == rat(m.rank(set(fast.elements)))
+            elements, rhs = fast
+            assert violation(fast, point) > 0
+            assert type(rhs) is int and rhs == m.rank(set(elements))
 
 
 def test_uniform_rank_fuzz():
@@ -285,7 +287,7 @@ def test_uniform_exact_max_of_violation_fuzz():
         fast = separate_rank(*cleared(point), m)
         slow = separate_rank_exhaustive(*cleared(point), m)
         if slow is not None:
-            assert fast.violation == slow.violation
+            assert violation(fast, point) == violation(slow, point)
 
 
 FRACTIONS = [rat(1, 4), rat(1, 3), rat(1, 2), rat(2, 3), rat(3, 4)]
@@ -327,7 +329,7 @@ def _case_kinds(g, point):
         kinds.add("cycle of 1-edges")
     if any(0 < point[e] < 1 and label[g.edges[e][0]] == label[g.edges[e][1]] for e in g.edges):
         kinds.add("fractional edge inside a super-node")
-    components = len(g.components())
+    components = len(g.contraction_classes(g.edges)[1])
     if components > 1 and total == g.node_count - components:
         kinds.add("disconnected, x(E) = n - c")
     return kinds
@@ -350,7 +352,7 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
             continue
         _check_certificate(fast, point, g)
         _check_certificate(slow, point, g)
-        inside = set(fast.node_set)
+        inside = set(cut_nodes(fast, g))
         for e, (u, v) in g.edges.items():
             if point[e] == 1:
                 assert (u in inside) == (v in inside), f"trial {trial}: 1-edge {e} leaves the set"
@@ -364,8 +366,8 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
 
 
 def test_fast_routes_are_scale_invariant_on_fuzz_points():
-    """Separating (k·point, k·unit) returns the cut that (point, unit)
-    does, with the same elements, rhs, node_set and exact slack.  The cut
+    """Separating (k·point, k·unit) returns the row that (point, unit)
+    does, the same elements and rhs.  The cut
     loop passes its points over the tableau's denominator, not over the
     LCM of their denominators, and this is what makes that change no cut."""
     rng = random.Random(20261018)

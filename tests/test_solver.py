@@ -309,8 +309,8 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
 def test_fractional_vertex_raises_internal_error(monkeypatch):
     real = solver.cutting_plane_solve
 
-    def half_vertex(model, config):
-        result = real(model, config)
+    def half_vertex(model, lp_dump_dir=None):
+        result = real(model, lp_dump_dir)
         vertex = result.solution
         # the same vertex over twice its denominator, with one numerator
         # set strictly between 0 and den: a value of 1/2
