@@ -10,8 +10,9 @@ Subcommands:
 
 ``solve`` and ``compare`` separate by the one route each side has; no flag
 picks another.  The exhaustive separation scans are the tests' reference
-(``tests/reference_separation.py``).  ``solve`` passes its one option,
-``--lp-dump-dir``, straight to ``solve_rrst`` or ``solve_rrmb``.
+(``tests/reference_separation.py``).  The library's solve takes no option
+and writes no file: ``solve --lp-dump-dir DIR`` renders the relaxation the
+solution carries and writes it here, only when an LP was built.
 
 Exit codes: 0 success, 2 bad input or input too large, 3 verification
 failure or solver/oracle disagreement, 4 breached internal invariant (always
@@ -33,7 +34,6 @@ import time
 from .errors import (
     GroundTooLarge,
     InputError,
-    InternalError,
     IterationLimit,
     ParseError,
     RRSTError,
@@ -42,8 +42,8 @@ from .errors import (
 )
 from .gen import builtin_small_suite, generate_instance
 from .instance import Instance, load_instance, read_json, serialize_instance
-from .matroids import MatroidInstance, load_matroid_instance
-from .oracle import BruteResult, brute_force_rrmb, brute_force_rrst
+from .matroids import load_matroid_instance
+from .oracle import brute_force_rrmb, brute_force_rrst
 from .rational import rat_str
 from .solver import (
     serialize_solution,
@@ -82,18 +82,29 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _cut_counts(sol) -> tuple[int, int]:
+    """The cut loop's rounds and cuts, 0 and 0 when no LP was built."""
+    relaxation = sol.relaxation
+    return (0, 0) if relaxation is None else (relaxation.rounds, relaxation.cuts_added)
+
+
 def cmd_solve(args) -> int:
     if args.matroid:
         minst = load_matroid_instance(args.input)
         log.info("matroid instance: |ground|=%d rank=%d k=%d",
                  len(minst.matroid.ground), minst.rank, minst.k)
-        sol = solve_rrmb(minst, args.lp_dump_dir)
+        sol = solve_rrmb(minst)
     else:
         inst = load_instance(args.input)
         log.info("tree instance: n=%d m=%d k=%d", inst.n, inst.m, inst.k)
-        sol = solve_rrst(inst, args.lp_dump_dir)
+        sol = solve_rrst(inst)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
-             rat_str(sol.total), sol.iterations, sol.rounds, sol.cuts)
+             rat_str(sol.total), sol.iterations, *_cut_counts(sol))
+    relaxation = sol.relaxation
+    if args.lp_dump_dir is not None and relaxation is not None:
+        os.makedirs(args.lp_dump_dir, exist_ok=True)
+        _write_text(os.path.join(args.lp_dump_dir, "relaxation.lp.txt"),
+                    relaxation.model.render(relaxation.cuts))
     _write_text(args.output, serialize_solution(sol))
     return EXIT_OK
 
@@ -195,7 +206,10 @@ def _compare_instances(args) -> list[tuple[str, Instance]]:
     raise ValidationError("compare needs --suite or --seeds")
 
 
-def _run_report(name: str, inst: Instance, with_oracle: bool) -> dict:
+def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict]:
+    """The exit code of solving (and, with the oracle, checking) one
+    instance, and its report line.  An oracle past its enumeration bound
+    is no failure: the solve ran, only the reference was skipped."""
     report: dict = {
         "name": name,
         "n": inst.n,
@@ -216,60 +230,50 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> dict:
     except IterationLimit as exc:
         # a pivot or round bound: reported as `rrst solve` reports it
         report["error"] = f"input too large: {exc}"
-        return report
+        return EXIT_INPUT, report
     except RRSTError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
-        return report
+        return EXIT_INTERNAL, report
     report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     report["total"] = rat_str(sol.total)
     report["iterations"] = sol.iterations
-    report["rounds"] = sol.rounds
-    report["cuts"] = sol.cuts
+    report["rounds"], report["cuts"] = _cut_counts(sol)
     if with_oracle:
         try:
             ref = brute_force_rrst(inst, prune=True)
         except TooManyTrees as exc:
             report["error"] = f"oracle skipped: {type(exc).__name__}: {exc}"
-            return report
+            return EXIT_OK, report
         report["oracle_total"] = rat_str(ref.total)
         report["agree"] = sol.total == ref.total
-    return report
+        if not report["agree"]:
+            return EXIT_VERIFY, report
+    return EXIT_OK, report
 
 
 def cmd_compare(args) -> int:
     instances = _compare_instances(args)
     log.info("comparing %d instances", len(instances))
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
-    disagreements = 0
-    too_large = 0
-    internal = 0
+    worst = EXIT_OK
     try:
         for name, inst in instances:
-            report = _run_report(name, inst, with_oracle=not args.no_oracle)
-            if report["agree"] is False:
-                disagreements += 1
+            code, report = _run_report(name, inst, with_oracle=not args.no_oracle)
+            if code == EXIT_VERIFY:
                 log.error("disagreement on %s: solver=%s oracle=%s",
                           name, report["total"], report["oracle_total"])
-            error = report["error"]
-            if error is None or error.startswith("oracle skipped"):
-                pass
-            elif error.startswith("input too large"):
-                too_large += 1
-                log.error("%s on %s", error, name)
-            else:
-                internal += 1
-                log.error("solver failure on %s: %s", name, error)
+            elif code == EXIT_INPUT:
+                log.error("%s on %s", report["error"], name)
+            elif code == EXIT_INTERNAL:
+                log.error("solver failure on %s: %s", name, report["error"])
+            # a bug (4) outranks a disagreement (3), which outranks an
+            # input too large (2)
+            worst = max(worst, code)
             out.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
-    if internal:
-        return EXIT_INTERNAL
-    if disagreements:
-        return EXIT_VERIFY
-    if too_large:
-        return EXIT_INPUT
-    return EXIT_OK
+    return worst
 
 
 def _parser() -> argparse.ArgumentParser:

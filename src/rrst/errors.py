@@ -56,13 +56,13 @@ class TooManyTrees(RRSTError):
 class MalformedProgram(RRSTError):
     """A linear program the simplex cannot take: a cost, rhs or cut
     coefficient that is not an int, a cut column outside the structural
-    columns, an empty block, or a cut on a tableau that is not optimal.
-    Programs are built only by the solver, never read from a user, so
-    this signals a bug."""
+    columns, or an empty block.  Programs are built only by the solver,
+    never read from a user, so this signals a bug."""
 
 
 class InfeasibleModel(RRSTError):
-    """The relaxation has no feasible point."""
+    """The relaxation has no feasible point: the simplex session raises it
+    on a negative block rhs, or when a batch of cuts leaves no point."""
 
 
 class InternalError(RRSTError):

@@ -16,7 +16,8 @@ built: what is left is b alone with 1ᵀb = q, the "merged" program.
 
 The model hands the simplex its columns, each block's costs and rhs,
 and each cut as coefficients by column index; it names the columns
-(a3, b0, ...) only to write the program as text for `lp_dump_dir`.
+(a3, b0, ...) only to render the program as text, which the CLI's
+`--lp-dump-dir` writes.  Nothing here touches a file.
 
 The solver completes a selection with no overlap owed greedily, so a
 relaxation is only built while at least one unit of overlap is owed.
@@ -24,11 +25,10 @@ relaxation is only built while at least one unit of overlap is owed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleModel, InternalError, IterationLimit
-from .simplex import INFEASIBLE, SimplexSession, VertexSolution
+from .errors import InternalError, IterationLimit
+from .simplex import SimplexSession, VertexSolution
 
 # defensive bound on cutting-plane rounds per LP solve
 _ROUND_LIMIT = 10000
@@ -112,15 +112,15 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     for a matroid), so no build scans the side for it.  Every element is
     overlap-eligible; `costs` is the instance's CostColumns, whose ints are
     in units of 1/scale of the instance, so the objective and its optimum
-    (and the program `lp_dump_dir` writes) are in those units too.  A quota
-    above the selection size leaves the program infeasible.
+    (and the rendered program) are in those units too.  Its ids are the
+    side's elements, which the instance checked, so the columns are read
+    off them.  A quota above the selection size leaves the program
+    infeasible.
     """
-    if not side.is_active():
-        raise InternalError("relaxation requested but there is nothing to select")
     if quota < 1:
         raise InternalError(f"relaxation requested with overlap quota {quota}")
     spare = size - quota
-    ids = side.element_ids
+    ids = sorted(costs.C)
     C, second = costs.C, costs.second
     blocks = [("b", [C[e] + second[e] for e in ids], quota)]
     # at q = r the a and c rows would force both blocks to zero
@@ -131,28 +131,34 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
 
 @dataclass
 class CutPlaneResult:
+    """The optimal vertex of `model` under the <= rows `cuts`, in order of
+    addition, which `rounds` rounds of separation added."""
+
     solution: VertexSolution
+    model: RelaxationModel
+    cuts: list[tuple[dict, int]]
     rounds: int
-    cuts_added: int
+
+    @property
+    def cuts_added(self) -> int:
+        return len(self.cuts)
 
 
-def cutting_plane_solve(model: RelaxationModel, lp_dump_dir: str | None = None) -> CutPlaneResult:
+def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
     """Optimize the model, lazily adding violated forest/rank rows.
 
     Each round separates the current vertex on both stages; violated rows
     are appended to the warm tableau and repaired with the dual simplex.
     Returns once no violated row exists.  The stage points stay int
     numerators over the tableau's denominator, which separation takes as
-    its unit, and each row comes back as (elements, int rhs).  With
-    `lp_dump_dir` set, the fully-cut program is written there as text.
+    its unit, and each row comes back as (elements, int rhs).  An
+    infeasible program raises InfeasibleModel from the session.
     """
     session = SimplexSession([(costs, rhs) for _, costs, rhs in model.blocks])
     side = model.side
     rounds = 0
     added = []  # the cut rows, in order of addition
     while True:
-        if session.status == INFEASIBLE:
-            raise InfeasibleModel("relaxation is infeasible")
         solution = session.result()
         den = solution.den
         points = {"x": model.stage_point(solution.values, "x")}
@@ -182,10 +188,4 @@ def cutting_plane_solve(model: RelaxationModel, lp_dump_dir: str | None = None) 
         batch = [(model.stage_row(elements, stage), rhs) for stage, (elements, rhs) in pending]
         session.add_cuts(batch)
         added += batch
-
-    if lp_dump_dir is not None:
-        os.makedirs(lp_dump_dir, exist_ok=True)
-        with open(os.path.join(lp_dump_dir, "relaxation.lp.txt"), "w", encoding="utf-8") as fh:
-            fh.write(model.render(added))
-
-    return CutPlaneResult(solution, rounds, len(added))
+    return CutPlaneResult(solution, model, added, rounds)

@@ -2,7 +2,9 @@
 
 Every route takes a point as int numerators over one positive `unit`: the
 cut loop passes the LP vertex as the tableau holds it, over its
-denominator.  Every route returns a violated row x(S) <= r(S) as the pair
+denominator.  Only the solver builds points, so a malformed one (an entry
+missing, extra or negative, or a sum past the selection size) is a bug and
+raises InternalError.  Every route returns a violated row x(S) <= r(S) as the pair
 (S as an ascending id tuple, the int r(S)), or None, so no Fraction is
 built anywhere in the cut loop.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .multigraph import MultiGraph, classes
 
 Cut = tuple[tuple[int, ...], int]  # the row x(S) <= r(S): (S ascending, r(S))
@@ -64,12 +66,12 @@ def _check_point(point, graph):
     if point.keys() != graph.edges.keys():
         missing = graph.edges.keys() - point.keys()
         if missing:
-            raise ValidationError(f"point missing edges {sorted(missing)}")
+            raise InternalError(f"point missing edges {sorted(missing)}")
         extra = point.keys() - graph.edges.keys()
-        raise ValidationError(f"point names edges outside the graph {sorted(extra)}")
+        raise InternalError(f"point names edges outside the graph {sorted(extra)}")
     if min(point.values(), default=0) < 0:
         eid = next(e for e in graph.edges if point[e] < 0)
-        raise ValidationError(f"point[{eid}]={point[eid]} is negative")
+        raise InternalError(f"point[{eid}]={point[eid]} is negative")
 
 
 def _forest_cut(graph, nodes) -> Cut:
@@ -188,7 +190,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
     """A violated connected subtour set's row, or None; complete as a verdict.
 
     Takes only points with x(E) <= n - 1, as every point of the relaxation
-    is; ValidationError otherwise.  The edges with x_e = 1 are contracted
+    is; any other point comes from a solver bug: InternalError.  The edges with x_e = 1 are contracted
     by one union-find pass and the edges with x_e = 0 dropped.  Exact:
     growing a violated set across a 1-edge never reduces its violation,
     and the grown set cannot be V since x(E) <= n - 1, so a violated set
@@ -207,7 +209,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
     n = graph.node_count
     caps = {eid: v for eid, v in point.items() if v > 0}
     if sum(caps.values()) > (n - 1) * unit:
-        raise ValidationError(f"point sums past n - 1 = {n - 1}")
+        raise InternalError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
         return None
     label, groups = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
@@ -268,7 +270,7 @@ def separate_rank(point, unit: int, matroid) -> Cut | None:
     subsets.
 
     Takes only points with x(ground) <= rank, as every point of the
-    relaxation is; ValidationError otherwise.  The matroid is a partition
+    relaxation is; any other point comes from a solver bug: InternalError.  The matroid is a partition
     matroid (a uniform matroid is one part).  The most violated constraint
     is the union of each part's best prefix; it is never the whole ground
     set, which no such point violates.  The solver hands graphic matroids
@@ -288,7 +290,7 @@ def separate_rank(point, unit: int, matroid) -> Cut | None:
         weight += part_weight
         rank += min(len(part), cap)
     if weight > rank * unit:
-        raise ValidationError(f"point sums past the rank {rank}")
+        raise InternalError(f"point sums past the rank {rank}")
     if not elements:
         return None
     return tuple(sorted(elements)), rhs

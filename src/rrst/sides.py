@@ -7,6 +7,8 @@ its one route (`separate_forest` or `separate_rank`; the tests check both
 against `tests/reference_separation.py`), and completes a selection
 greedily.  A point is a dict of int numerators over one positive `unit`,
 the LP tableau's denominator, and a cut is a `Cut` row (ids, int rhs).
+The cut loop asks a side only to separate: the LP reads its columns off
+the instance's cost columns, not off the side.
 `fix` and `remove` give the side with one element committed or discarded;
 the solver reads its answer off a single LP vertex and shrinks no side,
 and only the benchmark's tracer (`perfbench/tracer.py`) still names them.
@@ -31,13 +33,6 @@ class GraphSide:
     def __init__(self, graph: MultiGraph):
         self.graph = graph
 
-    @property
-    def element_ids(self) -> list[int]:
-        return self.graph.edge_ids()
-
-    def is_active(self) -> bool:
-        return self.graph.edge_count > 0
-
     def separate(self, point: dict[int, int], unit: int) -> Cut | None:
         return separate_forest(point, unit, self.graph)
 
@@ -60,13 +55,6 @@ class MatroidSide:
 
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
-
-    @property
-    def element_ids(self) -> list[int]:
-        return sorted(self.matroid.ground)
-
-    def is_active(self) -> bool:
-        return len(self.matroid.ground) > 0
 
     def separate(self, point: dict[int, int], unit: int) -> Cut | None:
         return separate_rank(point, unit, self.matroid)

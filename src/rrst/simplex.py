@@ -12,10 +12,11 @@ numerators over that denominator, with no Fraction built.
 
 SimplexSession starts at the closed-form optimum of the block program
 and keeps the optimal tableau alive, so cutting planes can be added and
-reoptimized with the dual simplex instead of solving from scratch.  Its
-pivot rule breaks every tie by lowest index (leaving row by basic
-column, entering column by index), which makes every run deterministic:
-identical programs yield byte-identical solutions.
+reoptimized with the dual simplex instead of solving from scratch.  A
+session holds an optimal tableau, or it has raised InfeasibleModel and is
+spent.  Its pivot rule breaks every tie by lowest index (leaving row by
+basic column, entering column by index), which makes every run
+deterministic: identical programs yield byte-identical solutions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .errors import IterationLimit, MalformedProgram
+from .errors import InfeasibleModel, IterationLimit, MalformedProgram
 
 _PIVOT_LIMIT = 2_000_000
 
@@ -45,10 +46,6 @@ class VertexSolution:
     objective: int
 
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-
-
 class SimplexSession:
     """Tableau that stays warm across cutting-plane rounds.
 
@@ -59,8 +56,8 @@ class SimplexSession:
     on the cheapest column of its block, the lowest index winning a tie,
     which is where a two-phase solve under Bland's rule ends too.  The
     session starts there, with no pivot; afterwards only <= cuts arrive,
-    and the dual simplex repairs them.  A negative block rhs leaves it
-    infeasible.
+    and the dual simplex repairs them.  A negative block rhs, or a batch
+    of cuts no point satisfies, raises InfeasibleModel.
 
     Column layout: the structural columns of the blocks, then one slack
     column per cut in order of addition, so column indices never move and
@@ -108,7 +105,9 @@ class SimplexSession:
             self.cost.extend(c - cheapest for c in costs)
             objective += rhs * cheapest
         self.cost.append(-objective)
-        self.status = INFEASIBLE if any(rhs < 0 for _, rhs in blocks) else OPTIMAL
+        for i, (_, rhs) in enumerate(blocks):
+            if rhs < 0:
+                raise InfeasibleModel(f"block {i} has the negative rhs {rhs}")
 
     # --- core pivoting ------------------------------------------------
 
@@ -172,10 +171,9 @@ class SimplexSession:
 
         The tableau stays primally optimal (reduced costs nonnegative), so
         only feasibility needs repair; Bland-style tie-breaking keeps the
-        walk finite and deterministic.
+        walk finite and deterministic.  InfeasibleModel when no point
+        satisfies the grown program.
         """
-        if self.status != OPTIMAL:
-            raise MalformedProgram("cuts can only be added to an optimal tableau")
         # the whole batch is checked before the session changes at all
         structural = range(self.nvars)
         width = self.ncols
@@ -206,7 +204,6 @@ class SimplexSession:
         self.ncols = width + len(new_rows)
 
         self._dual_loop()
-        return self.status
 
     def _dual_loop(self):
         """Repair primal feasibility while keeping reduced costs >= 0.
@@ -222,7 +219,6 @@ class SimplexSession:
                 if row[-1] < 0 and (leave < 0 or self.basis[i] < self.basis[leave]):
                     leave = i
             if leave < 0:
-                self.status = OPTIMAL
                 return
             row = rows[leave]
             # minimum cost / -a over a < 0, compared as
@@ -233,16 +229,14 @@ class SimplexSession:
                 if a < 0 and (enter < 0 or cost[j] * best_na < best_cost * -a):
                     enter, best_cost, best_na = j, cost[j], -a
             if enter < 0:
-                self.status = INFEASIBLE
-                return
+                # the row's rhs is negative and no column can raise it
+                raise InfeasibleModel("the cuts leave no feasible point")
             self._pivot(leave, enter)
 
     # --- extraction -----------------------------------------------------
 
     def result(self) -> VertexSolution:
-        """The optimal vertex; the tableau must be optimal."""
-        if self.status != OPTIMAL:
-            raise MalformedProgram(f"no optimal vertex to read: the program is {self.status}")
+        """The optimal vertex of the current tableau."""
         n = self.nvars
         values = [0] * n
         for row, b in zip(self.rows, self.basis):

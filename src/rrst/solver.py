@@ -39,16 +39,20 @@ changes no comparison, tie-break or pivot.  The LP vertex comes back as
 int numerators over the tableau's denominator, so reading X, Y and Z off
 it compares ints too.  Only the Solution divides by the scale, once, into
 Fractions.
+
+A solve takes no option and writes no file.  The Solution carries the
+cut loop's result (`relaxation`: the model and its cut rows), which the
+CLI renders for `--lp-dump-dir`; it is None when no LP was built.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
 from .instance import Instance, _int_column
-from .lpmodel import build_relaxation, cutting_plane_solve
+from .lpmodel import CutPlaneResult, build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, MatroidInstance, PartitionMatroid
 from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
@@ -64,9 +68,9 @@ class Solution:
     total: Rat
     lp_bound: Rat
     iterations: int
-    # diagnostics, not serialized
-    rounds: int = 0
-    cuts: int = 0
+    # the cut loop's result (the model, its cut rows and rounds), None when
+    # no LP was built; diagnostics, not serialized
+    relaxation: CutPlaneResult | None = field(default=None, compare=False)
 
 
 def solution_to_dict(sol: Solution) -> dict:
@@ -86,7 +90,7 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_core(side, size: int, costs, scale: int, overlap_required: int, lp_dump_dir: str | None) -> Solution:
+def _solve_core(side, size: int, costs, scale: int, overlap_required: int) -> Solution:
     """Solve over `side`, whose selections hold `size` elements."""
     if overlap_required == 0:
         # no overlap is owed (always so when there is nothing to select),
@@ -95,11 +99,11 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, lp_du
         X = side.complete_min(costs.C)
         Y = side.complete_min(costs.second)
         Z = []
-        vertex = None
-        iterations = rounds = cuts = 0
+        vertex = result = None
+        iterations = 0
     else:
         model = build_relaxation(side, size, overlap_required, costs)
-        result = cutting_plane_solve(model, lp_dump_dir)
+        result = cutting_plane_solve(model)
         vertex = result.solution
         # int numerators over den: a 0/1 vertex holds only 0 and den
         values, den = vertex.values, vertex.den
@@ -110,8 +114,6 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, lp_du
         Z = [e for e, v in model.block_values(values, "b") if v == den]
         Y = [e for e, v in model.stage_point(values, "y").items() if v == den]
         iterations = 1
-        rounds = result.rounds
-        cuts = result.cuts_added
 
     if len(Z) != overlap_required or not set(Z) <= set(X) & set(Y):
         raise InternalError("overlap set does not meet the requirement inside both selections")
@@ -133,18 +135,17 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int, lp_du
         total=total,
         lp_bound=total,
         iterations=iterations,
-        rounds=rounds,
-        cuts=cuts,
+        relaxation=result,
     )
 
 
-def solve_rrst(instance: Instance, lp_dump_dir: str | None = None) -> Solution:
+def solve_rrst(instance: Instance) -> Solution:
     """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
     return _solve_core(GraphSide(instance.graph), instance.n - 1, instance.costs, instance.scale,
-                       instance.overlap_requirement, lp_dump_dir)
+                       instance.overlap_requirement)
 
 
-def solve_rrmb(minstance: MatroidInstance, lp_dump_dir: str | None = None) -> Solution:
+def solve_rrmb(minstance: MatroidInstance) -> Solution:
     """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
 
     A graphic matroid is solved on its spanning forests, by the tree route,
@@ -160,7 +161,7 @@ def solve_rrmb(minstance: MatroidInstance, lp_dump_dir: str | None = None) -> So
         raise ValidationError(f"no solve route for the {matroid.family} matroid family: "
                               "the solver runs graphic, uniform and partition matroids")
     return _solve_core(side, minstance.rank, minstance.costs, minstance.scale,
-                       minstance.overlap_requirement, lp_dump_dir)
+                       minstance.overlap_requirement)
 
 
 # --- solution verification -------------------------------------------------

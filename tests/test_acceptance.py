@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from rrst.errors import RRSTError, ValidationError
+from rrst.errors import InternalError, RRSTError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns
 from rrst.matroids import (
@@ -286,7 +286,7 @@ def test_criterion_7_separation_routes_agree():
             try:
                 separate_forest(*cleared(point), g)
                 mismatches.append(trial)
-            except ValidationError:
+            except InternalError:
                 pass
             point = {e: v * (n - 1) / total for e, v in point.items()}
         fast = separate_forest(*cleared(point), g)

@@ -1,12 +1,13 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from rrst import cli, oracle, sides
-from rrst.errors import InternalError
+from rrst import cli, lpmodel, oracle, sides
+from rrst.errors import InternalError, IterationLimit
 from rrst.oracle import BruteResult
 from rrst.rational import rat
 
@@ -248,11 +249,27 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
     """A row the solver cannot take is a bug in the solver, not bad input."""
     def fractional_cut(self, point, unit):
-        return tuple(self.element_ids), Fraction(-1, 2)
+        return tuple(sorted(self.graph.edges)), Fraction(-1, 2)
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
     assert run(["solve", "--input", str(inst_file)]) == 4
     assert "MalformedProgram" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matroid", [False, True], ids=["forest", "rank"])
+def test_malformed_point_exits_4(inst_file, matroid_file, monkeypatch, capsys, matroid):
+    """Only the solver builds the points separation takes, so one that sums
+    past the selection size is a bug, not bad input."""
+    real = lpmodel.RelaxationModel.stage_point
+
+    def doubled(self, values, stage):
+        return {e: 2 * v for e, v in real(self, values, stage).items()}
+
+    monkeypatch.setattr(lpmodel.RelaxationModel, "stage_point", doubled)
+    argv = ["solve", "--matroid", "--input", str(matroid_file)] if matroid else ["solve", "--input", str(inst_file)]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: InternalError: point sums past"), err
 
 
 def test_pivot_limit_exits_2(inst_file, monkeypatch, capsys):
@@ -322,6 +339,25 @@ def test_compare_disagreement_exits_3(tmp_path, monkeypatch):
                 "--output", str(tmp_path / "r.jsonl")]) == 3
 
 
+@pytest.mark.parametrize("plan, code", [(("large", "ok"), 2), (("large", "wrong"), 3),
+                                        (("wrong", "bug", "large"), 4)])
+def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_path, monkeypatch, plan, code):
+    real, faults = cli.solve_rrst, iter(plan)
+
+    def planned(inst):
+        fault = next(faults)
+        if fault == "large":
+            raise IterationLimit("planned")
+        if fault == "bug":
+            raise InternalError("planned")
+        sol = real(inst)
+        return dataclasses.replace(sol, total=sol.total + 1) if fault == "wrong" else sol
+
+    monkeypatch.setattr(cli, "solve_rrst", planned)
+    assert run(["compare", "--seeds", f"1..{len(plan)}", "--nodes", "4",
+                "--output", str(tmp_path / "r.jsonl")]) == code
+
+
 def test_compare_oracle_skipped_past_its_limit(tmp_path, monkeypatch):
     """An instance past the oracle's enumeration bound is solved and
     reported with the oracle skipped; the run still exits 0."""
@@ -366,3 +402,21 @@ def test_lp_dump_dir(tmp_path, inst_file):
                 "--lp-dump-dir", str(dump)]) == 0
     assert list(dump.glob("*.lp.txt"))
     assert dumped.read_bytes() == plain.read_bytes()
+
+
+def test_lp_dump_dir_without_an_lp(tmp_path):
+    """With no overlap owed (k = n - 1) no LP is built, so nothing is
+    written, not even the directory."""
+    inst, dump = tmp_path / "inst.json", tmp_path / "lps"
+    assert run(["gen", "--nodes", "5", "--k", "4", "--seed", "7", "--output", str(inst)]) == 0
+    assert run(["solve", "--input", str(inst), "--output", str(tmp_path / "sol.json"),
+                "--lp-dump-dir", str(dump)]) == 0
+    assert not dump.exists()
+
+
+def test_lp_dump_dir_matroid(tmp_path, matroid_file):
+    dump = tmp_path / "lps"
+    assert run(["solve", "--matroid", "--input", str(matroid_file), "--output", str(tmp_path / "sol.json"),
+                "--lp-dump-dir", str(dump)]) == 0
+    text = (dump / "relaxation.lp.txt").read_text()
+    assert text.startswith("min ") and "r1: 1 b0 + 1 b1 + 1 b2 + 1 b3 == 1\n" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rrst.errors import InfeasibleModel, InternalError, IterationLimit
+from rrst.errors import InfeasibleModel, InternalError, IterationLimit, MalformedProgram
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns
 from rrst import lpmodel
@@ -65,10 +65,12 @@ def test_internal_errors_on_broken_state():
     with pytest.raises(InternalError):
         # no overlap owed: the solver completes such a state greedily
         build_relaxation(GraphSide(K3), size=2, quota=0, costs=UNIT)
-    done = GraphSide(MultiGraph(range(3), {0: (0, 1), 1: (1, 2)})).fix(0).fix(1)
-    with pytest.raises(InternalError):
-        # nothing left to select
-        build_relaxation(done, size=0, quota=1, costs=UNIT)
+    # nothing to select: the columns come from the costs, so every block is
+    # empty, and the session refuses an empty block
+    model = build_relaxation(GraphSide(MultiGraph(range(1), {})), size=0, quota=1,
+                             costs=CostColumns.from_rows({}))
+    with pytest.raises(MalformedProgram, match="no column"):
+        cutting_plane_solve(model)
 
 
 def test_cutting_plane_merged_k3():
@@ -114,11 +116,13 @@ def test_exhaustive_separation_agrees_with_mincut(monkeypatch):
     assert vertex_objective(r1.solution) == vertex_objective(r2.solution)
 
 
-def test_lp_dump_written(tmp_path):
+def test_lp_dump_written():
+    """The result carries what `--lp-dump-dir` writes: its model and the
+    cut rows, which render the program."""
     model = build_relaxation(GraphSide(K3), 2, 2, UNIT)
-    cutting_plane_solve(model, str(tmp_path))
-    text = (tmp_path / "relaxation.lp.txt").read_text()
-    assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in text
+    result = cutting_plane_solve(model)
+    assert result.model is model and result.cuts_added == len(result.cuts)
+    assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in model.render(result.cuts)
 
 
 K4 = MultiGraph(range(4), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)})
@@ -127,9 +131,10 @@ K4_COSTS = CostColumns.from_rows({0: (1, 4, 0), 1: (2, 0, 3), 2: (3, 3, 3), 3: (
 _ABC_NONNEGATIVE = "".join(f"{block}{e} >= 0\n" for block in "abc" for e in range(6))
 _B_NONNEGATIVE = "".join(f"b{e} >= 0\n" for e in range(6))
 
-# the relaxation as `--lp-dump-dir` writes it, after the cut loop: the
-# objective without its zero terms (a4 costs 0), the block rows, then the
-# cut rows in order of addition, each over the columns in block order
+# the relaxation as `--lp-dump-dir` writes it, rendered from the cut loop's
+# result: the objective without its zero terms (a4 costs 0), the block rows,
+# then the cut rows in order of addition, each over the columns in block
+# order
 LP_DUMPS = {
     "abc-with-cuts": (1, (
         "min 1 a0 + 2 a1 + 3 a2 + 1 a3 + 4 a5 + 5 b0 + 5 b1 + 9 b2 + 4 b3 + 6 b4 + 7 b5"
@@ -152,13 +157,13 @@ LP_DUMPS = {
 
 
 @pytest.mark.parametrize("quota, text", LP_DUMPS.values(), ids=LP_DUMPS.keys())
-def test_lp_dump_text_is_pinned(tmp_path, quota, text):
+def test_lp_dump_text_is_pinned(quota, text):
     """The dumped relaxation, byte for byte, for an a/b/c program and a
     merged (k=0) one, each of which takes cuts."""
     model = build_relaxation(GraphSide(K4), 3, quota, K4_COSTS)
-    result = cutting_plane_solve(model, lp_dump_dir=str(tmp_path))
+    result = cutting_plane_solve(model)
     assert result.cuts_added == 2
-    assert (tmp_path / "relaxation.lp.txt").read_bytes() == text.encode()
+    assert result.model.render(result.cuts).encode() == text.encode()
 
 
 def test_matroid_side_model():

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from rrst.errors import InternalError, ValidationError
+from rrst.errors import InternalError
 from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst import separation
@@ -51,13 +51,13 @@ def test_forest_no_violation_on_fractional_spread():
 
 def test_forest_point_validation():
     g = graph_of(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(InternalError):
         separate_forest(*cleared({0: ONE, 1: ONE}), g)  # missing edge
-    with pytest.raises(ValidationError):
+    with pytest.raises(InternalError):
         separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(-1)}), g)
-    with pytest.raises(ValidationError, match="n - 1"):
+    with pytest.raises(InternalError, match="n - 1"):
         separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(1, 4)}), g)  # sums past n - 1
-    with pytest.raises(ValidationError, match="outside the graph"):
+    with pytest.raises(InternalError, match="outside the graph"):
         separate_forest({0: 1, 1: 1, 2: 0, 7: 0}, 1, g)
 
 
@@ -67,7 +67,7 @@ def within(point, bound, fast, structure):
     total = sum(point.values(), ZERO)
     if total <= bound:
         return point
-    with pytest.raises(ValidationError):
+    with pytest.raises(InternalError):
         fast(*cleared(point), structure)
     return {e: v * bound / total for e, v in point.items()}
 
@@ -221,9 +221,9 @@ def test_partition_rank_cut():
 
 def test_rank_point_above_the_rank_rejected():
     m = PartitionMatroid([(frozenset({0, 1}), 1), (frozenset({2}), 1)])
-    with pytest.raises(ValidationError, match="rank 2"):
+    with pytest.raises(InternalError, match="rank 2"):
         separate_rank(*cleared({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}), m)
-    with pytest.raises(ValidationError, match="rank 2"):
+    with pytest.raises(InternalError, match="rank 2"):
         separate_rank(*cleared({e: rat(3, 4) for e in range(3)}), UniformMatroid(frozenset(range(3)), 2))
 
 

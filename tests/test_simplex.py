@@ -1,4 +1,4 @@
-"""Exact simplex on block programs: the closed-form start, statuses,
+"""Exact simplex on block programs: the closed-form start, infeasibility,
 determinism, warm cuts.
 
 A session takes a block program as columns: a list of (costs, rhs), one
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst import simplex
-from rrst.errors import MalformedProgram
+from rrst.errors import InfeasibleModel, MalformedProgram
 from rrst.rational import ONE, ZERO, rat
 from rrst.simplex import SimplexSession
 
@@ -88,7 +88,6 @@ def cut_rows(batch):
 def test_equality_row():
     """Each block row puts its rhs on its cheapest column, with no pivot."""
     session = SimplexSession(blocks_of([4, 2, 7, 1, 3], [3, 2], [2, 1]))
-    assert session.status == "optimal"
     assert session._pivots == 0 and session.den == 1
     sol = session.result()
     assert vertex_objective(sol) == rat(5)
@@ -105,10 +104,8 @@ def test_start_is_the_lowest_index_cheapest_column():
 
 
 def test_negative_block_rhs_is_infeasible():
-    session = SimplexSession([([1], 1), ([2, 3], -1)])
-    assert session.status == "infeasible"
-    with pytest.raises(MalformedProgram):
-        session.result()
+    with pytest.raises(InfeasibleModel, match="block 1"):
+        SimplexSession([([1], 1), ([2, 3], -1)])
 
 
 NON_BLOCK_PROGRAMS = {
@@ -136,14 +133,10 @@ def test_simple_box_optimum():
 
 
 def test_infeasible_detected():
-    """Cuts that no point of the block row satisfies leave the session
-    infeasible; it then gives no vertex and takes no more cuts."""
+    """Cuts that no point of the block row satisfies raise InfeasibleModel."""
     session = SimplexSession([([1, 1], 4)])
-    assert session.add_cuts([(cut([1, 0]), 1), (cut([0, 1]), 1)]) == "infeasible"
-    with pytest.raises(MalformedProgram):
-        session.result()
-    with pytest.raises(MalformedProgram):
-        session.add_cuts([(cut([1, 1]), 9)])
+    with pytest.raises(InfeasibleModel):
+        session.add_cuts([(cut([1, 0]), 1), (cut([0, 1]), 1)])
 
 
 def test_solution_satisfies_all_constraints_exactly():
@@ -325,15 +318,16 @@ def block_program_with_cuts(draw, max_batches, max_cuts):
 
 
 def _apply_batches(session, batches):
-    """Add the batches to the session until one leaves it infeasible;
-    the rows it took, as dense rows."""
+    """Add the batches to the session until one raises InfeasibleModel;
+    the rows it took, as dense rows, and whether it is still feasible."""
     added = []
     for batch in batches:
-        session.add_cuts([(cut(coeffs), rhs) for coeffs, rhs in batch])
         added += cut_rows(batch)
-        if session.status != "optimal":
-            break
-    return added
+        try:
+            session.add_cuts([(cut(coeffs), rhs) for coeffs, rhs in batch])
+        except InfeasibleModel:
+            return added, False
+    return added, True
 
 
 @given(block_program_with_cuts(max_batches=2, max_cuts=2))
@@ -343,14 +337,13 @@ def test_simplex_matches_vertex_enumeration(problem):
     nvars = len(costs)
     session = SimplexSession(blocks_of(costs, sizes, rhs))
     rows = block_rows(sizes, rhs)
-    assert session.status == "optimal"
     assert vertex_objective(session.result()) == brute_force_lp_min(nvars, costs, rows)
-    rows += _apply_batches(session, batches)
+    added, feasible = _apply_batches(session, batches)
+    rows += added
     expected = brute_force_lp_min(nvars, costs, rows)
-    if expected is None:
-        assert session.status == "infeasible"
+    assert feasible == (expected is not None)
+    if not feasible:
         return
-    assert session.status == "optimal"
     sol = session.result()
     assert vertex_objective(sol) == expected
     for row in rows:
@@ -519,20 +512,23 @@ class RationalTableau:
         return -self.cost[-1]
 
     def state(self):
-        """Status, pivots after the cold solve, basis and vertex."""
+        """Pivots after the cold solve, basis, and the vertex (None when
+        infeasible)."""
         pivots = self.pivots - self.cold_pivots
         if self.status != "optimal":
-            return self.status, pivots, sorted(self.basis), None
+            return pivots, sorted(self.basis), None
         values = [ZERO] * self.nvars
         for i, b in enumerate(self.basis):
             if b < self.nvars:
                 values[b] = self.rows[i][-1]
-        return self.status, pivots, sorted(self.basis), values
+        return pivots, sorted(self.basis), values
 
 
-def _session_state(session):
-    values = vertex_values(session.result()) if session.status == "optimal" else None
-    return session.status, session._pivots, sorted(session.basis), values
+def _session_state(session, feasible):
+    """The session's side of RationalTableau.state; a session that raised
+    InfeasibleModel has no vertex to read."""
+    values = vertex_values(session.result()) if feasible else None
+    return session._pivots, sorted(session.basis), values
 
 
 @given(block_program_with_cuts(max_batches=3, max_cuts=3))
@@ -541,29 +537,37 @@ def test_integer_tableau_matches_rational_tableau(problem):
     """The session starts at the tableau where the reference's cold
     two-phase solve ends, with no pivot.  After every batch of cuts the
     integer tableau is B^-1 [A | b] over den, and it took the same pivots
-    to the same basis and vertex as the reference.  A cold two-phase
-    solve of the grown program reaches the same status and optimum."""
+    to the same basis and vertex as the reference, and it raised
+    InfeasibleModel exactly when the reference found no point.  A cold
+    two-phase solve of the grown program agrees on feasibility and the
+    optimum."""
     costs, sizes, rhs, batches = problem
     session = SimplexSession(blocks_of(costs, sizes, rhs))
     program = block_rows(sizes, rhs)
     reference = RationalTableau(costs, program)
-    assert session.status == reference.status == "optimal"
+    assert reference.status == "optimal"
     assert session.den == 1 and session._pivots == 0
     assert (session.rows, session.cost, session.basis) == (reference.rows, reference.cost, reference.basis)
     assert_tableau_invariant(session, costs, program)
-    assert _session_state(session) == reference.state()
+    feasible = True
+    assert _session_state(session, feasible) == reference.state()
     for batch in batches:
         cuts = [(cut(coeffs), b) for coeffs, b in batch]
-        session.add_cuts(cuts)
         reference.add_cuts(cuts)
         program += cut_rows(batch)
+        feasible = reference.status == "optimal"
+        if feasible:
+            session.add_cuts(cuts)
+        else:
+            with pytest.raises(InfeasibleModel):
+                session.add_cuts(cuts)
         assert_tableau_invariant(session, costs, program)
-        assert _session_state(session) == reference.state()
-        if session.status != "optimal":
+        assert _session_state(session, feasible) == reference.state()
+        if not feasible:
             break
     cold = RationalTableau(costs, program)
-    assert cold.status == session.status
-    if cold.status == "optimal":
+    assert (cold.status == "optimal") == feasible
+    if feasible:
         assert cold.objective_value() == vertex_objective(session.result())
 
 

@@ -309,8 +309,8 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
 def test_fractional_vertex_raises_internal_error(monkeypatch):
     real = solver.cutting_plane_solve
 
-    def half_vertex(model, lp_dump_dir=None):
-        result = real(model, lp_dump_dir)
+    def half_vertex(model):
+        result = real(model)
         vertex = result.solution
         # the same vertex over twice its denominator, with one numerator
         # set strictly between 0 and den: a value of 1/2
@@ -449,5 +449,5 @@ def test_cut_path_is_pinned(monkeypatch):
         for seed in range(1, 7):
             pivots = 0
             sol = solve_rrst(generate_instance(n, 0.3, k, 50, seed))
-            path.append((sol.rounds, sol.cuts, pivots))
+            path.append((sol.relaxation.rounds, sol.relaxation.cuts_added, pivots))
         assert path == recorded, (n, k)
