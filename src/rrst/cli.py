@@ -8,18 +8,17 @@ Subcommands:
 * ``compare`` - run solver and exhaustive oracle over a suite, report agreement;
 * ``oracle``  - solve an instance by exhaustive enumeration only.
 
-``solve`` and ``compare`` separate by the one route each side has; no flag
-picks another.  The exhaustive separation scans are the tests' reference
-(``tests/reference_separation.py``).  The library's solve takes no option
-and writes no file: ``solve --lp-dump-dir DIR`` renders the relaxation the
-solution carries and writes it here, only when an LP was built.
+``solve``, ``verify`` and ``oracle`` read the instance kind from the
+document (a ``family`` key names a matroid).  No flag picks a separation
+route or the oracle's unbounded pair scan.  ``solve --lp-dump-dir DIR``
+writes the relaxation the solution carries, only when an LP was built.
 
 Exit codes: 0 success, 2 bad input or input too large, 3 verification
 failure or solver/oracle disagreement, 4 breached internal invariant (always
 a bug, never bad input).
 
 The ``RRST_LOG`` environment variable (error|info|debug, default error)
-controls diagnostic logging on stderr.
+controls diagnostic logging on stderr; ``debug`` adds ``solve``'s timings and LP size.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .gen import builtin_small_suite, generate_instance
-from .instance import Instance, load_instance, read_json, serialize_instance
-from .matroids import load_matroid_instance
+from .instance import Instance, instance_from_dict, load_instance, read_json, serialize_instance
+from .matroids import matroid_instance_from_dict
 from .oracle import brute_force_rrmb, brute_force_rrst
 from .rational import rat_str
 from .solver import (
@@ -88,24 +87,40 @@ def _cut_counts(sol) -> tuple[int, int]:
     return (0, 0) if relaxation is None else (relaxation.rounds, relaxation.cuts_added)
 
 
+def _read_instance(path):
+    """The instance in the document at path, and the solve, verify and
+    brute-force functions of its kind: a JSON object with a ``family`` key
+    is a matroid instance, any other document a tree instance."""
+    doc = read_json(path)
+    if isinstance(doc, dict) and "family" in doc:
+        return matroid_instance_from_dict(doc), (solve_rrmb, verify_basis_solution, brute_force_rrmb)
+    return instance_from_dict(doc), (solve_rrst, verify_tree_solution, brute_force_rrst)
+
+
+def _timed(what: str, fn, *args):
+    """fn(*args), its wall time logged at debug."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    log.debug("%s in %.3f ms", what, (time.perf_counter() - t0) * 1000)
+    return out
+
+
 def cmd_solve(args) -> int:
-    if args.matroid:
-        minst = load_matroid_instance(args.input)
-        log.info("matroid instance: |ground|=%d rank=%d k=%d",
-                 len(minst.matroid.ground), minst.rank, minst.k)
-        sol = solve_rrmb(minst)
-    else:
-        inst = load_instance(args.input)
-        log.info("tree instance: n=%d m=%d k=%d", inst.n, inst.m, inst.k)
-        sol = solve_rrst(inst)
+    inst, (solve, _, _) = _timed(f"read {args.input}", _read_instance, args.input)
+    log.info("%s: %d elements, k=%d", type(inst).__name__, len(inst.costs.C), inst.k)
+    sol = _timed("solved", solve, inst)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
              rat_str(sol.total), sol.iterations, *_cut_counts(sol))
     relaxation = sol.relaxation
-    if args.lp_dump_dir is not None and relaxation is not None:
-        os.makedirs(args.lp_dump_dir, exist_ok=True)
-        _write_text(os.path.join(args.lp_dump_dir, "relaxation.lp.txt"),
-                    relaxation.model.render(relaxation.cuts))
-    _write_text(args.output, serialize_solution(sol))
+    if relaxation is not None:
+        model = relaxation.model
+        log.debug("LP: %d block rows + %d cut rows, %d columns",
+                  len(model.blocks), relaxation.cuts_added, len(model.blocks) * len(model.ids))
+        if args.lp_dump_dir is not None:
+            os.makedirs(args.lp_dump_dir, exist_ok=True)
+            _write_text(os.path.join(args.lp_dump_dir, "relaxation.lp.txt"),
+                        model.render(relaxation.cuts))
+    _timed("wrote the solution", _write_text, args.output, serialize_solution(sol))
     return EXIT_OK
 
 
@@ -128,8 +143,7 @@ def _load_solution_doc(path: str) -> dict:
 def cmd_verify(args) -> int:
     doc = _load_solution_doc(args.solution)
     # an invalid instance is a usage error, raised before any check runs
-    inst = load_matroid_instance(args.instance) if args.matroid else load_instance(args.instance)
-    verify = verify_basis_solution if args.matroid else verify_tree_solution
+    inst, (_, verify, _) = _read_instance(args.instance)
     try:
         failures = verify(inst, doc)
     except ValidationError as exc:
@@ -144,19 +158,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.matroid:
-        res = brute_force_rrmb(load_matroid_instance(args.input), prune=args.prune)
-    else:
-        res = brute_force_rrst(load_instance(args.input), prune=args.prune)
-    doc = {
-        "X": list(res.X),
-        "Y": list(res.Y),
-        "Z": list(res.Z),
-        "first_stage": rat_str(res.first_stage),
-        "second_stage": rat_str(res.second_stage),
-        "total": rat_str(res.total),
-        "pairs_scanned": res.pairs_scanned,
-    }
+    inst, (_, _, brute_force) = _read_instance(args.input)
+    res = brute_force(inst, prune=True)
+    doc = {"X": res.X, "Y": res.Y, "Z": res.Z, "first_stage": rat_str(res.first_stage),
+           "second_stage": rat_str(res.second_stage), "total": rat_str(res.total),
+           "pairs_scanned": res.pairs_scanned}
     _write_text(args.output, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK
 
@@ -286,7 +292,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True, help="instance document (JSON)")
     p.add_argument("--output", default=None, help="solution path (default stdout)")
-    p.add_argument("--matroid", action="store_true", help="input is a matroid instance")
     p.add_argument("--lp-dump-dir", default=None, help="write the cut LP as text here")
     p.set_defaults(func=cmd_solve)
 
@@ -303,7 +308,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a solution document against its instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
-    p.add_argument("--matroid", action="store_true", help="instance is a matroid instance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="run solver vs exhaustive oracle over a suite")
@@ -322,8 +326,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="solve by exhaustive enumeration")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--matroid", action="store_true")
-    p.add_argument("--prune", action="store_true", help="bound-prune the pair scan")
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -334,16 +336,13 @@ def main(argv=None) -> int:
         _configure_logging()
         args = _parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TooManyTrees, GroundTooLarge, IterationLimit) as exc:
         # the oracle's enumeration guards and the solver's pivot and round
         # bounds trip on inputs too large for their route
         print(f"error: input too large: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RRSTError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -59,19 +59,21 @@ from .multigraph import MultiGraph, classes
 Cut = tuple[tuple[int, ...], int]  # the row x(S) <= r(S): (S ascending, r(S))
 
 
-# --- forest separation ------------------------------------------------
-
-
-def _check_point(point, graph):
-    if point.keys() != graph.edges.keys():
-        missing = graph.edges.keys() - point.keys()
+def _check_point(point, ground):
+    """Raise InternalError unless point has one non-negative entry per id
+    of ground, a set of ids."""
+    if point.keys() != ground:
+        missing = ground - point.keys()
         if missing:
-            raise InternalError(f"point missing edges {sorted(missing)}")
-        extra = point.keys() - graph.edges.keys()
-        raise InternalError(f"point names edges outside the graph {sorted(extra)}")
+            raise InternalError(f"point missing ids {sorted(missing)}")
+        extra = point.keys() - ground
+        raise InternalError(f"point names ids outside the ground set {sorted(extra)}")
     if min(point.values(), default=0) < 0:
-        eid = next(e for e in graph.edges if point[e] < 0)
+        eid = min(e for e, v in point.items() if v < 0)
         raise InternalError(f"point[{eid}]={point[eid]} is negative")
+
+
+# --- forest separation ------------------------------------------------
 
 
 def _forest_cut(graph, nodes) -> Cut:
@@ -205,7 +207,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
     union of two or more super-nodes holds a positive cross edge, and with
     none there is no sweep and no network.
     """
-    _check_point(point, graph)
+    _check_point(point, graph.edges.keys())
     n = graph.node_count
     caps = {eid: v for eid, v in point.items() if v > 0}
     if sum(caps.values()) > (n - 1) * unit:
@@ -269,18 +271,20 @@ def separate_rank(point, unit: int, matroid) -> Cut | None:
     """The most violated rank constraint of a partition matroid over proper
     subsets.
 
-    Takes only points with x(ground) <= rank, as every point of the
-    relaxation is; any other point comes from a solver bug: InternalError.  The matroid is a partition
-    matroid (a uniform matroid is one part).  The most violated constraint
-    is the union of each part's best prefix; it is never the whole ground
-    set, which no such point violates.  The solver hands graphic matroids
-    to the forest side and refuses any other family, so a matroid with no
-    parts is a bug: InternalError.
+    Takes only points with one non-negative entry per element of the
+    ground set and x(ground) <= rank, as every point of the relaxation
+    is; any other point comes from a solver bug: InternalError.  The
+    matroid is a partition matroid (a uniform matroid is one part).  The
+    most violated constraint is the union of each part's best prefix; it
+    is never the whole ground set, which no such point violates.  The
+    solver hands graphic matroids to the forest side and refuses any other
+    family, so a matroid with no parts is a bug: InternalError.
     """
     try:
         parts = matroid.parts
     except AttributeError:
         raise InternalError(f"no rank separation for the {matroid.family} family") from None
+    _check_point(point, matroid.ground)
     elements = []
     rhs, weight, rank = 0, 0, 0
     for part, cap in parts:

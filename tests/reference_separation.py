@@ -36,7 +36,7 @@ def _forest_candidate(point, unit, graph, nodes):
 
 def separate_forest_exhaustive(point, unit, graph):
     """Check every node subset with 2 <= |U| < n."""
-    _check_point(point, graph)
+    _check_point(point, graph.edges.keys())
     n = graph.node_count
     if n > EXHAUSTIVE_NODE_LIMIT:
         raise GroundTooLarge(f"{n} nodes exceeds the exhaustive scan limit")
@@ -52,6 +52,7 @@ def separate_forest_exhaustive(point, unit, graph):
 
 def separate_rank_exhaustive(point, unit, matroid):
     """Check every proper nonempty subset against greedy rank."""
+    _check_point(point, matroid.ground)
     ground = sorted(matroid.ground)
     if len(ground) > EXHAUSTIVE_NODE_LIMIT:
         raise GroundTooLarge(f"{len(ground)} elements exceeds the exhaustive scan limit")

@@ -2,14 +2,21 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from rrst import cli, lpmodel, oracle, sides
 from rrst.errors import InternalError, IterationLimit
-from rrst.oracle import BruteResult
-from rrst.rational import rat
+from rrst.instance import load_instance
+from rrst.oracle import BruteResult, brute_force_rrst
+from rrst.rational import rat, rat_str
+from rrst.solver import solve_rrst
 
 
 def run(argv):
@@ -61,7 +68,7 @@ def test_solve_verify_oracle_round_trip(tmp_path, inst_file, capsys):
     assert run(["solve", "--input", str(inst_file), "--output", str(sol)]) == 0
     assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 0
     assert capsys.readouterr().out.strip() == "ok"
-    assert run(["oracle", "--input", str(inst_file), "--prune"]) == 0
+    assert run(["oracle", "--input", str(inst_file)]) == 0
     oracle_doc = json.loads(capsys.readouterr().out)
     sol_doc = json.loads(sol.read_text())
     assert oracle_doc["total"] == sol_doc["total"]
@@ -88,13 +95,92 @@ def test_solve_strict_and_exhaustive_flags(inst_file, capsys):
 
 def test_matroid_round_trip(tmp_path, matroid_file, capsys):
     sol = tmp_path / "msol.json"
-    assert run(["solve", "--input", str(matroid_file), "--matroid",
-                "--output", str(sol)]) == 0
-    assert run(["verify", "--instance", str(matroid_file), "--solution", str(sol),
-                "--matroid"]) == 0
+    assert run(["solve", "--input", str(matroid_file), "--output", str(sol)]) == 0
+    assert run(["verify", "--instance", str(matroid_file), "--solution", str(sol)]) == 0
     capsys.readouterr()
-    assert run(["oracle", "--input", str(matroid_file), "--matroid"]) == 0
+    assert run(["oracle", "--input", str(matroid_file)]) == 0
     assert json.loads(capsys.readouterr().out)["total"] == json.loads(sol.read_text())["total"]
+
+
+@pytest.fixture
+def kind_files(tmp_path, inst_file, matroid_file):
+    """One document of each kind the CLI reads; the graphic one is the
+    tree instance's twin."""
+    tree = json.loads(inst_file.read_text())
+    graphic, partition = tmp_path / "ginst.json", tmp_path / "pinst.json"
+    graphic.write_text(json.dumps({
+        "family": "graphic", "nodes": tree["nodes"], "k": tree["k"],
+        "edges": [{"id": e["id"], "u": e["u"], "v": e["v"]} for e in tree["edges"]],
+        "costs": [{key: e[key] for key in ("id", "C", "c", "d")} for e in tree["edges"]]}))
+    partition.write_text(json.dumps({
+        "family": "partition", "k": 1,
+        "parts": [{"elements": [0, 1, 2], "cap": 1}, {"elements": [3, 4], "cap": 2}],
+        "costs": [{"id": i, "C": 3 * i % 5, "c": (2 * i + 1) % 4, "d": i % 2} for i in range(5)]}))
+    return {"tree": inst_file, "graphic": graphic, "uniform": matroid_file, "partition": partition}
+
+
+@pytest.mark.parametrize("kind", ["tree", "graphic", "uniform", "partition"])
+def test_instance_kind_read_from_the_document(tmp_path, kind_files, kind, capsys):
+    """solve, verify and oracle take no flag for the instance kind: a
+    matroid document names its `family`, and a tree document has none."""
+    inst, sol = kind_files[kind], tmp_path / "sol.json"
+    assert run(["solve", "--input", str(inst), "--output", str(sol)]) == 0
+    assert run(["verify", "--instance", str(inst), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert run(["oracle", "--input", str(inst)]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == json.loads(sol.read_text())["total"]
+    if kind == "graphic":
+        tree_sol = tmp_path / "tree-sol.json"
+        assert run(["solve", "--input", str(kind_files["tree"]), "--output", str(tree_sol)]) == 0
+        assert sol.read_bytes() == tree_sol.read_bytes()
+
+
+def test_kind_and_prune_flags_are_gone(inst_file, capsys):
+    for argv in (["solve", "--input", str(inst_file), "--matroid"],
+                 ["verify", "--instance", str(inst_file), "--solution", str(inst_file), "--matroid"],
+                 ["oracle", "--input", str(inst_file), "--matroid"],
+                 ["oracle", "--input", str(inst_file), "--prune"]):
+        assert exit_code(argv) == 2
+    for command in ("solve", "verify", "oracle"):
+        assert exit_code([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--matroid" not in out and "--prune" not in out
+
+
+def test_oracle_bounds_its_pair_scan(inst_file, capsys):
+    """`oracle` always prunes its pair scan, and finds the full scan's
+    optimum."""
+    full = brute_force_rrst(load_instance(inst_file))
+    assert run(["oracle", "--input", str(inst_file)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["X"], doc["Y"], doc["Z"], doc["total"]) == (
+        list(full.X), list(full.Y), list(full.Z), rat_str(full.total))
+    assert doc["pairs_scanned"] < full.pairs_scanned
+
+
+@pytest.mark.parametrize("level", ["info", "debug"])
+def test_debug_log_times_and_program_size(inst_file, level):
+    """At debug, `solve` logs its read, solve and write times and the size
+    of the LP it solved; at info it logs none of them."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "RRST_LOG": level,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rrst.cli", "solve", "--input", str(inst_file)],
+                          env=env, capture_output=True, text=True, check=True)
+    lines = proc.stderr.splitlines()
+    assert any(line.startswith("INFO rrst: solved: total=") for line in lines)
+    debug = [line.removeprefix("DEBUG rrst: ") for line in lines if line.startswith("DEBUG ")]
+    if level == "info":
+        assert debug == []
+        return
+    inst = load_instance(inst_file)
+    sol = solve_rrst(inst)
+    assert [re.sub(r"[0-9.]+ ms$", "T ms", line) for line in debug] == [
+        f"read {inst_file} in T ms",
+        "solved in T ms",
+        f"LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * inst.m} columns",
+        "wrote the solution in T ms",
+    ]
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -136,7 +222,7 @@ def test_malformed_instance_exits_2(tmp_path):
 def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert run(["solve", "--input", str(bad), "--matroid"]) == 2
+    assert run(["solve", "--input", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -147,11 +233,13 @@ MALFORMED_JSON = {
 
 
 @pytest.mark.parametrize("content", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
-@pytest.mark.parametrize("command", ["solve", "solve --matroid", "verify --solution", "oracle"])
+@pytest.mark.parametrize("command", ["solve", "verify --instance", "verify --solution", "oracle"])
 def test_malformed_json_exits_2(tmp_path, inst_file, command, content, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    if command == "verify --solution":
+    if command == "verify --instance":
+        argv = ["verify", "--instance", str(bad), "--solution", str(inst_file)]
+    elif command == "verify --solution":
         argv = ["verify", "--instance", str(inst_file), "--solution", str(bad)]
     else:
         argv = command.split() + ["--input", str(bad)]
@@ -176,26 +264,26 @@ def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
 
 
 INVALID_INSTANCES = {
-    "disconnected tree": ([], {"nodes": 3, "k": 0, "edges": [
-        {"id": 0, "u": 0, "v": 1, "C": 1, "c": 1, "d": 1}]}),
-    "negative cost": ([], {"nodes": 2, "k": 0, "edges": [
-        {"id": 0, "u": 0, "v": 1, "C": -1, "c": 1, "d": 1}]}),
-    "k above rank": (["--matroid"], {
+    "disconnected tree": {"nodes": 3, "k": 0, "edges": [
+        {"id": 0, "u": 0, "v": 1, "C": 1, "c": 1, "d": 1}]},
+    "negative cost": {"nodes": 2, "k": 0, "edges": [
+        {"id": 0, "u": 0, "v": 1, "C": -1, "c": 1, "d": 1}]},
+    "k above rank": {
         "family": "uniform", "elements": [0, 1], "rank": 1, "k": 2,
-        "costs": [{"id": i, "C": 1, "c": 1, "d": 1} for i in range(2)]}),
+        "costs": [{"id": i, "C": 1, "c": 1, "d": 1} for i in range(2)]},
 }
 
 
-@pytest.mark.parametrize("flags, doc", INVALID_INSTANCES.values(), ids=INVALID_INSTANCES.keys())
-def test_verify_invalid_instance_exits_2(tmp_path, flags, doc, capsys):
+@pytest.mark.parametrize("doc", INVALID_INSTANCES.values(), ids=INVALID_INSTANCES.keys())
+def test_verify_invalid_instance_exits_2(tmp_path, doc, capsys):
     """An instance that `solve` rejects is an input error for `verify`
     too, not a failed check of the solution."""
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     inst.write_text(json.dumps(doc))
     sol.write_text(json.dumps({"X": [0], "Y": [0], "Z": [0], "total": "3"}))
-    assert run(["solve", "--input", str(inst)] + flags) == 2
+    assert run(["solve", "--input", str(inst)]) == 2
     capsys.readouterr()
-    assert run(["verify", "--instance", str(inst), "--solution", str(sol)] + flags) == 2
+    assert run(["verify", "--instance", str(inst), "--solution", str(sol)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -266,8 +354,7 @@ def test_malformed_point_exits_4(inst_file, matroid_file, monkeypatch, capsys, m
         return {e: 2 * v for e, v in real(self, values, stage).items()}
 
     monkeypatch.setattr(lpmodel.RelaxationModel, "stage_point", doubled)
-    argv = ["solve", "--matroid", "--input", str(matroid_file)] if matroid else ["solve", "--input", str(inst_file)]
-    assert run(argv) == 4
+    assert run(["solve", "--input", str(matroid_file if matroid else inst_file)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: InternalError: point sums past"), err
 
@@ -416,7 +503,7 @@ def test_lp_dump_dir_without_an_lp(tmp_path):
 
 def test_lp_dump_dir_matroid(tmp_path, matroid_file):
     dump = tmp_path / "lps"
-    assert run(["solve", "--matroid", "--input", str(matroid_file), "--output", str(tmp_path / "sol.json"),
+    assert run(["solve", "--input", str(matroid_file), "--output", str(tmp_path / "sol.json"),
                 "--lp-dump-dir", str(dump)]) == 0
     text = (dump / "relaxation.lp.txt").read_text()
     assert text.startswith("min ") and "r1: 1 b0 + 1 b1 + 1 b2 + 1 b3 == 1\n" in text

@@ -1,6 +1,7 @@
 """Exhaustive reference solver: tree counting/enumeration, pair scan."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from rrst.oracle import (
 )
 from rrst.rational import rat
 
-from conftest import make_instance, make_uniform_instance
+from conftest import make_instance, make_partition_instance, make_uniform_instance
 
 
 def complete_graph(n):
@@ -79,11 +80,27 @@ def test_brute_force_tie_break_lexicographic():
     assert res.total == rat(4)
 
 
-def test_pruned_scan_identical_to_full_scan():
+def _drawn_instance(kind, seed):
+    """The brute-force route of `kind` and one drawn instance of it."""
+    inst = generate_instance(5, 0.6, seed % 5, 9, seed + 400)
+    if kind == "tree":
+        return brute_force_rrst, inst
+    if kind == "graphic":
+        return brute_force_rrmb, MatroidInstance(GraphicMatroid(inst.graph), inst.costs, inst.k, inst.scale)
+    rng = random.Random(seed)
+    triples = [(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(7)]
+    if kind == "uniform":
+        return brute_force_rrmb, make_uniform_instance(7, 3, triples, k=seed % 4)
+    parts = [(range(4), 2), (range(4, 7), 1)]
+    return brute_force_rrmb, make_partition_instance(parts, dict(enumerate(triples)), k=seed % 4)
+
+
+@pytest.mark.parametrize("kind", ["tree", "uniform", "partition", "graphic"])
+def test_pruned_scan_identical_to_full_scan(kind):
     for seed in range(12):
-        inst = generate_instance(5, 0.6, seed % 5, 9, seed + 400)
-        full = brute_force_rrst(inst, prune=False)
-        fast = brute_force_rrst(inst, prune=True)
+        brute_force, inst = _drawn_instance(kind, seed)
+        full = brute_force(inst, prune=False)
+        fast = brute_force(inst, prune=True)
         assert (full.X, full.Y, full.Z, full.total) == (fast.X, fast.Y, fast.Z, fast.total)
         assert fast.pairs_scanned <= full.pairs_scanned
 

@@ -57,7 +57,7 @@ def test_forest_point_validation():
         separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(-1)}), g)
     with pytest.raises(InternalError, match="n - 1"):
         separate_forest(*cleared({0: ONE, 1: ONE, 2: rat(1, 4)}), g)  # sums past n - 1
-    with pytest.raises(InternalError, match="outside the graph"):
+    with pytest.raises(InternalError, match="outside the ground set"):
         separate_forest({0: 1, 1: 1, 2: 0, 7: 0}, 1, g)
 
 
@@ -225,6 +225,18 @@ def test_rank_point_above_the_rank_rejected():
         separate_rank(*cleared({0: rat(1, 2), 1: rat(1, 2), 2: rat(5, 4)}), m)
     with pytest.raises(InternalError, match="rank 2"):
         separate_rank(*cleared({e: rat(3, 4) for e in range(3)}), UniformMatroid(frozenset(range(3)), 2))
+
+
+@pytest.mark.parametrize("point, message", [
+    ({0: 1, 1: 0}, "missing ids \\[2\\]"),
+    ({0: 1, 1: 0, 2: -1}, "point\\[2\\]=-1 is negative"),
+    ({0: 1, 1: 0, 2: 0, 9: 0}, "outside the ground set \\[9\\]"),
+], ids=["missing", "negative", "extra"])
+def test_rank_point_validation(point, message):
+    """The rank route checks its point as the forest route does: an entry
+    missing, negative or outside the ground set is a solver bug."""
+    with pytest.raises(InternalError, match=message):
+        separate_rank(point, 1, UniformMatroid(frozenset(range(3)), 2))
 
 
 def test_rank_route_refuses_other_families():
