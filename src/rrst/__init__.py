@@ -31,34 +31,17 @@ from .instance import (
     loads_instance,
     serialize_instance,
 )
-from .matroids import (
-    GraphicMatroid,
-    Matroid,
-    MatroidInstance,
-    PartitionMatroid,
-    UniformMatroid,
-    load_matroid_instance,
-    loads_matroid_instance,
-    matroid_instance_from_dict,
-)
+from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .multigraph import MultiGraph
-from .oracle import (
-    BruteResult,
-    brute_force_rrmb,
-    brute_force_rrst,
-    count_spanning_trees,
-    enumerate_spanning_trees,
-)
+from .oracle import BruteResult, brute_force, count_spanning_trees, enumerate_spanning_trees
 from .rational import Rat, parse_exact, rat, rat_str
-from .solver import (
-    Solution,
-    serialize_solution,
-    solution_to_dict,
-    solve_rrmb,
-    solve_rrst,
-    verify_basis_solution,
-    verify_tree_solution,
-)
+from .solver import Solution, serialize_solution, solution_to_dict, solve, verify_solution
+
+# the benchmark's names for the one reader, solve and verify, kept until
+# its next revision
+loads_matroid_instance = loads_instance
+solve_rrst = solve_rrmb = solve
+verify_tree_solution = verify_basis_solution = verify_solution
 
 __all__ = [
     "RRSTError",
@@ -78,14 +61,9 @@ __all__ = [
     "GraphicMatroid",
     "UniformMatroid",
     "PartitionMatroid",
-    "MatroidInstance",
-    "load_matroid_instance",
-    "loads_matroid_instance",
-    "matroid_instance_from_dict",
     "MultiGraph",
     "BruteResult",
-    "brute_force_rrst",
-    "brute_force_rrmb",
+    "brute_force",
     "count_spanning_trees",
     "enumerate_spanning_trees",
     "Rat",
@@ -93,12 +71,10 @@ __all__ = [
     "rat_str",
     "parse_exact",
     "Solution",
-    "solve_rrst",
-    "solve_rrmb",
+    "solve",
     "solution_to_dict",
     "serialize_solution",
-    "verify_tree_solution",
-    "verify_basis_solution",
+    "verify_solution",
     "generate_instance",
     "builtin_small_suite",
     "connected_graphs_up_to_iso",

@@ -8,8 +8,10 @@ Subcommands:
 * ``compare`` - run solver and exhaustive oracle over a suite, report agreement;
 * ``oracle``  - solve an instance by exhaustive enumeration only.
 
-``solve``, ``verify`` and ``oracle`` read the instance kind from the
-document (a ``family`` key names a matroid).  No flag picks a separation
+Every command that reads an instance document (``solve``, ``verify``,
+``oracle`` and ``compare --suite DIR``) reads either kind through the one
+reader, which tells a matroid document by its ``family`` key, and runs the
+one solve, verify or brute force on it.  No flag picks a separation
 route or the oracle's unbounded pair scan.  ``solve --lp-dump-dir DIR``
 writes the relaxation the solution carries, only when an LP was built.
 
@@ -30,27 +32,12 @@ import os
 import sys
 import time
 
-from .errors import (
-    GroundTooLarge,
-    InputError,
-    IterationLimit,
-    ParseError,
-    RRSTError,
-    TooManyTrees,
-    ValidationError,
-)
+from .errors import InputError, ParseError, RRSTError, TooLarge, ValidationError
 from .gen import builtin_small_suite, generate_instance
-from .instance import Instance, instance_from_dict, load_instance, read_json, serialize_instance
-from .matroids import matroid_instance_from_dict
-from .oracle import brute_force_rrmb, brute_force_rrst
+from .instance import Instance, load_instance, read_json, serialize_instance
+from .oracle import brute_force
 from .rational import rat_str
-from .solver import (
-    serialize_solution,
-    solve_rrmb,
-    solve_rrst,
-    verify_basis_solution,
-    verify_tree_solution,
-)
+from .solver import serialize_solution, solve, verify_solution
 
 log = logging.getLogger("rrst")
 
@@ -87,16 +74,6 @@ def _cut_counts(sol) -> tuple[int, int]:
     return (0, 0) if relaxation is None else (relaxation.rounds, relaxation.cuts_added)
 
 
-def _read_instance(path):
-    """The instance in the document at path, and the solve, verify and
-    brute-force functions of its kind: a JSON object with a ``family`` key
-    is a matroid instance, any other document a tree instance."""
-    doc = read_json(path)
-    if isinstance(doc, dict) and "family" in doc:
-        return matroid_instance_from_dict(doc), (solve_rrmb, verify_basis_solution, brute_force_rrmb)
-    return instance_from_dict(doc), (solve_rrst, verify_tree_solution, brute_force_rrst)
-
-
 def _timed(what: str, fn, *args):
     """fn(*args), its wall time logged at debug."""
     t0 = time.perf_counter()
@@ -106,8 +83,8 @@ def _timed(what: str, fn, *args):
 
 
 def cmd_solve(args) -> int:
-    inst, (solve, _, _) = _timed(f"read {args.input}", _read_instance, args.input)
-    log.info("%s: %d elements, k=%d", type(inst).__name__, len(inst.costs.C), inst.k)
+    inst = _timed(f"read {args.input}", load_instance, args.input)
+    log.info("Instance: %d elements, k=%d", len(inst.costs.C), inst.k)
     sol = _timed("solved", solve, inst)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
              rat_str(sol.total), sol.iterations, *_cut_counts(sol))
@@ -143,9 +120,9 @@ def _load_solution_doc(path: str) -> dict:
 def cmd_verify(args) -> int:
     doc = _load_solution_doc(args.solution)
     # an invalid instance is a usage error, raised before any check runs
-    inst, (_, verify, _) = _read_instance(args.instance)
+    inst = load_instance(args.instance)
     try:
-        failures = verify(inst, doc)
+        failures = verify_solution(inst, doc)
     except ValidationError as exc:
         # a malformed selection is itself a failed check against the instance
         failures = [str(exc)]
@@ -158,8 +135,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst, (_, _, brute_force) = _read_instance(args.input)
-    res = brute_force(inst, prune=True)
+    res = brute_force(load_instance(args.input), prune=True)
     doc = {"X": res.X, "Y": res.Y, "Z": res.Z, "first_stage": rat_str(res.first_stage),
            "second_stage": rat_str(res.second_stage), "total": rat_str(res.total),
            "pairs_scanned": res.pairs_scanned}
@@ -218,8 +194,8 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     is no failure: the solve ran, only the reference was skipped."""
     report: dict = {
         "name": name,
-        "n": inst.n,
-        "m": inst.m,
+        "elements": len(inst.costs.C),
+        "rank": inst.rank,
         "k": inst.k,
         "total": None,
         "iterations": None,
@@ -232,8 +208,8 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     }
     t0 = time.perf_counter()
     try:
-        sol = solve_rrst(inst)
-    except IterationLimit as exc:
+        sol = solve(inst)
+    except TooLarge as exc:
         # a pivot or round bound: reported as `rrst solve` reports it
         report["error"] = f"input too large: {exc}"
         return EXIT_INPUT, report
@@ -246,8 +222,8 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     report["rounds"], report["cuts"] = _cut_counts(sol)
     if with_oracle:
         try:
-            ref = brute_force_rrst(inst, prune=True)
-        except TooManyTrees as exc:
+            ref = brute_force(inst, prune=True)
+        except TooLarge as exc:
             report["error"] = f"oracle skipped: {type(exc).__name__}: {exc}"
             return EXIT_OK, report
         report["oracle_total"] = rat_str(ref.total)
@@ -339,7 +315,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TooManyTrees, GroundTooLarge, IterationLimit) as exc:
+    except TooLarge as exc:
         # the oracle's enumeration guards and the solver's pivot and round
         # bounds trip on inputs too large for their route
         print(f"error: input too large: {exc}", file=sys.stderr)

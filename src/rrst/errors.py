@@ -3,9 +3,10 @@
 The classes that matter to callers and to the CLI exit-code mapping:
 
 * InputError        - bad user input (parse or validation); CLI exit 2.
-* TooManyTrees, GroundTooLarge, IterationLimit
-                    - the input is too large for the oracle's enumeration or
-                      for the solver's pivot and cut-round bounds; CLI exit 2.
+* TooLarge          - the input is too large for a bound: the oracle's
+                      enumeration (TooManyTrees, GroundTooLarge) or the
+                      solver's pivots and cut rounds (IterationLimit);
+                      CLI exit 2.
 * InternalError, MalformedProgram
                     - an invariant the algorithms guarantee was breached,
                       or the solver built a linear program it cannot take;
@@ -45,12 +46,17 @@ class NoBasis(RRSTError):
     """A basis of the demanded size does not exist."""
 
 
-class GroundTooLarge(RRSTError):
+class TooLarge(RRSTError):
+    """The input is too large for a bound of the route that takes it."""
+
+
+class GroundTooLarge(TooLarge):
     """Enumeration guard: the ground set exceeds the exhaustive-scan bound."""
 
 
-class TooManyTrees(RRSTError):
-    """Enumeration guard: the graph has more spanning trees than the scan bound."""
+class TooManyTrees(TooLarge):
+    """Enumeration guard: the graph has more spanning trees than the pair
+    scan takes."""
 
 
 class MalformedProgram(RRSTError):
@@ -69,6 +75,6 @@ class InternalError(RRSTError):
     """An algorithm invariant was breached; indicates a bug, never bad input."""
 
 
-class IterationLimit(RRSTError):
+class IterationLimit(TooLarge):
     """Defensive bound on simplex pivots or cutting-plane rounds: the
     instance is too large to solve within it."""

@@ -35,6 +35,7 @@ import random
 
 from .errors import ValidationError
 from .instance import CostColumns, Instance
+from .matroids import GraphicMatroid
 from .multigraph import MultiGraph
 
 __all__ = [
@@ -133,7 +134,7 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     edges = dict(enumerate(pairs))
     # keyed by the edge dict's own ids, so the columns share its int objects
     costs = _drawn_costs(rng, cost_max, edges)
-    return Instance(graph=MultiGraph(range(nodes), edges), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(MultiGraph(range(nodes), edges)), costs=costs, k=k, scale=1)
 
 
 def _connected(n: int, pairs) -> bool:
@@ -188,7 +189,7 @@ def builtin_small_suite(max_nodes: int = 5) -> list[tuple[str, Instance]]:
                 for k in range(n):
                     name = f"n{n}-g{gi:02d}-k{k}-{pattern}"
                     inst = Instance(
-                        graph=MultiGraph(range(n), dict(edges)), costs=costs, k=k, scale=1
+                        matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=1
                     )
                     suite.append((name, inst))
     return suite

@@ -1,37 +1,43 @@
-"""Problem instances: a connected multigraph, per-edge cost columns, and
-a recovery budget k.
+"""Problem instances: a matroid, per-element cost columns, and a recovery
+budget k.  Both document kinds read into the one `Instance`.
 
-An instance document is JSON:
+A tree document is JSON:
 
     {"nodes": 4, "k": 1,
      "edges": [{"id": 0, "u": 0, "v": 1, "C": 3, "c": "2.5", "d": "1/2"}, ...]}
 
-Nodes are labelled 0..nodes-1.  Costs may be integers or strings; strings
-accept decimal ("2.5") and fraction ("5/2") forms and are parsed exactly.
-JSON floats and the NaN/Infinity constants are rejected outright so no
-binary rounding ever sneaks in.
+Nodes are labelled 0..nodes-1, and the graph must be connected: the
+instance is the graphic matroid of that graph, whose bases are its
+spanning trees.  A matroid document carries a ``family`` key (graphic,
+uniform or partition), the family's fields, ``k`` and a ``costs`` list of
+``{"id", "C", "c", "d"}`` objects; `instance_from_dict` reads the kind off
+that key.  Costs may be integers or strings; strings accept decimal
+("2.5") and fraction ("5/2") forms and are parsed exactly.  JSON floats
+and the NaN/Infinity constants are rejected outright so no binary
+rounding ever sneaks in.
 
 A parsed instance holds its costs as one `CostColumns` record: an
 id -> int dict per cost field, C, c and d, and their sum `second` = c + d.
 Every int is in units of 1/scale, where `scale` is the LCM of the
 denominators of all the instance's costs: the document above has scale 2,
 and stores C, c, d of edge 0 as 6, 5, 1.  Printing divides by the scale
-again, so a document reads back as it was written.
+again, so a tree document reads back as it was written.
 
-A document is read column by column: each field of the edge list is pulled
-out whole, and each check runs over a whole column at once.  Only when a
-check fails does the per-edge walk run, to raise the first fault in
-document order with its index, as ParseError or ValidationError.
+A document is read column by column: each field of an edge or cost list
+is pulled out whole, and each check runs over a whole column at once.
+Only when a check fails does the per-entry walk run, to raise the first
+fault in document order with its index, as ParseError or ValidationError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, eq
 
 from .errors import InternalError, ParseError, ValidationError
+from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .multigraph import MultiGraph
 from .rational import DIGIT_LIMIT, ExactnessError, parse_exact, rat, rat_str, widen_scale
 
@@ -81,35 +87,30 @@ def _check_scale(scale) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    graph: MultiGraph
+    """Both stages select bases of `matroid`: spanning trees when it is the
+    graphic matroid of a connected graph, as every tree document reads."""
+
+    matroid: Matroid
     costs: CostColumns
     k: int
     # every cost is an int in units of 1/scale
     scale: int
+    # the matroid's full rank, by one greedy scan at construction
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_scale(self.scale)
-        n = self.graph.node_count
-        if n < 1:
-            raise ValidationError("instance needs at least one node")
-        if not self.graph.is_connected():
-            raise ValidationError("instance graph is not connected")
-        if not 0 <= self.k <= n - 1:
-            raise ValidationError(f"k={self.k} outside 0..{n - 1}")
-        _check_cost_ids(self.costs, self.graph.edges.keys())
-
-    @property
-    def n(self) -> int:
-        return self.graph.node_count
-
-    @property
-    def m(self) -> int:
-        return self.graph.edge_count
+        r = self.matroid.full_rank()
+        if not 0 <= self.k <= r:
+            raise ValidationError(f"k={self.k} outside 0..{r}")
+        _check_cost_ids(self.costs, self.matroid.ground)
+        object.__setattr__(self, "rank", r)
 
     @property
     def overlap_requirement(self) -> int:
-        """Minimum |X ∩ Y|: the tree size n-1 minus the recovery budget k."""
-        return self.n - 1 - self.k
+        """Minimum |X ∩ Y|: the selection size, the rank, minus the recovery
+        budget k."""
+        return self.rank - self.k
 
 
 def _check_cost_ids(costs: CostColumns, ids) -> None:
@@ -271,8 +272,18 @@ def _raise_edge_fault(raw_edges, n: int):
 
 
 def instance_from_dict(doc) -> Instance:
+    """The instance of either document kind: a JSON object with a
+    ``family`` key is a matroid instance, any other a tree instance."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
+    if "family" in doc:
+        return _matroid_instance_from_dict(doc)
+    return _tree_instance_from_dict(doc)
+
+
+def _tree_instance_from_dict(doc: dict) -> Instance:
+    """A tree document as the graphic matroid of its graph on 0..nodes-1,
+    which must be connected."""
     n = _int_field(doc, "nodes", "instance")
     k = _int_field(doc, "k", "instance")
     raw_edges = doc.get("edges")
@@ -283,11 +294,101 @@ def instance_from_dict(doc) -> Instance:
     if read is None:
         _raise_edge_fault(raw_edges, n)
     costs, scale = read
+    if n < 1:
+        raise ValidationError("instance needs at least one node")
     # checked before the graph is built, whose size grows with n
     if len(edges) < n - 1:
         raise ValidationError(f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes")
-    graph = MultiGraph(range(n), edges)
-    return Instance(graph=graph, costs=costs, k=k, scale=scale)
+    inst = Instance(matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=scale)
+    # the rank is one Kruskal scan: a spanning forest of n - 1 edges
+    if inst.rank < n - 1:
+        raise ValidationError("instance graph is not connected")
+    return inst
+
+
+def _is_id_list(raw) -> bool:
+    return isinstance(raw, list) and _int_column(raw)
+
+
+def matroid_from_dict(doc) -> Matroid:
+    family = doc.get("family")
+    if family == "graphic":
+        n = _int_field(doc, "nodes", "matroid")
+        if n < 0:
+            raise ParseError(f"graphic matroid: nodes {n} is negative")
+        raw = doc.get("edges")
+        if not isinstance(raw, list):
+            raise ParseError("graphic matroid: 'edges' must be a list")
+        edges = _edge_columns(raw, n)
+        if edges is None:
+            _raise_graphic_edge_fault(raw, n)
+        # an isolated node adds one to both the node count and the number
+        # of components, so no rank changes when the graph holds only the
+        # nodes its edges touch, however large `nodes` is
+        return GraphicMatroid(MultiGraph(chain.from_iterable(edges.values()), edges))
+    if family == "uniform":
+        raw = doc.get("elements")
+        if not _is_id_list(raw):
+            raise ParseError("uniform matroid: 'elements' must be a list of integers")
+        if len(set(raw)) != len(raw):
+            raise ParseError("uniform matroid: duplicate elements")
+        r = _int_field(doc, "rank", "matroid")
+        if r < 0:
+            raise ParseError(f"uniform matroid: rank {r} is negative")
+        return UniformMatroid(frozenset(raw), r)
+    if family == "partition":
+        raw = doc.get("parts")
+        if not isinstance(raw, list):
+            raise ParseError("partition matroid: 'parts' must be a list")
+        parts = []
+        for i, p in enumerate(raw):
+            where = f"parts[{i}]"
+            elems = _object(p, where).get("elements")
+            if not _is_id_list(elems):
+                raise ParseError(f"{where}: 'elements' must be a list of integers")
+            if len(set(elems)) != len(elems):
+                raise ParseError(f"{where}: duplicate elements")
+            cap = _int_field(p, "cap", where)
+            if cap < 0:
+                raise ParseError(f"{where}: cap {cap} is negative")
+            parts.append((frozenset(elems), cap))
+        try:
+            return PartitionMatroid(parts)
+        except ValidationError as exc:
+            raise ParseError(f"partition matroid: {exc}") from exc
+    raise ParseError(f"unknown matroid family {family!r}")
+
+
+def _raise_graphic_edge_fault(raw, n: int):
+    """The per-edge walk of a tree document, without its costs: raise the
+    first fault of a graphic edge list."""
+    for _ in _edge_entries(raw, n):
+        pass
+    raise _missed_fault("graphic edges")
+
+
+def _raise_cost_fault(raw):
+    """The per-entry walk: raise the first fault of a cost list, by index."""
+    costs = CostTable()
+    for i, entry in enumerate(raw):
+        where = f"costs[{i}]"
+        entry = _object(entry, where)
+        costs.add(_int_field(entry, "id", where), entry, where)
+    raise _missed_fault("costs")
+
+
+def _matroid_instance_from_dict(doc: dict) -> Instance:
+    matroid = matroid_from_dict(doc)
+    k = _int_field(doc, "k", "matroid instance")
+    raw = doc.get("costs")
+    if not isinstance(raw, list):
+        raise ParseError("matroid instance: 'costs' must be a list")
+    ids = _distinct_ids(raw) if _objects(raw) else None
+    read = None if ids is None else _cost_columns(raw, ids)
+    if read is None:
+        _raise_cost_fault(raw)
+    costs, scale = read
+    return Instance(matroid=matroid, costs=costs, k=k, scale=scale)
 
 
 def load_instance(path) -> Instance:
@@ -332,18 +433,19 @@ def _reject_constant(tok):
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    """The instance as a document: edges in id order, each object's keys in
+    """A graphic instance on nodes 0..n-1 as a tree document: edges in id order, each object's keys in
     the sorted order `serialize_instance` writes them in.  At scale 1 the
     cost columns are emitted as they are, since every cost is whole."""
     scale = inst.scale
     C, c, d = columns = (inst.costs.C, inst.costs.c, inst.costs.d)
     if scale != 1:
         C, c, d = ({e: _cost_out(v, scale) for e, v in column.items()} for column in columns)
-    ends = inst.graph.edges
+    graph = inst.matroid.graph
+    ends = graph.edges
     ids = sorted(ends)
     edges = [{"C": C[e], "c": c[e], "d": d[e], "id": e, "u": u, "v": v}
              for e, (u, v) in zip(ids, map(ends.__getitem__, ids))]
-    return {"edges": edges, "k": inst.k, "nodes": inst.graph.node_count}
+    return {"edges": edges, "k": inst.k, "nodes": graph.node_count}
 
 
 def _cost_out(v: int, scale: int):

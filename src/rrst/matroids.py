@@ -2,12 +2,15 @@
 
 These are the families the solver, `verify` and the brute-force oracle
 run.  A graphic matroid is the forests of a multigraph, which the solver
-selects over as spanning forests (`sides.GraphSide`); a uniform matroid is
-the partition matroid of one part.
+selects over as spanning forests (`sides.GraphSide`); a spanning-tree
+instance is the graphic matroid of a connected graph.  A uniform matroid
+is the partition matroid of one part.  This module holds the structures
+only: both kinds of instance document are read in instance.py.
 
 Rank and minimum-weight bases come from one greedy scan, which is exact
 for any matroid: against the independence test in general, and as a
-Kruskal scan of the multigraph for graphic matroids.  The solver's
+Kruskal scan of the multigraph for graphic matroids, whose full rank is
+that one scan over the edges.  The solver's
 integrality argument uses each stage's base polytope, that is its rank
 inequalities and the greedy algorithm, and never a minor; a partition
 matroid's deletion and contraction serve only `sides.MatroidSide`'s
@@ -17,31 +20,8 @@ matroid's deletion and contraction serve only `sides.MatroidSide`'s
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import (
-    ElementNotInGround,
-    GroundTooLarge,
-    ParseError,
-    ValidationError,
-)
-from .instance import (
-    CostColumns,
-    CostTable,
-    _check_cost_ids,
-    _check_scale,
-    _cost_columns,
-    _distinct_ids,
-    _edge_columns,
-    _edge_entries,
-    _int_column,
-    _int_field,
-    _missed_fault,
-    _object,
-    _objects,
-    parse_json,
-    read_json,
-)
+from .errors import ElementNotInGround, GroundTooLarge, ValidationError
 from .multigraph import MultiGraph
 
 ENUMERATION_GROUND_LIMIT = 20
@@ -103,6 +83,10 @@ class GraphicMatroid(Matroid):
 
     def max_independent(self, order) -> list[int]:
         return self.graph.spanning_forest(order)
+
+    def full_rank(self) -> int:
+        # one Kruskal scan, in any order: no check or sort of the ground set
+        return len(self.graph.spanning_forest(self.graph.edges))
 
 
 class PartitionMatroid(Matroid):
@@ -182,121 +166,3 @@ def enumerate_bases(matroid: Matroid) -> list[tuple[int, ...]]:
         for combo in itertools.combinations(ground, r)
         if matroid.is_independent(frozenset(combo))
     ]
-
-
-@dataclass(frozen=True)
-class MatroidInstance:
-    matroid: Matroid
-    costs: CostColumns
-    k: int
-    # every cost is an int in units of 1/scale
-    scale: int
-    # the matroid's full rank, by one greedy scan at construction
-    rank: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_scale(self.scale)
-        r = self.matroid.full_rank()
-        if not 0 <= self.k <= r:
-            raise ValidationError(f"k={self.k} outside 0..{r}")
-        _check_cost_ids(self.costs, self.matroid.ground)
-        object.__setattr__(self, "rank", r)
-
-    @property
-    def overlap_requirement(self) -> int:
-        return self.rank - self.k
-
-
-def _is_id_list(raw) -> bool:
-    return isinstance(raw, list) and _int_column(raw)
-
-
-def matroid_from_dict(doc) -> Matroid:
-    family = doc.get("family")
-    if family == "graphic":
-        n = _int_field(doc, "nodes", "matroid")
-        if n < 0:
-            raise ParseError(f"graphic matroid: nodes {n} is negative")
-        raw = doc.get("edges")
-        if not isinstance(raw, list):
-            raise ParseError("graphic matroid: 'edges' must be a list")
-        edges = _edge_columns(raw, n)
-        if edges is None:
-            _raise_graphic_edge_fault(raw, n)
-        # an isolated node adds one to both the node count and the number
-        # of components, so no rank changes when the graph holds only the
-        # nodes its edges touch, however large `nodes` is
-        return GraphicMatroid(MultiGraph(itertools.chain.from_iterable(edges.values()), edges))
-    if family == "uniform":
-        raw = doc.get("elements")
-        if not _is_id_list(raw):
-            raise ParseError("uniform matroid: 'elements' must be a list of integers")
-        if len(set(raw)) != len(raw):
-            raise ParseError("uniform matroid: duplicate elements")
-        r = _int_field(doc, "rank", "matroid")
-        if r < 0:
-            raise ParseError(f"uniform matroid: rank {r} is negative")
-        return UniformMatroid(frozenset(raw), r)
-    if family == "partition":
-        raw = doc.get("parts")
-        if not isinstance(raw, list):
-            raise ParseError("partition matroid: 'parts' must be a list")
-        parts = []
-        for i, p in enumerate(raw):
-            where = f"parts[{i}]"
-            elems = _object(p, where).get("elements")
-            if not _is_id_list(elems):
-                raise ParseError(f"{where}: 'elements' must be a list of integers")
-            if len(set(elems)) != len(elems):
-                raise ParseError(f"{where}: duplicate elements")
-            cap = _int_field(p, "cap", where)
-            if cap < 0:
-                raise ParseError(f"{where}: cap {cap} is negative")
-            parts.append((frozenset(elems), cap))
-        try:
-            return PartitionMatroid(parts)
-        except ValidationError as exc:
-            raise ParseError(f"partition matroid: {exc}") from exc
-    raise ParseError(f"unknown matroid family {family!r}")
-
-
-def _raise_graphic_edge_fault(raw, n: int):
-    """The per-edge walk of a tree document, without its costs: raise the
-    first fault of a graphic edge list."""
-    for _ in _edge_entries(raw, n):
-        pass
-    raise _missed_fault("graphic edges")
-
-
-def _raise_cost_fault(raw):
-    """The per-entry walk: raise the first fault of a cost list, by index."""
-    costs = CostTable()
-    for i, entry in enumerate(raw):
-        where = f"costs[{i}]"
-        entry = _object(entry, where)
-        costs.add(_int_field(entry, "id", where), entry, where)
-    raise _missed_fault("costs")
-
-
-def matroid_instance_from_dict(doc) -> MatroidInstance:
-    if not isinstance(doc, dict):
-        raise ParseError("matroid instance document must be a JSON object")
-    matroid = matroid_from_dict(doc)
-    k = _int_field(doc, "k", "matroid instance")
-    raw = doc.get("costs")
-    if not isinstance(raw, list):
-        raise ParseError("matroid instance: 'costs' must be a list")
-    ids = _distinct_ids(raw) if _objects(raw) else None
-    read = None if ids is None else _cost_columns(raw, ids)
-    if read is None:
-        _raise_cost_fault(raw)
-    costs, scale = read
-    return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=scale)
-
-
-def load_matroid_instance(path) -> MatroidInstance:
-    return matroid_instance_from_dict(read_json(path))
-
-
-def loads_matroid_instance(text) -> MatroidInstance:
-    return matroid_instance_from_dict(parse_json(text))

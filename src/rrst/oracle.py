@@ -3,6 +3,12 @@
 Everything here is deliberately naive: count trees by determinant,
 enumerate selections explicitly, scan all pairs.  The main solver is never
 consulted, so agreement between the two routes is meaningful evidence.
+
+`brute_force` takes any instance.  The bases of a graphic matroid on a
+connected graph are its spanning trees, enumerated by contraction and
+deletion once their count shows the pair scan takes them all; every other
+matroid's bases come from `matroids.enumerate_bases`, guarded by ground
+size.
 """
 
 from __future__ import annotations
@@ -11,11 +17,10 @@ from dataclasses import dataclass
 
 from .errors import NoBasis, TooManyTrees
 from .instance import Instance
-from .matroids import MatroidInstance, enumerate_bases
+from .matroids import GraphicMatroid, enumerate_bases
 from .multigraph import MultiGraph
 from .rational import Rat, rat
 
-ENUMERATION_TREE_LIMIT = 1_000_000
 PAIR_SCAN_LIMIT = 5_000_000
 
 
@@ -62,14 +67,11 @@ def count_spanning_trees(graph: MultiGraph) -> int:
 def enumerate_spanning_trees(graph: MultiGraph) -> list[tuple[int, ...]]:
     """All spanning trees as sorted edge-id tuples, each exactly once.
 
-    Contract/delete recursion on the lowest surviving edge id; refuses
-    graphs with more than ENUMERATION_TREE_LIMIT trees up front.
+    Contract/delete recursion on the lowest surviving edge id.  No bound:
+    `brute_force` counts the trees before it asks for them.
     """
-    total = count_spanning_trees(graph)
-    if total > ENUMERATION_TREE_LIMIT:
-        raise TooManyTrees(f"{total} spanning trees exceeds {ENUMERATION_TREE_LIMIT}")
     out: list[tuple[int, ...]] = []
-    if total == 0:
+    if not graph.is_connected():
         return out
 
     def rec(g: MultiGraph, chosen: list[int]):
@@ -140,14 +142,16 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
     return BruteResult(x_sel, y_sel, z, rat(first, scale), rat(second, scale), rat(total, scale), scanned)
 
 
-def brute_force_rrst(instance: Instance, prune: bool = False) -> BruteResult:
-    """Optimal tree pair by explicit enumeration (reference route)."""
-    trees = enumerate_spanning_trees(instance.graph)
-    trees.sort()
-    return _pair_scan(trees, instance.costs, instance.scale, instance.overlap_requirement, prune)
-
-
-def brute_force_rrmb(minstance: MatroidInstance, prune: bool = False) -> BruteResult:
+def brute_force(instance: Instance, prune: bool = False) -> BruteResult:
     """Optimal basis pair by explicit enumeration (reference route)."""
-    bases = enumerate_bases(minstance.matroid)
-    return _pair_scan(bases, minstance.costs, minstance.scale, minstance.overlap_requirement, prune)
+    matroid = instance.matroid
+    if isinstance(matroid, GraphicMatroid) and instance.rank == matroid.graph.node_count - 1:
+        # a connected graph: its bases are its spanning trees, refused
+        # before any is enumerated when the pair scan would refuse them
+        count = count_spanning_trees(matroid.graph)
+        if count ** 2 > PAIR_SCAN_LIMIT:
+            raise TooManyTrees(f"{count} spanning trees: {count}^2 selection pairs exceed {PAIR_SCAN_LIMIT}")
+        selections = sorted(enumerate_spanning_trees(matroid.graph))
+    else:
+        selections = enumerate_bases(matroid)
+    return _pair_scan(selections, instance.costs, instance.scale, instance.overlap_requirement, prune)

@@ -3,7 +3,10 @@
 Given costs C (commit now) and c+d (recover later) per element, the task is
 to pick a first selection X and second selection Y — spanning trees of one
 graph, or bases of one matroid — sharing at least a required number of
-elements, minimizing C(X) + (c+d)(Y).
+elements, minimizing C(X) + (c+d)(Y).  A spanning-tree instance is the
+graphic matroid of its graph (see instance.py), so one `solve` and one
+`verify_solution` serve every instance: a selection holds `rank` elements,
+and a valid one is a basis, of rank `rank`.
 
 With no overlap owed the two stages decouple, and each is completed
 greedily.  Otherwise the solver optimizes one linear relaxation by
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 from .errors import InternalError, ValidationError
 from .instance import Instance, _int_column
 from .lpmodel import CutPlaneResult, build_relaxation, cutting_plane_solve
-from .matroids import GraphicMatroid, MatroidInstance, PartitionMatroid
+from .matroids import GraphicMatroid, PartitionMatroid
 from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
@@ -90,8 +93,22 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_core(side, size: int, costs, scale: int, overlap_required: int) -> Solution:
-    """Solve over `side`, whose selections hold `size` elements."""
+def solve(instance: Instance) -> Solution:
+    """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
+
+    A graphic matroid, every tree instance among them, is solved on its
+    spanning forests, and a uniform or partition matroid by prefix scans
+    per part.  No other family has a route: ValidationError, whatever k.
+    """
+    matroid, costs, scale = instance.matroid, instance.costs, instance.scale
+    if isinstance(matroid, GraphicMatroid):
+        side = GraphSide(matroid.graph)
+    elif isinstance(matroid, PartitionMatroid):
+        side = MatroidSide(matroid)
+    else:
+        raise ValidationError(f"no solve route for the {matroid.family} matroid family: "
+                              "the solver runs graphic, uniform and partition matroids")
+    overlap_required = instance.overlap_requirement
     if overlap_required == 0:
         # no overlap is owed (always so when there is nothing to select),
         # so the stages decouple: complete each one greedily (every stage
@@ -102,7 +119,7 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int) -> So
         vertex = result = None
         iterations = 0
     else:
-        model = build_relaxation(side, size, overlap_required, costs)
+        model = build_relaxation(side, instance.rank, overlap_required, costs)
         result = cutting_plane_solve(model)
         vertex = result.solution
         # int numerators over den: a 0/1 vertex holds only 0 and den
@@ -139,31 +156,6 @@ def _solve_core(side, size: int, costs, scale: int, overlap_required: int) -> So
     )
 
 
-def solve_rrst(instance: Instance) -> Solution:
-    """Minimize C(X) + (c+d)(Y) over spanning-tree pairs with |X∩Y| large enough."""
-    return _solve_core(GraphSide(instance.graph), instance.n - 1, instance.costs, instance.scale,
-                       instance.overlap_requirement)
-
-
-def solve_rrmb(minstance: MatroidInstance) -> Solution:
-    """Minimize C(X) + (c+d)(Y) over basis pairs with |X∩Y| large enough.
-
-    A graphic matroid is solved on its spanning forests, by the tree route,
-    and a uniform or partition matroid by prefix scans per part.  No other
-    family has a route: ValidationError, whatever k.
-    """
-    matroid = minstance.matroid
-    if isinstance(matroid, GraphicMatroid):
-        side = GraphSide(matroid.graph)
-    elif isinstance(matroid, PartitionMatroid):
-        side = MatroidSide(matroid)
-    else:
-        raise ValidationError(f"no solve route for the {matroid.family} matroid family: "
-                              "the solver runs graphic, uniform and partition matroids")
-    return _solve_core(side, minstance.rank, minstance.costs, minstance.scale,
-                       minstance.overlap_requirement)
-
-
 # --- solution verification -------------------------------------------------
 
 
@@ -183,12 +175,18 @@ def _parse_selection(doc: dict, key: str, valid_ids) -> set:
     return out
 
 
-def _is_spanning_tree(graph, edges: set) -> bool:
-    return len(edges) == graph.node_count - 1 == len(graph.spanning_forest(edges))
-
-
-def _check_common(doc, X, Y, Z, costs, scale: int, overlap_required: int) -> list[str]:
+def verify_solution(instance: Instance, doc: dict) -> list[str]:
+    """Check a solution document against an instance; [] means valid."""
+    matroid, costs, rank = instance.matroid, instance.costs, instance.rank
+    ids = matroid.ground
+    X = _parse_selection(doc, "X", ids)
+    Y = _parse_selection(doc, "Y", ids)
+    Z = _parse_selection(doc, "Z", ids)
     failures = []
+    for key, selection in (("X", X), ("Y", Y)):
+        if len(selection) != rank or matroid.rank(selection) != rank:
+            failures.append(f"{key} not a basis")
+    overlap_required = instance.overlap_requirement
     if len(X & Y) < overlap_required:
         failures.append(
             f"overlap too small: X and Y share {len(X & Y)} elements, need {overlap_required}"
@@ -209,40 +207,7 @@ def _check_common(doc, X, Y, Z, costs, scale: int, overlap_required: int) -> lis
         except ExactnessError as exc:
             failures.append(f"unreadable {key}: {exc}")
             continue
-        if claimed * scale != expected:
+        if claimed * instance.scale != expected:
             failures.append(f"cost mismatch: {key} claims {rat_str(claimed)}, "
-                            f"selections cost {rat_str(rat(expected, scale))}")
-    return failures
-
-
-def verify_tree_solution(instance: Instance, doc: dict) -> list[str]:
-    """Check a solution document against a tree instance; [] means valid."""
-    ids = instance.graph.edges.keys()
-    X = _parse_selection(doc, "X", ids)
-    Y = _parse_selection(doc, "Y", ids)
-    Z = _parse_selection(doc, "Z", ids)
-    failures = []
-    if not _is_spanning_tree(instance.graph, X):
-        failures.append("X not spanning")
-    if not _is_spanning_tree(instance.graph, Y):
-        failures.append("Y not spanning")
-    failures += _check_common(doc, X, Y, Z, instance.costs, instance.scale, instance.overlap_requirement)
-    return failures
-
-
-def verify_basis_solution(minstance: MatroidInstance, doc: dict) -> list[str]:
-    """Check a solution document against a matroid instance; [] means valid."""
-    matroid = minstance.matroid
-    ids = matroid.ground
-    X = _parse_selection(doc, "X", ids)
-    Y = _parse_selection(doc, "Y", ids)
-    Z = _parse_selection(doc, "Z", ids)
-    failures = []
-    rank = minstance.rank
-    if len(X) != rank or matroid.rank(X) != rank:
-        failures.append("X not a basis")
-    if len(Y) != rank or matroid.rank(Y) != rank:
-        failures.append("Y not a basis")
-    failures += _check_common(doc, X, Y, Z, minstance.costs, minstance.scale,
-                              minstance.overlap_requirement)
+                            f"selections cost {rat_str(rat(expected, instance.scale))}")
     return failures

@@ -22,8 +22,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from rrst import simplex
-from rrst.instance import CostColumns, Instance
-from rrst.matroids import Matroid, MatroidInstance, PartitionMatroid, UniformMatroid
+from rrst.instance import CostColumns, Instance, instance_from_dict, instance_to_dict
+from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 
 
@@ -99,19 +99,29 @@ def make_instance(n, pairs, triples, k) -> Instance:
     """Instance from endpoint pairs and (C, c, d) triples, ids 0..m-1."""
     edges = {i: tuple(p) for i, p in enumerate(pairs)}
     costs = CostColumns.from_rows(dict(enumerate(triples)))
-    return Instance(graph=MultiGraph(range(n), edges), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=1)
 
 
-def make_uniform_instance(m, r, triples, k) -> MatroidInstance:
+def graphic_twin(inst) -> Instance:
+    """A tree instance read back from its graphic-matroid document."""
+    doc = instance_to_dict(inst)
+    edges = doc["edges"]
+    return instance_from_dict({
+        "family": "graphic", "nodes": doc["nodes"], "k": doc["k"],
+        "edges": [{"id": e["id"], "u": e["u"], "v": e["v"]} for e in edges],
+        "costs": [{"id": e["id"], "C": e["C"], "c": e["c"], "d": e["d"]} for e in edges]})
+
+
+def make_uniform_instance(m, r, triples, k) -> Instance:
     costs = CostColumns.from_rows(dict(enumerate(triples)))
-    return MatroidInstance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k, scale=1)
+    return Instance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k, scale=1)
 
 
-def make_partition_instance(parts, triples, k) -> MatroidInstance:
+def make_partition_instance(parts, triples, k) -> Instance:
     """parts: list of (elements, cap); triples keyed by element id."""
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
     costs = CostColumns.from_rows(triples)
-    return MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+    return Instance(matroid=matroid, costs=costs, k=k, scale=1)
 
 
 class GenericOracleMatroid(Matroid):

@@ -6,8 +6,8 @@ The shared corpus (built once per session) covers:
              nodes, three cost patterns, every recovery budget) plus 200
              seeded random instances on 4-6 nodes;
 * matroids - uniform and partition matroids with ground size <= 10 across
-             100 seeded cost draws and every budget, plus graphic matroids
-             cross-checked against the tree route.
+             100 seeded cost draws and every budget, plus tree instances
+             read back from their graphic-matroid documents.
 
 Every corpus instance is solved once (and once more for byte determinism),
 so the criteria can audit the overlap, LP bound tightness, the iteration
@@ -28,33 +28,21 @@ import pytest
 
 from rrst.errors import InternalError, RRSTError
 from rrst.gen import builtin_small_suite, generate_instance
-from rrst.instance import CostColumns
-from rrst.matroids import (
-    GraphicMatroid,
-    MatroidInstance,
-    PartitionMatroid,
-    UniformMatroid,
-)
+from rrst.instance import CostColumns, Instance
+from rrst.matroids import PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
-from rrst.oracle import brute_force_rrmb, brute_force_rrst
+from rrst.oracle import brute_force
 from rrst.rational import ZERO, rat
 from rrst.separation import separate_forest
 from rrst.sides import GraphSide
-from rrst.solver import (
-    serialize_solution,
-    solution_to_dict,
-    solve_rrmb,
-    solve_rrst,
-    verify_basis_solution,
-    verify_tree_solution,
-)
+from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
-from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, violation
+from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, graphic_twin, violation
 from reference_separation import separate_forest_exhaustive
 
 # sha256 over the serialized solution of every corpus solve, in corpus
-# order: tree runs, matroid runs, then each graphic case by the tree route
-# and by the matroid route
+# order: tree runs, matroid runs, then each graphic case read from its tree
+# document and from its graphic-matroid document
 GOLDEN_DIGEST = "0417dd60442bc70f9f84fda4e4b7f3ca1bc7bc8c03f9a8d4b7051b6a103994b2"
 
 
@@ -101,14 +89,14 @@ class Corpus:
         return self.tree_runs + self.matroid_runs
 
 
-def _run_case(name, instance, solver, reference) -> Run:
+def _run_case(name, instance) -> Run:
     try:
-        sol = solver(instance)
+        sol = solve(instance)
     except RRSTError as exc:
         sol, raised = None, f"{type(exc).__name__}: {exc}"
     else:
         raised = None
-    ref = reference(instance, prune=True)
+    ref = brute_force(instance, prune=True)
     text = "" if sol is None else serialize_solution(sol)
     need = instance.overlap_requirement
     return Run(
@@ -118,7 +106,7 @@ def _run_case(name, instance, solver, reference) -> Run:
         lp_bound=None if sol is None else sol.lp_bound,
         iterations=0 if sol is None else sol.iterations,
         oracle_total=ref.total,
-        bytes_stable=sol is not None and text == serialize_solution(solver(instance)),
+        bytes_stable=sol is not None and text == serialize_solution(solve(instance)),
         overlap_ok=sol is not None and len(sol.Z) == need and set(sol.Z) <= set(sol.X) & set(sol.Y),
         raised=raised,
     )
@@ -158,14 +146,13 @@ def _matroid_cases():
         })
         rank = matroid.full_rank()
         for k in range(rank + 1):
-            yield f"draw{i}-{matroid.family}-k{k}", MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+            yield f"draw{i}-{matroid.family}-k{k}", Instance(matroid=matroid, costs=costs, k=k, scale=1)
 
 
 def _graphic_matroid_cases():
     for i in range(30):
         inst = generate_instance(5, 0.6, i % 5, 10, 7000 + i)
-        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
-        yield f"graphic{7000 + i}", inst, mi
+        yield f"graphic{7000 + i}", inst, graphic_twin(inst)
 
 
 @pytest.fixture(scope="module")
@@ -173,18 +160,18 @@ def corpus() -> Corpus:
     c = Corpus()
     t0 = time.perf_counter()
     for name, inst in [*builtin_small_suite(), *_seeded_tree_instances()]:
-        c.tree_runs.append(_run_case(name, inst, solve_rrst, brute_force_rrst))
+        c.tree_runs.append(_run_case(name, inst))
     c.tree_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for name, mi in _matroid_cases():
-        c.matroid_runs.append(_run_case(name, mi, solve_rrmb, brute_force_rrmb))
+        c.matroid_runs.append(_run_case(name, mi))
     c.matroid_seconds = time.perf_counter() - t0
 
     for name, inst, mi in _graphic_matroid_cases():
         c.graphic_runs.append(GraphicRun(
-            name, inst, mi, solve_rrst(inst), solve_rrmb(mi),
-            brute_force_rrmb(mi, prune=True).total,
+            name, inst, mi, solve(inst), solve(mi),
+            brute_force(mi, prune=True).total,
         ))
     return c
 
@@ -204,20 +191,21 @@ def test_criterion_2_matroid_solver_matches_oracle(corpus):
     bad = [r.name for r in corpus.matroid_runs if r.total != r.oracle_total]
     graphic_bad = []
     for g in corpus.graphic_runs:
-        # a graphic matroid is solved on its spanning forests, so both routes
-        # must print the same document, at the oracle's optimum
+        # a tree document and its graphic-matroid document read into the
+        # same instance, so both must print the same document, at the
+        # oracle's optimum
         if not (
             serialize_solution(g.tree_sol) == serialize_solution(g.basis_sol)
             and g.tree_sol.total == g.oracle_total
-            and verify_tree_solution(g.instance, solution_to_dict(g.tree_sol)) == []
-            and verify_basis_solution(g.minstance, solution_to_dict(g.basis_sol)) == []
+            and verify_solution(g.instance, solution_to_dict(g.tree_sol)) == []
+            and verify_solution(g.minstance, solution_to_dict(g.basis_sol)) == []
         ):
             graphic_bad.append(g.name)
     ok = not bad and not graphic_bad and corpus.matroid_seconds < 300
     _verdict(
         2, ok,
         f"matroid corpus {len(corpus.matroid_runs)} instances (uniform+partition, "
-        f"ground<=10, every budget) + 30 graphic cross-checks by both routes, "
+        f"ground<=10, every budget) + 30 graphic cross-checks from both documents, "
         f"{len(bad) + len(graphic_bad)} disagreements, {corpus.matroid_seconds:.1f}s",
     )
 
@@ -319,8 +307,8 @@ def test_criterion_8_analytic_extremes():
     for i in range(100):
         n = 10 + i % 21  # 10..30
         inst0 = generate_instance(n, 0.3, 0, 30, 5000 + i)
-        sol0 = solve_rrst(inst0)
-        side = GraphSide(inst0.graph)
+        sol0 = solve(inst0)
+        side = GraphSide(inst0.matroid.graph)
         both = {e: C + inst0.costs.second[e] for e, C in inst0.costs.C.items()}
         mst_both = side.complete_min(both)
         weight_both = sum((both[e] for e in mst_both), ZERO)
@@ -328,7 +316,7 @@ def test_criterion_8_analytic_extremes():
             failures.append(f"k=0 seed {5000 + i}")
 
         instf = generate_instance(n, 0.3, n - 1, 30, 5000 + i)
-        solf = solve_rrst(instf)
+        solf = solve(instf)
         mst_first = side.complete_min(instf.costs.C)
         mst_second = side.complete_min(instf.costs.second)
         w1 = sum((instf.costs.C[e] for e in mst_first), ZERO)

@@ -14,9 +14,9 @@ import pytest
 from rrst import cli, lpmodel, oracle, sides
 from rrst.errors import InternalError, IterationLimit
 from rrst.instance import load_instance
-from rrst.oracle import BruteResult, brute_force_rrst
+from rrst.oracle import BruteResult, brute_force
 from rrst.rational import rat, rat_str
-from rrst.solver import solve_rrst
+from rrst.solver import solve
 
 
 def run(argv):
@@ -150,7 +150,7 @@ def test_kind_and_prune_flags_are_gone(inst_file, capsys):
 def test_oracle_bounds_its_pair_scan(inst_file, capsys):
     """`oracle` always prunes its pair scan, and finds the full scan's
     optimum."""
-    full = brute_force_rrst(load_instance(inst_file))
+    full = brute_force(load_instance(inst_file))
     assert run(["oracle", "--input", str(inst_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["X"], doc["Y"], doc["Z"], doc["total"]) == (
@@ -174,11 +174,11 @@ def test_debug_log_times_and_program_size(inst_file, level):
         assert debug == []
         return
     inst = load_instance(inst_file)
-    sol = solve_rrst(inst)
+    sol = solve(inst)
     assert [re.sub(r"[0-9.]+ ms$", "T ms", line) for line in debug] == [
         f"read {inst_file} in T ms",
         "solved in T ms",
-        f"LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * inst.m} columns",
+        f"LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * len(inst.costs.C)} columns",
         "wrote the solution in T ms",
     ]
 
@@ -260,7 +260,7 @@ def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     doc["X"] = doc["X"][:-1] + doc["X"][-1:][:0]  # drop an edge
     sol.write_text(json.dumps(doc))
     assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 3
-    assert "X not spanning" in capsys.readouterr().err.splitlines()[0]
+    assert "X not a basis" in capsys.readouterr().err.splitlines()[0]
 
 
 INVALID_INSTANCES = {
@@ -330,7 +330,7 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
     def boom(*a, **kw):
         raise InternalError("deliberate breach")
 
-    monkeypatch.setattr(cli, "solve_rrst", boom)
+    monkeypatch.setattr(cli, "solve", boom)
     assert run(["solve", "--input", str(inst_file)]) == 4
 
 
@@ -387,8 +387,8 @@ def test_compare_seeds_reports(tmp_path, capsys):
     assert len(reports) == 4
     for r in reports:
         assert r["agree"] is True
-        assert r["n"] == 5 and r["error"] is None
-        assert set(r) >= {"name", "n", "m", "k", "total", "oracle_total",
+        assert r["rank"] == 4 and r["elements"] >= 4 and r["error"] is None
+        assert set(r) >= {"name", "elements", "rank", "k", "total", "oracle_total",
                           "agree", "wall_ms", "iterations", "rounds", "cuts"}
     # deterministic instance order: seeds ascending
     assert [r["name"] for r in reports] == sorted(
@@ -421,7 +421,7 @@ def test_compare_disagreement_exits_3(tmp_path, monkeypatch):
     def wrong_oracle(inst, prune=False):
         return BruteResult((), (), (), rat(0), rat(0), rat(10 ** 9), 0)
 
-    monkeypatch.setattr(cli, "brute_force_rrst", wrong_oracle)
+    monkeypatch.setattr(cli, "brute_force", wrong_oracle)
     assert run(["compare", "--seeds", "1..2", "--nodes", "4",
                 "--output", str(tmp_path / "r.jsonl")]) == 3
 
@@ -429,7 +429,7 @@ def test_compare_disagreement_exits_3(tmp_path, monkeypatch):
 @pytest.mark.parametrize("plan, code", [(("large", "ok"), 2), (("large", "wrong"), 3),
                                         (("wrong", "bug", "large"), 4)])
 def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_path, monkeypatch, plan, code):
-    real, faults = cli.solve_rrst, iter(plan)
+    real, faults = cli.solve, iter(plan)
 
     def planned(inst):
         fault = next(faults)
@@ -440,7 +440,7 @@ def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_pa
         sol = real(inst)
         return dataclasses.replace(sol, total=sol.total + 1) if fault == "wrong" else sol
 
-    monkeypatch.setattr(cli, "solve_rrst", planned)
+    monkeypatch.setattr(cli, "solve", planned)
     assert run(["compare", "--seeds", f"1..{len(plan)}", "--nodes", "4",
                 "--output", str(tmp_path / "r.jsonl")]) == code
 
@@ -448,7 +448,7 @@ def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_pa
 def test_compare_oracle_skipped_past_its_limit(tmp_path, monkeypatch):
     """An instance past the oracle's enumeration bound is solved and
     reported with the oracle skipped; the run still exits 0."""
-    monkeypatch.setattr(oracle, "ENUMERATION_TREE_LIMIT", 1)
+    monkeypatch.setattr(oracle, "PAIR_SCAN_LIMIT", 0)
     out = tmp_path / "r.jsonl"
     assert run(["compare", "--seeds", "1..2", "--nodes", "5", "--output", str(out)]) == 0
     reports = [json.loads(l) for l in out.read_text().splitlines()]
@@ -457,6 +457,40 @@ def test_compare_oracle_skipped_past_its_limit(tmp_path, monkeypatch):
         assert r["error"].startswith("oracle skipped: TooManyTrees: ")
         assert r["total"] is not None
         assert r["oracle_total"] is None and r["agree"] is None
+
+
+def test_compare_directory_suite_reads_either_kind(tmp_path, inst_file):
+    """A directory holding a tree document and a partition document is
+    compared as one suite: each line names its elements and rank."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a-tree.json").write_bytes(inst_file.read_bytes())
+    (suite / "b-partition.json").write_text(json.dumps({
+        "family": "partition", "k": 1,
+        "parts": [{"elements": [0, 1, 2], "cap": 1}, {"elements": [3, 4, 5], "cap": 2}],
+        "costs": [{"id": e, "C": (3 * e) % 5, "c": (2 * e + 1) % 4, "d": e % 3} for e in range(6)]}))
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--suite", str(suite), "--output", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    tree = load_instance(inst_file)
+    assert [(r["name"], r["elements"], r["rank"], r["k"]) for r in reports] == [
+        ("a-tree.json", len(tree.costs.C), 4, 1), ("b-partition.json", 6, 3, 1)]
+    assert all(r["agree"] is True and r["error"] is None for r in reports)
+
+
+def test_compare_skips_an_oracle_past_its_ground_bound(tmp_path):
+    """A matroid document past the oracle's ground-set bound is solved and
+    reported with the oracle skipped, as a tree past its tree bound is."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "uniform.json").write_text(json.dumps({
+        "family": "uniform", "elements": list(range(21)), "rank": 3, "k": 1,
+        "costs": [{"id": e, "C": e % 7, "c": e % 5, "d": e % 3} for e in range(21)]}))
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--suite", str(suite), "--output", str(out)]) == 0
+    [report] = [json.loads(l) for l in out.read_text().splitlines()]
+    assert report["error"].startswith("oracle skipped: GroundTooLarge: ground has 21 elements")
+    assert report["total"] is not None and report["agree"] is None
 
 
 def test_compare_no_oracle(tmp_path):

@@ -11,11 +11,10 @@ import random
 
 import pytest
 
-from rrst import instance, matroids
+from rrst import instance
 from rrst.errors import InternalError, ParseError, ValidationError
 from rrst.gen import generate_instance
 from rrst.instance import instance_to_dict, loads_instance
-from rrst.matroids import loads_matroid_instance
 from rrst.rational import MAX_DIGITS
 
 AT = 37
@@ -97,27 +96,24 @@ def walks(monkeypatch):
     tree and graphic documents share."""
     counts = {}
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(name):
+        real = getattr(instance, name)
 
         def wrapper(*args):
             counts[name] = counts.get(name, 0) + 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(instance, name, wrapper)
 
-    counted(instance, "_raise_edge_fault")
-    counted(instance, "_edge_entries")
-    counted(matroids, "_edge_entries")
-    counted(matroids, "_raise_graphic_edge_fault")
-    counted(matroids, "_raise_cost_fault")
+    for name in ("_raise_edge_fault", "_edge_entries", "_raise_graphic_edge_fault", "_raise_cost_fault"):
+        counted(name)
     return counts
 
 
 def test_valid_documents_never_run_the_walk(walks):
     loads_instance(json.dumps(TREE_DOC))
-    loads_matroid_instance(json.dumps(_graphic_doc()))
-    loads_matroid_instance(json.dumps(_uniform_doc()))
+    loads_instance(json.dumps(_graphic_doc()))
+    loads_instance(json.dumps(_uniform_doc()))
     assert walks == {}
 
 
@@ -143,7 +139,7 @@ def test_graphic_edge_fault_is_named_at_its_index(kind, walks):
     mutate, err, message = GRAPHIC_FAULTS[kind]
     doc = _graphic_doc()
     mutate(doc["edges"], AT)
-    _assert_fault(loads_matroid_instance, doc, err, f"edges[{AT}]: {message}", walks,
+    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
                   "_raise_graphic_edge_fault", "_edge_entries")
 
 
@@ -153,7 +149,7 @@ def test_matroid_cost_fault_is_named_at_its_index(kind, family, walks):
     mutate, err, message = COST_FAULTS[kind]
     doc = _graphic_doc() if family == "graphic" else _uniform_doc()
     mutate(doc["costs"], AT)
-    _assert_fault(loads_matroid_instance, doc, err, f"costs[{AT}]: {message}", walks, "_raise_cost_fault")
+    _assert_fault(loads_instance, doc, err, f"costs[{AT}]: {message}", walks, "_raise_cost_fault")
 
 
 @pytest.mark.parametrize("first,later", [("negative d", "self-loop"), ("self-loop", "negative d"),
@@ -223,6 +219,6 @@ def test_random_edits_are_judged_as_the_walk_judges_them():
                    "costs": [{"id": e["id"], "C": e["C"], "c": e["c"], "d": e["d"]} for e in base["edges"]]}
         part, fields = rng.choice([("edges", FIELDS[:3]), ("costs", ["id", *FIELDS[3:]])])
         _scramble(rng, graphic[part], fields)
-        walk = (matroids._raise_graphic_edge_fault, graphic["edges"], 6) if part == "edges" else \
-            (matroids._raise_cost_fault, graphic["costs"])
-        _agree(matroids.matroid_instance_from_dict, graphic, *walk)
+        walk = (instance._raise_graphic_edge_fault, graphic["edges"], 6) if part == "edges" else \
+            (instance._raise_cost_fault, graphic["costs"])
+        _agree(instance.instance_from_dict, graphic, *walk)

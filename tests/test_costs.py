@@ -11,11 +11,10 @@ from rrst import cli, lpmodel, solver
 from rrst.errors import ParseError, ValidationError
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns, Instance, instance_to_dict, loads_instance
-from rrst.matroids import GraphicMatroid, MatroidInstance, loads_matroid_instance
-from rrst.oracle import brute_force_rrmb, brute_force_rrst
+from rrst.oracle import brute_force
 from rrst.rational import MAX_DIGITS, parse_exact, rat
 from rrst.sides import GraphSide, MatroidSide
-from rrst.solver import solution_to_dict, solve_rrmb, solve_rrst, verify_basis_solution, verify_tree_solution
+from rrst.solver import solution_to_dict, solve, verify_solution
 
 COST_KEYS = ("C", "c", "d")
 
@@ -76,12 +75,12 @@ def test_fractional_tree_costs_match_the_oracle_and_the_integer_twin():
     for doc in _tree_docs():
         inst = loads_instance(json.dumps(doc))
         scales.add(inst.scale)
-        sol = solve_rrst(inst)
-        assert sol.total == brute_force_rrst(inst, prune=True).total, doc
-        assert verify_tree_solution(inst, solution_to_dict(sol)) == []
+        sol = solve(inst)
+        assert sol.total == brute_force(inst, prune=True).total, doc
+        assert verify_solution(inst, solution_to_dict(sol)) == []
         twin = loads_instance(json.dumps(dict(doc, edges=_twin(doc["edges"], inst.scale))))
         assert twin.scale == 1
-        _check_against_twin(sol, solve_rrst(twin), inst.scale)
+        _check_against_twin(sol, solve(twin), inst.scale)
     assert max(scales) > 1 and len(scales) > 2, scales
 
 
@@ -89,15 +88,15 @@ def test_fractional_matroid_costs_match_the_oracle_and_the_integer_twin():
     scales = set()
     families = set()
     for doc in _matroid_docs():
-        minst = loads_matroid_instance(json.dumps(doc))
+        minst = loads_instance(json.dumps(doc))
         scales.add(minst.scale)
         families.add(doc["family"])
-        sol = solve_rrmb(minst)
-        assert sol.total == brute_force_rrmb(minst, prune=True).total, doc
-        assert verify_basis_solution(minst, solution_to_dict(sol)) == []
-        twin = loads_matroid_instance(json.dumps(dict(doc, costs=_twin(doc["costs"], minst.scale))))
+        sol = solve(minst)
+        assert sol.total == brute_force(minst, prune=True).total, doc
+        assert verify_solution(minst, solution_to_dict(sol)) == []
+        twin = loads_instance(json.dumps(dict(doc, costs=_twin(doc["costs"], minst.scale))))
         assert twin.scale == 1
-        _check_against_twin(sol, solve_rrmb(twin), minst.scale)
+        _check_against_twin(sol, solve(twin), minst.scale)
     assert families == {"uniform", "partition", "graphic"}
     assert max(scales) > 1 and len(scales) > 2, scales
 
@@ -162,18 +161,18 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
     monkeypatch.setattr(solver, "build_relaxation", recording_build)
 
     tree = loads_instance(json.dumps(INT_TREE_DOC))
-    minst = loads_matroid_instance(json.dumps(INT_MATROID_DOC))
+    minst = loads_instance(json.dumps(INT_MATROID_DOC))
     generated = generate_instance(6, 0.5, 5, 9, 1)
     for costs in (tree.costs, minst.costs, generated.costs):
         assert all(type(v) is int for column in (costs.C, costs.c, costs.d, costs.second)
                    for v in column.values())
     assert tree.scale == minst.scale == generated.scale == 1
 
-    solve_rrst(tree)
-    solve_rrmb(minst)
-    solve_rrst(generated)
-    solve_rrst(Instance(generated.graph, generated.costs, k=2, scale=generated.scale))
-    assert len(weights_seen) == 2 * (3 + 4 + generated.m)
+    solve(tree)
+    solve(minst)
+    solve(generated)
+    solve(Instance(generated.matroid, generated.costs, k=2, scale=generated.scale))
+    assert len(weights_seen) == 2 * (3 + 4 + len(generated.costs.C))
     assert all(type(w) is int for w in weights_seen)
     assert objectives_seen and all(type(v) is int for v in objectives_seen)
 
@@ -182,7 +181,7 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
 def test_instance_scale_must_be_a_positive_int(kwargs):
     inst = generate_instance(3, 0.5, 1, 5, 1)
     with pytest.raises(ValidationError, match="scale"):
-        Instance(inst.graph, inst.costs, inst.k, **kwargs)
+        Instance(inst.matroid, inst.costs, inst.k, **kwargs)
 
 
 def test_an_instance_is_not_built_without_its_scale():
@@ -190,15 +189,13 @@ def test_an_instance_is_not_built_without_its_scale():
     # read over another scale
     inst = loads_instance(json.dumps(PATH_DOC))
     with pytest.raises(TypeError, match="scale"):
-        Instance(inst.graph, inst.costs, inst.k)
-    with pytest.raises(TypeError, match="scale"):
-        MatroidInstance(GraphicMatroid(inst.graph), inst.costs, inst.k)
+        Instance(inst.matroid, inst.costs, inst.k)
 
 
 def test_a_cost_id_given_twice_is_a_parse_error():
     doc = dict(INT_MATROID_DOC, costs=INT_MATROID_DOC["costs"] + [INT_MATROID_DOC["costs"][0]])
     with pytest.raises(ParseError, match=r"costs\[4\]: duplicate cost id 0"):
-        loads_matroid_instance(json.dumps(doc))
+        loads_instance(json.dumps(doc))
 
 
 def test_fraction_costs_are_rejected_at_construction():

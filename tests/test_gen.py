@@ -51,17 +51,17 @@ def test_generated_documents_are_pinned(nodes):
 
 def test_density_extremes():
     tree = generate_instance(8, 0.0, 3, 10, 5)
-    assert tree.m == 7
-    assert tree.graph.is_connected()
+    assert len(tree.costs.C) == 7
+    assert tree.matroid.graph.is_connected()
     full = generate_instance(8, 1.0, 3, 10, 5)
-    assert full.m == 8 * 7 // 2
+    assert len(full.costs.C) == 8 * 7 // 2
 
 
 def test_instances_are_valid_and_costs_bounded():
     for seed in range(20):
         inst = generate_instance(6, 0.5, seed % 6, 9, seed)
-        assert inst.graph.is_connected()
-        assert inst.n == 6
+        assert inst.matroid.graph.is_connected()
+        assert inst.matroid.graph.node_count == 6 and inst.rank == 5
         for column in (inst.costs.C, inst.costs.c, inst.costs.d):
             for v in column.values():
                 assert rat(0) <= v <= rat(9)
@@ -75,7 +75,7 @@ def test_zero_cost_max():
 
 def test_single_node():
     inst = generate_instance(1, 0.5, 0, 10, 0)
-    assert inst.n == 1 and inst.m == 0
+    assert inst.matroid.graph.node_count == 1 and len(inst.costs.C) == 0
 
 
 @pytest.mark.parametrize(
@@ -113,8 +113,8 @@ def test_builtin_suite_shape():
     names = [name for name, _ in suite]
     assert len(set(names)) == len(names)
     for name, inst in suite:
-        assert inst.graph.is_connected()
-        assert 0 <= inst.k <= inst.n - 1
+        assert inst.matroid.graph.is_connected()
+        assert 0 <= inst.k <= inst.rank == inst.matroid.graph.node_count - 1
         assert any(p in name for p in BUILTIN_PATTERNS)
 
 

@@ -26,7 +26,8 @@ DOC = {
 
 def test_parse_round_trip():
     inst = loads_instance(json.dumps(DOC))
-    assert inst.n == 3 and inst.m == 3 and inst.k == 1
+    assert inst.matroid.graph.node_count == 3 and len(inst.costs.C) == 3 and inst.k == 1
+    assert inst.rank == 2
     # costs are ints over the LCM of their denominators: 3, 5/2, 1/2 over 2
     assert inst.scale == 2
     assert (inst.costs.C[0], inst.costs.c[0], inst.costs.d[0]) == (6, 5, 1)
@@ -87,6 +88,28 @@ def test_disconnected_graph_rejected():
         loads_instance(json.dumps(doc))
 
 
+def test_disconnected_graph_with_enough_edges_rejected_by_its_rank():
+    """A triangle and an isolated node: three edges could connect four
+    nodes, but the graphic matroid's rank is 2, below n - 1."""
+    edges = [{"id": i, "u": u, "v": v, "C": 1, "c": 1, "d": 1}
+             for i, (u, v) in enumerate([(0, 1), (0, 2), (1, 2)])]
+    with pytest.raises(ValidationError, match="^instance graph is not connected$"):
+        loads_instance(json.dumps({"nodes": 4, "k": 0, "edges": edges}))
+
+
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_a_tree_document_needs_a_node(nodes):
+    with pytest.raises(ValidationError, match="^instance needs at least one node$"):
+        loads_instance(json.dumps({"nodes": nodes, "k": 0, "edges": []}))
+
+
+def test_a_family_key_reads_a_matroid_document():
+    doc = {"family": "uniform", "elements": [0, 1, 2], "rank": 2, "k": 1,
+           "costs": [{"id": e, "C": 1, "c": 1, "d": 1} for e in range(3)]}
+    inst = loads_instance(json.dumps(doc))
+    assert inst.matroid.family == "uniform" and inst.rank == 2 and inst.overlap_requirement == 1
+
+
 def test_too_few_edges_rejected_before_the_graph_is_built():
     doc = {"nodes": 5, "k": 0, "edges": []}
     with pytest.raises(ValidationError, match="0 edges cannot connect 5 nodes"):
@@ -95,7 +118,8 @@ def test_too_few_edges_rejected_before_the_graph_is_built():
 
 def test_single_node_instance_valid():
     inst = loads_instance(json.dumps({"nodes": 1, "k": 0, "edges": []}))
-    assert inst.n == 1 and inst.m == 0 and inst.overlap_requirement == 0
+    assert inst.matroid.graph.node_count == 1 and len(inst.costs.C) == 0
+    assert inst.rank == inst.overlap_requirement == 0
 
 
 def test_negative_costs_rejected_at_construction():

@@ -83,7 +83,7 @@ def test_cutting_plane_merged_k3():
 
 
 def _initial_model(inst):
-    return build_relaxation(GraphSide(inst.graph), inst.n - 1, inst.overlap_requirement, inst.costs)
+    return build_relaxation(GraphSide(inst.matroid.graph), inst.rank, inst.overlap_requirement, inst.costs)
 
 
 def test_cutting_plane_adds_cuts_and_final_point_is_clean():

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst.errors import ElementNotInGround, GroundTooLarge, ParseError, ValidationError
-from rrst.matroids import (
-    GraphicMatroid,
-    PartitionMatroid,
-    UniformMatroid,
-    enumerate_bases,
-    greedy_min_basis,
-    matroid_from_dict,
-)
+from rrst.instance import matroid_from_dict
+from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid, enumerate_bases, greedy_min_basis
 from rrst.multigraph import MultiGraph
 from rrst.rational import rat
 

@@ -5,19 +5,16 @@ import random
 
 import pytest
 
+from rrst import oracle
 from rrst.errors import NoBasis, TooManyTrees
 from rrst.gen import generate_instance
-from rrst.matroids import GraphicMatroid, MatroidInstance
+from rrst.instance import CostColumns, Instance
+from rrst.matroids import GraphicMatroid, enumerate_bases
 from rrst.multigraph import MultiGraph
-from rrst.oracle import (
-    brute_force_rrmb,
-    brute_force_rrst,
-    count_spanning_trees,
-    enumerate_spanning_trees,
-)
+from rrst.oracle import PAIR_SCAN_LIMIT, brute_force, count_spanning_trees, enumerate_spanning_trees
 from rrst.rational import rat
 
-from conftest import make_instance, make_partition_instance, make_uniform_instance
+from conftest import graphic_twin, make_instance, make_partition_instance, make_uniform_instance
 
 
 def complete_graph(n):
@@ -67,14 +64,34 @@ def test_enumeration_matches_count_and_is_sorted():
             assert GraphicMatroid(g).is_independent(frozenset(t))
 
 
+def _unit_instance(graph, k=0) -> Instance:
+    costs = CostColumns.from_rows(dict.fromkeys(graph.edges, (1, 1, 1)))
+    return Instance(matroid=GraphicMatroid(graph), costs=costs, k=k, scale=1)
+
+
 def test_enumeration_guard():
-    with pytest.raises(TooManyTrees):
-        enumerate_spanning_trees(complete_graph(12))  # 12^10 trees
+    with pytest.raises(TooManyTrees, match=r"^61917364224 spanning trees: .* exceed 5000000$"):
+        brute_force(_unit_instance(complete_graph(12)))  # 12^10 trees
+
+
+def test_trees_past_the_pair_scan_are_refused_before_any_is_enumerated(monkeypatch):
+    """The oracle counts the trees first: past the pair scan's bound it
+    enumerates none of them."""
+    def never(graph):
+        raise AssertionError("trees enumerated past the pair scan's bound")
+
+    assert 2236 ** 2 <= PAIR_SCAN_LIMIT < 2237 ** 2
+    monkeypatch.setattr(oracle, "enumerate_spanning_trees", never)
+    # K7 has 7^5 = 16807 trees, and 2237 parallel edges one tree past the bound
+    parallel = MultiGraph(range(2), dict.fromkeys(range(2237), (0, 1)))
+    for graph in (complete_graph(7), parallel):
+        with pytest.raises(TooManyTrees, match="selection pairs exceed"):
+            brute_force(_unit_instance(graph))
 
 
 def test_brute_force_tie_break_lexicographic():
     inst = make_instance(3, [(0, 1), (0, 2), (1, 2)], [(1, 1, 0)] * 3, k=2)
-    res = brute_force_rrst(inst)
+    res = brute_force(inst)
     # all nine tree pairs cost 4; the smallest (X, Y) pair wins
     assert res.X == (0, 1) and res.Y == (0, 1)
     assert res.total == rat(4)
@@ -84,15 +101,15 @@ def _drawn_instance(kind, seed):
     """The brute-force route of `kind` and one drawn instance of it."""
     inst = generate_instance(5, 0.6, seed % 5, 9, seed + 400)
     if kind == "tree":
-        return brute_force_rrst, inst
+        return brute_force, inst
     if kind == "graphic":
-        return brute_force_rrmb, MatroidInstance(GraphicMatroid(inst.graph), inst.costs, inst.k, inst.scale)
+        return brute_force, graphic_twin(inst)
     rng = random.Random(seed)
     triples = [(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(7)]
     if kind == "uniform":
-        return brute_force_rrmb, make_uniform_instance(7, 3, triples, k=seed % 4)
+        return brute_force, make_uniform_instance(7, 3, triples, k=seed % 4)
     parts = [(range(4), 2), (range(4, 7), 1)]
-    return brute_force_rrmb, make_partition_instance(parts, dict(enumerate(triples)), k=seed % 4)
+    return brute_force, make_partition_instance(parts, dict(enumerate(triples)), k=seed % 4)
 
 
 @pytest.mark.parametrize("kind", ["tree", "uniform", "partition", "graphic"])
@@ -111,12 +128,12 @@ def test_brute_force_overlap_requirement_enforced():
         3, [(0, 1), (0, 2), (1, 2)],
         [(0, 9, 0), (0, 9, 0), (9, 0, 0)], k=0,
     )
-    res = brute_force_rrst(inst)
+    res = brute_force(inst)
     assert res.X == res.Y
     assert len(set(res.X) & set(res.Y)) >= inst.overlap_requirement
     assert res.Z == res.X
     # with free recovery the stages decouple and get strictly cheaper
-    relaxed = brute_force_rrst(make_instance(
+    relaxed = brute_force(make_instance(
         3, [(0, 1), (0, 2), (1, 2)],
         [(0, 9, 0), (0, 9, 0), (9, 0, 0)], k=2,
     ))
@@ -126,15 +143,17 @@ def test_brute_force_overlap_requirement_enforced():
 def test_brute_force_matroid_matches_graphic_tree_route():
     for seed in range(6):
         inst = generate_instance(4, 0.7, seed % 4, 8, seed + 77)
-        mi = MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale)
-        a = brute_force_rrst(inst)
-        b = brute_force_rrmb(mi)
-        assert (a.X, a.Y, a.Z, a.total) == (b.X, b.Y, b.Z, b.total)
+        a = brute_force(inst)
+        # the tree route against the bases of the same graphic matroid
+        b = oracle._pair_scan(enumerate_bases(inst.matroid), inst.costs, inst.scale,
+                              inst.overlap_requirement, prune=False)
+        assert (a.X, a.Y, a.Z, a.total, a.pairs_scanned) == (b.X, b.Y, b.Z, b.total, b.pairs_scanned)
+        assert brute_force(graphic_twin(inst)) == a
 
 
 def test_brute_force_uniform_matches_direct_scan():
     mi = make_uniform_instance(5, 2, [(3, 1, 1), (1, 4, 0), (2, 2, 2), (5, 0, 1), (0, 3, 3)], k=1)
-    res = brute_force_rrmb(mi)
+    res = brute_force(mi)
     best = None
     for X in itertools.combinations(range(5), 2):
         for Y in itertools.combinations(range(5), 2):
@@ -149,5 +168,5 @@ def test_brute_force_uniform_matches_direct_scan():
 
 def test_single_node_brute():
     inst = make_instance(1, [], [], k=0)
-    res = brute_force_rrst(inst)
+    res = brute_force(inst)
     assert res.X == () and res.Y == () and res.total == rat(0)

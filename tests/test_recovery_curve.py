@@ -19,31 +19,25 @@ import random
 import pytest
 
 from rrst.gen import generate_instance
-from rrst.instance import CostColumns
-from rrst.matroids import MatroidInstance, PartitionMatroid, UniformMatroid
+from rrst.instance import CostColumns, Instance
+from rrst.matroids import PartitionMatroid, UniformMatroid
 from rrst.sides import GraphSide, MatroidSide
-from rrst.solver import (
-    solution_to_dict,
-    solve_rrmb,
-    solve_rrst,
-    verify_basis_solution,
-    verify_tree_solution,
-)
+from rrst.solver import solution_to_dict, solve, verify_solution
 
 
 def _greedy_cost(side, weights):
     return sum(map(weights.__getitem__, side.complete_min(weights)))
 
 
-def _check_curve(instance, size, side, solve, verify):
-    """Solve `instance` at every k in 0..size and check the curve."""
+def _check_curve(instance, side):
+    """Solve `instance` at every k in 0..rank and check the curve."""
     C, second = instance.costs.C, instance.costs.second
     both = {e: C[e] + second[e] for e in C}
     totals = []
-    for k in range(size + 1):
+    for k in range(instance.rank + 1):
         at_k = dataclasses.replace(instance, k=k)
         sol = solve(at_k)
-        assert verify(at_k, solution_to_dict(sol)) == [], k
+        assert verify_solution(at_k, solution_to_dict(sol)) == [], k
         totals.append(sol.total * instance.scale)
     assert totals[0] == _greedy_cost(side, both)
     assert totals[-1] == _greedy_cost(side, C) + _greedy_cost(side, second)
@@ -55,7 +49,8 @@ def _check_curve(instance, size, side, solve, verify):
 @pytest.mark.parametrize("n, seed", [(16, 1), (16, 2), (18, 1), (18, 2)])
 def test_tree_recovery_curve(n, seed):
     inst = generate_instance(n, 0.3, 0, 20, seed)
-    _check_curve(inst, n - 1, GraphSide(inst.graph), solve_rrst, verify_tree_solution)
+    assert inst.rank == n - 1
+    _check_curve(inst, GraphSide(inst.matroid.graph))
 
 
 def _random_costs(ground, seed):
@@ -77,5 +72,5 @@ MATROIDS = {
 @pytest.mark.parametrize("name", MATROIDS)
 def test_matroid_recovery_curve(name):
     matroid = MATROIDS[name]
-    minst = MatroidInstance(matroid=matroid, costs=_random_costs(matroid.ground, 5), k=0, scale=1)
-    _check_curve(minst, minst.rank, MatroidSide(matroid), solve_rrmb, verify_basis_solution)
+    minst = Instance(matroid=matroid, costs=_random_costs(matroid.ground, 5), k=0, scale=1)
+    _check_curve(minst, MatroidSide(matroid))

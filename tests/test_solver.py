@@ -10,34 +10,20 @@ from rrst import solver
 from rrst.errors import InternalError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns, Instance, loads_instance
-from rrst.matroids import (
-    GraphicMatroid,
-    Matroid,
-    MatroidInstance,
-    PartitionMatroid,
-    UniformMatroid,
-    loads_matroid_instance,
-)
+from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
-from rrst.oracle import brute_force_rrmb, brute_force_rrst
+from rrst.oracle import brute_force
 from rrst.rational import ONE, ZERO, rat
 from rrst.sides import GraphSide, MatroidSide
 from rrst.simplex import SimplexSession
-from rrst.solver import (
-    serialize_solution,
-    solution_to_dict,
-    solve_rrmb,
-    solve_rrst,
-    verify_basis_solution,
-    verify_tree_solution,
-)
+from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
-from conftest import GenericOracleMatroid, make_instance, make_uniform_instance, TRIANGLE_PAIRS
+from conftest import GenericOracleMatroid, graphic_twin, make_instance, make_uniform_instance, TRIANGLE_PAIRS
 from reference_separation import exhaustive_separate, selection_size
 
 
 def test_triangle_unit_k0(triangle_unit):
-    sol = solve_rrst(triangle_unit)
+    sol = solve(triangle_unit)
     assert sol.total == rat(4)
     assert sol.X == sol.Y  # zero budget forces identical trees
     assert len(sol.Z) == 2 and set(sol.Z) == set(sol.X)
@@ -46,13 +32,13 @@ def test_triangle_unit_k0(triangle_unit):
 
 def test_triangle_all_unit_k0():
     inst = make_instance(3, TRIANGLE_PAIRS, [(1, 1, 1)] * 3, k=0)
-    sol = solve_rrst(inst)
+    sol = solve(inst)
     assert sol.total == rat(6)
 
 
 def test_triangle_free_recovery_k2():
     inst = make_instance(3, TRIANGLE_PAIRS, [(1, 3, 0), (2, 2, 0), (3, 1, 0)], k=2)
-    sol = solve_rrst(inst)
+    sol = solve(inst)
     # stages decouple: cheapest first-stage tree plus cheapest second-stage tree
     assert sol.first_stage == rat(3)
     assert sol.second_stage == rat(3)
@@ -62,38 +48,38 @@ def test_triangle_free_recovery_k2():
 
 def test_triangle_asymmetric_k1():
     inst = make_instance(3, TRIANGLE_PAIRS, [(1, 9, 0), (2, 1, 0), (9, 2, 1)], k=1)
-    sol = solve_rrst(inst)
-    ref = brute_force_rrst(inst)
+    sol = solve(inst)
+    ref = brute_force(inst)
     assert sol.total == ref.total == rat(7)
-    failures = verify_tree_solution(inst, solution_to_dict(sol))
+    failures = verify_solution(inst, solution_to_dict(sol))
     assert failures == []
 
 
 def test_single_node_and_single_edge():
-    sol = solve_rrst(make_instance(1, [], [], k=0))
+    sol = solve(make_instance(1, [], [], k=0))
     assert sol.total == ZERO and sol.X == () and sol.iterations == 0
-    sol2 = solve_rrst(make_instance(2, [(0, 1)], [(3, 2, 1)], k=0))
+    sol2 = solve(make_instance(2, [(0, 1)], [(3, 2, 1)], k=0))
     assert sol2.total == rat(6)
     assert sol2.X == sol2.Y == (0,) and sol2.Z == (0,)
-    sol3 = solve_rrst(make_instance(2, [(0, 1)], [(3, 2, 1)], k=1))
+    sol3 = solve(make_instance(2, [(0, 1)], [(3, 2, 1)], k=1))
     assert sol3.total == rat(6) and sol3.Z == ()
 
 
 def test_parallel_edges_instance():
     inst = make_instance(2, [(0, 1), (0, 1)], [(5, 1, 0), (1, 5, 0)], k=1)
-    sol = solve_rrst(inst)
+    sol = solve(inst)
     # X buys the cheap-now edge, Y the cheap-later one
     assert sol.total == rat(2)
     assert sol.X == (1,) and sol.Y == (0,)
 
 
 def test_solution_serialization_is_canonical(triangle_unit):
-    sol = solve_rrst(triangle_unit)
+    sol = solve(triangle_unit)
     text = serialize_solution(sol)
     doc = json.loads(text)
     assert set(doc) == {"X", "Y", "Z", "first_stage", "second_stage", "total",
                         "lp_bound", "iterations"}
-    assert text == serialize_solution(solve_rrst(triangle_unit))
+    assert text == serialize_solution(solve(triangle_unit))
     assert text.endswith("\n")
 
 
@@ -101,56 +87,54 @@ def test_matroid_uniform_known():
     mi = make_uniform_instance(
         5, 3, [(4, 1, 1), (2, 5, 0), (3, 3, 2), (1, 4, 4), (5, 2, 1)], k=1
     )
-    sol = solve_rrmb(mi)
-    ref = brute_force_rrmb(mi)
+    sol = solve(mi)
+    ref = brute_force(mi)
     assert sol.total == ref.total == rat(17)
-    assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+    assert verify_solution(mi, solution_to_dict(sol)) == []
 
 
 def test_matroid_rank_zero():
     mi = make_uniform_instance(3, 0, [(1, 1, 1)] * 3, k=0)
-    sol = solve_rrmb(mi)
+    sol = solve(mi)
     assert sol.total == ZERO and sol.X == ()
 
 
 def test_graphic_matroid_equals_tree_solver():
-    # both routes solve on the same spanning forests: same document
+    # a tree document and its graphic-matroid document read into the same
+    # instance: same solution document
     for seed in range(8):
         inst = generate_instance(5, 0.6, seed % 5, 9, seed + 100)
-        mi = MatroidInstance(
-            matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale
-        )
-        tree_sol = solve_rrst(inst)
-        basis_sol = solve_rrmb(mi)
+        mi = graphic_twin(inst)
+        tree_sol = solve(inst)
+        basis_sol = solve(mi)
         assert serialize_solution(tree_sol) == serialize_solution(basis_sol), f"seed {seed}"
-        assert verify_basis_solution(mi, solution_to_dict(basis_sol)) == []
-        assert verify_tree_solution(inst, solution_to_dict(tree_sol)) == []
+        assert verify_solution(mi, solution_to_dict(basis_sol)) == []
+        assert verify_solution(inst, solution_to_dict(tree_sol)) == []
 
 
 def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
-    """An LP solve takes its selection size from the instance (the rank, or
-    n - 1 for a tree) and scans no matroid or graph for it again."""
+    """An LP solve and a verify take the selection size from the instance
+    (the rank, n - 1 for a tree) and scan no matroid or graph for it again."""
     inst = generate_instance(6, 0.6, 2, 9, 7)
     costs = CostColumns.from_rows({e: (e % 3, 5 - e % 4, e % 2) for e in range(7)})
     instances = [
-        MatroidInstance(matroid=GraphicMatroid(inst.graph), costs=inst.costs, k=inst.k, scale=inst.scale),
-        MatroidInstance(matroid=UniformMatroid(frozenset(range(7)), 4), costs=costs, k=1, scale=1),
-        MatroidInstance(matroid=PartitionMatroid([(frozenset({0, 1, 2}), 2), (frozenset({3, 4, 5, 6}), 2)]),
-                        costs=costs, k=1, scale=1),
+        inst,
+        graphic_twin(inst),
+        Instance(matroid=UniformMatroid(frozenset(range(7)), 4), costs=costs, k=1, scale=1),
+        Instance(matroid=PartitionMatroid([(frozenset({0, 1, 2}), 2), (frozenset({3, 4, 5, 6}), 2)]),
+                 costs=costs, k=1, scale=1),
     ]
-    assert [(mi.rank, mi.overlap_requirement) for mi in instances] == [(5, 3), (4, 3), (4, 3)]
+    assert [(mi.rank, mi.overlap_requirement) for mi in instances] == [(5, 3), (5, 3), (4, 3), (4, 3)]
 
     def again(*args):
         raise AssertionError("selection size computed again")
 
     monkeypatch.setattr(Matroid, "full_rank", again)
+    monkeypatch.setattr(GraphicMatroid, "full_rank", again)
     for mi in instances:
-        sol = solve_rrmb(mi)
+        sol = solve(mi)
         assert sol.iterations == 1
-        assert verify_basis_solution(mi, solution_to_dict(sol)) == []
-    sol = solve_rrst(inst)
-    assert sol.iterations == 1
-    assert verify_tree_solution(inst, solution_to_dict(sol)) == []
+        assert verify_solution(mi, solution_to_dict(sol)) == []
 
 
 def _random_graphic_matroid(rng):
@@ -172,10 +156,10 @@ def test_graphic_matroid_forests_match_oracle():
         seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
         costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                        for e in sorted(matroid.ground)})
-        mi = MatroidInstance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
-        sol = solve_rrmb(mi)
-        assert sol.total == brute_force_rrmb(mi).total, f"trial {trial}"
-        assert verify_basis_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
+        mi = Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
+        sol = solve(mi)
+        assert sol.total == brute_force(mi).total, f"trial {trial}"
+        assert verify_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
     assert all(seen.values()), seen
 
 
@@ -187,9 +171,9 @@ def test_a_family_with_no_solve_route_is_refused_at_every_k():
     matroid = GenericOracleMatroid(k4.ground, k4.is_independent)
     costs = CostColumns.from_rows({e: (e, 5 - e, e % 2) for e in range(6)})
     for k in range(matroid.full_rank() + 1):
-        mi = MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
+        mi = Instance(matroid=matroid, costs=costs, k=k, scale=1)
         with pytest.raises(ValidationError, match="no solve route for the oracle matroid family"):
-            solve_rrmb(mi)
+            solve(mi)
 
 
 def test_graphic_document_naming_a_huge_node_count_solves_on_its_edges():
@@ -203,13 +187,13 @@ def test_graphic_document_naming_a_huge_node_count_solves_on_its_edges():
                            "costs": [{"id": 0, "C": 1, "c": 4, "d": 0}, {"id": 1, "C": 5, "c": 0, "d": 1},
                                      {"id": 2, "C": 3, "c": 2, "d": 2}]})
 
-    huge, small = loads_matroid_instance(doc(10**9)), loads_matroid_instance(doc(4))
+    huge, small = loads_instance(doc(10**9)), loads_instance(doc(4))
     assert huge.matroid.graph.node_count == small.matroid.graph.node_count == 3
     assert huge.matroid.full_rank() == small.matroid.full_rank() == 2
-    sol = solve_rrmb(huge)
-    assert serialize_solution(sol) == serialize_solution(solve_rrmb(small))
-    assert sol.X != sol.Y and sol.total == brute_force_rrmb(huge).total
-    assert verify_basis_solution(huge, solution_to_dict(sol)) == []
+    sol = solve(huge)
+    assert serialize_solution(sol) == serialize_solution(solve(small))
+    assert sol.X != sol.Y and sol.total == brute_force(huge).total
+    assert verify_solution(huge, solution_to_dict(sol)) == []
 
 
 def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
@@ -219,9 +203,9 @@ def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges = [{"id": e, "u": u, "v": v, "C": 2, "c": 1, "d": 1} for e, (u, v) in enumerate(pairs)]
     inst = loads_instance(json.dumps({"nodes": 4, "k": 3, "edges": edges[::-1]}))
-    assert list(inst.graph.edges) == list(inst.costs.C) == [5, 4, 3, 2, 1, 0]
-    assert GraphSide(inst.graph).complete_min(inst.costs.C) == [0, 1, 2]
-    sol = solve_rrst(inst)
+    assert list(inst.matroid.graph.edges) == list(inst.costs.C) == [5, 4, 3, 2, 1, 0]
+    assert GraphSide(inst.matroid.graph).complete_min(inst.costs.C) == [0, 1, 2]
+    sol = solve(inst)
     assert sol.X == sol.Y == (0, 1, 2)
     ground = frozenset(range(32, -1, -4))
     assert list(ground) != sorted(ground)
@@ -248,10 +232,10 @@ def test_separations_agree_with_oracle(separation, monkeypatch):
         monkeypatch.setattr(cls, "separate", counted(route))
     for seed in range(6):
         inst = generate_instance(5, 0.5, seed % 5, 8, seed)
-        sol = solve_rrst(inst)
-        ref = brute_force_rrst(inst)
+        sol = solve(inst)
+        ref = brute_force(inst)
         assert sol.total == ref.total, f"seed {seed}"
-        assert verify_tree_solution(inst, solution_to_dict(sol)) == []
+        assert verify_solution(inst, solution_to_dict(sol)) == []
     rng = random.Random(17)
     matroids = [UniformMatroid(frozenset(range(7)), 3),
                 PartitionMatroid([(frozenset({0, 1, 2}), 1), (frozenset({3, 4, 5, 6}), 2)])]
@@ -260,10 +244,10 @@ def test_separations_agree_with_oracle(separation, monkeypatch):
             for _ in range(2):
                 costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                                for e in sorted(matroid.ground)})
-                mi = MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1)
-                sol = solve_rrmb(mi)
-                assert sol.total == brute_force_rrmb(mi).total, (matroid.family, k)
-                assert verify_basis_solution(mi, solution_to_dict(sol)) == []
+                mi = Instance(matroid=matroid, costs=costs, k=k, scale=1)
+                sol = solve(mi)
+                assert sol.total == brute_force(mi).total, (matroid.family, k)
+                assert verify_solution(mi, solution_to_dict(sol)) == []
     # both routes found cuts, so each drove the solves it was patched into
     assert min(cuts.values()) > 0, cuts
 
@@ -290,7 +274,7 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
     for cls in (GraphSide, MatroidSide):
         monkeypatch.setattr(cls, "separate", checked(cls.separate))
     for _, inst in builtin_small_suite():
-        solve_rrst(inst)
+        solve(inst)
     matroids = [UniformMatroid(frozenset(range(m)), r) for m, r in [(4, 2), (6, 3), (7, 5)]]
     matroids += [PartitionMatroid([(frozenset(e), c) for e, c in parts]) for parts in [
         [((0, 1, 2), 1), ((3, 4, 5), 2), ((6, 7), 0)],
@@ -302,7 +286,7 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
             for _ in range(3):
                 costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                                for e in sorted(matroid.ground)})
-                solve_rrmb(MatroidInstance(matroid=matroid, costs=costs, k=k, scale=1))
+                solve(Instance(matroid=matroid, costs=costs, k=k, scale=1))
     assert min(calls.values()) > 100 and not off, (calls, off[:3])
 
 
@@ -322,13 +306,13 @@ def test_fractional_vertex_raises_internal_error(monkeypatch):
 
     monkeypatch.setattr(solver, "cutting_plane_solve", half_vertex)
     with pytest.raises(InternalError, match="fractional"):
-        solve_rrst(generate_instance(5, 0.5, 1, 9, 3))
+        solve(generate_instance(5, 0.5, 1, 9, 3))
 
 
 def test_lp_bound_equals_total_across_seeds():
     for seed in range(10):
         inst = generate_instance(5, 0.6, seed % 5, 10, seed + 200)
-        sol = solve_rrst(inst)
+        sol = solve(inst)
         assert sol.lp_bound == sol.total, f"seed {seed}"
 
 
@@ -342,39 +326,39 @@ def _tamper(doc, **changes):
 
 
 def test_verify_catches_non_spanning_x(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     bad = _tamper(doc, X=[0, 1][:1] + [0, 1][1:])  # sanity: same doc passes
-    assert verify_tree_solution(triangle_unit, bad) == []
+    assert verify_solution(triangle_unit, bad) == []
     bad = _tamper(doc, X=[0])
-    msgs = verify_tree_solution(triangle_unit, bad)
-    assert any("X not spanning" in m for m in msgs)
+    msgs = verify_solution(triangle_unit, bad)
+    assert any("X not a basis" in m for m in msgs)
 
 
 def test_verify_catches_cost_mismatch(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     bad = _tamper(doc, total="999")
-    msgs = verify_tree_solution(triangle_unit, bad)
+    msgs = verify_solution(triangle_unit, bad)
     assert any("cost mismatch" in m for m in msgs)
 
 
 def test_verify_catches_overlap_cheating():
     inst = make_instance(3, TRIANGLE_PAIRS, [(1, 1, 0)] * 3, k=0)
-    doc = solution_to_dict(solve_rrst(inst))
+    doc = solution_to_dict(solve(inst))
     bad = _tamper(doc, Y=[1, 2] if doc["X"] == [0, 1] else [0, 1])
-    msgs = verify_tree_solution(inst, bad)
+    msgs = verify_solution(inst, bad)
     assert any("overlap too small" in m for m in msgs)
 
 
 def test_verify_catches_bad_witness(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     bad = _tamper(doc, Z=[])
-    msgs = verify_tree_solution(triangle_unit, bad)
+    msgs = verify_solution(triangle_unit, bad)
     assert any("Z size mismatch" in m for m in msgs)
     outside = [e for e in (0, 1, 2) if e not in doc["X"] or e not in doc["Y"]]
     if outside:
         bad2 = _tamper(doc, Z=[doc["Z"][0], outside[0]][: len(doc["Z"])])
         if sorted(bad2["Z"]) != sorted(doc["Z"]):
-            msgs2 = verify_tree_solution(triangle_unit, bad2)
+            msgs2 = verify_solution(triangle_unit, bad2)
             assert msgs2
 
 
@@ -383,43 +367,43 @@ class _Id(int):
 
 
 def test_verify_rejects_malformed_selections(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     with pytest.raises(ValidationError):
-        verify_tree_solution(triangle_unit, _tamper(doc, X=[0, 0]))
+        verify_solution(triangle_unit, _tamper(doc, X=[0, 0]))
     with pytest.raises(ValidationError):
-        verify_tree_solution(triangle_unit, _tamper(doc, X=[99, 1]))
+        verify_solution(triangle_unit, _tamper(doc, X=[99, 1]))
     with pytest.raises(ValidationError):
-        verify_tree_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"})
+        verify_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"})
     # a bool is not an id, though it is an int; any other int subclass is
     with pytest.raises(ValidationError, match=r"^'X' must be a list of element ids$"):
-        verify_tree_solution(triangle_unit, _tamper(doc, X=[True, *doc["X"][1:]]))
-    assert verify_tree_solution(triangle_unit, dict(doc, X=[_Id(e) for e in doc["X"]])) == []
+        verify_solution(triangle_unit, _tamper(doc, X=[True, *doc["X"][1:]]))
+    assert verify_solution(triangle_unit, dict(doc, X=[_Id(e) for e in doc["X"]])) == []
 
 
 def test_verify_names_unknown_elements_in_order(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     with pytest.raises(ValidationError, match=r"^'Y' references unknown elements \[7, 9\]$"):
-        verify_tree_solution(triangle_unit, _tamper(doc, Y=[9, 0, 7]))
+        verify_solution(triangle_unit, _tamper(doc, Y=[9, 0, 7]))
     mi = make_uniform_instance(4, 2, [(1, 1, 0)] * 4, k=0)
-    doc = solution_to_dict(solve_rrmb(mi))
+    doc = solution_to_dict(solve(mi))
     with pytest.raises(ValidationError, match=r"^'Z' references unknown elements \[-1, 4\]$"):
-        verify_basis_solution(mi, _tamper(doc, Z=[4, -1]))
+        verify_solution(mi, _tamper(doc, Z=[4, -1]))
 
 
 def test_verify_basis_catches_non_basis():
     mi = make_uniform_instance(4, 2, [(1, 1, 0)] * 4, k=0)
-    doc = solution_to_dict(solve_rrmb(mi))
-    msgs = verify_basis_solution(mi, _tamper(doc, X=[0]))
+    doc = solution_to_dict(solve(mi))
+    msgs = verify_solution(mi, _tamper(doc, X=[0]))
     assert any("X not a basis" in m for m in msgs)
     bad2 = _tamper(doc, X=sorted(set(range(4)) - set(doc["X"])))
-    msgs2 = verify_basis_solution(mi, bad2)
+    msgs2 = verify_solution(mi, bad2)
     assert msgs2  # overlap with Z breaks even though X is a basis
 
 
 def test_missing_cost_field_reported(triangle_unit):
-    doc = solution_to_dict(solve_rrst(triangle_unit))
+    doc = solution_to_dict(solve(triangle_unit))
     del doc["total"]
-    msgs = verify_tree_solution(triangle_unit, doc)
+    msgs = verify_solution(triangle_unit, doc)
     assert any("missing field total" in m for m in msgs)
 
 
@@ -448,6 +432,6 @@ def test_cut_path_is_pinned(monkeypatch):
         path = []
         for seed in range(1, 7):
             pivots = 0
-            sol = solve_rrst(generate_instance(n, 0.3, k, 50, seed))
+            sol = solve(generate_instance(n, 0.3, k, 50, seed))
             path.append((sol.relaxation.rounds, sol.relaxation.cuts_added, pivots))
         assert path == recorded, (n, k)
