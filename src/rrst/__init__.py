@@ -33,7 +33,7 @@ from .instance import (
 )
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .multigraph import MultiGraph
-from .oracle import BruteResult, brute_force, count_spanning_trees, enumerate_spanning_trees
+from .oracle import BruteResult, brute_force
 from .rational import Rat, parse_exact, rat, rat_str
 from .solver import Solution, serialize_solution, solution_to_dict, solve, verify_solution
 
@@ -64,8 +64,6 @@ __all__ = [
     "MultiGraph",
     "BruteResult",
     "brute_force",
-    "count_spanning_trees",
-    "enumerate_spanning_trees",
     "Rat",
     "rat",
     "rat_str",

@@ -12,7 +12,10 @@ Every command that reads an instance document (``solve``, ``verify``,
 ``oracle`` and ``compare --suite DIR``) reads either kind through the one
 reader, which tells a matroid document by its ``family`` key, and runs the
 one solve, verify or brute force on it.  No flag picks a separation
-route or the oracle's unbounded pair scan.  ``solve --lp-dump-dir DIR``
+route or the oracle's unbounded pair scan.  The oracle lists the bases of
+every family by the one enumeration and takes at most 2,236 of them, the
+pair scan's bound: past it, ``oracle`` exits 2 and ``compare`` records
+the line's oracle as skipped.  ``solve --lp-dump-dir DIR``
 writes the relaxation the solution carries, only when an LP was built.
 
 Exit codes: 0 success, 2 bad input or input too large, 3 verification
@@ -190,7 +193,7 @@ def _compare_instances(args) -> list[tuple[str, Instance]]:
 
 def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict]:
     """The exit code of solving (and, with the oracle, checking) one
-    instance, and its report line.  An oracle past its enumeration bound
+    instance, and its report line.  An oracle past its pair-scan bound
     is no failure: the solve ran, only the reference was skipped."""
     report: dict = {
         "name": name,
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TooLarge as exc:
-        # the oracle's enumeration guards and the solver's pivot and round
+        # the oracle's pair-scan bound and the solver's pivot and round
         # bounds trip on inputs too large for their route
         print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_INPUT

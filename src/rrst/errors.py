@@ -4,7 +4,7 @@ The classes that matter to callers and to the CLI exit-code mapping:
 
 * InputError        - bad user input (parse or validation); CLI exit 2.
 * TooLarge          - the input is too large for a bound: the oracle's
-                      enumeration (TooManyTrees, GroundTooLarge) or the
+                      count of bases, past its pair scan's bound, or the
                       solver's pivots and cut rounds (IterationLimit);
                       CLI exit 2.
 * InternalError, MalformedProgram
@@ -42,21 +42,8 @@ class ElementNotInGround(RRSTError):
     """A matroid operation referenced an element outside the ground set."""
 
 
-class NoBasis(RRSTError):
-    """A basis of the demanded size does not exist."""
-
-
 class TooLarge(RRSTError):
     """The input is too large for a bound of the route that takes it."""
-
-
-class GroundTooLarge(TooLarge):
-    """Enumeration guard: the ground set exceeds the exhaustive-scan bound."""
-
-
-class TooManyTrees(TooLarge):
-    """Enumeration guard: the graph has more spanning trees than the pair
-    scan takes."""
 
 
 class MalformedProgram(RRSTError):

@@ -37,6 +37,7 @@ from .errors import ValidationError
 from .instance import CostColumns, Instance
 from .matroids import GraphicMatroid
 from .multigraph import MultiGraph
+from .rational import DIGIT_LIMIT, MAX_DIGITS
 
 __all__ = [
     "generate_instance",
@@ -106,6 +107,9 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
         raise ValidationError(f"density must be in [0, 1], got {density}")
     if cost_max < 0:
         raise ValidationError(f"cost-max must be >= 0, got {cost_max}")
+    if cost_max >= DIGIT_LIMIT:
+        # a cost the readers would refuse
+        raise ValidationError(f"cost-max has more than {MAX_DIGITS} digits")
     if not 0 <= k <= nodes - 1:
         raise ValidationError(f"k={k} outside 0..{nodes - 1}")
     rng = random.Random(seed)
@@ -137,11 +141,6 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     return Instance(matroid=GraphicMatroid(MultiGraph(range(nodes), edges)), costs=costs, k=k, scale=1)
 
 
-def _connected(n: int, pairs) -> bool:
-    graph = MultiGraph(range(n), dict(enumerate(pairs)))
-    return len(graph.spanning_forest(graph.edges)) == n - 1
-
-
 def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
     """All connected simple graphs on n labelled nodes, one per isomorphism
     class, as canonical sorted edge-pair tuples."""
@@ -151,7 +150,7 @@ def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
     out = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if not _connected(n, edges):
+        if not MultiGraph(range(n), dict(enumerate(edges))).is_connected():
             continue
         canon = min(
             tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))

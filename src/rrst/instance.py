@@ -433,14 +433,24 @@ def _reject_constant(tok):
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    """A graphic instance on nodes 0..n-1 as a tree document: edges in id order, each object's keys in
-    the sorted order `serialize_instance` writes them in.  At scale 1 the
-    cost columns are emitted as they are, since every cost is whole."""
+    """A graphic instance, connected on nodes 0..n-1, as a tree document:
+    edges in id order, each object's keys in the sorted order
+    `serialize_instance` writes them in.  At scale 1 the cost columns are
+    emitted as they are, since every cost is whole.
+
+    Raises ValidationError for any other instance, which a tree document
+    cannot hold."""
+    matroid = inst.matroid
+    # the rank was found at construction, so this costs O(nodes)
+    if not (isinstance(matroid, GraphicMatroid) and inst.rank == matroid.graph.node_count - 1
+            and matroid.graph.nodes == frozenset(range(matroid.graph.node_count))):
+        raise ValidationError(
+            f"a tree document holds a graphic matroid connected on nodes 0..n-1, not this {matroid.family} instance")
+    graph = matroid.graph
     scale = inst.scale
     C, c, d = columns = (inst.costs.C, inst.costs.c, inst.costs.d)
     if scale != 1:
         C, c, d = ({e: _cost_out(v, scale) for e, v in column.items()} for column in columns)
-    graph = inst.matroid.graph
     ends = graph.edges
     ids = sorted(ends)
     edges = [{"C": C[e], "c": c[e], "d": d[e], "id": e, "u": u, "v": v}

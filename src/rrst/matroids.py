@@ -6,6 +6,8 @@ selects over as spanning forests (`sides.GraphSide`); a spanning-tree
 instance is the graphic matroid of a connected graph.  A uniform matroid
 is the partition matroid of one part.  This module holds the structures
 only: both kinds of instance document are read in instance.py.
+`enumerate_bases` lists the bases of any matroid, for the oracle, with
+no case per family.
 
 Rank and minimum-weight bases come from one greedy scan, which is exact
 for any matroid: against the independence test in general, and as a
@@ -19,12 +21,8 @@ matroid's deletion and contraction serve only `sides.MatroidSide`'s
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import ElementNotInGround, GroundTooLarge, ValidationError
+from .errors import ElementNotInGround, ValidationError
 from .multigraph import MultiGraph
-
-ENUMERATION_GROUND_LIMIT = 20
 
 
 class Matroid:
@@ -153,16 +151,32 @@ def greedy_min_basis(matroid: Matroid, weights) -> list[int]:
     return sorted(matroid.max_independent(sorted(sorted(matroid.ground), key=weights.__getitem__)))
 
 
-def enumerate_bases(matroid: Matroid) -> list[tuple[int, ...]]:
-    """All bases as sorted tuples, lexicographic order; guarded by ground size."""
-    if len(matroid.ground) > ENUMERATION_GROUND_LIMIT:
-        raise GroundTooLarge(
-            f"ground has {len(matroid.ground)} elements, enumeration capped at {ENUMERATION_GROUND_LIMIT}"
-        )
+def enumerate_bases(matroid: Matroid):
+    """All bases as sorted tuples, in lexicographic order, one at a time.
+
+    A backtrack over the sorted ground set with an explicit stack: each
+    level tries its next element while the chosen prefix, with every element
+    from there on, still spans the full rank, and takes it when it keeps the
+    prefix independent.  So every branch it enters ends in a basis, and the
+    delay between two bases is polynomial (Read and Tarjan, 1975); there is
+    no bound, and a caller takes as many as it wants.
+    """
     r = matroid.full_rank()
     ground = sorted(matroid.ground)
-    return [
-        combo
-        for combo in itertools.combinations(ground, r)
-        if matroid.is_independent(frozenset(combo))
-    ]
+    chosen: list[int] = []
+    stack = [0]  # one entry per level: the index of its next element
+    while stack:
+        i = stack[-1]
+        if len(chosen) == r:
+            yield tuple(chosen)
+        # the rank of the prefix with the rest: one greedy scan, over
+        # elements of the ground set that need no check
+        elif len(matroid.max_independent(chosen + ground[i:])) == r:
+            stack[-1] = i + 1
+            if matroid.is_independent(chosen + [ground[i]]):
+                chosen.append(ground[i])
+                stack.append(i + 1)
+            continue
+        stack.pop()
+        if chosen:
+            chosen.pop()

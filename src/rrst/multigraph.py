@@ -1,8 +1,8 @@
 """Labelled multigraphs with edge contraction and deletion.
 
-Edges carry stable integer ids that survive contraction, which is what the
-oracle's enumeration relies on: the graph shrinks, the ids it reports do
-not.
+Edges carry stable integer ids that survive contraction, which is what
+`sides.GraphSide`'s `fix` relies on: the graph shrinks, the ids it reports
+do not.
 Self-loops are dropped eagerly whenever a contraction creates them.  Node
 labels after contraction are canonical representatives: a merge keeps the
 smaller label, so repeated contractions behave like union-find with
@@ -48,9 +48,6 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_ids(self) -> list[int]:
-        return sorted(self.edges)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:

@@ -1,95 +1,28 @@
 """Independent reference answers for small instances.
 
-Everything here is deliberately naive: count trees by determinant,
-enumerate selections explicitly, scan all pairs.  The main solver is never
-consulted, so agreement between the two routes is meaningful evidence.
+Everything here is deliberately naive: list the bases, scan all pairs.  The
+main solver is never consulted, so agreement between the two routes is
+meaningful evidence.
 
-`brute_force` takes any instance.  The bases of a graphic matroid on a
-connected graph are its spanning trees, enumerated by contraction and
-deletion once their count shows the pair scan takes them all; every other
-matroid's bases come from `matroids.enumerate_bases`, guarded by ground
-size.
+`brute_force` takes any instance and lists the bases of its matroid with
+`matroids.enumerate_bases` (a tree instance's bases are its spanning
+trees).  The pair scan's own bound is the one guard: the listing stops at
+the first basis past it, so a large instance is refused after that many
+bases, whatever its family or ground set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import isqrt
 
-from .errors import NoBasis, TooManyTrees
+from .errors import InternalError, TooLarge
 from .instance import Instance
-from .matroids import GraphicMatroid, enumerate_bases
-from .multigraph import MultiGraph
+from .matroids import enumerate_bases
 from .rational import Rat, rat
 
 PAIR_SCAN_LIMIT = 5_000_000
-
-
-def count_spanning_trees(graph: MultiGraph) -> int:
-    """Number of spanning trees, via the Laplacian determinant (exact).
-
-    Parallel edges count as distinct trees; the determinant is computed
-    fraction-free over the integers, so the result is exact at any size.
-    """
-    if not graph.is_connected():
-        return 0
-    nodes = sorted(graph.nodes)
-    if len(nodes) == 1:
-        return 1
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    lap = [[0] * n for _ in range(n)]
-    for u, v in graph.edges.values():
-        iu, iv = index[u], index[v]
-        lap[iu][iu] += 1
-        lap[iv][iv] += 1
-        lap[iu][iv] -= 1
-        lap[iv][iu] -= 1
-    # principal minor: drop the last row and column, Bareiss elimination
-    m = [row[: n - 1] for row in lap[: n - 1]]
-    size = n - 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            for row in m:
-                row[k], row[swap] = row[swap], row[k]  # symmetric swap keeps sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return m[size - 1][size - 1]
-
-
-def enumerate_spanning_trees(graph: MultiGraph) -> list[tuple[int, ...]]:
-    """All spanning trees as sorted edge-id tuples, each exactly once.
-
-    Contract/delete recursion on the lowest surviving edge id.  No bound:
-    `brute_force` counts the trees before it asks for them.
-    """
-    out: list[tuple[int, ...]] = []
-    if not graph.is_connected():
-        return out
-
-    def rec(g: MultiGraph, chosen: list[int]):
-        if g.node_count == 1:
-            out.append(tuple(sorted(chosen)))
-            return
-        e = g.edge_ids()[0]
-        # trees containing e
-        chosen.append(e)
-        rec(g.contract_edge(e), chosen)
-        chosen.pop()
-        # trees avoiding e (only if the rest still connects)
-        rest = g.delete_edge(e)
-        if rest.is_connected():
-            rec(rest, chosen)
-
-    rec(graph, [])
-    return out
 
 
 @dataclass(frozen=True)
@@ -104,15 +37,12 @@ class BruteResult:
 
 
 def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool) -> BruteResult:
-    if len(selections) ** 2 > PAIR_SCAN_LIMIT:
-        raise TooManyTrees(
-            f"{len(selections)}^2 selection pairs exceed {PAIR_SCAN_LIMIT}"
-        )
     first_cost, second_cost = costs.C.__getitem__, costs.second.__getitem__
     rated = [(sel, frozenset(sel), sum(map(first_cost, sel)), sum(map(second_cost, sel)))
              for sel in selections]
     if not rated:
-        raise NoBasis("no feasible selections exist")
+        # every matroid has a basis
+        raise InternalError("no basis was enumerated")
     min_second = min(r[3] for r in rated)
     by_first = sorted(rated, key=lambda r: (r[2], r[0]))
     by_second = sorted(rated, key=lambda r: (r[3], r[0]))
@@ -134,7 +64,8 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
             if best is None or key < best:
                 best = key
     if best is None:
-        raise NoBasis("no selection pair meets the overlap requirement")
+        # X = Y meets any overlap up to the rank
+        raise InternalError("no basis pair meets the overlap requirement")
     total, x_sel, y_sel = best
     z = tuple(sorted(set(x_sel) & set(y_sel))[:overlap_required])
     first = sum(map(first_cost, x_sel))
@@ -143,15 +74,13 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
 
 
 def brute_force(instance: Instance, prune: bool = False) -> BruteResult:
-    """Optimal basis pair by explicit enumeration (reference route)."""
-    matroid = instance.matroid
-    if isinstance(matroid, GraphicMatroid) and instance.rank == matroid.graph.node_count - 1:
-        # a connected graph: its bases are its spanning trees, refused
-        # before any is enumerated when the pair scan would refuse them
-        count = count_spanning_trees(matroid.graph)
-        if count ** 2 > PAIR_SCAN_LIMIT:
-            raise TooManyTrees(f"{count} spanning trees: {count}^2 selection pairs exceed {PAIR_SCAN_LIMIT}")
-        selections = sorted(enumerate_spanning_trees(matroid.graph))
-    else:
-        selections = enumerate_bases(matroid)
-    return _pair_scan(selections, instance.costs, instance.scale, instance.overlap_requirement, prune)
+    """Optimal basis pair by explicit enumeration (reference route).
+
+    Raises TooLarge once the bases outnumber the square root of
+    PAIR_SCAN_LIMIT, having listed one basis past it.
+    """
+    bound = isqrt(PAIR_SCAN_LIMIT) + 1  # the fewest bases whose pairs exceed the limit
+    bases = list(islice(enumerate_bases(instance.matroid), bound))
+    if len(bases) == bound:
+        raise TooLarge(f"over {bound - 1} bases: their pairs exceed {PAIR_SCAN_LIMIT}")
+    return _pair_scan(bases, instance.costs, instance.scale, instance.overlap_requirement, prune)

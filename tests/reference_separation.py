@@ -15,7 +15,7 @@ matroid.
 
 import itertools
 
-from rrst.errors import GroundTooLarge
+from rrst.errors import TooLarge
 from rrst.separation import _check_point, _forest_cut
 from rrst.sides import GraphSide
 
@@ -39,7 +39,7 @@ def separate_forest_exhaustive(point, unit, graph):
     _check_point(point, graph.edges.keys())
     n = graph.node_count
     if n > EXHAUSTIVE_NODE_LIMIT:
-        raise GroundTooLarge(f"{n} nodes exceeds the exhaustive scan limit")
+        raise TooLarge(f"{n} nodes exceeds the exhaustive scan limit")
     best = None
     nodes = sorted(graph.nodes)
     for size in range(2, n):
@@ -55,7 +55,7 @@ def separate_rank_exhaustive(point, unit, matroid):
     _check_point(point, matroid.ground)
     ground = sorted(matroid.ground)
     if len(ground) > EXHAUSTIVE_NODE_LIMIT:
-        raise GroundTooLarge(f"{len(ground)} elements exceeds the exhaustive scan limit")
+        raise TooLarge(f"{len(ground)} elements exceeds the exhaustive scan limit")
     best = None  # (slack * unit, elements, rhs)
     for size in range(1, len(ground)):
         for combo in itertools.combinations(ground, size):

@@ -158,6 +158,28 @@ def test_oracle_bounds_its_pair_scan(inst_file, capsys):
     assert doc["pairs_scanned"] < full.pairs_scanned
 
 
+def test_oracle_answers_a_long_path(tmp_path, capsys):
+    """A 1,000-node path has one spanning tree, listed at a depth past
+    Python's recursion limit."""
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"nodes": 1000, "k": 0, "edges": [
+        {"id": i, "u": i, "v": i + 1, "C": i % 3, "c": 1, "d": 0} for i in range(999)]}))
+    assert run(["oracle", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["X"] == doc["Y"] == doc["Z"] == list(range(999))
+    assert doc["pairs_scanned"] == 1 and doc["total"] == str(999 + sum(i % 3 for i in range(999)))
+
+
+@pytest.mark.parametrize("cost_max", [10 ** 1000, 10 ** 1200], ids=["10^1000", "10^1200"])
+def test_gen_refuses_costs_the_readers_refuse(tmp_path, cost_max):
+    """A cost of more than 1,000 digits would write a document that `solve`
+    rejects, so `gen` rejects its bound first and writes nothing."""
+    out = tmp_path / "inst.json"
+    assert run(["gen", "--nodes", "3", "--k", "0", "--seed", "1", "--cost-max", str(cost_max),
+                "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level", ["info", "debug"])
 def test_debug_log_times_and_program_size(inst_file, level):
     """At debug, `solve` logs its read, solve and write times and the size
@@ -454,7 +476,7 @@ def test_compare_oracle_skipped_past_its_limit(tmp_path, monkeypatch):
     reports = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(reports) == 2
     for r in reports:
-        assert r["error"].startswith("oracle skipped: TooManyTrees: ")
+        assert r["error"].startswith("oracle skipped: TooLarge: ")
         assert r["total"] is not None
         assert r["oracle_total"] is None and r["agree"] is None
 
@@ -478,19 +500,23 @@ def test_compare_directory_suite_reads_either_kind(tmp_path, inst_file):
     assert all(r["agree"] is True and r["error"] is None for r in reports)
 
 
-def test_compare_skips_an_oracle_past_its_ground_bound(tmp_path):
-    """A matroid document past the oracle's ground-set bound is solved and
-    reported with the oracle skipped, as a tree past its tree bound is."""
+def test_compare_skips_an_oracle_past_its_basis_bound(tmp_path):
+    """The oracle's one bound is on the bases its pair scan takes: a
+    21-element uniform matroid of rank 3 (1,330 bases) is checked, and a
+    30-element one (4,060 bases) is solved and reported with the oracle
+    skipped, as a tree past that bound is."""
     suite = tmp_path / "suite"
     suite.mkdir()
-    (suite / "uniform.json").write_text(json.dumps({
-        "family": "uniform", "elements": list(range(21)), "rank": 3, "k": 1,
-        "costs": [{"id": e, "C": e % 7, "c": e % 5, "d": e % 3} for e in range(21)]}))
+    for m in (21, 30):
+        (suite / f"uniform{m}.json").write_text(json.dumps({
+            "family": "uniform", "elements": list(range(m)), "rank": 3, "k": 1,
+            "costs": [{"id": e, "C": e % 7, "c": e % 5, "d": e % 3} for e in range(m)]}))
     out = tmp_path / "r.jsonl"
     assert run(["compare", "--suite", str(suite), "--output", str(out)]) == 0
-    [report] = [json.loads(l) for l in out.read_text().splitlines()]
-    assert report["error"].startswith("oracle skipped: GroundTooLarge: ground has 21 elements")
-    assert report["total"] is not None and report["agree"] is None
+    checked, skipped = [json.loads(l) for l in out.read_text().splitlines()]
+    assert checked["agree"] is True and checked["error"] is None
+    assert skipped["error"] == "oracle skipped: TooLarge: over 2236 bases: their pairs exceed 5000000"
+    assert skipped["total"] is not None and skipped["agree"] is None
 
 
 def test_compare_no_oracle(tmp_path):

@@ -12,7 +12,7 @@ from rrst.gen import (
     connected_graphs_up_to_iso,
     generate_instance,
 )
-from rrst.instance import serialize_instance
+from rrst.instance import loads_instance, serialize_instance
 from rrst.rational import rat
 
 
@@ -87,11 +87,20 @@ def test_single_node():
         dict(nodes=4, density=0.5, k=4, cost_max=5, seed=0),
         dict(nodes=4, density=0.5, k=-1, cost_max=5, seed=0),
         dict(nodes=4, density=0.5, k=0, cost_max=-1, seed=0),
+        # a cost of more than 1,000 digits, which the readers refuse
+        dict(nodes=4, density=0.5, k=0, cost_max=10 ** 1000, seed=0),
     ],
 )
 def test_bad_parameters_rejected(kwargs):
     with pytest.raises(ValidationError):
         generate_instance(**kwargs)
+
+
+def test_costs_at_the_largest_cost_max_read_back():
+    """10^1000 - 1 is the largest bound whose draws all have at most 1,000
+    digits, so every cost reads back."""
+    inst = generate_instance(3, 0.5, 0, 10 ** 1000 - 1, 0)
+    assert serialize_instance(loads_instance(serialize_instance(inst))) == serialize_instance(inst)
 
 
 def test_isomorphism_class_counts():

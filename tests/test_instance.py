@@ -110,6 +110,34 @@ def test_a_family_key_reads_a_matroid_document():
     assert inst.matroid.family == "uniform" and inst.rank == 2 and inst.overlap_requirement == 1
 
 
+@pytest.mark.parametrize("doc", [
+    # a graphic document whose edge touches nodes 0 and 5 of 6
+    {"family": "graphic", "nodes": 6, "k": 0, "edges": [{"id": 0, "u": 0, "v": 5}],
+     "costs": [{"id": 0, "C": 1, "c": 1, "d": 1}]},
+    {"family": "graphic", "nodes": 4, "k": 0,
+     "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 2, "v": 3}],
+     "costs": [{"id": e, "C": 1, "c": 1, "d": 1} for e in range(2)]},
+    {"family": "uniform", "elements": [0, 1, 2], "rank": 2, "k": 1,
+     "costs": [{"id": e, "C": 1, "c": 1, "d": 1} for e in range(3)]},
+    {"family": "partition", "parts": [{"elements": [0, 1], "cap": 1}], "k": 0,
+     "costs": [{"id": e, "C": 1, "c": 1, "d": 1} for e in range(2)]},
+], ids=["graphic-nodes-0-and-5", "graphic-disconnected", "uniform", "partition"])
+def test_only_a_connected_graphic_instance_on_nodes_0_to_n_is_written(doc):
+    """A tree document holds a graph connected on nodes 0..n-1; any other
+    instance is refused, not written as a document that reads back as
+    another instance or not at all."""
+    inst = loads_instance(json.dumps(doc))
+    with pytest.raises(ValidationError, match="a tree document holds a graphic matroid connected"):
+        serialize_instance(inst)
+
+
+def test_a_connected_graphic_instance_on_nodes_0_to_n_is_written_as_its_tree_document():
+    doc = {"family": "graphic", "nodes": 3, "k": 1,
+           "edges": [{"id": e["id"], "u": e["u"], "v": e["v"]} for e in DOC["edges"]],
+           "costs": [{"id": e["id"], "C": e["C"], "c": e["c"], "d": e["d"]} for e in DOC["edges"]]}
+    assert serialize_instance(loads_instance(json.dumps(doc))) == serialize_instance(loads_instance(json.dumps(DOC)))
+
+
 def test_too_few_edges_rejected_before_the_graph_is_built():
     doc = {"nodes": 5, "k": 0, "edges": []}
     with pytest.raises(ValidationError, match="0 edges cannot connect 5 nodes"):

@@ -1,12 +1,13 @@
 """Matroid families: axioms, partition minors, greedy optimality, enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrst.errors import ElementNotInGround, GroundTooLarge, ParseError, ValidationError
+from rrst.errors import ElementNotInGround, ParseError, ValidationError
 from rrst.instance import matroid_from_dict
 from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid, enumerate_bases, greedy_min_basis
 from rrst.multigraph import MultiGraph
@@ -142,14 +143,53 @@ def test_element_outside_ground_rejected():
 
 
 def test_enumerate_bases_counts():
-    assert len(enumerate_bases(UniformMatroid(frozenset(range(6)), 3))) == 20
-    assert len(enumerate_bases(k4_matroid())) == 16  # spanning trees of K4
-    assert enumerate_bases(UniformMatroid(frozenset(), 0)) == [()]
+    assert len(list(enumerate_bases(UniformMatroid(frozenset(range(6)), 3)))) == 20
+    assert len(list(enumerate_bases(k4_matroid()))) == 16  # spanning trees of K4
+    assert list(enumerate_bases(UniformMatroid(frozenset(), 0))) == [()]
 
 
 def test_enumerate_bases_guard():
-    with pytest.raises(GroundTooLarge):
-        enumerate_bases(UniformMatroid(frozenset(range(21)), 2))
+    """The enumeration has no guard of its own; the oracle bounds how many
+    bases it takes.  A 21-element ground set is listed in full, and a
+    2,000-element one yields its first basis without the rest."""
+    assert len(list(enumerate_bases(UniformMatroid(frozenset(range(21)), 3)))) == 1330
+    bases = enumerate_bases(UniformMatroid(frozenset(range(2000)), 3))
+    assert next(bases) == (0, 1, 2) and next(bases) == (0, 1, 3)
+
+
+def _bases_by_definition(matroid):
+    """The bases as the full-rank subsets that are independent, in
+    lexicographic order: the enumeration's reference."""
+    r = matroid.full_rank()
+    return [combo for combo in itertools.combinations(sorted(matroid.ground), r)
+            if matroid.is_independent(frozenset(combo))]
+
+
+def _random_matroid(rng, family):
+    """A uniform, partition or graphic matroid on at most 10 elements with
+    ids drawn from 0..29, ranks, caps and components of every size."""
+    ids = rng.sample(range(30), rng.randint(0, 10))
+    if family == "uniform":
+        return UniformMatroid(frozenset(ids), rng.randint(0, len(ids) + 1))
+    if family == "partition":
+        cuts = sorted(rng.sample(range(len(ids) + 1), rng.randint(0, min(3, len(ids) + 1))))
+        blocks = [ids[a:b] for a, b in itertools.pairwise([0, *cuts, len(ids)])]
+        return PartitionMatroid([(frozenset(b), rng.randint(0, len(b) + 1)) for b in blocks])
+    n = rng.randint(1, 5)
+    edges = {}
+    for e in ids:
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if u != v:
+            edges[e] = (u, v)
+    return GraphicMatroid(MultiGraph(range(n), edges))
+
+
+@pytest.mark.parametrize("family", ["uniform", "partition", "graphic"])
+def test_enumerate_bases_equals_the_filtered_combinations(family):
+    rng = random.Random(f"bases-{family}")
+    for _ in range(150):
+        m = _random_matroid(rng, family)
+        assert list(enumerate_bases(m)) == _bases_by_definition(m), m.ground
 
 
 def test_greedy_matches_enumeration_min():

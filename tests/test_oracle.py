@@ -1,17 +1,18 @@
-"""Exhaustive reference solver: tree counting/enumeration, pair scan."""
+"""Exhaustive reference solver: basis enumeration as the oracle takes it,
+its bound, and the pair scan."""
 
 import itertools
 import random
 
 import pytest
 
-from rrst import oracle
-from rrst.errors import NoBasis, TooManyTrees
+from rrst import matroids, oracle
+from rrst.errors import TooLarge
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns, Instance
 from rrst.matroids import GraphicMatroid, enumerate_bases
 from rrst.multigraph import MultiGraph
-from rrst.oracle import PAIR_SCAN_LIMIT, brute_force, count_spanning_trees, enumerate_spanning_trees
+from rrst.oracle import PAIR_SCAN_LIMIT, brute_force
 from rrst.rational import rat
 
 from conftest import graphic_twin, make_instance, make_partition_instance, make_uniform_instance
@@ -26,40 +27,45 @@ def cycle_graph(n):
     return MultiGraph(range(n), {i: (i, (i + 1) % n) for i in range(n)})
 
 
+def trees(graph):
+    return list(enumerate_bases(GraphicMatroid(graph)))
+
+
 def test_count_known_graphs():
     # Cayley: n^(n-2) trees of the complete graph
-    for n in range(2, 8):
-        assert count_spanning_trees(complete_graph(n)) == n ** (n - 2)
+    for n in range(2, 7):
+        assert len(trees(complete_graph(n))) == n ** (n - 2)
     for n in range(3, 9):
-        assert count_spanning_trees(cycle_graph(n)) == n
+        assert len(trees(cycle_graph(n))) == n
     path = MultiGraph(range(4), {i: (i, i + 1) for i in range(3)})
-    assert count_spanning_trees(path) == 1
-    assert count_spanning_trees(MultiGraph(range(1), {})) == 1
+    assert trees(path) == [(0, 1, 2)]
+    assert trees(MultiGraph(range(1), {})) == [()]
 
 
 def test_count_multigraph_parallel_edges():
     g = MultiGraph(range(2), {0: (0, 1), 1: (0, 1), 2: (0, 1)})
-    assert count_spanning_trees(g) == 3
+    assert trees(g) == [(0,), (1,), (2,)]
     # triangle plus one parallel edge: every 2-subset but the parallel pair
     theta = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2), 3: (0, 1)})
-    assert count_spanning_trees(theta) == 5
-    assert count_spanning_trees(theta) == len(enumerate_spanning_trees(theta))
+    assert trees(theta) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
-def test_count_disconnected_is_zero():
+def test_disconnected_graph_bases_are_its_maximal_forests():
     g = MultiGraph(range(3), {0: (0, 1)})
-    assert count_spanning_trees(g) == 0
-    assert enumerate_spanning_trees(g) == []
+    assert trees(g) == [(0,)]
+    two_triangles = MultiGraph(range(6), {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (3, 4), 4: (4, 5), 5: (3, 5)})
+    forests = trees(two_triangles)
+    assert len(forests) == 9 and all(len(f) == 4 for f in forests)
 
 
 def test_enumeration_matches_count_and_is_sorted():
     for n in range(2, 6):
         g = complete_graph(n)
-        trees = enumerate_spanning_trees(g)
-        assert len(trees) == count_spanning_trees(g)
-        assert trees == sorted(trees)
-        assert len(set(trees)) == len(trees)
-        for t in trees:
+        ts = trees(g)
+        assert len(ts) == n ** (n - 2)
+        assert ts == sorted(ts)
+        assert len(set(ts)) == len(ts)
+        for t in ts:
             assert len(t) == n - 1
             assert GraphicMatroid(g).is_independent(frozenset(t))
 
@@ -70,23 +76,32 @@ def _unit_instance(graph, k=0) -> Instance:
 
 
 def test_enumeration_guard():
-    with pytest.raises(TooManyTrees, match=r"^61917364224 spanning trees: .* exceed 5000000$"):
+    with pytest.raises(TooLarge, match=r"^over 2236 bases: their pairs exceed 5000000$"):
         brute_force(_unit_instance(complete_graph(12)))  # 12^10 trees
 
 
-def test_trees_past_the_pair_scan_are_refused_before_any_is_enumerated(monkeypatch):
-    """The oracle counts the trees first: past the pair scan's bound it
-    enumerates none of them."""
-    def never(graph):
-        raise AssertionError("trees enumerated past the pair scan's bound")
+def test_bases_past_the_pair_scan_are_refused_at_the_first_one_past_it(monkeypatch):
+    """The oracle takes bases one at a time and stops at the first whose
+    pairs pass the pair scan's bound: 2,237 of them, however many exist."""
+    taken = []
+
+    def counted(matroid):
+        for basis in matroids.enumerate_bases(matroid):
+            taken.append(basis)
+            yield basis
 
     assert 2236 ** 2 <= PAIR_SCAN_LIMIT < 2237 ** 2
-    monkeypatch.setattr(oracle, "enumerate_spanning_trees", never)
+    monkeypatch.setattr(oracle, "enumerate_bases", counted)
     # K7 has 7^5 = 16807 trees, and 2237 parallel edges one tree past the bound
     parallel = MultiGraph(range(2), dict.fromkeys(range(2237), (0, 1)))
     for graph in (complete_graph(7), parallel):
-        with pytest.raises(TooManyTrees, match="selection pairs exceed"):
+        taken.clear()
+        with pytest.raises(TooLarge, match="pairs exceed"):
             brute_force(_unit_instance(graph))
+        assert len(taken) == 2237
+    # one basis fewer is answered
+    parallel = MultiGraph(range(2), dict.fromkeys(range(2236), (0, 1)))
+    assert brute_force(_unit_instance(parallel), prune=True).X == (0,)
 
 
 def test_brute_force_tie_break_lexicographic():
