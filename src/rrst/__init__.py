@@ -19,6 +19,7 @@ from .errors import (
     InternalError,
     ParseError,
     RRSTError,
+    TooLarge,
     ValidationError,
 )
 from .gen import builtin_small_suite, connected_graphs_up_to_iso, generate_instance
@@ -48,8 +49,9 @@ __all__ = [
     "InputError",
     "ParseError",
     "ValidationError",
-    "InfeasibleModel",
+    "TooLarge",
     "InternalError",
+    "InfeasibleModel",
     "CostColumns",
     "Instance",
     "instance_from_dict",

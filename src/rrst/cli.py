@@ -18,9 +18,10 @@ pair scan's bound: past it, ``oracle`` exits 2 and ``compare`` records
 the line's oracle as skipped.  ``solve --lp-dump-dir DIR``
 writes the relaxation the solution carries, only when an LP was built.
 
-Exit codes: 0 success, 2 bad input or input too large, 3 verification
-failure or solver/oracle disagreement, 4 breached internal invariant (always
-a bug, never bad input).
+Exit codes: 0 success, 2 an input to fix or to shrink, 3 verification
+failure or solver/oracle disagreement, 4 a bug (see errors.py).
+`failure` is the one map from an error to its code, for `main` and for
+each line of `compare`.
 
 The ``RRST_LOG`` environment variable (error|info|debug, default error)
 controls diagnostic logging on stderr; ``debug`` adds ``solve``'s timings and LP size.
@@ -83,6 +84,17 @@ def _timed(what: str, fn, *args):
     out = fn(*args)
     log.debug("%s in %.3f ms", what, (time.perf_counter() - t0) * 1000)
     return out
+
+
+def failure(exc: Exception) -> tuple[int, str]:
+    """The exit code of an error, by who must act, and the text that says
+    so: the caller fixes an InputError or an unreadable file and shrinks a
+    TooLarge input (2); anything else rrst raises is a bug (4)."""
+    if isinstance(exc, (InputError, OSError)):
+        return EXIT_INPUT, str(exc)
+    if isinstance(exc, TooLarge):
+        return EXIT_INPUT, f"input too large: {exc}"
+    return EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_solve(args) -> int:
@@ -212,13 +224,10 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     t0 = time.perf_counter()
     try:
         sol = solve(inst)
-    except TooLarge as exc:
-        # a pivot or round bound: reported as `rrst solve` reports it
-        report["error"] = f"input too large: {exc}"
-        return EXIT_INPUT, report
     except RRSTError as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        return EXIT_INTERNAL, report
+        # reported as `rrst solve` reports it
+        code, report["error"] = failure(exc)
+        return code, report
     report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     report["total"] = rat_str(sol.total)
     report["iterations"] = sol.iterations
@@ -315,17 +324,10 @@ def main(argv=None) -> int:
         _configure_logging()
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TooLarge as exc:
-        # the oracle's pair-scan bound and the solver's pivot and round
-        # bounds trip on inputs too large for their route
-        print(f"error: input too large: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RRSTError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (RRSTError, OSError) as exc:
+        code, text = failure(exc)
+        print(f"{'internal error' if code == EXIT_INTERNAL else 'error'}: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy: every error rrst raises on purpose is one of three
+kinds, named by who must act.
 
-The classes that matter to callers and to the CLI exit-code mapping:
+* InputError (ParseError, ValidationError)
+                - the document or the arguments are wrong: fix them.
+                  CLI exit 2.
+* TooLarge      - the input is too large for a bound of the route that
+                  takes it: the oracle's count of bases, past its pair
+                  scan's bound, or the solver's pivots and cut rounds.
+                  Shrink it.  CLI exit 2.
+* InternalError - an invariant the algorithms guarantee was breached:
+                  report a bug.  CLI exit 4.
 
-* InputError        - bad user input (parse or validation); CLI exit 2.
-* TooLarge          - the input is too large for a bound: the oracle's
-                      count of bases, past its pair scan's bound, or the
-                      solver's pivots and cut rounds (IterationLimit);
-                      CLI exit 2.
-* InternalError, MalformedProgram
-                    - an invariant the algorithms guarantee was breached,
-                      or the solver built a linear program it cannot take;
-                      either signals an implementation bug; CLI exit 4.
-
-Failed verifications are returned as messages, not raised; the CLI exits 3.
+``cli.failure`` maps a kind to its exit code.  Failed verifications are
+returned as messages, not raised; the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -23,45 +23,29 @@ class RRSTError(Exception):
 
 
 class InputError(RRSTError):
-    pass
+    """The caller's input is wrong; fixing it is the caller's to do."""
 
 
 class ParseError(InputError):
-    """Malformed input document."""
+    """Malformed input document, or a value that cannot be read exactly
+    (a binary float, say)."""
 
 
 class ValidationError(InputError):
-    """Well-formed input that violates a semantic requirement."""
-
-
-class UnknownEdge(RRSTError):
-    """An edge id was referenced that the graph does not contain."""
-
-
-class ElementNotInGround(RRSTError):
-    """A matroid operation referenced an element outside the ground set."""
+    """Well-formed input that violates a semantic requirement, such as an
+    edge or element id the graph or matroid does not hold."""
 
 
 class TooLarge(RRSTError):
     """The input is too large for a bound of the route that takes it."""
 
 
-class MalformedProgram(RRSTError):
-    """A linear program the simplex cannot take: a cost, rhs or cut
-    coefficient that is not an int, a cut column outside the structural
-    columns, or an empty block.  Programs are built only by the solver,
-    never read from a user, so this signals a bug."""
+class InternalError(RRSTError):
+    """An algorithm invariant was breached; indicates a bug, never bad
+    input.  So is a linear program the simplex cannot take, since only
+    the solver builds programs."""
 
 
-class InfeasibleModel(RRSTError):
+class InfeasibleModel(InternalError):
     """The relaxation has no feasible point: the simplex session raises it
     on a negative block rhs, or when a batch of cuts leaves no point."""
-
-
-class InternalError(RRSTError):
-    """An algorithm invariant was breached; indicates a bug, never bad input."""
-
-
-class IterationLimit(TooLarge):
-    """Defensive bound on simplex pivots or cutting-plane rounds: the
-    instance is too large to solve within it."""

@@ -39,7 +39,7 @@ from operator import add, eq
 from .errors import InternalError, ParseError, ValidationError
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from .multigraph import MultiGraph
-from .rational import DIGIT_LIMIT, ExactnessError, parse_exact, rat, rat_str, widen_scale
+from .rational import DIGIT_LIMIT, parse_exact, rat, rat_str, widen_scale
 
 _COST_KEYS = ("C", "c", "d")
 
@@ -181,7 +181,7 @@ def _cost_columns(objects, ids) -> tuple[CostColumns, int] | None:
                 for v in column:
                     if type(v) is not int:
                         scale = widen_scale(scale, v)
-            except ExactnessError:
+            except ParseError:
                 return None
         columns.append(column)
     if scale != 1:
@@ -219,7 +219,7 @@ class CostTable:
                     self.scale = widen_scale(self.scale, v)
             except KeyError:
                 raise ParseError(f"{where}: missing cost field {key!r}") from None
-            except ExactnessError as exc:
+            except ParseError as exc:
                 raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
             if v < 0:
                 raise ValidationError(f"{where}: cost {key}={rat_str(v)} is negative")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InternalError, IterationLimit
+from .errors import InternalError, TooLarge
 from .simplex import SimplexSession, VertexSolution
 
 # defensive bound on cutting-plane rounds per LP solve
@@ -181,7 +181,7 @@ def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
             break
         rounds += 1
         if rounds > _ROUND_LIMIT:
-            raise IterationLimit(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
+            raise TooLarge(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
         for stage, (elements, rhs) in pending:
             if sum(map(points[stage].__getitem__, elements)) <= rhs * den:
                 raise InternalError("separation produced a row the vertex already satisfies")

@@ -21,7 +21,7 @@ matroid's deletion and contraction serve only `sides.MatroidSide`'s
 
 from __future__ import annotations
 
-from .errors import ElementNotInGround, ValidationError
+from .errors import ValidationError
 from .multigraph import MultiGraph
 
 
@@ -39,7 +39,7 @@ class Matroid:
     def _check_elements(self, subset):
         bad = set(subset) - self.ground
         if bad:
-            raise ElementNotInGround(f"elements {sorted(bad)} not in ground set")
+            raise ValidationError(f"elements {sorted(bad)} not in ground set")
 
     def max_independent(self, order) -> list[int]:
         """Greedy scan: the elements of order, in that order, that stay

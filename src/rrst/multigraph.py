@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain, starmap
 from operator import eq
 
-from .errors import UnknownEdge, ValidationError
+from .errors import ValidationError
 
 
 class MultiGraph:
@@ -53,7 +53,7 @@ class MultiGraph:
         try:
             return self.edges[eid]
         except KeyError:
-            raise UnknownEdge(f"no edge with id {eid}") from None
+            raise ValidationError(f"no edge with id {eid}") from None
 
     def is_connected(self) -> bool:
         n = self.node_count
@@ -103,7 +103,7 @@ class MultiGraph:
             try:
                 u, v = edges[eid]
             except KeyError:
-                raise UnknownEdge(f"no edge with id {eid}") from None
+                raise ValidationError(f"no edge with id {eid}") from None
             while u in parent:
                 p = parent[u]
                 if p in parent:

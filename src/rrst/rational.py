@@ -13,12 +13,19 @@ holds integers over one common denominator (see simplex.py).  LP points
 stay in that form, int numerators over the tableau's denominator, through
 separation and the solver's reading of the vertex, and separation returns
 each cut as its ids and an int rhs, so the LP layers build no Fraction.
+
+`parse_exact` reads a value from a document.  One it cannot read exactly
+(a binary float, a bool, text that is no rational, or more than
+MAX_DIGITS digits) raises ParseError, as any other fault of a document
+does: the caller must fix the document.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import ParseError
 
 Rat = Fraction
 
@@ -37,10 +44,6 @@ MAX_DIGITS = 1000
 DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
-class ExactnessError(ValueError):
-    """A value cannot be represented exactly (e.g. a binary float)."""
-
-
 def parse_exact(value):
     """Parse a cost or coefficient into an exact rational: an int when the
     value is whole, a Fraction otherwise.
@@ -55,27 +58,27 @@ def parse_exact(value):
     if type(value) is int:  # a bool is not, and falls through
         if -DIGIT_LIMIT < value < DIGIT_LIMIT:
             return value
-        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
+        raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     if isinstance(value, bool):
-        raise ExactnessError(f"boolean is not a valid numeric value: {value!r}")
+        raise ParseError(f"boolean is not a valid numeric value: {value!r}")
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ExactnessError(f"non-finite float {value!r} rejected; values must be finite")
-        raise ExactnessError(
+            raise ParseError(f"non-finite float {value!r} rejected; values must be finite")
+        raise ParseError(
             f"binary float {value!r} rejected; write it as a string, e.g. \"{value}\""
         )
     if isinstance(value, str):
         text = value.strip()
         if abs(_exponent(text)) > MAX_DIGITS:
-            raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
+            raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
         try:
             f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ExactnessError(f"cannot parse {_shown(value)} as an exact rational") from exc
+            raise ParseError(f"cannot parse {_shown(value)} as an exact rational") from exc
         return _bounded(f, value)
     if isinstance(value, Fraction):
         return _bounded(rat(value.numerator, value.denominator), value)
-    raise ExactnessError(f"cannot parse {type(value).__name__} as an exact rational")
+    raise ParseError(f"cannot parse {type(value).__name__} as an exact rational")
 
 
 def _exponent(text: str) -> int:
@@ -89,20 +92,20 @@ def _exponent(text: str) -> int:
 
 def _bounded(f: Fraction, value):
     if abs(f.numerator) >= DIGIT_LIMIT or f.denominator >= DIGIT_LIMIT:
-        raise ExactnessError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
+        raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
     return f.numerator if f.denominator == 1 else f
 
 
 def widen_scale(scale: int, value) -> int:
     """The LCM of `scale` and the denominator of `value`.
 
-    Raises ExactnessError once it has more than MAX_DIGITS digits, which
+    Raises ParseError once it has more than MAX_DIGITS digits, which
     bounds every total printed over that scale well inside Python's
     4300-digit limit on printing an int.
     """
     scale = math.lcm(scale, value.denominator)
     if scale >= DIGIT_LIMIT:
-        raise ExactnessError(f"the common denominator of the costs would have more than {MAX_DIGITS} digits")
+        raise ParseError(f"the common denominator of the costs would have more than {MAX_DIGITS} digits")
     return scale
 
 

@@ -4,8 +4,10 @@ Minimizes an integer objective over the columns x >= 0 of a block program
 (one == row of ones per block of columns) and the <= cuts added to it,
 with every pivot and solution value exact, so "optimal" means optimal,
 not optimal-up-to-epsilon.  The program arrives as columns: each block's
-int costs and rhs, then each cut's int coefficients by column index; a
-value that is not an int is rejected.  The tableau holds Python ints over
+int costs and rhs, then each cut's int coefficients by column index.  A
+value that is not an int, an empty block or a cut column outside the
+structural columns raises InternalError: only the solver builds
+programs, so such a program is a bug.  The tableau holds Python ints over
 one common denominator and pivots by exact integer division, with no gcd
 (see SimplexSession), and a vertex comes back the same way: int
 numerators over that denominator, with no Fraction built.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from .errors import InfeasibleModel, IterationLimit, MalformedProgram
+from .errors import InfeasibleModel, InternalError, TooLarge
 
 _PIVOT_LIMIT = 2_000_000
 
@@ -32,7 +34,7 @@ _PIVOT_LIMIT = 2_000_000
 def _check_ints(values, what):
     for v in values:
         if type(v) is not int:
-            raise MalformedProgram(f"{what} must be an int, got {v!r}")
+            raise InternalError(f"{what} must be an int, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class SimplexSession:
         objective = 0
         for i, (costs, rhs) in enumerate(blocks):
             if not costs:
-                raise MalformedProgram(f"block {i} has no column")
+                raise InternalError(f"block {i} has no column")
             _check_ints(costs, f"a cost of block {i}")
             _check_ints((rhs,), f"the rhs of block {i}")
             start = len(self.cost)
@@ -144,7 +146,7 @@ class SimplexSession:
         self.basis[r] = c
         self._pivots += 1
         if self._pivots > _PIVOT_LIMIT:
-            raise IterationLimit(f"simplex pivots exceeded {_PIVOT_LIMIT}")
+            raise TooLarge(f"simplex pivots exceeded {_PIVOT_LIMIT}")
 
     def _canonical(self, row):
         """``den * row`` with every basic column eliminated, for a row over
@@ -185,7 +187,7 @@ class SimplexSession:
             for col, v in coeffs.items():
                 # a column past the structural ones would land in a slack
                 if col not in structural:
-                    raise MalformedProgram(f"cut column {col!r} is not one of the {self.nvars} structural columns")
+                    raise InternalError(f"cut column {col!r} is not one of the {self.nvars} structural columns")
                 row[col] = v
             # den * a - sum a[b_i] * rows[i]; a cut has no entry in the
             # slack column of an earlier cut of the batch, so the rows

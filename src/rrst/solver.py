@@ -53,11 +53,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InternalError, ValidationError
+from .errors import InternalError, ParseError, ValidationError
 from .instance import Instance, _int_column
 from .lpmodel import CutPlaneResult, build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, PartitionMatroid
-from .rational import ExactnessError, Rat, parse_exact, rat, rat_str
+from .rational import Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
 
@@ -204,7 +204,7 @@ def verify_solution(instance: Instance, doc: dict) -> list[str]:
             continue
         try:
             claimed = parse_exact(doc[key])
-        except ExactnessError as exc:
+        except ParseError as exc:
             failures.append(f"unreadable {key}: {exc}")
             continue
         if claimed * instance.scale != expected:

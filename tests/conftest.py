@@ -32,7 +32,7 @@ def _pivot_limit():
     """Cap the pivots of each simplex session far below the library's bound.
 
     The largest session in the suite takes a few hundred pivots, so a
-    simplex that cycles fails with IterationLimit instead of hanging.
+    simplex that cycles fails with TooLarge instead of hanging.
     Session scope puts the cap in place before module-scoped fixtures,
     such as the acceptance corpus, solve anything.
     """

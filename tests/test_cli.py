@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from rrst import cli, lpmodel, oracle, sides
-from rrst.errors import InternalError, IterationLimit
+from rrst import cli, errors, lpmodel, oracle, sides
+from rrst.errors import (InfeasibleModel, InputError, InternalError, ParseError, TooLarge,
+                         ValidationError)
 from rrst.instance import load_instance
 from rrst.oracle import BruteResult, brute_force
 from rrst.rational import rat, rat_str
@@ -363,7 +364,8 @@ def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
     assert run(["solve", "--input", str(inst_file)]) == 4
-    assert "MalformedProgram" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: InternalError: a cut rhs must be an int, got Fraction(-1, 2)"), err
 
 
 @pytest.mark.parametrize("matroid", [False, True], ids=["forest", "rank"])
@@ -395,6 +397,37 @@ def test_compare_pivot_limit_exits_2(tmp_path, monkeypatch):
     [report] = [json.loads(l) for l in out.read_text().splitlines()]
     assert report["error"].startswith("input too large: simplex pivots exceeded")
     assert report["total"] is None
+
+
+EXIT_CODE_OF_KIND = [(ParseError, 2), (ValidationError, 2), (TooLarge, 2),
+                     (InternalError, 4), (InfeasibleModel, 4)]
+
+
+@pytest.mark.parametrize("kind, code", EXIT_CODE_OF_KIND, ids=lambda v: getattr(v, "__name__", v))
+def test_solve_and_compare_share_one_exit_code_map(inst_file, tmp_path, monkeypatch, capsys, kind, code):
+    """An error from `solve` exits with its kind's code, from `rrst solve`
+    and from a line of `rrst compare` alike."""
+    def fail(*a, **kw):
+        raise kind("planned")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    assert run(["solve", "--input", str(inst_file)]) == code
+    assert capsys.readouterr().err.startswith("internal error: " if code == 4 else "error: ")
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--seeds", "1..1", "--nodes", "4", "--output", str(out)]) == code
+    [report] = [json.loads(l) for l in out.read_text().splitlines()]
+    assert report["error"] == cli.failure(kind("planned"))[1] and report["total"] is None
+
+
+def test_every_error_class_is_one_kind():
+    """Each error rrst defines says who must act: fix the input, shrink
+    it, or report a bug."""
+    kinds = (InputError, TooLarge, InternalError)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RRSTError) and c is not errors.RRSTError]
+    assert len(classes) == 6
+    for c in classes:
+        assert sum(issubclass(c, kind) for kind in kinds) == 1, c
 
 
 def test_invalid_log_level_exits_2(inst_file, monkeypatch):
@@ -456,7 +489,7 @@ def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_pa
     def planned(inst):
         fault = next(faults)
         if fault == "large":
-            raise IterationLimit("planned")
+            raise TooLarge("planned")
         if fault == "bug":
             raise InternalError("planned")
         sol = real(inst)

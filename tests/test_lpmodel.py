@@ -2,7 +2,7 @@
 
 import pytest
 
-from rrst.errors import InfeasibleModel, InternalError, IterationLimit, MalformedProgram
+from rrst.errors import InfeasibleModel, InternalError, TooLarge
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns
 from rrst import lpmodel
@@ -69,7 +69,7 @@ def test_internal_errors_on_broken_state():
     # empty, and the session refuses an empty block
     model = build_relaxation(GraphSide(MultiGraph(range(1), {})), size=0, quota=1,
                              costs=CostColumns.from_rows({}))
-    with pytest.raises(MalformedProgram, match="no column"):
+    with pytest.raises(InternalError, match="block 0 has no column"):
         cutting_plane_solve(model)
 
 
@@ -104,7 +104,7 @@ def test_round_limit_guard(monkeypatch):
     inst = generate_instance(5, 0.5, 1, 10, 1)
     model = _initial_model(inst)
     monkeypatch.setattr(lpmodel, "_ROUND_LIMIT", 0)
-    with pytest.raises(IterationLimit):
+    with pytest.raises(TooLarge, match="cutting-plane rounds exceeded 0"):
         cutting_plane_solve(model)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrst.errors import UnknownEdge, ValidationError
+from rrst.errors import ValidationError
 from rrst.multigraph import MultiGraph, classes
 
 
@@ -23,7 +23,7 @@ def test_basic_accessors():
     assert g.endpoints(3) == (1, 2)
     # Kruskal scan: 3 closes the triangle 1-2-3, and the scan stops at n - 1
     assert g.spanning_forest([5, 4, 3, 2, 1, 0]) == [5, 4, 2]
-    with pytest.raises(UnknownEdge):
+    with pytest.raises(ValidationError, match="no edge with id 99"):
         g.endpoints(99)
 
 
@@ -169,7 +169,7 @@ def kruskal(graph, edge_order):
         if len(forest) >= need:
             break
         if eid not in graph.edges:
-            raise UnknownEdge(f"no edge with id {eid}")
+            raise ValidationError(f"no edge with id {eid}")
         u, v = graph.edges[eid]
         if component[u] != component[v]:
             old = component[u]
@@ -199,8 +199,8 @@ def test_spanning_forest_matches_reference_kruskal(problem):
     graph, order = problem
     try:
         expected = kruskal(graph, order)
-    except UnknownEdge:
-        with pytest.raises(UnknownEdge):
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
             graph.spanning_forest(order)
     else:
         assert graph.spanning_forest(order) == expected

@@ -18,6 +18,7 @@ same pivots after it.  The oracles read a program as dense rows
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst import simplex
-from rrst.errors import InfeasibleModel, MalformedProgram
+from rrst.errors import InfeasibleModel, InternalError
 from rrst.rational import ONE, ZERO, rat
 from rrst.simplex import SimplexSession
 
@@ -116,7 +117,7 @@ NON_BLOCK_PROGRAMS = {
 
 @pytest.mark.parametrize("blocks", NON_BLOCK_PROGRAMS.values(), ids=NON_BLOCK_PROGRAMS.keys())
 def test_non_block_program_rejected(blocks):
-    with pytest.raises(MalformedProgram):
+    with pytest.raises(InternalError, match=r"block \d has no column"):
         SimplexSession(blocks)
 
 
@@ -162,12 +163,12 @@ def test_determinism_byte_for_byte():
 def test_malformed_programs_rejected():
     """A cut names structural columns only: one past them (where a slack
     column lies once a cut is in), a negative one or a column that is not
-    an index raises MalformedProgram and leaves the session as it was."""
+    an index raises InternalError and leaves the session as it was."""
     session = SimplexSession([([1, 2], 3)])
     session.add_cuts([(cut([1, 0]), 2)])
     assert session.ncols == 3
     for col in (2, 3, -1, "x0"):
-        with pytest.raises(MalformedProgram):
+        with pytest.raises(InternalError, match=f"cut column {col!r} is not one of the 2 structural columns"):
             session.add_cuts([({col: 1}, 1)])
         assert session.ncols == 3 and len(session.rows) == 2
 
@@ -177,18 +178,19 @@ def test_malformed_programs_rejected():
 def test_non_int_entries_rejected(where, value):
     """A program holds ints only: a Fraction (even a whole one), a bool or
     a float as a block cost, a block rhs, a cut coefficient or a cut rhs
-    raises MalformedProgram and leaves the session as it was."""
+    raises InternalError and leaves the session as it was."""
+    message = f"must be an int, got {re.escape(repr(value))}$"
     if where == "objective":
-        with pytest.raises(MalformedProgram):
+        with pytest.raises(InternalError, match=message):
             SimplexSession([([1, value], 1)])
         return
     if where == "block-rhs":
-        with pytest.raises(MalformedProgram):
+        with pytest.raises(InternalError, match=message):
             SimplexSession([([1, 1], value)])
         return
     session = SimplexSession([([1, 1], 1)])
     bad = ({0: value}, 1) if where == "coefficient" else ({0: 1}, value)
-    with pytest.raises(MalformedProgram):
+    with pytest.raises(InternalError, match=message):
         session.add_cuts([({0: 1}, 1), bad])
     assert session.ncols == 2 and len(session.rows) == 1
 
@@ -224,8 +226,9 @@ def test_add_cuts_rejects_a_batch_whole():
     """A malformed cut anywhere in a batch leaves the session as it was,
     and a valid batch afterwards still reaches the optimum."""
     session = SimplexSession([([1, 2], 3)])
-    for bad in ((cut([1, 0]), Fraction(1, 2)), ({2: 1}, 1)):
-        with pytest.raises(MalformedProgram):
+    for bad, message in (((cut([1, 0]), Fraction(1, 2)), "a cut rhs must be an int"),
+                         (({2: 1}, 1), "cut column 2 is not one of the 2 structural columns")):
+        with pytest.raises(InternalError, match=message):
             session.add_cuts([(cut([1, 0]), 2), bad])
         assert session.ncols == 2 and len(session.rows) == 1 and len(session.cost) == 3
     session.add_cuts([(cut([1, 0]), 2)])
