@@ -12,11 +12,14 @@ Every command that reads an instance document (``solve``, ``verify``,
 ``oracle`` and ``compare --suite DIR``) reads either kind through the one
 reader, which tells a matroid document by its ``family`` key, and runs the
 one solve, verify or brute force on it.  No flag picks a separation
-route or the oracle's unbounded pair scan.  The oracle lists the bases of
-every family by the one enumeration and takes at most 2,236 of them, the
-pair scan's bound: past it, ``oracle`` exits 2 and ``compare`` records
-the line's oracle as skipped.  ``solve --lp-dump-dir DIR``
-writes the relaxation the solution carries, only when an LP was built.
+route.  The oracle lists the bases of every family by the one
+enumeration and takes at most 2,236 of them, the pair scan's bound: past
+it, ``oracle`` exits 2 and ``compare`` records the line's oracle as
+skipped.  ``compare --seeds A..B --nodes N`` draws each instance with
+``gen``'s default density and cost range and k = seed mod N, one at a
+time, so its memory does not grow with the range.  ``solve --lp-dump-dir
+DIR`` writes the relaxation the solution carries, only when an LP was
+built.
 
 Exit codes: 0 success, 2 an input to fix or to shrink, 3 verification
 failure or solver/oracle disagreement, 4 a bug (see errors.py).
@@ -35,6 +38,7 @@ import logging
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from .errors import InputError, ParseError, RRSTError, TooLarge, ValidationError
 from .gen import builtin_small_suite, generate_instance
@@ -49,6 +53,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+
+# the generator's density and cost range: `gen`'s defaults, and the only
+# values `compare --seeds` draws with
+DENSITY = 0.5
+COST_MAX = 20
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -150,7 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    res = brute_force(load_instance(args.input), prune=True)
+    res = brute_force(load_instance(args.input))
     doc = {"X": res.X, "Y": res.Y, "Z": res.Z, "first_stage": rat_str(res.first_stage),
            "second_stage": rat_str(res.second_stage), "total": rat_str(res.total),
            "pairs_scanned": res.pairs_scanned}
@@ -181,26 +190,25 @@ def _suite_from_dir(path: str) -> list[tuple[str, Instance]]:
     return [(name, load_instance(os.path.join(path, name))) for name in names]
 
 
-def _compare_instances(args) -> list[tuple[str, Instance]]:
+def _compare_instances(args) -> tuple[int, Iterable[tuple[str, Instance]]]:
+    """The number of (name, instance) pairs to compare, and the pairs.  A
+    suite is read whole, so a malformed document is refused before any
+    line is written; seeded instances are checked up front and drawn one
+    at a time."""
     if args.suite is not None and args.seeds is not None:
         raise ValidationError("give either --suite or --seeds, not both")
     if args.suite is not None:
-        if args.suite == "builtin-small":
-            return builtin_small_suite()
-        return _suite_from_dir(args.suite)
-    if args.seeds is not None:
-        if args.nodes is None:
-            raise ValidationError("--seeds needs --nodes")
-        if args.nodes < 1:
-            raise ValidationError(f"--nodes must be >= 1, got {args.nodes}")
-        out = []
-        for seed in _parse_seed_range(args.seeds):
-            # sweep the recovery budget across seeds unless pinned by --k
-            k = args.k if args.k is not None else seed % args.nodes
-            inst = generate_instance(args.nodes, args.density, k, args.cost_max, seed)
-            out.append((f"seed{seed}-n{args.nodes}-k{k}", inst))
-        return out
-    raise ValidationError("compare needs --suite or --seeds")
+        suite = builtin_small_suite() if args.suite == "builtin-small" else _suite_from_dir(args.suite)
+        return len(suite), suite
+    if args.seeds is None:
+        raise ValidationError("compare needs --suite or --seeds")
+    if args.nodes is None:
+        raise ValidationError("--seeds needs --nodes")
+    if args.nodes < 1:
+        raise ValidationError(f"--nodes must be >= 1, got {args.nodes}")
+    n, seeds = args.nodes, _parse_seed_range(args.seeds)
+    return len(seeds), ((f"seed{s}-n{n}-k{s % n}", generate_instance(n, DENSITY, s % n, COST_MAX, s))
+                        for s in seeds)
 
 
 def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict]:
@@ -234,7 +242,7 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     report["rounds"], report["cuts"] = _cut_counts(sol)
     if with_oracle:
         try:
-            ref = brute_force(inst, prune=True)
+            ref = brute_force(inst)
         except TooLarge as exc:
             report["error"] = f"oracle skipped: {type(exc).__name__}: {exc}"
             return EXIT_OK, report
@@ -246,8 +254,8 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
 
 
 def cmd_compare(args) -> int:
-    instances = _compare_instances(args)
-    log.info("comparing %d instances", len(instances))
+    count, instances = _compare_instances(args)
+    log.info("comparing %d instances", count)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     worst = EXIT_OK
     try:
@@ -285,10 +293,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5,
-                   help="probability of each non-tree edge (default 0.5)")
+    p.add_argument("--density", type=float, default=DENSITY,
+                   help="probability of each non-tree edge (default %(default)s)")
     p.add_argument("--k", type=int, required=True, help="recovery budget")
-    p.add_argument("--cost-max", type=int, default=20, help="cost range upper bound (default 20)")
+    p.add_argument("--cost-max", type=int, default=COST_MAX,
+                   help="cost range upper bound (default %(default)s)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", default=None, help="instance path (default stdout)")
     p.set_defaults(func=cmd_gen)
@@ -301,12 +310,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run solver vs exhaustive oracle over a suite")
     p.add_argument("--suite", default=None,
                    help="'builtin-small' or a directory of instance documents")
-    p.add_argument("--seeds", default=None, help="seed range A..B for generated instances")
+    p.add_argument("--seeds", default=None,
+                   help="seed range A..B for generated instances, with k = seed mod --nodes")
     p.add_argument("--nodes", type=int, default=None, help="nodes for generated instances")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--cost-max", type=int, default=20)
-    p.add_argument("--k", type=int, default=None,
-                   help="pin the recovery budget (default: sweep by seed)")
     p.add_argument("--no-oracle", action="store_true", help="skip the exhaustive reference")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_compare)

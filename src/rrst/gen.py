@@ -43,11 +43,7 @@ __all__ = [
     "generate_instance",
     "connected_graphs_up_to_iso",
     "builtin_small_suite",
-    "BUILTIN_GRAPH_COUNTS",
 ]
-
-# connected graphs up to isomorphism on 1..5 nodes; used as a self-check
-BUILTIN_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 
 
 def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -163,24 +159,24 @@ def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def _pattern_costs(pattern: str, m: int, seed_key: str) -> CostColumns:
+    """The costs of one of BUILTIN_PATTERNS on edge ids 0..m-1."""
     if pattern == "unit":
         return CostColumns.from_rows({i: (1, 1, 1) for i in range(m)})
     if pattern == "anti":
         # cheap first stage pairs with expensive second stage and vice versa
         return CostColumns.from_rows({i: (i + 1, m - i, i % 2) for i in range(m)})
-    if pattern == "random":
-        return _drawn_costs(random.Random(seed_key), 20, range(m))
-    raise ValidationError(f"unknown cost pattern {pattern!r}")
+    return _drawn_costs(random.Random(seed_key), 20, range(m))  # "random"
 
 
 BUILTIN_PATTERNS = ("unit", "anti", "random")
+BUILTIN_MAX_NODES = 5
 
 
-def builtin_small_suite(max_nodes: int = 5) -> list[tuple[str, Instance]]:
+def builtin_small_suite() -> list[tuple[str, Instance]]:
     """The deterministic (name, instance) corpus over all connected graphs
-    with at most ``max_nodes`` nodes, three cost patterns, and every k."""
+    with at most BUILTIN_MAX_NODES nodes, three cost patterns, and every k."""
     suite = []
-    for n in range(1, max_nodes + 1):
+    for n in range(1, BUILTIN_MAX_NODES + 1):
         for gi, canon in enumerate(connected_graphs_up_to_iso(n)):
             edges = {i: uv for i, uv in enumerate(canon)}
             for pattern in BUILTIN_PATTERNS:

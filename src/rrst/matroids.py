@@ -54,12 +54,10 @@ class Matroid:
                 picked.discard(e)
         return kept
 
-    def rank(self, subset=None) -> int:
-        """Size of a maximum independent subset, by the greedy scan."""
-        if subset is None:
-            subset = self.ground
-        else:
-            self._check_elements(subset)
+    def rank(self, subset) -> int:
+        """Size of a maximum independent subset of `subset`, elements of the
+        ground set, by the greedy scan; full_rank() ranks the whole ground."""
+        self._check_elements(subset)
         return len(self.max_independent(sorted(subset)))
 
     def full_rank(self) -> int:

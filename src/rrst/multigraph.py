@@ -45,10 +45,6 @@ class MultiGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:
             return self.edges[eid]

@@ -8,7 +8,9 @@ meaningful evidence.
 `matroids.enumerate_bases` (a tree instance's bases are its spanning
 trees).  The pair scan's own bound is the one guard: the listing stops at
 the first basis past it, so a large instance is refused after that many
-bases, whatever its family or ground set.
+bases, whatever its family or ground set.  The scan itself is pruned by
+cost bounds; the unpruned scan over every pair is the tests' reference
+(`tests/reference_pair_scan.py`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class BruteResult:
     pairs_scanned: int
 
 
-def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool) -> BruteResult:
+def _pair_scan(selections, costs, scale: int, overlap_required: int) -> BruteResult:
     first_cost, second_cost = costs.C.__getitem__, costs.second.__getitem__
     rated = [(sel, frozenset(sel), sum(map(first_cost, sel)), sum(map(second_cost, sel)))
              for sel in selections]
@@ -50,12 +52,12 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
     best = None
     scanned = 0
     for x_sel, x_set, first, _ in by_first:
-        # strict bounds keep the prune argmin identical to the full scan
-        if prune and best is not None and first + min_second > best[0]:
+        # strict bounds keep the pruned argmin identical to the full scan's
+        if best is not None and first + min_second > best[0]:
             break
         for y_sel, y_set, _, second in by_second:
             total = first + second
-            if prune and best is not None and total > best[0]:
+            if best is not None and total > best[0]:
                 break
             scanned += 1
             if len(x_set & y_set) < overlap_required:
@@ -73,8 +75,9 @@ def _pair_scan(selections, costs, scale: int, overlap_required: int, prune: bool
     return BruteResult(x_sel, y_sel, z, rat(first, scale), rat(second, scale), rat(total, scale), scanned)
 
 
-def brute_force(instance: Instance, prune: bool = False) -> BruteResult:
-    """Optimal basis pair by explicit enumeration (reference route).
+def brute_force(instance: Instance) -> BruteResult:
+    """Optimal basis pair by explicit enumeration and a pruned pair scan
+    (reference route).  Ties go to the least (total, X, Y).
 
     Raises TooLarge once the bases outnumber the square root of
     PAIR_SCAN_LIMIT, having listed one basis past it.
@@ -83,4 +86,4 @@ def brute_force(instance: Instance, prune: bool = False) -> BruteResult:
     bases = list(islice(enumerate_bases(instance.matroid), bound))
     if len(bases) == bound:
         raise TooLarge(f"over {bound - 1} bases: their pairs exceed {PAIR_SCAN_LIMIT}")
-    return _pair_scan(bases, instance.costs, instance.scale, instance.overlap_requirement, prune)
+    return _pair_scan(bases, instance.costs, instance.scale, instance.overlap_requirement)

@@ -34,9 +34,6 @@ def rat(a, b=1):
     return Fraction(a, b)
 
 
-ZERO = rat(0)
-ONE = rat(1)
-
 # the most decimal digits a parsed numerator or denominator may have: far
 # past any cost a user means, well inside Python's 4300-digit limit on
 # printing an int, and small enough that 10**exponent is cheap to build

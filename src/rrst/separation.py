@@ -274,20 +274,15 @@ def separate_rank(point, unit: int, matroid) -> Cut | None:
     Takes only points with one non-negative entry per element of the
     ground set and x(ground) <= rank, as every point of the relaxation
     is; any other point comes from a solver bug: InternalError.  The
-    matroid is a partition matroid (a uniform matroid is one part).  The
-    most violated constraint is the union of each part's best prefix; it
-    is never the whole ground set, which no such point violates.  The
+    matroid is a partition matroid (a uniform matroid is one part): the
     solver hands graphic matroids to the forest side and refuses any other
-    family, so a matroid with no parts is a bug: InternalError.
+    family.  The most violated constraint is the union of each part's best
+    prefix; it is never the whole ground set, which no such point violates.
     """
-    try:
-        parts = matroid.parts
-    except AttributeError:
-        raise InternalError(f"no rank separation for the {matroid.family} family") from None
     _check_point(point, matroid.ground)
     elements = []
     rhs, weight, rank = 0, 0, 0
-    for part, cap in parts:
+    for part, cap in matroid.parts:
         prefix, part_rhs, part_weight = _best_prefix(point, unit, part, cap)
         elements += prefix
         rhs += part_rhs

@@ -32,13 +32,15 @@ from rrst.instance import CostColumns, Instance
 from rrst.matroids import PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force
-from rrst.rational import ZERO, rat
+from rrst.rational import rat
 from rrst.separation import separate_forest
 from rrst.sides import GraphSide
 from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
 from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, graphic_twin, violation
 from reference_separation import separate_forest_exhaustive
+
+ZERO = rat(0)
 
 # sha256 over the serialized solution of every corpus solve, in corpus
 # order: tree runs, matroid runs, then each graphic case read from its tree
@@ -96,7 +98,7 @@ def _run_case(name, instance) -> Run:
         sol, raised = None, f"{type(exc).__name__}: {exc}"
     else:
         raised = None
-    ref = brute_force(instance, prune=True)
+    ref = brute_force(instance)
     text = "" if sol is None else serialize_solution(sol)
     need = instance.overlap_requirement
     return Run(
@@ -171,7 +173,7 @@ def corpus() -> Corpus:
     for name, inst, mi in _graphic_matroid_cases():
         c.graphic_runs.append(GraphicRun(
             name, inst, mi, solve(inst), solve(mi),
-            brute_force(mi, prune=True).total,
+            brute_force(mi).total,
         ))
     return c
 

@@ -15,9 +15,11 @@ from rrst import cli, errors, lpmodel, oracle, sides
 from rrst.errors import (InfeasibleModel, InputError, InternalError, ParseError, TooLarge,
                          ValidationError)
 from rrst.instance import load_instance
-from rrst.oracle import BruteResult, brute_force
+from rrst.oracle import BruteResult
 from rrst.rational import rat, rat_str
 from rrst.solver import solve
+
+from reference_pair_scan import full_pair_scan
 
 
 def run(argv):
@@ -137,21 +139,30 @@ def test_instance_kind_read_from_the_document(tmp_path, kind_files, kind, capsys
 
 
 def test_kind_and_prune_flags_are_gone(inst_file, capsys):
+    """No flag names the kind or the oracle's scan, and `compare` draws
+    seeded instances with `gen`'s defaults only."""
+    compare_seeds = ["compare", "--seeds", "1..2", "--nodes", "4"]
     for argv in (["solve", "--input", str(inst_file), "--matroid"],
                  ["verify", "--instance", str(inst_file), "--solution", str(inst_file), "--matroid"],
                  ["oracle", "--input", str(inst_file), "--matroid"],
-                 ["oracle", "--input", str(inst_file), "--prune"]):
+                 ["oracle", "--input", str(inst_file), "--prune"],
+                 [*compare_seeds, "--density", "0.4"],
+                 [*compare_seeds, "--cost-max", "9"],
+                 [*compare_seeds, "--k", "1"]):
         assert exit_code(argv) == 2
     for command in ("solve", "verify", "oracle"):
         assert exit_code([command, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--matroid" not in out and "--prune" not in out
+    assert exit_code(["compare", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert not {"--density", "--cost-max", "--k"} & set(re.findall(r"--[a-z-]+", out))
 
 
 def test_oracle_bounds_its_pair_scan(inst_file, capsys):
     """`oracle` always prunes its pair scan, and finds the full scan's
     optimum."""
-    full = brute_force(load_instance(inst_file))
+    full = full_pair_scan(load_instance(inst_file))
     assert run(["oracle", "--input", str(inst_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["X"], doc["Y"], doc["Z"], doc["total"]) == (
@@ -473,12 +484,30 @@ def test_compare_directory_suite(tmp_path):
 
 
 def test_compare_disagreement_exits_3(tmp_path, monkeypatch):
-    def wrong_oracle(inst, prune=False):
+    def wrong_oracle(inst):
         return BruteResult((), (), (), rat(0), rat(0), rat(10 ** 9), 0)
 
     monkeypatch.setattr(cli, "brute_force", wrong_oracle)
     assert run(["compare", "--seeds", "1..2", "--nodes", "4",
                 "--output", str(tmp_path / "r.jsonl")]) == 3
+
+
+def test_compare_seeds_solves_each_instance_as_it_is_drawn(tmp_path, monkeypatch):
+    """`compare --seeds` draws one instance, solves it, and only then draws
+    the next, so its memory does not grow with the seed range."""
+    calls = []
+
+    def logged(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(cli, "generate_instance", logged("gen", cli.generate_instance))
+    monkeypatch.setattr(cli, "solve", logged("solve", cli.solve))
+    assert run(["compare", "--seeds", "1..4", "--nodes", "5", "--no-oracle",
+                "--output", str(tmp_path / "r.jsonl")]) == 0
+    assert calls == ["gen", "solve"] * 4
 
 
 @pytest.mark.parametrize("plan, code", [(("large", "ok"), 2), (("large", "wrong"), 3),

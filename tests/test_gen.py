@@ -6,7 +6,6 @@ import pytest
 
 from rrst.errors import ValidationError
 from rrst.gen import (
-    BUILTIN_GRAPH_COUNTS,
     BUILTIN_PATTERNS,
     builtin_small_suite,
     connected_graphs_up_to_iso,
@@ -14,6 +13,9 @@ from rrst.gen import (
 )
 from rrst.instance import loads_instance, serialize_instance
 from rrst.rational import rat
+
+# connected graphs up to isomorphism on 1..5 nodes (OEIS A001349)
+BUILTIN_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 
 
 def test_same_seed_same_bytes():

@@ -8,12 +8,14 @@ from rrst.instance import CostColumns
 from rrst import lpmodel
 from rrst.lpmodel import build_relaxation, cutting_plane_solve
 from rrst.multigraph import MultiGraph
-from rrst.rational import ONE, ZERO, rat
+from rrst.rational import rat
 from rrst.sides import GraphSide, MatroidSide
 from rrst.matroids import UniformMatroid
 
 from conftest import vertex_objective, vertex_values
 from reference_separation import exhaustive_separate, selection_size, separate_forest_exhaustive
+
+ZERO, ONE = rat(0), rat(1)
 
 K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
 UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})

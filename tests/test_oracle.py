@@ -16,6 +16,7 @@ from rrst.oracle import PAIR_SCAN_LIMIT, brute_force
 from rrst.rational import rat
 
 from conftest import graphic_twin, make_instance, make_partition_instance, make_uniform_instance
+from reference_pair_scan import full_pair_scan
 
 
 def complete_graph(n):
@@ -101,7 +102,7 @@ def test_bases_past_the_pair_scan_are_refused_at_the_first_one_past_it(monkeypat
         assert len(taken) == 2237
     # one basis fewer is answered
     parallel = MultiGraph(range(2), dict.fromkeys(range(2236), (0, 1)))
-    assert brute_force(_unit_instance(parallel), prune=True).X == (0,)
+    assert brute_force(_unit_instance(parallel)).X == (0,)
 
 
 def test_brute_force_tie_break_lexicographic():
@@ -131,8 +132,8 @@ def _drawn_instance(kind, seed):
 def test_pruned_scan_identical_to_full_scan(kind):
     for seed in range(12):
         brute_force, inst = _drawn_instance(kind, seed)
-        full = brute_force(inst, prune=False)
-        fast = brute_force(inst, prune=True)
+        full = full_pair_scan(inst)
+        fast = brute_force(inst)
         assert (full.X, full.Y, full.Z, full.total) == (fast.X, fast.Y, fast.Z, fast.total)
         assert fast.pairs_scanned <= full.pairs_scanned
 
@@ -159,10 +160,9 @@ def test_brute_force_matroid_matches_graphic_tree_route():
     for seed in range(6):
         inst = generate_instance(4, 0.7, seed % 4, 8, seed + 77)
         a = brute_force(inst)
-        # the tree route against the bases of the same graphic matroid
-        b = oracle._pair_scan(enumerate_bases(inst.matroid), inst.costs, inst.scale,
-                              inst.overlap_requirement, prune=False)
-        assert (a.X, a.Y, a.Z, a.total, a.pairs_scanned) == (b.X, b.Y, b.Z, b.total, b.pairs_scanned)
+        # the pruned scan against every pair of the same graphic matroid's bases
+        b = full_pair_scan(inst)
+        assert (a.X, a.Y, a.Z, a.total) == (b.X, b.Y, b.Z, b.total)
         assert brute_force(graphic_twin(inst)) == a
 
 

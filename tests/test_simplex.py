@@ -27,10 +27,12 @@ from hypothesis import strategies as st
 
 from rrst import simplex
 from rrst.errors import InfeasibleModel, InternalError
-from rrst.rational import ONE, ZERO, rat
+from rrst.rational import rat
 from rrst.simplex import SimplexSession
 
 from conftest import vertex_objective, vertex_values
+
+ZERO, ONE = rat(0), rat(1)
 
 EQ, LE = "==", "<="
 

@@ -13,13 +13,15 @@ from rrst.instance import CostColumns, Instance, loads_instance
 from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force
-from rrst.rational import ONE, ZERO, rat
+from rrst.rational import rat
 from rrst.sides import GraphSide, MatroidSide
 from rrst.simplex import SimplexSession
 from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
 from conftest import GenericOracleMatroid, graphic_twin, make_instance, make_uniform_instance, TRIANGLE_PAIRS
 from reference_separation import exhaustive_separate, selection_size
+
+ZERO, ONE = rat(0), rat(1)
 
 
 def test_triangle_unit_k0(triangle_unit):
@@ -153,7 +155,7 @@ def test_graphic_matroid_forests_match_oracle():
         matroid = _random_graphic_matroid(rng)
         graph = matroid.graph
         seen["disconnected"] += not graph.is_connected()
-        seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < graph.edge_count
+        seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < len(graph.edges)
         costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                        for e in sorted(matroid.ground)})
         mi = Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
