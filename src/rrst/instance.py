@@ -32,7 +32,6 @@ fault in document order with its index, as ParseError or ValidationError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, eq
 
@@ -44,7 +43,10 @@ from .rational import DIGIT_LIMIT, parse_exact, rat, rat_str, widen_scale
 _COST_KEYS = ("C", "c", "d")
 
 
-@dataclass(frozen=True)
+def _read_only(record, name, value=None):
+    raise AttributeError(f"{type(record).__name__} is read-only: cannot change {name!r}")
+
+
 class CostColumns:
     """The costs of one instance, one id -> int dict per field: C the first
     stage, [c, c+d] the second-stage interval, and `second` = c + d.
@@ -52,25 +54,38 @@ class CostColumns:
     Each value is a non-negative int in units of 1/scale of its instance,
     checked over whole columns at construction.  Under min-max recovery
     only the upper endpoint matters, so the solver reads only C and second.
+    The record is read-only; two compare equal when C, c and d do.
     """
 
+    __slots__ = ("C", "c", "d", "second")
     C: dict[int, int]
     c: dict[int, int]
     d: dict[int, int]
-    second: dict[int, int] = field(init=False, repr=False, compare=False)
+    second: dict[int, int]
 
-    def __post_init__(self):
-        c, d = self.c, self.d
-        if not self.C.keys() == c.keys() == d.keys():
+    def __init__(self, C, c, d):
+        if not C.keys() == c.keys() == d.keys():
             raise ValidationError("cost columns C, c and d name different elements")
-        for key in _COST_KEYS:
-            column = getattr(self, key)
+        for key, column in zip(_COST_KEYS, (C, c, d)):
             if set(map(type, column.values())) <= {int} and min(column.values(), default=0) >= 0:
                 continue
             e, v = next((e, v) for e, v in column.items() if type(v) is not int or v < 0)
             raise ValidationError(f"costs must be non-negative ints in units of 1/scale of their "
                                   f"instance: {key}[{e}] is {v!r}")
-        object.__setattr__(self, "second", dict(zip(c, map(add, c.values(), map(d.__getitem__, c)))))
+        second = dict(zip(c, map(add, c.values(), map(d.__getitem__, c))))
+        for name, value in zip(self.__slots__, (C, c, d, second)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not CostColumns:
+            return NotImplemented
+        return (self.C, self.c, self.d) == (other.C, other.c, other.d)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return CostColumns, (self.C, self.c, self.d)
 
     @classmethod
     def from_rows(cls, rows) -> "CostColumns":
@@ -85,26 +100,38 @@ def _check_scale(scale) -> None:
         raise ValidationError(f"cost scale {scale!r} is not a positive int")
 
 
-@dataclass(frozen=True)
 class Instance:
     """Both stages select bases of `matroid`: spanning trees when it is the
-    graphic matroid of a connected graph, as every tree document reads."""
+    graphic matroid of a connected graph, as every tree document reads.
+    The record is read-only; two compare equal when all but `rank` do."""
 
+    __slots__ = ("matroid", "costs", "k", "scale", "rank")
     matroid: Matroid
     costs: CostColumns
     k: int
     # every cost is an int in units of 1/scale
     scale: int
     # the matroid's full rank, by one greedy scan at construction
-    rank: int = field(init=False, repr=False, compare=False)
+    rank: int
 
-    def __post_init__(self):
-        _check_scale(self.scale)
-        r = self.matroid.full_rank()
-        if not 0 <= self.k <= r:
-            raise ValidationError(f"k={self.k} outside 0..{r}")
-        _check_cost_ids(self.costs, self.matroid.ground)
-        object.__setattr__(self, "rank", r)
+    def __init__(self, matroid, costs, k, scale):
+        _check_scale(scale)
+        r = matroid.full_rank()
+        if not 0 <= k <= r:
+            raise ValidationError(f"k={k} outside 0..{r}")
+        _check_cost_ids(costs, matroid.ground)
+        for name, value in zip(self.__slots__, (matroid, costs, k, scale, r)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if type(other) is not Instance:
+            return NotImplemented
+        return (self.matroid, self.costs, self.k, self.scale) == (other.matroid, other.costs, other.k, other.scale)
+
+    def __reduce__(self):
+        return Instance, (self.matroid, self.costs, self.k, self.scale)
 
     @property
     def overlap_requirement(self) -> int:

@@ -25,7 +25,7 @@ relaxation is only built while at least one unit of overlap is owed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InternalError, TooLarge
 from .simplex import SimplexSession, VertexSolution
@@ -34,21 +34,28 @@ from .simplex import SimplexSession, VertexSolution
 _ROUND_LIMIT = 10000
 
 
-@dataclass
 class RelaxationModel:
     """The program as columns: block ``name`` holds one column per element
     of ``ids`` (ascending), with ``costs`` in that order, under the row
     1ᵀ(block) == ``rhs``; the blocks are a, b, c in that order, or b alone
-    when merged, and each one's columns follow the previous block's."""
+    when merged, and each one's columns follow the previous block's.  Two
+    compare equal when all but `position` do."""
 
+    __slots__ = ("side", "ids", "blocks", "position")
     side: object
     ids: list[int]
     blocks: list[tuple[str, list[int], int]]
     # element id -> its position in `ids`, and so in every block
-    position: dict[int, int] = field(init=False)
+    position: dict[int, int]
 
-    def __post_init__(self):
-        self.position = {e: i for i, e in enumerate(self.ids)}
+    def __init__(self, side, ids, blocks):
+        self.side, self.ids, self.blocks = side, ids, blocks
+        self.position = {e: i for i, e in enumerate(ids)}
+
+    def __eq__(self, other):
+        if type(other) is not RelaxationModel:
+            return NotImplemented
+        return (self.side, self.ids, self.blocks) == (other.side, other.ids, other.blocks)
 
     @property
     def reduced(self) -> str | None:
@@ -129,11 +136,11 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     return RelaxationModel(side, ids, blocks)
 
 
-@dataclass
-class CutPlaneResult:
+class CutPlaneResult(namedtuple("CutPlaneResult", "solution model cuts rounds")):
     """The optimal vertex of `model` under the <= rows `cuts`, in order of
     addition, which `rounds` rounds of separation added."""
 
+    __slots__ = ()
     solution: VertexSolution
     model: RelaxationModel
     cuts: list[tuple[dict, int]]

@@ -15,7 +15,7 @@ cost bounds; the unpruned scan over every pair is the tests' reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import isqrt
 
@@ -27,8 +27,8 @@ from .rational import Rat, rat
 PAIR_SCAN_LIMIT = 5_000_000
 
 
-@dataclass(frozen=True)
-class BruteResult:
+class BruteResult(namedtuple("BruteResult", "X Y Z first_stage second_stage total pairs_scanned")):
+    __slots__ = ()
     X: tuple[int, ...]
     Y: tuple[int, ...]
     Z: tuple[int, ...]

@@ -23,6 +23,7 @@ does: the caller must fix the document.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -40,15 +41,23 @@ def rat(a, b=1):
 MAX_DIGITS = 1000
 DIGIT_LIMIT = 10 ** MAX_DIGITS
 
+# the text `parse_exact` reads, in ASCII digits only: a sign, then p/q or a
+# decimal with an optional fraction and exponent.  Fraction's own grammar
+# also takes Unicode digits, and from Python 3.11 on underscores, so it is
+# only handed text that matches this one
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
+
 
 def parse_exact(value):
     """Parse a cost or coefficient into an exact rational: an int when the
     value is whole, a Fraction otherwise.
 
-    Accepts ints and strings such as "7", "2.5" or "5/2".  Decimal strings
-    are read as exact decimals.  Binary floats are rejected: 2.5 written as
-    a JSON number has already been rounded to machine precision once, and
-    exactness guarantees downstream depend on never letting that happen.
+    Accepts ints and strings such as "7", "2.5", "2.5e0" or "5/2", in
+    ASCII digits with no underscore, alike on every supported Python.
+    Decimal strings are read as exact decimals.  Binary floats are
+    rejected: 2.5 written as a JSON number has already been rounded to
+    machine precision once, and exactness guarantees downstream depend on
+    never letting that happen.
     A numerator or denominator of more than MAX_DIGITS digits is rejected;
     a decimal exponent is checked before it is expanded.
     """
@@ -66,7 +75,12 @@ def parse_exact(value):
         )
     if isinstance(value, str):
         text = value.strip()
-        if abs(_exponent(text)) > MAX_DIGITS:
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise ParseError(f"cannot parse {_shown(value)} as an exact rational")
+        # the exponent is measured as text first: int() refuses over 4300 digits
+        exponent = (match["exp"] or "").lstrip("+-").lstrip("0")
+        if len(exponent) > len(str(MAX_DIGITS)) or int(exponent or 0) > MAX_DIGITS:
             raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
         try:
             f = Fraction(text)
@@ -76,15 +90,6 @@ def parse_exact(value):
     if isinstance(value, Fraction):
         return _bounded(rat(value.numerator, value.denominator), value)
     raise ParseError(f"cannot parse {type(value).__name__} as an exact rational")
-
-
-def _exponent(text: str) -> int:
-    """The decimal exponent written in `text`; 0 if it has none it can read."""
-    _, mark, digits = text.lower().partition("e")
-    try:
-        return int(digits) if mark else 0
-    except ValueError:
-        return 0  # then Fraction rejects the text too
 
 
 def _bounded(f: Fraction, value):

@@ -51,7 +51,7 @@ which define what both routes must find, are the tests' reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalError
 from .multigraph import MultiGraph, classes
@@ -81,8 +81,7 @@ def _forest_cut(graph, nodes) -> Cut:
     return tuple(graph.edges_within(nodes)), len(nodes) - 1
 
 
-@dataclass(frozen=True)
-class _FlowNetwork:
+class _FlowNetwork(namedtuple("_FlowNetwork", "adj to cap weight sink")):
     """The min-cut network of the module docstring over super-nodes
     0..count-1, built once per separation call that sweeps.  The source and
     the sink stay implicit: super-node i has a source arc of capacity
@@ -90,6 +89,7 @@ class _FlowNetwork:
     super-nodes sit in pairs, one pair per cross pair, so arc a ^ 1 is the
     reverse of arc a; adj[i] lists (neighbour, arc) for the arcs out of i."""
 
+    __slots__ = ()
     adj: list[list[tuple[int, int]]]
     to: list[int]
     cap: list[int]

@@ -23,7 +23,7 @@ deterministic: identical programs yield byte-identical solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
 
 from .errors import InfeasibleModel, InternalError, TooLarge
@@ -37,12 +37,12 @@ def _check_ints(values, what):
             raise InternalError(f"{what} must be an int, got {v!r}")
 
 
-@dataclass(frozen=True)
-class VertexSolution:
+class VertexSolution(namedtuple("VertexSolution", "values den objective")):
     """A basic optimal solution over one positive denominator: column j's
     value is ``values[j] / den`` and the objective value is
     ``objective / den``, all ints."""
 
+    __slots__ = ()
     values: list
     den: int
     objective: int

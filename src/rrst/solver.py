@@ -51,7 +51,7 @@ CLI renders for `--lp-dump-dir`; it is None when no LP was built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InternalError, ParseError, ValidationError
 from .instance import Instance, _int_column
@@ -61,8 +61,11 @@ from .rational import Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(namedtuple("Solution", "X Y Z first_stage second_stage total lp_bound iterations relaxation",
+                          defaults=(None,))):
+    """A solve's answer.  Two compare equal when all but `relaxation` do."""
+
+    __slots__ = ()
     X: tuple[int, ...]
     Y: tuple[int, ...]
     Z: tuple[int, ...]
@@ -73,7 +76,17 @@ class Solution:
     iterations: int
     # the cut loop's result (the model, its cut rows and rounds), None when
     # no LP was built; diagnostics, not serialized
-    relaxation: CutPlaneResult | None = field(default=None, compare=False)
+    relaxation: CutPlaneResult | None
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if type(other) is Solution else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 def solution_to_dict(sol: Solution) -> dict:

@@ -1,6 +1,5 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -522,7 +521,7 @@ def test_compare_exit_code_ranks_a_bug_over_a_disagreement_over_too_large(tmp_pa
         if fault == "bug":
             raise InternalError("planned")
         sol = real(inst)
-        return dataclasses.replace(sol, total=sol.total + 1) if fault == "wrong" else sol
+        return sol._replace(total=sol.total + 1) if fault == "wrong" else sol
 
     monkeypatch.setattr(cli, "solve", planned)
     assert run(["compare", "--seeds", f"1..{len(plan)}", "--nodes", "4",

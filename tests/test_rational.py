@@ -38,6 +38,20 @@ def test_parse_exact_rejects(bad):
         parse_exact(bad)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("7", 7), (" 7 ", 7), ("2.5", rat(5, 2)), ("2.5e0", rat(5, 2)), ("5/2", rat(5, 2)),
+    ("1_000", None), ("1_0/3", None), ("1/0_1", None), ("\u0661", None), ("1 / 3", None),
+])
+def test_parse_exact_reads_one_grammar_on_every_python(text, expected):
+    # Fraction alone reads underscores from Python 3.11 on, spaces around
+    # the slash from 3.12 on, and an Arabic-Indic one as 1 everywhere
+    if expected is None:
+        with pytest.raises(ParseError, match="cannot parse"):
+            parse_exact(text)
+    else:
+        assert parse_exact(text) == expected
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_parse_exact_does_not_suggest_quoting_non_finite_floats(bad):
     with pytest.raises(ParseError, match="non-finite") as info:
@@ -53,7 +67,7 @@ def test_parse_exact_accepts_values_up_to_the_digit_bound(value):
 
 
 @pytest.mark.parametrize("value", [
-    "1" + "0" * MAX_DIGITS, "1/1" + "0" * MAX_DIGITS, "1e5000", "1e-5000", "1e1000000000",
+    "1" + "0" * MAX_DIGITS, "1/1" + "0" * MAX_DIGITS, "1e5000", "1e-5000", "1e1000000000", "1e" + "9" * 5000,
     10 ** MAX_DIGITS, rat(1, 10 ** MAX_DIGITS),
 ])
 def test_parse_exact_rejects_values_past_the_digit_bound(value):

@@ -15,7 +15,6 @@ brute-force oracle cannot reach.  Every point is also checked against
 matroid intersection, with no LP.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -38,7 +37,7 @@ def _check_curve(instance):
     both = {e: C[e] + second[e] for e in C}
     totals = []
     for k in range(instance.rank + 1):
-        at_k = dataclasses.replace(instance, k=k)
+        at_k = Instance(instance.matroid, instance.costs, k, instance.scale)
         sol = solve(at_k)
         assert verify_solution(at_k, solution_to_dict(sol)) == [], k
         totals.append(sol.total * instance.scale)

@@ -1,6 +1,5 @@
 """End-to-end solver: known optima, invariants, separation routes, verify."""
 
-import dataclasses
 import json
 import random
 
@@ -303,8 +302,8 @@ def test_fractional_vertex_raises_internal_error(monkeypatch):
         den = 2 * vertex.den
         values = [2 * v for v in vertex.values]
         values[0] = vertex.den
-        vertex = dataclasses.replace(vertex, values=values, den=den, objective=2 * vertex.objective)
-        return dataclasses.replace(result, solution=vertex)
+        vertex = vertex._replace(values=values, den=den, objective=2 * vertex.objective)
+        return result._replace(solution=vertex)
 
     monkeypatch.setattr(solver, "cutting_plane_solve", half_vertex)
     with pytest.raises(InternalError, match="fractional"):
