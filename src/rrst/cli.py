@@ -33,7 +33,6 @@ controls diagnostic logging on stderr; ``debug`` adds ``solve``'s timings and LP
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -42,7 +41,7 @@ from collections.abc import Iterable
 
 from .errors import InputError, ParseError, RRSTError, TooLarge, ValidationError
 from .gen import builtin_small_suite, generate_instance
-from .instance import Instance, load_instance, read_json, serialize_instance
+from .instance import Instance, dump_json, load_instance, read_json, serialize_instance
 from .oracle import brute_force
 from .rational import rat_str
 from .solver import serialize_solution, solve, verify_solution
@@ -163,7 +162,7 @@ def cmd_oracle(args) -> int:
     doc = {"X": res.X, "Y": res.Y, "Z": res.Z, "first_stage": rat_str(res.first_stage),
            "second_stage": rat_str(res.second_stage), "total": rat_str(res.total),
            "pairs_scanned": res.pairs_scanned}
-    _write_text(args.output, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_text(args.output, dump_json(doc))
     return EXIT_OK
 
 
@@ -271,7 +270,7 @@ def cmd_compare(args) -> int:
             # a bug (4) outranks a disagreement (3), which outranks an
             # input too large (2)
             worst = max(worst, code)
-            out.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(dump_json(report))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -23,10 +23,12 @@ denominators of all the instance's costs: the document above has scale 2,
 and stores C, c, d of edge 0 as 6, 5, 1.  Printing divides by the scale
 again, so a tree document reads back as it was written.
 
-A document is read column by column: each field of an edge or cost list
-is pulled out whole, and each check runs over a whole column at once.
-Only when a check fails does the per-entry walk run, to raise the first
-fault in document order with its index, as ParseError or ValidationError.
+A tree document's edges, a graphic document's edges and a matroid
+document's costs are lists of the same shape, and one reader takes all
+three: each field of the list is pulled out whole, and each check runs
+over a whole column at once.  Only when a check fails does the one
+per-entry walk run, to raise the first fault in document order with its
+index, as ParseError or ValidationError.
 """
 
 from __future__ import annotations
@@ -148,15 +150,12 @@ def _check_cost_ids(costs: CostColumns, ids) -> None:
         raise ValidationError(f"cost table mismatch: missing={sorted(missing)} extra={sorted(extra)}")
 
 
-# --- column-wise reading ------------------------------------------------
+# --- reading an entry list ---------------------------------------------
 #
-# Each reader returns None when any check fails; its caller then runs the
-# per-entry walk, which raises the first fault in document order.
-
-
-def _objects(raw) -> bool:
-    """Every entry of raw is an object, checked over the entries' types."""
-    return all(issubclass(t, dict) for t in set(map(type, raw)))
+# A tree document's edges (id, u, v, C, c, d), a graphic document's edges
+# (id, u, v) and a matroid document's costs (id, C, c, d) are all read by
+# one column pass, which returns None when a check fails; the one per-entry
+# walk then raises the first fault and never returns.
 
 
 def _column(objects, key) -> list:
@@ -169,36 +168,33 @@ def _int_column(column) -> bool:
     return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, column)))
 
 
-def _distinct_ids(objects) -> list | None:
-    """The id column of objects, if every id is an int and none repeats."""
-    ids = _column(objects, "id")
-    return ids if _int_column(ids) and len(set(ids)) == len(ids) else None
+def _read_entries(raw, n: int | None, costs: bool):
+    """The entries of raw, checked column by column: objects with distinct
+    int ids; for an edge list (n given) int endpoints in 0..n-1 that
+    differ; with costs, readable non-negative C, c and d over one scale.
 
-
-def _edge_columns(raw, n: int) -> dict[int, tuple[int, int]] | None:
-    """The edges of raw as id -> (u, v): objects with distinct int ids and
-    int endpoints in 0..n-1 that differ."""
-    if not _objects(raw):
+    Returns (id -> (u, v) or None, the CostColumns or None, the scale),
+    or None when a check fails.  Only a cost column that holds a non-int
+    is parsed value by value."""
+    if not all(issubclass(t, dict) for t in set(map(type, raw))):
         return None
-    ids = _distinct_ids(raw)
-    us, vs = _column(raw, "u"), _column(raw, "v")
-    if ids is None or not (_int_column(us) and _int_column(vs)):
+    ids = _column(raw, "id")
+    if not _int_column(ids) or len(set(ids)) != len(ids):
         return None
-    if raw and not (0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n):
-        return None
-    if any(map(eq, us, vs)):
-        return None
-    return dict(zip(ids, zip(us, vs)))
-
-
-def _cost_columns(objects, ids) -> tuple[CostColumns, int] | None:
-    """The cost fields of objects, keyed by ids, as ints over one scale,
-    with that scale.  Only a column that holds a non-int is parsed value
-    by value."""
+    edges = None
+    if n is not None:
+        us, vs = _column(raw, "u"), _column(raw, "v")
+        if not (_int_column(us) and _int_column(vs)):
+            return None
+        if (raw and not (0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n)) or any(map(eq, us, vs)):
+            return None
+        edges = dict(zip(ids, zip(us, vs)))
+    if not costs:
+        return edges, None, 1
     scale = 1
     columns = []
     for key in _COST_KEYS:
-        column = _column(objects, key)
+        column = _column(raw, key)
         if set(map(type, column)) <= {int}:
             if max(column, default=0) >= DIGIT_LIMIT:
                 return None
@@ -217,43 +213,9 @@ def _cost_columns(objects, ids) -> tuple[CostColumns, int] | None:
     # resized, and one per parse would fill the free list of its new size
     C, c, d = (dict(zip(ids, column)) for column in columns)
     try:
-        return CostColumns(C, c, d), scale
+        return edges, CostColumns(C, c, d), scale
     except ValidationError:  # a negative cost
         return None
-
-
-# --- the per-entry walk -------------------------------------------------
-
-
-class CostTable:
-    """The per-entry walk over cost fields, in document order, that names
-    the first fault: a missing or unreadable field, a negative cost, a
-    field that takes the scale past MAX_DIGITS digits, or an id read twice.
-    """
-
-    def __init__(self):
-        self._seen: set[int] = set()
-        self.scale = 1
-
-    def add(self, eid: int, obj: dict, where: str) -> None:
-        if eid in self._seen:
-            raise ParseError(f"{where}: duplicate cost id {eid}")
-        self._seen.add(eid)
-        for key in _COST_KEYS:
-            try:
-                v = parse_exact(obj[key])
-                if type(v) is not int:
-                    self.scale = widen_scale(self.scale, v)
-            except KeyError:
-                raise ParseError(f"{where}: missing cost field {key!r}") from None
-            except ParseError as exc:
-                raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
-            if v < 0:
-                raise ValidationError(f"{where}: cost {key}={rat_str(v)} is negative")
-
-
-def _missed_fault(what: str) -> InternalError:
-    return InternalError(f"the column checks rejected {what} that the per-entry walk accepts")
 
 
 def _int_field(obj, key, where):
@@ -269,33 +231,41 @@ def _object(obj, where) -> dict:
     return obj
 
 
-def _edge_entries(raw_edges, n: int):
-    """The per-edge walk: yield (where, entry, id) for each edge of
-    raw_edges in turn, raising the first fault of its id and endpoints."""
+def _raise_entry_fault(raw, n: int | None, costs: bool):
+    """The per-entry walk over raw, with _read_entries' arguments: raise
+    its first fault, by index, as ParseError or ValidationError.  Each
+    entry's id, then its endpoints, then each cost field in turn is read;
+    a cost field faults when missing, unreadable, negative or taking the
+    scale past MAX_DIGITS digits."""
+    kind = "cost" if n is None else "edge"
     seen = set()
-    for i, e in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        e = _object(e, where)
-        eid = _int_field(e, "id", where)
-        u = _int_field(e, "u", where)
-        v = _int_field(e, "v", where)
+    scale = 1
+    for i, entry in enumerate(raw):
+        where = f"{kind}s[{i}]"
+        entry = _object(entry, where)
+        eid = _int_field(entry, "id", where)
+        if n is not None:
+            u, v = _int_field(entry, "u", where), _int_field(entry, "v", where)
         if eid in seen:
-            raise ParseError(f"{where}: duplicate edge id {eid}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"{where}: endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ParseError(f"{where}: self-loop on node {u}")
+            raise ParseError(f"{where}: duplicate {kind} id {eid}")
         seen.add(eid)
-        yield where, e, eid
-
-
-def _raise_edge_fault(raw_edges, n: int):
-    """The per-edge walk with each edge's costs: raise the first fault of
-    raw_edges, by index."""
-    costs = CostTable()
-    for where, e, eid in _edge_entries(raw_edges, n):
-        costs.add(eid, e, where)
-    raise _missed_fault("edges")
+        if n is not None and not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"{where}: endpoint outside 0..{n - 1}")
+        if n is not None and u == v:
+            raise ParseError(f"{where}: self-loop on node {u}")
+        for key in _COST_KEYS if costs else ():
+            try:
+                value = parse_exact(entry[key])
+                if type(value) is not int:
+                    scale = widen_scale(scale, value)
+            except KeyError:
+                raise ParseError(f"{where}: missing cost field {key!r}") from None
+            except ParseError as exc:
+                raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
+            if value < 0:
+                raise ValidationError(f"{where}: cost {key}={rat_str(value)} is negative")
+    what = "costs" if n is None else "edges" if costs else "graphic edges"
+    raise InternalError(f"the column checks rejected {what} that the per-entry walk accepts")
 
 
 def instance_from_dict(doc) -> Instance:
@@ -316,11 +286,7 @@ def _tree_instance_from_dict(doc: dict) -> Instance:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("instance: 'edges' must be a list")
-    edges = _edge_columns(raw_edges, n)
-    read = None if edges is None else _cost_columns(raw_edges, edges)
-    if read is None:
-        _raise_edge_fault(raw_edges, n)
-    costs, scale = read
+    edges, costs, scale = _read_entries(raw_edges, n, True) or _raise_entry_fault(raw_edges, n, True)
     if n < 1:
         raise ValidationError("instance needs at least one node")
     # checked before the graph is built, whose size grows with n
@@ -333,8 +299,14 @@ def _tree_instance_from_dict(doc: dict) -> Instance:
     return inst
 
 
-def _is_id_list(raw) -> bool:
-    return isinstance(raw, list) and _int_column(raw)
+def _element_ids(raw, where) -> frozenset:
+    """The ids of an 'elements' list: distinct ints."""
+    if not (isinstance(raw, list) and _int_column(raw)):
+        raise ParseError(f"{where}: 'elements' must be a list of integers")
+    ids = frozenset(raw)
+    if len(ids) != len(raw):
+        raise ParseError(f"{where}: duplicate elements")
+    return ids
 
 
 def matroid_from_dict(doc) -> Matroid:
@@ -346,23 +318,17 @@ def matroid_from_dict(doc) -> Matroid:
         raw = doc.get("edges")
         if not isinstance(raw, list):
             raise ParseError("graphic matroid: 'edges' must be a list")
-        edges = _edge_columns(raw, n)
-        if edges is None:
-            _raise_graphic_edge_fault(raw, n)
+        edges, _, _ = _read_entries(raw, n, False) or _raise_entry_fault(raw, n, False)
         # an isolated node adds one to both the node count and the number
         # of components, so no rank changes when the graph holds only the
         # nodes its edges touch, however large `nodes` is
         return GraphicMatroid(MultiGraph(chain.from_iterable(edges.values()), edges))
     if family == "uniform":
-        raw = doc.get("elements")
-        if not _is_id_list(raw):
-            raise ParseError("uniform matroid: 'elements' must be a list of integers")
-        if len(set(raw)) != len(raw):
-            raise ParseError("uniform matroid: duplicate elements")
+        elements = _element_ids(doc.get("elements"), "uniform matroid")
         r = _int_field(doc, "rank", "matroid")
         if r < 0:
             raise ParseError(f"uniform matroid: rank {r} is negative")
-        return UniformMatroid(frozenset(raw), r)
+        return UniformMatroid(elements, r)
     if family == "partition":
         raw = doc.get("parts")
         if not isinstance(raw, list):
@@ -370,38 +336,16 @@ def matroid_from_dict(doc) -> Matroid:
         parts = []
         for i, p in enumerate(raw):
             where = f"parts[{i}]"
-            elems = _object(p, where).get("elements")
-            if not _is_id_list(elems):
-                raise ParseError(f"{where}: 'elements' must be a list of integers")
-            if len(set(elems)) != len(elems):
-                raise ParseError(f"{where}: duplicate elements")
+            elements = _element_ids(_object(p, where).get("elements"), where)
             cap = _int_field(p, "cap", where)
             if cap < 0:
                 raise ParseError(f"{where}: cap {cap} is negative")
-            parts.append((frozenset(elems), cap))
+            parts.append((elements, cap))
         try:
             return PartitionMatroid(parts)
         except ValidationError as exc:
             raise ParseError(f"partition matroid: {exc}") from exc
     raise ParseError(f"unknown matroid family {family!r}")
-
-
-def _raise_graphic_edge_fault(raw, n: int):
-    """The per-edge walk of a tree document, without its costs: raise the
-    first fault of a graphic edge list."""
-    for _ in _edge_entries(raw, n):
-        pass
-    raise _missed_fault("graphic edges")
-
-
-def _raise_cost_fault(raw):
-    """The per-entry walk: raise the first fault of a cost list, by index."""
-    costs = CostTable()
-    for i, entry in enumerate(raw):
-        where = f"costs[{i}]"
-        entry = _object(entry, where)
-        costs.add(_int_field(entry, "id", where), entry, where)
-    raise _missed_fault("costs")
 
 
 def _matroid_instance_from_dict(doc: dict) -> Instance:
@@ -410,11 +354,7 @@ def _matroid_instance_from_dict(doc: dict) -> Instance:
     raw = doc.get("costs")
     if not isinstance(raw, list):
         raise ParseError("matroid instance: 'costs' must be a list")
-    ids = _distinct_ids(raw) if _objects(raw) else None
-    read = None if ids is None else _cost_columns(raw, ids)
-    if read is None:
-        _raise_cost_fault(raw)
-    costs, scale = read
+    _, costs, scale = _read_entries(raw, None, True) or _raise_entry_fault(raw, None, True)
     return Instance(matroid=matroid, costs=costs, k=k, scale=scale)
 
 
@@ -438,7 +378,8 @@ def parse_json(data):
     Every input document goes through here.  Float literals and the
     NaN/Infinity constants are rejected, so no value is ever rounded, and
     every malformed input, from invalid UTF-8 to nesting too deep for the
-    parser, is raised as ParseError.
+    parser or an integer literal past Python's limit on int digits, is
+    raised as ParseError.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -447,8 +388,16 @@ def parse_json(data):
         raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an int literal past sys.get_int_max_str_digits()
+        raise ParseError(f"unreadable JSON number: {exc}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+
+
+def dump_json(doc) -> str:
+    """The canonical text of an output document: sorted keys, no spaces,
+    one trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _reject_float(tok):
@@ -494,4 +443,4 @@ def _cost_out(v: int, scale: int):
 
 
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(instance_to_dict(inst))

@@ -50,11 +50,10 @@ CLI renders for `--lp-dump-dir`; it is None when no LP was built.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .errors import InternalError, ParseError, ValidationError
-from .instance import Instance, _int_column
+from .instance import Instance, _int_column, dump_json
 from .lpmodel import CutPlaneResult, build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, PartitionMatroid
 from .rational import Rat, parse_exact, rat, rat_str
@@ -103,7 +102,7 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def serialize_solution(sol: Solution) -> str:
-    return json.dumps(solution_to_dict(sol), sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(solution_to_dict(sol))
 
 
 def solve(instance: Instance) -> Solution:

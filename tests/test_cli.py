@@ -262,15 +262,23 @@ def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
 MALFORMED_JSON = {
     "deeply nested": ("[" * 100_000 + "]" * 100_000).encode(),
     "not UTF-8": '{"nodes": 2, "k": 0, "edges": [], "note": "caf\u00e9"}'.encode("latin-1"),
+    # past the 4,300 digits Python reads into an int by default
+    "integer past 4,300 digits": ('{"nodes": 2, "k": 0, "edges": [{"id": 0, "u": 0, "v": 1, "C": '
+                                  + "9" * 5000 + ', "c": 1, "d": 1}]}').encode(),
 }
 
 
 @pytest.mark.parametrize("content", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
-@pytest.mark.parametrize("command", ["solve", "verify --instance", "verify --solution", "oracle"])
+@pytest.mark.parametrize("command", ["solve", "verify --instance", "verify --solution", "oracle",
+                                     "compare --suite"])
 def test_malformed_json_exits_2(tmp_path, inst_file, command, content, capsys):
-    bad = tmp_path / "bad.json"
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    bad = suite / "bad.json"
     bad.write_bytes(content)
-    if command == "verify --instance":
+    if command == "compare --suite":
+        argv = ["compare", "--suite", str(suite)]
+    elif command == "verify --instance":
         argv = ["verify", "--instance", str(bad), "--solution", str(inst_file)]
     elif command == "verify --solution":
         argv = ["verify", "--instance", str(inst_file), "--solution", str(bad)]

@@ -51,6 +51,8 @@ EDGE_FAULTS = {
     "bool id": (_update(id=True), ParseError, "field 'id' must be an integer, got True"),
     "string u": (_update(u="5"), ParseError, "field 'u' must be an integer, got '5'"),
     "duplicate id": (_update(id=0), ParseError, "duplicate edge id 0"),
+    # an edge's endpoints are read before its id is checked against the others
+    "duplicate id, string u": (_update(id=0, u="5"), ParseError, "field 'u' must be an integer, got '5'"),
     "endpoint out of range": (_update(v=10), ParseError, "endpoint outside 0..9"),
     "self-loop": (_self_loop, ParseError, "self-loop on node 5"),
     "missing C": (_pop("C"), ParseError, "missing cost field 'C'"),
@@ -61,7 +63,8 @@ EDGE_FAULTS = {
 
 # a graphic edge list is walked as a tree's is, without the cost fields
 GRAPHIC_FAULTS = {kind: EDGE_FAULTS[kind] for kind in
-                  ("bool id", "string u", "duplicate id", "endpoint out of range", "self-loop", "not an object")}
+                  ("bool id", "string u", "duplicate id", "duplicate id, string u", "endpoint out of range",
+                   "self-loop", "not an object")}
 
 COST_FAULTS = {
     "bool id": EDGE_FAULTS["bool id"],
@@ -90,23 +93,26 @@ def _uniform_doc():
             "costs": doc["costs"]}
 
 
+def _partition_doc():
+    ids = [e["id"] for e in TREE_DOC["edges"]]
+    return {"family": "partition", "k": 4,
+            "parts": [{"elements": ids[:20], "cap": 4}, {"elements": ids[20:], "cap": 5}],
+            "costs": _graphic_doc()["costs"]}
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the runs of each per-entry walk, and of the per-edge walk that
-    tree and graphic documents share."""
+    """Count the runs of the per-entry walk, which every entry list shares,
+    by its arguments past the list: the node count and whether the entries
+    hold costs."""
     counts = {}
+    real = instance._raise_entry_fault
 
-    def counted(name):
-        real = getattr(instance, name)
+    def wrapper(raw, n, costs):
+        counts[n, costs] = counts.get((n, costs), 0) + 1
+        return real(raw, n, costs)
 
-        def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args)
-
-        monkeypatch.setattr(instance, name, wrapper)
-
-    for name in ("_raise_edge_fault", "_edge_entries", "_raise_graphic_edge_fault", "_raise_cost_fault"):
-        counted(name)
+    monkeypatch.setattr(instance, "_raise_entry_fault", wrapper)
     return counts
 
 
@@ -114,15 +120,20 @@ def test_valid_documents_never_run_the_walk(walks):
     loads_instance(json.dumps(TREE_DOC))
     loads_instance(json.dumps(_graphic_doc()))
     loads_instance(json.dumps(_uniform_doc()))
+    loads_instance(json.dumps(_partition_doc()))
     assert walks == {}
 
 
-def _assert_fault(load, doc, err, message, walks, *walk_names):
+# the walk's arguments past the list, for each entry list
+TREE_EDGES, GRAPHIC_EDGES, COSTS = (10, True), (10, False), (None, True)
+
+
+def _assert_fault(load, doc, err, message, walks, walk):
     with pytest.raises(err) as info:
         load(json.dumps(doc))
     assert type(info.value) is err
     assert str(info.value) == message
-    assert walks == dict.fromkeys(walk_names, 1)
+    assert walks == {walk: 1}
 
 
 @pytest.mark.parametrize("kind", EDGE_FAULTS)
@@ -130,8 +141,7 @@ def test_tree_edge_fault_is_named_at_its_index(kind, walks):
     mutate, err, message = EDGE_FAULTS[kind]
     doc = _tree_doc()
     mutate(doc["edges"], AT)
-    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
-                  "_raise_edge_fault", "_edge_entries")
+    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks, TREE_EDGES)
 
 
 @pytest.mark.parametrize("kind", GRAPHIC_FAULTS)
@@ -139,8 +149,7 @@ def test_graphic_edge_fault_is_named_at_its_index(kind, walks):
     mutate, err, message = GRAPHIC_FAULTS[kind]
     doc = _graphic_doc()
     mutate(doc["edges"], AT)
-    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
-                  "_raise_graphic_edge_fault", "_edge_entries")
+    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks, GRAPHIC_EDGES)
 
 
 @pytest.mark.parametrize("family", ["graphic", "uniform"])
@@ -149,19 +158,29 @@ def test_matroid_cost_fault_is_named_at_its_index(kind, family, walks):
     mutate, err, message = COST_FAULTS[kind]
     doc = _graphic_doc() if family == "graphic" else _uniform_doc()
     mutate(doc["costs"], AT)
-    _assert_fault(loads_instance, doc, err, f"costs[{AT}]: {message}", walks, "_raise_cost_fault")
+    _assert_fault(loads_instance, doc, err, f"costs[{AT}]: {message}", walks, COSTS)
 
 
-@pytest.mark.parametrize("first,later", [("negative d", "self-loop"), ("self-loop", "negative d"),
-                                         ("missing C", "string u"), ("string u", "missing C")])
-def test_the_first_fault_in_document_order_wins(first, later, walks):
-    """A cost fault and an edge fault are found in one walk, in order."""
-    doc = _tree_doc()
-    EDGE_FAULTS[later][0](doc["edges"], AT + 3)
-    EDGE_FAULTS[first][0](doc["edges"], AT)
-    _, err, message = EDGE_FAULTS[first]
-    _assert_fault(loads_instance, doc, err, f"edges[{AT}]: {message}", walks,
-                  "_raise_edge_fault", "_edge_entries")
+# (document, list, its faults, its walk, first fault, later fault); a tree
+# document's cases are named by their pair alone
+ORDERS = [pytest.param(_tree_doc, "edges", EDGE_FAULTS, TREE_EDGES, first, later, id=f"{first}-{later}")
+          for first, later in [("negative d", "self-loop"), ("self-loop", "negative d"),
+                               ("missing C", "string u"), ("string u", "missing C")]]
+ORDERS += [pytest.param(_graphic_doc, part, faults, walk, first, later, id=f"graphic {part}-{first}-{later}")
+           for part, faults, walk, pair in [("edges", GRAPHIC_FAULTS, GRAPHIC_EDGES, ("self-loop", "string u")),
+                                            ("costs", COST_FAULTS, COSTS, ("negative d", "bool id"))]
+           for first, later in (pair, pair[::-1])]
+
+
+@pytest.mark.parametrize("make,part,faults,walk,first,later", ORDERS)
+def test_the_first_fault_in_document_order_wins(make, part, faults, walk, first, later, walks):
+    """Two faults of one list are found in one walk, in document order: on
+    a tree's edges a cost fault and an edge fault."""
+    doc = make()
+    faults[later][0](doc[part], AT + 3)
+    faults[first][0](doc[part], AT)
+    _, err, message = faults[first]
+    _assert_fault(loads_instance, doc, err, f"{part}[{AT}]: {message}", walks, walk)
 
 
 # --- the column checks accept exactly what the walk accepts -------------
@@ -212,13 +231,12 @@ def test_random_edits_are_judged_as_the_walk_judges_them():
     for _ in range(400):
         tree = json.loads(json.dumps(base))
         _scramble(rng, tree["edges"], FIELDS)
-        _agree(instance.instance_from_dict, tree, instance._raise_edge_fault, tree["edges"], 6)
+        _agree(instance.instance_from_dict, tree, instance._raise_entry_fault, tree["edges"], 6, True)
 
         graphic = {"family": "graphic", "nodes": 6, "k": 2,
                    "edges": [{"id": e["id"], "u": e["u"], "v": e["v"]} for e in base["edges"]],
                    "costs": [{"id": e["id"], "C": e["C"], "c": e["c"], "d": e["d"]} for e in base["edges"]]}
         part, fields = rng.choice([("edges", FIELDS[:3]), ("costs", ["id", *FIELDS[3:]])])
         _scramble(rng, graphic[part], fields)
-        walk = (instance._raise_graphic_edge_fault, graphic["edges"], 6) if part == "edges" else \
-            (instance._raise_cost_fault, graphic["costs"])
-        _agree(instance.instance_from_dict, graphic, *walk)
+        n, costs = (6, False) if part == "edges" else (None, True)
+        _agree(instance.instance_from_dict, graphic, instance._raise_entry_fault, graphic[part], n, costs)

@@ -172,3 +172,14 @@ def test_invalid_json_is_parse_error():
         loads_instance("{nope")
     with pytest.raises(ParseError):
         loads_instance('["not", "an", "object"]')
+
+
+# past the 4,300 digits Python converts from text to int by default
+HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize("field", ['"C": 3', '"nodes": 3'], ids=["C", "nodes"])
+def test_integer_past_pythons_digit_limit_is_parse_error(field):
+    text = json.dumps(DOC).replace(field, field.replace("3", HUGE_INT))
+    with pytest.raises(ParseError, match="unreadable JSON number"):
+        loads_instance(text)
