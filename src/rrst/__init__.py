@@ -33,7 +33,6 @@ from .instance import (
     serialize_instance,
 )
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
-from .multigraph import MultiGraph
 from .oracle import BruteResult, brute_force
 from .rational import Rat, parse_exact, rat, rat_str
 from .solver import Solution, serialize_solution, solution_to_dict, solve, verify_solution
@@ -63,7 +62,6 @@ __all__ = [
     "GraphicMatroid",
     "UniformMatroid",
     "PartitionMatroid",
-    "MultiGraph",
     "BruteResult",
     "brute_force",
     "Rat",

@@ -59,17 +59,27 @@ DENSITY = 0.5
 COST_MAX = 20
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+# the stderr handler the last call of main put on the rrst logger
+_log_handler: logging.Handler | None = None
 
 
 def _configure_logging() -> None:
+    """Set the rrst logger, and only it, to RRST_LOG's level, writing to the
+    sys.stderr of this call: each call of `main` replaces the handler the
+    last one added, and a host program's root logger is left as it is."""
+    global _log_handler
     raw = os.environ.get("RRST_LOG", "error")
     if raw not in _LOG_LEVELS:
         raise ValidationError(
             f"RRST_LOG must be one of {sorted(_LOG_LEVELS)}, got {raw!r}"
         )
-    logging.basicConfig(
-        level=_LOG_LEVELS[raw], stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if _log_handler is not None:
+        log.removeHandler(_log_handler)
+    log.addHandler(handler)
+    _log_handler = handler
+    log.setLevel(_LOG_LEVELS[raw])
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -36,7 +36,6 @@ import random
 from .errors import ValidationError
 from .instance import CostColumns, Instance
 from .matroids import GraphicMatroid
-from .multigraph import MultiGraph
 from .rational import DIGIT_LIMIT, MAX_DIGITS
 
 __all__ = [
@@ -134,7 +133,7 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     edges = dict(enumerate(pairs))
     # keyed by the edge dict's own ids, so the columns share its int objects
     costs = _drawn_costs(rng, cost_max, edges)
-    return Instance(matroid=GraphicMatroid(MultiGraph(range(nodes), edges)), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(range(nodes), edges), costs=costs, k=k, scale=1)
 
 
 def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -146,7 +145,7 @@ def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
     out = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if not MultiGraph(range(n), dict(enumerate(edges))).is_connected():
+        if GraphicMatroid(range(n), dict(enumerate(edges))).full_rank() != n - 1:
             continue
         canon = min(
             tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
@@ -183,8 +182,6 @@ def builtin_small_suite() -> list[tuple[str, Instance]]:
                 costs = _pattern_costs(pattern, len(edges), f"builtin-{n}-{gi}")
                 for k in range(n):
                     name = f"n{n}-g{gi:02d}-k{k}-{pattern}"
-                    inst = Instance(
-                        matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=1
-                    )
+                    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=1)
                     suite.append((name, inst))
     return suite

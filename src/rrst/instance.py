@@ -39,7 +39,6 @@ from operator import add, eq
 
 from .errors import InternalError, ParseError, ValidationError
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
-from .multigraph import MultiGraph
 from .rational import DIGIT_LIMIT, parse_exact, rat, rat_str, widen_scale
 
 _COST_KEYS = ("C", "c", "d")
@@ -292,7 +291,7 @@ def _tree_instance_from_dict(doc: dict) -> Instance:
     # checked before the graph is built, whose size grows with n
     if len(edges) < n - 1:
         raise ValidationError(f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes")
-    inst = Instance(matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=scale)
+    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=scale)
     # the rank is one Kruskal scan: a spanning forest of n - 1 edges
     if inst.rank < n - 1:
         raise ValidationError("instance graph is not connected")
@@ -322,7 +321,7 @@ def matroid_from_dict(doc) -> Matroid:
         # an isolated node adds one to both the node count and the number
         # of components, so no rank changes when the graph holds only the
         # nodes its edges touch, however large `nodes` is
-        return GraphicMatroid(MultiGraph(chain.from_iterable(edges.values()), edges))
+        return GraphicMatroid(chain.from_iterable(edges.values()), edges)
     if family == "uniform":
         elements = _element_ids(doc.get("elements"), "uniform matroid")
         r = _int_field(doc, "rank", "matroid")
@@ -418,20 +417,19 @@ def instance_to_dict(inst: Instance) -> dict:
     cannot hold."""
     matroid = inst.matroid
     # the rank was found at construction, so this costs O(nodes)
-    if not (isinstance(matroid, GraphicMatroid) and inst.rank == matroid.graph.node_count - 1
-            and matroid.graph.nodes == frozenset(range(matroid.graph.node_count))):
+    if not (isinstance(matroid, GraphicMatroid) and inst.rank == len(matroid.nodes) - 1
+            and matroid.nodes == frozenset(range(len(matroid.nodes)))):
         raise ValidationError(
             f"a tree document holds a graphic matroid connected on nodes 0..n-1, not this {matroid.family} instance")
-    graph = matroid.graph
     scale = inst.scale
     C, c, d = columns = (inst.costs.C, inst.costs.c, inst.costs.d)
     if scale != 1:
         C, c, d = ({e: _cost_out(v, scale) for e, v in column.items()} for column in columns)
-    ends = graph.edges
+    ends = matroid.edges
     ids = sorted(ends)
     edges = [{"C": C[e], "c": c[e], "d": d[e], "id": e, "u": u, "v": v}
              for e, (u, v) in zip(ids, map(ends.__getitem__, ids))]
-    return {"edges": edges, "k": inst.k, "nodes": graph.node_count}
+    return {"edges": edges, "k": inst.k, "nodes": len(matroid.nodes)}
 
 
 def _cost_out(v: int, scale: int):

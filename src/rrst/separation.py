@@ -8,7 +8,7 @@ raises InternalError.  Every route returns a violated row x(S) <= r(S) as the pa
 (S as an ascending id tuple, the int r(S)), or None, so no Fraction is
 built anywhere in the cut loop.
 
-Forest side: given a fractional point on the edges of a multigraph, find a
+Forest side: given a fractional point on a graphic matroid's edges, find a
 node set U (2 <= |U| < n) whose induced edges carry more weight than
 |U| - 1, i.e. a violated subtree-packing constraint.  The point is first
 shrunk (Padberg & Rinaldi 1990): one union-find pass contracts the edges
@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InternalError
-from .multigraph import MultiGraph, classes
+from .matroids import GraphicMatroid, classes
 
 Cut = tuple[tuple[int, ...], int]  # the row x(S) <= r(S): (S ascending, r(S))
 
@@ -76,9 +76,12 @@ def _check_point(point, ground):
 # --- forest separation ------------------------------------------------
 
 
-def _forest_cut(graph, nodes) -> Cut:
-    """The row x(E(U)) <= |U| - 1 of the node set U `nodes`."""
-    return tuple(graph.edges_within(nodes)), len(nodes) - 1
+def _forest_cut(matroid, nodes) -> Cut:
+    """The row x(E(U)) <= |U| - 1 of the node set U `nodes`: the edges with
+    both ends in U, ascending."""
+    inside = set(nodes)
+    edges = sorted(e for e, (u, v) in matroid.edges.items() if u in inside and v in inside)
+    return tuple(edges), len(nodes) - 1
 
 
 class _FlowNetwork(namedtuple("_FlowNetwork", "adj to cap weight sink")):
@@ -188,7 +191,7 @@ def _violated_part(unit, groups, inner, cross, side):
     return None if best is None else best[1]
 
 
-def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
+def separate_forest(point, unit: int, matroid: GraphicMatroid) -> Cut | None:
     """A violated connected subtour set's row, or None; complete as a verdict.
 
     Takes only points with x(E) <= n - 1, as every point of the relaxation
@@ -207,18 +210,19 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
     union of two or more super-nodes holds a positive cross edge, and with
     none there is no sweep and no network.
     """
-    _check_point(point, graph.edges.keys())
-    n = graph.node_count
+    _check_point(point, matroid.ground)
+    n = len(matroid.nodes)
     caps = {eid: v for eid, v in point.items() if v > 0}
     if sum(caps.values()) > (n - 1) * unit:
         raise InternalError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
         return None
-    label, groups = graph.contraction_classes([eid for eid, c in caps.items() if c == unit])
+    ends = matroid.edges
+    label, groups = classes(sorted(matroid.nodes), [ends[eid] for eid, c in caps.items() if c == unit])
     inner = [0] * len(groups)
     cross: dict[tuple[int, int], int] = {}
     for eid, c in caps.items():
-        u, v = graph.edges[eid]
+        u, v = ends[eid]
         a, b = label[u], label[v]
         if a == b:
             inner[a] += c
@@ -228,7 +232,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
     heavy = [((len(nodes) - 1) * unit - w, nodes) for nodes, w in zip(groups, inner)
              if w > (len(nodes) - 1) * unit]
     if heavy:
-        return _forest_cut(graph, min(heavy)[1])
+        return _forest_cut(matroid, min(heavy)[1])
     if not cross:
         return None
     total = sum(cross.values())
@@ -244,7 +248,7 @@ def separate_forest(point, unit: int, graph: MultiGraph) -> Cut | None:
         nodes = _violated_part(unit, groups, inner, cross, side)
         if nodes is None:
             raise InternalError(f"sweep from super-node {r} found no violated part")
-        return _forest_cut(graph, nodes)
+        return _forest_cut(matroid, nodes)
     return None
 
 

@@ -114,7 +114,7 @@ def solve(instance: Instance) -> Solution:
     """
     matroid, costs, scale = instance.matroid, instance.costs, instance.scale
     if isinstance(matroid, GraphicMatroid):
-        side = GraphSide(matroid.graph)
+        side = GraphSide(matroid)
     elif isinstance(matroid, PartitionMatroid):
         side = MatroidSide(matroid)
     else:

@@ -24,7 +24,6 @@ def pytest_terminal_summary(terminalreporter):
 from rrst import simplex
 from rrst.instance import CostColumns, Instance, instance_from_dict, instance_to_dict
 from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
-from rrst.multigraph import MultiGraph
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -99,7 +98,7 @@ def make_instance(n, pairs, triples, k) -> Instance:
     """Instance from endpoint pairs and (C, c, d) triples, ids 0..m-1."""
     edges = {i: tuple(p) for i, p in enumerate(pairs)}
     costs = CostColumns.from_rows(dict(enumerate(triples)))
-    return Instance(matroid=GraphicMatroid(MultiGraph(range(n), edges)), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=1)
 
 
 def graphic_twin(inst) -> Instance:
@@ -157,6 +156,12 @@ def violation(cut, point):
 def cut_nodes(cut, graph):
     """The node set of a forest row: the endpoints of its edges, sorted."""
     return tuple(sorted({v for e in cut[0] for v in graph.edges[e]}))
+
+
+def edges_within(graph, nodes):
+    """The ids of a graphic matroid's edges with both ends in nodes,
+    ascending."""
+    return tuple(sorted(e for e, (u, v) in graph.edges.items() if u in nodes and v in nodes))
 
 
 def vertex_values(solution):

@@ -7,10 +7,6 @@ those routes must find; they take any point, but only small inputs.  Like
 the fast routes, they take a point as int numerators over one positive
 `unit` and return the most violated constraint, ties broken by the
 sorted node or element tuple, as the row (ascending ids, int rhs).
-
-`selection_size(side)` counts the elements a selection over a side holds
-without the instance: a Kruskal scan on a graph, the full rank of a
-matroid.
 """
 
 import itertools
@@ -25,10 +21,10 @@ EXHAUSTIVE_NODE_LIMIT = 20
 def _forest_candidate(point, unit, graph, nodes):
     """Exact check of one candidate node set: (slack * unit, sorted nodes)
     when it is violated, else None.  Candidates rank as their cuts do."""
-    n = graph.node_count
+    n = len(graph.nodes)
     if not 2 <= len(nodes) < n:
         return None
-    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, graph.edges_within(nodes)))
+    slack = (len(nodes) - 1) * unit - sum(map(point.__getitem__, _forest_cut(graph, nodes)[0]))
     if slack >= 0:
         return None
     return slack, tuple(sorted(nodes))
@@ -36,8 +32,8 @@ def _forest_candidate(point, unit, graph, nodes):
 
 def separate_forest_exhaustive(point, unit, graph):
     """Check every node subset with 2 <= |U| < n."""
-    _check_point(point, graph.edges.keys())
-    n = graph.node_count
+    _check_point(point, graph.ground)
+    n = len(graph.nodes)
     if n > EXHAUSTIVE_NODE_LIMIT:
         raise TooLarge(f"{n} nodes exceeds the exhaustive scan limit")
     best = None
@@ -70,13 +66,5 @@ def exhaustive_separate(side, point, unit):
     """`side.separate` by the reference route, for monkeypatching a side's
     `separate` in a whole solve."""
     if isinstance(side, GraphSide):
-        return separate_forest_exhaustive(point, unit, side.graph)
+        return separate_forest_exhaustive(point, unit, side.matroid)
     return separate_rank_exhaustive(point, unit, side.matroid)
-
-
-def selection_size(side):
-    """The number of elements a selection over `side` holds, found without
-    the instance the solver takes it from."""
-    if isinstance(side, GraphSide):
-        return len(side.graph.spanning_forest(side.graph.edges))
-    return side.matroid.full_rank()

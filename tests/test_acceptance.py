@@ -29,15 +29,14 @@ import pytest
 from rrst.errors import InternalError, RRSTError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns, Instance
-from rrst.matroids import PartitionMatroid, UniformMatroid
-from rrst.multigraph import MultiGraph
+from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid
 from rrst.oracle import brute_force
 from rrst.rational import rat
 from rrst.separation import separate_forest
 from rrst.sides import GraphSide
 from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
-from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, graphic_twin, violation
+from conftest import ACCEPTANCE_LINES, cleared, cut_nodes, edges_within, graphic_twin, violation
 from reference_separation import separate_forest_exhaustive
 
 ZERO = rat(0)
@@ -264,8 +263,8 @@ def test_criterion_7_separation_routes_agree():
         n = rng.randint(3, 8)
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = [p for p in all_pairs if rng.random() < 0.6]
-        g = MultiGraph(range(n), dict(enumerate(chosen)))
-        if not g.is_connected():
+        g = GraphicMatroid(range(n), dict(enumerate(chosen)))
+        if g.full_rank() != n - 1:
             continue
         point = {e: rng.choice(values) for e in g.edges}
         total = sum(point.values(), ZERO)
@@ -291,7 +290,7 @@ def test_criterion_7_separation_routes_agree():
             nodes = cut_nodes(cut, g)
             if not (
                 violation(cut, point) > 0
-                and cut[0] == tuple(g.edges_within(nodes))
+                and cut[0] == edges_within(g, nodes)
                 and cut[1] == len(nodes) - 1
             ):
                 mismatches.append(trial)
@@ -310,7 +309,7 @@ def test_criterion_8_analytic_extremes():
         n = 10 + i % 21  # 10..30
         inst0 = generate_instance(n, 0.3, 0, 30, 5000 + i)
         sol0 = solve(inst0)
-        side = GraphSide(inst0.matroid.graph)
+        side = GraphSide(inst0.matroid)
         both = {e: C + inst0.costs.second[e] for e, C in inst0.costs.C.items()}
         mst_both = side.complete_min(both)
         weight_both = sum((both[e] for e in mst_both), ZERO)

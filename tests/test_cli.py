@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import logging
 import os
 import pathlib
 import re
@@ -216,6 +217,30 @@ def test_debug_log_times_and_program_size(inst_file, level):
     ]
 
 
+def test_rrst_log_holds_on_every_in_process_call(inst_file, tmp_path, monkeypatch, request, capsys):
+    """Each call of `main` sets the rrst logger to RRST_LOG's level and
+    writes to that call's stderr: a second call at debug logs its debug
+    lines, and the host program's root logger is left untouched."""
+    root = logging.getLogger()
+    before = (root.level, list(root.handlers))
+    level = cli.log.level
+    monkeypatch.setattr(cli.log, "handlers", [])
+    monkeypatch.setattr(cli, "_log_handler", None)
+    request.addfinalizer(lambda: cli.log.setLevel(level))
+    monkeypatch.setenv("RRST_LOG", "error")
+    assert run(["solve", "--input", str(inst_file), "--output", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("RRST_LOG", "debug")
+    assert run(["solve", "--input", str(inst_file), "--output", str(tmp_path / "b.json")]) == 0
+    debug = [line for line in capsys.readouterr().err.splitlines() if line.startswith("DEBUG rrst: ")]
+    assert [re.sub(r"[0-9.]+ ms$", "T ms", line) for line in debug[:2]] == [
+        f"DEBUG rrst: read {inst_file} in T ms", "DEBUG rrst: solved in T ms"]
+    assert len(debug) == 4, debug
+    # one handler on the rrst logger however many calls there were
+    assert cli.log.handlers == [cli._log_handler]
+    assert (root.level, list(root.handlers)) == before
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run(["solve", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -378,7 +403,7 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
     """A row the solver cannot take is a bug in the solver, not bad input."""
     def fractional_cut(self, point, unit):
-        return tuple(sorted(self.graph.edges)), Fraction(-1, 2)
+        return tuple(sorted(self.matroid.edges)), Fraction(-1, 2)
 
     monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
     assert run(["solve", "--input", str(inst_file)]) == 4

@@ -54,7 +54,7 @@ def test_generated_documents_are_pinned(nodes):
 def test_density_extremes():
     tree = generate_instance(8, 0.0, 3, 10, 5)
     assert len(tree.costs.C) == 7
-    assert tree.matroid.graph.is_connected()
+    assert tree.matroid.full_rank() == 7
     full = generate_instance(8, 1.0, 3, 10, 5)
     assert len(full.costs.C) == 8 * 7 // 2
 
@@ -62,8 +62,8 @@ def test_density_extremes():
 def test_instances_are_valid_and_costs_bounded():
     for seed in range(20):
         inst = generate_instance(6, 0.5, seed % 6, 9, seed)
-        assert inst.matroid.graph.is_connected()
-        assert inst.matroid.graph.node_count == 6 and inst.rank == 5
+        assert inst.matroid.full_rank() == 5
+        assert len(inst.matroid.nodes) == 6 and inst.rank == 5
         for column in (inst.costs.C, inst.costs.c, inst.costs.d):
             for v in column.values():
                 assert rat(0) <= v <= rat(9)
@@ -77,7 +77,7 @@ def test_zero_cost_max():
 
 def test_single_node():
     inst = generate_instance(1, 0.5, 0, 10, 0)
-    assert inst.matroid.graph.node_count == 1 and len(inst.costs.C) == 0
+    assert len(inst.matroid.nodes) == 1 and len(inst.costs.C) == 0
 
 
 @pytest.mark.parametrize(
@@ -124,8 +124,8 @@ def test_builtin_suite_shape():
     names = [name for name, _ in suite]
     assert len(set(names)) == len(names)
     for name, inst in suite:
-        assert inst.matroid.graph.is_connected()
-        assert 0 <= inst.k <= inst.rank == inst.matroid.graph.node_count - 1
+        assert inst.matroid.full_rank() == len(inst.matroid.nodes) - 1
+        assert 0 <= inst.k <= inst.rank == len(inst.matroid.nodes) - 1
         assert any(p in name for p in BUILTIN_PATTERNS)
 
 

@@ -26,7 +26,7 @@ DOC = {
 
 def test_parse_round_trip():
     inst = loads_instance(json.dumps(DOC))
-    assert inst.matroid.graph.node_count == 3 and len(inst.costs.C) == 3 and inst.k == 1
+    assert len(inst.matroid.nodes) == 3 and len(inst.costs.C) == 3 and inst.k == 1
     assert inst.rank == 2
     # costs are ints over the LCM of their denominators: 3, 5/2, 1/2 over 2
     assert inst.scale == 2
@@ -146,7 +146,7 @@ def test_too_few_edges_rejected_before_the_graph_is_built():
 
 def test_single_node_instance_valid():
     inst = loads_instance(json.dumps({"nodes": 1, "k": 0, "edges": []}))
-    assert inst.matroid.graph.node_count == 1 and len(inst.costs.C) == 0
+    assert len(inst.matroid.nodes) == 1 and len(inst.costs.C) == 0
     assert inst.rank == inst.overlap_requirement == 0
 
 

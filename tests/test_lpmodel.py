@@ -7,17 +7,16 @@ from rrst.gen import generate_instance
 from rrst.instance import CostColumns
 from rrst import lpmodel
 from rrst.lpmodel import build_relaxation, cutting_plane_solve
-from rrst.multigraph import MultiGraph
 from rrst.rational import rat
 from rrst.sides import GraphSide, MatroidSide
-from rrst.matroids import UniformMatroid
+from rrst.matroids import GraphicMatroid, UniformMatroid
 
 from conftest import vertex_objective, vertex_values
-from reference_separation import exhaustive_separate, selection_size, separate_forest_exhaustive
+from reference_separation import exhaustive_separate, separate_forest_exhaustive
 
 ZERO, ONE = rat(0), rat(1)
 
-K3 = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
+K3 = GraphicMatroid(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2)})
 UNIT = CostColumns.from_rows({e: (1, 1, 0) for e in range(3)})
 
 
@@ -69,7 +68,7 @@ def test_internal_errors_on_broken_state():
         build_relaxation(GraphSide(K3), size=2, quota=0, costs=UNIT)
     # nothing to select: the columns come from the costs, so every block is
     # empty, and the session refuses an empty block
-    model = build_relaxation(GraphSide(MultiGraph(range(1), {})), size=0, quota=1,
+    model = build_relaxation(GraphSide(GraphicMatroid(range(1), {})), size=0, quota=1,
                              costs=CostColumns.from_rows({}))
     with pytest.raises(InternalError, match="block 0 has no column"):
         cutting_plane_solve(model)
@@ -85,7 +84,7 @@ def test_cutting_plane_merged_k3():
 
 
 def _initial_model(inst):
-    return build_relaxation(GraphSide(inst.matroid.graph), inst.rank, inst.overlap_requirement, inst.costs)
+    return build_relaxation(GraphSide(inst.matroid), inst.rank, inst.overlap_requirement, inst.costs)
 
 
 def test_cutting_plane_adds_cuts_and_final_point_is_clean():
@@ -98,8 +97,8 @@ def test_cutting_plane_adds_cuts_and_final_point_is_clean():
     # violated forest constraint
     for stage in ("x", "y"):
         point = model.stage_point(values, stage)
-        assert sum(point.values()) == selection_size(model.side) * den
-        assert separate_forest_exhaustive(point, den, model.side.graph) is None
+        assert sum(point.values()) == model.side.matroid.full_rank() * den
+        assert separate_forest_exhaustive(point, den, model.side.matroid) is None
 
 
 def test_round_limit_guard(monkeypatch):
@@ -127,7 +126,7 @@ def test_lp_dump_written():
     assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in model.render(result.cuts)
 
 
-K4 = MultiGraph(range(4), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)})
+K4 = GraphicMatroid(range(4), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)})
 K4_COSTS = CostColumns.from_rows({0: (1, 4, 0), 1: (2, 0, 3), 2: (3, 3, 3), 3: (1, 0, 3), 4: (0, 3, 3), 5: (4, 0, 3)})
 
 _ABC_NONNEGATIVE = "".join(f"{block}{e} >= 0\n" for block in "abc" for e in range(6))

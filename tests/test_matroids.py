@@ -1,4 +1,4 @@
-"""Matroid families: axioms, partition minors, greedy optimality, enumeration."""
+"""Matroid families: axioms, minors, value equality, greedy optimality, enumeration."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rrst.errors import ParseError, ValidationError
 from rrst.instance import matroid_from_dict
 from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid, enumerate_bases, greedy_min_basis
-from rrst.multigraph import MultiGraph
 from rrst.rational import rat
 
 from conftest import GenericOracleMatroid
@@ -18,7 +17,7 @@ from conftest import GenericOracleMatroid
 
 def k4_matroid():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    return GraphicMatroid(MultiGraph(range(4), dict(enumerate(pairs))))
+    return GraphicMatroid(range(4), dict(enumerate(pairs)))
 
 
 def subsets(ground, max_size=None):
@@ -61,10 +60,10 @@ def test_families_satisfy_axioms(matroid):
     assert_matroid_axioms(matroid)
 
 
-@given(st.integers(2, 5), st.integers(0, 5), st.data())
+@given(st.integers(2, 5), st.integers(0, 5), st.booleans(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_minors_preserve_axioms(n, r, data):
-    m = UniformMatroid(frozenset(range(n)), min(r, n))
+def test_minors_preserve_axioms(n, r, graphic, data):
+    m = k4_matroid() if graphic else UniformMatroid(frozenset(range(n)), min(r, n))
     for _ in range(data.draw(st.integers(0, 2))):
         if not m.ground:
             break
@@ -87,22 +86,44 @@ def partition_matroid():
 
 
 def test_contract_rank_identity():
-    # rank in M/e of S equals rank_M(S + e) - rank_M(e), loops included
-    m = partition_matroid()
-    for e in sorted(m.ground):
-        mc = m.contract(e)
-        assert mc.ground == m.ground - {e}
-        for s in subsets(mc.ground):
-            assert mc.rank(s) == m.rank(set(s) | {e}) - m.rank({e})
+    # rank in M/e of S equals rank_M(S + e) - rank_M(e), loops included; a
+    # graphic contraction drops the edges that become loops, and one edge
+    # of K4, which has no parallel edges, makes none
+    for m in (partition_matroid(), k4_matroid()):
+        for e in sorted(m.ground):
+            mc = m.contract(e)
+            assert mc.ground == m.ground - {e}
+            for s in subsets(mc.ground):
+                assert mc.rank(s) == m.rank(set(s) | {e}) - m.rank({e})
 
 
 def test_delete_preserves_independence():
-    m = partition_matroid()
-    for e in sorted(m.ground):
-        md = m.delete(e)
-        assert md.ground == m.ground - {e}
-        for s in subsets(md.ground):
-            assert md.is_independent(s) == m.is_independent(s)
+    for m in (partition_matroid(), k4_matroid()):
+        for e in sorted(m.ground):
+            md = m.delete(e)
+            assert md.ground == m.ground - {e}
+            for s in subsets(md.ground):
+                assert md.is_independent(s) == m.is_independent(s)
+
+
+def test_matroids_compare_by_value():
+    """Two matroids are equal, with equal hashes, when their family and
+    defining data are: a graphic matroid's nodes and edges, a partition
+    or uniform matroid's parts."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert k4_matroid() == k4_matroid() and hash(k4_matroid()) == hash(k4_matroid())
+    assert k4_matroid() != GraphicMatroid(range(4), dict(enumerate(pairs[::-1])))
+    assert k4_matroid() != GraphicMatroid(range(5), dict(enumerate(pairs)))
+    assert k4_matroid().delete(5) != k4_matroid() and k4_matroid().contract(0) == k4_matroid().contract(0)
+    assert partition_matroid() == partition_matroid() and hash(partition_matroid()) == hash(partition_matroid())
+    assert partition_matroid() != PartitionMatroid([(frozenset({0, 1, 2}), 1), (frozenset({3, 4}), 1),
+                                                    (frozenset({5}), 0)])
+    ground = frozenset(range(3))
+    assert UniformMatroid(ground, 2) == UniformMatroid(set(ground), 2) != UniformMatroid(ground, 1)
+    # a uniform matroid is not the partition matroid of its one part
+    assert UniformMatroid(ground, 2) != PartitionMatroid([(ground, 2)])
+    assert PartitionMatroid([(ground, 2)]) != UniformMatroid(ground, 2)
+    assert UniformMatroid(ground, 2) != GraphicMatroid(range(2), {0: (0, 1), 1: (0, 1), 2: (0, 1)})
 
 
 def test_uniform_is_independent_by_size():
@@ -120,7 +141,7 @@ def test_generic_oracle_matches_graphic():
     # the graphic rank and minimum basis are Kruskal scans; the oracle
     # adapter reaches them by the generic greedy over independence calls,
     # here on K4 and on a disconnected multigraph with parallel edges
-    multi = GraphicMatroid(MultiGraph(range(5), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (3, 4)}))
+    multi = GraphicMatroid(range(5), {0: (0, 1), 1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (3, 4)})
     for m in (k4_matroid(), multi):
         o = GenericOracleMatroid(m.ground, m.is_independent)
         assert o.full_rank() == m.full_rank()
@@ -181,7 +202,7 @@ def _random_matroid(rng, family):
         u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
         if u != v:
             edges[e] = (u, v)
-    return GraphicMatroid(MultiGraph(range(n), edges))
+    return GraphicMatroid(range(n), edges)
 
 
 @pytest.mark.parametrize("family", ["uniform", "partition", "graphic"])

@@ -1,4 +1,6 @@
-"""Multigraph behaviour: contraction, deletion, connectivity."""
+"""The graphic matroid's multigraph: construction checks, contraction,
+deletion, connectivity, and the union-find walk behind the Kruskal scan
+and `classes`."""
 
 from collections import deque
 
@@ -7,86 +9,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrst.errors import ValidationError
-from rrst.multigraph import MultiGraph, classes
+from rrst.matroids import GraphicMatroid, classes
+from rrst.separation import _forest_cut
 
 
 def k4():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    return MultiGraph(range(4), dict(enumerate(pairs)))
+    return GraphicMatroid(range(4), dict(enumerate(pairs)))
 
 
 def test_basic_accessors():
     g = k4()
-    assert g.node_count == 4
+    assert len(g.nodes) == 4
     assert len(g.edges) == 6
-    assert sorted(g.edges) == [0, 1, 2, 3, 4, 5]
-    assert g.endpoints(3) == (1, 2)
+    assert sorted(g.edges) == [0, 1, 2, 3, 4, 5] == sorted(g.ground)
+    assert g.edges[3] == (1, 2)
     # Kruskal scan: 3 closes the triangle 1-2-3, and the scan stops at n - 1
-    assert g.spanning_forest([5, 4, 3, 2, 1, 0]) == [5, 4, 2]
+    assert g.max_independent([5, 4, 3, 2, 1, 0]) == [5, 4, 2]
     with pytest.raises(ValidationError, match="no edge with id 99"):
-        g.endpoints(99)
+        g.max_independent([99])
+    with pytest.raises(ValidationError, match=r"elements \[99\] not in ground set"):
+        g.contract(99)
+    with pytest.raises(ValidationError, match=r"elements \[99\] not in ground set"):
+        g.delete(99)
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ValidationError):
-        MultiGraph(range(2), {0: (1, 1)})
+    with pytest.raises(ValidationError, match="edge 0 is a self-loop on node 1"):
+        GraphicMatroid(range(2), {0: (1, 1)})
 
 
 def test_endpoint_outside_nodes_rejected():
-    with pytest.raises(ValidationError):
-        MultiGraph(range(2), {0: (0, 5)})
+    with pytest.raises(ValidationError, match="outside the node set"):
+        GraphicMatroid(range(2), {0: (0, 5)})
 
 
 def test_parallel_edges_allowed():
-    g = MultiGraph(range(2), {0: (0, 1), 1: (0, 1)})
+    g = GraphicMatroid(range(2), {0: (0, 1), 1: (0, 1)})
     assert len(g.edges) == 2
-    assert g.is_connected()
+    assert g.full_rank() == len(g.nodes) - 1  # connected
 
 
 def test_connectivity_and_components():
-    g = MultiGraph(range(4), {0: (0, 1), 1: (2, 3)})
-    assert not g.is_connected()
+    g = GraphicMatroid(range(4), {0: (0, 1), 1: (2, 3)})
+    assert g.full_rank() < len(g.nodes) - 1  # not connected
     # contracting every edge leaves one class per connected component
-    assert g.contraction_classes(g.edges) == ({0: 0, 1: 0, 2: 1, 3: 1}, [[0, 1], [2, 3]])
-    assert g.spanning_forest(sorted(g.edges)) == [0, 1]
-    assert MultiGraph([], {}).is_connected()
+    assert classes(sorted(g.nodes), g.edges.values()) == ({0: 0, 1: 0, 2: 1, 3: 1}, [[0, 1], [2, 3]])
+    assert g.max_independent(sorted(g.edges)) == [0, 1]
+    empty = GraphicMatroid([], {})
+    assert empty.full_rank() == 0 and empty.max_independent([]) == []
 
 
 def test_contract_merges_to_smaller_label_and_drops_loops():
-    g = MultiGraph(range(3), {0: (0, 1), 1: (0, 1), 2: (1, 2)})
-    h = g.contract_edge(0)
+    g = GraphicMatroid(range(3), {0: (0, 1), 1: (0, 1), 2: (1, 2)})
+    h = g.contract(0)
     # node 1 merged into node 0; the parallel edge 1 became a loop and is gone
     assert h.nodes == frozenset({0, 2})
-    assert set(h.edges) == {2}
-    assert h.endpoints(2) == (0, 2)
+    assert set(h.edges) == {2} == h.ground
+    assert h.edges[2] == (0, 2)
 
 
 def test_contract_keeps_parallel_non_loops():
     g = k4()
-    h = g.contract_edge(0)  # merge 0,1: edges (0,2)&(1,2) become parallel
-    assert h.node_count == 3
+    h = g.contract(0)  # merge 0,1: edges (0,2)&(1,2) become parallel
+    assert len(h.nodes) == 3
     assert len(h.edges) == 5
-    assert h.endpoints(1) == (0, 2) and h.endpoints(3) == (0, 2)
+    assert h.edges[1] == (0, 2) and h.edges[3] == (0, 2)
 
 
 def test_delete_keeps_isolated_nodes():
-    g = MultiGraph(range(2), {0: (0, 1)})
-    h = g.delete_edge(0)
-    assert h.node_count == 2 and len(h.edges) == 0
-    assert not h.is_connected()
+    g = GraphicMatroid(range(2), {0: (0, 1)})
+    h = g.delete(0)
+    assert len(h.nodes) == 2 and len(h.edges) == 0 and not h.ground
+    assert h.full_rank() < len(h.nodes) - 1  # not connected
 
 
 def test_edges_within():
+    # a forest row holds the edges with both ends in its node set, ascending
     g = k4()
-    assert g.edges_within({0, 1, 2}) == [0, 1, 3]
-    assert g.edges_within({3}) == []
+    assert _forest_cut(g, {0, 1, 2}) == ((0, 1, 3), 2)
+    assert _forest_cut(g, {3}) == ((), 0)
 
 
 def test_operations_do_not_mutate():
     g = k4()
-    g.contract_edge(0)
-    g.delete_edge(5)
-    assert len(g.edges) == 6 and g.node_count == 4
+    g.contract(0)
+    g.delete(5)
+    assert len(g.edges) == 6 and len(g.nodes) == 4 and g == k4()
 
 
 @st.composite
@@ -94,14 +103,14 @@ def random_graph(draw):
     n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
-    return MultiGraph(range(n), dict(enumerate(chosen)))
+    return GraphicMatroid(range(n), dict(enumerate(chosen)))
 
 
 @given(random_graph())
 def test_contract_shrinks_one_node(g):
     eid = sorted(g.edges)[0]
-    h = g.contract_edge(eid)
-    assert h.node_count == g.node_count - 1
+    h = g.contract(eid)
+    assert len(h.nodes) == len(g.nodes) - 1
     assert eid not in h.edges
     # surviving ids keep their identity
     assert set(h.edges) <= set(g.edges) - {eid}
@@ -109,13 +118,13 @@ def test_contract_shrinks_one_node(g):
 
 @given(random_graph())
 def test_components_partition_nodes(g):
-    comps = g.contraction_classes(g.edges)[1]
+    comps = classes(sorted(g.nodes), g.edges.values())[1]
     union = set()
     for comp in map(set, comps):
         assert not (union & comp)
         union |= comp
     assert union == set(g.nodes)
-    assert g.is_connected() == (len(comps) == 1)
+    assert (g.full_rank() == len(g.nodes) - 1) == (len(comps) == 1)
 
 
 def bfs_classes(items, links):
@@ -160,9 +169,9 @@ def test_classes_match_breadth_first_search(problem):
 
 
 def kruskal(graph, edge_order):
-    """Reference for spanning_forest: components kept as node -> label
+    """Reference for the Kruskal scan: components kept as node -> label
     maps, relabelled in full at each merge."""
-    need = graph.node_count - 1
+    need = len(graph.nodes) - 1
     component = {v: v for v in graph.nodes}
     forest = []
     for eid in edge_order:
@@ -186,7 +195,7 @@ def graph_and_order(draw):
     nodes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=7, unique=True))
     pairs = [(u, v) for u in nodes for v in nodes if u < v]
     ends = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
-    graph = MultiGraph(nodes, {3 * i + 1: uv for i, uv in enumerate(ends)})
+    graph = GraphicMatroid(nodes, {3 * i + 1: uv for i, uv in enumerate(ends)})
     ids = sorted(graph.edges) + [0] * draw(st.integers(0, 1))  # 0 is no edge's id
     if not ids:
         return graph, []
@@ -201,6 +210,6 @@ def test_spanning_forest_matches_reference_kruskal(problem):
         expected = kruskal(graph, order)
     except ValidationError as exc:
         with pytest.raises(ValidationError, match=str(exc)):
-            graph.spanning_forest(order)
+            graph.max_independent(order)
     else:
-        assert graph.spanning_forest(order) == expected
+        assert graph.max_independent(order) == expected

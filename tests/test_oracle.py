@@ -11,7 +11,6 @@ from rrst.errors import TooLarge
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns, Instance
 from rrst.matroids import GraphicMatroid, enumerate_bases
-from rrst.multigraph import MultiGraph
 from rrst.oracle import PAIR_SCAN_LIMIT, brute_force
 from rrst.rational import rat
 
@@ -21,15 +20,15 @@ from reference_pair_scan import full_pair_scan
 
 def complete_graph(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return MultiGraph(range(n), dict(enumerate(pairs)))
+    return GraphicMatroid(range(n), dict(enumerate(pairs)))
 
 
 def cycle_graph(n):
-    return MultiGraph(range(n), {i: (i, (i + 1) % n) for i in range(n)})
+    return GraphicMatroid(range(n), {i: (i, (i + 1) % n) for i in range(n)})
 
 
 def trees(graph):
-    return list(enumerate_bases(GraphicMatroid(graph)))
+    return list(enumerate_bases(graph))
 
 
 def test_count_known_graphs():
@@ -38,23 +37,23 @@ def test_count_known_graphs():
         assert len(trees(complete_graph(n))) == n ** (n - 2)
     for n in range(3, 9):
         assert len(trees(cycle_graph(n))) == n
-    path = MultiGraph(range(4), {i: (i, i + 1) for i in range(3)})
+    path = GraphicMatroid(range(4), {i: (i, i + 1) for i in range(3)})
     assert trees(path) == [(0, 1, 2)]
-    assert trees(MultiGraph(range(1), {})) == [()]
+    assert trees(GraphicMatroid(range(1), {})) == [()]
 
 
 def test_count_multigraph_parallel_edges():
-    g = MultiGraph(range(2), {0: (0, 1), 1: (0, 1), 2: (0, 1)})
+    g = GraphicMatroid(range(2), {0: (0, 1), 1: (0, 1), 2: (0, 1)})
     assert trees(g) == [(0,), (1,), (2,)]
     # triangle plus one parallel edge: every 2-subset but the parallel pair
-    theta = MultiGraph(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2), 3: (0, 1)})
+    theta = GraphicMatroid(range(3), {0: (0, 1), 1: (0, 2), 2: (1, 2), 3: (0, 1)})
     assert trees(theta) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
 def test_disconnected_graph_bases_are_its_maximal_forests():
-    g = MultiGraph(range(3), {0: (0, 1)})
+    g = GraphicMatroid(range(3), {0: (0, 1)})
     assert trees(g) == [(0,)]
-    two_triangles = MultiGraph(range(6), {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (3, 4), 4: (4, 5), 5: (3, 5)})
+    two_triangles = GraphicMatroid(range(6), {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (3, 4), 4: (4, 5), 5: (3, 5)})
     forests = trees(two_triangles)
     assert len(forests) == 9 and all(len(f) == 4 for f in forests)
 
@@ -68,12 +67,12 @@ def test_enumeration_matches_count_and_is_sorted():
         assert len(set(ts)) == len(ts)
         for t in ts:
             assert len(t) == n - 1
-            assert GraphicMatroid(g).is_independent(frozenset(t))
+            assert g.is_independent(frozenset(t))
 
 
 def _unit_instance(graph, k=0) -> Instance:
     costs = CostColumns.from_rows(dict.fromkeys(graph.edges, (1, 1, 1)))
-    return Instance(matroid=GraphicMatroid(graph), costs=costs, k=k, scale=1)
+    return Instance(matroid=graph, costs=costs, k=k, scale=1)
 
 
 def test_enumeration_guard():
@@ -94,14 +93,14 @@ def test_bases_past_the_pair_scan_are_refused_at_the_first_one_past_it(monkeypat
     assert 2236 ** 2 <= PAIR_SCAN_LIMIT < 2237 ** 2
     monkeypatch.setattr(oracle, "enumerate_bases", counted)
     # K7 has 7^5 = 16807 trees, and 2237 parallel edges one tree past the bound
-    parallel = MultiGraph(range(2), dict.fromkeys(range(2237), (0, 1)))
+    parallel = GraphicMatroid(range(2), dict.fromkeys(range(2237), (0, 1)))
     for graph in (complete_graph(7), parallel):
         taken.clear()
         with pytest.raises(TooLarge, match="pairs exceed"):
             brute_force(_unit_instance(graph))
         assert len(taken) == 2237
     # one basis fewer is answered
-    parallel = MultiGraph(range(2), dict.fromkeys(range(2236), (0, 1)))
+    parallel = GraphicMatroid(range(2), dict.fromkeys(range(2236), (0, 1)))
     assert brute_force(_unit_instance(parallel)).X == (0,)
 
 

@@ -2,6 +2,7 @@
 fields, and built without generated code, so `rrst` starts fast."""
 
 import copy
+import json
 import pathlib
 import pickle
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 
 import rrst
 from rrst.gen import generate_instance
-from rrst.instance import Instance
+from rrst.instance import Instance, instance_to_dict, loads_instance
 from rrst.oracle import brute_force
 from rrst.solver import solve
+
+from conftest import graphic_twin
 
 
 def _records():
@@ -40,11 +43,32 @@ def test_derived_fields_are_read_only_too():
             delattr(record, field)
 
 
+PARTITION_DOC = {"family": "partition", "k": 1,
+                 "parts": [{"elements": [0, 1, 2], "cap": 1}, {"elements": [3, 4], "cap": 2}],
+                 "costs": [{"id": e, "C": e, "c": 5 - e, "d": e % 2} for e in range(5)]}
+
+
 def test_a_read_only_record_copies_and_pickles():
     inst = generate_instance(5, 0.5, 1, 9, 3)
     assert copy.copy(inst) == inst and copy.deepcopy(inst.costs) == inst.costs
     again = pickle.loads(pickle.dumps(inst))
     assert again.costs == inst.costs and (again.k, again.scale, again.rank) == (inst.k, inst.scale, inst.rank)
+    # the matroid compares by value, so a deep copy, a pickle round trip and
+    # two parses of one document are all equal, of either kind
+    tree_doc = instance_to_dict(inst)
+    for parse in (lambda: loads_instance(json.dumps(tree_doc)), lambda: graphic_twin(inst),
+                  lambda: loads_instance(json.dumps(PARTITION_DOC))):
+        first, second = parse(), parse()
+        assert first == second and first.matroid is not second.matroid
+        assert copy.deepcopy(first) == first == pickle.loads(pickle.dumps(first))
+    # one changed edge or cap is another instance
+    moved = copy.deepcopy(tree_doc)
+    edge = moved["edges"][0]
+    edge["v"] = next(v for v in range(moved["nodes"]) if v not in (edge["u"], edge["v"]))
+    assert loads_instance(json.dumps(moved)) != inst
+    capped = copy.deepcopy(PARTITION_DOC)
+    capped["parts"][1]["cap"] = 1
+    assert loads_instance(json.dumps(capped)) != loads_instance(json.dumps(PARTITION_DOC))
 
 
 def test_equality_ignores_derived_fields_and_the_relaxation():

@@ -18,20 +18,19 @@ import random
 import pytest
 
 from rrst.errors import InternalError
-from rrst.matroids import PartitionMatroid, UniformMatroid
-from rrst.multigraph import MultiGraph
+from rrst.matroids import GraphicMatroid, PartitionMatroid, UniformMatroid, classes
 from rrst import separation
 from rrst.rational import rat
 from rrst.separation import separate_forest, separate_rank
 
-from conftest import cleared, cut_nodes, violation
+from conftest import cleared, cut_nodes, edges_within, violation
 from reference_separation import separate_forest_exhaustive, separate_rank_exhaustive
 
 ZERO, ONE = rat(0), rat(1)
 
 
 def graph_of(n, pairs):
-    return MultiGraph(range(n), dict(enumerate(pairs)))
+    return GraphicMatroid(range(n), dict(enumerate(pairs)))
 
 
 def test_forest_violation_found_on_heavy_triangle():
@@ -78,8 +77,8 @@ def _random_connected_graph(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
         chosen = [p for p in pairs if rng.random() < 0.6]
-        g = MultiGraph(range(n), dict(enumerate(chosen)))
-        if g.is_connected() and len(g.edges) >= n - 1:
+        g = GraphicMatroid(range(n), dict(enumerate(chosen)))
+        if g.full_rank() == n - 1:
             return g
 
 
@@ -91,7 +90,7 @@ def _check_certificate(cut, point, graph):
     assert type(rhs) is int
     assert violation(cut, point) > 0
     nodes = cut_nodes(cut, graph)
-    assert elements == tuple(graph.edges_within(nodes))
+    assert elements == edges_within(graph, nodes)
     assert rhs == len(nodes) - 1
 
 
@@ -310,7 +309,7 @@ def _near_integral_case(rng):
     pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2))] if pairs else []
     g = graph_of(n, pairs)
     if rng.random() < 0.5:
-        forest = g.spanning_forest(rng.sample(sorted(g.edges), len(g.edges)))
+        forest = g.max_independent(rng.sample(sorted(g.edges), len(g.edges)))
         point = {e: ONE if e in forest else ZERO for e in g.edges}
         others = [e for e in g.edges if e not in forest]
         for _ in range(rng.randint(0, 2)):
@@ -328,14 +327,14 @@ def _near_integral_case(rng):
 def _case_kinds(g, point):
     total = sum(point.values(), ZERO)
     ones = [e for e in sorted(g.edges) if point[e] == 1]
-    label, _ = g.contraction_classes(ones)
+    label, _ = classes(sorted(g.nodes), [g.edges[e] for e in ones])
     kinds = set()
-    if len(g.spanning_forest(ones)) < len(ones):
+    if len(g.max_independent(ones)) < len(ones):
         kinds.add("cycle of 1-edges")
     if any(0 < point[e] < 1 and label[g.edges[e][0]] == label[g.edges[e][1]] for e in g.edges):
         kinds.add("fractional edge inside a super-node")
-    components = len(g.contraction_classes(g.edges)[1])
-    if components > 1 and total == g.node_count - components:
+    components = len(classes(sorted(g.nodes), g.edges.values())[1])
+    if components > 1 and total == len(g.nodes) - components:
         kinds.add("disconnected, x(E) = n - c")
     return kinds
 
@@ -345,8 +344,8 @@ def test_forest_near_integral_fuzz_matches_exhaustive_and_closes_over_1_edges():
     seen = {}
     for trial in range(600):
         g, point = _near_integral_case(rng)
-        kinds = {"raises"} if sum(point.values(), ZERO) > g.node_count - 1 else set()
-        point = within(point, g.node_count - 1, separate_forest, g)
+        kinds = {"raises"} if sum(point.values(), ZERO) > len(g.nodes) - 1 else set()
+        point = within(point, len(g.nodes) - 1, separate_forest, g)
         kinds |= _case_kinds(g, point)
         fast = separate_forest(*cleared(point), g)
         slow = separate_forest_exhaustive(*cleared(point), g)
@@ -379,7 +378,7 @@ def test_fast_routes_are_scale_invariant_on_fuzz_points():
     near_integral = []
     for _ in range(600):
         g, point = _near_integral_case(rng)
-        near_integral.append((g, within(point, g.node_count - 1, separate_forest, g)))
+        near_integral.append((g, within(point, len(g.nodes) - 1, separate_forest, g)))
     cases = [(separate_forest, g, point) for g, point in list(_forest_fuzz_points()) + near_integral]
     cases += [(separate_rank, m, point) for make, seed in ((_uniform, 11), (_partition, 12))
               for m, point in _rank_fuzz_points(make, 150, seed)]

@@ -10,7 +10,6 @@ from rrst.errors import InternalError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
 from rrst.instance import CostColumns, Instance, loads_instance
 from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
-from rrst.multigraph import MultiGraph
 from rrst.oracle import brute_force
 from rrst.rational import rat
 from rrst.sides import GraphSide, MatroidSide
@@ -18,7 +17,7 @@ from rrst.simplex import SimplexSession
 from rrst.solver import serialize_solution, solution_to_dict, solve, verify_solution
 
 from conftest import GenericOracleMatroid, graphic_twin, make_instance, make_uniform_instance, TRIANGLE_PAIRS
-from reference_separation import exhaustive_separate, selection_size
+from reference_separation import exhaustive_separate
 
 ZERO, ONE = rat(0), rat(1)
 
@@ -144,7 +143,7 @@ def _random_graphic_matroid(rng):
     n = rng.randint(2, 6)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = {eid: rng.choice(pairs) for eid in range(rng.randint(1, 9))}
-    return GraphicMatroid(MultiGraph(range(n), edges))
+    return GraphicMatroid(range(n), edges)
 
 
 def test_graphic_matroid_forests_match_oracle():
@@ -152,9 +151,8 @@ def test_graphic_matroid_forests_match_oracle():
     seen = {"disconnected": 0, "parallel": 0}
     for trial in range(80):
         matroid = _random_graphic_matroid(rng)
-        graph = matroid.graph
-        seen["disconnected"] += not graph.is_connected()
-        seen["parallel"] += len(set(map(frozenset, graph.edges.values()))) < len(graph.edges)
+        seen["disconnected"] += matroid.full_rank() < len(matroid.nodes) - 1
+        seen["parallel"] += len(set(map(frozenset, matroid.edges.values()))) < len(matroid.edges)
         costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                        for e in sorted(matroid.ground)})
         mi = Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
@@ -168,7 +166,7 @@ def test_a_family_with_no_solve_route_is_refused_at_every_k():
     """Only graphic, uniform and partition matroids have a solve route; a
     matroid given by its independence test alone is refused as input at
     every k, the greedy k = rank included, and never reaches separation."""
-    k4 = GraphicMatroid(MultiGraph(range(4), dict(enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))))
+    k4 = GraphicMatroid(range(4), dict(enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
     matroid = GenericOracleMatroid(k4.ground, k4.is_independent)
     costs = CostColumns.from_rows({e: (e, 5 - e, e % 2) for e in range(6)})
     for k in range(matroid.full_rank() + 1):
@@ -189,7 +187,7 @@ def test_graphic_document_naming_a_huge_node_count_solves_on_its_edges():
                                      {"id": 2, "C": 3, "c": 2, "d": 2}]})
 
     huge, small = loads_instance(doc(10**9)), loads_instance(doc(4))
-    assert huge.matroid.graph.node_count == small.matroid.graph.node_count == 3
+    assert len(huge.matroid.nodes) == len(small.matroid.nodes) == 3
     assert huge.matroid.full_rank() == small.matroid.full_rank() == 2
     sol = solve(huge)
     assert serialize_solution(sol) == serialize_solution(solve(small))
@@ -204,8 +202,8 @@ def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges = [{"id": e, "u": u, "v": v, "C": 2, "c": 1, "d": 1} for e, (u, v) in enumerate(pairs)]
     inst = loads_instance(json.dumps({"nodes": 4, "k": 3, "edges": edges[::-1]}))
-    assert list(inst.matroid.graph.edges) == list(inst.costs.C) == [5, 4, 3, 2, 1, 0]
-    assert GraphSide(inst.matroid.graph).complete_min(inst.costs.C) == [0, 1, 2]
+    assert list(inst.matroid.edges) == list(inst.costs.C) == [5, 4, 3, 2, 1, 0]
+    assert GraphSide(inst.matroid).complete_min(inst.costs.C) == [0, 1, 2]
     sol = solve(inst)
     assert sol.X == sol.Y == (0, 1, 2)
     ground = frozenset(range(32, -1, -4))
@@ -267,7 +265,7 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
             assert all(type(v) is int for v in point.values()), point
             assert type(unit) is int and unit > 0, unit
             total = sum(point.values())
-            if total != selection_size(side) * unit:
+            if total != side.matroid.full_rank() * unit:
                 off.append((side, total, unit))
             return separate(side, point, unit)
         return wrapper
