@@ -28,6 +28,7 @@ each line of `compare`.
 
 The ``RRST_LOG`` environment variable (error|info|debug, default error)
 controls diagnostic logging on stderr; ``debug`` adds ``solve``'s timings and LP size.
+Records from `main` reach only the stderr handler it attaches.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ _log_handler: logging.Handler | None = None
 
 def _configure_logging() -> None:
     """Set the rrst logger, and only it, to RRST_LOG's level, writing to the
-    sys.stderr of this call: each call of `main` replaces the handler the
-    last one added, and a host program's root logger is left as it is."""
+    sys.stderr of this call and nowhere else: each call of `main` replaces
+    the handler the last one added, and no record propagates to a host
+    program's root logger, which is left as it is."""
     global _log_handler
     raw = os.environ.get("RRST_LOG", "error")
     if raw not in _LOG_LEVELS:
@@ -80,6 +82,7 @@ def _configure_logging() -> None:
     log.addHandler(handler)
     _log_handler = handler
     log.setLevel(_LOG_LEVELS[raw])
+    log.propagate = False
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -154,11 +157,7 @@ def cmd_verify(args) -> int:
     doc = _load_solution_doc(args.solution)
     # an invalid instance is a usage error, raised before any check runs
     inst = load_instance(args.instance)
-    try:
-        failures = verify_solution(inst, doc)
-    except ValidationError as exc:
-        # a malformed selection is itself a failed check against the instance
-        failures = [str(exc)]
+    failures = verify_solution(inst, doc)
     if failures:
         for line in failures:
             print(f"verification failed: {line}", file=sys.stderr)

@@ -79,9 +79,10 @@ def _below(rng: random.Random, bound: int, count: int) -> list[int]:
 
 def _drawn_costs(rng: random.Random, cost_max: int, ids) -> CostColumns:
     """Costs of ids, a sized iterable of ascending ids, uniform in
-    [0, cost_max], drawn C, c, d per id in id order."""
+    [0, cost_max], drawn C, c, d per id in id order, whole at scale 1."""
     drawn = _below(rng, cost_max + 1, 3 * len(ids))
-    return CostColumns(*(dict(zip(ids, drawn[i::3])) for i in range(3)))
+    C, c, d = (dict(zip(ids, drawn[i::3])) for i in range(3))
+    return CostColumns(C, c, d, 1)
 
 
 def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: int) -> Instance:
@@ -133,7 +134,7 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
     edges = dict(enumerate(pairs))
     # keyed by the edge dict's own ids, so the columns share its int objects
     costs = _drawn_costs(rng, cost_max, edges)
-    return Instance(matroid=GraphicMatroid(range(nodes), edges), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(range(nodes), edges), costs=costs, k=k)
 
 
 def connected_graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -182,6 +183,6 @@ def builtin_small_suite() -> list[tuple[str, Instance]]:
                 costs = _pattern_costs(pattern, len(edges), f"builtin-{n}-{gi}")
                 for k in range(n):
                     name = f"n{n}-g{gi:02d}-k{k}-{pattern}"
-                    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=1)
+                    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k)
                     suite.append((name, inst))
     return suite

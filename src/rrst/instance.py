@@ -17,11 +17,11 @@ and the NaN/Infinity constants are rejected outright so no binary
 rounding ever sneaks in.
 
 A parsed instance holds its costs as one `CostColumns` record: an
-id -> int dict per cost field, C, c and d, and their sum `second` = c + d.
-Every int is in units of 1/scale, where `scale` is the LCM of the
-denominators of all the instance's costs: the document above has scale 2,
-and stores C, c, d of edge 0 as 6, 5, 1.  Printing divides by the scale
-again, so a tree document reads back as it was written.
+id -> int dict per cost field, C, c and d, their sum `second` = c + d, and
+their `scale`: every int is in units of 1/scale, the LCM of the document's
+cost denominators.  The document above has scale 2, and stores C, c, d of
+edge 0 as 6, 5, 1.  Printing divides by the scale again, so a tree
+document reads back as it was written.
 
 A tree document's edges, a graphic document's edges and a matroid
 document's costs are lists of the same shape, and one reader takes all
@@ -52,29 +52,33 @@ class CostColumns:
     """The costs of one instance, one id -> int dict per field: C the first
     stage, [c, c+d] the second-stage interval, and `second` = c + d.
 
-    Each value is a non-negative int in units of 1/scale of its instance,
-    checked over whole columns at construction.  Under min-max recovery
-    only the upper endpoint matters, so the solver reads only C and second.
-    The record is read-only; two compare equal when C, c and d do.
+    Each value is a non-negative int in units of 1/scale, checked over
+    whole columns at construction, and `scale` has no default.  Under
+    min-max recovery only the upper endpoint matters, so the solver reads
+    only C and second.  The record is read-only; two compare equal when C,
+    c, d and scale do.
     """
 
-    __slots__ = ("C", "c", "d", "second")
+    __slots__ = ("C", "c", "d", "scale", "second")
     C: dict[int, int]
     c: dict[int, int]
     d: dict[int, int]
+    # every cost is an int in units of 1/scale
+    scale: int
     second: dict[int, int]
 
-    def __init__(self, C, c, d):
+    def __init__(self, C, c, d, scale):
+        if type(scale) is not int or scale < 1:
+            raise ValidationError(f"cost scale {scale!r} is not a positive int")
         if not C.keys() == c.keys() == d.keys():
             raise ValidationError("cost columns C, c and d name different elements")
         for key, column in zip(_COST_KEYS, (C, c, d)):
             if set(map(type, column.values())) <= {int} and min(column.values(), default=0) >= 0:
                 continue
             e, v = next((e, v) for e, v in column.items() if type(v) is not int or v < 0)
-            raise ValidationError(f"costs must be non-negative ints in units of 1/scale of their "
-                                  f"instance: {key}[{e}] is {v!r}")
+            raise ValidationError(f"costs must be non-negative ints in units of 1/scale: {key}[{e}] is {v!r}")
         second = dict(zip(c, map(add, c.values(), map(d.__getitem__, c))))
-        for name, value in zip(self.__slots__, (C, c, d, second)):
+        for name, value in zip(self.__slots__, (C, c, d, scale, second)):
             object.__setattr__(self, name, value)
 
     __setattr__ = __delattr__ = _read_only
@@ -82,23 +86,18 @@ class CostColumns:
     def __eq__(self, other):
         if type(other) is not CostColumns:
             return NotImplemented
-        return (self.C, self.c, self.d) == (other.C, other.c, other.d)
+        return (self.C, self.c, self.d, self.scale) == (other.C, other.c, other.d, other.scale)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
-        return CostColumns, (self.C, self.c, self.d)
+        return CostColumns, (self.C, self.c, self.d, self.scale)
 
     @classmethod
     def from_rows(cls, rows) -> "CostColumns":
-        """The columns of a mapping id -> (C, c, d)."""
+        """The columns of a mapping id -> (C, c, d) of whole costs."""
         columns = list(zip(*rows.values())) or [(), (), ()]
         C, c, d = (dict(zip(rows, column)) for column in columns)
-        return cls(C, c, d)
-
-
-def _check_scale(scale) -> None:
-    if type(scale) is not int or scale < 1:
-        raise ValidationError(f"cost scale {scale!r} is not a positive int")
+        return cls(C, c, d, 1)
 
 
 class Instance:
@@ -106,22 +105,19 @@ class Instance:
     graphic matroid of a connected graph, as every tree document reads.
     The record is read-only; two compare equal when all but `rank` do."""
 
-    __slots__ = ("matroid", "costs", "k", "scale", "rank")
+    __slots__ = ("matroid", "costs", "k", "rank")
     matroid: Matroid
     costs: CostColumns
     k: int
-    # every cost is an int in units of 1/scale
-    scale: int
     # the matroid's full rank, by one greedy scan at construction
     rank: int
 
-    def __init__(self, matroid, costs, k, scale):
-        _check_scale(scale)
+    def __init__(self, matroid, costs, k):
         r = matroid.full_rank()
         if not 0 <= k <= r:
             raise ValidationError(f"k={k} outside 0..{r}")
         _check_cost_ids(costs, matroid.ground)
-        for name, value in zip(self.__slots__, (matroid, costs, k, scale, r)):
+        for name, value in zip(self.__slots__, (matroid, costs, k, r)):
             object.__setattr__(self, name, value)
 
     __setattr__ = __delattr__ = _read_only
@@ -129,10 +125,10 @@ class Instance:
     def __eq__(self, other):
         if type(other) is not Instance:
             return NotImplemented
-        return (self.matroid, self.costs, self.k, self.scale) == (other.matroid, other.costs, other.k, other.scale)
+        return (self.matroid, self.costs, self.k) == (other.matroid, other.costs, other.k)
 
     def __reduce__(self):
-        return Instance, (self.matroid, self.costs, self.k, self.scale)
+        return Instance, (self.matroid, self.costs, self.k)
 
     @property
     def overlap_requirement(self) -> int:
@@ -172,9 +168,9 @@ def _read_entries(raw, n: int | None, costs: bool):
     int ids; for an edge list (n given) int endpoints in 0..n-1 that
     differ; with costs, readable non-negative C, c and d over one scale.
 
-    Returns (id -> (u, v) or None, the CostColumns or None, the scale),
-    or None when a check fails.  Only a cost column that holds a non-int
-    is parsed value by value."""
+    Returns (id -> (u, v) or None, the CostColumns or None), or None when
+    a check fails.  Only a cost column that holds a non-int is parsed
+    value by value."""
     if not all(issubclass(t, dict) for t in set(map(type, raw))):
         return None
     ids = _column(raw, "id")
@@ -189,7 +185,7 @@ def _read_entries(raw, n: int | None, costs: bool):
             return None
         edges = dict(zip(ids, zip(us, vs)))
     if not costs:
-        return edges, None, 1
+        return edges, None
     scale = 1
     columns = []
     for key in _COST_KEYS:
@@ -212,7 +208,7 @@ def _read_entries(raw, n: int | None, costs: bool):
     # resized, and one per parse would fill the free list of its new size
     C, c, d = (dict(zip(ids, column)) for column in columns)
     try:
-        return edges, CostColumns(C, c, d), scale
+        return edges, CostColumns(C, c, d, scale)
     except ValidationError:  # a negative cost
         return None
 
@@ -285,13 +281,13 @@ def _tree_instance_from_dict(doc: dict) -> Instance:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise ParseError("instance: 'edges' must be a list")
-    edges, costs, scale = _read_entries(raw_edges, n, True) or _raise_entry_fault(raw_edges, n, True)
+    edges, costs = _read_entries(raw_edges, n, True) or _raise_entry_fault(raw_edges, n, True)
     if n < 1:
         raise ValidationError("instance needs at least one node")
     # checked before the graph is built, whose size grows with n
     if len(edges) < n - 1:
         raise ValidationError(f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes")
-    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=scale)
+    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k)
     # the rank is one Kruskal scan: a spanning forest of n - 1 edges
     if inst.rank < n - 1:
         raise ValidationError("instance graph is not connected")
@@ -317,7 +313,7 @@ def matroid_from_dict(doc) -> Matroid:
         raw = doc.get("edges")
         if not isinstance(raw, list):
             raise ParseError("graphic matroid: 'edges' must be a list")
-        edges, _, _ = _read_entries(raw, n, False) or _raise_entry_fault(raw, n, False)
+        edges, _ = _read_entries(raw, n, False) or _raise_entry_fault(raw, n, False)
         # an isolated node adds one to both the node count and the number
         # of components, so no rank changes when the graph holds only the
         # nodes its edges touch, however large `nodes` is
@@ -353,8 +349,8 @@ def _matroid_instance_from_dict(doc: dict) -> Instance:
     raw = doc.get("costs")
     if not isinstance(raw, list):
         raise ParseError("matroid instance: 'costs' must be a list")
-    _, costs, scale = _read_entries(raw, None, True) or _raise_entry_fault(raw, None, True)
-    return Instance(matroid=matroid, costs=costs, k=k, scale=scale)
+    _, costs = _read_entries(raw, None, True) or _raise_entry_fault(raw, None, True)
+    return Instance(matroid=matroid, costs=costs, k=k)
 
 
 def load_instance(path) -> Instance:
@@ -421,7 +417,7 @@ def instance_to_dict(inst: Instance) -> dict:
             and matroid.nodes == frozenset(range(len(matroid.nodes)))):
         raise ValidationError(
             f"a tree document holds a graphic matroid connected on nodes 0..n-1, not this {matroid.family} instance")
-    scale = inst.scale
+    scale = inst.costs.scale
     C, c, d = columns = (inst.costs.C, inst.costs.c, inst.costs.d)
     if scale != 1:
         C, c, d = ({e: _cost_out(v, scale) for e, v in column.items()} for column in columns)

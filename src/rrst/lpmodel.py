@@ -38,8 +38,7 @@ class RelaxationModel:
     """The program as columns: block ``name`` holds one column per element
     of ``ids`` (ascending), with ``costs`` in that order, under the row
     1ᵀ(block) == ``rhs``; the blocks are a, b, c in that order, or b alone
-    when merged, and each one's columns follow the previous block's.  Two
-    compare equal when all but `position` do."""
+    when merged, and each one's columns follow the previous block's."""
 
     __slots__ = ("side", "ids", "blocks", "position")
     side: object
@@ -51,11 +50,6 @@ class RelaxationModel:
     def __init__(self, side, ids, blocks):
         self.side, self.ids, self.blocks = side, ids, blocks
         self.position = {e: i for i, e in enumerate(ids)}
-
-    def __eq__(self, other):
-        if type(other) is not RelaxationModel:
-            return NotImplemented
-        return (self.side, self.ids, self.blocks) == (other.side, other.ids, other.blocks)
 
     @property
     def reduced(self) -> str | None:
@@ -118,7 +112,7 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     `size` is what the instance already knows (n - 1 for a tree, the rank
     for a matroid), so no build scans the side for it.  Every element is
     overlap-eligible; `costs` is the instance's CostColumns, whose ints are
-    in units of 1/scale of the instance, so the objective and its optimum
+    in units of 1/costs.scale, so the objective and its optimum
     (and the rendered program) are in those units too.  Its ids are the
     side's elements, which the instance checked, so the columns are read
     off them.  A quota above the selection size leaves the program

@@ -38,8 +38,8 @@ class BruteResult(namedtuple("BruteResult", "X Y Z first_stage second_stage tota
     pairs_scanned: int
 
 
-def _pair_scan(selections, costs, scale: int, overlap_required: int) -> BruteResult:
-    first_cost, second_cost = costs.C.__getitem__, costs.second.__getitem__
+def _pair_scan(selections, costs, overlap_required: int) -> BruteResult:
+    first_cost, second_cost, scale = costs.C.__getitem__, costs.second.__getitem__, costs.scale
     rated = [(sel, frozenset(sel), sum(map(first_cost, sel)), sum(map(second_cost, sel)))
              for sel in selections]
     if not rated:
@@ -86,4 +86,4 @@ def brute_force(instance: Instance) -> BruteResult:
     bases = list(islice(enumerate_bases(instance.matroid), bound))
     if len(bases) == bound:
         raise TooLarge(f"over {bound - 1} bases: their pairs exceed {PAIR_SCAN_LIMIT}")
-    return _pair_scan(bases, instance.costs, instance.scale, instance.overlap_requirement)
+    return _pair_scan(bases, instance.costs, instance.overlap_requirement)

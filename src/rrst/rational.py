@@ -1,8 +1,9 @@
 """Exact rational arithmetic.
 
 Every value in this package is exact.  Costs are Python ints over one
-positive denominator per instance, its ``scale``: the LCM of the
-denominators of all its costs, 1 whenever every cost is a whole number.
+positive denominator per cost table, the ``scale`` its `CostColumns`
+holds: the LCM of the denominators of all its costs, 1 whenever every
+cost is a whole number.
 Sorting, summing and comparing costs thus never builds a Fraction.  The
 values printed in documents are ``fractions.Fraction``, reduced to lowest
 terms with a positive denominator; a total is printed as
@@ -45,7 +46,8 @@ DIGIT_LIMIT = 10 ** MAX_DIGITS
 # decimal with an optional fraction and exponent.  Fraction's own grammar
 # also takes Unicode digits, and from Python 3.11 on underscores, so it is
 # only handed text that matches this one
-_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE](?P<exp>[-+]?[0-9]+))?)")
+_RATIONAL = re.compile(
+    r"[-+]?(?:[0-9]+/[0-9]+|(?P<mantissa>(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?)(?:[eE](?P<exp>[-+]?[0-9]+))?)")
 
 
 def parse_exact(value):
@@ -59,7 +61,8 @@ def parse_exact(value):
     machine precision once, and exactness guarantees downstream depend on
     never letting that happen.
     A numerator or denominator of more than MAX_DIGITS digits is rejected;
-    a decimal exponent is checked before it is expanded.
+    a decimal exponent is checked before it is expanded, and a zero reads
+    as 0 whatever its exponent.
     """
     if type(value) is int:  # a bool is not, and falls through
         if -DIGIT_LIMIT < value < DIGIT_LIMIT:
@@ -81,6 +84,8 @@ def parse_exact(value):
         # the exponent is measured as text first: int() refuses over 4300 digits
         exponent = (match["exp"] or "").lstrip("+-").lstrip("0")
         if len(exponent) > len(str(MAX_DIGITS)) or int(exponent or 0) > MAX_DIGITS:
+            if not match["mantissa"].strip("0."):  # a zero, whatever its exponent
+                return 0
             raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
         try:
             f = Fraction(text)

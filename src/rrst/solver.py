@@ -35,13 +35,13 @@ source paper proves only that some coordinate of each vertex is 0 or 1,
 which its iterative relaxation needs.  A coordinate strictly between 0
 and 1 would breach the argument, and raises InternalError.
 
-Costs arrive as ints over the instance's scale (see instance.py), so the
-greedy sorts, the LP objective, the stage sums and the check of the total
-against the LP bound all run on ints, in scaled units.  A positive scale
-changes no comparison, tie-break or pivot.  The LP vertex comes back as
-int numerators over the tableau's denominator, so reading X, Y and Z off
-it compares ints too.  Only the Solution divides by the scale, once, into
-Fractions.
+Costs arrive as ints over the scale their CostColumns holds (see
+instance.py), so the greedy sorts, the LP objective, the stage sums and
+the check of the total against the LP bound all run on ints, in scaled
+units.  A positive scale changes no comparison, tie-break or pivot.  The
+LP vertex comes back as int numerators over the tableau's denominator, so
+reading X, Y and Z off it compares ints too.  Only the Solution divides
+by the scale, once, into Fractions.
 
 A solve takes no option and writes no file.  The Solution carries the
 cut loop's result (`relaxation`: the model and its cut rows), which the
@@ -112,7 +112,7 @@ def solve(instance: Instance) -> Solution:
     spanning forests, and a uniform or partition matroid by prefix scans
     per part.  No other family has a route: ValidationError, whatever k.
     """
-    matroid, costs, scale = instance.matroid, instance.costs, instance.scale
+    matroid, costs, scale = instance.matroid, instance.costs, instance.costs.scale
     if isinstance(matroid, GraphicMatroid):
         side = GraphSide(matroid)
     elif isinstance(matroid, PartitionMatroid):
@@ -171,29 +171,32 @@ def solve(instance: Instance) -> Solution:
 # --- solution verification -------------------------------------------------
 
 
-def _parse_selection(doc: dict, key: str, valid_ids) -> set:
-    """The selection `key` of `doc` as a set; `valid_ids` is set-like."""
+def _parse_selection(doc: dict, key: str, valid_ids) -> set | str:
+    """The selection `key` of `doc` as a set, or the message that says why
+    it is malformed; `valid_ids` is set-like."""
     if key not in doc:
-        raise ValidationError(f"solution is missing {key!r}")
+        return f"solution is missing {key!r}"
     items = doc[key]
     if not isinstance(items, list) or not _int_column(items):
-        raise ValidationError(f"{key!r} must be a list of element ids")
+        return f"{key!r} must be a list of element ids"
     out = set(items)
     if len(out) != len(items):
-        raise ValidationError(f"{key!r} contains duplicates")
+        return f"{key!r} contains duplicates"
     unknown = [e for e in out if e not in valid_ids]
     if unknown:
-        raise ValidationError(f"{key!r} references unknown elements {sorted(unknown)}")
+        return f"{key!r} references unknown elements {sorted(unknown)}"
     return out
 
 
 def verify_solution(instance: Instance, doc: dict) -> list[str]:
-    """Check a solution document against an instance; [] means valid."""
+    """Check a solution document against an instance; [] means valid.  Any
+    malformed selection fails alone: one message each, and no other check."""
     matroid, costs, rank = instance.matroid, instance.costs, instance.rank
-    ids = matroid.ground
-    X = _parse_selection(doc, "X", ids)
-    Y = _parse_selection(doc, "Y", ids)
-    Z = _parse_selection(doc, "Z", ids)
+    selections = [_parse_selection(doc, key, matroid.ground) for key in ("X", "Y", "Z")]
+    malformed = [s for s in selections if isinstance(s, str)]
+    if malformed:
+        return malformed
+    X, Y, Z = selections
     failures = []
     for key, selection in (("X", X), ("Y", Y)):
         if len(selection) != rank or matroid.rank(selection) != rank:
@@ -219,7 +222,7 @@ def verify_solution(instance: Instance, doc: dict) -> list[str]:
         except ParseError as exc:
             failures.append(f"unreadable {key}: {exc}")
             continue
-        if claimed * instance.scale != expected:
+        if claimed * costs.scale != expected:
             failures.append(f"cost mismatch: {key} claims {rat_str(claimed)}, "
-                            f"selections cost {rat_str(rat(expected, instance.scale))}")
+                            f"selections cost {rat_str(rat(expected, costs.scale))}")
     return failures

@@ -98,7 +98,7 @@ def make_instance(n, pairs, triples, k) -> Instance:
     """Instance from endpoint pairs and (C, c, d) triples, ids 0..m-1."""
     edges = {i: tuple(p) for i, p in enumerate(pairs)}
     costs = CostColumns.from_rows(dict(enumerate(triples)))
-    return Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k, scale=1)
+    return Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k)
 
 
 def graphic_twin(inst) -> Instance:
@@ -113,14 +113,14 @@ def graphic_twin(inst) -> Instance:
 
 def make_uniform_instance(m, r, triples, k) -> Instance:
     costs = CostColumns.from_rows(dict(enumerate(triples)))
-    return Instance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k, scale=1)
+    return Instance(matroid=UniformMatroid(frozenset(range(m)), r), costs=costs, k=k)
 
 
 def make_partition_instance(parts, triples, k) -> Instance:
     """parts: list of (elements, cap); triples keyed by element id."""
     matroid = PartitionMatroid([(frozenset(els), cap) for els, cap in parts])
     costs = CostColumns.from_rows(triples)
-    return Instance(matroid=matroid, costs=costs, k=k, scale=1)
+    return Instance(matroid=matroid, costs=costs, k=k)
 
 
 class GenericOracleMatroid(Matroid):

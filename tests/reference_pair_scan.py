@@ -17,7 +17,7 @@ def full_pair_scan(instance) -> BruteResult:
     """The optimal basis pair of `instance`, with `pairs_scanned` the
     number of all ordered pairs of bases."""
     first_cost, second_cost = instance.costs.C, instance.costs.second
-    need, scale = instance.overlap_requirement, instance.scale
+    need, scale = instance.overlap_requirement, instance.costs.scale
     bases = list(enumerate_bases(instance.matroid))
     total, X, Y = min(
         (sum(first_cost[e] for e in x) + sum(second_cost[e] for e in y), x, y)

@@ -147,7 +147,7 @@ def _matroid_cases():
         })
         rank = matroid.full_rank()
         for k in range(rank + 1):
-            yield f"draw{i}-{matroid.family}-k{k}", Instance(matroid=matroid, costs=costs, k=k, scale=1)
+            yield f"draw{i}-{matroid.family}-k{k}", Instance(matroid=matroid, costs=costs, k=k)
 
 
 def _graphic_matroid_cases():

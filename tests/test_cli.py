@@ -241,6 +241,50 @@ def test_rrst_log_holds_on_every_in_process_call(inst_file, tmp_path, monkeypatc
     assert (root.level, list(root.handlers)) == before
 
 
+class _Recorder(logging.Handler):
+    """A host program's handler: keeps every record it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def test_main_logs_to_its_own_handler_only(inst_file, tmp_path, monkeypatch, request, capsys):
+    """A host that puts a handler on the root logger gets no record from
+    `main`, and `main`'s stderr gets each record once, on every call."""
+    root = logging.getLogger()
+    before = (root.level, list(root.handlers))
+    level = cli.log.level
+    monkeypatch.setattr(cli.log, "handlers", [])
+    monkeypatch.setattr(cli.log, "propagate", True)
+    monkeypatch.setattr(cli, "_log_handler", None)
+    request.addfinalizer(lambda: cli.log.setLevel(level))
+    host = _Recorder()
+    root.addHandler(host)
+    request.addfinalizer(lambda: root.removeHandler(host))
+    monkeypatch.setenv("RRST_LOG", "debug")
+    calls = []
+    for name in ("a.json", "b.json"):
+        assert run(["solve", "--input", str(inst_file), "--output", str(tmp_path / name)]) == 0
+        calls.append([re.sub(r"[0-9.]+ ms$", "T ms", line) for line in capsys.readouterr().err.splitlines()])
+    sol = solve(load_instance(inst_file))
+    assert calls[0] == calls[1] == [
+        f"DEBUG rrst: read {inst_file} in T ms",
+        f"INFO rrst: Instance: {len(sol.relaxation.model.ids)} elements, k=1",
+        "DEBUG rrst: solved in T ms",
+        f"INFO rrst: solved: total={rat_str(sol.total)} iterations=1 rounds={sol.relaxation.rounds} "
+        f"cuts={sol.relaxation.cuts_added}",
+        f"DEBUG rrst: LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * len(sol.relaxation.model.ids)} "
+        "columns",
+        "DEBUG rrst: wrote the solution in T ms",
+    ]
+    assert host.records == []
+    assert (root.level, root.handlers) == (before[0], before[1] + [host])
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run(["solve", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -327,6 +371,21 @@ def test_tampered_solution_exits_3_and_names_check(tmp_path, inst_file, capsys):
     sol.write_text(json.dumps(doc))
     assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 3
     assert "X not a basis" in capsys.readouterr().err.splitlines()[0]
+
+
+def test_every_malformed_selection_exits_3_and_is_named(tmp_path, inst_file, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"X": [0, 0], "Y": None, "Z": [-1], "total": "0"}))
+    assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failed: 'X' contains duplicates",
+        "verification failed: 'Y' must be a list of element ids",
+        "verification failed: 'Z' references unknown elements [-1]",
+    ]
+    # a document that is not a JSON object is no solution at all
+    sol.write_text("[]")
+    assert run(["verify", "--instance", str(inst_file), "--solution", str(sol)]) == 2
+    assert capsys.readouterr().err == "error: solution document must be a JSON object\n"
 
 
 INVALID_INSTANCES = {

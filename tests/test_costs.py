@@ -1,6 +1,6 @@
-"""Costs as ints over one per-instance scale: fractional costs solve and
-verify exactly, whole costs stay ints all the way to the greedy, and the
-scale is bounded."""
+"""Costs as ints over the one scale their table holds: fractional costs
+solve and verify exactly, whole costs stay ints all the way to the greedy,
+and the scale is bounded."""
 
 import json
 import random
@@ -74,13 +74,13 @@ def test_fractional_tree_costs_match_the_oracle_and_the_integer_twin():
     scales = set()
     for doc in _tree_docs():
         inst = loads_instance(json.dumps(doc))
-        scales.add(inst.scale)
+        scales.add(inst.costs.scale)
         sol = solve(inst)
         assert sol.total == brute_force(inst).total, doc
         assert verify_solution(inst, solution_to_dict(sol)) == []
-        twin = loads_instance(json.dumps(dict(doc, edges=_twin(doc["edges"], inst.scale))))
-        assert twin.scale == 1
-        _check_against_twin(sol, solve(twin), inst.scale)
+        twin = loads_instance(json.dumps(dict(doc, edges=_twin(doc["edges"], inst.costs.scale))))
+        assert twin.costs.scale == 1
+        _check_against_twin(sol, solve(twin), inst.costs.scale)
     assert max(scales) > 1 and len(scales) > 2, scales
 
 
@@ -89,14 +89,14 @@ def test_fractional_matroid_costs_match_the_oracle_and_the_integer_twin():
     families = set()
     for doc in _matroid_docs():
         minst = loads_instance(json.dumps(doc))
-        scales.add(minst.scale)
+        scales.add(minst.costs.scale)
         families.add(doc["family"])
         sol = solve(minst)
         assert sol.total == brute_force(minst).total, doc
         assert verify_solution(minst, solution_to_dict(sol)) == []
-        twin = loads_instance(json.dumps(dict(doc, costs=_twin(doc["costs"], minst.scale))))
-        assert twin.scale == 1
-        _check_against_twin(sol, solve(twin), minst.scale)
+        twin = loads_instance(json.dumps(dict(doc, costs=_twin(doc["costs"], minst.costs.scale))))
+        assert twin.costs.scale == 1
+        _check_against_twin(sol, solve(twin), minst.costs.scale)
     assert families == {"uniform", "partition", "graphic"}
     assert max(scales) > 1 and len(scales) > 2, scales
 
@@ -113,7 +113,7 @@ PATH_DOC = {"nodes": 3, "k": 1, "edges": [
 def path_files(tmp_path):
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     inst.write_text(json.dumps(PATH_DOC))
-    assert loads_instance(inst.read_text()).scale == 6
+    assert loads_instance(inst.read_text()).costs.scale == 6
     assert cli.main(["solve", "--input", str(inst), "--output", str(sol)]) == 0
     doc = json.loads(sol.read_text())
     assert (doc["first_stage"], doc["second_stage"], doc["total"]) == ("1/2", "2", "5/2")
@@ -166,30 +166,37 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
     for costs in (tree.costs, minst.costs, generated.costs):
         assert all(type(v) is int for column in (costs.C, costs.c, costs.d, costs.second)
                    for v in column.values())
-    assert tree.scale == minst.scale == generated.scale == 1
+    assert tree.costs.scale == minst.costs.scale == generated.costs.scale == 1
 
     solve(tree)
     solve(minst)
     solve(generated)
-    solve(Instance(generated.matroid, generated.costs, k=2, scale=generated.scale))
+    solve(Instance(generated.matroid, generated.costs, k=2))
     assert len(weights_seen) == 2 * (3 + 4 + len(generated.costs.C))
     assert all(type(w) is int for w in weights_seen)
     assert objectives_seen and all(type(v) is int for v in objectives_seen)
 
 
 @pytest.mark.parametrize("kwargs", [dict(scale=0), dict(scale=rat(2))])
-def test_instance_scale_must_be_a_positive_int(kwargs):
-    inst = generate_instance(3, 0.5, 1, 5, 1)
+def test_cost_scale_must_be_a_positive_int(kwargs):
+    costs = generate_instance(3, 0.5, 1, 5, 1).costs
     with pytest.raises(ValidationError, match="scale"):
-        Instance(inst.matroid, inst.costs, inst.k, **kwargs)
-
-
-def test_an_instance_is_not_built_without_its_scale():
-    # with no default, costs copied from one instance cannot silently be
-    # read over another scale
-    inst = loads_instance(json.dumps(PATH_DOC))
+        CostColumns(costs.C, costs.c, costs.d, **kwargs)
+    # with no default, no cost table is built without its unit
     with pytest.raises(TypeError, match="scale"):
-        Instance(inst.matroid, inst.costs, inst.k)
+        CostColumns(costs.C, costs.c, costs.d)
+
+
+def test_an_instance_keeps_its_costs_scale():
+    # the scale travels with the costs, so costs copied from one instance
+    # into another are read over the scale they were parsed at
+    inst = loads_instance(json.dumps(PATH_DOC))
+    assert inst.costs.scale == 6
+    for k in (0, 1, 2):
+        rebuilt = Instance(inst.matroid, inst.costs, k)
+        parsed = loads_instance(json.dumps(dict(PATH_DOC, k=k)))
+        assert rebuilt == parsed and rebuilt.costs.scale == 6
+        assert solve(rebuilt) == solve(parsed) and solve(rebuilt).total == rat(5, 2)
 
 
 def test_a_cost_id_given_twice_is_a_parse_error():

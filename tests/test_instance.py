@@ -29,7 +29,7 @@ def test_parse_round_trip():
     assert len(inst.matroid.nodes) == 3 and len(inst.costs.C) == 3 and inst.k == 1
     assert inst.rank == 2
     # costs are ints over the LCM of their denominators: 3, 5/2, 1/2 over 2
-    assert inst.scale == 2
+    assert inst.costs.scale == 2
     assert (inst.costs.C[0], inst.costs.c[0], inst.costs.d[0]) == (6, 5, 1)
     assert (inst.costs.C[1], inst.costs.c[1], inst.costs.d[1]) == (2, 2, 0)
     assert inst.costs.second[0] == 6
@@ -164,7 +164,7 @@ def test_non_int_costs_rejected_at_construction(rows, shown):
 
 def test_cost_columns_must_name_the_same_elements():
     with pytest.raises(ValidationError, match="different elements"):
-        CostColumns({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1})
+        CostColumns({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, 1)
 
 
 def test_invalid_json_is_parse_error():

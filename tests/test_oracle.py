@@ -72,7 +72,7 @@ def test_enumeration_matches_count_and_is_sorted():
 
 def _unit_instance(graph, k=0) -> Instance:
     costs = CostColumns.from_rows(dict.fromkeys(graph.edges, (1, 1, 1)))
-    return Instance(matroid=graph, costs=costs, k=k, scale=1)
+    return Instance(matroid=graph, costs=costs, k=k)
 
 
 def test_enumeration_guard():

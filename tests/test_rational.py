@@ -26,6 +26,10 @@ def test_basic_arithmetic_is_exact():
         ("-3/7", rat(-3, 7)),
         (" 4/6 ", rat(2, 3)),
         ("0", rat(0)),
+        # a zero is 0 whatever its exponent, however many digits that has
+        ("0e5000", rat(0)),
+        ("-0.00e-99999", rat(0)),
+        pytest.param("0e" + "9" * 5000, rat(0), id="0e followed by 5000 nines"),
     ],
 )
 def test_parse_exact_accepts(text, expected):
@@ -68,7 +72,7 @@ def test_parse_exact_accepts_values_up_to_the_digit_bound(value):
 
 @pytest.mark.parametrize("value", [
     "1" + "0" * MAX_DIGITS, "1/1" + "0" * MAX_DIGITS, "1e5000", "1e-5000", "1e1000000000",
-    10 ** MAX_DIGITS, rat(1, 10 ** MAX_DIGITS), "1e" + "9" * 5000,
+    10 ** MAX_DIGITS, rat(1, 10 ** MAX_DIGITS), "1e" + "9" * 5000, f"1e{MAX_DIGITS + 1}",
 ])
 def test_parse_exact_rejects_values_past_the_digit_bound(value):
     # the exponent is checked before Fraction would expand 10**exponent

@@ -12,7 +12,7 @@ import pytest
 
 import rrst
 from rrst.gen import generate_instance
-from rrst.instance import Instance, instance_to_dict, loads_instance
+from rrst.instance import CostColumns, Instance, instance_to_dict, loads_instance
 from rrst.oracle import brute_force
 from rrst.solver import solve
 
@@ -52,7 +52,13 @@ def test_a_read_only_record_copies_and_pickles():
     inst = generate_instance(5, 0.5, 1, 9, 3)
     assert copy.copy(inst) == inst and copy.deepcopy(inst.costs) == inst.costs
     again = pickle.loads(pickle.dumps(inst))
-    assert again.costs == inst.costs and (again.k, again.scale, again.rank) == (inst.k, inst.scale, inst.rank)
+    assert again.costs == inst.costs and (again.k, again.rank) == (inst.k, inst.rank)
+    # the scale is a field of the costs: the same ints over another scale
+    # are other costs, and a copy or a pickle keeps it
+    sixths = CostColumns(inst.costs.C, inst.costs.c, inst.costs.d, 6)
+    assert sixths != inst.costs
+    for again in (copy.copy(sixths), copy.deepcopy(sixths), pickle.loads(pickle.dumps(sixths))):
+        assert again == sixths and again.scale == 6
     # the matroid compares by value, so a deep copy, a pickle round trip and
     # two parses of one document are all equal, of either kind
     tree_doc = instance_to_dict(inst)
@@ -73,9 +79,9 @@ def test_a_read_only_record_copies_and_pickles():
 
 def test_equality_ignores_derived_fields_and_the_relaxation():
     inst = generate_instance(5, 0.5, 1, 9, 3)
-    again = Instance(inst.matroid, inst.costs, inst.k, inst.scale)
+    again = Instance(inst.matroid, inst.costs, inst.k)
     assert again == inst and not again != inst
-    assert Instance(inst.matroid, inst.costs, 0, inst.scale) != inst
+    assert Instance(inst.matroid, inst.costs, 0) != inst
     first, second = solve(inst), solve(inst)
     # each solve builds its own relaxation, which is not compared
     assert first.relaxation is not second.relaxation

@@ -37,10 +37,10 @@ def _check_curve(instance):
     both = {e: C[e] + second[e] for e in C}
     totals = []
     for k in range(instance.rank + 1):
-        at_k = Instance(instance.matroid, instance.costs, k, instance.scale)
+        at_k = Instance(instance.matroid, instance.costs, k)
         sol = solve(at_k)
         assert verify_solution(at_k, solution_to_dict(sol)) == [], k
-        totals.append(sol.total * instance.scale)
+        totals.append(sol.total * instance.costs.scale)
     assert totals == recovery_curve(instance)
     assert totals[0] == _greedy_cost(matroid, both)
     assert totals[-1] == _greedy_cost(matroid, C) + _greedy_cost(matroid, second)
@@ -75,7 +75,7 @@ MATROIDS = {
 @pytest.mark.parametrize("name", MATROIDS)
 def test_matroid_recovery_curve(name):
     matroid = MATROIDS[name]
-    minst = Instance(matroid=matroid, costs=_random_costs(matroid.ground, 5), k=0, scale=1)
+    minst = Instance(matroid=matroid, costs=_random_costs(matroid.ground, 5), k=0)
     _check_curve(minst)
 
 
@@ -96,7 +96,7 @@ def _random_matroid(rng):
 @pytest.mark.parametrize("seed", range(30))
 def test_random_matroid_curve_matches_the_reference(seed):
     matroid = _random_matroid(random.Random(seed))
-    _check_curve(Instance(matroid=matroid, costs=_random_costs(matroid.ground, seed), k=0, scale=1))
+    _check_curve(Instance(matroid=matroid, costs=_random_costs(matroid.ground, seed), k=0))
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (10, 11, 12) for seed in (1, 2)])

@@ -120,9 +120,9 @@ def test_matroid_instance_computes_its_full_rank_once(monkeypatch):
     instances = [
         inst,
         graphic_twin(inst),
-        Instance(matroid=UniformMatroid(frozenset(range(7)), 4), costs=costs, k=1, scale=1),
+        Instance(matroid=UniformMatroid(frozenset(range(7)), 4), costs=costs, k=1),
         Instance(matroid=PartitionMatroid([(frozenset({0, 1, 2}), 2), (frozenset({3, 4, 5, 6}), 2)]),
-                 costs=costs, k=1, scale=1),
+                 costs=costs, k=1),
     ]
     assert [(mi.rank, mi.overlap_requirement) for mi in instances] == [(5, 3), (5, 3), (4, 3), (4, 3)]
 
@@ -155,11 +155,40 @@ def test_graphic_matroid_forests_match_oracle():
         seen["parallel"] += len(set(map(frozenset, matroid.edges.values()))) < len(matroid.edges)
         costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                        for e in sorted(matroid.ground)})
-        mi = Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()), scale=1)
+        mi = Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()))
         sol = solve(mi)
         assert sol.total == brute_force(mi).total, f"trial {trial}"
         assert verify_solution(mi, solution_to_dict(sol)) == [], f"trial {trial}"
     assert all(seen.values()), seen
+
+
+def _costs_of(ids):
+    return [{"id": e, "C": (3 * e) % 5, "c": (2 * e + 1) % 4, "d": e % 3} for e in ids]
+
+
+# capacities and ranks at and past their edges, where a selection is empty
+# or holds a whole part
+CAPACITY_EDGE_DOCS = {
+    "partition caps 0, size and past size": {
+        "family": "partition", "costs": _costs_of(range(7)),
+        "parts": [{"elements": [0, 1], "cap": 0}, {"elements": [2, 3], "cap": 2},
+                  {"elements": [4, 5, 6], "cap": 5}]},
+    "uniform rank past its elements": {
+        "family": "uniform", "elements": [0, 1, 2], "rank": 5, "costs": _costs_of(range(3))},
+    "uniform with no elements": {"family": "uniform", "elements": [], "rank": 2, "costs": []},
+    "partition with no parts": {"family": "partition", "parts": [], "costs": []},
+    "graphic with no edges": {"family": "graphic", "nodes": 4, "edges": [], "costs": []},
+}
+
+
+@pytest.mark.parametrize("doc", CAPACITY_EDGE_DOCS.values(), ids=CAPACITY_EDGE_DOCS.keys())
+def test_capacity_edges_match_brute_force_at_every_k(doc):
+    rank = loads_instance(json.dumps(dict(doc, k=0))).rank
+    for k in range(rank + 1):
+        mi = loads_instance(json.dumps(dict(doc, k=k)))
+        sol = solve(mi)
+        assert sol.total == brute_force(mi).total, k
+        assert verify_solution(mi, solution_to_dict(sol)) == [], k
 
 
 def test_a_family_with_no_solve_route_is_refused_at_every_k():
@@ -170,7 +199,7 @@ def test_a_family_with_no_solve_route_is_refused_at_every_k():
     matroid = GenericOracleMatroid(k4.ground, k4.is_independent)
     costs = CostColumns.from_rows({e: (e, 5 - e, e % 2) for e in range(6)})
     for k in range(matroid.full_rank() + 1):
-        mi = Instance(matroid=matroid, costs=costs, k=k, scale=1)
+        mi = Instance(matroid=matroid, costs=costs, k=k)
         with pytest.raises(ValidationError, match="no solve route for the oracle matroid family"):
             solve(mi)
 
@@ -243,7 +272,7 @@ def test_separations_agree_with_oracle(separation, monkeypatch):
             for _ in range(2):
                 costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                                for e in sorted(matroid.ground)})
-                mi = Instance(matroid=matroid, costs=costs, k=k, scale=1)
+                mi = Instance(matroid=matroid, costs=costs, k=k)
                 sol = solve(mi)
                 assert sol.total == brute_force(mi).total, (matroid.family, k)
                 assert verify_solution(mi, solution_to_dict(sol)) == []
@@ -285,7 +314,7 @@ def test_cut_loop_separates_only_points_on_the_selection_size(monkeypatch):
             for _ in range(3):
                 costs = CostColumns.from_rows({e: (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
                                                for e in sorted(matroid.ground)})
-                solve(Instance(matroid=matroid, costs=costs, k=k, scale=1))
+                solve(Instance(matroid=matroid, costs=costs, k=k))
     assert min(calls.values()) > 100 and not off, (calls, off[:3])
 
 
@@ -367,26 +396,25 @@ class _Id(int):
 
 def test_verify_rejects_malformed_selections(triangle_unit):
     doc = solution_to_dict(solve(triangle_unit))
-    with pytest.raises(ValidationError):
-        verify_solution(triangle_unit, _tamper(doc, X=[0, 0]))
-    with pytest.raises(ValidationError):
-        verify_solution(triangle_unit, _tamper(doc, X=[99, 1]))
-    with pytest.raises(ValidationError):
-        verify_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"})
+    assert verify_solution(triangle_unit, _tamper(doc, X=[0, 0])) == ["'X' contains duplicates"]
+    assert verify_solution(triangle_unit, _tamper(doc, X=[99, 1])) == ["'X' references unknown elements [99]"]
+    assert verify_solution(triangle_unit, {k: v for k, v in doc.items() if k != "X"}) == ["solution is missing 'X'"]
     # a bool is not an id, though it is an int; any other int subclass is
-    with pytest.raises(ValidationError, match=r"^'X' must be a list of element ids$"):
-        verify_solution(triangle_unit, _tamper(doc, X=[True, *doc["X"][1:]]))
+    assert verify_solution(triangle_unit, _tamper(doc, X=[True, *doc["X"][1:]])) == [
+        "'X' must be a list of element ids"]
     assert verify_solution(triangle_unit, dict(doc, X=[_Id(e) for e in doc["X"]])) == []
+    # every malformed selection is named, in X, Y, Z order, and nothing else
+    # is checked
+    assert verify_solution(triangle_unit, {"Y": "0", "Z": [5, 5], "total": "0"}) == [
+        "solution is missing 'X'", "'Y' must be a list of element ids", "'Z' contains duplicates"]
 
 
 def test_verify_names_unknown_elements_in_order(triangle_unit):
     doc = solution_to_dict(solve(triangle_unit))
-    with pytest.raises(ValidationError, match=r"^'Y' references unknown elements \[7, 9\]$"):
-        verify_solution(triangle_unit, _tamper(doc, Y=[9, 0, 7]))
+    assert verify_solution(triangle_unit, _tamper(doc, Y=[9, 0, 7])) == ["'Y' references unknown elements [7, 9]"]
     mi = make_uniform_instance(4, 2, [(1, 1, 0)] * 4, k=0)
     doc = solution_to_dict(solve(mi))
-    with pytest.raises(ValidationError, match=r"^'Z' references unknown elements \[-1, 4\]$"):
-        verify_solution(mi, _tamper(doc, Z=[4, -1]))
+    assert verify_solution(mi, _tamper(doc, Z=[4, -1])) == ["'Z' references unknown elements [-1, 4]"]
 
 
 def test_verify_basis_catches_non_basis():
