@@ -78,11 +78,10 @@ def _below(rng: random.Random, bound: int, count: int) -> list[int]:
 
 
 def _drawn_costs(rng: random.Random, cost_max: int, ids) -> CostColumns:
-    """Costs of ids, a sized iterable of ascending ids, uniform in
+    """Costs of ids, a sequence of ascending ids, uniform in
     [0, cost_max], drawn C, c, d per id in id order, whole at scale 1."""
     drawn = _below(rng, cost_max + 1, 3 * len(ids))
-    C, c, d = (dict(zip(ids, drawn[i::3])) for i in range(3))
-    return CostColumns(C, c, d, 1)
+    return CostColumns(ids, drawn[0::3], drawn[1::3], drawn[2::3], 1)
 
 
 def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: int) -> Instance:
@@ -133,7 +132,7 @@ def generate_instance(nodes: int, density: float, k: int, cost_max: int, seed: i
 
     edges = dict(enumerate(pairs))
     # keyed by the edge dict's own ids, so the columns share its int objects
-    costs = _drawn_costs(rng, cost_max, edges)
+    costs = _drawn_costs(rng, cost_max, list(edges))
     return Instance(matroid=GraphicMatroid(range(nodes), edges), costs=costs, k=k)
 
 

@@ -25,21 +25,27 @@ document reads back as it was written.
 
 A tree document's edges, a graphic document's edges and a matroid
 document's costs are lists of the same shape, and one reader takes all
-three: each field of the list is pulled out whole, and each check runs
-over a whole column at once.  Only when a check fails does the one
-per-entry walk run, to raise the first fault in document order with its
-index, as ParseError or ValidationError.
+three: each field is pulled out whole, and each fact is checked once,
+over whole columns, by its one owner.  The reader checks the entries'
+types and an edge list's distinct ids; `CostColumns` the costs, which
+are non-negative ints of bounded size with distinct ids; `GraphicMatroid`
+the endpoints, no self-loop and none outside its nodes; and `Instance`
+that the costs name the ground set and k lies in 0..rank.  Only when the
+reader or a record refuses a list does the one per-entry walk run, to
+raise the first fault in document order with its index, as ParseError
+or ValidationError.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import add, eq
+from functools import reduce
+from itertools import chain
+from operator import add, itemgetter
 
 from .errors import InternalError, ParseError, ValidationError
 from .matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
-from .rational import DIGIT_LIMIT, parse_exact, rat, rat_str, widen_scale
+from .rational import DIGIT_LIMIT, MAX_DIGITS, parse_exact, rat, rat_str, widen_scale
 
 _COST_KEYS = ("C", "c", "d")
 
@@ -52,11 +58,13 @@ class CostColumns:
     """The costs of one instance, one id -> int dict per field: C the first
     stage, [c, c+d] the second-stage interval, and `second` = c + d.
 
-    Each value is a non-negative int in units of 1/scale, checked over
-    whole columns at construction, and `scale` has no default.  Under
-    min-max recovery only the upper endpoint matters, so the solver reads
-    only C and second.  The record is read-only; two compare equal when C,
-    c, d and scale do.
+    Built from a list of distinct ids, one list of costs per field in the
+    ids' order, and a positive int `scale` with no default.  Each cost is
+    a non-negative int in units of 1/scale worth less than 10**MAX_DIGITS,
+    which the constructor alone checks, over whole columns.  Under min-max
+    recovery only the upper endpoint matters, so the solver reads only C
+    and second.  The record is read-only; two compare equal when C, c, d
+    and scale do.
     """
 
     __slots__ = ("C", "c", "d", "scale", "second")
@@ -67,17 +75,24 @@ class CostColumns:
     scale: int
     second: dict[int, int]
 
-    def __init__(self, C, c, d, scale):
+    def __init__(self, ids, C, c, d, scale):
         if type(scale) is not int or scale < 1:
             raise ValidationError(f"cost scale {scale!r} is not a positive int")
-        if not C.keys() == c.keys() == d.keys():
-            raise ValidationError("cost columns C, c and d name different elements")
+        if not len(ids) == len(C) == len(c) == len(d):
+            raise ValidationError(f"cost columns C, c and d must hold one cost for each of the {len(ids)} ids")
+        limit = DIGIT_LIMIT * scale
         for key, column in zip(_COST_KEYS, (C, c, d)):
-            if set(map(type, column.values())) <= {int} and min(column.values(), default=0) >= 0:
+            # the sum of non-negative ints bounds each, and is quicker to take
+            if set(map(type, column)) <= {int} and 0 <= min(column, default=0) and (
+                    sum(column) < limit or max(column) < limit):
                 continue
-            e, v = next((e, v) for e, v in column.items() if type(v) is not int or v < 0)
-            raise ValidationError(f"costs must be non-negative ints in units of 1/scale: {key}[{e}] is {v!r}")
-        second = dict(zip(c, map(add, c.values(), map(d.__getitem__, c))))
+            i, v = next((i, v) for i, v in enumerate(column) if type(v) is not int or not 0 <= v < limit)
+            shown = f"worth 10**{MAX_DIGITS} or more" if type(v) is int and v > 0 else repr(v)
+            raise ValidationError(f"costs must be non-negative ints in units of 1/scale, each worth less than "
+                                  f"10**{MAX_DIGITS}: {key}[{ids[i]}] is {shown}")
+        C, c, d, second = (dict(zip(ids, column)) for column in (C, c, d, map(add, c, d)))
+        if len(C) != len(ids):
+            raise ValidationError("cost ids must be distinct")
         for name, value in zip(self.__slots__, (C, c, d, scale, second)):
             object.__setattr__(self, name, value)
 
@@ -90,14 +105,13 @@ class CostColumns:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr
-        return CostColumns, (self.C, self.c, self.d, self.scale)
+        return CostColumns, (list(self.C), *(list(col.values()) for col in (self.C, self.c, self.d)), self.scale)
 
     @classmethod
     def from_rows(cls, rows) -> "CostColumns":
         """The columns of a mapping id -> (C, c, d) of whole costs."""
         columns = list(zip(*rows.values())) or [(), (), ()]
-        C, c, d = (dict(zip(rows, column)) for column in columns)
-        return cls(C, c, d, 1)
+        return cls(list(rows), *columns, 1)
 
 
 class Instance:
@@ -116,7 +130,9 @@ class Instance:
         r = matroid.full_rank()
         if not 0 <= k <= r:
             raise ValidationError(f"k={k} outside 0..{r}")
-        _check_cost_ids(costs, matroid.ground)
+        if costs.C.keys() != matroid.ground:
+            missing, extra = matroid.ground - costs.C.keys(), costs.C.keys() - matroid.ground
+            raise ValidationError(f"cost table mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, value in zip(self.__slots__, (matroid, costs, k, r)):
             object.__setattr__(self, name, value)
 
@@ -137,25 +153,12 @@ class Instance:
         return self.rank - self.k
 
 
-def _check_cost_ids(costs: CostColumns, ids) -> None:
-    """ValidationError unless the cost columns hold exactly the ids."""
-    if costs.C.keys() != ids:
-        missing = set(ids) - costs.C.keys()
-        extra = costs.C.keys() - set(ids)
-        raise ValidationError(f"cost table mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-
-
 # --- reading an entry list ---------------------------------------------
 #
 # A tree document's edges (id, u, v, C, c, d), a graphic document's edges
 # (id, u, v) and a matroid document's costs (id, C, c, d) are all read by
-# one column pass, which returns None when a check fails; the one per-entry
-# walk then raises the first fault and never returns.
-
-
-def _column(objects, key) -> list:
-    """The value of key in each object, None where it is missing."""
-    return list(map(dict.get, objects, repeat(key)))
+# one column pass; when it or a record refuses them, the one per-entry
+# walk names the first fault.
 
 
 def _int_column(column) -> bool:
@@ -164,52 +167,36 @@ def _int_column(column) -> bool:
 
 
 def _read_entries(raw, n: int | None, costs: bool):
-    """The entries of raw, checked column by column: objects with distinct
-    int ids; for an edge list (n given) int endpoints in 0..n-1 that
-    differ; with costs, readable non-negative C, c and d over one scale.
-
-    Returns (id -> (u, v) or None, the CostColumns or None), or None when
-    a check fails.  Only a cost column that holds a non-int is parsed
-    value by value."""
+    """The entries of raw, read column by column: objects with int ids;
+    for an edge list (n given) int endpoints and distinct ids; with costs,
+    the CostColumns of C, c and d, each value parsed and counted over the
+    common scale unless all are whole ints.  Returns (id -> (u, v) or
+    None, the CostColumns or None), or None when a check fails."""
     if not all(issubclass(t, dict) for t in set(map(type, raw))):
         return None
-    ids = _column(raw, "id")
-    if not _int_column(ids) or len(set(ids)) != len(ids):
+    try:
+        ids = list(map(itemgetter("id"), raw))
+        ends = [list(map(itemgetter(key), raw)) for key in ("u", "v")] if n is not None else []
+        columns = [list(map(itemgetter(key), raw)) for key in _COST_KEYS] if costs else []
+    except KeyError:  # a missing field
         return None
-    edges = None
-    if n is not None:
-        us, vs = _column(raw, "u"), _column(raw, "v")
-        if not (_int_column(us) and _int_column(vs)):
-            return None
-        if (raw and not (0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n)) or any(map(eq, us, vs)):
-            return None
-        edges = dict(zip(ids, zip(us, vs)))
+    if not all(map(_int_column, (ids, *ends))):
+        return None
+    edges = dict(zip(ids, zip(*ends))) if ends else None
+    if edges is not None and len(edges) != len(ids):  # an id given twice
+        return None
     if not costs:
         return edges, None
-    scale = 1
-    columns = []
-    for key in _COST_KEYS:
-        column = _column(raw, key)
-        if set(map(type, column)) <= {int}:
-            if max(column, default=0) >= DIGIT_LIMIT:
-                return None
-        else:
-            try:
-                column = list(map(parse_exact, column))
-                for v in column:
-                    if type(v) is not int:
-                        scale = widen_scale(scale, v)
-            except ParseError:
-                return None
-        columns.append(column)
-    if scale != 1:
-        columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
-    # unpacked, not passed as *args: a tuple built from a generator is
-    # resized, and one per parse would fill the free list of its new size
-    C, c, d = (dict(zip(ids, column)) for column in columns)
     try:
-        return edges, CostColumns(C, c, d, scale)
-    except ValidationError:  # a negative cost
+        return edges, CostColumns(ids, *columns, 1)
+    except ValidationError:  # a cost that is no whole int, if not a fault
+        pass
+    try:
+        columns = [list(map(parse_exact, column)) for column in columns]
+        scale = reduce(widen_scale, chain.from_iterable(columns), 1)  # the LCM of the denominators
+        columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
+        return edges, CostColumns(ids, *columns, scale)
+    except (ParseError, ValidationError):
         return None
 
 
@@ -226,12 +213,13 @@ def _object(obj, where) -> dict:
     return obj
 
 
-def _raise_entry_fault(raw, n: int | None, costs: bool):
+def _raise_entry_fault(raw, n: int | None, costs: bool, otherwise=None):
     """The per-entry walk over raw, with _read_entries' arguments: raise
-    its first fault, by index, as ParseError or ValidationError.  Each
-    entry's id, then its endpoints, then each cost field in turn is read;
-    a cost field faults when missing, unreadable, negative or taking the
-    scale past MAX_DIGITS digits."""
+    its first fault, by index, as ParseError or ValidationError, and with
+    none `otherwise`, by default an InternalError: a check refused what
+    the walk accepts.  Each entry's id, then its endpoints, then each cost
+    field in turn is read; a cost field faults when missing, unreadable,
+    negative or taking the scale past MAX_DIGITS digits."""
     kind = "cost" if n is None else "edge"
     seen = set()
     scale = 1
@@ -259,8 +247,7 @@ def _raise_entry_fault(raw, n: int | None, costs: bool):
                 raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
             if value < 0:
                 raise ValidationError(f"{where}: cost {key}={rat_str(value)} is negative")
-    what = "costs" if n is None else "edges" if costs else "graphic edges"
-    raise InternalError(f"the column checks rejected {what} that the per-entry walk accepts")
+    raise otherwise or InternalError(f"the column checks rejected {kind}s that the per-entry walk accepts")
 
 
 def instance_from_dict(doc) -> Instance:
@@ -282,12 +269,17 @@ def _tree_instance_from_dict(doc: dict) -> Instance:
     if not isinstance(raw_edges, list):
         raise ParseError("instance: 'edges' must be a list")
     edges, costs = _read_entries(raw_edges, n, True) or _raise_entry_fault(raw_edges, n, True)
-    if n < 1:
-        raise ValidationError("instance needs at least one node")
-    # checked before the graph is built, whose size grows with n
-    if len(edges) < n - 1:
-        raise ValidationError(f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes")
-    inst = Instance(matroid=GraphicMatroid(range(n), edges), costs=costs, k=k)
+    # the graph checks the endpoints, but its size grows with n: on more
+    # nodes than the edges can connect, the walk checks them instead
+    if n < 1 or len(edges) < n - 1:
+        _raise_entry_fault(raw_edges, n, True, ValidationError(
+            "instance needs at least one node" if n < 1 else
+            f"instance graph is not connected: {len(edges)} edges cannot connect {n} nodes"))
+    try:
+        graph = GraphicMatroid(range(n), edges)
+    except ValidationError:  # a self-loop, or an endpoint outside 0..n-1
+        _raise_entry_fault(raw_edges, n, True)
+    inst = Instance(matroid=graph, costs=costs, k=k)
     # the rank is one Kruskal scan: a spanning forest of n - 1 edges
     if inst.rank < n - 1:
         raise ValidationError("instance graph is not connected")
@@ -314,10 +306,13 @@ def matroid_from_dict(doc) -> Matroid:
         if not isinstance(raw, list):
             raise ParseError("graphic matroid: 'edges' must be a list")
         edges, _ = _read_entries(raw, n, False) or _raise_entry_fault(raw, n, False)
-        # an isolated node adds one to both the node count and the number
-        # of components, so no rank changes when the graph holds only the
-        # nodes its edges touch, however large `nodes` is
-        return GraphicMatroid(chain.from_iterable(edges.values()), edges)
+        # an isolated node adds one to both the node count and the number of
+        # components, so no rank changes when the graph holds only the nodes
+        # of 0..n-1 its edges touch, however large `nodes` is; it refuses the rest
+        try:
+            return GraphicMatroid(filter(range(n).__contains__, chain.from_iterable(edges.values())), edges)
+        except ValidationError:  # a self-loop, or an endpoint outside 0..n-1
+            _raise_entry_fault(raw, n, False)
     if family == "uniform":
         elements = _element_ids(doc.get("elements"), "uniform matroid")
         r = _int_field(doc, "rank", "matroid")

@@ -120,7 +120,7 @@ class GraphicMatroid(Matroid):
                 raise ValidationError(f"no edge with id {eid}") from None
             u, v = _root(parent, u), _root(parent, v)
             if u != v:
-                parent[u] = v
+                parent[v] = u  # so edges grouped by first endpoint join one root
                 forest.append(eid)
                 if len(forest) == need:
                     break

@@ -61,8 +61,8 @@ def parse_exact(value):
     machine precision once, and exactness guarantees downstream depend on
     never letting that happen.
     A numerator or denominator of more than MAX_DIGITS digits is rejected;
-    a decimal exponent is checked before it is expanded, and a zero reads
-    as 0 whatever its exponent.
+    a decimal is weighed by its exponent net of its digits before it is
+    expanded, and a zero reads as 0 whatever its exponent.
     """
     if type(value) is int:  # a bool is not, and falls through
         if -DIGIT_LIMIT < value < DIGIT_LIMIT:
@@ -81,12 +81,18 @@ def parse_exact(value):
         match = _RATIONAL.fullmatch(text)
         if match is None:
             raise ParseError(f"cannot parse {_shown(value)} as an exact rational")
-        # the exponent is measured as text first: int() refuses over 4300 digits
-        exponent = (match["exp"] or "").lstrip("+-").lstrip("0")
-        if len(exponent) > len(str(MAX_DIGITS)) or int(exponent or 0) > MAX_DIGITS:
-            if not match["mantissa"].strip("0."):  # a zero, whatever its exponent
+        mantissa, exponent = match["mantissa"], match["exp"] or "0"
+        if mantissa is not None:
+            if not mantissa.strip("0."):  # a zero, whatever its exponent
                 return 0
-            raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
+            # 10**(m - 1) <= |value| < 10**m, m its significant digits plus
+            # the exponent net of its fraction digits, is past the bound at m
+            # > MAX_DIGITS or m <= -MAX_DIGITS; a long exponent, which int()
+            # refuses over 4300 digits, is measured as text
+            whole, _, fraction = mantissa.partition(".")
+            if len(exponent.lstrip("+-").lstrip("0")) > len(str(MAX_DIGITS + len(text))) or not (
+                    -MAX_DIGITS < len((whole + fraction).lstrip("0")) + int(exponent) - len(fraction) <= MAX_DIGITS):
+                raise ParseError(f"{_shown(value)} has more than {MAX_DIGITS} digits")
         try:
             f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -180,11 +180,12 @@ def test_whole_costs_are_ints_from_parse_to_greedy_and_lp(monkeypatch):
 @pytest.mark.parametrize("kwargs", [dict(scale=0), dict(scale=rat(2))])
 def test_cost_scale_must_be_a_positive_int(kwargs):
     costs = generate_instance(3, 0.5, 1, 5, 1).costs
+    columns = (list(costs.C), *(list(column.values()) for column in (costs.C, costs.c, costs.d)))
     with pytest.raises(ValidationError, match="scale"):
-        CostColumns(costs.C, costs.c, costs.d, **kwargs)
+        CostColumns(*columns, **kwargs)
     # with no default, no cost table is built without its unit
     with pytest.raises(TypeError, match="scale"):
-        CostColumns(costs.C, costs.c, costs.d)
+        CostColumns(*columns)
 
 
 def test_an_instance_keeps_its_costs_scale():

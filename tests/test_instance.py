@@ -163,8 +163,10 @@ def test_non_int_costs_rejected_at_construction(rows, shown):
 
 
 def test_cost_columns_must_name_the_same_elements():
-    with pytest.raises(ValidationError, match="different elements"):
-        CostColumns({0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, 1)
+    with pytest.raises(ValidationError, match="one cost for each of the 2 ids"):
+        CostColumns([0, 1], [1, 1], [1, 1], [1], 1)
+    with pytest.raises(ValidationError, match="distinct"):
+        CostColumns([0, 0], [1, 1], [1, 1], [1, 1], 1)
 
 
 def test_invalid_json_is_parse_error():

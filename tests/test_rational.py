@@ -65,6 +65,8 @@ def test_parse_exact_does_not_suggest_quoting_non_finite_floats(bad):
 
 @pytest.mark.parametrize("value", [
     "9" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS, f"1e{MAX_DIGITS - 1}", 10 ** MAX_DIGITS - 1,
+    # the exponent is weighed net of the mantissa's digits: 10**999 and 1/10**998
+    "0.001e1002", "1000e-1001",
 ])
 def test_parse_exact_accepts_values_up_to_the_digit_bound(value):
     parse_exact(value)
@@ -73,6 +75,7 @@ def test_parse_exact_accepts_values_up_to_the_digit_bound(value):
 @pytest.mark.parametrize("value", [
     "1" + "0" * MAX_DIGITS, "1/1" + "0" * MAX_DIGITS, "1e5000", "1e-5000", "1e1000000000",
     10 ** MAX_DIGITS, rat(1, 10 ** MAX_DIGITS), "1e" + "9" * 5000, f"1e{MAX_DIGITS + 1}",
+    "0.1e1002", "10e999",
 ])
 def test_parse_exact_rejects_values_past_the_digit_bound(value):
     # the exponent is checked before Fraction would expand 10**exponent

@@ -11,9 +11,12 @@ import sys
 import pytest
 
 import rrst
+from rrst.errors import ValidationError
 from rrst.gen import generate_instance
 from rrst.instance import CostColumns, Instance, instance_to_dict, loads_instance
+from rrst.matroids import GraphicMatroid
 from rrst.oracle import brute_force
+from rrst.rational import DIGIT_LIMIT, rat
 from rrst.solver import solve
 
 from conftest import graphic_twin
@@ -55,7 +58,8 @@ def test_a_read_only_record_copies_and_pickles():
     assert again.costs == inst.costs and (again.k, again.rank) == (inst.k, inst.rank)
     # the scale is a field of the costs: the same ints over another scale
     # are other costs, and a copy or a pickle keeps it
-    sixths = CostColumns(inst.costs.C, inst.costs.c, inst.costs.d, 6)
+    C, c, d = (list(column.values()) for column in (inst.costs.C, inst.costs.c, inst.costs.d))
+    sixths = CostColumns(list(inst.costs.C), C, c, d, 6)
     assert sixths != inst.costs
     for again in (copy.copy(sixths), copy.deepcopy(sixths), pickle.loads(pickle.dumps(sixths))):
         assert again == sixths and again.scale == 6
@@ -87,6 +91,46 @@ def test_equality_ignores_derived_fields_and_the_relaxation():
     assert first.relaxation is not second.relaxation
     assert first == second and not first != second and hash(first) == hash(second)
     assert first._replace(total=first.total + 1) != first
+
+
+K3 = {0: (0, 1), 1: (1, 2), 2: (0, 2)}
+K3_COSTS = CostColumns.from_rows(dict.fromkeys(K3, (1, 1, 1)))
+
+
+# each record checks its own facts when built directly, as the reader
+# relies on it to: (build, the message it raises)
+REFUSALS = {
+    "self-loop": (lambda: GraphicMatroid(range(3), {0: (0, 1), 1: (2, 2)}), "edge 1 is a self-loop on node 2"),
+    "endpoint outside": (lambda: GraphicMatroid(range(3), {0: (0, 1), 1: (1, 3)}),
+                         r"edge 1=\(1,3\) has an endpoint outside the node set"),
+    "negative cost": (lambda: CostColumns([4, 5], [1, -1], [0, 0], [0, 0], 1), r"C\[5\] is -1"),
+    "bool cost": (lambda: CostColumns([4, 5], [1, 1], [0, True], [0, 0], 1), r"c\[5\] is True"),
+    "string cost": (lambda: CostColumns([4, 5], [1, 1], [0, 0], [0, "2"], 1), r"d\[5\] is '2'"),
+    "fraction cost": (lambda: CostColumns([4, 5], [1, rat(1, 2)], [0, 0], [0, 0], 1), r"C\[5\] is Fraction"),
+    "a column short": (lambda: CostColumns([4, 5], [1, 1], [0, 0], [0], 1), "one cost for each of the 2 ids"),
+    "an id twice": (lambda: CostColumns([4, 4], [1, 1], [0, 0], [0, 0], 1), "cost ids must be distinct"),
+    "cost past the digit bound": (lambda: CostColumns([4], [DIGIT_LIMIT], [0], [0], 1),
+                                  r"C\[4\] is worth 10\*\*1000 or more"),
+    "cost past the digit bound at scale 3": (lambda: CostColumns([4], [0], [3 * DIGIT_LIMIT], [0], 3),
+                                             r"c\[4\] is worth 10\*\*1000 or more"),
+    "cost ids not the ground set": (lambda: Instance(GraphicMatroid(range(3), K3), CostColumns.from_rows(
+        {0: (1, 1, 1), 1: (1, 1, 1), 7: (1, 1, 1)}), 1), r"cost table mismatch: missing=\[2\] extra=\[7\]"),
+    "k past the rank": (lambda: Instance(GraphicMatroid(range(3), K3), K3_COSTS, 3), r"k=3 outside 0\.\.2"),
+    "negative k": (lambda: Instance(GraphicMatroid(range(3), K3), K3_COSTS, -1), r"k=-1 outside 0\.\.2"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_record_constructor_refuses_what_it_owns(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_costs_just_inside_the_digit_bound_are_kept():
+    for scale in (1, 3):
+        costs = CostColumns([4], [DIGIT_LIMIT * scale - 1], [0], [0], scale)
+        assert costs.C == {4: DIGIT_LIMIT * scale - 1} and costs.second == {4: 0}
 
 
 def test_the_cli_imports_no_code_generator():

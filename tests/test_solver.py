@@ -8,7 +8,7 @@ import pytest
 from rrst import solver
 from rrst.errors import InternalError, ValidationError
 from rrst.gen import builtin_small_suite, generate_instance
-from rrst.instance import CostColumns, Instance, loads_instance
+from rrst.instance import CostColumns, Instance, instance_to_dict, loads_instance
 from rrst.matroids import GraphicMatroid, Matroid, PartitionMatroid, UniformMatroid
 from rrst.oracle import brute_force
 from rrst.rational import rat
@@ -239,6 +239,43 @@ def test_equal_weights_complete_to_the_lowest_ids_in_any_document_order():
     assert list(ground) != sorted(ground)
     weights = dict.fromkeys(sorted(ground, reverse=True), 7)
     assert MatroidSide(UniformMatroid(ground, 3)).complete_min(weights) == [0, 4, 8]
+
+
+def _reference_kruskal(nodes, ends, weights) -> tuple:
+    """A minimum spanning tree, ids ascending: a Kruskal scan over the ids
+    sorted by (weight, id), which keeps a component label per node and
+    relabels the smaller side of each edge it takes."""
+    label = {v: v for v in nodes}
+    members = {v: [v] for v in nodes}
+    tree = []
+    for e in sorted(ends, key=lambda e: (weights[e], e)):
+        a, b = (label[x] for x in ends[e])
+        if a != b:
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for x in members.pop(b):
+                label[x] = a
+                members[a].append(x)
+            tree.append(e)
+    return tuple(sorted(tree))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_route_at_benchmark_size_matches_a_reference_kruskal_scan(seed):
+    """With k = n - 1 no overlap is owed, and X and Y are the minimum
+    spanning trees under C and under c + d, ties broken by id.  At the
+    benchmark's greedy size, both document kinds must give them."""
+    doc = instance_to_dict(generate_instance(180, 0.3, 179, 50, seed))
+    ends = {e["id"]: (e["u"], e["v"]) for e in doc["edges"]}
+    first = {e["id"]: e["C"] for e in doc["edges"]}
+    second = {e["id"]: e["c"] + e["d"] for e in doc["edges"]}
+    X, Y = _reference_kruskal(range(180), ends, first), _reference_kruskal(range(180), ends, second)
+    tree = loads_instance(json.dumps(doc))
+    for inst in (tree, graphic_twin(tree)):
+        sol = solve(inst)
+        assert (sol.X, sol.Y, sol.Z, sol.relaxation) == (X, Y, (), None)
+        assert sol.total == sum(map(first.get, X)) + sum(map(second.get, Y))
+        assert verify_solution(inst, solution_to_dict(sol)) == []
 
 
 @pytest.mark.parametrize("separation", ["mincut", "exhaustive"])
