@@ -17,9 +17,8 @@ enumeration and takes at most 2,236 of them, the pair scan's bound: past
 it, ``oracle`` exits 2 and ``compare`` records the line's oracle as
 skipped.  ``compare --seeds A..B --nodes N`` draws each instance with
 ``gen``'s default density and cost range and k = seed mod N, one at a
-time, so its memory does not grow with the range.  ``solve --lp-dump-dir
-DIR`` writes the relaxation the solution carries, only when an LP was
-built.
+time, so its memory does not grow with the range.  ``solve`` takes only
+``--input`` and ``--output``.
 
 Exit codes: 0 success, 2 an input to fix or to shrink, 3 verification
 failure or solver/oracle disagreement, 4 a bug (see errors.py).
@@ -27,7 +26,9 @@ failure or solver/oracle disagreement, 4 a bug (see errors.py).
 each line of `compare`.
 
 The ``RRST_LOG`` environment variable (error|info|debug, default error)
-controls diagnostic logging on stderr; ``debug`` adds ``solve``'s timings and LP size.
+controls diagnostic logging on stderr: ``info`` adds ``solve``'s instance
+size, total, iterations, cut rounds and cuts (the counters the Solution
+carries, which ``compare`` reports too), and ``debug`` adds its timings.
 Records from `main` reach only the stderr handler it attaches.
 """
 
@@ -93,12 +94,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _cut_counts(sol) -> tuple[int, int]:
-    """The cut loop's rounds and cuts, 0 and 0 when no LP was built."""
-    relaxation = sol.relaxation
-    return (0, 0) if relaxation is None else (relaxation.rounds, relaxation.cuts_added)
-
-
 def _timed(what: str, fn, *args):
     """fn(*args), its wall time logged at debug."""
     t0 = time.perf_counter()
@@ -123,16 +118,7 @@ def cmd_solve(args) -> int:
     log.info("Instance: %d elements, k=%d", len(inst.costs.C), inst.k)
     sol = _timed("solved", solve, inst)
     log.info("solved: total=%s iterations=%d rounds=%d cuts=%d",
-             rat_str(sol.total), sol.iterations, *_cut_counts(sol))
-    relaxation = sol.relaxation
-    if relaxation is not None:
-        model = relaxation.model
-        log.debug("LP: %d block rows + %d cut rows, %d columns",
-                  len(model.blocks), relaxation.cuts_added, len(model.blocks) * len(model.ids))
-        if args.lp_dump_dir is not None:
-            os.makedirs(args.lp_dump_dir, exist_ok=True)
-            _write_text(os.path.join(args.lp_dump_dir, "relaxation.lp.txt"),
-                        model.render(relaxation.cuts))
+             rat_str(sol.total), sol.iterations, sol.rounds, sol.cuts)
     _timed("wrote the solution", _write_text, args.output, serialize_solution(sol))
     return EXIT_OK
 
@@ -247,7 +233,7 @@ def _run_report(name: str, inst: Instance, with_oracle: bool) -> tuple[int, dict
     report["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     report["total"] = rat_str(sol.total)
     report["iterations"] = sol.iterations
-    report["rounds"], report["cuts"] = _cut_counts(sol)
+    report["rounds"], report["cuts"] = sol.rounds, sol.cuts
     if with_oracle:
         try:
             ref = brute_force(inst)
@@ -296,7 +282,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True, help="instance document (JSON)")
     p.add_argument("--output", default=None, help="solution path (default stdout)")
-    p.add_argument("--lp-dump-dir", default=None, help="write the cut LP as text here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")

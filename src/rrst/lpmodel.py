@@ -15,9 +15,9 @@ When q = r the a and c rows force both blocks to zero, so they are not
 built: what is left is b alone with 1ᵀb = q, the "merged" program.
 
 The model hands the simplex its columns, each block's costs and rhs,
-and each cut as coefficients by column index; it names the columns
-(a3, b0, ...) only to render the program as text, which the CLI's
-`--lp-dump-dir` writes.  Nothing here touches a file.
+and each cut as coefficients by column index.  The cut loop returns the
+optimal vertex with its counts of rounds and cuts.  Nothing here touches
+a file.
 
 The solver completes a selection with no overlap owed greedily, so a
 relaxation is only built while at least one unit of overlap is owed.
@@ -86,24 +86,6 @@ class RelaxationModel:
             row.update((own + position[e], 1) for e in elements)
         return row
 
-    def render(self, cuts) -> str:
-        """The program with the <= rows `cuts` as plain text, one row per
-        line, every sum over the columns in order and without zero terms."""
-        names = [f"{name}{e}" for name, _, _ in self.blocks for e in self.ids]
-
-        def terms(coeffs):
-            return " + ".join(f"{coeffs[j]} {names[j]}" for j in sorted(coeffs) if coeffs[j]) or "0"
-
-        m = len(self.ids)
-        rows = [(dict.fromkeys(range(k * m, (k + 1) * m), 1), "==", rhs)
-                for k, (_, _, rhs) in enumerate(self.blocks)]
-        rows += [(coeffs, "<=", rhs) for coeffs, rhs in cuts]
-        objective = dict(enumerate(c for _, costs, _ in self.blocks for c in costs))
-        lines = [f"min {terms(objective)}", "s.t."]
-        lines += [f"r{i}: {terms(coeffs)} {rel} {rhs}" for i, (coeffs, rel, rhs) in enumerate(rows)]
-        lines += [f"{name} >= 0" for name in names]
-        return "\n".join(lines) + "\n"
-
 
 def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     """Build the LP over `side`, whose selections hold `size` elements, with
@@ -112,11 +94,10 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     `size` is what the instance already knows (n - 1 for a tree, the rank
     for a matroid), so no build scans the side for it.  Every element is
     overlap-eligible; `costs` is the instance's CostColumns, whose ints are
-    in units of 1/costs.scale, so the objective and its optimum
-    (and the rendered program) are in those units too.  Its ids are the
-    side's elements, which the instance checked, so the columns are read
-    off them.  A quota above the selection size leaves the program
-    infeasible.
+    in units of 1/costs.scale, so the objective and its optimum are in
+    those units too.  Its ids are the side's elements, which the instance
+    checked, so the columns are read off them.  A quota above the
+    selection size leaves the program infeasible.
     """
     if quota < 1:
         raise InternalError(f"relaxation requested with overlap quota {quota}")
@@ -130,19 +111,14 @@ def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     return RelaxationModel(side, ids, blocks)
 
 
-class CutPlaneResult(namedtuple("CutPlaneResult", "solution model cuts rounds")):
-    """The optimal vertex of `model` under the <= rows `cuts`, in order of
-    addition, which `rounds` rounds of separation added."""
+class CutPlaneResult(namedtuple("CutPlaneResult", "solution rounds cuts_added")):
+    """The optimal vertex, after `rounds` rounds of separation added
+    `cuts_added` <= rows."""
 
     __slots__ = ()
     solution: VertexSolution
-    model: RelaxationModel
-    cuts: list[tuple[dict, int]]
     rounds: int
-
-    @property
-    def cuts_added(self) -> int:
-        return len(self.cuts)
+    cuts_added: int
 
 
 def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
@@ -157,8 +133,7 @@ def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
     """
     session = SimplexSession([(costs, rhs) for _, costs, rhs in model.blocks])
     side = model.side
-    rounds = 0
-    added = []  # the cut rows, in order of addition
+    rounds = cuts_added = 0
     while True:
         solution = session.result()
         den = solution.den
@@ -188,5 +163,5 @@ def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
                 raise InternalError("separation produced a row the vertex already satisfies")
         batch = [(model.stage_row(elements, stage), rhs) for stage, (elements, rhs) in pending]
         session.add_cuts(batch)
-        added += batch
-    return CutPlaneResult(solution, model, added, rounds)
+        cuts_added += len(batch)
+    return CutPlaneResult(solution, rounds, cuts_added)

@@ -43,9 +43,10 @@ LP vertex comes back as int numerators over the tableau's denominator, so
 reading X, Y and Z off it compares ints too.  Only the Solution divides
 by the scale, once, into Fractions.
 
-A solve takes no option and writes no file.  The Solution carries the
-cut loop's result (`relaxation`: the model and its cut rows), which the
-CLI renders for `--lp-dump-dir`; it is None when no LP was built.
+A solve takes no option and writes no file.  Besides its answer, the
+Solution counts the cut loop's rounds and cuts (0 and 0 when no LP was
+built); the CLI's log and `compare` read them, and they are not
+serialized.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ from collections import namedtuple
 
 from .errors import InternalError, ParseError, ValidationError
 from .instance import Instance, _int_column, dump_json
-from .lpmodel import CutPlaneResult, build_relaxation, cutting_plane_solve
+from .lpmodel import build_relaxation, cutting_plane_solve
 from .matroids import GraphicMatroid, PartitionMatroid
 from .rational import Rat, parse_exact, rat, rat_str
 from .sides import GraphSide, MatroidSide
 
 
-class Solution(namedtuple("Solution", "X Y Z first_stage second_stage total lp_bound iterations relaxation",
-                          defaults=(None,))):
-    """A solve's answer.  Two compare equal when all but `relaxation` do."""
+class Solution(namedtuple("Solution", "X Y Z first_stage second_stage total lp_bound iterations rounds cuts")):
+    """A solve's answer, with the cut loop's counters."""
 
     __slots__ = ()
     X: tuple[int, ...]
@@ -73,19 +73,10 @@ class Solution(namedtuple("Solution", "X Y Z first_stage second_stage total lp_b
     total: Rat
     lp_bound: Rat
     iterations: int
-    # the cut loop's result (the model, its cut rows and rounds), None when
-    # no LP was built; diagnostics, not serialized
-    relaxation: CutPlaneResult | None
-
-    def __eq__(self, other):
-        return self[:-1] == other[:-1] if type(other) is Solution else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:-1])
+    # the cut loop's rounds and cuts, 0 and 0 when no LP was built;
+    # diagnostics, not serialized
+    rounds: int
+    cuts: int
 
 
 def solution_to_dict(sol: Solution) -> dict:
@@ -128,12 +119,11 @@ def solve(instance: Instance) -> Solution:
         X = side.complete_min(costs.C)
         Y = side.complete_min(costs.second)
         Z = []
-        vertex = result = None
-        iterations = 0
+        vertex = None
+        iterations = rounds = cuts = 0
     else:
         model = build_relaxation(side, instance.rank, overlap_required, costs)
-        result = cutting_plane_solve(model)
-        vertex = result.solution
+        vertex, rounds, cuts = cutting_plane_solve(model)
         # int numerators over den: a 0/1 vertex holds only 0 and den
         values, den = vertex.values, vertex.den
         fractional = [j for j, value in enumerate(values) if value not in (0, den)]
@@ -164,7 +154,8 @@ def solve(instance: Instance) -> Solution:
         total=total,
         lp_bound=total,
         iterations=iterations,
-        relaxation=result,
+        rounds=rounds,
+        cuts=cuts,
     )
 
 
@@ -199,7 +190,9 @@ def verify_solution(instance: Instance, doc: dict) -> list[str]:
     X, Y, Z = selections
     failures = []
     for key, selection in (("X", X), ("Y", Y)):
-        if len(selection) != rank or matroid.rank(selection) != rank:
+        # _parse_selection checked the ids: the greedy scan ranks without
+        # Matroid.rank's second check
+        if len(selection) != rank or len(matroid.max_independent(selection)) != rank:
             failures.append(f"{key} not a basis")
     overlap_required = instance.overlap_requirement
     if len(X & Y) < overlap_required:

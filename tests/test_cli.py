@@ -159,6 +159,27 @@ def test_kind_and_prune_flags_are_gone(inst_file, capsys):
     assert not {"--density", "--cost-max", "--k"} & set(re.findall(r"--[a-z-]+", out))
 
 
+def test_solve_takes_only_input_and_output(tmp_path, inst_file, capsys):
+    """`solve` has no LP dump: its options are --input and --output, and
+    the cut counters reach a user through `compare` (and the log)."""
+    assert exit_code(["solve", "--help"]) == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--input", "--output"}
+    assert exit_code(["solve", "--input", str(inst_file), "--lp-dump-dir", str(tmp_path / "lps")]) == 2
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    greedy = suite / "greedy.json"
+    assert run(["gen", "--nodes", "5", "--k", "4", "--seed", "7", "--output", str(greedy)]) == 0
+    (suite / "lp.json").write_bytes(inst_file.read_bytes())
+    out = tmp_path / "r.jsonl"
+    assert run(["compare", "--suite", str(suite), "--no-oracle", "--output", str(out)]) == 0
+    reports = {r["name"]: r for r in map(json.loads, out.read_text().splitlines())}
+    for name in ("greedy.json", "lp.json"):
+        sol = solve(load_instance(suite / name))
+        assert (reports[name]["rounds"], reports[name]["cuts"]) == (sol.rounds, sol.cuts)
+    assert reports["greedy.json"]["rounds"] == reports["greedy.json"]["cuts"] == 0
+    assert reports["lp.json"]["rounds"] > 0 and reports["lp.json"]["cuts"] > 0
+
+
 def test_oracle_bounds_its_pair_scan(inst_file, capsys):
     """`oracle` always prunes its pair scan, and finds the full scan's
     optimum."""
@@ -194,25 +215,26 @@ def test_gen_refuses_costs_the_readers_refuse(tmp_path, cost_max):
 
 @pytest.mark.parametrize("level", ["info", "debug"])
 def test_debug_log_times_and_program_size(inst_file, level):
-    """At debug, `solve` logs its read, solve and write times and the size
-    of the LP it solved; at info it logs none of them."""
+    """At info and at debug, `solve` logs the cut rounds and cuts its
+    Solution counts; at debug it adds its read, solve and write times, and
+    at info it logs none of them."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "RRST_LOG": level,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "rrst.cli", "solve", "--input", str(inst_file)],
                           env=env, capture_output=True, text=True, check=True)
     lines = proc.stderr.splitlines()
-    assert any(line.startswith("INFO rrst: solved: total=") for line in lines)
+    sol = solve(load_instance(inst_file))
+    assert sol.rounds > 0 and sol.cuts > 0
+    assert (f"INFO rrst: solved: total={rat_str(sol.total)} iterations=1 rounds={sol.rounds} "
+            f"cuts={sol.cuts}") in lines
     debug = [line.removeprefix("DEBUG rrst: ") for line in lines if line.startswith("DEBUG ")]
     if level == "info":
         assert debug == []
         return
-    inst = load_instance(inst_file)
-    sol = solve(inst)
     assert [re.sub(r"[0-9.]+ ms$", "T ms", line) for line in debug] == [
         f"read {inst_file} in T ms",
         "solved in T ms",
-        f"LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * len(inst.costs.C)} columns",
         "wrote the solution in T ms",
     ]
 
@@ -235,7 +257,7 @@ def test_rrst_log_holds_on_every_in_process_call(inst_file, tmp_path, monkeypatc
     debug = [line for line in capsys.readouterr().err.splitlines() if line.startswith("DEBUG rrst: ")]
     assert [re.sub(r"[0-9.]+ ms$", "T ms", line) for line in debug[:2]] == [
         f"DEBUG rrst: read {inst_file} in T ms", "DEBUG rrst: solved in T ms"]
-    assert len(debug) == 4, debug
+    assert len(debug) == 3, debug
     # one handler on the rrst logger however many calls there were
     assert cli.log.handlers == [cli._log_handler]
     assert (root.level, list(root.handlers)) == before
@@ -270,15 +292,14 @@ def test_main_logs_to_its_own_handler_only(inst_file, tmp_path, monkeypatch, req
     for name in ("a.json", "b.json"):
         assert run(["solve", "--input", str(inst_file), "--output", str(tmp_path / name)]) == 0
         calls.append([re.sub(r"[0-9.]+ ms$", "T ms", line) for line in capsys.readouterr().err.splitlines()])
-    sol = solve(load_instance(inst_file))
+    inst = load_instance(inst_file)
+    sol = solve(inst)
     assert calls[0] == calls[1] == [
         f"DEBUG rrst: read {inst_file} in T ms",
-        f"INFO rrst: Instance: {len(sol.relaxation.model.ids)} elements, k=1",
+        f"INFO rrst: Instance: {len(inst.costs.C)} elements, k=1",
         "DEBUG rrst: solved in T ms",
-        f"INFO rrst: solved: total={rat_str(sol.total)} iterations=1 rounds={sol.relaxation.rounds} "
-        f"cuts={sol.relaxation.cuts_added}",
-        f"DEBUG rrst: LP: 3 block rows + {sol.relaxation.cuts_added} cut rows, {3 * len(sol.relaxation.model.ids)} "
-        "columns",
+        f"INFO rrst: solved: total={rat_str(sol.total)} iterations=1 rounds={sol.rounds} "
+        f"cuts={sol.cuts}",
         "DEBUG rrst: wrote the solution in T ms",
     ]
     assert host.records == []
@@ -691,32 +712,3 @@ def test_compare_empty_directory_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run(["compare", "--suite", str(empty)]) == 2
-
-
-def test_lp_dump_dir(tmp_path, inst_file):
-    """The one solve option writes the program and leaves the solution
-    document as it is, byte for byte."""
-    dump, plain, dumped = tmp_path / "lps", tmp_path / "sol.json", tmp_path / "sol-lp.json"
-    assert run(["solve", "--input", str(inst_file), "--output", str(plain)]) == 0
-    assert run(["solve", "--input", str(inst_file), "--output", str(dumped),
-                "--lp-dump-dir", str(dump)]) == 0
-    assert list(dump.glob("*.lp.txt"))
-    assert dumped.read_bytes() == plain.read_bytes()
-
-
-def test_lp_dump_dir_without_an_lp(tmp_path):
-    """With no overlap owed (k = n - 1) no LP is built, so nothing is
-    written, not even the directory."""
-    inst, dump = tmp_path / "inst.json", tmp_path / "lps"
-    assert run(["gen", "--nodes", "5", "--k", "4", "--seed", "7", "--output", str(inst)]) == 0
-    assert run(["solve", "--input", str(inst), "--output", str(tmp_path / "sol.json"),
-                "--lp-dump-dir", str(dump)]) == 0
-    assert not dump.exists()
-
-
-def test_lp_dump_dir_matroid(tmp_path, matroid_file):
-    dump = tmp_path / "lps"
-    assert run(["solve", "--input", str(matroid_file), "--output", str(tmp_path / "sol.json"),
-                "--lp-dump-dir", str(dump)]) == 0
-    text = (dump / "relaxation.lp.txt").read_text()
-    assert text.startswith("min ") and "r1: 1 b0 + 1 b1 + 1 b2 + 1 b3 == 1\n" in text

@@ -117,56 +117,6 @@ def test_exhaustive_separation_agrees_with_mincut(monkeypatch):
     assert vertex_objective(r1.solution) == vertex_objective(r2.solution)
 
 
-def test_lp_dump_written():
-    """The result carries what `--lp-dump-dir` writes: its model and the
-    cut rows, which render the program."""
-    model = build_relaxation(GraphSide(K3), 2, 2, UNIT)
-    result = cutting_plane_solve(model)
-    assert result.model is model and result.cuts_added == len(result.cuts)
-    assert "r0: 1 b0 + 1 b1 + 1 b2 == 2" in model.render(result.cuts)
-
-
-K4 = GraphicMatroid(range(4), {0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3), 5: (2, 3)})
-K4_COSTS = CostColumns.from_rows({0: (1, 4, 0), 1: (2, 0, 3), 2: (3, 3, 3), 3: (1, 0, 3), 4: (0, 3, 3), 5: (4, 0, 3)})
-
-_ABC_NONNEGATIVE = "".join(f"{block}{e} >= 0\n" for block in "abc" for e in range(6))
-_B_NONNEGATIVE = "".join(f"b{e} >= 0\n" for e in range(6))
-
-# the relaxation as `--lp-dump-dir` writes it, rendered from the cut loop's
-# result: the objective without its zero terms (a4 costs 0), the block rows,
-# then the cut rows in order of addition, each over the columns in block
-# order
-LP_DUMPS = {
-    "abc-with-cuts": (1, (
-        "min 1 a0 + 2 a1 + 3 a2 + 1 a3 + 4 a5 + 5 b0 + 5 b1 + 9 b2 + 4 b3 + 6 b4 + 7 b5"
-        " + 4 c0 + 3 c1 + 6 c2 + 3 c3 + 6 c4 + 3 c5\n"
-        "s.t.\n"
-        "r0: 1 a0 + 1 a1 + 1 a2 + 1 a3 + 1 a4 + 1 a5 == 2\n"
-        "r1: 1 b0 + 1 b1 + 1 b2 + 1 b3 + 1 b4 + 1 b5 == 1\n"
-        "r2: 1 c0 + 1 c1 + 1 c2 + 1 c3 + 1 c4 + 1 c5 == 2\n"
-        "r3: 1 a3 + 1 a4 + 1 a5 + 1 b3 + 1 b4 + 1 b5 <= 2\n"
-        "r4: 1 b0 + 1 b1 + 1 b3 + 1 c0 + 1 c1 + 1 c3 <= 2\n"
-    ) + _ABC_NONNEGATIVE),
-    "merged-with-cuts": (3, (
-        "min 5 b0 + 5 b1 + 9 b2 + 4 b3 + 6 b4 + 7 b5\n"
-        "s.t.\n"
-        "r0: 1 b0 + 1 b1 + 1 b2 + 1 b3 + 1 b4 + 1 b5 == 3\n"
-        "r1: 1 b3 <= 1\n"
-        "r2: 1 b0 + 1 b1 + 1 b3 <= 2\n"
-    ) + _B_NONNEGATIVE),
-}
-
-
-@pytest.mark.parametrize("quota, text", LP_DUMPS.values(), ids=LP_DUMPS.keys())
-def test_lp_dump_text_is_pinned(quota, text):
-    """The dumped relaxation, byte for byte, for an a/b/c program and a
-    merged (k=0) one, each of which takes cuts."""
-    model = build_relaxation(GraphSide(K4), 3, quota, K4_COSTS)
-    result = cutting_plane_solve(model)
-    assert result.cuts_added == 2
-    assert result.model.render(result.cuts).encode() == text.encode()
-
-
 def test_matroid_side_model():
     m = UniformMatroid(frozenset(range(4)), 2)
     costs = CostColumns.from_rows({e: (e, 3 - e, 0) for e in range(4)})

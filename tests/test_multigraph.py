@@ -1,6 +1,7 @@
-"""The graphic matroid's multigraph: construction checks, contraction,
-deletion, connectivity, and the union-find walk behind the Kruskal scan
-and `classes`."""
+"""GraphicMatroid as a graph (matroids.py holds its nodes and edges):
+construction checks, parallel edges, contraction, deletion,
+connectivity, and the union-find walk behind the Kruskal scan and
+`classes`."""
 
 from collections import deque
 

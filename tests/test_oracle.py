@@ -42,7 +42,7 @@ def test_count_known_graphs():
     assert trees(GraphicMatroid(range(1), {})) == [()]
 
 
-def test_count_multigraph_parallel_edges():
+def test_parallel_edges_give_distinct_trees():
     g = GraphicMatroid(range(2), {0: (0, 1), 1: (0, 1), 2: (0, 1)})
     assert trees(g) == [(0,), (1,), (2,)]
     # triangle plus one parallel edge: every 2-subset but the parallel pair

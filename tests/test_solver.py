@@ -273,7 +273,7 @@ def test_greedy_route_at_benchmark_size_matches_a_reference_kruskal_scan(seed):
     tree = loads_instance(json.dumps(doc))
     for inst in (tree, graphic_twin(tree)):
         sol = solve(inst)
-        assert (sol.X, sol.Y, sol.Z, sol.relaxation) == (X, Y, (), None)
+        assert (sol.X, sol.Y, sol.Z, sol.rounds, sol.cuts) == (X, Y, (), 0, 0)
         assert sol.total == sum(map(first.get, X)) + sum(map(second.get, Y))
         assert verify_solution(inst, solution_to_dict(sol)) == []
 
@@ -497,5 +497,5 @@ def test_cut_path_is_pinned(monkeypatch):
         for seed in range(1, 7):
             pivots = 0
             sol = solve(generate_instance(n, 0.3, k, 50, seed))
-            path.append((sol.relaxation.rounds, sol.relaxation.cuts_added, pivots))
+            path.append((sol.rounds, sol.cuts, pivots))
         assert path == recorded, (n, k)
