@@ -29,8 +29,9 @@ three: each field is pulled out whole, and each fact is checked once,
 over whole columns, by its one owner.  The reader checks the entries'
 types and an edge list's distinct ids; `CostColumns` the costs, which
 are non-negative ints of bounded size with distinct ids; `GraphicMatroid`
-the endpoints, no self-loop and none outside its nodes; and `Instance`
-that the costs name the ground set and k lies in 0..rank.  Only when the
+the endpoints, no self-loop and none outside its nodes; `UniformMatroid`
+and `PartitionMatroid` a non-negative rank or cap and disjoint parts; and
+`Instance` that the costs name the ground set and k lies in 0..rank.  Only when the
 reader or a record refuses a list does the one per-entry walk run, to
 raise the first fault in document order with its index, as ParseError
 or ValidationError.
@@ -313,28 +314,24 @@ def matroid_from_dict(doc) -> Matroid:
             return GraphicMatroid(filter(range(n).__contains__, chain.from_iterable(edges.values())), edges)
         except ValidationError:  # a self-loop, or an endpoint outside 0..n-1
             _raise_entry_fault(raw, n, False)
-    if family == "uniform":
-        elements = _element_ids(doc.get("elements"), "uniform matroid")
-        r = _int_field(doc, "rank", "matroid")
-        if r < 0:
-            raise ParseError(f"uniform matroid: rank {r} is negative")
-        return UniformMatroid(elements, r)
-    if family == "partition":
-        raw = doc.get("parts")
-        if not isinstance(raw, list):
-            raise ParseError("partition matroid: 'parts' must be a list")
-        parts = []
-        for i, p in enumerate(raw):
-            where = f"parts[{i}]"
-            elements = _element_ids(_object(p, where).get("elements"), where)
-            cap = _int_field(p, "cap", where)
-            if cap < 0:
-                raise ParseError(f"{where}: cap {cap} is negative")
-            parts.append((elements, cap))
-        try:
+    # the records own the checks of a rank or cap and of disjoint parts;
+    # the reader raises their faults as the document's
+    try:
+        if family == "uniform":
+            elements = _element_ids(doc.get("elements"), "uniform matroid")
+            return UniformMatroid(elements, _int_field(doc, "rank", "matroid"))
+        if family == "partition":
+            raw = doc.get("parts")
+            if not isinstance(raw, list):
+                raise ParseError("partition matroid: 'parts' must be a list")
+            parts = []
+            for i, p in enumerate(raw):
+                where = f"parts[{i}]"
+                elements = _element_ids(_object(p, where).get("elements"), where)
+                parts.append((elements, _int_field(p, "cap", where)))
             return PartitionMatroid(parts)
-        except ValidationError as exc:
-            raise ParseError(f"partition matroid: {exc}") from exc
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown matroid family {family!r}")
 
 

@@ -10,13 +10,14 @@ of instance document are read in instance.py.  `enumerate_bases` lists
 the bases of any matroid, for the oracle, with no case per family.  Two
 matroids compare equal when their family and defining data do.
 
-Rank and minimum-weight bases come from one greedy scan, which is exact
-for any matroid: against the independence test in general, and as a
-Kruskal scan of the multigraph for graphic matroids, whose full rank is
-that one scan over the edges.  The solver's
-integrality argument uses each stage's base polytope, that is its rank
-inequalities and the greedy algorithm, and never a minor; deletion and
-contraction serve only `sides`' `fix` and `remove`.
+Each family defines one greedy scan, `max_independent(order)`, which is
+exact for any matroid: a Kruskal scan of the multigraph for a graphic
+matroid, and for a partition matroid one pass that keeps an element
+while its part has room.  `Matroid` derives independence, rank and full
+rank from that scan, and greedy, `verify` and the enumeration read it
+too.  The solver's integrality argument uses each stage's base polytope,
+that is its rank inequalities and the greedy algorithm, and never a
+minor; deletion and contraction serve only `sides`' `fix` and `remove`.
 
 Connectivity is one union-find idiom, in the Kruskal scan and in
 `classes` (contraction classes, split into connected parts): a dict maps
@@ -34,14 +35,16 @@ from .errors import ValidationError
 
 
 class Matroid:
-    """Base class; subclasses implement is_independent."""
+    """Base class: a family defines its one scan; the rest reads it."""
 
     family = "abstract"
 
     def __init__(self, ground):
         self.ground = frozenset(ground)
 
-    def is_independent(self, subset) -> bool:
+    def max_independent(self, order) -> list[int]:
+        """Greedy scan: the elements of order, in that order, that stay
+        independent of those kept before them."""
         raise NotImplementedError
 
     def _check_elements(self, subset):
@@ -49,27 +52,18 @@ class Matroid:
         if bad:
             raise ValidationError(f"elements {sorted(bad)} not in ground set")
 
-    def max_independent(self, order) -> list[int]:
-        """Greedy scan: the elements of order, in that order, that stay
-        independent of those kept before them."""
-        picked: set[int] = set()
-        kept = []
-        for e in order:
-            picked.add(e)
-            if self.is_independent(picked):
-                kept.append(e)
-            else:
-                picked.discard(e)
-        return kept
+    def is_independent(self, subset) -> bool:
+        self._check_elements(subset)
+        return len(self.max_independent(subset)) == len(subset)
 
     def rank(self, subset) -> int:
         """Size of a maximum independent subset of `subset`, elements of the
-        ground set, by the greedy scan; full_rank() ranks the whole ground."""
+        ground set, in any order; full_rank() ranks the whole ground."""
         self._check_elements(subset)
-        return len(self.max_independent(sorted(subset)))
+        return len(self.max_independent(subset))
 
     def full_rank(self) -> int:
-        return self.rank(self.ground)
+        return len(self.max_independent(self.ground))
 
 
 class GraphicMatroid(Matroid):
@@ -100,10 +94,6 @@ class GraphicMatroid(Matroid):
     def __hash__(self):
         return hash((self.nodes, frozenset(self.edges.items())))
 
-    def is_independent(self, subset) -> bool:
-        self._check_elements(subset)
-        return len(self.max_independent(subset)) == len(subset)
-
     def max_independent(self, order) -> list[int]:
         """Kruskal scan: the edges of order, in that order, that join two
         components of the forest kept so far; stops at |nodes| - 1 edges."""
@@ -125,10 +115,6 @@ class GraphicMatroid(Matroid):
                 if len(forest) == need:
                     break
         return forest
-
-    def full_rank(self) -> int:
-        # one Kruskal scan, in any order: no check or sort of the ground set
-        return len(self.max_independent(self.edges))
 
     def delete(self, e: int) -> "GraphicMatroid":
         """Remove edge e; nodes are kept even if isolated."""
@@ -188,24 +174,26 @@ def classes(items, links) -> tuple[dict, list[list]]:
 
 
 class PartitionMatroid(Matroid):
-    """Independent iff each block contributes at most its capacity."""
+    """Independent iff each part holds at most its cap of the subset.  Only
+    the constructor checks that the (elements, int cap) parts are disjoint
+    and no cap is negative, and names a faulty part by its index."""
 
     family = "partition"
 
     def __init__(self, parts):
-        # parts: sequence of (elements, cap); blocks must be disjoint
         norm = []
-        seen: set[int] = set()
-        for elements, cap in parts:
+        part: dict[int, int] = {}  # element -> index of its part
+        for i, (elements, cap) in enumerate(parts):
             elements = frozenset(elements)
             if cap < 0:
-                raise ValidationError(f"partition capacity {cap} is negative")
-            if elements & seen:
-                raise ValidationError("partition blocks overlap")
-            seen |= elements
+                raise ValidationError(f"partition matroid: parts[{i}]: cap {cap} is negative")
+            if not part.keys().isdisjoint(elements):
+                raise ValidationError(f"partition matroid: parts[{i}] overlaps an earlier part")
+            part.update(dict.fromkeys(elements, i))
             norm.append((elements, cap))
         self.parts = tuple(norm)
-        super().__init__(seen)
+        self._part = part
+        super().__init__(part)
 
     def __eq__(self, other):
         if not isinstance(other, PartitionMatroid):
@@ -215,10 +203,20 @@ class PartitionMatroid(Matroid):
     def __hash__(self):
         return hash((self.family, self.parts))
 
-    def is_independent(self, subset) -> bool:
-        self._check_elements(subset)
-        s = set(subset)
-        return all(len(s & elements) <= cap for elements, cap in self.parts)
+    def max_independent(self, order) -> list[int]:
+        """Per-part scan: the elements of order, in that order, whose part
+        still has room after those kept before them."""
+        room = [cap for _, cap in self.parts]
+        part = self._part
+        kept = []
+        try:
+            for e in order:
+                if room[i := part[e]]:
+                    room[i] -= 1
+                    kept.append(e)
+        except KeyError:
+            raise ValidationError(f"no element with id {e}") from None
+        return kept
 
     def delete(self, e: int) -> "PartitionMatroid":
         self._check_elements({e})
@@ -245,7 +243,7 @@ class UniformMatroid(PartitionMatroid):
 
     def __init__(self, ground, r: int):
         if r < 0:
-            raise ValidationError(f"uniform rank {r} is negative")
+            raise ValidationError(f"uniform matroid: rank {r} is negative")
         super().__init__([(ground, r)])
 
 
@@ -277,11 +275,12 @@ def enumerate_bases(matroid: Matroid):
         i = stack[-1]
         if len(chosen) == r:
             yield tuple(chosen)
-        # the rank of the prefix with the rest: one greedy scan, over
-        # elements of the ground set that need no check
-        elif len(matroid.max_independent(chosen + ground[i:])) == r:
+        # one greedy scan of the prefix with the rest gives their rank, and,
+        # as it keeps all of the independent prefix first, whether the
+        # prefix takes ground[i]: then the scan keeps it next
+        elif len(kept := matroid.max_independent(chosen + ground[i:])) == r:
             stack[-1] = i + 1
-            if matroid.is_independent(chosen + [ground[i]]):
+            if kept[len(chosen)] == ground[i]:
                 chosen.append(ground[i])
                 stack.append(i + 1)
             continue

@@ -138,6 +138,19 @@ class GenericOracleMatroid(Matroid):
         self._check_elements(subset)
         return self._oracle(frozenset(subset))
 
+    def max_independent(self, order) -> list[int]:
+        """Greedy scan: the elements of order, in that order, that stay
+        independent of those kept before them."""
+        picked: set[int] = set()
+        kept = []
+        for e in order:
+            picked.add(e)
+            if self.is_independent(picked):
+                kept.append(e)
+            else:
+                picked.discard(e)
+        return kept
+
 
 def cleared(point):
     """A point of exact rationals as (int numerators, unit), the form the

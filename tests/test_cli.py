@@ -349,6 +349,27 @@ def test_malformed_matroid_instance_exits_2(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+CAPACITY_FAULTS = {
+    "negative uniform rank": ({"family": "uniform", "elements": [0, 1], "rank": -1},
+                              "uniform matroid: rank -1 is negative"),
+    "negative cap": ({"family": "partition", "parts": [{"elements": [0], "cap": 1}, {"elements": [1, 2], "cap": -2}]},
+                     "partition matroid: parts[1]: cap -2 is negative"),
+    "overlapping parts": ({"family": "partition", "parts": [{"elements": [0, 1], "cap": 1},
+                                                            {"elements": [1, 2], "cap": 1}]},
+                          "partition matroid: parts[1] overlaps an earlier part"),
+}
+
+
+@pytest.mark.parametrize("doc, message", CAPACITY_FAULTS.values(), ids=CAPACITY_FAULTS.keys())
+def test_a_capacity_fault_exits_2_naming_its_part(tmp_path, doc, message, capsys):
+    """The matroid records own these checks; the reader raises their fault
+    as the document's, so it exits 2 and names the part."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, k=0, costs=[])))
+    assert run(["solve", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 MALFORMED_JSON = {
     "deeply nested": ("[" * 100_000 + "]" * 100_000).encode(),
     "not UTF-8": '{"nodes": 2, "k": 0, "edges": [], "note": "caf\u00e9"}'.encode("latin-1"),

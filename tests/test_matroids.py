@@ -213,6 +213,24 @@ def test_enumerate_bases_equals_the_filtered_combinations(family):
         assert list(enumerate_bases(m)) == _bases_by_definition(m), m.ground
 
 
+@pytest.mark.parametrize("family", ["uniform", "partition"])
+def test_per_part_scan_equals_the_generic_scan(family):
+    """The per-part scan keeps what the generic greedy keeps over the
+    definition's test, each part holding at most its cap, in the same
+    order, on random orders of random subsets; independence and rank,
+    read off the scan, agree."""
+    rng = random.Random(f"scan-{family}")
+    for _ in range(150):
+        m = _random_matroid(rng, family)
+        o = GenericOracleMatroid(m.ground, lambda s, parts=m.parts: all(len(s & els) <= cap for els, cap in parts))
+        order = rng.sample(sorted(m.ground), rng.randint(0, len(m.ground)))
+        assert m.max_independent(order) == o.max_independent(order), (m.parts, order)
+        assert m.is_independent(order) == o.is_independent(order)
+        assert m.rank(order) == o.rank(order) and m.full_rank() == o.full_rank()
+    with pytest.raises(ValidationError, match="no element with id 99"):
+        PartitionMatroid([({0, 1}, 1)]).max_independent([0, 99])
+
+
 def test_greedy_matches_enumeration_min():
     m = PartitionMatroid([(frozenset({0, 1, 2}), 2), (frozenset({3, 4}), 1)])
     weights = {0: rat(5), 1: rat(2), 2: rat(2), 3: rat(9), 4: rat(1)}
@@ -231,8 +249,19 @@ def test_greedy_matches_enumeration_min_k4(ws):
 
 
 def test_partition_overlapping_parts_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"parts\[1\] overlaps an earlier part"):
         PartitionMatroid([(frozenset({0, 1}), 1), (frozenset({1, 2}), 1)])
+
+
+def test_the_records_own_their_capacity_checks():
+    """A negative cap or rank is refused by the record, which names the
+    part; the reader leaves the check to it."""
+    with pytest.raises(ValidationError, match=r"parts\[2\]: cap -1 is negative"):
+        PartitionMatroid([({0}, 1), ({1}, 0), ({2}, -1)])
+    with pytest.raises(ValidationError, match="rank -3 is negative"):
+        UniformMatroid({0, 1}, -3)
+    with pytest.raises(ParseError, match=r"partition matroid: parts\[0\]: cap -1 is negative"):
+        matroid_from_dict({"family": "partition", "parts": [{"elements": [0], "cap": -1}]})
 
 
 class _Id(int):

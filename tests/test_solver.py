@@ -191,6 +191,35 @@ def test_capacity_edges_match_brute_force_at_every_k(doc):
         assert verify_solution(mi, solution_to_dict(sol)) == [], k
 
 
+def test_large_capacity_documents_never_ask_the_independence_test(monkeypatch):
+    """Reading, solving with no overlap owed and verifying an 8,000-element
+    uniform or partition document take the per-part scan in every layer
+    and never the independence test, which as a greedy scan's step made
+    each layer quadratic in the document."""
+    m = 8000
+    costs = [{"id": e, "C": (7 * e) % 101, "c": (13 * e) % 97, "d": e % 5} for e in range(m)]
+    docs = [{"family": "uniform", "elements": list(range(m)), "rank": m // 2},
+            {"family": "partition", "parts": [{"elements": list(range(i, i + 50)), "cap": 25}
+                                              for i in range(0, m, 50)]}]
+
+    def refused(*args):
+        raise AssertionError("independence test called")
+
+    monkeypatch.setattr(PartitionMatroid, "is_independent", refused)
+    totals = []
+    for doc in docs:
+        mi = loads_instance(json.dumps(dict(doc, k=m // 2, costs=costs)))
+        assert mi.rank == mi.k == m // 2
+        sol = solve(mi)
+        assert (sol.rounds, sol.cuts, len(sol.X), len(sol.Y), sol.Z) == (0, 0, m // 2, m // 2, ())
+        assert verify_solution(mi, solution_to_dict(sol)) == []
+        totals.append(sol.total)
+    # the uniform matroid's two stages are its m // 2 cheapest elements
+    C = sorted(e["C"] for e in costs)
+    second = sorted(e["c"] + e["d"] for e in costs)
+    assert totals[0] == sum(C[:m // 2]) + sum(second[:m // 2])
+
+
 def test_a_family_with_no_solve_route_is_refused_at_every_k():
     """Only graphic, uniform and partition matroids have a solve route; a
     matroid given by its independence test alone is refused as input at
