@@ -6,7 +6,8 @@ kinds, named by who must act.
                   CLI exit 2.
 * TooLarge      - the input is too large for a bound of the route that
                   takes it: the oracle's count of bases, past its pair
-                  scan's bound, or the solver's pivots and cut rounds.
+                  scan's bound, or the solver's simplex pivots, which
+                  bound its cut rounds too.
                   Shrink it.  CLI exit 2.
 * InternalError - an invariant the algorithms guarantee was breached:
                   report a bug.  CLI exit 4.
@@ -42,10 +43,9 @@ class TooLarge(RRSTError):
 
 class InternalError(RRSTError):
     """An algorithm invariant was breached; indicates a bug, never bad
-    input.  So is a linear program the simplex cannot take, since only
-    the solver builds programs."""
+    input."""
 
 
 class InfeasibleModel(InternalError):
     """The relaxation has no feasible point: the simplex session raises it
-    on a negative block rhs, or when a batch of cuts leaves no point."""
+    only when a batch of cuts leaves no point."""

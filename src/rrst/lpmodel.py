@@ -15,9 +15,11 @@ When q = r the a and c rows force both blocks to zero, so they are not
 built: what is left is b alone with 1ᵀb = q, the "merged" program.
 
 The model hands the simplex its columns, each block's costs and rhs,
-and each cut as coefficients by column index.  The cut loop returns the
-optimal vertex with its counts of rounds and cuts.  Nothing here touches
-a file.
+and each cut as the ascending columns of its row of ones with its rhs.
+The cut loop returns the optimal vertex with its counts of rounds and
+cuts.  Every row it adds is violated at the current vertex, so each round
+takes at least one dual pivot, and the simplex's pivot bound bounds the
+rounds too.  Nothing here touches a file.
 
 The solver completes a selection with no overlap owed greedily, so a
 relaxation is only built while at least one unit of overlap is owed.
@@ -27,11 +29,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InternalError, TooLarge
+from .errors import InternalError
 from .simplex import SimplexSession, VertexSolution
-
-# defensive bound on cutting-plane rounds per LP solve
-_ROUND_LIMIT = 10000
 
 
 class RelaxationModel:
@@ -76,31 +75,28 @@ class RelaxationModel:
                     point[e] += value
         return point
 
-    def stage_row(self, elements, stage: str) -> dict:
-        """The coefficients of x(S) or y(S) over the LP columns."""
+    def stage_row(self, elements, stage: str) -> list[int]:
+        """The LP columns of x(S) or y(S), ascending, for S `elements`
+        ascending."""
         position = self.position
-        b = self._start("b")
-        row = {b + position[e]: 1 for e in elements}
-        if not self.reduced:
-            own = self._start("a" if stage == "x" else "c")
-            row.update((own + position[e], 1) for e in elements)
-        return row
+        names = "b" if self.reduced else "ab" if stage == "x" else "bc"
+        starts = [self._start(name) for name in names]
+        return [start + position[e] for start in starts for e in elements]
 
 
 def build_relaxation(side, size: int, quota: int, costs) -> RelaxationModel:
     """Build the LP over `side`, whose selections hold `size` elements, with
-    overlap `quota`, at least 1.
+    overlap `quota`, 1 <= quota <= size.
 
     `size` is what the instance already knows (n - 1 for a tree, the rank
     for a matroid), so no build scans the side for it.  Every element is
     overlap-eligible; `costs` is the instance's CostColumns, whose ints are
     in units of 1/costs.scale, so the objective and its optimum are in
     those units too.  Its ids are the side's elements, which the instance
-    checked, so the columns are read off them.  A quota above the
-    selection size leaves the program infeasible.
+    checked, so the columns are read off them.  The instance holds k in
+    0..rank, and the solver builds no relaxation with no overlap owed, so
+    the quota is in range.
     """
-    if quota < 1:
-        raise InternalError(f"relaxation requested with overlap quota {quota}")
     spare = size - quota
     ids = sorted(costs.C)
     C, second = costs.C, costs.second
@@ -156,8 +152,8 @@ def cutting_plane_solve(model: RelaxationModel) -> CutPlaneResult:
         if not pending:
             break
         rounds += 1
-        if rounds > _ROUND_LIMIT:
-            raise TooLarge(f"cutting-plane rounds exceeded {_ROUND_LIMIT}")
+        # a violated row makes the dual simplex pivot at least once, so
+        # the pivot bound is the bound on the rounds too
         for stage, (elements, rhs) in pending:
             if sum(map(points[stage].__getitem__, elements)) <= rhs * den:
                 raise InternalError("separation produced a row the vertex already satisfies")

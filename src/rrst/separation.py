@@ -2,9 +2,11 @@
 
 Every route takes a point as int numerators over one positive `unit`: the
 cut loop passes the LP vertex as the tableau holds it, over its
-denominator.  Only the solver builds points, so a malformed one (an entry
-missing, extra or negative, or a sum past the selection size) is a bug and
-raises InternalError.  Every route returns a violated row x(S) <= r(S) as the pair
+denominator.  Only the relaxation builds points, so the routes take them
+as given: one non-negative entry per element of the ground set (the
+instance checked that the costs, and so the LP's columns, name the ground
+set), summing to the selection size (the block rows fix x(ground) =
+rank).  Every route returns a violated row x(S) <= r(S) as the pair
 (S as an ascending id tuple, the int r(S)), or None, so no Fraction is
 built anywhere in the cut loop.
 
@@ -57,20 +59,6 @@ from .errors import InternalError
 from .matroids import GraphicMatroid, classes
 
 Cut = tuple[tuple[int, ...], int]  # the row x(S) <= r(S): (S ascending, r(S))
-
-
-def _check_point(point, ground):
-    """Raise InternalError unless point has one non-negative entry per id
-    of ground, a set of ids."""
-    if point.keys() != ground:
-        missing = ground - point.keys()
-        if missing:
-            raise InternalError(f"point missing ids {sorted(missing)}")
-        extra = point.keys() - ground
-        raise InternalError(f"point names ids outside the ground set {sorted(extra)}")
-    if min(point.values(), default=0) < 0:
-        eid = min(e for e, v in point.items() if v < 0)
-        raise InternalError(f"point[{eid}]={point[eid]} is negative")
 
 
 # --- forest separation ------------------------------------------------
@@ -194,9 +182,9 @@ def _violated_part(unit, groups, inner, cross, side):
 def separate_forest(point, unit: int, matroid: GraphicMatroid) -> Cut | None:
     """A violated connected subtour set's row, or None; complete as a verdict.
 
-    Takes only points with x(E) <= n - 1, as every point of the relaxation
-    is; any other point comes from a solver bug: InternalError.  The edges with x_e = 1 are contracted
-    by one union-find pass and the edges with x_e = 0 dropped.  Exact:
+    Takes only points with x(E) <= n - 1, as every point of the
+    relaxation is.  The edges with x_e = 1 are contracted by one
+    union-find pass and the edges with x_e = 0 dropped.  Exact:
     growing a violated set across a 1-edge never reduces its violation,
     and the grown set cannot be V since x(E) <= n - 1, so a violated set
     exists iff one that is a union of super-nodes does.  A super-node is
@@ -210,13 +198,10 @@ def separate_forest(point, unit: int, matroid: GraphicMatroid) -> Cut | None:
     union of two or more super-nodes holds a positive cross edge, and with
     none there is no sweep and no network.
     """
-    _check_point(point, matroid.ground)
     n = len(matroid.nodes)
-    caps = {eid: v for eid, v in point.items() if v > 0}
-    if sum(caps.values()) > (n - 1) * unit:
-        raise InternalError(f"point sums past n - 1 = {n - 1}")
     if n < 3:
         return None
+    caps = {eid: v for eid, v in point.items() if v > 0}
     ends = matroid.edges
     label, groups = classes(sorted(matroid.nodes), [ends[eid] for eid, c in caps.items() if c == unit])
     inner = [0] * len(groups)
@@ -257,8 +242,7 @@ def separate_forest(point, unit: int, matroid: GraphicMatroid) -> Cut | None:
 
 def _best_prefix(point, unit, elements, cap):
     """One scan of a part under the budget x(top j) <= min(j, cap): its most
-    violated prefix (empty when none is violated), that prefix's rhs and
-    the weight of the whole part, times unit."""
+    violated prefix (empty when none is violated) and that prefix's rhs."""
     # stable: descending value, ascending id among equal values
     order = sorted(sorted(elements), key=point.__getitem__, reverse=True)
     weight = 0
@@ -268,7 +252,7 @@ def _best_prefix(point, unit, elements, cap):
         viol = weight - min(j, cap) * unit
         if viol > best_viol:
             best_viol, best_j = viol, j
-    return order[:best_j], min(best_j, cap), weight
+    return order[:best_j], min(best_j, cap)
 
 
 def separate_rank(point, unit: int, matroid) -> Cut | None:
@@ -277,23 +261,17 @@ def separate_rank(point, unit: int, matroid) -> Cut | None:
 
     Takes only points with one non-negative entry per element of the
     ground set and x(ground) <= rank, as every point of the relaxation
-    is; any other point comes from a solver bug: InternalError.  The
-    matroid is a partition matroid (a uniform matroid is one part): the
-    solver hands graphic matroids to the forest side and refuses any other
-    family.  The most violated constraint is the union of each part's best
+    is.  The matroid is a partition matroid (a uniform matroid is one
+    part): the solver hands graphic matroids to the forest side and
+    refuses any other family.  The most violated constraint is the union of each part's best
     prefix; it is never the whole ground set, which no such point violates.
     """
-    _check_point(point, matroid.ground)
     elements = []
-    rhs, weight, rank = 0, 0, 0
+    rhs = 0
     for part, cap in matroid.parts:
-        prefix, part_rhs, part_weight = _best_prefix(point, unit, part, cap)
+        prefix, part_rhs = _best_prefix(point, unit, part, cap)
         elements += prefix
         rhs += part_rhs
-        weight += part_weight
-        rank += min(len(part), cap)
-    if weight > rank * unit:
-        raise InternalError(f"point sums past the rank {rank}")
     if not elements:
         return None
     return tuple(sorted(elements)), rhs

@@ -3,11 +3,12 @@
 Minimizes an integer objective over the columns x >= 0 of a block program
 (one == row of ones per block of columns) and the <= cuts added to it,
 with every pivot and solution value exact, so "optimal" means optimal,
-not optimal-up-to-epsilon.  The program arrives as columns: each block's
-int costs and rhs, then each cut's int coefficients by column index.  A
-value that is not an int, an empty block or a cut column outside the
-structural columns raises InternalError: only the solver builds
-programs, so such a program is a bug.  The tableau holds Python ints over
+not optimal-up-to-epsilon.  The program arrives as the relaxation builds
+it: each block's int costs and its int rhs, then each cut as the
+ascending structural columns of a row of ones and its int rhs.  Only the
+solver builds programs, from an instance that is already checked, so the
+session takes them as given: no block is empty, every entry is an int
+and every block rhs is non-negative.  The tableau holds Python ints over
 one common denominator and pivots by exact integer division, with no gcd
 (see SimplexSession), and a vertex comes back the same way: int
 numerators over that denominator, with no Fraction built.
@@ -18,7 +19,9 @@ reoptimized with the dual simplex instead of solving from scratch.  A
 session holds an optimal tableau, or it has raised InfeasibleModel and is
 spent.  Its pivot rule breaks every tie by lowest index (leaving row by
 basic column, entering column by index), which makes every run
-deterministic: identical programs yield byte-identical solutions.
+deterministic: identical programs yield byte-identical solutions.  Its
+pivots are the solver's one size bound: past _PIVOT_LIMIT a session
+raises TooLarge.
 """
 
 from __future__ import annotations
@@ -26,15 +29,9 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import sub
 
-from .errors import InfeasibleModel, InternalError, TooLarge
+from .errors import InfeasibleModel, TooLarge
 
 _PIVOT_LIMIT = 2_000_000
-
-
-def _check_ints(values, what):
-    for v in values:
-        if type(v) is not int:
-            raise InternalError(f"{what} must be an int, got {v!r}")
 
 
 class VertexSolution(namedtuple("VertexSolution", "values den objective")):
@@ -58,8 +55,8 @@ class SimplexSession:
     on the cheapest column of its block, the lowest index winning a tie,
     which is where a two-phase solve under Bland's rule ends too.  The
     session starts there, with no pivot; afterwards only <= cuts arrive,
-    and the dual simplex repairs them.  A negative block rhs, or a batch
-    of cuts no point satisfies, raises InfeasibleModel.
+    and the dual simplex repairs them.  A batch of cuts no point
+    satisfies raises InfeasibleModel.
 
     Column layout: the structural columns of the blocks, then one slack
     column per cut in order of addition, so column indices never move and
@@ -77,10 +74,10 @@ class SimplexSession:
     and each row is its constraint.
 
     A cut joins in canonical form: ``den`` times its row, minus each basic
-    row times the cut's coefficient on that row's basic column, with its
-    own slack basic at ``den``.  The cuts of this package have
-    coefficients 0 and 1, so the basic rows a cut touches are summed in
-    one pass over the columns and the sum is subtracted once.
+    row whose basic column the cut holds, with its own slack basic at
+    ``den``.  Every coefficient of a cut is 1, so the basic rows it
+    touches are summed in one pass over the columns and the sum is
+    subtracted once.
     """
 
     def __init__(self, blocks):
@@ -91,11 +88,7 @@ class SimplexSession:
         self.basis = []
         self.cost = []
         objective = 0
-        for i, (costs, rhs) in enumerate(blocks):
-            if not costs:
-                raise InternalError(f"block {i} has no column")
-            _check_ints(costs, f"a cost of block {i}")
-            _check_ints((rhs,), f"the rhs of block {i}")
+        for costs, rhs in blocks:
             start = len(self.cost)
             row = [0] * (width + 1)
             row[start:start + len(costs)] = [1] * len(costs)
@@ -107,9 +100,6 @@ class SimplexSession:
             self.cost.extend(c - cheapest for c in costs)
             objective += rhs * cheapest
         self.cost.append(-objective)
-        for i, (_, rhs) in enumerate(blocks):
-            if rhs < 0:
-                raise InfeasibleModel(f"block {i} has the negative rhs {rhs}")
 
     # --- core pivoting ------------------------------------------------
 
@@ -148,51 +138,36 @@ class SimplexSession:
         if self._pivots > _PIVOT_LIMIT:
             raise TooLarge(f"simplex pivots exceeded {_PIVOT_LIMIT}")
 
-    def _canonical(self, row):
-        """``den * row`` with every basic column eliminated, for a row over
-        the current columns written with denominator 1: ``den * row`` minus
-        the column sums of ``row[b_i] * rows[i]``.  A row with coefficient
-        1 joins the sum as it is; any other is scaled by a pass of its own."""
-        terms = []
-        for f, other in zip(map(row.__getitem__, self.basis), self.rows):
-            if f == 1:
-                terms.append(other)
-            elif f:
-                terms.append(list(map(f.__mul__, other)))
+    def _canonical(self, columns, rhs):
+        """``den`` times the row x(columns) <= rhs over the current columns,
+        with every basic column eliminated: minus the column sums of the
+        basic rows whose basic column is one of ``columns``."""
         den = self.den
-        out = map(den.__mul__, row) if den != 1 else row
+        row = [0] * self.ncols + [den * rhs]
+        for j in columns:
+            row[j] = den
+        terms = [other for b, other in zip(self.basis, self.rows) if row[b]]
         if not terms:
-            return list(out)
-        return list(map(sub, out, map(sum, zip(*terms))))
+            return row
+        return list(map(sub, row, map(sum, zip(*terms))))
 
     # --- warm cut addition ---------------------------------------------
 
     def add_cuts(self, cuts):
-        """Append the <= cuts ``(coeffs, rhs)``, each ``coeffs`` an int per
-        structural column, then reoptimize once with the dual simplex.
+        """Append the <= cuts ``(columns, rhs)``, each the ascending
+        structural columns of a row of ones and an int rhs, then reoptimize
+        once with the dual simplex.
 
         The tableau stays primally optimal (reduced costs nonnegative), so
         only feasibility needs repair; Bland-style tie-breaking keeps the
         walk finite and deterministic.  InfeasibleModel when no point
         satisfies the grown program.
         """
-        # the whole batch is checked before the session changes at all
-        structural = range(self.nvars)
+        # a cut has no entry in the slack column of an earlier cut of the
+        # batch, so the rows before the batch are all it is canonicalized
+        # against
         width = self.ncols
-        new_rows = []
-        for coeffs, rhs in cuts:
-            _check_ints(coeffs.values(), "a cut coefficient")
-            _check_ints((rhs,), "a cut rhs")
-            row = [0] * width + [rhs]
-            for col, v in coeffs.items():
-                # a column past the structural ones would land in a slack
-                if col not in structural:
-                    raise InternalError(f"cut column {col!r} is not one of the {self.nvars} structural columns")
-                row[col] = v
-            # den * a - sum a[b_i] * rows[i]; a cut has no entry in the
-            # slack column of an earlier cut of the batch, so the rows
-            # before the batch are all it is canonicalized against
-            new_rows.append(self._canonical(row))
+        new_rows = [self._canonical(columns, rhs) for columns, rhs in cuts]
 
         zeros = [0] * len(new_rows)
         for row in self.rows:

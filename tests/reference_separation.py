@@ -3,19 +3,36 @@
 The solver has one separation route per side: min-cut sweeps on a graph,
 a prefix scan per part on a uniform or partition matroid.  The scans here
 check every subset against its constraint instead, so they define what
-those routes must find; they take any point, but only small inputs.  Like
-the fast routes, they take a point as int numerators over one positive
-`unit` and return the most violated constraint, ties broken by the
-sorted node or element tuple, as the row (ascending ids, int rhs).
+those routes must find; they take a point of any sum, but only small
+inputs.  Like the fast routes, they take a point as int numerators over
+one positive `unit` and return the most violated constraint, ties broken
+by the sorted node or element tuple, as the row (ascending ids, int
+rhs).  The fast routes take the relaxation's points as given; the points
+here are built by hand, so each scan first checks that its point has one
+non-negative entry per element of the ground set.
 """
 
 import itertools
 
-from rrst.errors import TooLarge
-from rrst.separation import _check_point, _forest_cut
+from rrst.errors import InternalError, TooLarge
+from rrst.separation import _forest_cut
 from rrst.sides import GraphSide
 
 EXHAUSTIVE_NODE_LIMIT = 20
+
+
+def _check_point(point, ground):
+    """Raise InternalError unless point has one non-negative entry per id
+    of ground, a set of ids."""
+    if point.keys() != ground:
+        missing = ground - point.keys()
+        if missing:
+            raise InternalError(f"point missing ids {sorted(missing)}")
+        extra = point.keys() - ground
+        raise InternalError(f"point names ids outside the ground set {sorted(extra)}")
+    if min(point.values(), default=0) < 0:
+        eid = min(e for e, v in point.items() if v < 0)
+        raise InternalError(f"point[{eid}]={point[eid]} is negative")
 
 
 def _forest_candidate(point, unit, graph, nodes):

@@ -7,11 +7,10 @@ import pathlib
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
-from rrst import cli, errors, lpmodel, oracle, sides
+from rrst import cli, errors, oracle
 from rrst.errors import (InfeasibleModel, InputError, InternalError, ParseError, TooLarge,
                          ValidationError)
 from rrst.instance import load_instance
@@ -499,32 +498,6 @@ def test_internal_failure_exits_4(inst_file, monkeypatch):
 
     monkeypatch.setattr(cli, "solve", boom)
     assert run(["solve", "--input", str(inst_file)]) == 4
-
-
-def test_malformed_program_exits_4(inst_file, monkeypatch, capsys):
-    """A row the solver cannot take is a bug in the solver, not bad input."""
-    def fractional_cut(self, point, unit):
-        return tuple(sorted(self.matroid.edges)), Fraction(-1, 2)
-
-    monkeypatch.setattr(sides.GraphSide, "separate", fractional_cut)
-    assert run(["solve", "--input", str(inst_file)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: InternalError: a cut rhs must be an int, got Fraction(-1, 2)"), err
-
-
-@pytest.mark.parametrize("matroid", [False, True], ids=["forest", "rank"])
-def test_malformed_point_exits_4(inst_file, matroid_file, monkeypatch, capsys, matroid):
-    """Only the solver builds the points separation takes, so one that sums
-    past the selection size is a bug, not bad input."""
-    real = lpmodel.RelaxationModel.stage_point
-
-    def doubled(self, values, stage):
-        return {e: 2 * v for e, v in real(self, values, stage).items()}
-
-    monkeypatch.setattr(lpmodel.RelaxationModel, "stage_point", doubled)
-    assert run(["solve", "--input", str(matroid_file if matroid else inst_file)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: InternalError: point sums past"), err
 
 
 def test_pivot_limit_exits_2(inst_file, monkeypatch, capsys):

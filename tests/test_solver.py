@@ -508,10 +508,10 @@ PINNED_CUT_PATHS = {
 }
 
 
-def test_cut_path_is_pinned(monkeypatch):
-    """The cut loop's path on fixed mid-k and k=0 trees: a change to the
-    simplex or separation kernels that alters a pivot, a cut or a round
-    fails here even where no tie changes a document."""
+@pytest.fixture
+def counted_solve(monkeypatch):
+    """`solve` that also returns the simplex pivots the solve took,
+    counted by wrapping SimplexSession._pivot."""
     pivots = 0
     real = SimplexSession._pivot
 
@@ -521,10 +521,64 @@ def test_cut_path_is_pinned(monkeypatch):
         return real(self, r, c)
 
     monkeypatch.setattr(SimplexSession, "_pivot", counted)
+
+    def run(instance):
+        nonlocal pivots
+        pivots = 0
+        sol = solve(instance)
+        return sol, pivots
+
+    return run
+
+
+def test_cut_path_is_pinned(counted_solve):
+    """The cut loop's path on fixed mid-k and k=0 trees: a change to the
+    simplex or separation kernels that alters a pivot, a cut or a round
+    fails here even where no tie changes a document."""
     for (n, k), recorded in PINNED_CUT_PATHS.items():
         path = []
         for seed in range(1, 7):
-            pivots = 0
-            sol = solve(generate_instance(n, 0.3, k, 50, seed))
+            sol, pivots = counted_solve(generate_instance(n, 0.3, k, 50, seed))
             path.append((sol.rounds, sol.cuts, pivots))
         assert path == recorded, (n, k)
+
+
+def _pivot_bound_corpus():
+    """The builtin suite, seeded trees on 6-16 nodes at every k, and 150
+    seeded uniform and partition matroids of 4-16 elements."""
+    yield from (inst for _, inst in builtin_small_suite())
+    for n in range(6, 17):
+        for k in range(n):
+            yield generate_instance(n, 0.4, k, 30, 100 * n + k)
+    rng = random.Random(5)
+    for i in range(150):
+        m = rng.randint(4, 16)
+        if i % 2:
+            matroid = UniformMatroid(frozenset(range(m)), rng.randint(1, m - 1))
+        else:
+            parts, start = [], 0
+            while start < m:
+                size = rng.randint(1, 5)
+                parts.append((frozenset(range(start, start + size)), rng.randint(0, size)))
+                start += size
+            matroid = PartitionMatroid(parts)
+        costs = CostColumns.from_rows({e: (rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20))
+                                       for e in sorted(matroid.ground)})
+        yield Instance(matroid=matroid, costs=costs, k=rng.randint(0, matroid.full_rank()))
+
+
+def test_pivots_bound_the_cut_rounds(counted_solve):
+    """The simplex's pivot bound is the solver's one size bound, because
+    it bounds the cut rounds too: every row a round adds is violated at
+    the current vertex, so its slack enters the tableau negative and the
+    dual simplex pivots at least once per round.  Checked on every LP
+    solve of a broad corpus of trees and uniform and partition matroids."""
+    solves = 0
+    seen = set()
+    for instance in _pivot_bound_corpus():
+        sol, pivots = counted_solve(instance)
+        if sol.rounds:
+            solves += 1
+            seen.add(instance.matroid.family)
+            assert pivots >= sol.rounds, (instance.matroid.family, sol.rounds, pivots)
+    assert solves >= 500 and seen == {"graphic", "uniform", "partition"}
